@@ -65,6 +65,58 @@ BENCHMARK(BM_EncodeColumn)
     ->Arg(static_cast<int>(storage::Encoding::kRle))
     ->Arg(static_cast<int>(storage::Encoding::kDictionary));
 
+// The auto-chooser on 4096 values shaped so each encoding wins: uniform
+// floats (PLAIN, arg 0), sorted low-cardinality ints (RLE, arg 1) and
+// shuffled short strings from a small set (DICTIONARY, arg 2).
+void BM_EncodeColumnAuto(benchmark::State& state) {
+  int shape = static_cast<int>(state.range(0));
+  Rng rng(5);
+  storage::DataType type = shape == 0   ? storage::DataType::kFloat64
+                           : shape == 1 ? storage::DataType::kInt64
+                                        : storage::DataType::kVarchar;
+  std::vector<storage::Value> values;
+  for (int i = 0; i < 4096; ++i) {
+    if (shape == 0) {
+      values.push_back(storage::Value::Float64(rng.NextDouble()));
+    } else if (shape == 1) {
+      values.push_back(storage::Value::Int64(i / 256));
+    } else {
+      values.push_back(storage::Value::Varchar(
+          StrCat("page", rng.NextInt64(0, 31))));
+    }
+  }
+  for (auto _ : state) {
+    auto chunk = storage::EncodeColumn(type, values);
+    benchmark::DoNotOptimize(chunk);
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_EncodeColumnAuto)->Arg(0)->Arg(1)->Arg(2);
+
+// One ROS container of 1500 rows x `cols` uniform floats: the per-save
+// encode cost of a D1-style S2V load.
+void BM_RosContainerCreate(benchmark::State& state) {
+  int cols = static_cast<int>(state.range(0));
+  std::vector<storage::ColumnDef> defs;
+  for (int c = 0; c < cols; ++c) {
+    defs.push_back({StrCat("c", c), storage::DataType::kFloat64});
+  }
+  storage::Schema schema(std::move(defs));
+  Rng rng(6);
+  std::vector<storage::Row> rows(1500);
+  for (storage::Row& row : rows) {
+    for (int c = 0; c < cols; ++c) {
+      row.push_back(storage::Value::Float64(rng.NextDouble()));
+    }
+  }
+  for (auto _ : state) {
+    auto container = storage::RosContainer::Create(schema, rows, /*txn=*/1);
+    benchmark::DoNotOptimize(container);
+  }
+  state.SetItemsProcessed(state.iterations() * 1500);
+}
+BENCHMARK(BM_RosContainerCreate)->Arg(16)->Arg(100);
+
 void BM_DecodeColumn(benchmark::State& state) {
   Rng rng(3);
   std::vector<storage::Value> values;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "storage/schema.h"
 #include "storage/value.h"
 
 namespace fabric::storage {
@@ -36,18 +37,43 @@ struct ColumnChunk {
   double encoded_bytes() const { return static_cast<double>(data.size()); }
 };
 
-// Encodes `values` (all of `type` or null) choosing the smallest of the
-// three encodings.
+// Smallest and largest non-null value of a column in Value::Compare
+// order (null Values when it has none): a ROS container's scan-pruning
+// bounds.
+struct ColumnBounds {
+  Value min;
+  Value max;
+};
+
+// Encodes `values` (all of `type` or null) with `*encoding`, or — when
+// `encoding` is null — with the smallest of the three encodings (ties
+// prefer PLAIN, then RLE). The choice is made analytically from run and
+// distinct counts, and only the chosen encoding is written. When
+// `bounds` is non-null it also receives the column's bounds, found in
+// the same pass.
 Result<ColumnChunk> EncodeColumn(DataType type,
-                                 const std::vector<Value>& values);
+                                 const std::vector<Value>& values,
+                                 const Encoding* encoding = nullptr,
+                                 ColumnBounds* bounds = nullptr);
 
 // Encodes with a forced encoding (tests / benchmarks).
 Result<ColumnChunk> EncodeColumnAs(DataType type, Encoding encoding,
                                    const std::vector<Value>& values);
 
-// Decodes a chunk back to values. Implemented on top of ColumnCursor
-// (storage/column_cursor.h), which is the streaming batch decoder; this
-// is the materialize-everything convenience form.
+// EncodeColumn over column `col` of `rows`, in place — byte-identical to
+// encoding the extracted column, without copying its values out.
+Result<ColumnChunk> EncodeRowColumn(DataType type,
+                                    const std::vector<Row>& rows, int col,
+                                    const Encoding* encoding = nullptr,
+                                    ColumnBounds* bounds = nullptr);
+
+// Decodes a chunk back to values, appending them to *out: the
+// materialize-everything form that mergeout and purge use. Scans read
+// chunks through ColumnCursor (storage/column_cursor.h), the streaming
+// batch decoder, instead.
+Status DecodeColumnInto(const ColumnChunk& chunk, std::vector<Value>* out);
+
+// DecodeColumnInto into a fresh vector.
 Result<std::vector<Value>> DecodeColumn(const ColumnChunk& chunk);
 
 }  // namespace fabric::storage

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <type_traits>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -63,21 +62,39 @@ std::vector<int> AllColumns(const Schema& schema) {
   return cols;
 }
 
-// Total order on rows over `cols` (nulls first, then Value::Compare).
-// Mixed non-numeric types cannot appear within one typed column, so the
-// Compare error path collapses to "equal".
-bool RowLessBy(const Row& a, const Row& b, const std::vector<int>& cols) {
-  for (int c : cols) {
-    const Value& va = a[c];
-    const Value& vb = b[c];
-    if (va.is_null() && vb.is_null()) continue;
-    if (va.is_null()) return true;
-    if (vb.is_null()) return false;
-    Result<int> cmp = va.Compare(vb);
-    int v = cmp.ok() ? cmp.value() : 0;
-    if (v != 0) return v < 0;
-  }
-  return false;
+// Stable permutation ordering `n` rows by `cols` (nulls first, then
+// Value::Compare), reading values through at(row, col). Mixed non-numeric
+// types cannot appear within one typed column, so the Compare error path
+// collapses to "equal". Equal keys keep arrival order.
+template <typename At>
+std::vector<uint32_t> SortOrder(size_t n, const std::vector<int>& cols,
+                                At at) {
+  std::vector<uint32_t> order(n);
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (int c : cols) {
+      const Value& va = at(a, c);
+      const Value& vb = at(b, c);
+      if (va.is_null() && vb.is_null()) continue;
+      if (va.is_null()) return true;
+      if (vb.is_null()) return false;
+      Result<int> cmp = va.Compare(vb);
+      int v = cmp.ok() ? cmp.value() : 0;
+      if (v != 0) return v < 0;
+    }
+    return false;
+  });
+  return order;
+}
+
+// Reorders `vec` by `order` (no-op when null or empty).
+template <typename T>
+void Permute(const std::vector<uint32_t>& order, std::vector<T>* vec) {
+  if (vec == nullptr || vec->empty()) return;
+  std::vector<T> out;
+  out.reserve(vec->size());
+  for (uint32_t i : order) out.push_back(std::move((*vec)[i]));
+  *vec = std::move(out);
 }
 
 // Content key of one full row for multiset matching (same sentinel
@@ -105,41 +122,61 @@ Result<RosContainer> RosContainer::Create(
   container.num_rows_ = static_cast<uint32_t>(rows.size());
   container.pending_txn_ = pending_txn;
   container.delete_marks_.resize(rows.size());
-  container.min_values_.resize(schema.num_columns());
-  container.max_values_.resize(schema.num_columns());
 
   for (const Row& row : rows) {
     FABRIC_RETURN_IF_ERROR(ValidateRow(schema, row));
     container.raw_bytes_ += RowRawSize(row);
   }
 
-  std::vector<Value> column_values;
-  column_values.reserve(rows.size());
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    column_values.clear();
-    Value min = Value::Null();
-    Value max = Value::Null();
-    for (const Row& row : rows) {
-      const Value& v = row[c];
-      column_values.push_back(v);
-      if (v.is_null()) continue;
-      if (min.is_null() || v.Compare(min).value() < 0) min = v;
-      if (max.is_null() || v.Compare(max).value() > 0) max = v;
-    }
-    ColumnChunk chunk;
-    if (encodings != nullptr && c < static_cast<int>(encodings->size())) {
-      FABRIC_ASSIGN_OR_RETURN(
-          chunk, EncodeColumnAs(schema.column(c).type, (*encodings)[c],
-                                column_values));
-    } else {
-      FABRIC_ASSIGN_OR_RETURN(
-          chunk, EncodeColumn(schema.column(c).type, column_values));
-    }
-    container.columns_.push_back(std::move(chunk));
-    container.min_values_[c] = std::move(min);
-    container.max_values_[c] = std::move(max);
-  }
+  FABRIC_RETURN_IF_ERROR(container.EncodeColumns(
+      schema, encodings,
+      [&rows](DataType type, int c, const Encoding* forced,
+              ColumnBounds* bounds) {
+        return EncodeRowColumn(type, rows, c, forced, bounds);
+      }));
   return container;
+}
+
+Result<RosContainer> RosContainer::CreateFromColumns(
+    const Schema& schema, const std::vector<std::vector<Value>>& columns,
+    uint32_t num_rows, double raw_bytes, TxnId pending_txn,
+    const std::vector<Encoding>* encodings) {
+  FABRIC_CHECK(static_cast<int>(columns.size()) == schema.num_columns());
+  RosContainer container;
+  container.num_rows_ = num_rows;
+  container.pending_txn_ = pending_txn;
+  container.raw_bytes_ = raw_bytes;
+  container.delete_marks_.resize(num_rows);
+  FABRIC_RETURN_IF_ERROR(container.EncodeColumns(
+      schema, encodings,
+      [&columns, num_rows](DataType type, int c, const Encoding* forced,
+                           ColumnBounds* bounds) {
+        FABRIC_CHECK(columns[c].size() == num_rows);
+        return EncodeColumn(type, columns[c], forced, bounds);
+      }));
+  return container;
+}
+
+template <typename EncodeFn>
+Status RosContainer::EncodeColumns(const Schema& schema,
+                                   const std::vector<Encoding>* encodings,
+                                   EncodeFn encode) {
+  min_values_.resize(schema.num_columns());
+  max_values_.resize(schema.num_columns());
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const Encoding* forced =
+        encodings != nullptr && c < static_cast<int>(encodings->size())
+            ? &(*encodings)[c]
+            : nullptr;
+    ColumnBounds bounds;
+    FABRIC_ASSIGN_OR_RETURN(
+        ColumnChunk chunk,
+        encode(schema.column(c).type, c, forced, &bounds));
+    columns_.push_back(std::move(chunk));
+    min_values_[c] = std::move(bounds.min);
+    max_values_[c] = std::move(bounds.max);
+  }
+  return Status::OK();
 }
 
 double RosContainer::encoded_bytes() const {
@@ -224,21 +261,66 @@ void SegmentStore::SortForDesign(std::vector<Row>* rows,
                                  std::vector<DeleteMark>* marks,
                                  std::vector<Epoch>* epochs) const {
   if (!design_.sorted() || rows->size() < 2) return;
-  std::vector<uint32_t> order(rows->size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return RowLessBy((*rows)[a], (*rows)[b], design_.sort_columns);
-  });
-  auto permute = [&order](auto* vec) {
-    if (vec == nullptr || vec->empty()) return;
-    std::remove_reference_t<decltype(*vec)> out;
-    out.reserve(vec->size());
-    for (uint32_t i : order) out.push_back(std::move((*vec)[i]));
-    *vec = std::move(out);
-  };
-  permute(rows);
-  permute(marks);
-  permute(epochs);
+  std::vector<uint32_t> order =
+      SortOrder(rows->size(), design_.sort_columns,
+                [rows](uint32_t r, int c) -> const Value& {
+                  return (*rows)[r][c];
+                });
+  Permute(order, rows);
+  Permute(order, marks);
+  Permute(order, epochs);
+}
+
+Status SegmentStore::GatherColumns(const RosContainer& container,
+                                   const std::vector<bool>* keep,
+                                   ColumnRows* out) const {
+  out->columns.resize(static_cast<size_t>(schema_.num_columns()));
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    std::vector<Value>& column = out->columns[c];
+    if (keep == nullptr) {
+      FABRIC_RETURN_IF_ERROR(DecodeColumnInto(container.column(c), &column));
+      continue;
+    }
+    FABRIC_ASSIGN_OR_RETURN(std::vector<Value> values,
+                            DecodeColumn(container.column(c)));
+    for (uint32_t i = 0; i < values.size(); ++i) {
+      if (!(*keep)[i]) continue;
+      out->raw_bytes += values[i].RawSize();
+      column.push_back(std::move(values[i]));
+    }
+  }
+  if (keep == nullptr) out->raw_bytes += container.raw_bytes();
+  for (uint32_t i = 0; i < container.num_rows(); ++i) {
+    if (keep != nullptr && !(*keep)[i]) continue;
+    out->marks.push_back(container.delete_marks()[i]);
+    out->epochs.push_back(container.row_epoch(i));
+  }
+  return Status::OK();
+}
+
+Result<RosContainer> SegmentStore::BuildFromColumns(ColumnRows rows,
+                                                    bool sort) const {
+  uint32_t num_rows = static_cast<uint32_t>(rows.marks.size());
+  if (sort && design_.sorted() && num_rows > 1) {
+    std::vector<uint32_t> order =
+        SortOrder(num_rows, design_.sort_columns,
+                  [&rows](uint32_t r, int c) -> const Value& {
+                    return rows.columns[c][r];
+                  });
+    for (std::vector<Value>& column : rows.columns) Permute(order, &column);
+    Permute(order, &rows.marks);
+    Permute(order, &rows.epochs);
+  }
+  // Temporary txn id 1 satisfies the pending contract; AdoptRowEpochs
+  // commits the container at the original per-row epochs.
+  FABRIC_ASSIGN_OR_RETURN(
+      RosContainer container,
+      RosContainer::CreateFromColumns(
+          schema_, rows.columns, num_rows, rows.raw_bytes, /*txn=*/1,
+          design_.encodings.empty() ? nullptr : &design_.encodings));
+  container.AdoptRowEpochs(std::move(rows.epochs));
+  container.mutable_delete_marks() = std::move(rows.marks);
+  return container;
 }
 
 Result<RosContainer> SegmentStore::CreateContainer(
@@ -293,26 +375,26 @@ Result<int64_t> SegmentStore::DeletePending(
 }
 
 void SegmentStore::CommitTxn(TxnId txn, Epoch epoch) {
+  auto commit_marks = [&](std::vector<DeleteMark>& marks) {
+    for (DeleteMark& mark : marks) {
+      if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
+        mark = DeleteMark{DeleteMark::State::kCommitted, epoch, 0};
+        ++committed_deletes_;
+      }
+    }
+  };
   for (RosContainer& container : ros_) {
     if (!container.committed() && container.pending_txn() == txn) {
       container.MarkCommitted(epoch);
     }
-    for (DeleteMark& mark : container.mutable_delete_marks()) {
-      if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
-        mark = DeleteMark{DeleteMark::State::kCommitted, epoch, 0};
-      }
-    }
+    commit_marks(container.mutable_delete_marks());
   }
   for (WosBatch& batch : wos_) {
     if (!batch.committed() && batch.pending_txn == txn) {
       batch.pending_txn = 0;
       batch.commit_epoch = epoch;
     }
-    for (DeleteMark& mark : batch.delete_marks) {
-      if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
-        mark = DeleteMark{DeleteMark::State::kCommitted, epoch, 0};
-      }
-    }
+    commit_marks(batch.delete_marks);
   }
 }
 
@@ -790,25 +872,19 @@ Result<double> SegmentStore::MergeRosContainers(
           StrCat("mergeout of uncommitted container ", idx));
     }
   }
-  std::vector<Row> rows;
-  std::vector<DeleteMark> marks;
-  std::vector<Epoch> epochs;
-  double bytes = 0;
+  // Gathered and re-encoded column by column: the merged container is
+  // the one RosContainer::Create would build from the decoded rows.
+  ColumnRows rows;
+  size_t total_rows = 0;
+  for (int idx : sorted) total_rows += ros_[idx].num_rows();
+  rows.columns.resize(static_cast<size_t>(schema_.num_columns()));
+  for (std::vector<Value>& column : rows.columns) column.reserve(total_rows);
   for (int idx : sorted) {
-    const RosContainer& c = ros_[idx];
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> decoded, c.DecodeRows());
-    bytes += c.raw_bytes();
-    for (uint32_t i = 0; i < c.num_rows(); ++i) {
-      rows.push_back(std::move(decoded[i]));
-      marks.push_back(c.delete_marks()[i]);
-      epochs.push_back(c.row_epoch(i));
-    }
+    FABRIC_RETURN_IF_ERROR(GatherColumns(ros_[idx], nullptr, &rows));
   }
-  SortForDesign(&rows, &marks, &epochs);
+  double bytes = rows.raw_bytes;
   FABRIC_ASSIGN_OR_RETURN(RosContainer merged,
-                          CreateContainer(rows, /*txn=*/1));
-  merged.AdoptRowEpochs(std::move(epochs));
-  merged.mutable_delete_marks() = std::move(marks);
+                          BuildFromColumns(std::move(rows), /*sort=*/true));
   int insert_at = sorted.front();
   for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
     ros_.erase(ros_.begin() + *it);
@@ -837,29 +913,23 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
       ++k;
       continue;
     }
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> decoded, c.DecodeRows());
-    std::vector<Row> rows;
-    std::vector<DeleteMark> marks;
-    std::vector<Epoch> epochs;
+    std::vector<bool> keep(c.num_rows());
+    int64_t kept = 0;
     for (uint32_t i = 0; i < c.num_rows(); ++i) {
-      if (purgeable(c.delete_marks()[i])) {
-        ++purged;
-        continue;
-      }
-      rows.push_back(std::move(decoded[i]));
-      marks.push_back(c.delete_marks()[i]);
-      epochs.push_back(c.row_epoch(i));
+      keep[i] = !purgeable(c.delete_marks()[i]);
+      kept += keep[i] ? 1 : 0;
     }
-    if (rows.empty()) {
+    purged += static_cast<int64_t>(c.num_rows()) - kept;
+    if (kept == 0) {
       ros_.erase(ros_.begin() + static_cast<long>(k));
       continue;
     }
+    ColumnRows rows;
+    FABRIC_RETURN_IF_ERROR(GatherColumns(c, &keep, &rows));
     // Dropping rows from a design-sorted container keeps it sorted, so no
     // re-sort is needed here.
     FABRIC_ASSIGN_OR_RETURN(RosContainer rebuilt,
-                            CreateContainer(rows, /*txn=*/1));
-    rebuilt.AdoptRowEpochs(std::move(epochs));
-    rebuilt.mutable_delete_marks() = std::move(marks);
+                            BuildFromColumns(std::move(rows), /*sort=*/false));
     ros_[k] = std::move(rebuilt);
     ++k;
   }
@@ -885,6 +955,7 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
                               return b.committed() && b.rows.empty();
                             }),
              wos_.end());
+  committed_deletes_ -= purged;
   return purged;
 }
 
@@ -1020,6 +1091,7 @@ uint64_t SegmentStore::ContentFingerprint() const {
 void SegmentStore::CopyContentsFrom(const SegmentStore& other) {
   ros_ = other.ros_;
   wos_ = other.wos_;
+  committed_deletes_ = other.committed_deletes_;
 }
 
 }  // namespace fabric::storage

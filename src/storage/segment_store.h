@@ -54,6 +54,13 @@ class RosContainer {
   static Result<RosContainer> Create(
       const Schema& schema, const std::vector<Row>& rows, TxnId pending_txn,
       const std::vector<Encoding>* encodings = nullptr);
+  // Same container, from `num_rows` rows already split into columns (one
+  // value vector per schema column) whose raw size is `raw_bytes`: the
+  // mergeout and purge path, which never materializes rows.
+  static Result<RosContainer> CreateFromColumns(
+      const Schema& schema, const std::vector<std::vector<Value>>& columns,
+      uint32_t num_rows, double raw_bytes, TxnId pending_txn,
+      const std::vector<Encoding>* encodings = nullptr);
 
   uint32_t num_rows() const { return num_rows_; }
   bool committed() const { return pending_txn_ == 0; }
@@ -104,6 +111,13 @@ class RosContainer {
 
  private:
   RosContainer() = default;
+
+  // Encodes every schema column through encode(type, col, forced
+  // encoding or null, &bounds), filling columns_ and the min/max bounds.
+  template <typename EncodeFn>
+  Status EncodeColumns(const Schema& schema,
+                       const std::vector<Encoding>* encodings,
+                       EncodeFn encode);
 
   uint32_t num_rows_ = 0;
   TxnId pending_txn_ = 0;
@@ -161,8 +175,8 @@ struct ScanSpec {
   int64_t limit = -1;
 };
 
-// Per-container statistics snapshot (v_monitor.storage_containers and the
-// Tuple Mover's mergeout stratum policy read these).
+// Per-container statistics snapshot (v_monitor.storage_containers and
+// v_monitor.projection_storage read these).
 struct ContainerStats {
   bool committed = false;
   TxnId pending_txn = 0;
@@ -291,6 +305,12 @@ class SegmentStore {
   int num_committed_wos_batches() const;
   double CommittedWosRawBytes() const;
   std::vector<ContainerStats> RosStats() const;
+  // Committed delete marks held in ROS and WOS: the rows a purge could
+  // drop (the Tuple Mover skips stores with none).
+  int64_t committed_deletes() const { return committed_deletes_; }
+  // The ROS containers in storage order (read-only; the Tuple Mover's
+  // mergeout policy reads their sizes and commit state in place).
+  const std::vector<RosContainer>& ros_containers() const { return ros_; }
 
   // ------------------------------------------------- k-safety recovery
   // Raw bytes of content this store gained after `epoch`: containers and
@@ -333,10 +353,29 @@ class SegmentStore {
   Result<RosContainer> CreateContainer(const std::vector<Row>& rows,
                                        TxnId pending_txn) const;
 
+  // Rows gathered column by column from ROS containers, with their
+  // delete marks and commit epochs: what mergeout and purge rebuild a
+  // container from.
+  struct ColumnRows {
+    std::vector<std::vector<Value>> columns;  // one per schema column
+    std::vector<DeleteMark> marks;
+    std::vector<Epoch> epochs;
+    double raw_bytes = 0;
+  };
+  // Appends the rows of `container` (only those with keep[i] set when
+  // `keep` != null) to *out.
+  Status GatherColumns(const RosContainer& container,
+                       const std::vector<bool>* keep, ColumnRows* out) const;
+  // One committed container of `rows` at their per-row epochs, in the
+  // design's sort order when `sort` is set.
+  Result<RosContainer> BuildFromColumns(ColumnRows rows, bool sort) const;
+
   Schema schema_;
   PhysicalDesign design_;
   std::vector<RosContainer> ros_;
   std::vector<WosBatch> wos_;
+  // Maintained by CommitTxn, PurgeDeletedRows and CopyContentsFrom.
+  int64_t committed_deletes_ = 0;
 };
 
 // True when the row version is visible at `as_of` for reader txn `txn`.

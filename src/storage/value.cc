@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -44,22 +45,9 @@ Result<DataType> ParseDataType(std::string_view name) {
   return InvalidArgumentError(StrCat("unknown data type '", name, "'"));
 }
 
-DataType Value::type() const {
-  FABRIC_CHECK(!is_null()) << "type() of NULL value";
-  switch (data_.index()) {
-    case 1:
-      return DataType::kBool;
-    case 2:
-      return DataType::kInt64;
-    case 3:
-      return DataType::kFloat64;
-    case 4:
-      return DataType::kVarchar;
-    default:
-      break;
-  }
-  FABRIC_CHECK(false) << "corrupt value";
-  return DataType::kBool;
+void Value::FailNullType() {
+  FABRIC_CHECK(false) << "type() of NULL value";
+  std::abort();
 }
 
 Result<double> Value::AsDouble() const {

@@ -38,7 +38,13 @@ class Value {
   }
 
   // Type of a non-null value; callers must not ask for a null's type.
-  DataType type() const;
+  // Inline: storage hot loops type-check every value.
+  DataType type() const {
+    size_t index = data_.index();
+    if (index == 0) FailNullType();
+    // Alternatives 1..4 follow DataType's order.
+    return static_cast<DataType>(index - 1);
+  }
 
   bool bool_value() const { return std::get<bool>(data_); }
   int64_t int64_value() const { return std::get<int64_t>(data_); }
@@ -102,6 +108,7 @@ class Value {
  private:
   using Repr =
       std::variant<std::monostate, bool, int64_t, double, std::string>;
+  [[noreturn]] static void FailNullType();
   explicit Value(Repr repr) : data_(std::move(repr)) {}
 
   Repr data_;

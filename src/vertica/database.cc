@@ -670,32 +670,6 @@ void Database::AbortTxnInternal(storage::TxnId txn) {
   txns_.erase(it);
 }
 
-std::vector<Database::HostedStore> Database::HostedStores(int node) {
-  std::vector<HostedStore> hosted;
-  int prev = (node - 1 + num_nodes()) % num_nodes();
-  for (auto& [name, table_storage] : storage_) {
-    auto add_set = [&](SegmentSet& set, const std::string& projection) {
-      hosted.push_back(HostedStore{name, projection,
-                                   set.per_node[node].get(), node,
-                                   /*is_buddy=*/false});
-      if (!set.buddy.empty()) {
-        // buddy[s] lives on the ring successor of s, so node hosts the
-        // buddy copy of its predecessor's segment.
-        hosted.push_back(HostedStore{name, projection,
-                                     set.buddy[prev].get(), prev,
-                                     /*is_buddy=*/true});
-      }
-    };
-    add_set(table_storage, "");
-    // The Tuple Mover (and storage telemetry) maintains every projection
-    // of a table alongside its super projection.
-    for (auto& [proj_name, set] : table_storage.projections) {
-      add_set(set, proj_name);
-    }
-  }
-  return hosted;
-}
-
 void Database::UnpinEpoch(storage::Epoch epoch) {
   auto it = pinned_epochs_.find(epoch);
   FABRIC_CHECK(it != pinned_epochs_.end()) << "unpin of unpinned epoch";

@@ -228,15 +228,21 @@ class Database {
   // Every physical segment-store copy whose serving CPU and NICs belong
   // to `node`: per_node[node] of every table, plus — for segmented tables
   // — the buddy copy whose ring successor is `node`. The Tuple Mover and
-  // v_monitor.storage_containers walk stores through this.
+  // v_monitor.storage_containers walk stores through this. The names
+  // refer into the storage map and are valid during the call only.
   struct HostedStore {
-    std::string table;
-    std::string projection;  // empty for the super projection
+    const std::string& table;
+    const std::string& projection;  // empty for the super projection
     storage::SegmentStore* store = nullptr;
     int segment = -1;      // segment index (== node for primaries)
     bool is_buddy = false;
   };
-  std::vector<HostedStore> HostedStores(int node);
+  // Calls fn(const HostedStore&) for each store hosted on `node`, in
+  // table-name order (super projection first). Allocates nothing, so the
+  // Tuple Mover can run it on every commit. `fn` may change store
+  // contents but must not create, drop or rename tables or projections.
+  template <typename Fn>
+  void ForEachHostedStore(int node, Fn&& fn);
 
   // ------------------------------------------- epoch pins / bookkeeping
   // Snapshot pins keep the AHM at or below every running statement's and
@@ -427,6 +433,31 @@ class Database {
   std::vector<std::set<Session*>> node_sessions_;
   std::unique_ptr<sim::Condition> state_changed_;
 };
+
+template <typename Fn>
+void Database::ForEachHostedStore(int node, Fn&& fn) {
+  static const std::string kSuperProjection;
+  int prev = (node - 1 + num_nodes()) % num_nodes();
+  auto visit = [&](const std::string& table, SegmentSet& set,
+                   const std::string& projection) {
+    fn(HostedStore{table, projection, set.per_node[node].get(), node,
+                   /*is_buddy=*/false});
+    if (!set.buddy.empty()) {
+      // buddy[s] lives on the ring successor of s, so node hosts the
+      // buddy copy of its predecessor's segment.
+      fn(HostedStore{table, projection, set.buddy[prev].get(), prev,
+                     /*is_buddy=*/true});
+    }
+  };
+  for (auto& [name, table_storage] : storage_) {
+    visit(name, table_storage, kSuperProjection);
+    // The Tuple Mover (and storage telemetry) maintains every projection
+    // of a table alongside its super projection.
+    for (auto& [proj_name, set] : table_storage.projections) {
+      visit(name, set, proj_name);
+    }
+  }
+}
 
 }  // namespace fabric::vertica
 

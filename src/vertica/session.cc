@@ -1709,10 +1709,10 @@ Result<QueryResult> Session::SystemTable(
                             {"max_epoch", DataType::kInt64},
                             {"is_committed", DataType::kBool}});
     for (int n = 0; n < db_->num_nodes(); ++n) {
-      for (const Database::HostedStore& hs : db_->HostedStores(n)) {
+      db_->ForEachHostedStore(n, [&](const Database::HostedStore& hs) {
         // Projection containers are reported by
         // v_monitor.projection_storage, not here.
-        if (!hs.projection.empty()) continue;
+        if (!hs.projection.empty()) return;
         std::vector<storage::ContainerStats> stats = hs.store->RosStats();
         for (size_t i = 0; i < stats.size(); ++i) {
           const storage::ContainerStats& s = stats[i];
@@ -1726,7 +1726,7 @@ Result<QueryResult> Session::SystemTable(
                Value::Int64(static_cast<int64_t>(s.max_epoch)),
                Value::Bool(s.committed)});
         }
-      }
+      });
     }
     return result;
   }
@@ -1838,8 +1838,8 @@ Result<QueryResult> Session::SystemTable(
                             {"encoded_bytes", DataType::kFloat64},
                             {"wos_batches", DataType::kInt64}});
     for (int n = 0; n < db_->num_nodes(); ++n) {
-      for (const Database::HostedStore& hs : db_->HostedStores(n)) {
-        if (hs.projection.empty()) continue;
+      db_->ForEachHostedStore(n, [&](const Database::HostedStore& hs) {
+        if (hs.projection.empty()) return;
         auto proj = db_->catalog().GetProjection(hs.projection);
         int64_t rows = 0;
         int64_t deleted = 0;
@@ -1861,7 +1861,7 @@ Result<QueryResult> Session::SystemTable(
              Value::Int64(rows), Value::Int64(deleted), Value::Float64(raw),
              Value::Float64(encoded),
              Value::Int64(hs.store->num_wos_batches())});
-      }
+      });
     }
     return result;
   }

@@ -1,8 +1,7 @@
 #include "vertica/tm/tuple_mover.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <array>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -27,25 +26,49 @@ int Stratum(double raw_bytes, const TupleMoverConfig& config) {
   return k;
 }
 
-// Committed-container indices per stratum that reached the merge
-// threshold (ordered map: lowest stratum first).
-std::map<int, std::vector<int>> MergeableStrata(
-    const std::vector<storage::ContainerStats>& stats,
-    const TupleMoverConfig& config) {
-  std::map<int, std::vector<int>> strata;
-  for (size_t i = 0; i < stats.size(); ++i) {
-    if (!stats[i].committed) continue;
-    strata[Stratum(stats[i].raw_bytes, config)].push_back(
-        static_cast<int>(i));
+// Strata Stratum() can return: 0 through its cap of 48.
+constexpr int kStrata = 49;
+
+// Lowest stratum of `store` outside `done` (a bit set of strata) whose
+// committed containers reached the merge threshold, or -1. Counts in
+// place, so the per-commit work check allocates nothing.
+int MergeableStratum(const storage::SegmentStore& store,
+                     const TupleMoverConfig& config, uint64_t done = 0) {
+  const std::vector<storage::RosContainer>& ros = store.ros_containers();
+  // Too few containers for any stratum to qualify: the common case, and
+  // the only work most stores see per commit.
+  if (static_cast<int>(ros.size()) <
+      std::max(config.strata_min_containers, 1)) {
+    return -1;
   }
-  for (auto it = strata.begin(); it != strata.end();) {
-    if (static_cast<int>(it->second.size()) < config.strata_min_containers) {
-      it = strata.erase(it);
-    } else {
-      ++it;
+  std::array<int, kStrata> counts{};
+  for (const storage::RosContainer& c : ros) {
+    if (c.committed()) ++counts[Stratum(c.raw_bytes(), config)];
+  }
+  for (int k = 0; k < kStrata; ++k) {
+    if ((done >> k & 1) == 0 && counts[k] > 0 &&
+        counts[k] >= config.strata_min_containers) {
+      return k;
     }
   }
-  return strata;
+  return -1;
+}
+
+// The oldest committed containers of `stratum` in `store`, at most
+// strata_max_fanin of them: one mergeout's inputs.
+std::vector<int> StratumMembers(const storage::SegmentStore& store,
+                                const TupleMoverConfig& config,
+                                int stratum) {
+  std::vector<int> members;
+  const std::vector<storage::RosContainer>& ros = store.ros_containers();
+  for (size_t i = 0; i < ros.size(); ++i) {
+    if (static_cast<int>(members.size()) >= config.strata_max_fanin) break;
+    if (ros[i].committed() &&
+        Stratum(ros[i].raw_bytes(), config) == stratum) {
+      members.push_back(static_cast<int>(i));
+    }
+  }
+  return members;
 }
 
 }  // namespace
@@ -104,22 +127,23 @@ Status TupleMover::AdmitWos(sim::Process& self, const std::string& table,
 }
 
 bool TupleMover::MoveoutWorkPending(int node) const {
-  for (const Database::HostedStore& hs : db_->HostedStores(node)) {
+  bool pending = false;
+  db_->ForEachHostedStore(node, [&](const Database::HostedStore& hs) {
+    if (pending) return;
     int committed = hs.store->num_committed_wos_batches();
-    if (committed >= config_.moveout_min_batches) return true;
-    if (config_.wos_hard_cap_batches > 0 &&
-        committed >= config_.wos_hard_cap_batches) {
-      return true;
-    }
-  }
-  return false;
+    pending = committed >= config_.moveout_min_batches ||
+              (config_.wos_hard_cap_batches > 0 &&
+               committed >= config_.wos_hard_cap_batches);
+  });
+  return pending;
 }
 
 bool TupleMover::MergeoutWorkPending(int node) const {
-  for (const Database::HostedStore& hs : db_->HostedStores(node)) {
-    if (!MergeableStrata(hs.store->RosStats(), config_).empty()) return true;
-  }
-  return false;
+  bool pending = false;
+  db_->ForEachHostedStore(node, [&](const Database::HostedStore& hs) {
+    pending = pending || MergeableStratum(*hs.store, config_) >= 0;
+  });
+  return pending;
 }
 
 void TupleMover::ArmMoveout(int node) {
@@ -161,11 +185,11 @@ void TupleMover::RunMoveout(sim::Process& self, int node) {
   // store state consistent with any scan interleaved during the charge.
   double drained_bytes = 0;
   int64_t drained_batches = 0;
-  for (const Database::HostedStore& hs : db_->HostedStores(node)) {
+  db_->ForEachHostedStore(node, [&](const Database::HostedStore& hs) {
     int committed = hs.store->num_committed_wos_batches();
     bool over_cap = config_.wos_hard_cap_batches > 0 &&
                     committed >= config_.wos_hard_cap_batches;
-    if (committed < config_.moveout_min_batches && !over_cap) continue;
+    if (committed < config_.moveout_min_batches && !over_cap) return;
     double bytes =
         hs.store->CommittedWosRawBytes() * db_->EffectiveScale(hs.table);
     Status moved = hs.store->Moveout();
@@ -175,7 +199,7 @@ void TupleMover::RunMoveout(sim::Process& self, int node) {
     ++moveout_[node].runs;
     moveout_[node].bytes += bytes;
     obs::IncrCounter("tm.moveout_runs");
-  }
+  });
   wos_relief_->NotifyAll();
   UpdateWosGauge();
   if (drained_batches > 0) {
@@ -202,30 +226,24 @@ void TupleMover::RunMergeout(sim::Process& self, int node) {
   if (!db_->node_up(node)) return;
   double merged_bytes = 0;
   int64_t merges = 0;
-  for (const Database::HostedStore& hs : db_->HostedStores(node)) {
-    // One merge per stratum per pass. Every merge invalidates container
-    // indices, so re-snapshot the stats after each and track which strata
-    // already ran.
-    std::set<int> done;
+  db_->ForEachHostedStore(node, [&](const Database::HostedStore& hs) {
+    // One merge per stratum per pass, lowest stratum first. Every merge
+    // invalidates container indices, so re-count after each and track
+    // which strata already ran.
+    uint64_t done = 0;
     while (true) {
-      std::map<int, std::vector<int>> strata =
-          MergeableStrata(hs.store->RosStats(), config_);
-      auto it = strata.begin();
-      while (it != strata.end() && done.count(it->first) > 0) ++it;
-      if (it == strata.end()) break;
-      done.insert(it->first);
-      std::vector<int>& members = it->second;
-      if (static_cast<int>(members.size()) > config_.strata_max_fanin) {
-        members.resize(static_cast<size_t>(config_.strata_max_fanin));
-      }
-      Result<double> merged = hs.store->MergeRosContainers(members);
+      int stratum = MergeableStratum(*hs.store, config_, done);
+      if (stratum < 0) break;
+      done |= uint64_t{1} << stratum;
+      Result<double> merged = hs.store->MergeRosContainers(
+          StratumMembers(*hs.store, config_, stratum));
       FABRIC_CHECK(merged.ok()) << merged.status();
       merged_bytes += *merged * db_->EffectiveScale(hs.table);
       ++merges;
       ++mergeout_[node].runs;
       mergeout_[node].bytes += *merged * db_->EffectiveScale(hs.table);
     }
-  }
+  });
   if (merges > 0) {
     obs::IncrCounter("tm.mergeout_runs", static_cast<double>(merges));
     obs::IncrCounter("tm.mergeout_bytes", merged_bytes);
@@ -272,18 +290,20 @@ void TupleMover::RunAhm(sim::Process& self) {
   std::vector<double> host_bytes(static_cast<size_t>(db_->num_nodes()), 0.0);
   for (int n = 0; n < db_->num_nodes(); ++n) {
     if (!db_->node_up(n)) continue;
-    for (const Database::HostedStore& hs : db_->HostedStores(n)) {
+    db_->ForEachHostedStore(n, [&](const Database::HostedStore& hs) {
+      // Only committed delete marks are purgeable; most stores have none.
+      if (hs.store->committed_deletes() == 0) return;
       double before = hs.store->TotalRawBytes();
       Result<int64_t> dropped = hs.store->PurgeDeletedRows(ahm_);
       FABRIC_CHECK(dropped.ok()) << dropped.status();
-      if (*dropped == 0) continue;
+      if (*dropped == 0) return;
       purged += *dropped;
       purged_scaled_rows +=
           static_cast<double>(*dropped) * db_->EffectiveScale(hs.table);
       // Rewriting a container costs a read+write of its surviving bytes
       // plus the dropped ones — approximate with the pre-purge size.
       host_bytes[n] += before * db_->EffectiveScale(hs.table);
-    }
+    });
   }
   if (purged > 0) {
     purged_rows_ += purged;

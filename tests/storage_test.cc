@@ -1,7 +1,13 @@
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "storage/encoding.h"
 #include "storage/schema.h"
@@ -281,6 +287,214 @@ TEST_P(EncodingPropertyTest, RandomColumnsRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EncodingPropertyTest,
                          ::testing::Values(7, 17, 27, 37, 47));
 
+// Reference encoder: writes all three encodings separately (dictionary
+// entries keyed by display string) and keeps the smallest, PLAIN first.
+// The one-pass encoder must reproduce its bytes exactly.
+namespace reference {
+
+void WriteNullBitmap(const std::vector<Value>& values, ByteWriter* writer) {
+  uint8_t current = 0;
+  int bit = 0;
+  for (const Value& v : values) {
+    if (v.is_null()) current |= static_cast<uint8_t>(1u << bit);
+    if (++bit == 8) {
+      writer->PutU8(current);
+      current = 0;
+      bit = 0;
+    }
+  }
+  if (bit != 0) writer->PutU8(current);
+}
+
+void WriteScalar(DataType type, const Value& value, ByteWriter* writer) {
+  switch (type) {
+    case DataType::kBool:
+      writer->PutU8(value.bool_value() ? 1 : 0);
+      return;
+    case DataType::kInt64:
+      writer->PutI64(value.int64_value());
+      return;
+    case DataType::kFloat64:
+      writer->PutDouble(value.float64_value());
+      return;
+    case DataType::kVarchar:
+      writer->PutString(value.varchar_value());
+      return;
+  }
+}
+
+std::string Encode(DataType type, Encoding encoding,
+                   const std::vector<Value>& values) {
+  ByteWriter writer;
+  WriteNullBitmap(values, &writer);
+  switch (encoding) {
+    case Encoding::kPlain:
+      for (const Value& v : values) {
+        if (!v.is_null()) WriteScalar(type, v, &writer);
+      }
+      break;
+    case Encoding::kRle: {
+      ByteWriter runs;
+      uint32_t num_runs = 0;
+      for (size_t i = 0; i < values.size();) {
+        size_t j = i + 1;
+        while (j < values.size() && values[j].Equals(values[i])) ++j;
+        runs.PutU32(static_cast<uint32_t>(j - i));
+        if (!values[i].is_null()) WriteScalar(type, values[i], &runs);
+        ++num_runs;
+        i = j;
+      }
+      writer.PutU32(num_runs);
+      writer.PutRaw(runs.buffer().data(), runs.size());
+      break;
+    }
+    case Encoding::kDictionary: {
+      std::map<std::string, uint32_t> ids;
+      std::vector<const Value*> dictionary;
+      std::vector<uint32_t> indices;
+      for (const Value& v : values) {
+        if (v.is_null()) continue;
+        auto [it, inserted] = ids.emplace(
+            v.ToDisplayString(), static_cast<uint32_t>(dictionary.size()));
+        if (inserted) dictionary.push_back(&v);
+        indices.push_back(it->second);
+      }
+      writer.PutU32(static_cast<uint32_t>(dictionary.size()));
+      for (const Value* v : dictionary) WriteScalar(type, *v, &writer);
+      for (uint32_t idx : indices) writer.PutU32(idx);
+      break;
+    }
+  }
+  return writer.Take();
+}
+
+std::pair<Encoding, std::string> EncodeSmallest(
+    DataType type, const std::vector<Value>& values) {
+  std::pair<Encoding, std::string> best{Encoding::kPlain,
+                                        Encode(type, Encoding::kPlain, values)};
+  for (Encoding e : {Encoding::kRle, Encoding::kDictionary}) {
+    std::string data = Encode(type, e, values);
+    if (data.size() < best.second.size()) best = {e, std::move(data)};
+  }
+  return best;
+}
+
+}  // namespace reference
+
+// Columns that stress the encoder's choice: every type, null density,
+// run structure and cardinality, plus the values whose equality and
+// display string disagree with their bits (NaNs, signed zeros).
+std::vector<Value> RandomEncodingColumn(Rng& rng, DataType type) {
+  static const double kTricky[] = {
+      0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(uint64_t{0x7ff8000000000123ULL}),
+      std::numeric_limits<double>::infinity(), 1e-310};
+  int n = static_cast<int>(rng.NextUint64(400));
+  double null_p = rng.NextBool(0.5) ? 0.0 : rng.NextDouble();
+  int64_t cardinality = 1 + static_cast<int64_t>(rng.NextUint64(
+      rng.NextBool(0.5) ? 8 : 1000));
+  int run = 1 + static_cast<int>(rng.NextUint64(rng.NextBool(0.5) ? 2 : 40));
+  std::vector<Value> values;
+  Value current;
+  for (int i = 0; i < n; ++i) {
+    if (i % run == 0) {
+      int64_t k = rng.NextInt64(0, cardinality - 1);
+      switch (type) {
+        case DataType::kBool:
+          current = Value::Bool(k % 2 == 0);
+          break;
+        case DataType::kInt64:
+          current = Value::Int64(k * 7919 - 5000);
+          break;
+        case DataType::kFloat64:
+          current = Value::Float64(rng.NextBool(0.2) ? kTricky[k % 7]
+                                                     : k * 0.25);
+          break;
+        case DataType::kVarchar:
+          current = Value::Varchar(std::string(static_cast<size_t>(k % 13),
+                                               static_cast<char>('a' + k % 26)));
+          break;
+      }
+    }
+    values.push_back(rng.NextBool(null_p) ? Value::Null() : current);
+  }
+  return values;
+}
+
+TEST_P(EncodingPropertyTest, OnePassChoiceMatchesReference) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 50; ++round) {
+    for (DataType type : {DataType::kBool, DataType::kInt64,
+                          DataType::kFloat64, DataType::kVarchar}) {
+      std::vector<Value> values = RandomEncodingColumn(rng, type);
+      auto [encoding, data] = reference::EncodeSmallest(type, values);
+      auto chunk = EncodeColumn(type, values);
+      ASSERT_TRUE(chunk.ok());
+      EXPECT_EQ(chunk->encoding, encoding) << DataTypeName(type);
+      ASSERT_EQ(chunk->data, data) << DataTypeName(type);
+
+      for (Encoding e :
+           {Encoding::kPlain, Encoding::kRle, Encoding::kDictionary}) {
+        auto forced = EncodeColumnAs(type, e, values);
+        ASSERT_TRUE(forced.ok());
+        ASSERT_EQ(forced->data, reference::Encode(type, e, values))
+            << EncodingName(e);
+      }
+    }
+  }
+}
+
+TEST(EncodingTest, DictionaryKeepsDisplayIdentityOfFloats) {
+  // Signed zeros print differently and stay two entries; NaNs of one sign
+  // print alike and share one, whatever their payload bits.
+  std::vector<Value> values = {
+      Value::Float64(0.0), Value::Float64(-0.0),
+      Value::Float64(std::numeric_limits<double>::quiet_NaN()),
+      Value::Float64(std::bit_cast<double>(uint64_t{0x7ff8000000000123ULL})),
+      Value::Float64(-std::numeric_limits<double>::quiet_NaN())};
+  auto chunk = EncodeColumnAs(DataType::kFloat64, Encoding::kDictionary,
+                              values);
+  ASSERT_TRUE(chunk.ok());
+  EXPECT_EQ(chunk->data,
+            reference::Encode(DataType::kFloat64, Encoding::kDictionary,
+                              values));
+  // Four entries (0, -0, NaN, -NaN), five codes.
+  EXPECT_EQ(chunk->data.size(), NullBitmapBytes(5) + 4 + 4 * 8 + 5 * 4);
+}
+
+TEST(EncodingTest, RowColumnEncodesLikeExtractedColumn) {
+  Rng rng(99);
+  std::vector<Row> rows;
+  for (int i = 0; i < 300; ++i) {
+    rows.push_back(MakeRow(i / 50, rng.NextDouble(),
+                           i % 3 == 0 ? "x" : "yy", rng.NextBool(0.5)));
+  }
+  Schema schema = TestSchema();
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    std::vector<Value> column;
+    for (const Row& row : rows) column.push_back(row[c]);
+    DataType type = schema.column(c).type;
+    auto in_place = EncodeRowColumn(type, rows, c);
+    auto extracted = EncodeColumn(type, column);
+    ASSERT_TRUE(in_place.ok());
+    ASSERT_TRUE(extracted.ok());
+    EXPECT_EQ(in_place->encoding, extracted->encoding);
+    EXPECT_EQ(in_place->data, extracted->data);
+    Encoding rle = Encoding::kRle;
+    auto forced = EncodeRowColumn(type, rows, c, &rle);
+    ASSERT_TRUE(forced.ok());
+    EXPECT_EQ(forced->data, EncodeColumnAs(type, rle, column)->data);
+  }
+}
+
+TEST(EncodingTest, EmptyColumnIsPlain) {
+  auto chunk = EncodeColumn(DataType::kVarchar, {});
+  ASSERT_TRUE(chunk.ok());
+  EXPECT_EQ(chunk->encoding, Encoding::kPlain);
+  EXPECT_TRUE(chunk->data.empty());
+}
+
 TEST(RosContainerTest, CreateComputesStats) {
   Schema schema = TestSchema();
   std::vector<Row> rows = {MakeRow(3, 1.0, "abc", true),
@@ -438,14 +652,17 @@ TEST_F(SegmentStoreTest, PurgeDropsOnlyAncientDeletes) {
                      return row[0].int64_value() == 1;
                    }).ok());
   store_.CommitTxn(11, 6);
+  EXPECT_EQ(store_.committed_deletes(), 1);
   ASSERT_TRUE(store_.DeletePending(12, 8, [](const Row& row) {
                      return row[0].int64_value() == 2;
                    }).ok());
   store_.CommitTxn(12, 9);
+  EXPECT_EQ(store_.committed_deletes(), 2);
   // AHM = 7: only the delete committed at epoch 6 is ancient history.
   auto purged = store_.PurgeDeletedRows(7);
   ASSERT_TRUE(purged.ok());
   EXPECT_EQ(*purged, 1);
+  EXPECT_EQ(store_.committed_deletes(), 1);
   // Every read at or above the AHM is unchanged by the purge.
   EXPECT_EQ(store_.CountVisible(7).value(), 1);
   EXPECT_EQ(store_.CountVisible(8).value(), 1);
@@ -456,6 +673,71 @@ TEST_F(SegmentStoreTest, PurgeDropsOnlyAncientDeletes) {
   ASSERT_TRUE(purged.ok());
   EXPECT_EQ(*purged, 1);
   EXPECT_EQ(store_.num_ros_containers(), 0);
+  EXPECT_EQ(store_.committed_deletes(), 0);
+}
+
+// Mergeout and purge rebuild containers column by column; the result
+// must be the container RosContainer::Create builds from the same rows
+// (sorted by the design), byte for byte.
+void ExpectSameContainer(const RosContainer& got, const RosContainer& want,
+                         int num_columns) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  EXPECT_EQ(got.raw_bytes(), want.raw_bytes());
+  for (int c = 0; c < num_columns; ++c) {
+    EXPECT_EQ(got.column(c).encoding, want.column(c).encoding) << c;
+    EXPECT_EQ(got.column(c).data, want.column(c).data) << c;
+    EXPECT_TRUE(got.min_value(c).Equals(want.min_value(c))) << c;
+    EXPECT_TRUE(got.max_value(c).Equals(want.max_value(c))) << c;
+  }
+}
+
+TEST(ColumnRebuildTest, MergeAndPurgeMatchRowBuiltContainers) {
+  Schema schema = TestSchema();
+  for (bool sorted : {false, true}) {
+    PhysicalDesign design;
+    if (sorted) design.sort_columns = {2, 0};
+    SegmentStore store(schema, design);
+    Rng rng(sorted ? 5 : 6);
+    std::vector<Row> all;
+    for (TxnId txn = 10; txn < 14; ++txn) {
+      std::vector<Row> rows;
+      for (int i = 0; i < 60; ++i) {
+        Row row = MakeRow(rng.NextInt64(0, 9), rng.NextDouble(),
+                          rng.NextBool(0.5) ? "x" : "yy", rng.NextBool(0.5));
+        if (rng.NextBool(0.1)) row[1] = Value::Null();
+        rows.push_back(row);
+      }
+      all.insert(all.end(), rows.begin(), rows.end());
+      ASSERT_TRUE(store.InsertPendingDirect(txn, rows).ok());
+      store.CommitTxn(txn, txn);
+    }
+    ASSERT_TRUE(store.MergeRosContainers({0, 1, 2, 3}).ok());
+    ASSERT_EQ(store.num_ros_containers(), 1);
+    if (sorted) {
+      std::stable_sort(all.begin(), all.end(), [](const Row& a, const Row& b) {
+        int c = a[2].Compare(b[2]).value();
+        if (c != 0) return c < 0;
+        return a[0].Compare(b[0]).value() < 0;
+      });
+    }
+    auto want = RosContainer::Create(schema, all, /*txn=*/1);
+    ASSERT_TRUE(want.ok());
+    ExpectSameContainer(store.ros_containers()[0], *want, 4);
+
+    // Purge every row with id < 3 (deleted at epoch 20, AHM 20).
+    ASSERT_TRUE(store.DeletePending(30, 20, [](const Row& row) {
+                       return row[0].int64_value() < 3;
+                     }).ok());
+    store.CommitTxn(30, 20);
+    ASSERT_TRUE(store.PurgeDeletedRows(20).ok());
+    std::vector<Row> kept;
+    for (const Row& row : all) {
+      if (row[0].int64_value() >= 3) kept.push_back(row);
+    }
+    want = RosContainer::Create(schema, kept, /*txn=*/1);
+    ASSERT_TRUE(want.ok());
+    ExpectSameContainer(store.ros_containers()[0], *want, 4);
+  }
 }
 
 TEST_F(SegmentStoreTest, SnapshotRowsMaterializesVisibleRows) {
