@@ -193,4 +193,33 @@ Result<Sketch> Sketch::FromRawState(std::string_view raw) {
   return sketch;
 }
 
+Status AddHashToRawState(uint64_t hash, std::string* state) {
+  const int precision = static_cast<uint8_t>((*state)[0]);
+  const auto [index, rank] = Sketch::SlotFor(hash, precision);
+  char* reg = &(*state)[1 + index];
+  if (rank > static_cast<uint8_t>(*reg)) *reg = static_cast<char>(rank);
+  return Status::OK();
+}
+
+Status MergeRawStates(const std::string& other, std::string* state) {
+  if (other.empty()) return Status::OK();
+  if (state->empty()) {
+    *state = other;
+    return Status::OK();
+  }
+  if (other.size() != state->size() || other[0] != (*state)[0]) {
+    return InvalidArgumentError(
+        StrCat("cannot merge HLL sketches of different precisions (",
+               static_cast<int>(static_cast<uint8_t>((*state)[0])), " vs ",
+               static_cast<int>(static_cast<uint8_t>(other[0])), ")"));
+  }
+  for (size_t i = 1; i < state->size(); ++i) {
+    if (static_cast<uint8_t>(other[i]) >
+        static_cast<uint8_t>((*state)[i])) {
+      (*state)[i] = other[i];
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace fabric::hll

@@ -96,6 +96,15 @@ class Sketch {
   std::vector<uint8_t> registers_;
 };
 
+// Aggregate accumulators keep sketches in the raw form (precision byte +
+// registers) so a per-row update touches one register instead of
+// re-encoding the sketch. AddHashToRawState folds a hash into a
+// non-empty raw state in place; MergeRawStates takes the register-wise
+// max, treating an empty state as "no sketch yet" and failing on a
+// precision mismatch.
+Status AddHashToRawState(uint64_t hash, std::string* state);
+Status MergeRawStates(const std::string& other, std::string* state);
+
 }  // namespace fabric::hll
 
 #endif  // FABRIC_COMMON_HLL_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "common/string_util.h"
@@ -442,129 +441,61 @@ bool RunFilter(const Program& program, const Row* rows, size_t block_rows,
   return true;
 }
 
-std::string GroupKey(const Row& row, const std::vector<int>& cols) {
-  std::string key;
-  for (int c : cols) {
-    key += row[c].is_null() ? std::string("\x01") : row[c].ToDisplayString();
-    key.push_back('\x02');
-  }
-  return key;
-}
-
 namespace {
 
-// Mirror of the SQL executor's AggPartial, folded with identical update
-// rules (NULL skip, double accumulation in row order, keep-first min/max
-// ties via strict comparisons, lazy UDx state init).
-struct Partial {
-  int64_t count = 0;
-  double sum = 0;
-  bool any = false;
-  Value min;
-  Value max;
-  double min_num = 0;  // cached Number(min/max) for numeric folds
-  double max_num = 0;
-  std::string udx_state;
-};
-
-bool FoldRow(const CompiledSelect& select, const Row& row, uint32_t i,
+// Folds row i of the block into the group's states with typed lane
+// reads; the rules are exactly exec::Update's (NULL skip, double
+// accumulation in row order, keep-first MIN/MAX via strict comparisons
+// through the numeric view). UDx calls box the lane and go through
+// exec::Update itself. Returns false on bail.
+bool FoldRow(const CompiledSelect& select, uint32_t i,
              const std::vector<EvalState>& states,
-             std::vector<Partial>* partials) {
-  for (size_t k = 0; k < select.agg_outputs.size(); ++k) {
-    const AggOutput& a = select.agg_outputs[k];
-    if (a.is_group) continue;
-    Partial& p = (*partials)[k];
+             std::vector<AggState>* group) {
+  for (size_t k = 0; k < select.agg_calls.size(); ++k) {
+    const AggCall& call = select.agg_calls[k];
+    if (call.group_pos >= 0) continue;
+    AggState& s = (*group)[k];
+    const int arg = select.agg_args[k];
     const Lanes* lanes = nullptr;
-    if (a.arg >= 0) {
-      lanes = &select.programs[a.arg].root(states[a.arg]);
+    if (arg >= 0) {
+      lanes = &select.programs[arg].root(states[arg]);
       if (lanes->nulls[i]) continue;  // SQL aggregates skip NULLs
     }
     // arg < 0: the interpreter folds a synthetic non-null Int64(1) per
     // row (COUNT(*), or any argless aggregate call).
-    p.any = true;
-    ++p.count;
-    switch (a.fn) {
-      case AggOutput::Fn::kCount:
-        break;
-      case AggOutput::Fn::kSum:
-      case AggOutput::Fn::kAvg:
-        p.sum += lanes != nullptr ? lanes->Number(i) : 1.0;
-        break;
-      case AggOutput::Fn::kMin: {
-        if (lanes != nullptr && lanes->type == DataType::kVarchar) {
-          if (p.min.is_null() ||
-              lanes->strings[i].compare(p.min.varchar_value()) < 0) {
-            p.min = lanes->Box(i);
-          }
-        } else {
-          double v = lanes != nullptr ? lanes->Number(i) : 1.0;
-          if (p.min.is_null() || v < p.min_num) {
-            p.min = lanes != nullptr ? lanes->Box(i) : Value::Int64(1);
-            p.min_num = v;
-          }
-        }
-        break;
-      }
-      case AggOutput::Fn::kMax: {
-        if (lanes != nullptr && lanes->type == DataType::kVarchar) {
-          if (p.max.is_null() ||
-              lanes->strings[i].compare(p.max.varchar_value()) > 0) {
-            p.max = lanes->Box(i);
-          }
-        } else {
-          double v = lanes != nullptr ? lanes->Number(i) : 1.0;
-          if (p.max.is_null() || v > p.max_num) {
-            p.max = lanes != nullptr ? lanes->Box(i) : Value::Int64(1);
-            p.max_num = v;
-          }
-        }
-        break;
-      }
-      case AggOutput::Fn::kUdx: {
-        if (p.udx_state.empty()) p.udx_state = a.init_state;
-        const Value v = lanes != nullptr ? lanes->Box(i) : Value::Int64(1);
-        if (!a.udx.update(v, &p.udx_state).ok()) return false;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-bool FinalizeGroup(const CompiledSelect& select, const Row& key_values,
-                   const std::vector<Partial>& partials, Row* out) {
-  out->reserve(select.agg_outputs.size());
-  for (size_t k = 0; k < select.agg_outputs.size(); ++k) {
-    const AggOutput& a = select.agg_outputs[k];
-    if (a.is_group) {
-      out->push_back(key_values[a.group_pos]);
+    if (call.fn == AggFn::kUdx) {
+      const Value v = lanes != nullptr ? lanes->Box(i) : Value::Int64(1);
+      if (!Update(call, v, &s).ok()) return false;
       continue;
     }
-    const Partial& p = partials[k];
-    switch (a.fn) {
-      case AggOutput::Fn::kCount:
-        out->push_back(Value::Int64(p.count));
+    ++s.count;
+    switch (call.fn) {
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        s.sum += lanes != nullptr ? lanes->Number(i) : 1.0;
         break;
-      case AggOutput::Fn::kSum:
-        out->push_back(p.any ? Value::Float64(p.sum) : Value::Null());
-        break;
-      case AggOutput::Fn::kAvg:
-        out->push_back(p.any ? Value::Float64(p.sum / p.count)
-                             : Value::Null());
-        break;
-      case AggOutput::Fn::kMin:
-        out->push_back(p.min);
-        break;
-      case AggOutput::Fn::kMax:
-        out->push_back(p.max);
-        break;
-      case AggOutput::Fn::kUdx: {
-        auto v = a.udx.finalize(p.udx_state.empty() ? a.init_state
-                                                    : p.udx_state);
-        if (!v.ok()) return false;
-        out->push_back(std::move(*v));
+      case AggFn::kMin:
+      case AggFn::kMax: {
+        const int sign = call.fn == AggFn::kMin ? -1 : 1;
+        Value& extreme = call.fn == AggFn::kMin ? s.min : s.max;
+        int c;
+        if (extreme.is_null()) {
+          c = sign;
+        } else if (lanes != nullptr && lanes->type == DataType::kVarchar) {
+          int r = lanes->strings[i].compare(extreme.varchar_value());
+          c = r < 0 ? -1 : (r > 0 ? 1 : 0);
+        } else {
+          double v = lanes != nullptr ? lanes->Number(i) : 1.0;
+          double e = extreme.NumericValue();
+          c = v < e ? -1 : (v > e ? 1 : 0);
+        }
+        if (c * sign > 0) {
+          extreme = lanes != nullptr ? lanes->Box(i) : Value::Int64(1);
+        }
         break;
       }
+      default:
+        break;
     }
   }
   return true;
@@ -577,7 +508,7 @@ std::optional<std::vector<Row>> RunCompiledSelect(
   std::vector<Row> out;
   EvalState filter_state;
   std::vector<EvalState> states(select.programs.size());
-  std::map<std::string, std::pair<Row, std::vector<Partial>>> groups;
+  GroupTable groups(&select.agg_calls);
 
   int min_width = 0;
   for (int c : select.group_cols) min_width = std::max(min_width, c + 1);
@@ -629,42 +560,33 @@ std::optional<std::vector<Row>> RunCompiledSelect(
       continue;
     }
 
-    for (const AggOutput& a : select.agg_outputs) {
-      if (!a.is_group && a.arg >= 0 &&
-          !select.programs[a.arg].Eval(block, len, *active,
-                                       &states[a.arg])) {
+    for (int arg : select.agg_args) {
+      if (arg >= 0 &&
+          !select.programs[arg].Eval(block, len, *active, &states[arg])) {
         return std::nullopt;
       }
     }
     for (uint32_t i : *active) {
       const Row& row = block[i];
       if (static_cast<int>(row.size()) < min_width) return std::nullopt;
-      auto [it, inserted] = groups.try_emplace(GroupKey(row, select.group_cols));
-      if (inserted) {
-        Row& key_values = it->second.first;
-        key_values.reserve(select.group_cols.size());
-        for (int c : select.group_cols) key_values.push_back(row[c]);
-        it->second.second.resize(select.agg_outputs.size());
-      }
-      if (!FoldRow(select, row, i, states, &it->second.second)) {
-        return std::nullopt;
-      }
+      Status folded = groups.Add(
+          row, select.group_cols, [&](GroupTable::Group& group) {
+            return FoldRow(select, i, states, &group.states)
+                       ? Status::OK()
+                       : CancelledError("compiled fold bailed");
+          });
+      if (!folded.ok()) return std::nullopt;
     }
   }
 
   if (!select.aggregate) return out;
 
-  // Aggregate queries with no groups still return one row.
-  if (groups.empty() && select.group_cols.empty()) {
-    groups.try_emplace(
-        "", std::make_pair(Row{},
-                           std::vector<Partial>(select.agg_outputs.size())));
-  }
-  for (const auto& [key, group] : groups) {
+  if (!groups.Finish(select.group_cols.empty()).ok()) return std::nullopt;
+  out.reserve(groups.groups().size());
+  for (const auto& [key, group] : groups.groups()) {
     Row r;
-    if (!FinalizeGroup(select, group.first, group.second, &r)) {
-      return std::nullopt;
-    }
+    r.reserve(select.agg_calls.size());
+    if (!groups.AppendFinal(group, &r).ok()) return std::nullopt;
     out.push_back(std::move(r));
   }
   return out;

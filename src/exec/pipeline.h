@@ -24,12 +24,12 @@
 // numeric promotion through double, NULL-skipping aggregate folds in row
 // order, display-string group keys, std::map group ordering).
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "exec/hash_aggregate.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -132,25 +132,6 @@ bool RunFilter(const Program& program, const storage::Row* rows,
 
 // ---------------------------------------------------------------- SELECT
 
-// Aggregate-UDx lifecycle hooks, copied from the engine's registered
-// aggregate (engine-neutral so exec depends only on storage).
-struct UdxHooks {
-  std::function<Status(const storage::Value& input, std::string* state)>
-      update;
-  std::function<Result<storage::Value>(const std::string& state)> finalize;
-};
-
-// One output of an aggregate pipeline.
-struct AggOutput {
-  enum class Fn { kCount, kSum, kAvg, kMin, kMax, kUdx };
-  bool is_group = false;
-  int group_pos = 0;  // when is_group: index into CompiledSelect.group_cols
-  Fn fn = Fn::kCount;
-  int arg = -1;  // program index; -1 = COUNT(*)
-  UdxHooks udx;
-  std::string init_state;
-};
-
 // A whole compiled SELECT body (everything between the gathered rows and
 // ORDER BY/LIMIT): filter → {projected expressions | grouped
 // aggregation}. Pure and engine-neutral, so it caches per plan
@@ -167,8 +148,12 @@ struct CompiledSelect {
   bool aggregate = false;
   std::vector<Output> outputs;
 
+  // Aggregate output: one call per SELECT item (group items are group
+  // slots), with agg_args[i] the program feeding call i (-1 = COUNT(*)
+  // or a group slot).
   std::vector<int> group_cols;
-  std::vector<AggOutput> agg_outputs;
+  std::vector<AggCall> agg_calls;
+  std::vector<int> agg_args;
 
   std::vector<Program> programs;
 };
@@ -181,11 +166,6 @@ struct CompiledSelect {
 // interpreter's encoded group key.
 std::optional<std::vector<storage::Row>> RunCompiledSelect(
     const CompiledSelect& select, const std::vector<storage::Row>& rows);
-
-// The engines' shared group-key encoding (display string per column,
-// NULL marked distinctly) — must stay identical to the Vertica executor
-// and the Spark combiner.
-std::string GroupKey(const storage::Row& row, const std::vector<int>& cols);
 
 }  // namespace fabric::exec
 

@@ -130,7 +130,7 @@ class SparkCluster {
     // reduce-side merge, hash-join build), bytes; 0 = unlimited. Over
     // budget the operator spills partitioned runs to the worker's
     // simulated local disk and merges them back — results are
-    // byte-identical to the unbudgeted run (see shuffle::SpillPolicy).
+    // byte-identical to the unbudgeted run (see exec::SpillPolicy).
     double task_memory_bytes = 0;
   };
 

@@ -1,12 +1,14 @@
 #include "spark/dataframe.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "exec/hash_aggregate.h"
 #include "spark/shuffle/exec.h"
 #include "spark/shuffle/shuffle.h"
 #include "storage/profile.h"
@@ -139,7 +141,7 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
       FABRIC_RETURN_IF_ERROR(task.Compute(rows.size() *
                                           cost.spark_row_process_cpu *
                                           cost.data_scale));
-      shuffle::SpillPolicy spill = shuffle::TaskSpillPolicy(task);
+      exec::SpillPolicy spill = shuffle::TaskSpillPolicy(task);
       return shuffle::MergePartials(rows, *agg, &spill);
     }
     case Kind::kHashJoin: {
@@ -158,36 +160,24 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
         }
         return false;
       };
-      const double budget = task.cluster->options().task_memory_bytes;
-      if (budget <= 0) {
-        std::map<std::string, std::vector<size_t>> table;
-        for (size_t i = 0; i < left.size(); ++i) {
-          if (has_null_key(left[i], join_left_keys)) continue;
-          table[shuffle::GroupKeyOf(left[i], join_left_keys)].push_back(i);
-        }
-        std::vector<Row> out;
-        for (const Row& rrow : right) {
-          if (has_null_key(rrow, join_right_keys)) continue;
-          auto it = table.find(shuffle::GroupKeyOf(rrow, join_right_keys));
-          if (it == table.end()) continue;
-          for (size_t i : it->second) {
-            Row row = left[i];
-            row.insert(row.end(), rrow.begin(), rrow.end());
-            out.push_back(std::move(row));
-          }
-        }
-        return out;
-      }
-      // Budgeted join: multi-pass build (hybrid hash). Each pass builds
-      // as much of the left side as the budget holds and probes the full
-      // right side; on overflow the probe side is spilled once and
-      // re-read per extra pass. Matches are collected as (right, left)
-      // index pairs and sorted, which is exactly the unbudgeted output
-      // order (right-row order, left indices ascending).
-      shuffle::SpillPolicy spill = shuffle::TaskSpillPolicy(task);
-      const double right_bytes = storage::ProfileRows(right)
-                                     .ScaleBy(cost.data_scale)
-                                     .raw_bytes;
+      // Multi-pass build (hybrid hash). Each pass builds as much of the
+      // left side as the task memory budget holds (all of it when the
+      // budget is unbounded) and probes the full right side; on overflow
+      // the probe side is spilled once and re-read per extra pass.
+      // Matches are (right, left) index pairs: one pass emits them in
+      // right-row order with left indices ascending, and sorting the
+      // pairs of several passes restores exactly that order.
+      const double task_memory = task.cluster->options().task_memory_bytes;
+      const double budget = task_memory > 0
+                                ? task_memory
+                                : std::numeric_limits<double>::infinity();
+      exec::SpillPolicy spill = shuffle::TaskSpillPolicy(task);
+      // Probe-side volume, billed only by spilling passes.
+      const double right_bytes = task_memory > 0
+                                     ? storage::ProfileRows(right)
+                                           .ScaleBy(cost.data_scale)
+                                           .raw_bytes
+                                     : 0;
       std::vector<std::pair<size_t, size_t>> matches;
       size_t start = 0;
       int pass = 0;
@@ -198,7 +188,7 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
         size_t i = start;
         for (; i < left.size(); ++i) {
           if (has_null_key(left[i], join_left_keys)) continue;
-          std::string key = shuffle::GroupKeyOf(left[i], join_left_keys);
+          std::string key = exec::GroupKey(left[i], join_left_keys);
           resident += static_cast<double>(key.size()) + 64;
           table[std::move(key)].push_back(i);
           if (resident > budget && i + 1 < left.size()) {
@@ -212,8 +202,7 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
         }
         for (size_t r = 0; r < right.size(); ++r) {
           if (has_null_key(right[r], join_right_keys)) continue;
-          auto it =
-              table.find(shuffle::GroupKeyOf(right[r], join_right_keys));
+          auto it = table.find(exec::GroupKey(right[r], join_right_keys));
           if (it == table.end()) continue;
           for (size_t l : it->second) matches.emplace_back(r, l);
         }
@@ -226,7 +215,7 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
           }
         }
       } while (start < left.size());
-      std::sort(matches.begin(), matches.end());
+      if (pass > 1) std::sort(matches.begin(), matches.end());
       std::vector<Row> out;
       out.reserve(matches.size());
       for (const auto& [r, l] : matches) {

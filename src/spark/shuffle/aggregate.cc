@@ -1,7 +1,5 @@
 #include "spark/shuffle/aggregate.h"
 
-#include <algorithm>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -14,250 +12,30 @@ namespace {
 using storage::Row;
 using storage::Value;
 
-// Running accumulator for one aggregate call within one group. `count`
-// is the number of non-null inputs, so "any input seen" is count > 0
-// (matching the Vertica engine's AggPartial).
-struct Partial {
-  int64_t count = 0;
-  double sum = 0;
-  Value min;
-  Value max;
-  // Sketch-call state; invalid until the first update/merge so the
-  // precision comes from the call (or the incoming partial).
-  hll::Sketch sketch;
-};
+const exec::AggUdx kApproxCountDistinctUdx =
+    exec::HllSketchUdx(/*estimate=*/true);
+const exec::AggUdx kHllSketchUdx = exec::HllSketchUdx(/*estimate=*/false);
 
-Status UpdatePartial(const AggCall& call, const Row& row, Partial* p) {
-  // COUNT(*) counts rows: a synthetic non-null input per row.
-  const Value v = call.column < 0 ? Value::Int64(1) : row[call.column];
-  if (v.is_null()) return Status::OK();  // SQL aggregates skip NULLs
-  ++p->count;
-  switch (call.fn) {
-    case AggregateFn::kCount:
-      break;
-    case AggregateFn::kApproxCountDistinct:
-    case AggregateFn::kHllSketch: {
-      if (!p->sketch.valid()) {
-        FABRIC_ASSIGN_OR_RETURN(p->sketch,
-                                hll::Sketch::Create(call.precision));
-      }
-      p->sketch.AddHash(v.DistinctHash());
-      break;
-    }
-    case AggregateFn::kSum:
-    case AggregateFn::kAvg: {
-      FABRIC_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      p->sum += d;
-      break;
-    }
-    case AggregateFn::kMin: {
-      if (p->min.is_null()) {
-        p->min = v;
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(int c, v.Compare(p->min));
-        if (c < 0) p->min = v;
-      }
-      break;
-    }
-    case AggregateFn::kMax: {
-      if (p->max.is_null()) {
-        p->max = v;
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(int c, v.Compare(p->max));
-        if (c > 0) p->max = v;
-      }
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-Status MergePartialInto(const Partial& in, Partial* out) {
-  out->count += in.count;
-  out->sum += in.sum;
-  if (in.sketch.valid()) {
-    if (!out->sketch.valid()) {
-      out->sketch = in.sketch;
+std::vector<exec::AggCall> CoreCalls(const AggPlan& plan) {
+  std::vector<exec::AggCall> calls;
+  calls.reserve(plan.calls.size());
+  for (const AggCall& c : plan.calls) {
+    exec::AggCall call;
+    if (IsSketchFn(c.fn)) {
+      call.fn = exec::AggFn::kUdx;
+      call.udx = c.fn == AggregateFn::kApproxCountDistinct
+                     ? &kApproxCountDistinctUdx
+                     : &kHllSketchUdx;
+      // The precision was validated when the plan was built
+      // (GroupedDataFrame::Agg).
+      call.init_state = hll::Sketch::Create(c.precision).value().ToRawState();
     } else {
-      FABRIC_RETURN_IF_ERROR(out->sketch.Merge(in.sketch));
+      call.fn = *exec::AggFnByName(AggregateFnName(c.fn));
     }
+    calls.push_back(std::move(call));
   }
-  if (!in.min.is_null()) {
-    if (out->min.is_null()) {
-      out->min = in.min;
-    } else {
-      FABRIC_ASSIGN_OR_RETURN(int c, in.min.Compare(out->min));
-      if (c < 0) out->min = in.min;
-    }
-  }
-  if (!in.max.is_null()) {
-    if (out->max.is_null()) {
-      out->max = in.max;
-    } else {
-      FABRIC_ASSIGN_OR_RETURN(int c, in.max.Compare(out->max));
-      if (c > 0) out->max = in.max;
-    }
-  }
-  return Status::OK();
+  return calls;
 }
-
-Result<Value> FinalizePartial(const AggCall& call, const Partial& p) {
-  switch (call.fn) {
-    case AggregateFn::kCount:
-      return Value::Int64(p.count);
-    case AggregateFn::kSum:
-      return p.count > 0 ? Value::Float64(p.sum) : Value::Null();
-    case AggregateFn::kAvg:
-      return p.count > 0 ? Value::Float64(p.sum / p.count) : Value::Null();
-    case AggregateFn::kMin:
-      return p.min;
-    case AggregateFn::kMax:
-      return p.max;
-    case AggregateFn::kApproxCountDistinct:
-    case AggregateFn::kHllSketch: {
-      hll::Sketch sketch = p.sketch;
-      if (!sketch.valid()) {
-        // Zero non-null inputs: an empty sketch (estimate 0), matching
-        // the Vertica UDx's init-state finalize.
-        FABRIC_ASSIGN_OR_RETURN(sketch, hll::Sketch::Create(call.precision));
-      }
-      if (call.fn == AggregateFn::kApproxCountDistinct) {
-        return Value::Int64(sketch.Estimate());
-      }
-      return Value::Varchar(sketch.Serialize());
-    }
-  }
-  return Value::Null();
-}
-
-// Serialized form of a call's sketch state for the partial row; empty
-// states serialize as the empty sketch so the reduce side can always
-// deserialize.
-Result<Value> SketchPartialValue(const AggCall& call, const Partial& p) {
-  if (p.sketch.valid()) return Value::Varchar(p.sketch.Serialize());
-  FABRIC_ASSIGN_OR_RETURN(hll::Sketch empty,
-                          hll::Sketch::Create(call.precision));
-  return Value::Varchar(empty.Serialize());
-}
-
-// Ordered group table: encoded key -> (key values, one Partial per call).
-// std::map iteration gives the canonical sorted-by-key output order.
-using GroupMap = std::map<std::string, std::pair<Row, std::vector<Partial>>>;
-
-std::pair<Row, std::vector<Partial>>* FindOrInsertGroup(
-    GroupMap* groups, const std::string& key, const Row& row,
-    const std::vector<int>& key_columns, size_t num_calls,
-    bool* was_inserted = nullptr) {
-  auto [it, inserted] = groups->try_emplace(key);
-  if (inserted) {
-    for (int k : key_columns) it->second.first.push_back(row[k]);
-    it->second.second.resize(num_calls);
-  }
-  if (was_inserted != nullptr) *was_inserted = inserted;
-  return &it->second;
-}
-
-// Estimated resident bytes of one group entry; coarse on purpose (the
-// budget is a simulation knob, not a malloc audit).
-double GroupBytesOf(const std::string& key,
-                    const std::vector<AggCall>& calls) {
-  double bytes = static_cast<double>(key.size()) + 48;
-  for (const AggCall& call : calls) {
-    bytes += IsSketchFn(call.fn)
-                 ? 64 + static_cast<double>(1 << call.precision)
-                 : 56;
-  }
-  return bytes;
-}
-
-// FNV-1a over the encoded group key: the spill partition function
-// (shared with the Vertica executor's grace-hash aggregate).
-int SpillPartitionOf(const std::string& key, int partitions) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return static_cast<int>(h % static_cast<uint64_t>(partitions));
-}
-
-// Grace-hash spill bookkeeping shared by the map-side combiner and the
-// reduce-side merge: groups pushed out of the resident table land in
-// per-partition runs (chronological order preserved within each run) and
-// merge back at finish time. Partitions hold disjoint key sets and the
-// final collection map is key-ordered, so spilling never changes output.
-struct SpillState {
-  const SpillPolicy* policy = nullptr;
-  std::vector<std::vector<std::pair<std::string,
-                                    std::pair<Row, std::vector<Partial>>>>>
-      runs;
-  double resident_bytes = 0;
-  bool spilled = false;
-
-  bool active() const {
-    return policy != nullptr && policy->budget_bytes > 0;
-  }
-  int partitions() const { return std::max(1, policy->partitions); }
-
-  Status SpillResident(GroupMap* groups,
-                       const std::vector<AggCall>& calls) {
-    if (groups->empty()) return Status::OK();
-    if (runs.empty()) runs.resize(partitions());
-    double bytes = 0;
-    for (auto& [key, group] : *groups) {
-      bytes += GroupBytesOf(key, calls);
-      runs[SpillPartitionOf(key, partitions())].emplace_back(
-          key, std::move(group));
-    }
-    groups->clear();
-    resident_bytes = 0;
-    spilled = true;
-    if (policy->charge_write) {
-      FABRIC_RETURN_IF_ERROR(policy->charge_write(bytes));
-    }
-    if (policy->spills != nullptr) ++*policy->spills;
-    if (policy->spilled_bytes != nullptr) *policy->spilled_bytes += bytes;
-    return Status::OK();
-  }
-
-  // Accounts a freshly inserted group and spills when over budget.
-  Status OnNewGroup(GroupMap* groups, const std::string& key,
-                    const std::vector<AggCall>& calls) {
-    resident_bytes += GroupBytesOf(key, calls);
-    if (resident_bytes > policy->budget_bytes) {
-      return SpillResident(groups, calls);
-    }
-    return Status::OK();
-  }
-
-  // Merges every run back into `groups` (which it first pushes out too,
-  // so all state flows through the runs uniformly).
-  Status Drain(GroupMap* groups, const std::vector<AggCall>& calls) {
-    if (!spilled) return Status::OK();
-    FABRIC_RETURN_IF_ERROR(SpillResident(groups, calls));
-    for (auto& run : runs) {
-      if (run.empty()) continue;
-      double bytes = 0;
-      for (auto& [key, group] : run) {
-        bytes += GroupBytesOf(key, calls);
-        auto [it, inserted] = groups->try_emplace(key);
-        if (inserted) {
-          it->second = std::move(group);
-          continue;
-        }
-        for (size_t i = 0; i < calls.size(); ++i) {
-          FABRIC_RETURN_IF_ERROR(
-              MergePartialInto(group.second[i], &it->second.second[i]));
-        }
-      }
-      run.clear();
-      if (policy->charge_read) {
-        FABRIC_RETURN_IF_ERROR(policy->charge_read(bytes));
-      }
-    }
-    return Status::OK();
-  }
-};
 
 }  // namespace
 
@@ -284,148 +62,112 @@ storage::Schema PartialSchema(const AggPlan& plan) {
 
 int PartialWidth(const AggCall& call) { return IsSketchFn(call.fn) ? 1 : 4; }
 
-std::string GroupKeyOf(const Row& row, const std::vector<int>& keys) {
-  // Same encoding as the Vertica engine's GROUP BY key: \x01 marks NULL
-  // (distinct from any display string), \x02 separates columns.
-  std::string key;
-  for (int c : keys) {
-    key += row[c].is_null() ? std::string("\x01") : row[c].ToDisplayString();
-    key.push_back('\x02');
-  }
-  return key;
-}
-
 struct Combiner::Impl {
+  Impl(const AggPlan* plan, const exec::SpillPolicy* spill)
+      : plan(plan), calls(CoreCalls(*plan)), table(&calls, spill) {}
+
   const AggPlan* plan;
-  GroupMap groups;
-  SpillState spill;
+  std::vector<exec::AggCall> calls;
+  exec::GroupTable table;
 };
 
-Combiner::Combiner(const AggPlan* plan, const SpillPolicy* spill)
-    : impl_(new Impl{plan, {}, {}}) {
-  impl_->spill.policy = spill;
-}
+Combiner::Combiner(const AggPlan* plan, const exec::SpillPolicy* spill)
+    : impl_(new Impl(plan, spill)) {}
 Combiner::~Combiner() = default;
 Combiner::Combiner(Combiner&&) noexcept = default;
 Combiner& Combiner::operator=(Combiner&&) noexcept = default;
 
 Status Combiner::Add(const Row& row) {
+  static const Value kOne = Value::Int64(1);  // COUNT(*) counts rows
   const AggPlan& plan = *impl_->plan;
-  std::string key = GroupKeyOf(row, plan.keys);
-  bool inserted = false;
-  auto* group = FindOrInsertGroup(&impl_->groups, key, row, plan.keys,
-                                  plan.calls.size(), &inserted);
-  for (size_t i = 0; i < plan.calls.size(); ++i) {
-    FABRIC_RETURN_IF_ERROR(
-        UpdatePartial(plan.calls[i], row, &group->second[i]));
-  }
-  if (inserted && impl_->spill.active()) {
-    FABRIC_RETURN_IF_ERROR(
-        impl_->spill.OnNewGroup(&impl_->groups, key, plan.calls));
-  }
-  return Status::OK();
+  return impl_->table.Add(
+      row, plan.keys, [&](exec::GroupTable::Group& group) -> Status {
+        for (size_t i = 0; i < plan.calls.size(); ++i) {
+          const int column = plan.calls[i].column;
+          FABRIC_RETURN_IF_ERROR(
+              exec::Update(impl_->calls[i], column < 0 ? kOne : row[column],
+                           &group.states[i]));
+        }
+        return Status::OK();
+      });
 }
 
 Result<std::vector<Row>> Combiner::Finish() {
   const AggPlan& plan = *impl_->plan;
-  if (impl_->spill.active()) {
-    FABRIC_RETURN_IF_ERROR(impl_->spill.Drain(&impl_->groups, plan.calls));
-  }
+  FABRIC_RETURN_IF_ERROR(impl_->table.Finish(/*scalar_aggregate=*/false));
   std::vector<Row> out;
-  out.reserve(impl_->groups.size());
-  for (auto& [key, group] : impl_->groups) {
-    Row row = std::move(group.first);
+  out.reserve(impl_->table.groups().size());
+  for (auto& [key, group] : impl_->table.groups()) {
+    Row row = std::move(group.keys);
     for (size_t i = 0; i < plan.calls.size(); ++i) {
-      const AggCall& call = plan.calls[i];
-      const Partial& p = group.second[i];
-      if (IsSketchFn(call.fn)) {
-        FABRIC_ASSIGN_OR_RETURN(Value sketch, SketchPartialValue(call, p));
-        row.push_back(std::move(sketch));
+      const exec::AggState& s = group.states[i];
+      if (IsSketchFn(plan.calls[i].fn)) {
+        // Empty states travel as the empty sketch, so the reduce side
+        // can always deserialize.
+        FABRIC_ASSIGN_OR_RETURN(
+            hll::Sketch sketch,
+            hll::Sketch::FromRawState(s.udx_state.empty()
+                                          ? impl_->calls[i].init_state
+                                          : s.udx_state));
+        row.push_back(Value::Varchar(sketch.Serialize()));
         continue;
       }
-      row.push_back(Value::Int64(p.count));
-      row.push_back(Value::Float64(p.sum));
-      row.push_back(p.min);
-      row.push_back(p.max);
+      row.push_back(Value::Int64(s.count));
+      row.push_back(Value::Float64(s.sum));
+      row.push_back(s.min);
+      row.push_back(s.max);
     }
     out.push_back(std::move(row));
   }
   return out;
 }
 
-Result<std::vector<Row>> CombineToPartials(const std::vector<Row>& rows,
-                                           const AggPlan& plan) {
-  Combiner combiner(&plan);
-  for (const Row& row : rows) {
-    FABRIC_RETURN_IF_ERROR(combiner.Add(row));
-  }
-  return combiner.Finish();
-}
-
 Result<std::vector<Row>> MergePartials(const std::vector<Row>& partials,
                                        const AggPlan& plan,
-                                       const SpillPolicy* spill) {
+                                       const exec::SpillPolicy* spill) {
   const int k = static_cast<int>(plan.keys.size());
   std::vector<int> key_positions(k);
   std::iota(key_positions.begin(), key_positions.end(), 0);
-  GroupMap groups;
-  SpillState spill_state;
-  spill_state.policy = spill;
+  const std::vector<exec::AggCall> calls = CoreCalls(plan);
+  exec::GroupTable table(&calls, spill);
   for (const Row& prow : partials) {
-    std::string key = GroupKeyOf(prow, key_positions);
-    bool inserted = false;
-    auto* group = FindOrInsertGroup(&groups, key, prow, key_positions,
-                                    plan.calls.size(), &inserted);
-    // Partial rows have a variable per-call width (sketch calls carry a
-    // single serialized-register field); walk the layout, never stride.
-    int base = k;
-    for (size_t i = 0; i < plan.calls.size(); ++i) {
-      const AggCall& call = plan.calls[i];
-      Partial in;
-      if (IsSketchFn(call.fn)) {
-        if (prow[base].type() != storage::DataType::kVarchar) {
-          return InvalidArgumentError(
-              "sketch partial field is not a serialized sketch");
-        }
-        FABRIC_ASSIGN_OR_RETURN(
-            in.sketch, hll::Sketch::Deserialize(prow[base].varchar_value()));
-      } else {
-        in.count = prow[base].int64_value();
-        in.sum = prow[base + 1].float64_value();
-        in.min = prow[base + 2];
-        in.max = prow[base + 3];
-      }
-      FABRIC_RETURN_IF_ERROR(MergePartialInto(in, &group->second[i]));
-      base += PartialWidth(call);
-    }
-    if (inserted && spill_state.active()) {
-      FABRIC_RETURN_IF_ERROR(
-          spill_state.OnNewGroup(&groups, key, plan.calls));
-    }
+    FABRIC_RETURN_IF_ERROR(table.Add(
+        prow, key_positions, [&](exec::GroupTable::Group& group) -> Status {
+          // Partial rows have a variable per-call width (sketch calls
+          // carry a single serialized-register field); walk the layout,
+          // never stride.
+          int base = k;
+          for (size_t i = 0; i < plan.calls.size(); ++i) {
+            const AggCall& call = plan.calls[i];
+            exec::AggState in;
+            if (IsSketchFn(call.fn)) {
+              if (prow[base].type() != storage::DataType::kVarchar) {
+                return InvalidArgumentError(
+                    "sketch partial field is not a serialized sketch");
+              }
+              FABRIC_ASSIGN_OR_RETURN(
+                  hll::Sketch sketch,
+                  hll::Sketch::Deserialize(prow[base].varchar_value()));
+              in.udx_state = sketch.ToRawState();
+            } else {
+              in.count = prow[base].int64_value();
+              in.sum = prow[base + 1].float64_value();
+              in.min = prow[base + 2];
+              in.max = prow[base + 3];
+            }
+            FABRIC_RETURN_IF_ERROR(
+                exec::Merge(calls[i], in, &group.states[i]));
+            base += PartialWidth(call);
+          }
+          return Status::OK();
+        }));
   }
-  if (spill_state.active()) {
-    FABRIC_RETURN_IF_ERROR(spill_state.Drain(&groups, plan.calls));
-  }
+  FABRIC_RETURN_IF_ERROR(table.Finish(/*scalar_aggregate=*/k == 0));
   std::vector<Row> out;
-  if (groups.empty() && plan.keys.empty()) {
-    // SQL: an aggregate without GROUP BY yields one row even for empty
-    // input (COUNT 0, SUM/AVG NULL, ...).
-    Row row;
-    for (const AggCall& call : plan.calls) {
-      FABRIC_ASSIGN_OR_RETURN(Value v, FinalizePartial(call, Partial()));
-      row.push_back(std::move(v));
-    }
-    out.push_back(std::move(row));
-    return out;
-  }
-  out.reserve(groups.size());
-  for (auto& [key, group] : groups) {
-    Row row = std::move(group.first);
-    for (size_t i = 0; i < plan.calls.size(); ++i) {
-      FABRIC_ASSIGN_OR_RETURN(
-          Value v, FinalizePartial(plan.calls[i], group.second[i]));
-      row.push_back(std::move(v));
-    }
+  out.reserve(table.groups().size());
+  for (auto& [key, group] : table.groups()) {
+    Row row = std::move(group.keys);
+    FABRIC_RETURN_IF_ERROR(table.AppendFinal(group, &row));
     out.push_back(std::move(row));
   }
   return out;

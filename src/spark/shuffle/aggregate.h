@@ -1,20 +1,19 @@
 #ifndef FABRIC_SPARK_SHUFFLE_AGGREGATE_H_
 #define FABRIC_SPARK_SHUFFLE_AGGREGATE_H_
 
-// Hash-aggregation machinery shared by the shuffle map side (partial
-// combine) and reduce side (merge + finalize). The semantics mirror the
-// Vertica SQL engine's aggregate evaluation exactly — NULL inputs are
-// skipped, COUNT(*) counts rows, SUM/AVG of zero non-null inputs is NULL,
-// group keys encode NULL distinctly, output is sorted by encoded key —
-// so a plan computed through the Spark shuffle and the same plan pushed
-// into Vertica return byte-identical rows.
+// The shuffle's map-side combine and reduce-side merge: the partial-row
+// encoding around the shared grouped-aggregation core
+// (exec/hash_aggregate.h) that the Vertica SQL engine also runs, so a
+// plan computed through the Spark shuffle and the same plan pushed into
+// Vertica return byte-identical rows. Sketch calls fold through the
+// same raw-register HLL state as Vertica's sketch UDx.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "exec/hash_aggregate.h"
 #include "spark/types.h"
 #include "storage/schema.h"
 
@@ -52,45 +51,17 @@ storage::Schema PartialSchema(const AggPlan& plan);
 // Number of partial-row fields the call occupies (4 scalar, 1 sketch).
 int PartialWidth(const AggCall& call);
 
-// Group-key encoding shared with Vertica's GROUP BY: display string per
-// key column, NULL marked distinctly, columns separated unambiguously.
-// Sorting rows by this key is the canonical aggregate output order.
-std::string GroupKeyOf(const storage::Row& row, const std::vector<int>& keys);
-
-// Task memory budget for hash aggregation. When the resident group table
-// exceeds `budget_bytes` the operator pushes it out as partitioned runs
-// (grace hash) — `charge_write`/`charge_read` bill the simulated local
-// disk of whatever worker runs the task — and merges the runs back at
-// the end. Output is byte-identical to the unbudgeted run: partials are
-// mergeable and the final collection re-sorts by encoded group key.
-// A zero budget (or null policy) disables spilling entirely.
-struct SpillPolicy {
-  double budget_bytes = 0;
-  int partitions = 8;
-  std::function<Status(double bytes)> charge_write;
-  std::function<Status(double bytes)> charge_read;
-  // Telemetry sinks (optional): bumped on every spill event.
-  int64_t* spills = nullptr;
-  double* spilled_bytes = nullptr;
-};
-
-// Map-side combine: folds raw input rows into one partial row per group,
+// Map-side combine: folds raw input rows one at a time (the fused map
+// stage in exec.cc feeds surviving scan rows without materializing the
+// filtered row vector) and Finish() emits one partial row per group,
 // sorted by encoded group key.
-Result<std::vector<storage::Row>> CombineToPartials(
-    const std::vector<storage::Row>& rows, const AggPlan& plan);
-
-// Incremental map-side combine. The fused map stage (exec.cc) folds
-// surviving scan rows one at a time instead of materializing the
-// filtered/projected row vector first; CombineToPartials is implemented
-// over this class, so fold rules and group ordering are identical by
-// construction. Finish() emits one partial row per group, sorted by
-// encoded group key.
 class Combiner {
  public:
   // `plan` is borrowed and must outlive the combiner. Only `keys` and
   // `calls` are consulted, so a column-remapped copy works. `spill`
   // (borrowed, may be null) bounds the resident group table.
-  explicit Combiner(const AggPlan* plan, const SpillPolicy* spill = nullptr);
+  explicit Combiner(const AggPlan* plan,
+                    const exec::SpillPolicy* spill = nullptr);
   ~Combiner();
   Combiner(Combiner&&) noexcept;
   Combiner& operator=(Combiner&&) noexcept;
@@ -110,7 +81,7 @@ class Combiner {
 // aggregate-without-GROUP-BY convention) even for empty input.
 Result<std::vector<storage::Row>> MergePartials(
     const std::vector<storage::Row>& partials, const AggPlan& plan,
-    const SpillPolicy* spill = nullptr);
+    const exec::SpillPolicy* spill = nullptr);
 
 // The shuffle partition a row hashes to. `keys` empty means hash over
 // all columns (pure repartitioning).

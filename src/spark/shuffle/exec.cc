@@ -15,8 +15,8 @@
 
 namespace fabric::spark::shuffle {
 
-SpillPolicy TaskSpillPolicy(const TaskContext& task) {
-  SpillPolicy policy;
+exec::SpillPolicy TaskSpillPolicy(const TaskContext& task) {
+  exec::SpillPolicy policy;
   policy.budget_bytes = task.cluster->options().task_memory_bytes;
   if (policy.budget_bytes <= 0) return policy;
   SparkCluster* cluster = task.cluster;
@@ -269,7 +269,7 @@ Result<std::vector<storage::Row>> RunFusedMap(TaskContext& task,
   // exchange, exactly as the unfused body counts them.
   FABRIC_RETURN_IF_ERROR(task.Compute(
       active.size() * cost.spark_row_process_cpu * cost.data_scale));
-  SpillPolicy spill = TaskSpillPolicy(task);
+  exec::SpillPolicy spill = TaskSpillPolicy(task);
   Combiner combiner(&fused.combine, &spill);
   for (uint32_t i : active) {
     FABRIC_RETURN_IF_ERROR(combiner.Add(rows[i]));
@@ -318,7 +318,7 @@ Status RunMapStage(sim::Process& driver, SparkCluster* cluster,
           FABRIC_RETURN_IF_ERROR(task.Compute(
               rows.size() * cost.spark_row_process_cpu * cost.data_scale));
           if (spec->combine != nullptr) {
-            SpillPolicy spill = TaskSpillPolicy(task);
+            exec::SpillPolicy spill = TaskSpillPolicy(task);
             Combiner combiner(&*spec->combine, &spill);
             for (const storage::Row& row : rows) {
               FABRIC_RETURN_IF_ERROR(combiner.Add(row));

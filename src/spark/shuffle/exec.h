@@ -26,7 +26,7 @@ bool HasExchange(const Plan& plan);
 // cluster's task_memory_bytes, runs billed against the worker's local
 // disk, spill events traced and counted (spark.spills /
 // spark.spill_bytes). An unlimited cluster yields an inert policy.
-SpillPolicy TaskSpillPolicy(const TaskContext& task);
+exec::SpillPolicy TaskSpillPolicy(const TaskContext& task);
 
 // Runs `body` over `num_tasks` tasks with all of the plan's shuffle
 // dependencies satisfied: registers/executes missing map stages first

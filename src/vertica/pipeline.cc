@@ -212,14 +212,6 @@ class Lowering {
   std::vector<exec::Node> nodes_;
 };
 
-exec::AggOutput::Fn BuiltinAggFn(const std::string& name) {
-  if (name == "SUM") return exec::AggOutput::Fn::kSum;
-  if (name == "AVG") return exec::AggOutput::Fn::kAvg;
-  if (name == "MIN") return exec::AggOutput::Fn::kMin;
-  if (name == "MAX") return exec::AggOutput::Fn::kMax;
-  return exec::AggOutput::Fn::kCount;
-}
-
 // Lowers one expression into `cs`, appending its program. Returns the
 // program index or -1.
 int LowerProgramInto(const sql::Expr& e, const Schema& schema,
@@ -258,12 +250,7 @@ std::optional<CompiledQuery> LowerSelect(
     cs.filter = std::move(*filter);
   }
 
-  cs.aggregate = !select.group_by.empty();
-  for (const sql::SelectItem& item : select.items) {
-    if (!item.star && sql::ContainsAggregate(*item.expr, agg_udx)) {
-      cs.aggregate = true;
-    }
-  }
+  cs.aggregate = sql::IsAggregateSelect(select, agg_udx);
 
   std::vector<storage::ColumnDef> out_columns;
   if (!cs.aggregate) {
@@ -296,68 +283,93 @@ std::optional<CompiledQuery> LowerSelect(
     return q;
   }
 
-  // Aggregate body: only the interpreter's happy path compiles — group
-  // columns listed in GROUP BY and simple aggregate calls. Anything the
-  // interpreter would reject with a typed error is left to it.
-  for (const std::string& name : select.group_by) {
-    auto idx = schema.IndexOf(name);
-    if (!idx.ok()) return std::nullopt;
-    cs.group_cols.push_back(*idx);
+  // Aggregate body: only the interpreter's happy path compiles; anything
+  // it would reject with a typed error is left to it.
+  auto items = ResolveAggregateItems(select, schema, udx, agg_udx);
+  if (!items.ok()) return std::nullopt;
+  cs.group_cols = std::move(items->group_cols);
+  cs.agg_calls = std::move(items->calls);
+  for (const sql::Expr* arg : items->args) {
+    int program = -1;
+    if (arg != nullptr) {
+      program = LowerProgramInto(*arg, schema, &cs);
+      if (program < 0) return std::nullopt;
+    }
+    cs.agg_args.push_back(program);
   }
+  q.out_schema = std::move(items->out_schema);
+  return q;
+}
+
+Result<AggregateItems> ResolveAggregateItems(
+    const sql::SelectStmt& select, const Schema& schema,
+    const sql::UdxResolver* udx, const sql::AggregateUdxResolver* agg_udx) {
+  AggregateItems out;
+  for (const std::string& name : select.group_by) {
+    FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(name));
+    out.group_cols.push_back(idx);
+  }
+  std::vector<storage::ColumnDef> out_columns;
   for (size_t i = 0; i < select.items.size(); ++i) {
     const sql::SelectItem& item = select.items[i];
-    if (item.star) return std::nullopt;
+    if (item.star) {
+      return InvalidArgumentError("SELECT * with aggregation");
+    }
     const sql::Expr& e = *item.expr;
-    exec::AggOutput agg;
+    const std::string name = sql::SelectItemName(item, static_cast<int>(i));
+    exec::AggCall call;
+    const sql::Expr* arg = nullptr;
     if (e.kind == sql::Expr::Kind::kColumnRef) {
-      auto idx = schema.IndexOf(e.column);
-      if (!idx.ok()) return std::nullopt;
-      auto it = std::find(cs.group_cols.begin(), cs.group_cols.end(), *idx);
-      if (it == cs.group_cols.end()) return std::nullopt;
-      agg.is_group = true;
-      agg.group_pos = static_cast<int>(it - cs.group_cols.begin());
-      out_columns.push_back({sql::SelectItemName(item, static_cast<int>(i)),
-                             schema.column(*idx).type});
+      FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(e.column));
+      auto it = std::find(out.group_cols.begin(), out.group_cols.end(), idx);
+      if (it == out.group_cols.end()) {
+        return InvalidArgumentError(
+            StrCat("column '", e.column, "' not in GROUP BY"));
+      }
+      call.group_pos = static_cast<int>(it - out.group_cols.begin());
+      out_columns.push_back({name, schema.column(idx).type});
     } else if (e.kind == sql::Expr::Kind::kCall &&
                sql::IsAggregateFunction(e.function)) {
-      agg.fn = BuiltinAggFn(e.function);
-      if (!e.args.empty()) {
-        agg.arg = LowerProgramInto(*e.args[0], schema, &cs);
-        if (agg.arg < 0) return std::nullopt;
-      }
-      out_columns.push_back({sql::SelectItemName(item, static_cast<int>(i)),
-                             sql::InferType(e, schema)});
+      call.fn = *exec::AggFnByName(e.function);
+      arg = e.args.empty() ? nullptr : e.args[0].get();
+      out_columns.push_back({name, sql::InferType(e, schema)});
     } else if (e.kind == sql::Expr::Kind::kCall && agg_udx != nullptr &&
                *agg_udx && (*agg_udx)(e.function) != nullptr) {
+      // Aggregate UDx call: first argument is the aggregated expression,
+      // the rest must be constants handed to init (e.g. the precision),
+      // evaluated once per query with no row context.
       const sql::AggregateUdx* udx_def = (*agg_udx)(e.function);
-      if (e.args.empty()) return std::nullopt;
-      agg.fn = exec::AggOutput::Fn::kUdx;
-      agg.arg = LowerProgramInto(*e.args[0], schema, &cs);
-      if (agg.arg < 0) return std::nullopt;
-      // Extra arguments are per-query constants handed to init, exactly
-      // as the interpreter evaluates them (no row context).
+      if (e.args.empty()) {
+        return InvalidArgumentError(
+            StrCat(e.function, " requires an argument"));
+      }
+      call.fn = exec::AggFn::kUdx;
+      call.udx = udx_def;
+      arg = e.args[0].get();
       std::vector<Value> extra;
       for (size_t a = 1; a < e.args.size(); ++a) {
         sql::EvalContext const_context;
         const_context.udx = udx;
         auto v = sql::Eval(*e.args[a], const_context);
-        if (!v.ok()) return std::nullopt;
+        if (!v.ok()) {
+          return InvalidArgumentError(
+              StrCat(e.function, " extra arguments must be constants: ",
+                     v.status().message()));
+        }
         extra.push_back(std::move(*v));
       }
-      auto init = udx_def->init(extra);
-      if (!init.ok()) return std::nullopt;
-      agg.init_state = std::move(*init);
-      agg.udx.update = udx_def->update;
-      agg.udx.finalize = udx_def->finalize;
-      out_columns.push_back({sql::SelectItemName(item, static_cast<int>(i)),
-                             udx_def->output_type});
+      FABRIC_ASSIGN_OR_RETURN(call.init_state, udx_def->init(extra));
+      out_columns.push_back({name, udx_def->output_type});
     } else {
-      return std::nullopt;
+      return InvalidArgumentError(
+          "aggregate queries support only group columns and simple "
+          "aggregate calls");
     }
-    cs.agg_outputs.push_back(std::move(agg));
+    out.calls.push_back(std::move(call));
+    out.args.push_back(arg);
   }
-  q.out_schema = Schema(std::move(out_columns));
-  return q;
+  out.out_schema = Schema(std::move(out_columns));
+  return out;
 }
 
 namespace {

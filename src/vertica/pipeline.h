@@ -14,7 +14,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "common/result.h"
+#include "exec/hash_aggregate.h"
 #include "exec/pipeline.h"
 #include "storage/schema.h"
 #include "vertica/sql_ast.h"
@@ -29,6 +32,24 @@ struct CompiledQuery {
   exec::CompiledSelect select;
   storage::Schema out_schema;
 };
+
+// An aggregate SELECT's items resolved for the shared group table
+// (exec/hash_aggregate.h): one call per item (group columns are group
+// slots), the aggregated expression of each call (null for COUNT(*) and
+// group slots; borrowed from the statement), and the result schema.
+struct AggregateItems {
+  std::vector<int> group_cols;
+  std::vector<exec::AggCall> calls;
+  std::vector<const sql::Expr*> args;
+  storage::Schema out_schema;
+};
+
+// Items must be GROUP BY columns or simple aggregate calls (builtin or
+// aggregate UDx, whose extra arguments are constants handed to init).
+// Any other shape fails with the interpreter's typed error.
+Result<AggregateItems> ResolveAggregateItems(
+    const sql::SelectStmt& select, const storage::Schema& schema,
+    const sql::UdxResolver* udx, const sql::AggregateUdxResolver* agg_udx);
 
 // Lowering entry points (exposed for tests). nullopt: not compilable.
 std::optional<exec::Program> LowerExpr(const sql::Expr& expr,

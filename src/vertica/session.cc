@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "exec/hash_aggregate.h"
 #include "exec/pipeline.h"
 #include "obs/trace.h"
 #include "storage/profile.h"
@@ -35,113 +36,6 @@ using storage::Value;
 // learns it.
 constexpr double kCommitAckLatency = 0.002;
 
-// ------------------------------------------------------------ aggregates
-
-struct AggSpec {
-  enum class Kind { kCount, kSum, kAvg, kMin, kMax, kUdx };
-  Kind kind;
-  const sql::Expr* arg = nullptr;  // null for COUNT(*)
-  std::string out_name;
-  // Aggregate UDx (kind == kUdx): the registered lifecycle plus the
-  // initial state built once per query from the call's extra constant
-  // arguments (e.g. APPROXIMATE_COUNT_DISTINCT's precision).
-  const sql::AggregateUdx* udx = nullptr;
-  std::string init_state;
-};
-
-struct AggPartial {
-  int64_t count = 0;
-  double sum = 0;
-  bool any = false;
-  Value min;
-  Value max;
-  std::string udx_state;
-};
-
-Status UpdatePartial(const AggSpec& spec, const Value& v, AggPartial* p) {
-  if (v.is_null()) return Status::OK();  // SQL aggregates skip NULLs
-  p->any = true;
-  ++p->count;
-  switch (spec.kind) {
-    case AggSpec::Kind::kCount:
-      break;
-    case AggSpec::Kind::kUdx:
-      if (p->udx_state.empty()) p->udx_state = spec.init_state;
-      return spec.udx->update(v, &p->udx_state);
-    case AggSpec::Kind::kSum:
-    case AggSpec::Kind::kAvg: {
-      FABRIC_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      p->sum += d;
-      break;
-    }
-    case AggSpec::Kind::kMin: {
-      if (p->min.is_null() || v.Compare(p->min).value() < 0) p->min = v;
-      break;
-    }
-    case AggSpec::Kind::kMax: {
-      if (p->max.is_null() || v.Compare(p->max).value() > 0) p->max = v;
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-Result<Value> FinalizePartial(const AggSpec& spec, const AggPartial& p) {
-  switch (spec.kind) {
-    case AggSpec::Kind::kCount:
-      return Value::Int64(p.count);
-    case AggSpec::Kind::kSum:
-      return p.any ? Value::Float64(p.sum) : Value::Null();
-    case AggSpec::Kind::kAvg:
-      return p.any ? Value::Float64(p.sum / p.count) : Value::Null();
-    case AggSpec::Kind::kMin:
-      return p.min;
-    case AggSpec::Kind::kMax:
-      return p.max;
-    case AggSpec::Kind::kUdx:
-      return spec.udx->finalize(p.udx_state.empty() ? spec.init_state
-                                                    : p.udx_state);
-  }
-  return Value::Null();
-}
-
-// Combines a spilled partial into the resident one. Every aggregate the
-// executor supports is mergeable (count/sum/min/max are trivially so,
-// aggregate UDx states merge through their registered lifecycle), which
-// is what makes grace-hash spilling below exact.
-Status MergePartial(const AggSpec& spec, const AggPartial& src,
-                    AggPartial* dst) {
-  dst->count += src.count;
-  dst->sum += src.sum;
-  dst->any = dst->any || src.any;
-  if (!src.min.is_null() &&
-      (dst->min.is_null() || src.min.Compare(dst->min).value() < 0)) {
-    dst->min = src.min;
-  }
-  if (!src.max.is_null() &&
-      (dst->max.is_null() || src.max.Compare(dst->max).value() > 0)) {
-    dst->max = src.max;
-  }
-  if (spec.kind == AggSpec::Kind::kUdx && !src.udx_state.empty()) {
-    if (dst->udx_state.empty()) {
-      dst->udx_state = src.udx_state;
-    } else {
-      FABRIC_RETURN_IF_ERROR(spec.udx->merge(src.udx_state,
-                                             &dst->udx_state));
-    }
-  }
-  return Status::OK();
-}
-
-Result<AggSpec::Kind> AggKindOf(const std::string& name) {
-  if (name == "COUNT") return AggSpec::Kind::kCount;
-  if (name == "SUM") return AggSpec::Kind::kSum;
-  if (name == "AVG") return AggSpec::Kind::kAvg;
-  if (name == "MIN") return AggSpec::Kind::kMin;
-  if (name == "MAX") return AggSpec::Kind::kMax;
-  return InvalidArgumentError(StrCat("not an aggregate: ", name));
-}
-
 // ------------------------------------------------------- plan structures
 
 // Which table columns a query touches (column-store projection pruning:
@@ -161,10 +55,6 @@ Status CollectColumns(const sql::Expr& expr, const Schema& schema,
 
 // Result-schema helpers shared with the pipeline compiler.
 using sql::InferType;
-
-std::string ItemName(const sql::SelectItem& item, int position) {
-  return sql::SelectItemName(item, position);
-}
 
 // Applies ORDER BY / LIMIT to a materialized result (by output column
 // names).
@@ -192,15 +82,6 @@ Status ApplyOrderAndLimit(const sql::SelectStmt& select,
     result->rows.resize(select.limit);
   }
   return Status::OK();
-}
-
-std::string GroupKeyOf(const Row& row, const std::vector<int>& cols) {
-  std::string key;
-  for (int c : cols) {
-    key += row[c].is_null() ? std::string("\x01") : row[c].ToDisplayString();
-    key.push_back('\x02');
-  }
-  return key;
 }
 
 }  // namespace
@@ -1255,44 +1136,7 @@ Result<QueryResult> Session::ExecDelete(sim::Process& self,
 
 // --------------------------------------------------------------- SELECT
 
-// Memory-budget context for the aggregate path: when the admission
-// grant caps the hash table, overflowing groups spill to partitioned
-// runs on the node's local disk (grace hash) and merge back at the end.
-// The callbacks charge the simulated disk; results stay byte-identical
-// to the unbudgeted run because every partial is mergeable and the final
-// collection re-sorts by encoded group key. Declared in session.h so the
-// scan/join helpers can thread it through as a parameter.
-struct SpillEnv {
-  double budget_bytes = 0;  // 0 = unlimited (no spilling)
-  int partitions = 8;
-  std::function<Status(double bytes)> charge_write;
-  std::function<Status(double bytes)> charge_read;
-  std::function<void(double bytes, int64_t groups)> on_spill;
-};
-
 namespace {
-
-// Estimated resident size of one hash-table entry (key + partial
-// states); deliberately coarse — the budget is a simulation knob, not a
-// malloc audit.
-double GroupBytes(const std::string& key,
-                  const std::vector<AggPartial>& partials) {
-  double bytes = static_cast<double>(key.size()) + 48;
-  for (const AggPartial& p : partials) {
-    bytes += 56 + static_cast<double>(p.udx_state.size());
-  }
-  return bytes;
-}
-
-// FNV-1a over the encoded group key: the spill partition function.
-int SpillPartitionOf(const std::string& key, int partitions) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return static_cast<int>(h % static_cast<uint64_t>(partitions));
-}
 
 // Applies a SELECT's WHERE / aggregation / projection / ORDER / LIMIT to
 // an in-memory rowset (the initiator-local part of query execution,
@@ -1303,7 +1147,7 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
                                 const sql::UdxResolver* udx,
                                 const sql::AggregateUdxResolver* agg_udx,
                                 PipelineCompiler* pipeline,
-                                const SpillEnv* spill = nullptr) {
+                                const exec::SpillPolicy* spill = nullptr) {
   const bool budgeted = spill != nullptr && spill->budget_bytes > 0;
   // Compiled fast path: a cached vectorized pipeline runs the whole
   // body (filter → project/aggregate) over row blocks. It either
@@ -1346,12 +1190,7 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
     filtered.push_back(&row);
   }
 
-  bool aggregate = !select.group_by.empty();
-  for (const sql::SelectItem& item : select.items) {
-    if (!item.star && sql::ContainsAggregate(*item.expr, agg_udx)) {
-      aggregate = true;
-    }
-  }
+  const bool aggregate = sql::IsAggregateSelect(select, agg_udx);
 
   QueryResult result;
   if (!aggregate) {
@@ -1367,7 +1206,7 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
         }
         continue;
       }
-      out_columns.push_back({ItemName(item, static_cast<int>(i)),
+      out_columns.push_back({sql::SelectItemName(item, static_cast<int>(i)),
                              InferType(*item.expr, schema)});
       exprs.push_back(item.expr.get());
     }
@@ -1395,205 +1234,37 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
     return result;
   }
 
-  // Aggregate path: items must be group-by columns or aggregate calls.
-  std::vector<int> group_cols;
-  for (const std::string& name : select.group_by) {
-    FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(name));
-    group_cols.push_back(idx);
-  }
-  struct OutItem {
-    bool is_group = false;
-    int group_pos = 0;           // index into group_cols
-    AggSpec agg;                 // when !is_group
-  };
-  std::vector<OutItem> out_items;
-  std::vector<storage::ColumnDef> out_columns;
-  for (size_t i = 0; i < select.items.size(); ++i) {
-    const sql::SelectItem& item = select.items[i];
-    if (item.star) {
-      return InvalidArgumentError("SELECT * with aggregation");
-    }
-    const sql::Expr& e = *item.expr;
-    OutItem out;
-    if (e.kind == sql::Expr::Kind::kColumnRef) {
-      FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(e.column));
-      auto it = std::find(group_cols.begin(), group_cols.end(), idx);
-      if (it == group_cols.end()) {
-        return InvalidArgumentError(
-            StrCat("column '", e.column, "' not in GROUP BY"));
-      }
-      out.is_group = true;
-      out.group_pos = static_cast<int>(it - group_cols.begin());
-      out_columns.push_back({ItemName(item, static_cast<int>(i)),
-                             schema.column(idx).type});
-    } else if (e.kind == sql::Expr::Kind::kCall &&
-               sql::IsAggregateFunction(e.function)) {
-      FABRIC_ASSIGN_OR_RETURN(out.agg.kind, AggKindOf(e.function));
-      out.agg.arg = e.args.empty() ? nullptr : e.args[0].get();
-      out_columns.push_back({ItemName(item, static_cast<int>(i)),
-                             InferType(e, schema)});
-    } else if (e.kind == sql::Expr::Kind::kCall && agg_udx != nullptr &&
-               *agg_udx && (*agg_udx)(e.function) != nullptr) {
-      // Aggregate UDx call: first argument is the aggregated expression,
-      // the rest must be constants handed to init (e.g. the precision).
-      const sql::AggregateUdx* udx_def = (*agg_udx)(e.function);
-      if (e.args.empty()) {
-        return InvalidArgumentError(
-            StrCat(e.function, " requires an argument"));
-      }
-      out.agg.kind = AggSpec::Kind::kUdx;
-      out.agg.udx = udx_def;
-      out.agg.arg = e.args[0].get();
-      std::vector<Value> extra;
-      for (size_t a = 1; a < e.args.size(); ++a) {
-        sql::EvalContext const_context;
-        const_context.udx = udx;
-        auto v = sql::Eval(*e.args[a], const_context);
-        if (!v.ok()) {
-          return InvalidArgumentError(
-              StrCat(e.function, " extra arguments must be constants: ",
-                     v.status().message()));
-        }
-        extra.push_back(std::move(*v));
-      }
-      FABRIC_ASSIGN_OR_RETURN(out.agg.init_state, udx_def->init(extra));
-      out_columns.push_back({ItemName(item, static_cast<int>(i)),
-                             udx_def->output_type});
-    } else {
-      return InvalidArgumentError(
-          "aggregate queries support only group columns and simple "
-          "aggregate calls");
-    }
-    out_items.push_back(std::move(out));
-  }
-  result.schema = Schema(std::move(out_columns));
-
-  std::map<std::string, std::pair<Row, std::vector<AggPartial>>> groups;
-  // Grace-hash spill state: partitioned runs of (key, key values,
-  // partials) pushed out whenever the resident table exceeds the grant.
-  struct SpilledGroup {
-    std::string key;
-    Row key_values;
-    std::vector<AggPartial> partials;
-  };
-  const int spill_partitions =
-      budgeted ? std::max(1, spill->partitions) : 1;
-  std::vector<std::vector<SpilledGroup>> runs(
-      budgeted ? spill_partitions : 0);
-  double resident_bytes = 0;
-  auto spill_resident = [&]() -> Status {
-    if (groups.empty()) return Status::OK();
-    double bytes = 0;
-    int64_t spilled = static_cast<int64_t>(groups.size());
-    for (auto& [key, group] : groups) {
-      bytes += GroupBytes(key, group.second);
-      int p = SpillPartitionOf(key, spill_partitions);
-      runs[p].push_back(SpilledGroup{key, std::move(group.first),
-                                     std::move(group.second)});
-    }
-    groups.clear();
-    resident_bytes = 0;
-    if (spill->charge_write) {
-      FABRIC_RETURN_IF_ERROR(spill->charge_write(bytes));
-    }
-    if (spill->on_spill) spill->on_spill(bytes, spilled);
-    return Status::OK();
-  };
+  FABRIC_ASSIGN_OR_RETURN(AggregateItems items,
+                          ResolveAggregateItems(select, schema, udx, agg_udx));
+  result.schema = std::move(items.out_schema);
+  const std::vector<exec::AggCall>& calls = items.calls;
+  exec::GroupTable groups(&calls, spill);
+  sql::EvalContext context;
+  context.schema = &schema;
+  context.udx = udx;
+  context.aggregate_udx = agg_udx;
   for (const Row* row : filtered) {
-    Row key_values;
-    for (int c : group_cols) key_values.push_back((*row)[c]);
-    std::string key = GroupKeyOf(*row, group_cols);
-    auto [it, inserted] = groups.try_emplace(
-        key, std::make_pair(std::move(key_values),
-                            std::vector<AggPartial>(out_items.size())));
-    auto& partials = it->second.second;
-    for (size_t i = 0; i < out_items.size(); ++i) {
-      if (out_items[i].is_group) continue;
-      Value v = Value::Int64(1);  // COUNT(*) counts rows
-      if (out_items[i].agg.arg != nullptr) {
-        sql::EvalContext context;
-        context.schema = &schema;
-        context.row = row;
-        context.udx = udx;
-        context.aggregate_udx = agg_udx;
-        FABRIC_ASSIGN_OR_RETURN(v, sql::Eval(*out_items[i].agg.arg,
-                                             context));
-      }
-      FABRIC_RETURN_IF_ERROR(UpdatePartial(out_items[i].agg, v,
-                                           &partials[i]));
-    }
-    if (budgeted && inserted) {
-      resident_bytes += GroupBytes(it->first, partials);
-      if (resident_bytes > spill->budget_bytes) {
-        FABRIC_RETURN_IF_ERROR(spill_resident());
-      }
-    }
+    context.row = row;
+    FABRIC_RETURN_IF_ERROR(groups.Add(
+        *row, items.group_cols,
+        [&](exec::GroupTable::Group& group) -> Status {
+          for (size_t i = 0; i < calls.size(); ++i) {
+            if (calls[i].group_pos >= 0) continue;
+            Value v = Value::Int64(1);  // COUNT(*) counts rows
+            if (items.args[i] != nullptr) {
+              FABRIC_ASSIGN_OR_RETURN(v, sql::Eval(*items.args[i], context));
+            }
+            FABRIC_RETURN_IF_ERROR(
+                exec::Update(calls[i], v, &group.states[i]));
+          }
+          return Status::OK();
+        }));
   }
-  // Aggregate queries with no groups still return one row.
-  if (groups.empty() && group_cols.empty() &&
-      (runs.empty() ||
-       std::all_of(runs.begin(), runs.end(),
-                   [](const std::vector<SpilledGroup>& r) {
-                     return r.empty();
-                   }))) {
-    groups.try_emplace("", std::make_pair(
-                               Row{},
-                               std::vector<AggPartial>(out_items.size())));
-  }
-  bool any_spilled =
-      !runs.empty() &&
-      std::any_of(runs.begin(), runs.end(),
-                  [](const std::vector<SpilledGroup>& r) {
-                    return !r.empty();
-                  });
-  if (any_spilled) {
-    // Merge phase: push the resident remainder out too, then rebuild
-    // each partition in turn. Partitions hold disjoint key sets and the
-    // final collection map is ordered by encoded key — exactly the
-    // iteration order of the unbudgeted hash table — so the output is
-    // byte-identical to the in-memory run (modulo float-sum rounding,
-    // which integer-valued data does not exercise).
-    FABRIC_RETURN_IF_ERROR(spill_resident());
-    std::map<std::string, std::pair<Row, std::vector<AggPartial>>> merged;
-    for (int p = 0; p < spill_partitions; ++p) {
-      if (runs[p].empty()) continue;
-      double bytes = 0;
-      std::map<std::string, std::pair<Row, std::vector<AggPartial>>> part;
-      for (SpilledGroup& sg : runs[p]) {
-        bytes += GroupBytes(sg.key, sg.partials);
-        auto [it, inserted] = part.try_emplace(
-            sg.key, std::make_pair(std::move(sg.key_values),
-                                   std::vector<AggPartial>()));
-        if (inserted) {
-          it->second.second = std::move(sg.partials);
-          continue;
-        }
-        for (size_t i = 0; i < out_items.size(); ++i) {
-          if (out_items[i].is_group) continue;
-          FABRIC_RETURN_IF_ERROR(MergePartial(
-              out_items[i].agg, sg.partials[i], &it->second.second[i]));
-        }
-      }
-      if (spill->charge_read) {
-        FABRIC_RETURN_IF_ERROR(spill->charge_read(bytes));
-      }
-      for (auto& [key, group] : part) {
-        merged.try_emplace(key, std::move(group));
-      }
-    }
-    groups = std::move(merged);
-  }
-  for (auto& [key, group] : groups) {
+  FABRIC_RETURN_IF_ERROR(groups.Finish(items.group_cols.empty()));
+  for (const auto& [key, group] : groups.groups()) {
     Row out;
-    for (size_t i = 0; i < out_items.size(); ++i) {
-      if (out_items[i].is_group) {
-        out.push_back(group.first[out_items[i].group_pos]);
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(
-            Value v, FinalizePartial(out_items[i].agg, group.second[i]));
-        out.push_back(std::move(v));
-      }
-    }
+    out.reserve(calls.size());
+    FABRIC_RETURN_IF_ERROR(groups.AppendFinal(group, &out));
     result.rows.push_back(std::move(out));
   }
   FABRIC_RETURN_IF_ERROR(ApplyOrderAndLimit(select, &result));
@@ -1963,8 +1634,8 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
   // aggregate hash table spills partitioned runs to the initiator's
   // local disk and merges them back (grace hash), byte-identical to the
   // unbudgeted run.
-  SpillEnv spill_env;
-  const SpillEnv* spill = nullptr;
+  exec::SpillPolicy spill_policy;
+  const exec::SpillPolicy* spill = nullptr;
   if (wm_grant_.valid() && wm_grant_.memory > 0) {
     auto charge_disk = [this, &self](double bytes) -> Status {
       const net::Host& host = db_->node_host(node_);
@@ -1973,16 +1644,16 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
       }
       return self.Sleep(bytes / db_->cost().disk_read_bandwidth);
     };
-    spill_env.budget_bytes = wm_grant_.memory;
-    spill_env.charge_write = charge_disk;
-    spill_env.charge_read = charge_disk;
-    spill_env.on_spill = [this](double bytes, int64_t spilled_groups) {
+    spill_policy.budget_bytes = wm_grant_.memory;
+    spill_policy.charge_write = charge_disk;
+    spill_policy.charge_read = charge_disk;
+    spill_policy.on_spill = [this](double bytes, int64_t spilled_groups) {
       db_->workload_manager()->ReportSpill(wm_grant_, bytes);
       obs::IncrCounter("sql.agg_spills");
       obs::IncrCounter("sql.agg_spill_groups",
                        static_cast<double>(spilled_groups));
     };
-    spill = &spill_env;
+    spill = &spill_policy;
   }
 
   // Aggregates (builtin or UDx) cannot be evaluated per row, so a WHERE
@@ -2149,7 +1820,7 @@ Result<projections::PlanChoice> Session::ResolveScanPlan(
 Result<QueryResult> Session::ExecScanSelect(
     sim::Process& self, const sql::SelectStmt& select, const TableDef* def,
     const projections::PlanChoice& plan, bool to_client,
-    const SpillEnv* spill) {
+    const exec::SpillPolicy* spill) {
   const CostModel& cost = db_->cost();
   const sql::UdxResolver* udx = &db_->udx_resolver();
   const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
@@ -2225,12 +1896,7 @@ Result<QueryResult> Session::ExecScanSelect(
     for (int c = 0; c < schema.num_columns(); ++c) referenced.insert(c);
   }
 
-  bool aggregate = !select.group_by.empty();
-  for (const sql::SelectItem& item : select.items) {
-    if (!item.star && sql::ContainsAggregate(*item.expr, agg_udx)) {
-      aggregate = true;
-    }
-  }
+  const bool aggregate = sql::IsAggregateSelect(select, agg_udx);
 
   // Participating nodes: unsegmented layouts are served locally;
   // segmented layouts are pruned by the hash ranges the predicate
@@ -2456,7 +2122,7 @@ Result<QueryResult> Session::ExecScanSelect(
             if (state->aggregate) {
               std::set<std::string> group_keys;
               for (const Row& row : passed) {
-                group_keys.insert(GroupKeyOf(row, state->group_cols));
+                group_keys.insert(exec::GroupKey(row, state->group_cols));
               }
               produced.rows = static_cast<double>(
                   std::max<size_t>(group_keys.size(), 1));
@@ -2755,7 +2421,7 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
 Result<QueryResult> Session::ExecJoin(sim::Process& self,
                                       const sql::SelectStmt& select,
                                       bool to_client, int view_depth,
-                                      const SpillEnv* spill) {
+                                      const exec::SpillPolicy* spill) {
   const CostModel& cost = db_->cost();
   const sql::UdxResolver* udx = &db_->udx_resolver();
   const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();

@@ -14,9 +14,11 @@
 #include "vertica/projections/planner.h"
 #include "vertica/sql_ast.h"
 
-namespace fabric::vertica {
+namespace fabric::exec {
+struct SpillPolicy;
+}  // namespace fabric::exec
 
-struct SpillEnv;
+namespace fabric::vertica {
 
 // Stable message prefix of the FAILED_PRECONDITION error a per-table
 // forced-projection hint raises when the named projection cannot serve
@@ -167,14 +169,16 @@ class Session {
   // recursive scan-and-hash path for views / system tables / complex ON.
   Result<QueryResult> ExecJoin(sim::Process& self,
                                const sql::SelectStmt& select, bool to_client,
-                               int view_depth, const SpillEnv* spill);
+                               int view_depth,
+                               const exec::SpillPolicy* spill);
   // Distributed scan of one base table through an already-chosen layout
   // (the tail of ExecSelect; also used for each side of a planned join).
   Result<QueryResult> ExecScanSelect(sim::Process& self,
                                      const sql::SelectStmt& select,
                                      const TableDef* def,
                                      const projections::PlanChoice& plan,
-                                     bool to_client, const SpillEnv* spill);
+                                     bool to_client,
+                                     const exec::SpillPolicy* spill);
   // Node-local merge join of co-located layouts: every node joins its
   // own segments of both sides and ships only the join output to the
   // initiator. Returns combined rows ordered by (segment, left storage

@@ -20,8 +20,7 @@ uint64_t SignedToRingHash(int64_t signed_hash) {
 }
 
 bool IsAggregateFunction(const std::string& upper_name) {
-  return upper_name == "COUNT" || upper_name == "SUM" ||
-         upper_name == "AVG" || upper_name == "MIN" || upper_name == "MAX";
+  return exec::AggFnByName(upper_name).has_value();
 }
 
 bool ContainsAggregate(const Expr& expr) {
@@ -39,6 +38,17 @@ bool ContainsAggregate(const Expr& expr,
   }
   for (const ExprPtr& arg : expr.args) {
     if (ContainsAggregate(*arg, aggregate_udx)) return true;
+  }
+  return false;
+}
+
+bool IsAggregateSelect(const SelectStmt& select,
+                       const AggregateUdxResolver* aggregate_udx) {
+  if (!select.group_by.empty()) return true;
+  for (const SelectItem& item : select.items) {
+    if (!item.star && ContainsAggregate(*item.expr, aggregate_udx)) {
+      return true;
+    }
   }
   return false;
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "exec/hash_aggregate.h"
 #include "storage/schema.h"
 #include "vertica/sql_ast.h"
 
@@ -30,14 +31,12 @@ using UdxResolver = std::function<Result<storage::Value>(
 //             commutative, associative and idempotent so partial states
 //             survive any re-execution or combine order;
 //   finalize  renders the state as the output value.
-struct AggregateUdx {
+// update/merge/finalize are the engine-neutral exec::AggUdx the shared
+// group table (exec/hash_aggregate.h) drives.
+struct AggregateUdx : exec::AggUdx {
   storage::DataType output_type = storage::DataType::kFloat64;
   std::function<Result<std::string>(const std::vector<storage::Value>& extra)>
       init;
-  std::function<Status(const storage::Value& input, std::string* state)>
-      update;
-  std::function<Status(const std::string& other, std::string* state)> merge;
-  std::function<Result<storage::Value>(const std::string& state)> finalize;
 };
 
 // Looks up an aggregate UDx by upper-cased name; returns nullptr when the
@@ -91,6 +90,11 @@ std::string SelectItemName(const SelectItem& item, int position);
 // overload also counts registered aggregate UDx names.
 bool ContainsAggregate(const Expr& expr);
 bool ContainsAggregate(const Expr& expr,
+                       const AggregateUdxResolver* aggregate_udx);
+
+// True when the SELECT aggregates: it has a GROUP BY or an item that
+// contains an aggregate call (builtin or registered aggregate UDx).
+bool IsAggregateSelect(const SelectStmt& select,
                        const AggregateUdxResolver* aggregate_udx);
 
 }  // namespace fabric::vertica::sql

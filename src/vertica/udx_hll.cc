@@ -37,78 +37,30 @@ Result<int> PrecisionFrom(const std::string& fn,
   return precision;
 }
 
-// Accumulator states are the raw form (precision byte + registers) so a
-// per-row update touches one register instead of re-encoding the sketch.
-Status AddHashToRawState(uint64_t hash, std::string* state) {
-  const int precision = static_cast<uint8_t>((*state)[0]);
-  const auto [index, rank] = hll::Sketch::SlotFor(hash, precision);
-  char* reg = &(*state)[1 + index];
-  if (rank > static_cast<uint8_t>(*reg)) *reg = static_cast<char>(rank);
-  return Status::OK();
-}
-
-Status MergeRawStates(const std::string& other, std::string* state) {
-  if (other.empty()) return Status::OK();
-  if (state->empty()) {
-    *state = other;
-    return Status::OK();
-  }
-  if (other.size() != state->size() || other[0] != (*state)[0]) {
-    return InvalidArgumentError(
-        StrCat("cannot merge HLL sketches of different precisions (",
-               static_cast<int>(static_cast<uint8_t>((*state)[0])), " vs ",
-               static_cast<int>(static_cast<uint8_t>(other[0])), ")"));
-  }
-  for (size_t i = 1; i < state->size(); ++i) {
-    if (static_cast<uint8_t>(other[i]) >
-        static_cast<uint8_t>((*state)[i])) {
-      (*state)[i] = other[i];
-    }
-  }
-  return Status::OK();
-}
-
-// The sketch-building state machine shared by APPROXIMATE_COUNT_DISTINCT
-// and HLL_SKETCH; only finalize differs.
-sql::AggregateUdx SketchingAggregate(const std::string& fn) {
+// APPROXIMATE_COUNT_DISTINCT (`estimate`) and HLL_SKETCH: the shared
+// sketch lifecycle plus the precision argument handed to init.
+sql::AggregateUdx SketchingAggregate(const std::string& fn, bool estimate) {
   sql::AggregateUdx udx;
+  static_cast<exec::AggUdx&>(udx) = exec::HllSketchUdx(estimate);
+  udx.output_type =
+      estimate ? storage::DataType::kInt64 : storage::DataType::kVarchar;
   udx.init = [fn](const std::vector<Value>& extra) -> Result<std::string> {
     FABRIC_ASSIGN_OR_RETURN(int precision, PrecisionFrom(fn, extra));
     FABRIC_ASSIGN_OR_RETURN(hll::Sketch sketch,
                             hll::Sketch::Create(precision));
     return sketch.ToRawState();
   };
-  udx.update = [](const Value& input, std::string* state) {
-    return AddHashToRawState(input.DistinctHash(), state);
-  };
-  udx.merge = MergeRawStates;
   return udx;
 }
 
 }  // namespace
 
 void RegisterHllFunctions(Database* db) {
-  {
-    sql::AggregateUdx udx = SketchingAggregate("APPROXIMATE_COUNT_DISTINCT");
-    udx.output_type = storage::DataType::kInt64;
-    udx.finalize = [](const std::string& state) -> Result<Value> {
-      FABRIC_ASSIGN_OR_RETURN(hll::Sketch sketch,
-                              hll::Sketch::FromRawState(state));
-      return Value::Int64(sketch.Estimate());
-    };
-    db->RegisterAggregateFunction("APPROXIMATE_COUNT_DISTINCT",
-                                  std::move(udx));
-  }
-  {
-    sql::AggregateUdx udx = SketchingAggregate("HLL_SKETCH");
-    udx.output_type = storage::DataType::kVarchar;
-    udx.finalize = [](const std::string& state) -> Result<Value> {
-      FABRIC_ASSIGN_OR_RETURN(hll::Sketch sketch,
-                              hll::Sketch::FromRawState(state));
-      return Value::Varchar(sketch.Serialize());
-    };
-    db->RegisterAggregateFunction("HLL_SKETCH", std::move(udx));
-  }
+  db->RegisterAggregateFunction(
+      "APPROXIMATE_COUNT_DISTINCT",
+      SketchingAggregate("APPROXIMATE_COUNT_DISTINCT", /*estimate=*/true));
+  db->RegisterAggregateFunction(
+      "HLL_SKETCH", SketchingAggregate("HLL_SKETCH", /*estimate=*/false));
   {
     // Union of previously serialized sketches. The state starts empty
     // ("no sketch yet") because the precision comes from the inputs.
@@ -128,9 +80,9 @@ void RegisterHllFunctions(Database* db) {
       }
       FABRIC_ASSIGN_OR_RETURN(hll::Sketch sketch,
                               hll::Sketch::Deserialize(input.varchar_value()));
-      return MergeRawStates(sketch.ToRawState(), state);
+      return hll::MergeRawStates(sketch.ToRawState(), state);
     };
-    udx.merge = MergeRawStates;
+    udx.merge = hll::MergeRawStates;
     udx.finalize = [](const std::string& state) -> Result<Value> {
       // SQL aggregate of zero non-null inputs: NULL, matching MIN/MAX.
       if (state.empty()) return Value::Null();

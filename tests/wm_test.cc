@@ -10,6 +10,7 @@
 // system tables.
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -432,115 +433,190 @@ TEST(WorkloadTraceIdentityTest, UncontendedWmMatchesWmOffByteForByte) {
 
 // ----------------------------------------------------- spill identity
 
-// GROUP BY through the SQL executor with a per-query grant far below the
-// hash table's footprint: the aggregate must complete by spilling
-// partitions to simulated local disk, byte-identical to the in-memory
-// run.
-TEST(SpillIdentityTest, SqlGroupBySpillsByteIdentically) {
-  auto run = [](bool tiny_grant, double* spills_out) {
-    sim::Engine engine;
-    obs::Tracer tracer([&engine] { return engine.now(); });
-    obs::ScopedTracer install(&tracer);
-    net::Network network(&engine);
-    Database::Options vopts;
-    vopts.num_nodes = 2;
-    if (tiny_grant) {
-      PoolConfig tiny = MakePool("tiny");
-      tiny.query_memory = 400;
-      vopts.workload.pools.push_back(tiny);
-    }
-    Database db(&engine, &network, vopts);
-    std::string rows;
-    engine.Spawn("driver", [&](sim::Process& driver) {
-      auto session = db.Connect(driver, 0, nullptr);
-      ASSERT_TRUE(session.ok());
-      if (tiny_grant) (*session)->set_resource_pool("tiny");
-      ASSERT_TRUE((*session)
-                      ->Execute(driver,
-                                "CREATE TABLE facts (region INTEGER, "
-                                "item INTEGER, sales INTEGER) SEGMENTED "
-                                "BY HASH(region) ALL NODES")
-                      .ok());
-      std::string values;
-      for (int i = 0; i < 300; ++i) {
-        values += StrCat(i ? ", " : "", "(", i % 29, ", ", i, ", ",
-                         i * 37 % 1000, ")");
-      }
-      ASSERT_TRUE(
-          (*session)
-              ->Execute(driver, StrCat("INSERT INTO facts VALUES ", values))
-              .ok());
-      auto grouped = (*session)->Execute(
-          driver,
-          "SELECT region, COUNT(*), SUM(sales), MIN(item), MAX(item) "
-          "FROM facts GROUP BY region ORDER BY region");
-      ASSERT_TRUE(grouped.ok()) << grouped.status();
-      rows = RowsToString(grouped->rows);
-    });
-    EXPECT_TRUE(engine.Run().ok());
-    *spills_out = tracer.metrics().counter("wm.spills");
-    return rows;
-  };
-  double spills_off = 0, spills_on = 0;
-  std::string rows_off = run(false, &spills_off);
-  std::string rows_on = run(true, &spills_on);
-  EXPECT_EQ(rows_on, rows_off);
-  EXPECT_NE(rows_on, "");
-  EXPECT_EQ(spills_off, 0);
-  EXPECT_GT(spills_on, 0) << "tiny grant did not force spilling";
+// Per-query memory budgets for the spill sweeps: from one byte (every
+// new group spills at once) up by 4x through the "spills once, merges
+// back" regime to 4 MiB, which no table here reaches.
+std::vector<double> SpillBudgets() {
+  std::vector<double> budgets;
+  for (double b = 1; b <= 4 << 20; b *= 4) budgets.push_back(b);
+  return budgets;
 }
 
-// The shuffle engine's hash aggregate and hash join under a tiny task
-// memory budget: both spill partitioned runs to the worker's local disk
-// and return rows byte-identical to the unbudgeted run.
+// Checks one engine's sweep: every budget returns the unbudgeted rows,
+// the 1-byte budget spills, the intermediate regime (spilling, but less
+// often than at 1 byte) is reached, and the largest budget never
+// spills.
+void ExpectSweepIdentical(
+    uint64_t seed,
+    const std::function<std::string(double budget, double* spills)>& run) {
+  double spills = 0;
+  const std::string unbudgeted = run(0, &spills);
+  ASSERT_NE(unbudgeted, "");
+  EXPECT_EQ(spills, 0);
+  double tiny_spills = -1;
+  bool intermediate = false;
+  const std::vector<double> budgets = SpillBudgets();
+  for (double budget : budgets) {
+    SCOPED_TRACE(StrCat("seed ", seed, ", budget ", budget));
+    EXPECT_EQ(run(budget, &spills), unbudgeted);
+    if (budget == budgets.front()) {
+      tiny_spills = spills;
+      EXPECT_GT(spills, 0) << "1-byte budget did not force spilling";
+    } else if (spills > 0 && spills < tiny_spills) {
+      intermediate = true;
+    }
+    if (budget == budgets.back()) {
+      EXPECT_EQ(spills, 0);
+    }
+  }
+  EXPECT_TRUE(intermediate)
+      << "no budget between spill-everything and no-spill (seed " << seed
+      << ")";
+}
+
+// GROUP BY through the SQL executor under per-query grants swept from
+// one byte to unbounded: the aggregate completes by spilling partitions
+// to simulated local disk, byte-identical to the in-memory run (which
+// takes the compiled pipeline). Covers NULL-leading groups, VARCHAR
+// MIN/MAX, AVG, the HLL UDx and a no-GROUP-BY aggregate over empty
+// input.
+TEST(SpillIdentityTest, SqlGroupBySpillsByteIdentically) {
+  for (uint64_t seed : PropertySeeds()) {
+    auto run = [seed](double budget, double* spills_out) {
+      sim::Engine engine;
+      obs::Tracer tracer([&engine] { return engine.now(); });
+      obs::ScopedTracer install(&tracer);
+      net::Network network(&engine);
+      Database::Options vopts;
+      vopts.num_nodes = 2;
+      if (budget > 0) {
+        PoolConfig tiny = MakePool("tiny");
+        tiny.query_memory = budget;
+        vopts.workload.pools.push_back(tiny);
+      }
+      Database db(&engine, &network, vopts);
+      std::string rows;
+      engine.Spawn("driver", [&](sim::Process& driver) {
+        auto session = db.Connect(driver, 0, nullptr);
+        ASSERT_TRUE(session.ok());
+        if (budget > 0) (*session)->set_resource_pool("tiny");
+        ASSERT_TRUE((*session)
+                        ->Execute(driver,
+                                  "CREATE TABLE facts (region INTEGER, "
+                                  "name VARCHAR, item INTEGER, sales "
+                                  "INTEGER) SEGMENTED BY HASH(item) ALL "
+                                  "NODES")
+                        .ok());
+        Rng rng(seed);
+        std::string values;
+        for (int i = 0; i < 240; ++i) {
+          std::string region = rng.NextBool(0.1)
+                                   ? "NULL"
+                                   : StrCat(rng.NextInt64(0, 23));
+          values += StrCat(i ? ", " : "", "(", region, ", 'n",
+                           rng.NextUint64(50), "', ", i, ", ",
+                           rng.NextInt64(0, 999), ")");
+        }
+        ASSERT_TRUE(
+            (*session)
+                ->Execute(driver, StrCat("INSERT INTO facts VALUES ", values))
+                .ok());
+        for (const char* query : {
+                 "SELECT region, COUNT(*), COUNT(name), SUM(sales), "
+                 "AVG(sales), MIN(name), MAX(name), MIN(item), MAX(item), "
+                 "APPROXIMATE_COUNT_DISTINCT(item), HLL_SKETCH(name, 10) "
+                 "FROM facts GROUP BY region",
+                 "SELECT region, name, COUNT(*), SUM(item) FROM facts "
+                 "GROUP BY region, name",
+                 "SELECT COUNT(*), SUM(sales), AVG(sales), MIN(name), "
+                 "MAX(item), APPROXIMATE_COUNT_DISTINCT(item), "
+                 "HLL_SKETCH(item) FROM facts WHERE sales < 0",
+             }) {
+          auto result = (*session)->Execute(driver, query);
+          ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+          if (StartsWith(query, "SELECT COUNT")) {
+            EXPECT_EQ(result->rows.size(), 1u) << "no-GROUP-BY aggregate";
+          }
+          rows += RowsToString(result->rows) + "----\n";
+        }
+      });
+      EXPECT_TRUE(engine.Run().ok());
+      *spills_out = tracer.metrics().counter("wm.spills");
+      return rows;
+    };
+    ExpectSweepIdentical(seed, run);
+  }
+}
+
+// The shuffle engine's hash aggregate (map-side combine and reduce-side
+// merge) and hash join under task memory budgets swept from one byte to
+// unbounded: both spill partitioned runs to the worker's local disk and
+// return rows byte-identical to the unbudgeted run.
 TEST(SpillIdentityTest, SparkAggregateAndJoinSpillByteIdentically) {
-  auto run = [](double task_memory, double* spills_out) {
-    sim::Engine engine;
-    obs::Tracer tracer([&engine] { return engine.now(); });
-    obs::ScopedTracer install(&tracer);
-    net::Network network(&engine);
-    spark::SparkCluster::Options sopts;
-    sopts.num_workers = 2;
-    sopts.task_memory_bytes = task_memory;
-    spark::SparkCluster cluster(&engine, &network, sopts);
-    spark::SparkSession spark(&cluster);
-    Schema schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
-    std::string agg_rows, join_rows;
-    engine.Spawn("driver", [&](sim::Process& driver) {
-      std::vector<Row> left, right;
-      for (int i = 0; i < 400; ++i) {
-        left.push_back({Value::Int64(i % 37), Value::Int64(i)});
-      }
-      for (int i = 0; i < 60; ++i) {
-        right.push_back({Value::Int64(i % 37), Value::Int64(i * 11)});
-      }
-      auto ldf = spark.CreateDataFrame(schema, std::move(left), 4);
-      auto rdf = spark.CreateDataFrame(schema, std::move(right), 4);
-      ASSERT_TRUE(ldf.ok());
-      ASSERT_TRUE(rdf.ok());
-      auto agg = ldf->GroupBy({"k"})->Agg(
-          {spark::AggCount(), spark::AggSum("v")});
-      ASSERT_TRUE(agg.ok()) << agg.status();
-      auto collected = agg->Collect(driver);
-      ASSERT_TRUE(collected.ok()) << collected.status();
-      agg_rows = RowsToString(*collected);
-      auto joined = ldf->Join(*rdf, {"k"}, {"k"});
-      ASSERT_TRUE(joined.ok()) << joined.status();
-      auto joined_rows = joined->Collect(driver);
-      ASSERT_TRUE(joined_rows.ok()) << joined_rows.status();
-      join_rows = RowsToString(*joined_rows);
-    });
-    EXPECT_TRUE(engine.Run().ok());
-    *spills_out = tracer.metrics().counter("spark.spills");
-    return agg_rows + "----\n" + join_rows;
-  };
-  double spills_off = 0, spills_on = 0;
-  std::string rows_off = run(0, &spills_off);
-  std::string rows_on = run(600, &spills_on);
-  EXPECT_EQ(rows_on, rows_off);
-  EXPECT_NE(rows_on, "");
-  EXPECT_EQ(spills_off, 0);
-  EXPECT_GT(spills_on, 0) << "tiny task memory did not force spilling";
+  for (uint64_t seed : PropertySeeds()) {
+    auto run = [seed](double task_memory, double* spills_out) {
+      sim::Engine engine;
+      obs::Tracer tracer([&engine] { return engine.now(); });
+      obs::ScopedTracer install(&tracer);
+      net::Network network(&engine);
+      spark::SparkCluster::Options sopts;
+      sopts.num_workers = 2;
+      sopts.task_memory_bytes = task_memory;
+      spark::SparkCluster cluster(&engine, &network, sopts);
+      spark::SparkSession spark(&cluster);
+      Schema schema({{"k", DataType::kInt64},
+                     {"v", DataType::kInt64},
+                     {"s", DataType::kVarchar}});
+      std::string out;
+      engine.Spawn("driver", [&](sim::Process& driver) {
+        Rng rng(seed);
+        auto key = [&rng] {
+          return rng.NextBool(0.1) ? Value::Null()
+                                   : Value::Int64(rng.NextInt64(0, 36));
+        };
+        std::vector<Row> left, right;
+        for (int i = 0; i < 400; ++i) {
+          left.push_back({key(), Value::Int64(i),
+                          Value::Varchar(StrCat("s", rng.NextUint64(40)))});
+        }
+        for (int i = 0; i < 60; ++i) {
+          right.push_back({key(), Value::Int64(i * 11),
+                           Value::Varchar(StrCat("r", i))});
+        }
+        auto ldf = spark.CreateDataFrame(schema, std::move(left), 4);
+        auto rdf = spark.CreateDataFrame(schema, std::move(right), 4);
+        ASSERT_TRUE(ldf.ok());
+        ASSERT_TRUE(rdf.ok());
+        auto collect = [&](const Result<spark::DataFrame>& df,
+                           size_t want_rows = 0) {
+          ASSERT_TRUE(df.ok()) << df.status();
+          auto rows = df->Collect(driver);
+          ASSERT_TRUE(rows.ok()) << rows.status();
+          if (want_rows > 0) {
+            EXPECT_EQ(rows->size(), want_rows);
+          }
+          out += RowsToString(*rows) + "----\n";
+        };
+        collect(ldf->GroupBy({"k"})->Agg(
+            {spark::AggCount(), spark::AggCount("s"), spark::AggSum("v"),
+             spark::AggAvg("v"), spark::AggMin("s"), spark::AggMax("s"),
+             spark::AggApproxCountDistinct("v"),
+             spark::AggHllSketch("s", 10)}));
+        // No GROUP BY over empty input: still exactly one row.
+        spark::ColumnPredicate none{
+            "v", spark::ColumnPredicate::Op::kLt, Value::Int64(-1)};
+        collect(ldf->Filter(none).GroupBy({})->Agg(
+            {spark::AggCount(), spark::AggSum("v"), spark::AggMin("s"),
+             spark::AggApproxCountDistinct("v"), spark::AggHllSketch("s")}),
+            /*want_rows=*/1);
+        collect(ldf->Join(*rdf, {"k"}, {"k"}));
+      });
+      EXPECT_TRUE(engine.Run().ok());
+      *spills_out = tracer.metrics().counter("spark.spills");
+      return out;
+    };
+    ExpectSweepIdentical(seed, run);
+  }
 }
 
 // ------------------------------------- sessions, tagging, system tables
