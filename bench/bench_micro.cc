@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) for the fabric's hot paths: ring
 // hashing, columnar encodings, the Avro batch codec, SQL parsing, the
-// flow simulator's re-rating step, and the vectorized scan engine
+// flow simulator's re-rating step, the vectorized scan engine
 // (predicate kernels on encoded data vs the decode-then-filter
-// baseline). These measure real host CPU (not virtual time) — the code
-// the simulation actually executes.
+// baseline), and value formatting behind group/join keys and SQL text.
+// These measure real host CPU (not virtual time) — the code the
+// simulation actually executes.
 
 #include <algorithm>
 #include <variant>
@@ -11,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/hash.h"
+#include "exec/hash_aggregate.h"
 #include "exec/pipeline.h"
 #include "vertica/pipeline.h"
 #include "vertica/sql_eval.h"
@@ -489,6 +491,97 @@ void BM_SelectCompiled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
 BENCHMARK(BM_SelectCompiled);
+
+// ------------------------------------------------ value formatting
+
+// The per-row key formatter (Value::AppendDisplayString) behind every
+// GROUP BY, join and shuffle key, appending into one reused buffer.
+void BM_ValueDisplayInt64(benchmark::State& state) {
+  Rng rng(5);
+  std::vector<storage::Value> values;
+  for (int i = 0; i < 1024; ++i) {
+    values.push_back(
+        storage::Value::Int64(rng.NextInt64(-1000000, 1000000)));
+  }
+  std::string buf;
+  for (auto _ : state) {
+    for (const storage::Value& v : values) {
+      buf.clear();
+      v.AppendDisplayString(&buf);
+      benchmark::DoNotOptimize(buf.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * values.size());
+}
+BENCHMARK(BM_ValueDisplayInt64);
+
+void BM_ValueDisplayFloat64(benchmark::State& state) {
+  Rng rng(6);
+  std::vector<storage::Value> values;
+  for (int i = 0; i < 1024; ++i) {
+    values.push_back(storage::Value::Float64(rng.NextDouble() * 1000));
+  }
+  std::string buf;
+  for (auto _ : state) {
+    for (const storage::Value& v : values) {
+      buf.clear();
+      v.AppendDisplayString(&buf);
+      benchmark::DoNotOptimize(buf.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * values.size());
+}
+BENCHMARK(BM_ValueDisplayFloat64);
+
+// One GROUP BY block through the shared group table: 1024 rows keyed by
+// an INTEGER column with 12 distinct groups, COUNT(*) and SUM(score).
+void BM_GroupTableAdd(benchmark::State& state) {
+  Rng rng(7);
+  std::vector<storage::Row> rows;
+  for (int i = 0; i < 1024; ++i) {
+    rows.push_back({storage::Value::Int64(rng.NextInt64(0, 11) * 1000003),
+                    storage::Value::Float64(rng.NextDouble())});
+  }
+  const std::vector<exec::AggCall> calls = {
+      {exec::AggFn::kCount}, {exec::AggFn::kSum}};
+  const std::vector<int> key_cols = {0};
+  const storage::Value one = storage::Value::Int64(1);
+  for (auto _ : state) {
+    exec::GroupTable table(&calls);
+    for (const storage::Row& row : rows) {
+      Status status =
+          table.Add(row, key_cols, [&](exec::GroupTable::Group& group) {
+            FABRIC_RETURN_IF_ERROR(
+                exec::Update(calls[0], one, &group.states[0]));
+            return exec::Update(calls[1], row[1], &group.states[1]);
+          });
+      FABRIC_CHECK_OK(status);
+    }
+    FABRIC_CHECK_OK(table.Finish(/*scalar_aggregate=*/false));
+    benchmark::DoNotOptimize(table.groups().size());
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+}
+BENCHMARK(BM_GroupTableAdd);
+
+// A V2S partition query rendered the way V2SRelation does: ring bounds
+// as signed integers, a pushed filter literal and the snapshot epoch.
+void BM_StrCatSql(benchmark::State& state) {
+  Rng rng(8);
+  const std::string hash_call = StrCat("HASH(", "id, name", ")");
+  for (auto _ : state) {
+    const auto lower = static_cast<int64_t>(rng.NextUint64());
+    const auto upper = static_cast<int64_t>(rng.NextUint64());
+    std::string where = StrCat(hash_call, " >= ", lower, " AND ", hash_call,
+                               " < ", upper, " AND score < ",
+                               rng.NextDouble());
+    std::string sql = StrCat("SELECT id, score FROM clicks WHERE ", where,
+                             " AT EPOCH ", rng.NextInt64(1, 100000));
+    benchmark::DoNotOptimize(sql.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StrCatSql);
 
 }  // namespace
 }  // namespace fabric

@@ -109,16 +109,21 @@ AggUdx HllSketchUdx(bool estimate) {
   return udx;
 }
 
-std::string GroupKey(const Row& row, const std::vector<int>& cols) {
-  std::string key;
+void AppendGroupKey(const Row& row, const std::vector<int>& cols,
+                    std::string* key) {
   for (int c : cols) {
     if (row[c].is_null()) {
-      key.push_back('\x01');
+      key->push_back('\x01');
     } else {
-      key += row[c].ToDisplayString();
+      row[c].AppendDisplayString(key);
     }
-    key.push_back('\x02');
+    key->push_back('\x02');
   }
+}
+
+std::string GroupKey(const Row& row, const std::vector<int>& cols) {
+  std::string key;
+  AppendGroupKey(row, cols, &key);
   return key;
 }
 

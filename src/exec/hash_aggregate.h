@@ -82,7 +82,12 @@ Result<storage::Value> Finalize(const AggCall& call, const AggState& state);
 
 // The group-key encoding: display string per key column, \x01 for NULL
 // (distinct from any display string), \x02 after every column. Ordering
-// rows by this key is the canonical aggregate output order.
+// rows by this key is the canonical aggregate output order. Two keys are
+// equal exactly when their display strings are (see Value formatting in
+// DESIGN.md). AppendGroupKey appends the key to `key`, so per-row callers
+// reuse one buffer and allocate only when they store a new key.
+void AppendGroupKey(const storage::Row& row, const std::vector<int>& cols,
+                    std::string* key);
 std::string GroupKey(const storage::Row& row, const std::vector<int>& cols);
 
 // Grace-hash fan-out and partition function (FNV-1a over the key).
@@ -124,7 +129,11 @@ class GroupTable {
   template <typename Fold>
   Status Add(const storage::Row& row, const std::vector<int>& key_cols,
              Fold&& fold) {
-    auto [it, inserted] = groups_.try_emplace(GroupKey(row, key_cols));
+    key_.clear();
+    AppendGroupKey(row, key_cols, &key_);
+    auto it = groups_.lower_bound(key_);
+    const bool inserted = it == groups_.end() || it->first != key_;
+    if (inserted) it = groups_.emplace_hint(it, key_, Group());
     Group& group = it->second;
     if (inserted) {
       group.keys.reserve(key_cols.size());
@@ -157,6 +166,7 @@ class GroupTable {
   const std::vector<AggCall>* calls_;
   const SpillPolicy* spill_;
   std::map<std::string, Group> groups_;
+  std::string key_;  // Add's key buffer, reused across rows
   std::vector<std::vector<std::pair<std::string, Group>>> runs_;
   double resident_bytes_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/wrapping_arith.h"
 
 namespace fabric::exec {
 
@@ -111,7 +112,7 @@ class Evaluator {
           if (a.nulls[i]) {
             out.nulls[i] = 1;
           } else if (n.type == DataType::kInt64) {
-            out.ints[i] = -a.ints[i];
+            out.ints[i] = WrapNeg(a.ints[i]);
           } else {
             out.doubles[i] = -a.Number(i);
           }
@@ -159,7 +160,7 @@ class Evaluator {
           if (a.nulls[i]) {
             out.nulls[i] = 1;
           } else if (n.type == DataType::kInt64) {
-            out.ints[i] = std::abs(a.ints[i]);
+            out.ints[i] = WrapAbs(a.ints[i]);
           } else {
             out.doubles[i] = std::fabs(a.Number(i));
           }
@@ -371,7 +372,7 @@ class Evaluator {
       }
       if (n.op == Node::Op::kMod) {
         if (b.ints[i] == 0) return false;  // interpreter: division by zero
-        out->ints[i] = a.ints[i] % b.ints[i];
+        out->ints[i] = WrapMod(a.ints[i], b.ints[i]);
         continue;
       }
       if (n.op == Node::Op::kDiv) {
@@ -385,13 +386,13 @@ class Evaluator {
         int64_t y = b.ints[i];
         switch (n.op) {
           case Node::Op::kAdd:
-            out->ints[i] = x + y;
+            out->ints[i] = WrapAdd(x, y);
             break;
           case Node::Op::kSub:
-            out->ints[i] = x - y;
+            out->ints[i] = WrapSub(x, y);
             break;
           default:
-            out->ints[i] = x * y;
+            out->ints[i] = WrapMul(x, y);
             break;
         }
       } else {

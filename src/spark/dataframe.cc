@@ -179,6 +179,7 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
                                            .raw_bytes
                                      : 0;
       std::vector<std::pair<size_t, size_t>> matches;
+      std::string key;  // reused: a key allocates only when first stored
       size_t start = 0;
       int pass = 0;
       bool spilled = false;
@@ -188,9 +189,14 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
         size_t i = start;
         for (; i < left.size(); ++i) {
           if (has_null_key(left[i], join_left_keys)) continue;
-          std::string key = exec::GroupKey(left[i], join_left_keys);
+          key.clear();
+          exec::AppendGroupKey(left[i], join_left_keys, &key);
           resident += static_cast<double>(key.size()) + 64;
-          table[std::move(key)].push_back(i);
+          auto slot = table.lower_bound(key);
+          if (slot == table.end() || slot->first != key) {
+            slot = table.emplace_hint(slot, key, std::vector<size_t>());
+          }
+          slot->second.push_back(i);
           if (resident > budget && i + 1 < left.size()) {
             ++i;
             break;
@@ -202,7 +208,9 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
         }
         for (size_t r = 0; r < right.size(); ++r) {
           if (has_null_key(right[r], join_right_keys)) continue;
-          auto it = table.find(exec::GroupKey(right[r], join_right_keys));
+          key.clear();
+          exec::AppendGroupKey(right[r], join_right_keys, &key);
+          auto it = table.find(key);
           if (it == table.end()) continue;
           for (size_t l : it->second) matches.emplace_back(r, l);
         }

@@ -106,7 +106,7 @@ std::string RowContentKey(const Row& row) {
     if (v.is_null()) {
       key.push_back('\x01');
     } else {
-      key.append(v.ToDisplayString());
+      v.AppendDisplayString(&key);
     }
     key.push_back('\x02');
   }

@@ -1,7 +1,6 @@
 #include "storage/value.h"
 
-#include <cmath>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 
 #include "common/hash.h"
@@ -136,11 +135,9 @@ std::string Value::ToSqlLiteral() const {
     case DataType::kBool:
       return bool_value() ? "TRUE" : "FALSE";
     case DataType::kInt64:
-      return StrCat(int64_value());
+      return ToDisplayString();
     case DataType::kFloat64: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", float64_value());
-      std::string out = buf;
+      std::string out = ToDisplayString();
       // %.17g drops the point for integral values ("2", not "2.0") and
       // the lexer would hand that back as an Int64 literal; force a
       // float marker when the rendering is digits-only (inf/nan
@@ -163,22 +160,31 @@ std::string Value::ToSqlLiteral() const {
   return "NULL";
 }
 
-std::string Value::ToDisplayString() const {
-  if (is_null()) return "NULL";
+void Value::AppendDisplayString(std::string* out) const {
+  if (is_null()) {
+    out->append("NULL");
+    return;
+  }
+  char buf[32];
+  const char* end = buf;
   switch (type()) {
     case DataType::kBool:
-      return bool_value() ? "true" : "false";
+      out->append(bool_value() ? "true" : "false");
+      return;
     case DataType::kInt64:
-      return StrCat(int64_value());
-    case DataType::kFloat64: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", float64_value());
-      return buf;
-    }
+      end = std::to_chars(buf, buf + sizeof(buf), int64_value()).ptr;
+      break;
+    case DataType::kFloat64:
+      // Same digits as printf("%.17g"): round-trips every double.
+      end = std::to_chars(buf, buf + sizeof(buf), float64_value(),
+                          std::chars_format::general, 17)
+                .ptr;
+      break;
     case DataType::kVarchar:
-      return varchar_value();
+      out->append(varchar_value());
+      return;
   }
-  return "NULL";
+  out->append(buf, static_cast<size_t>(end - buf));
 }
 
 Result<Value> Value::ParseAs(DataType type, std::string_view text) {

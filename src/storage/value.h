@@ -98,8 +98,16 @@ class Value {
   // SQL literal rendering: 42, 2.5, 'text' (quotes doubled), TRUE, NULL.
   std::string ToSqlLiteral() const;
 
-  // Unquoted rendering for CSV / display.
-  std::string ToDisplayString() const;
+  // Unquoted rendering for CSV / display: NULL, true/false, the shortest
+  // decimal integer, %.17g for floats (std::to_chars, no locale), or the
+  // string itself. AppendDisplayString is the one formatter; it appends
+  // to `out` so per-row key builders can reuse one buffer.
+  void AppendDisplayString(std::string* out) const;
+  std::string ToDisplayString() const {
+    std::string out;
+    AppendDisplayString(&out);
+    return out;
+  }
 
   // Parses a display-string as `type` ("" parses to NULL for varchar it is
   // the empty string; use ParseNullableAs for explicit null markers).

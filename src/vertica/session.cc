@@ -2121,8 +2121,14 @@ Result<QueryResult> Session::ExecScanSelect(
             DataProfile produced;
             if (state->aggregate) {
               std::set<std::string> group_keys;
+              std::string key;
               for (const Row& row : passed) {
-                group_keys.insert(exec::GroupKey(row, state->group_cols));
+                key.clear();
+                exec::AppendGroupKey(row, state->group_cols, &key);
+                auto it = group_keys.lower_bound(key);
+                if (it == group_keys.end() || *it != key) {
+                  group_keys.emplace_hint(it, key);
+                }
               }
               produced.rows = static_cast<double>(
                   std::max<size_t>(group_keys.size(), 1));
@@ -2494,10 +2500,12 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
         if (row[right_key].is_null()) continue;  // NULL never joins
         build.emplace(row[right_key].ToDisplayString(), &row);
       }
+      std::string key;
       for (const Row& lrow : left.rows) {
         if (lrow[left_key].is_null()) continue;
-        auto [begin, end] =
-            build.equal_range(lrow[left_key].ToDisplayString());
+        key.clear();
+        lrow[left_key].AppendDisplayString(&key);
+        auto [begin, end] = build.equal_range(key);
         for (auto it = begin; it != end; ++it) {
           Row out = lrow;
           out.insert(out.end(), it->second->begin(), it->second->end());
@@ -2656,9 +2664,11 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
                        [](const auto& a, const auto& b) {
                          return a.first < b.first;
                        });
+      std::string key;
       for (const Row& lrow : left.rows) {
         if (lrow[lpos].is_null()) continue;
-        const std::string key = lrow[lpos].ToDisplayString();
+        key.clear();
+        lrow[lpos].AppendDisplayString(&key);
         auto it = std::lower_bound(
             index.begin(), index.end(), key,
             [](const auto& entry, const std::string& k) {
@@ -2677,10 +2687,12 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
         if (row[rpos].is_null()) continue;  // NULL never joins
         build.emplace(row[rpos].ToDisplayString(), &row);
       }
+      std::string key;
       for (const Row& lrow : left.rows) {
         if (lrow[lpos].is_null()) continue;
-        auto [begin, end] =
-            build.equal_range(lrow[lpos].ToDisplayString());
+        key.clear();
+        lrow[lpos].AppendDisplayString(&key);
+        auto [begin, end] = build.equal_range(key);
         for (auto it = begin; it != end; ++it) {
           Row out = lrow;
           out.insert(out.end(), it->second->begin(), it->second->end());
@@ -2936,10 +2948,12 @@ Result<std::vector<storage::Row>> Session::ExecCoLocatedJoin(
                                return a.first < b.first;
                              });
             std::vector<Row> out;
+            std::string key;
             for (const Row& lrow : left_rows) {
               const Value& key_value = lrow[state->left_key_position];
               if (key_value.is_null()) continue;
-              const std::string key = key_value.ToDisplayString();
+              key.clear();
+              key_value.AppendDisplayString(&key);
               auto it = std::lower_bound(
                   index.begin(), index.end(), key,
                   [](const auto& entry, const std::string& k) {

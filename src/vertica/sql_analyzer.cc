@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "common/wrapping_arith.h"
 #include "vertica/sql_eval.h"
 
 namespace fabric::vertica::sql {
@@ -201,7 +202,7 @@ std::optional<storage::Value> LiteralOf(const Expr& expr) {
       !expr.args[0]->literal.is_null()) {
     const storage::Value& v = expr.args[0]->literal;
     if (v.type() == storage::DataType::kInt64) {
-      return storage::Value::Int64(-v.int64_value());
+      return storage::Value::Int64(WrapNeg(v.int64_value()));
     }
     if (v.type() == storage::DataType::kFloat64) {
       return storage::Value::Float64(-v.float64_value());

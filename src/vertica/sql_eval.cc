@@ -5,6 +5,7 @@
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "common/wrapping_arith.h"
 
 namespace fabric::vertica::sql {
 
@@ -164,7 +165,7 @@ Result<Value> Eval(const Expr& expr, const EvalContext& context) {
       // Unary minus.
       if (operand.is_null()) return Value::Null();
       if (operand.type() == DataType::kInt64) {
-        return Value::Int64(-operand.int64_value());
+        return Value::Int64(WrapNeg(operand.int64_value()));
       }
       FABRIC_ASSIGN_OR_RETURN(double d, operand.AsDouble());
       return Value::Float64(-d);
@@ -236,20 +237,26 @@ Result<Value> EvalBinary(const Expr& expr, const EvalContext& context) {
     if (!both_int) return InvalidArgumentError("% requires integers");
     int64_t divisor = rhs.int64_value();
     if (divisor == 0) return InvalidArgumentError("division by zero");
-    return Value::Int64(lhs.int64_value() % divisor);
+    return Value::Int64(WrapMod(lhs.int64_value(), divisor));
   }
   FABRIC_ASSIGN_OR_RETURN(double a, lhs.AsDouble());
   FABRIC_ASSIGN_OR_RETURN(double b, rhs.AsDouble());
   if (op == "+") {
-    if (both_int) return Value::Int64(lhs.int64_value() + rhs.int64_value());
+    if (both_int) {
+      return Value::Int64(WrapAdd(lhs.int64_value(), rhs.int64_value()));
+    }
     return Value::Float64(a + b);
   }
   if (op == "-") {
-    if (both_int) return Value::Int64(lhs.int64_value() - rhs.int64_value());
+    if (both_int) {
+      return Value::Int64(WrapSub(lhs.int64_value(), rhs.int64_value()));
+    }
     return Value::Float64(a - b);
   }
   if (op == "*") {
-    if (both_int) return Value::Int64(lhs.int64_value() * rhs.int64_value());
+    if (both_int) {
+      return Value::Int64(WrapMul(lhs.int64_value(), rhs.int64_value()));
+    }
     return Value::Float64(a * b);
   }
   if (op == "/") {
@@ -288,7 +295,7 @@ Result<Value> EvalCall(const Expr& expr, const EvalContext& context) {
     if (args.size() != 1) return InvalidArgumentError("ABS(x)");
     if (args[0].is_null()) return Value::Null();
     if (args[0].type() == DataType::kInt64) {
-      return Value::Int64(std::abs(args[0].int64_value()));
+      return Value::Int64(WrapAbs(args[0].int64_value()));
     }
     FABRIC_ASSIGN_OR_RETURN(double d, args[0].AsDouble());
     return Value::Float64(std::fabs(d));

@@ -1,5 +1,9 @@
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +15,8 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "exec/hash_aggregate.h"
+#include "storage/value.h"
 
 namespace fabric {
 namespace {
@@ -184,6 +190,210 @@ TEST(StringUtilTest, CaseAndTrim) {
 
 TEST(StringUtilTest, StrCatMixesTypes) {
   EXPECT_EQ(StrCat("n=", 42, ", f=", 1.5), "n=42, f=1.5");
+}
+
+// ------------------------------------------------ formatting references
+//
+// StrCat and Value::AppendDisplayString format through std::to_chars.
+// These references are the stream and printf spellings they replaced;
+// every key, trace and output row depends on the two agreeing exactly.
+
+template <typename... Args>
+std::string StreamStrCat(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+std::string PrintfDisplayString(const storage::Value& v) {
+  if (v.is_null()) return "NULL";
+  switch (v.type()) {
+    case storage::DataType::kBool:
+      return v.bool_value() ? "true" : "false";
+    case storage::DataType::kInt64:
+      return StreamStrCat(v.int64_value());
+    case storage::DataType::kFloat64: {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g", v.float64_value());
+      return buf;
+    }
+    case storage::DataType::kVarchar:
+      return v.varchar_value();
+  }
+  return "NULL";
+}
+
+double DoubleFromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+// Edge doubles (signed NaN and infinities, signed zero, subnormals,
+// limits, rounding boundaries of both precisions), seeded uniform and
+// scaled doubles, and random bit patterns (NaN payloads included).
+std::vector<double> FormattingDoubles() {
+  std::vector<double> out = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      DoubleFromBits(0x7ff0000000000001ULL),  // signalling NaN
+      DoubleFromBits(0xfff0000000000001ULL),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0, -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DoubleFromBits(0x000fffffffffffffULL),  // largest subnormal
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+      0.1, 0.5, 1.0, 1.5, 2.5, -7.0, 123.456, 1e-7, 1e15, 1e16, 1e17,
+      999999.5, 9999995.0, 0.0001, 0.00001, 1.5e300, 9007199254740993.0,
+  };
+  Rng rng(20160626);
+  for (int i = 0; i < 100000; ++i) out.push_back(rng.NextDouble());
+  for (int i = 0; i < 100000; ++i) {
+    const double scale = DoubleFromBits(
+        static_cast<uint64_t>(rng.NextInt64(1, 2046)) << 52);
+    out.push_back((rng.NextDouble() - 0.5) * scale);
+  }
+  for (int i = 0; i < 200000; ++i) {
+    out.push_back(DoubleFromBits(rng.NextUint64()));
+  }
+  return out;
+}
+
+std::vector<int64_t> FormattingInt64s() {
+  std::vector<int64_t> out = {0,
+                              1,
+                              -1,
+                              9,
+                              10,
+                              -10,
+                              std::numeric_limits<int64_t>::max(),
+                              std::numeric_limits<int64_t>::min(),
+                              std::numeric_limits<int64_t>::max() - 1,
+                              std::numeric_limits<int64_t>::min() + 1};
+  Rng rng(1958);
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t bits = rng.NextUint64();
+    // Spread over every magnitude, not just 19-digit values.
+    out.push_back(static_cast<int64_t>(bits >> rng.NextUint64(64)));
+    out.push_back(static_cast<int64_t>(bits));
+  }
+  return out;
+}
+
+TEST(FormattingReferenceTest, StrCatMatchesStreamOnIntegers) {
+  for (int64_t v : FormattingInt64s()) {
+    ASSERT_EQ(StrCat(v), StreamStrCat(v)) << v;
+    const auto u = static_cast<uint64_t>(v);
+    ASSERT_EQ(StrCat(u), StreamStrCat(u)) << u;
+    const auto i32 = static_cast<int32_t>(v);
+    ASSERT_EQ(StrCat(i32), StreamStrCat(i32)) << i32;
+    const auto u16 = static_cast<uint16_t>(v);
+    ASSERT_EQ(StrCat(u16), StreamStrCat(u16)) << u16;
+  }
+  // bool and the char types keep their stream spellings.
+  EXPECT_EQ(StrCat(true, false), StreamStrCat(true, false));
+  EXPECT_EQ(StrCat('x', static_cast<signed char>('y'),
+                   static_cast<unsigned char>('z')),
+            StreamStrCat('x', static_cast<signed char>('y'),
+                         static_cast<unsigned char>('z')));
+}
+
+TEST(FormattingReferenceTest, StrCatMatchesStreamOnDoubles) {
+  for (double d : FormattingDoubles()) {
+    ASSERT_EQ(StrCat(d), StreamStrCat(d)) << std::hexfloat << d;
+    const auto f = static_cast<float>(d);
+    ASSERT_EQ(StrCat(f), StreamStrCat(f)) << std::hexfloat << f;
+  }
+}
+
+TEST(FormattingReferenceTest, StrCatMatchesStreamOnMixedPieces) {
+  const std::string owned = "owned";
+  const std::string_view view = "view";
+  const char* c_string = "c-string";
+  EXPECT_EQ(StrCat("lit ", owned, ' ', view, c_string, -3, 2.5f, 1e300,
+                   static_cast<size_t>(7)),
+            StreamStrCat("lit ", owned, ' ', view, c_string, -3, 2.5f,
+                         1e300, static_cast<size_t>(7)));
+  // Other streamables fall back to their operator<<.
+  const Status status = NotFoundError("no such table 't'");
+  EXPECT_EQ(StrCat("failed: ", status), StreamStrCat("failed: ", status));
+  EXPECT_EQ(StrCat(), "");
+}
+
+TEST(FormattingReferenceTest, DisplayStringMatchesPrintf) {
+  for (double d : FormattingDoubles()) {
+    const storage::Value v = storage::Value::Float64(d);
+    ASSERT_EQ(v.ToDisplayString(), PrintfDisplayString(v))
+        << std::hexfloat << d;
+  }
+  for (int64_t i : FormattingInt64s()) {
+    const storage::Value v = storage::Value::Int64(i);
+    ASSERT_EQ(v.ToDisplayString(), PrintfDisplayString(v)) << i;
+  }
+  for (const storage::Value& v :
+       {storage::Value::Null(), storage::Value::Bool(true),
+        storage::Value::Bool(false), storage::Value::Varchar(""),
+        storage::Value::Varchar("it's \x01 raw")}) {
+    EXPECT_EQ(v.ToDisplayString(), PrintfDisplayString(v));
+  }
+  // AppendDisplayString appends; it never clears the buffer.
+  std::string buf = "prefix:";
+  storage::Value::Int64(-42).AppendDisplayString(&buf);
+  storage::Value::Float64(0.1).AppendDisplayString(&buf);
+  EXPECT_EQ(buf, "prefix:-420.10000000000000001");
+}
+
+TEST(FormattingReferenceTest, AppendGroupKeyMatchesGroupKey) {
+  Rng rng(77);
+  const std::vector<double> doubles = FormattingDoubles();
+  const std::vector<int64_t> ints = FormattingInt64s();
+  std::string buf;
+  for (int trial = 0; trial < 20000; ++trial) {
+    storage::Row row;
+    const int width = static_cast<int>(rng.NextInt64(1, 5));
+    for (int c = 0; c < width; ++c) {
+      switch (rng.NextInt64(0, 4)) {
+        case 0:
+          row.push_back(storage::Value::Null());
+          break;
+        case 1:
+          row.push_back(storage::Value::Bool(rng.NextBool(0.5)));
+          break;
+        case 2:
+          row.push_back(storage::Value::Int64(
+              ints[rng.NextUint64(ints.size())]));
+          break;
+        case 3:
+          row.push_back(storage::Value::Float64(
+              doubles[rng.NextUint64(doubles.size())]));
+          break;
+        default:
+          row.push_back(storage::Value::Varchar(
+              rng.NextString(static_cast<int>(rng.NextInt64(0, 6)))));
+          break;
+      }
+    }
+    std::vector<int> cols;
+    for (int c = 0; c < width; ++c) {
+      if (rng.NextBool(0.7)) cols.push_back(c);
+    }
+    std::string want;
+    for (int c : cols) {
+      want += row[c].is_null() ? std::string("\x01")
+                               : PrintfDisplayString(row[c]);
+      want += '\x02';
+    }
+    ASSERT_EQ(exec::GroupKey(row, cols), want);
+    // A reused buffer: cleared by the caller, appended by the encoder.
+    buf.clear();
+    exec::AppendGroupKey(row, cols, &buf);
+    ASSERT_EQ(buf, want);
+  }
 }
 
 TEST(StringUtilTest, HumanFormats) {

@@ -190,6 +190,84 @@ SqlRun RunSqlWorkload(uint64_t seed, bool compile_pipelines, bool tm_on,
   return run;
 }
 
+// INTEGER overflow is defined the same way on both paths (see
+// common/wrapping_arith.h): -x, + - * and ABS wrap, x % -1 is 0. The
+// edge rows run every operator on INT64_MIN/INT64_MAX pairs.
+std::vector<std::string> RunOverflowWorkload(bool compile_pipelines,
+                                             double* compiled) {
+  sim::Engine engine;
+  net::Network network(&engine);
+  Database::Options vopts;
+  vopts.num_nodes = 2;
+  vopts.compile_pipelines = compile_pipelines;
+  Database db(&engine, &network, vopts);
+  net::Host client = net::AddHost(&network, "client", 125e6, 0, 0);
+  obs::Tracer tracer([&engine] { return engine.now(); });
+  obs::ScopedTracer install(&tracer);
+
+  std::vector<std::string> outcomes;
+  engine.Spawn("client", [&](sim::Process& self) {
+    auto connected = db.Connect(self, 0, &client);
+    ASSERT_TRUE(connected.ok()) << connected.status();
+    Session& s = **connected;
+    auto exec = [&](const std::string& sql) {
+      outcomes.push_back(Canon(s.Execute(self, sql)));
+    };
+    exec("CREATE TABLE e (a INTEGER, b INTEGER) "
+         "SEGMENTED BY HASH(a) ALL NODES");
+    const std::string kMin = "(-9223372036854775807 - 1)";
+    const std::string kMax = "9223372036854775807";
+    exec(StrCat("INSERT INTO e VALUES (", kMin, ", -1), (", kMin, ", 1), (",
+                kMin, ", ", kMin, "), (", kMin, ", ", kMax, "), (", kMax,
+                ", -1), (", kMax, ", 1), (", kMax, ", ", kMax, "), (", kMax,
+                ", ", kMin, "), (0, -1), (-7, 2), (7, -2)"));
+    exec("SELECT a, b, -a AS na, -b AS nb, a + b AS s, a - b AS d,"
+         " a * b AS p, a % b AS m, ABS(a) AS aa FROM e ORDER BY a, b");
+    exec("SELECT a, b FROM e WHERE -a = a OR a + 1 < a ORDER BY a, b");
+    exec("SELECT b, COUNT(*) AS c, SUM(a % b) AS sm FROM e GROUP BY b");
+    ASSERT_TRUE(s.Close(self).ok());
+  });
+  Status status = engine.Run();
+  EXPECT_TRUE(status.ok()) << status;
+  *compiled = tracer.metrics().counter("sql.compiled_pipelines");
+  return outcomes;
+}
+
+TEST(PipelineOverflowTest, Int64EdgesMatchInterpreter) {
+  double compiled_on = 0;
+  double compiled_off = 0;
+  const std::vector<std::string> on = RunOverflowWorkload(true, &compiled_on);
+  const std::vector<std::string> off =
+      RunOverflowWorkload(false, &compiled_off);
+  EXPECT_GT(compiled_on, 0) << "compiled fabric never took the fast path";
+  EXPECT_EQ(compiled_off, 0);
+  ASSERT_EQ(on.size(), off.size());
+  for (size_t i = 0; i < on.size(); ++i) {
+    EXPECT_EQ(on[i], off[i]) << "statement #" << i;
+  }
+  // The defined results, row (INT64_MIN, -1) and row (INT64_MAX, 1):
+  // -MIN = MIN, MIN + -1 = MAX, MIN - -1 = MIN + 1, MIN * -1 = MIN,
+  // MIN % -1 = 0, ABS(MIN) = MIN; MAX + 1 = MIN, MAX * 1 = MAX.
+  ASSERT_EQ(off.size(), 5u);
+  const std::string& edges = off[2];
+  EXPECT_NE(edges.find("\nROW INTEGER:-9223372036854775808 INTEGER:-1"
+                       " INTEGER:-9223372036854775808 INTEGER:1"
+                       " INTEGER:9223372036854775807"
+                       " INTEGER:-9223372036854775807"
+                       " INTEGER:-9223372036854775808 INTEGER:0"
+                       " INTEGER:-9223372036854775808\n"),
+            std::string::npos)
+      << edges;
+  EXPECT_NE(edges.find("\nROW INTEGER:9223372036854775807 INTEGER:1"
+                       " INTEGER:-9223372036854775807 INTEGER:-1"
+                       " INTEGER:-9223372036854775808"
+                       " INTEGER:9223372036854775806"
+                       " INTEGER:9223372036854775807 INTEGER:0"
+                       " INTEGER:9223372036854775807"),
+            std::string::npos)
+      << edges;
+}
+
 class PipelineSqlPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 void ExpectEquivalent(const SqlRun& on, const SqlRun& off) {

@@ -1,3 +1,6 @@
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -243,6 +246,25 @@ TEST_F(EvalTest, Arithmetic) {
   EXPECT_EQ(EvalText("a % 4").int64_value(), 2);
   EXPECT_EQ(EvalText("a + b").float64_value(), 8.5);
   EXPECT_EQ(EvalText("-a").int64_value(), -6);
+}
+
+// INTEGER overflow is defined: -x, + - * and ABS wrap (two's
+// complement), and x % -1 is 0. The compiled pipeline agrees
+// (pipeline_test PipelineOverflowTest).
+TEST_F(EvalTest, Int64OverflowWraps) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(EvalText("-9223372036854775808").int64_value(), kMin);
+  EXPECT_EQ(EvalText("-(-9223372036854775807 - 1)").int64_value(), kMin);
+  EXPECT_EQ(EvalText("9223372036854775807 + 1").int64_value(), kMin);
+  EXPECT_EQ(EvalText("(-9223372036854775807 - 1) - 1").int64_value(), kMax);
+  EXPECT_EQ(EvalText("9223372036854775807 * 2").int64_value(), -2);
+  EXPECT_EQ(EvalText("(-9223372036854775807 - 1) * -1").int64_value(),
+            kMin);
+  EXPECT_EQ(EvalText("(-9223372036854775807 - 1) % -1").int64_value(), 0);
+  EXPECT_EQ(EvalText("a % -1").int64_value(), 0);
+  EXPECT_EQ(EvalText("(-9223372036854775807 - 1) % 10").int64_value(), -8);
+  EXPECT_EQ(EvalText("ABS(-9223372036854775807 - 1)").int64_value(), kMin);
 }
 
 TEST_F(EvalTest, Comparisons) {
