@@ -1,12 +1,14 @@
 // Microbenchmarks (google-benchmark) for the fabric's hot paths: ring
 // hashing, columnar encodings, the Avro batch codec, SQL parsing, the
-// flow simulator's re-rating step, the vectorized scan engine
+// sim engine's per-wake and per-spawn cost, the flow simulator's
+// re-rating step, the vectorized scan engine
 // (predicate kernels on encoded data vs the decode-then-filter
 // baseline), and value formatting behind group/join keys and SQL text.
 // These measure real host CPU (not virtual time) — the code the
 // simulation actually executes.
 
 #include <algorithm>
+#include <functional>
 #include <variant>
 
 #include <benchmark/benchmark.h>
@@ -21,6 +23,7 @@
 #include "common/string_util.h"
 #include "connector/avro.h"
 #include "net/network.h"
+#include "obs/trace.h"
 #include "sim/engine.h"
 #include "storage/column_cursor.h"
 #include "storage/encoding.h"
@@ -353,6 +356,83 @@ void BM_FlowRerate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_FlowRerate)->Arg(8)->Arg(64)->Arg(256);
+
+// ------------------------------------------------------------ sim engine
+
+// Per-wake cost: N processes each sleep 1000 times, so every event is one
+// switch into a process and one back out.
+void BM_SimWake(benchmark::State& state) {
+  const int processes = static_cast<int>(state.range(0));
+  constexpr int kWakes = 1000;
+  for (auto _ : state) {
+    sim::Engine engine;
+    for (int i = 0; i < processes; ++i) {
+      engine.Spawn("sleeper", [](sim::Process& self) {
+        for (int w = 0; w < kWakes; ++w) FABRIC_CHECK_OK(self.Sleep(1));
+      });
+    }
+    FABRIC_CHECK_OK(engine.Run());
+  }
+  state.SetItemsProcessed(state.iterations() * processes * kWakes);
+}
+BENCHMARK(BM_SimWake)->Arg(2)->Arg(64)->UseRealTime();
+
+// Per-spawn cost: a process that spawns a child and finishes, N deep, so
+// spawns, first runs and completions alternate as they do in task fleets.
+void BM_SimSpawn(benchmark::State& state) {
+  const int processes = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine engine;
+    int spawned = 0;
+    std::function<void(sim::Process&)> body = [&](sim::Process&) {
+      if (++spawned < processes) engine.Spawn("child", body);
+    };
+    engine.Spawn("child", body);
+    FABRIC_CHECK_OK(engine.Run());
+  }
+  state.SetItemsProcessed(state.iterations() * processes);
+}
+BENCHMARK(BM_SimSpawn)->Arg(1000)->UseRealTime();
+
+// Per-recompute cost of the fair-share water-filling on a 24-node fabric
+// (an egress and an ingress link per node, plus idle links) with N
+// staggered flows: every arrival and completion re-rates the rest.
+void RunRecomputeFabric(int flows) {
+  sim::Engine engine;
+  net::Network network(&engine);
+  std::vector<net::LinkId> egress;
+  std::vector<net::LinkId> ingress;
+  for (int node = 0; node < 24; ++node) {
+    egress.push_back(network.AddLink("egress", 1.25e8));
+    ingress.push_back(network.AddLink("ingress", 1.25e8));
+  }
+  for (int idle = 0; idle < 11; ++idle) network.AddLink("idle", 1e9);
+  for (int i = 0; i < flows; ++i) {
+    std::vector<net::LinkId> path = {egress[i % 24],
+                                     ingress[(i * 7 + 1) % 24]};
+    engine.Spawn("flow", [&network, path, i](sim::Process& self) {
+      FABRIC_CHECK_OK(network.Transfer(self, path, 1e6 * (i + 1)));
+    });
+  }
+  FABRIC_CHECK_OK(engine.Run());
+}
+
+void BM_NetworkRecompute(benchmark::State& state) {
+  const int flows = static_cast<int>(state.range(0));
+  double recomputes = 0;
+  {
+    // One metrics-only traced run counts the recomputes; the timed runs
+    // below are untraced, like production.
+    obs::Tracer tracer([] { return 0.0; }, {.capture_events = false});
+    obs::ScopedTracer scope(&tracer);
+    RunRecomputeFabric(flows);
+    recomputes = tracer.metrics().counter("net.recomputes");
+  }
+  for (auto _ : state) RunRecomputeFabric(flows);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(recomputes));
+}
+BENCHMARK(BM_NetworkRecompute)->Arg(16)->Arg(128)->UseRealTime();
 
 // --------------------------------------------------- pipeline compiler
 

@@ -9,7 +9,7 @@
 namespace fabric::baselines {
 
 Result<TwoStageTiming> TwoStageSave(sim::Process& driver,
-                                    spark::SparkSession* spark,
+                                    spark::SparkSession* /*spark*/,
                                     hdfs::HdfsCluster* hdfs,
                                     vertica::Database* db,
                                     const spark::DataFrame& frame,

@@ -3,19 +3,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
+#include <string>
 
 namespace fabric {
 namespace {
 
 std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarning)};
-
-// Serializes log lines; the sim engine is single-runnable but host threads
-// back sim processes, so emission still needs a lock.
-std::mutex& LogMutex() {
-  static std::mutex* mutex = new std::mutex;
-  return *mutex;
-}
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -56,12 +49,12 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  {
-    std::lock_guard<std::mutex> lock(LogMutex());
-    std::fputs(stream_.str().c_str(), stderr);
-    std::fputc('\n', stderr);
-    std::fflush(stderr);
-  }
+  // One write per line: stdio locks the stream for each call, so lines
+  // from engines on different host threads never interleave.
+  std::string line = stream_.str();
+  line += '\n';
+  std::fwrite(line.data(), 1, line.size(), stderr);
+  std::fflush(stderr);
   if (level_ == LogLevel::kFatal) std::abort();
 }
 

@@ -12,6 +12,9 @@ namespace fabric::net {
 LinkId Network::AddLink(std::string name, double capacity) {
   FABRIC_CHECK(capacity > 0) << "link capacity must be positive";
   links_.push_back(Link{std::move(name), capacity, 0});
+  avail_.push_back(0);
+  active_.push_back(0);
+  link_bottleneck_.push_back(false);
   return static_cast<LinkId>(links_.size() - 1);
 }
 
@@ -130,48 +133,50 @@ void Network::Recompute() {
   // (not per-flow spam) is the useful observability signal.
   obs::IncrCounter("net.recomputes");
 
-  // Max-min fair allocation with per-flow caps (progressive filling).
-  std::vector<double> avail(links_.size());
-  std::vector<int> active(links_.size(), 0);
-  for (size_t i = 0; i < links_.size(); ++i) avail[i] = links_[i].capacity;
-
-  std::vector<Flow*> unfrozen;
+  // Max-min fair allocation with per-flow caps (progressive filling),
+  // over only the links that carry an unfrozen flow. Every flow freezes by
+  // the end, which brings active_ back to all zeros for the next call.
+  used_links_.clear();
+  unfrozen_.clear();
   for (Flow& flow : flows_) {
     if (flow.done) continue;
     flow.rate = 0;
-    unfrozen.push_back(&flow);
-    for (LinkId id : flow.path) ++active[id];
+    unfrozen_.push_back(&flow);
+    for (LinkId id : flow.path) {
+      if (active_[id]++ == 0) {
+        used_links_.push_back(id);
+        avail_[id] = links_[id].capacity;
+      }
+    }
   }
 
-  while (!unfrozen.empty()) {
+  while (!unfrozen_.empty()) {
     // The binding rate this round: the smallest of (a) any link's equal
     // share among its unfrozen flows, (b) any unfrozen flow's cap.
     double round_rate = kUnlimitedRate;
-    for (size_t i = 0; i < links_.size(); ++i) {
-      if (active[i] > 0) {
-        round_rate = std::min(round_rate, avail[i] / active[i]);
+    for (LinkId i : used_links_) {
+      if (active_[i] > 0) {
+        round_rate = std::min(round_rate, avail_[i] / active_[i]);
       }
     }
-    for (Flow* flow : unfrozen) {
+    for (Flow* flow : unfrozen_) {
       round_rate = std::min(round_rate, flow->cap);
     }
     FABRIC_CHECK(round_rate > 0 && round_rate < kUnlimitedRate);
 
     // Freeze every flow bound at round_rate: capped flows whose cap equals
     // the round rate, plus all flows crossing a link saturated at it.
-    std::vector<bool> link_bottleneck(links_.size(), false);
-    for (size_t i = 0; i < links_.size(); ++i) {
-      if (active[i] > 0 && avail[i] / active[i] <= round_rate * (1 + 1e-12)) {
-        link_bottleneck[i] = true;
-      }
+    for (LinkId i : used_links_) {
+      link_bottleneck_[i] =
+          active_[i] > 0 && avail_[i] / active_[i] <= round_rate * (1 + 1e-12);
     }
-    std::vector<Flow*> still_unfrozen;
+    still_unfrozen_.clear();
     bool froze_any = false;
-    for (Flow* flow : unfrozen) {
+    for (Flow* flow : unfrozen_) {
       bool bound = flow->cap <= round_rate * (1 + 1e-12);
       if (!bound) {
         for (LinkId id : flow->path) {
-          if (link_bottleneck[id]) {
+          if (link_bottleneck_[id]) {
             bound = true;
             break;
           }
@@ -181,16 +186,16 @@ void Network::Recompute() {
         flow->rate = round_rate;
         froze_any = true;
         for (LinkId id : flow->path) {
-          avail[id] -= round_rate;
-          if (avail[id] < 0) avail[id] = 0;
-          --active[id];
+          avail_[id] -= round_rate;
+          if (avail_[id] < 0) avail_[id] = 0;
+          --active_[id];
         }
       } else {
-        still_unfrozen.push_back(flow);
+        still_unfrozen_.push_back(flow);
       }
     }
     FABRIC_CHECK(froze_any) << "water-filling failed to make progress";
-    unfrozen.swap(still_unfrozen);
+    unfrozen_.swap(still_unfrozen_);
   }
 
   // Schedule the next completion. The horizon is floored at the engine's

@@ -114,6 +114,15 @@ class Network {
   std::list<Flow> flows_;
   double last_update_ = 0;
   uint64_t timer_generation_ = 0;
+
+  // Recompute's scratch, kept across calls so re-rating allocates nothing.
+  // Indexed by LinkId; valid only for the links in used_links_.
+  std::vector<double> avail_;
+  std::vector<int> active_;
+  std::vector<char> link_bottleneck_;  // bytes: no bit read-modify-write
+  std::vector<LinkId> used_links_;  // links crossed by an unfrozen flow
+  std::vector<Flow*> unfrozen_;
+  std::vector<Flow*> still_unfrozen_;
 };
 
 }  // namespace fabric::net

@@ -93,7 +93,7 @@ class XmlParser {
     if (pos_ != text_.size()) {
       return InvalidArgumentError("XML: trailing content after root");
     }
-    return std::move(root);
+    return root;
   }
 
  private:
@@ -141,7 +141,7 @@ class XmlParser {
           return InvalidArgumentError("XML: bad self-close");
         }
         pos_ += 2;
-        return std::move(element);
+        return element;
       }
       if (text_[pos_] == '>') {
         ++pos_;
@@ -196,7 +196,7 @@ class XmlParser {
                                              closing, ">"));
         }
         pos_ = end + 1;
-        return std::move(element);
+        return element;
       }
       FABRIC_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> child,
                               ParseElement());

@@ -1,15 +1,13 @@
 #ifndef FABRIC_SIM_ENGINE_H_
 #define FABRIC_SIM_ENGINE_H_
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -26,10 +24,11 @@ class Process;
 
 using ProcessHandle = std::shared_ptr<Process>;
 
-// A Process is a cooperatively scheduled activity backed by a host thread.
-// Exactly one process (or the engine itself) runs at any instant, so all
-// simulation state can be accessed without locking from process context.
-// Determinism: wake-ups are ordered by (virtual time, sequence number).
+// A Process is a cooperatively scheduled activity: a fiber on the host
+// thread that calls Engine::Run, with its own stack. Exactly one process
+// (or the engine itself) runs at any instant, so all simulation state can
+// be accessed without locking from process context. Determinism: wake-ups
+// are ordered by (virtual time, sequence number).
 //
 // A process observes virtual time only through blocking calls (Sleep and
 // the primitives in waitable.h). Each blocking call returns CANCELLED once
@@ -72,12 +71,14 @@ class Process {
   Process(Engine* engine, uint64_t id, std::string name,
           std::function<void(Process&)> body);
 
-  // Hands control back to the engine and blocks the host thread until the
-  // engine wakes this process again. Must hold the engine lock.
-  void SwitchToEngine(std::unique_lock<std::mutex>& lock);
+  // Hands control back to the engine; returns once the engine wakes this
+  // process again.
+  void SwitchToEngine();
 
-  // Body run on the host thread.
-  void ThreadMain();
+  // First frame on the process's stack: runs the body, then switches back
+  // to the engine for good. makecontext passes only ints, so the Process*
+  // arrives split into two 32-bit halves.
+  static void FiberMain(uint32_t self_hi, uint32_t self_lo);
 
   Engine* engine_;
   uint64_t id_;
@@ -91,8 +92,11 @@ class Process {
   Condition* wait_cond_ = nullptr;
   bool wake_posted_ = false;  // a wake event for this process is queued
   uint64_t wake_epoch_ = 0;   // invalidates superseded queued wakes
-  std::condition_variable cv_;
-  std::thread thread_;
+  ucontext_t context_;        // saved registers while switched out
+  // Usable stack region, from the engine's pool: set at first run,
+  // returned when the body finishes.
+  void* stack_ = nullptr;
+  void* asan_fake_stack_ = nullptr;  // ASan bookkeeping across switches
 };
 
 // Deterministic discrete-event engine. Typical use:
@@ -164,20 +168,31 @@ class Engine {
 
   // Queues a wake event for `process` at `when`; dedupes (a process has
   // at most one live pending wake). With `force`, supersedes any pending
-  // wake (immediate kill delivery). Requires the engine lock.
-  void PostWakeLocked(Process* process, SimTime when, bool force = false);
+  // wake (immediate kill delivery).
+  void PostWake(Process* process, SimTime when, bool force = false);
 
-  std::mutex mu_;
-  std::condition_variable engine_cv_;
-  bool engine_turn_ = true;  // true when the engine (not a process) may run
+  void PushEvent(Event event);
+
+  // Switches into `process` until it blocks or finishes; gives it a stack
+  // on first run and takes the stack back once the body has returned.
+  void Resume(Process* process);
+
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t next_id_ = 1;
   uint64_t steps_ = 0;
   uint64_t max_steps_ = 200'000'000;
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  // Binary min-heap on (time, seq) under EventLater.
+  std::vector<Event> events_;
   std::vector<ProcessHandle> processes_;
   Process* current_ = nullptr;
+  ucontext_t context_;  // the engine's registers while a process runs
+  // Stacks of finished processes, reused by the next ones to start.
+  std::vector<void*> stack_pool_;
+  // ASan bookkeeping: the host stack Run() switches from.
+  void* asan_fake_stack_ = nullptr;
+  const void* asan_host_stack_bottom_ = nullptr;
+  size_t asan_host_stack_size_ = 0;
 };
 
 }  // namespace fabric::sim

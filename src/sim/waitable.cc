@@ -12,19 +12,17 @@ Condition::~Condition() {
   // down mid-run (the engine destructor kills and resumes them later,
   // possibly after this condition is gone). Clear their back-pointers so
   // their unwinding Wait() knows not to touch the freed waiter list.
-  std::lock_guard<std::mutex> lock(engine_->mu_);
   for (Process* waiter : waiters_) waiter->wait_cond_ = nullptr;
 }
 
 Status Condition::Wait(Process& self) {
-  std::unique_lock<std::mutex> lock(engine_->mu_);
   if (self.killed_) {
     return CancelledError(StrCat("process '", self.name(), "' killed"));
   }
   waiters_.push_back(&self);
   self.wait_cond_ = this;
   self.state_ = Process::State::kBlocked;
-  self.SwitchToEngine(lock);
+  self.SwitchToEngine();
   // A kill-wake resumes us while still registered; deregister. The
   // back-pointer is only still set for that case — notification and
   // ~Condition both clear it (the latter because `this` may be freed).
@@ -40,19 +38,17 @@ Status Condition::Wait(Process& self) {
 }
 
 void Condition::NotifyAll() {
-  std::lock_guard<std::mutex> lock(engine_->mu_);
   for (Process* waiter : waiters_) {
     waiter->wait_cond_ = nullptr;
-    engine_->PostWakeLocked(waiter, engine_->now_);
+    engine_->PostWake(waiter, engine_->now_);
   }
   waiters_.clear();
 }
 
 void Condition::NotifyOne() {
-  std::lock_guard<std::mutex> lock(engine_->mu_);
   if (waiters_.empty()) return;
   waiters_.front()->wait_cond_ = nullptr;
-  engine_->PostWakeLocked(waiters_.front(), engine_->now_);
+  engine_->PostWake(waiters_.front(), engine_->now_);
   waiters_.erase(waiters_.begin());
 }
 

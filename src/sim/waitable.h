@@ -9,8 +9,8 @@
 namespace fabric::sim {
 
 // Virtual-time synchronization primitives, usable only from process
-// context. State needs no host locking beyond the engine handoff because
-// exactly one process runs at a time.
+// context. State needs no host locking because exactly one process runs
+// at a time, on the host thread that runs the engine.
 
 // Condition variable in virtual time. Waiters resume in notify order
 // (deterministic, since wakes are sequenced events).

@@ -132,11 +132,6 @@ Result<Tribool> AsTribool(const Value& v) {
       StrCat("expected BOOLEAN, got ", DataTypeName(v.type())));
 }
 
-Value FromTribool(Tribool t) {
-  if (!t.has_value()) return Value::Null();
-  return Value::Bool(*t);
-}
-
 Result<Value> EvalBinary(const Expr& expr, const EvalContext& context);
 Result<Value> EvalCall(const Expr& expr, const EvalContext& context);
 

@@ -40,7 +40,7 @@ class Parser {
   Result<ExprPtr> ParseStandaloneExpression() {
     FABRIC_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
     FABRIC_RETURN_IF_ERROR(ExpectEnd());
-    return std::move(e);
+    return e;
   }
 
  private:
@@ -438,7 +438,7 @@ class Parser {
       FABRIC_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
       lhs = Expr::Binary("OR", std::move(lhs), std::move(rhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<ExprPtr> ParseAnd() {
@@ -447,7 +447,7 @@ class Parser {
       FABRIC_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
       lhs = Expr::Binary("AND", std::move(lhs), std::move(rhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<ExprPtr> ParseNot() {
@@ -473,7 +473,7 @@ class Parser {
         return Expr::Binary(norm, std::move(lhs), std::move(rhs));
       }
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<ExprPtr> ParseAdditive() {
@@ -488,7 +488,7 @@ class Parser {
       FABRIC_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
       lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<ExprPtr> ParseMultiplicative() {
@@ -503,7 +503,7 @@ class Parser {
       FABRIC_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
       lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<ExprPtr> ParseUnary() {
@@ -552,7 +552,7 @@ class Parser {
       Next();
       FABRIC_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
       FABRIC_RETURN_IF_ERROR(Expect(")"));
-      return std::move(inner);
+      return inner;
     }
     if (t.kind == Token::Kind::kKeywordOrIdent) {
       if (t.Is("NULL")) {
@@ -599,7 +599,7 @@ class Parser {
         } while (Accept(","));
       }
       FABRIC_RETURN_IF_ERROR(Expect(")"));
-      return std::move(call);
+      return call;
     }
     return Error("expected expression");
   }

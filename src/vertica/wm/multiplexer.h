@@ -3,8 +3,8 @@
 
 // Session multiplexer: drives thousands of concurrent logical client
 // sessions over a bounded set of sim processes ("lanes"). Every sim
-// process is backed by a host thread, so modeling each client session
-// as its own process caps the simulable concurrency at a few hundred;
+// process owns an 8 MiB stack mapping, so modeling each client session
+// as its own process ties the simulable concurrency to stack count;
 // the multiplexer instead keeps logical sessions as schedule entries
 // (start time, think time, per-step closures) and has each lane pull
 // the earliest runnable step — a connection pool in the same sense as a

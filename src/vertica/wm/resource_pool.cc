@@ -14,7 +14,7 @@ bool IsQueueTimeoutError(const Status& status) {
 }
 
 // Per-(pool, node) accounting. All mutation happens from process or
-// engine context, so no locking beyond the engine handoff is needed.
+// engine context, one at a time, so no locking is needed.
 struct WorkloadManager::PoolNodeState {
   int running = 0;
   double memory_inuse = 0;

@@ -1,9 +1,13 @@
+#include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "sim/engine.h"
 #include "sim/waitable.h"
 
@@ -300,6 +304,201 @@ TEST_P(FleetPropertyTest, ForkJoinFinishesAtMax) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FleetPropertyTest,
                          ::testing::Values(1, 2, 8, 32, 100));
+
+// ------------------------------------------------------------ fiber stacks
+
+// Recurses `depth` frames of over 1 KiB each and sleeps at the bottom, so
+// the deep stack stays suspended while other processes run on theirs.
+// Clears *intact if a frame's contents did not survive the switch.
+// Returns the lowest frame address reached.
+[[gnu::noinline]] uintptr_t RecurseAndSleep(Process& self, int depth,
+                                            bool* intact) {
+  volatile char frame[1024];
+  const char mark = static_cast<char>(depth);
+  frame[depth % sizeof(frame)] = mark;
+  auto lowest = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+  if (depth == 0) {
+    if (!self.Sleep(1).ok()) *intact = false;
+  } else {
+    lowest = RecurseAndSleep(self, depth - 1, intact);
+  }
+  if (frame[depth % sizeof(frame)] != mark) *intact = false;
+  return lowest;
+}
+
+TEST(FiberTest, ProcessRecursesThroughFourMiBOfStack) {
+  Engine engine;
+  std::vector<uintptr_t> depths;
+  bool intact = true;
+  for (int i = 0; i < 2; ++i) {
+    engine.Spawn("deep", [&](Process& self) {
+      auto top = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+      uintptr_t lowest = RecurseAndSleep(self, 4500, &intact);
+      depths.push_back(top - lowest);
+    });
+  }
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_TRUE(intact);
+  ASSERT_EQ(depths.size(), 2u);
+  for (uintptr_t depth : depths) EXPECT_GE(depth, uintptr_t{4} << 20);
+  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+}
+
+// Throws from `depth` frames down. ASan unpoisons the frames a throw
+// unwinds only on the stack it believes is current, so this fails
+// sanitized builds unless every switch is announced to it.
+[[gnu::noinline]] int ThrowFrom(int depth) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) throw std::runtime_error("bottom");
+  return ThrowFrom(depth - 1) + frame[0];
+}
+
+TEST(FiberTest, ExceptionsUnwindInsideProcesses) {
+  Engine engine;
+  int caught = 0;
+  bool intact = true;
+  for (int i = 0; i < 3; ++i) {
+    engine.Spawn("thrower", [&](Process& self) {
+      for (int round = 0; round < 3; ++round) {
+        try {
+          ThrowFrom(40);
+        } catch (const std::runtime_error&) {
+          ++caught;
+        }
+        // Fresh frames over the unwound region, across a switch.
+        RecurseAndSleep(self, 30, &intact);
+      }
+    });
+  }
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(caught, 9);
+  EXPECT_TRUE(intact);
+  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
+}
+
+TEST(FiberTest, TwentyThousandWaitersOnOneCondition) {
+  constexpr int kWaiters = 20'000;
+  Engine engine;
+  Condition cond(&engine);
+  int released = 0;
+  for (int i = 0; i < kWaiters; ++i) {
+    engine.Spawn("waiter", [&](Process& self) {
+      if (cond.Wait(self).ok()) ++released;
+    });
+  }
+  int parked = -1;
+  engine.Spawn("releaser", [&](Process& self) {
+    ASSERT_TRUE(self.Sleep(1).ok());
+    parked = cond.num_waiters();
+    cond.NotifyAll();
+  });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(parked, kWaiters);
+  EXPECT_EQ(released, kWaiters);
+  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+}
+
+// A deterministic mix of semaphores, conditions, sleeps and a kill; the
+// log records every completion with its virtual time.
+std::vector<std::string> RunMixedWorkload(int seed) {
+  Engine engine;
+  Semaphore slots(&engine, 3);
+  Condition progress(&engine);
+  std::vector<std::string> log;
+  std::vector<ProcessHandle> workers;
+  int finished = 0;
+  for (int i = 0; i < 60; ++i) {
+    workers.push_back(engine.Spawn(StrCat("w", i), [&, i](Process& self) {
+      for (int round = 0; round < 20; ++round) {
+        if (!slots.Acquire(self).ok()) break;
+        Status slept = self.Sleep(((i * seed + round) % 7) * 0.125);
+        slots.Release();
+        if (!slept.ok()) break;
+      }
+      log.push_back(StrCat(self.name(), "@", self.Now(),
+                           self.killed() ? " killed" : ""));
+      ++finished;
+      progress.NotifyAll();
+    }));
+  }
+  engine.ScheduleAt(2.0, [&] { engine.Kill(*workers[seed % 60]); });
+  engine.Spawn("watcher", [&](Process& self) {
+    Status status = progress.WaitUntil(self, [&] { return finished == 60; });
+    log.push_back(StrCat("all done@", self.Now(), status.ok() ? "" : " !"));
+  });
+  Status status = engine.Run();
+  log.push_back(StrCat("run ", status.ok() ? "ok" : status.ToString(), " t=",
+                       engine.now(), " steps=", engine.steps()));
+  return log;
+}
+
+TEST(FiberTest, EnginesOnTwoHostThreadsStayIndependent) {
+  const std::vector<std::string> expected_a = RunMixedWorkload(3);
+  const std::vector<std::string> expected_b = RunMixedWorkload(5);
+  ASSERT_EQ(expected_a.back().rfind("run ok", 0), 0u) << expected_a.back();
+  ASSERT_NE(expected_a, expected_b);
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<std::string> a;
+    std::vector<std::string> b;
+    std::thread thread_a([&] { a = RunMixedWorkload(3); });
+    std::thread thread_b([&] { b = RunMixedWorkload(5); });
+    thread_a.join();
+    thread_b.join();
+    EXPECT_EQ(a, expected_a);
+    EXPECT_EQ(b, expected_b);
+  }
+}
+
+TEST(FiberTest, ProcessHandleOutlivesEngine) {
+  ProcessHandle finished;
+  ProcessHandle abandoned;
+  {
+    Engine engine;
+    finished = engine.Spawn("finished", [](Process& self) {
+      ASSERT_TRUE(self.Sleep(1).ok());
+    });
+    ASSERT_TRUE(engine.Run().ok());
+    abandoned = engine.Spawn("abandoned", [](Process& self) {
+      EXPECT_EQ(self.Sleep(1).code(), StatusCode::kCancelled);
+    });
+  }
+  // The engine is gone; the handles still answer, and dropping them must
+  // not reach back into it.
+  EXPECT_TRUE(finished->done());
+  EXPECT_FALSE(finished->killed());
+  EXPECT_TRUE(abandoned->done());
+  EXPECT_TRUE(abandoned->killed());
+  EXPECT_EQ(abandoned->name(), "abandoned");
+  finished.reset();
+  abandoned.reset();
+}
+
+TEST(FiberTest, DestroyingEngineDrainsBlockedSleepingAndUnstarted) {
+  std::vector<std::string> outcomes;
+  auto record = [&outcomes](Process& self, const Status& status) {
+    outcomes.push_back(StrCat(self.name(), status.ok() ? " ok" : " cancelled",
+                              "@", self.Now()));
+  };
+  {
+    Engine engine;
+    Condition never(&engine);
+    engine.Spawn("blocked",
+                 [&](Process& self) { record(self, never.Wait(self)); });
+    engine.Spawn("sleeping",
+                 [&](Process& self) { record(self, self.Sleep(1000)); });
+    // Two steps start both processes; the third (the sleeper's wake)
+    // trips the limit, leaving one blocked and one sleeping.
+    engine.set_max_steps(2);
+    EXPECT_EQ(engine.Run().code(), StatusCode::kInternal);
+    engine.Spawn("unstarted",
+                 [&](Process& self) { record(self, self.CheckAlive()); });
+    EXPECT_TRUE(outcomes.empty());
+  }
+  EXPECT_EQ(outcomes, (std::vector<std::string>{"unstarted cancelled@0",
+                                                "blocked cancelled@0",
+                                                "sleeping cancelled@1000"}));
+}
 
 }  // namespace
 }  // namespace fabric::sim
