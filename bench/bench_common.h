@@ -258,18 +258,20 @@ class BenchReport {
   // before it is destroyed; `fields` become top-level JSON keys. Every
   // sample also carries the host wall-clock the simulation burned
   // (`wall_ms`) and the host-side scan throughput derived from it
-  // (`host_rows_scanned_per_sec`, at paper scale) — the knobs the
-  // vectorized scan engine moves, reported alongside the virtual-time
-  // figures it must not move.
+  // (`host_real_rows_scanned_per_sec`: real rows the host scanned per
+  // host second, i.e. `vertica.rows_scanned` — a paper-scale counter —
+  // divided by the data scale and by wall seconds). Both are reported
+  // alongside the virtual-time figures they must not move.
   void AddSample(Fabric& fabric,
                  std::vector<std::pair<std::string, double>> fields) {
     double wall_ms = fabric.host_wall_ms();
     fields.emplace_back("wall_ms", wall_ms);
-    double rows_scanned =
-        fabric.tracer()->metrics().counter("vertica.rows_scanned");
-    fields.emplace_back("host_rows_scanned_per_sec",
-                        wall_ms > 0 ? rows_scanned / (wall_ms / 1000.0)
-                                    : 0);
+    double real_rows_scanned =
+        fabric.tracer()->metrics().counter("vertica.rows_scanned") /
+        fabric.data_scale();
+    fields.emplace_back(
+        "host_real_rows_scanned_per_sec",
+        wall_ms > 0 ? real_rows_scanned / (wall_ms / 1000.0) : 0);
     std::string json = "{";
     for (const auto& [key, value] : fields) {
       json += obs::JsonString(key);

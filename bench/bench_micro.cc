@@ -3,7 +3,8 @@
 // sim engine's per-wake and per-spawn cost, the flow simulator's
 // re-rating step, the vectorized scan engine
 // (predicate kernels on encoded data vs the decode-then-filter
-// baseline), and value formatting behind group/join keys and SQL text.
+// baseline; first vs repeat scans of a ROS container), and value
+// formatting behind group/join keys and SQL text.
 // These measure real host CPU (not virtual time) — the code the
 // simulation actually executes.
 
@@ -217,18 +218,14 @@ void BM_FilterEncodedKernel(benchmark::State& state) {
   term.op = storage::CompareOp::kLt;
   term.number = 8;
   for (auto _ : state) {
-    storage::ColumnCursor cursor;
-    FABRIC_CHECK_OK(cursor.Open(&*chunk));
-    storage::ColumnBatch batch;
+    auto column = storage::DecodeColumnBatches(*chunk);
+    FABRIC_CHECK_OK(column.status());
     storage::SelectionVector sel;
     size_t matched = 0;
-    while (true) {
-      auto more = cursor.Next(&batch);
-      FABRIC_CHECK_OK(more.status());
-      if (!*more) break;
+    for (const storage::ColumnBatch& batch : (*column)->batches) {
       sel.resize(batch.length);
       for (uint32_t i = 0; i < batch.length; ++i) sel[i] = batch.base + i;
-      storage::FilterCompare(term, cursor, batch, &sel);
+      storage::FilterCompare(term, **column, batch, &sel);
       matched += sel.size();
     }
     benchmark::DoNotOptimize(matched);
@@ -279,21 +276,17 @@ void BM_GatherSelected(benchmark::State& state) {
   term.op = storage::CompareOp::kEq;
   term.number = 3;
   for (auto _ : state) {
-    storage::ColumnCursor cursor;
-    FABRIC_CHECK_OK(cursor.Open(&*chunk));
-    storage::ColumnBatch batch;
+    auto column = storage::DecodeColumnBatches(*chunk);
+    FABRIC_CHECK_OK(column.status());
     storage::SelectionVector sel;
     std::vector<storage::Row> out;
-    while (true) {
-      auto more = cursor.Next(&batch);
-      FABRIC_CHECK_OK(more.status());
-      if (!*more) break;
+    for (const storage::ColumnBatch& batch : (*column)->batches) {
       sel.resize(batch.length);
       for (uint32_t i = 0; i < batch.length; ++i) sel[i] = batch.base + i;
-      storage::FilterCompare(term, cursor, batch, &sel);
+      storage::FilterCompare(term, **column, batch, &sel);
       size_t out_base = out.size();
       out.resize(out_base + sel.size(), storage::Row(1));
-      storage::GatherColumn(cursor, batch, sel, 0, &out, out_base);
+      storage::GatherColumn(**column, batch, sel, 0, &out, out_base);
     }
     benchmark::DoNotOptimize(out.data());
   }
@@ -335,6 +328,70 @@ BENCHMARK(BM_SegmentStoreScan)
     ->Arg(static_cast<int>(storage::Encoding::kPlain))
     ->Arg(static_cast<int>(storage::Encoding::kRle))
     ->Arg(static_cast<int>(storage::Encoding::kDictionary));
+
+// A committed three-column store (RLE int key, random float, short
+// varchar) and the filter-plus-gather scan the ROS cold/warm pair runs.
+// The filter keeps 1/16 of the rows, so column decode, not boxing the
+// survivors, dominates a first scan.
+struct RosScanFixture {
+  static constexpr int kRows = 16384;
+  storage::SegmentStore store{
+      storage::Schema({{"k", storage::DataType::kInt64},
+                       {"x", storage::DataType::kFloat64},
+                       {"s", storage::DataType::kVarchar}})};
+  storage::ScanPredicate predicate;
+  storage::ScanSpec spec;
+
+  RosScanFixture() {
+    std::vector<storage::Value> keys =
+        ScanBenchValues(storage::Encoding::kRle, kRows);
+    Rng rng(9);
+    std::vector<storage::Row> rows;
+    rows.reserve(kRows);
+    for (int i = 0; i < kRows; ++i) {
+      rows.push_back({keys[i], storage::Value::Float64(rng.NextDouble()),
+                      storage::Value::Varchar(StrCat("s", i % 97))});
+    }
+    FABRIC_CHECK_OK(store.InsertPendingDirect(1, std::move(rows)));
+    store.CommitTxn(1, 1);
+    predicate.compares.push_back({0, storage::CompareOp::kEq, false, 3, ""});
+    spec.as_of = 1;
+    spec.predicate = &predicate;
+  }
+
+  size_t Scan(const storage::SegmentStore& target) const {
+    storage::ScanStats stats;
+    auto out = target.Scan(spec, &stats);
+    FABRIC_CHECK_OK(out.status());
+    return out->size();
+  }
+};
+
+// First scan of a container: every iteration scans a fresh copy (a
+// copied container starts without decoded columns), so each pays the
+// one-time column decode. The copy itself is not timed.
+void BM_RosScanCold(benchmark::State& state) {
+  RosScanFixture fixture;
+  for (auto _ : state) {
+    state.PauseTiming();
+    storage::SegmentStore fresh = fixture.store;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(fixture.Scan(fresh));
+  }
+  state.SetItemsProcessed(state.iterations() * RosScanFixture::kRows);
+}
+BENCHMARK(BM_RosScanCold)->UseRealTime();
+
+// Repeat scans of one container: after the first, the filter and the
+// gather read the container's cached decoded columns.
+void BM_RosScanWarm(benchmark::State& state) {
+  RosScanFixture fixture;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.Scan(fixture.store));
+  }
+  state.SetItemsProcessed(state.iterations() * RosScanFixture::kRows);
+}
+BENCHMARK(BM_RosScanWarm)->UseRealTime();
 
 void BM_FlowRerate(benchmark::State& state) {
   // Measures the water-filling recompute triggered by flow churn with N

@@ -36,7 +36,7 @@
 namespace fabric::exec {
 
 // Rows per evaluation block: matches the storage scan batch so a block
-// of gathered rows and a ColumnCursor batch vectorize identically.
+// of gathered rows and a storage ColumnBatch vectorize identically.
 inline constexpr size_t kBlockRows = 1024;
 
 // Dense typed lanes over a row block. Only the vector for the lane type

@@ -8,26 +8,6 @@
 
 namespace fabric::storage {
 
-namespace {
-
-Result<std::vector<uint8_t>> DecodeBitmap(const ColumnChunk& chunk) {
-  size_t bytes = NullBitmapBytes(chunk.num_rows);
-  if (chunk.data.size() < bytes) {
-    return OutOfRangeError("null bitmap truncated");
-  }
-  std::vector<uint8_t> nulls(chunk.num_rows);
-  for (uint32_t i = 0; i < chunk.num_rows; ++i) {
-    nulls[i] = (static_cast<uint8_t>(chunk.data[i / 8]) >> (i % 8)) & 1;
-  }
-  return nulls;
-}
-
-}  // namespace
-
-Result<std::vector<uint8_t>> DecodeNullFlags(const ColumnChunk& chunk) {
-  return DecodeBitmap(chunk);
-}
-
 uint64_t TypedVec::Hash(DataType type, size_t i) const {
   switch (type) {
     case DataType::kBool:
@@ -42,168 +22,208 @@ uint64_t TypedVec::Hash(DataType type, size_t i) const {
   return 0;
 }
 
-Status ColumnCursor::ReadScalar(Scalar* out) {
-  ByteReader reader(
-      std::string_view(chunk_->data).substr(payload_pos_));
-  size_t before = reader.remaining();
-  switch (chunk_->type) {
-    case DataType::kBool: {
-      FABRIC_ASSIGN_OR_RETURN(out->b, reader.GetU8());
-      break;
-    }
-    case DataType::kInt64: {
-      FABRIC_ASSIGN_OR_RETURN(out->i, reader.GetI64());
-      break;
-    }
-    case DataType::kFloat64: {
-      FABRIC_ASSIGN_OR_RETURN(out->d, reader.GetDouble());
-      break;
-    }
-    case DataType::kVarchar: {
-      FABRIC_ASSIGN_OR_RETURN(out->s, reader.GetStringView());
-      break;
-    }
-  }
-  payload_pos_ += before - reader.remaining();
-  return Status::OK();
-}
+namespace {
 
-void ColumnCursor::PushScalar(const Scalar& s, TypedVec* out) const {
-  switch (chunk_->type) {
-    case DataType::kBool:
-      out->bools.push_back(s.b);
-      return;
-    case DataType::kInt64:
-      out->ints.push_back(s.i);
-      return;
-    case DataType::kFloat64:
-      out->doubles.push_back(s.d);
-      return;
-    case DataType::kVarchar:
-      out->strings.push_back(s.s);
-      return;
-  }
-}
+// Reads one chunk's payload front to back, one scalar at a time; the
+// reader behind DecodeColumnBatches. String scalars alias the chunk.
+class ColumnCursor {
+ public:
+  // Unboxed scalar, so a run split across batches can re-emit its value
+  // into each batch's TypedVec.
+  struct Scalar {
+    int64_t i = 0;
+    double d = 0;
+    uint8_t b = 0;
+    std::string_view s;
+  };
 
-Status ColumnCursor::Open(const ColumnChunk* chunk) {
-  chunk_ = chunk;
-  next_row_ = 0;
-  dict_size_ = 0;
-  dictionary_.clear();
-  runs_left_ = 0;
-  run_remaining_ = 0;
-  run_is_null_ = false;
-  FABRIC_ASSIGN_OR_RETURN(nulls_, DecodeBitmap(*chunk));
-  payload_pos_ = NullBitmapBytes(chunk->num_rows);
+  ColumnCursor(const ColumnChunk& chunk, size_t payload_pos)
+      : type_(chunk.type),
+        reader_(std::string_view(chunk.data).substr(payload_pos)) {}
 
-  ByteReader reader(std::string_view(chunk_->data).substr(payload_pos_));
-  size_t before = reader.remaining();
-  switch (chunk_->encoding) {
-    case Encoding::kPlain:
-      break;
-    case Encoding::kRle: {
-      FABRIC_ASSIGN_OR_RETURN(runs_left_, reader.GetU32());
-      break;
-    }
-    case Encoding::kDictionary: {
-      FABRIC_ASSIGN_OR_RETURN(dict_size_, reader.GetU32());
-      payload_pos_ += before - reader.remaining();
-      Scalar s;
-      for (uint32_t i = 0; i < dict_size_; ++i) {
-        FABRIC_RETURN_IF_ERROR(ReadScalar(&s));
-        PushScalar(s, &dictionary_);
+  Result<uint32_t> ReadU32() { return reader_.GetU32(); }
+
+  Status ReadScalar(Scalar* out) {
+    switch (type_) {
+      case DataType::kBool: {
+        FABRIC_ASSIGN_OR_RETURN(out->b, reader_.GetU8());
+        break;
       }
-      return Status::OK();
+      case DataType::kInt64: {
+        FABRIC_ASSIGN_OR_RETURN(out->i, reader_.GetI64());
+        break;
+      }
+      case DataType::kFloat64: {
+        FABRIC_ASSIGN_OR_RETURN(out->d, reader_.GetDouble());
+        break;
+      }
+      case DataType::kVarchar: {
+        FABRIC_ASSIGN_OR_RETURN(out->s, reader_.GetStringView());
+        break;
+      }
+    }
+    return Status::OK();
+  }
+
+  void PushScalar(const Scalar& s, TypedVec* out) const {
+    switch (type_) {
+      case DataType::kBool:
+        out->bools.push_back(s.b);
+        return;
+      case DataType::kInt64:
+        out->ints.push_back(s.i);
+        return;
+      case DataType::kFloat64:
+        out->doubles.push_back(s.d);
+        return;
+      case DataType::kVarchar:
+        out->strings.push_back(s.s);
+        return;
     }
   }
-  payload_pos_ += before - reader.remaining();
-  return Status::OK();
-}
 
-Result<bool> ColumnCursor::Next(ColumnBatch* batch) {
-  FABRIC_CHECK(chunk_ != nullptr) << "cursor not opened";
-  if (next_row_ >= chunk_->num_rows) return false;
-  uint32_t base = next_row_;
-  uint32_t length =
-      std::min(kScanBatchSize, chunk_->num_rows - base);
+  void Reserve(size_t n, TypedVec* out) const {
+    switch (type_) {
+      case DataType::kBool:
+        out->bools.reserve(n);
+        return;
+      case DataType::kInt64:
+        out->ints.reserve(n);
+        return;
+      case DataType::kFloat64:
+        out->doubles.reserve(n);
+        return;
+      case DataType::kVarchar:
+        out->strings.reserve(n);
+        return;
+    }
+  }
 
-  batch->base = base;
-  batch->length = length;
-  batch->nulls = nulls_.data();
-  batch->values.clear();
-  batch->runs.clear();
-  batch->codes.clear();
+  // Reads one scalar and appends it to *out.
+  Status ReadInto(TypedVec* out) {
+    Scalar s;
+    FABRIC_RETURN_IF_ERROR(ReadScalar(&s));
+    PushScalar(s, out);
+    return Status::OK();
+  }
 
-  switch (chunk_->encoding) {
+ private:
+  DataType type_;
+  ByteReader reader_;
+};
+
+}  // namespace
+
+Result<std::unique_ptr<DecodedColumn>> DecodeColumnBatches(
+    const ColumnChunk& chunk) {
+  const uint32_t n = chunk.num_rows;
+  const size_t bitmap = NullBitmapBytes(n);
+  if (chunk.data.size() < bitmap) {
+    return OutOfRangeError("null bitmap truncated");
+  }
+  auto column = std::make_unique<DecodedColumn>();
+  column->type = chunk.type;
+  column->nulls.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    column->nulls[i] =
+        (static_cast<uint8_t>(chunk.data[i / 8]) >> (i % 8)) & 1;
+  }
+  const uint8_t* nulls = column->nulls.data();
+
+  ColumnBatch::Layout layout = ColumnBatch::Layout::kPlainLayout;
+  if (chunk.encoding == Encoding::kRle) {
+    layout = ColumnBatch::Layout::kRunLayout;
+  } else if (chunk.encoding == Encoding::kDictionary) {
+    layout = ColumnBatch::Layout::kCodeLayout;
+  }
+  column->batches.resize((n + kScanBatchSize - 1) / kScanBatchSize);
+  for (size_t b = 0; b < column->batches.size(); ++b) {
+    ColumnBatch& batch = column->batches[b];
+    batch.layout = layout;
+    batch.base = static_cast<uint32_t>(b) * kScanBatchSize;
+    batch.length = std::min(kScanBatchSize, n - batch.base);
+    batch.nulls = nulls;
+    if (layout == ColumnBatch::Layout::kRunLayout ||
+        std::none_of(nulls + batch.base, nulls + batch.base + batch.length,
+                     [](uint8_t null) { return null != 0; })) {
+      continue;
+    }
+    batch.slot_of.assign(batch.length, UINT32_MAX);
+    uint32_t slot = 0;
+    for (uint32_t i = 0; i < batch.length; ++i) {
+      if (!nulls[batch.base + i]) batch.slot_of[i] = slot++;
+    }
+  }
+
+  ColumnCursor cursor(chunk, bitmap);
+  switch (chunk.encoding) {
     case Encoding::kPlain: {
-      batch->layout = ColumnBatch::Layout::kPlainLayout;
-      Scalar s;
-      for (uint32_t i = base; i < base + length; ++i) {
-        if (nulls_[i]) continue;
-        FABRIC_RETURN_IF_ERROR(ReadScalar(&s));
-        PushScalar(s, &batch->values);
+      for (ColumnBatch& batch : column->batches) {
+        cursor.Reserve(batch.length, &batch.values);
+        for (uint32_t i = batch.base; i < batch.base + batch.length; ++i) {
+          if (nulls[i]) continue;
+          FABRIC_RETURN_IF_ERROR(cursor.ReadInto(&batch.values));
+        }
       }
       break;
     }
     case Encoding::kRle: {
-      batch->layout = ColumnBatch::Layout::kRunLayout;
-      uint32_t row = base;
-      while (row < base + length) {
-        if (run_remaining_ == 0) {
-          if (runs_left_ == 0) {
-            return InvalidArgumentError("RLE runs exhausted early");
-          }
-          --runs_left_;
-          ByteReader reader(
-              std::string_view(chunk_->data).substr(payload_pos_));
-          size_t before = reader.remaining();
-          FABRIC_ASSIGN_OR_RETURN(run_remaining_, reader.GetU32());
-          payload_pos_ += before - reader.remaining();
-          if (row + 1 > chunk_->num_rows ||
-              run_remaining_ > chunk_->num_rows - row) {
-            return InvalidArgumentError("RLE runs exceed row count");
-          }
-          run_is_null_ = nulls_[row] != 0;
-          if (!run_is_null_) {
-            FABRIC_RETURN_IF_ERROR(ReadScalar(&run_value_));
-          }
+      FABRIC_ASSIGN_OR_RETURN(uint32_t runs, cursor.ReadU32());
+      ColumnCursor::Scalar value;
+      for (uint32_t row = 0; row < n;) {
+        if (runs-- == 0) {
+          return InvalidArgumentError("RLE runs exhausted early");
         }
-        uint32_t take = std::min(run_remaining_, base + length - row);
-        RunSpan span;
-        span.start = row;
-        span.length = take;
-        span.is_null = run_is_null_;
-        if (!run_is_null_) {
-          span.slot =
-              static_cast<uint32_t>(batch->values.size(chunk_->type));
-          PushScalar(run_value_, &batch->values);
+        FABRIC_ASSIGN_OR_RETURN(uint32_t length, cursor.ReadU32());
+        if (length > n - row) {
+          return InvalidArgumentError("RLE runs exceed row count");
         }
-        batch->runs.push_back(span);
-        run_remaining_ -= take;
-        row += take;
+        const bool is_null = nulls[row] != 0;
+        if (!is_null) {
+          FABRIC_RETURN_IF_ERROR(cursor.ReadScalar(&value));
+        }
+        // One span per batch the run touches.
+        for (const uint32_t end = row + length; row < end;) {
+          ColumnBatch& batch = column->batches[row / kScanBatchSize];
+          RunSpan span;
+          span.start = row;
+          span.length = std::min(end, batch.base + batch.length) - row;
+          span.is_null = is_null;
+          if (!is_null) {
+            span.slot =
+                static_cast<uint32_t>(batch.values.size(chunk.type));
+            cursor.PushScalar(value, &batch.values);
+          }
+          batch.runs.push_back(span);
+          row += span.length;
+        }
       }
       break;
     }
     case Encoding::kDictionary: {
-      batch->layout = ColumnBatch::Layout::kCodeLayout;
-      ByteReader reader(
-          std::string_view(chunk_->data).substr(payload_pos_));
-      size_t before = reader.remaining();
-      for (uint32_t i = base; i < base + length; ++i) {
-        if (nulls_[i]) continue;
-        FABRIC_ASSIGN_OR_RETURN(uint32_t code, reader.GetU32());
-        if (code >= dict_size_) {
-          return InvalidArgumentError("dictionary index out of range");
-        }
-        batch->codes.push_back(code);
+      FABRIC_ASSIGN_OR_RETURN(uint32_t dict_size, cursor.ReadU32());
+      if (dict_size > n) {
+        return InvalidArgumentError("dictionary larger than the column");
       }
-      payload_pos_ += before - reader.remaining();
+      cursor.Reserve(dict_size, &column->dictionary);
+      for (uint32_t k = 0; k < dict_size; ++k) {
+        FABRIC_RETURN_IF_ERROR(cursor.ReadInto(&column->dictionary));
+      }
+      for (ColumnBatch& batch : column->batches) {
+        batch.codes.reserve(batch.length);
+        for (uint32_t i = batch.base; i < batch.base + batch.length; ++i) {
+          if (nulls[i]) continue;
+          FABRIC_ASSIGN_OR_RETURN(uint32_t code, cursor.ReadU32());
+          if (code >= dict_size) {
+            return InvalidArgumentError("dictionary index out of range");
+          }
+          batch.codes.push_back(code);
+        }
+      }
       break;
     }
   }
-
-  next_row_ = base + length;
-  return true;
+  return column;
 }
 
 }  // namespace fabric::storage

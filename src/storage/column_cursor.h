@@ -2,6 +2,7 @@
 #define FABRIC_STORAGE_COLUMN_CURSOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,10 +18,6 @@ namespace fabric::storage {
 // amortizing per-batch dispatch over enough rows that the tight loops
 // dominate.
 inline constexpr uint32_t kScanBatchSize = 1024;
-
-// Decodes only the null bitmap of a chunk (one flag per row). Cheap for
-// every encoding: the bitmap is a fixed-size prefix of the payload.
-Result<std::vector<uint8_t>> DecodeNullFlags(const ColumnChunk& chunk);
 
 // One decoded batch worth of typed column data. Exactly one of the typed
 // vectors is populated, per the chunk's DataType; slots correspond to
@@ -44,13 +41,6 @@ struct TypedVec {
         return strings.size();
     }
     return 0;
-  }
-
-  void clear() {
-    ints.clear();
-    doubles.clear();
-    bools.clear();
-    strings.clear();
   }
 
   // Numeric view of slot `i` (callers guarantee a numeric type).
@@ -110,9 +100,9 @@ struct RunSpan {
   bool is_null = false;
 };
 
-// One batch of a column scan. Layout tells kernels which representation
-// `values` uses; all row indices are absolute container coordinates
-// [base, base + length).
+// One batch of a decoded column. Layout tells kernels which
+// representation `values` uses; all row indices are absolute container
+// coordinates [base, base + length).
 struct ColumnBatch {
   enum class Layout : uint8_t {
     kPlainLayout,  // values slot k = k-th non-null row of the batch
@@ -127,63 +117,42 @@ struct ColumnBatch {
   const uint8_t* nulls = nullptr;
   TypedVec values;             // kPlainLayout / kRunLayout payloads
   std::vector<RunSpan> runs;   // kRunLayout only
-  std::vector<uint32_t> codes;  // kCodeLayout: slots into dictionary()
+  std::vector<uint32_t> codes;  // kCodeLayout: slots into dictionary
+  // kPlainLayout / kCodeLayout: slot_of[row - base] is the row's slot
+  // in `values` / `codes`, or UINT32_MAX for a null row. Empty when the
+  // batch has no null row, in which case the slot is row - base.
+  std::vector<uint32_t> slot_of;
+
+  uint32_t SlotOf(uint32_t row) const {
+    return slot_of.empty() ? row - base : slot_of[row - base];
+  }
 };
 
-// Streams a ColumnChunk as fixed-size batches without materializing the
-// whole column. The chunk must outlive the cursor (varchar slots alias
-// its buffer). RLE runs crossing a batch boundary are split, carrying
-// the in-progress run across Next() calls.
-class ColumnCursor {
- public:
-  Status Open(const ColumnChunk* chunk);
+// A whole ColumnChunk decoded once: its null flags, its dictionary and
+// its kScanBatchSize-row batches (batch b starts at row
+// b * kScanBatchSize). RLE runs crossing a batch boundary are split, one
+// span per batch. Varchar slots alias the chunk's payload and every
+// batch's `nulls` aliases this object's flags, so the chunk must outlive
+// it and stay in place, and the object itself is never copied.
+struct DecodedColumn {
+  DataType type = DataType::kInt64;
+  std::vector<uint8_t> nulls;  // one flag per row
+  TypedVec dictionary;         // kDictionary chunks only
+  std::vector<ColumnBatch> batches;
 
-  // Fills `batch` with the next kScanBatchSize (or fewer) rows. Returns
-  // false when the column is exhausted (batch is left untouched).
-  Result<bool> Next(ColumnBatch* batch);
+  DecodedColumn() = default;
+  DecodedColumn(const DecodedColumn&) = delete;
+  DecodedColumn& operator=(const DecodedColumn&) = delete;
 
-  bool Done() const { return next_row_ >= chunk_->num_rows; }
-
-  DataType type() const { return chunk_->type; }
-  Encoding encoding() const { return chunk_->encoding; }
-  uint32_t num_rows() const { return chunk_->num_rows; }
-
-  // Null flag per row, decoded once at Open().
-  const std::vector<uint8_t>& nulls() const { return nulls_; }
-
-  // Dictionary values (kDictionary chunks only), decoded once at Open();
-  // kCodeLayout batches index into this.
-  const TypedVec& dictionary() const { return dictionary_; }
-  uint32_t dictionary_size() const { return dict_size_; }
-
- private:
-  // Last scalar read from the payload, kept unboxed so a run split
-  // across batches can re-emit its value into the next batch's TypedVec.
-  // The string_view aliases chunk data, which outlives the cursor.
-  struct Scalar {
-    int64_t i = 0;
-    double d = 0;
-    uint8_t b = 0;
-    std::string_view s;
-  };
-
-  Status ReadScalar(Scalar* out);
-  void PushScalar(const Scalar& s, TypedVec* out) const;
-
-  const ColumnChunk* chunk_ = nullptr;
-  std::vector<uint8_t> nulls_;
-  TypedVec dictionary_;
-  uint32_t dict_size_ = 0;
-  uint32_t next_row_ = 0;
-
-  // Payload read position (byte offset into chunk_->data).
-  size_t payload_pos_ = 0;
-  // RLE state carried across Next() calls.
-  uint32_t runs_left_ = 0;      // encoded runs not yet started
-  uint32_t run_remaining_ = 0;  // rows left in the current (split) run
-  bool run_is_null_ = false;
-  Scalar run_value_;            // value of the current run
+  uint32_t dictionary_size() const {
+    return static_cast<uint32_t>(dictionary.size(type));
+  }
 };
+
+// The one-shot column decoder: reads `chunk`'s payload front to back
+// into a DecodedColumn. Fails on a corrupt payload.
+Result<std::unique_ptr<DecodedColumn>> DecodeColumnBatches(
+    const ColumnChunk& chunk);
 
 }  // namespace fabric::storage
 

@@ -69,8 +69,8 @@ Result<ColumnChunk> EncodeRowColumn(DataType type,
 
 // Decodes a chunk back to values, appending them to *out: the
 // materialize-everything form that mergeout and purge use. Scans read
-// chunks through ColumnCursor (storage/column_cursor.h), the streaming
-// batch decoder, instead.
+// a container's DecodedColumn (storage/column_cursor.h), decoded once
+// into typed batches, instead.
 Status DecodeColumnInto(const ColumnChunk& chunk, std::vector<Value>* out);
 
 // DecodeColumnInto into a fresh vector.

@@ -28,17 +28,6 @@ inline int SlotThreeWay(const CompareTerm& term, const TypedVec& values,
   return NumericThreeWay(values.NumberAt(type, i), term.number);
 }
 
-// Maps each batch row to its TypedVec/code slot: slot_of[row - base] is
-// the non-null ordinal, or UINT32_MAX for null rows.
-std::vector<uint32_t> BuildSlotIndex(const ColumnBatch& batch) {
-  std::vector<uint32_t> slot_of(batch.length, UINT32_MAX);
-  uint32_t slot = 0;
-  for (uint32_t i = 0; i < batch.length; ++i) {
-    if (!batch.nulls[batch.base + i]) slot_of[i] = slot++;
-  }
-  return slot_of;
-}
-
 // Index of the RunSpan containing `pos`, advancing `*run` (positions are
 // visited in ascending order).
 inline const RunSpan& SpanAt(const std::vector<RunSpan>& runs, size_t* run,
@@ -135,9 +124,9 @@ bool CompareTermCanMatch(const CompareTerm& term, const Value& min,
   return true;
 }
 
-void FilterCompare(const CompareTerm& term, const ColumnCursor& cursor,
+void FilterCompare(const CompareTerm& term, const DecodedColumn& column,
                    const ColumnBatch& batch, SelectionVector* sel) {
-  const DataType type = cursor.type();
+  const DataType type = column.type;
   SelectionVector out;
   out.reserve(sel->size());
   switch (batch.layout) {
@@ -160,9 +149,8 @@ void FilterCompare(const CompareTerm& term, const ColumnCursor& cursor,
           }
         }
       } else {
-        std::vector<uint32_t> slot_of = BuildSlotIndex(batch);
         for (uint32_t pos : *sel) {
-          uint32_t slot = slot_of[pos - batch.base];
+          uint32_t slot = batch.SlotOf(pos);
           if (slot == UINT32_MAX) continue;  // NULL never passes
           if (ComparePasses(term.op,
                             SlotThreeWay(term, batch.values, type, slot))) {
@@ -192,15 +180,14 @@ void FilterCompare(const CompareTerm& term, const ColumnCursor& cursor,
     case ColumnBatch::Layout::kCodeLayout: {
       // Evaluate once per distinct value: a pass-bitmap over the
       // dictionary, then a code lookup per selected row.
-      const TypedVec& dict = cursor.dictionary();
-      std::vector<uint8_t> dict_pass(cursor.dictionary_size());
+      const TypedVec& dict = column.dictionary;
+      std::vector<uint8_t> dict_pass(column.dictionary_size());
       for (size_t d = 0; d < dict_pass.size(); ++d) {
         dict_pass[d] =
             ComparePasses(term.op, SlotThreeWay(term, dict, type, d));
       }
-      std::vector<uint32_t> slot_of = BuildSlotIndex(batch);
       for (uint32_t pos : *sel) {
-        uint32_t slot = slot_of[pos - batch.base];
+        uint32_t slot = batch.SlotOf(pos);
         if (slot == UINT32_MAX) continue;
         if (dict_pass[batch.codes[slot]]) out.push_back(pos);
       }
@@ -220,15 +207,14 @@ void FilterNullTest(const NullTestTerm& term, const uint8_t* nulls,
   sel->swap(out);
 }
 
-void AccumulateHash(const ColumnCursor& cursor, const ColumnBatch& batch,
+void AccumulateHash(const DecodedColumn& column, const ColumnBatch& batch,
                     const SelectionVector& sel, std::vector<uint64_t>* acc) {
-  const DataType type = cursor.type();
+  const DataType type = column.type;
   const uint64_t null_hash = Mix64(0xdeadULL);  // Value::SegmentationHash
   switch (batch.layout) {
     case ColumnBatch::Layout::kPlainLayout: {
-      std::vector<uint32_t> slot_of = BuildSlotIndex(batch);
       for (size_t k = 0; k < sel.size(); ++k) {
-        uint32_t slot = slot_of[sel[k] - batch.base];
+        uint32_t slot = batch.SlotOf(sel[k]);
         uint64_t h = slot == UINT32_MAX ? null_hash
                                         : batch.values.Hash(type, slot);
         (*acc)[k] = HashCombine((*acc)[k], h);
@@ -255,14 +241,13 @@ void AccumulateHash(const ColumnCursor& cursor, const ColumnBatch& batch,
     }
     case ColumnBatch::Layout::kCodeLayout: {
       // Hash once per distinct value.
-      const TypedVec& dict = cursor.dictionary();
-      std::vector<uint64_t> dict_hash(cursor.dictionary_size());
+      const TypedVec& dict = column.dictionary;
+      std::vector<uint64_t> dict_hash(column.dictionary_size());
       for (size_t d = 0; d < dict_hash.size(); ++d) {
         dict_hash[d] = dict.Hash(type, d);
       }
-      std::vector<uint32_t> slot_of = BuildSlotIndex(batch);
       for (size_t k = 0; k < sel.size(); ++k) {
-        uint32_t slot = slot_of[sel[k] - batch.base];
+        uint32_t slot = batch.SlotOf(sel[k]);
         uint64_t h =
             slot == UINT32_MAX ? null_hash : dict_hash[batch.codes[slot]];
         (*acc)[k] = HashCombine((*acc)[k], h);
@@ -286,15 +271,14 @@ void FilterHashRange(const HashRangeTerm& term, std::vector<uint64_t>* acc,
   acc->resize(kept);
 }
 
-void GatherColumn(const ColumnCursor& cursor, const ColumnBatch& batch,
+void GatherColumn(const DecodedColumn& column, const ColumnBatch& batch,
                   const SelectionVector& sel, int out_column,
                   std::vector<Row>* rows, size_t rows_offset) {
-  const DataType type = cursor.type();
+  const DataType type = column.type;
   switch (batch.layout) {
     case ColumnBatch::Layout::kPlainLayout: {
-      std::vector<uint32_t> slot_of = BuildSlotIndex(batch);
       for (size_t k = 0; k < sel.size(); ++k) {
-        uint32_t slot = slot_of[sel[k] - batch.base];
+        uint32_t slot = batch.SlotOf(sel[k]);
         if (slot == UINT32_MAX) continue;  // stays NULL
         (*rows)[rows_offset + k][out_column] = batch.values.Box(type, slot);
       }
@@ -318,12 +302,11 @@ void GatherColumn(const ColumnCursor& cursor, const ColumnBatch& batch,
     }
     case ColumnBatch::Layout::kCodeLayout: {
       // Box each distinct value at most once.
-      const TypedVec& dict = cursor.dictionary();
-      std::vector<uint8_t> have(cursor.dictionary_size());
-      std::vector<Value> boxed(cursor.dictionary_size());
-      std::vector<uint32_t> slot_of = BuildSlotIndex(batch);
+      const TypedVec& dict = column.dictionary;
+      std::vector<uint8_t> have(column.dictionary_size());
+      std::vector<Value> boxed(column.dictionary_size());
       for (size_t k = 0; k < sel.size(); ++k) {
-        uint32_t slot = slot_of[sel[k] - batch.base];
+        uint32_t slot = batch.SlotOf(sel[k]);
         if (slot == UINT32_MAX) continue;
         uint32_t code = batch.codes[slot];
         if (!have[code]) {
@@ -337,9 +320,9 @@ void GatherColumn(const ColumnCursor& cursor, const ColumnBatch& batch,
   }
 }
 
-void MeasureColumn(const ColumnCursor& cursor, const ColumnBatch& batch,
+void MeasureColumn(const DecodedColumn& column, const ColumnBatch& batch,
                    const SelectionVector& sel, DataProfile* profile) {
-  const DataType type = cursor.type();
+  const DataType type = column.type;
   profile->fields += static_cast<double>(sel.size());
   // Fixed-width types need only the null flags: raw size is a constant
   // per non-null row.
@@ -355,9 +338,8 @@ void MeasureColumn(const ColumnCursor& cursor, const ColumnBatch& batch,
   // Varchar: byte counts come from the encoded payload.
   switch (batch.layout) {
     case ColumnBatch::Layout::kPlainLayout: {
-      std::vector<uint32_t> slot_of = BuildSlotIndex(batch);
       for (uint32_t pos : sel) {
-        uint32_t slot = slot_of[pos - batch.base];
+        uint32_t slot = batch.SlotOf(pos);
         if (slot == UINT32_MAX) continue;
         double size = batch.values.RawSize(type, slot);
         profile->raw_bytes += size;
@@ -377,10 +359,9 @@ void MeasureColumn(const ColumnCursor& cursor, const ColumnBatch& batch,
       break;
     }
     case ColumnBatch::Layout::kCodeLayout: {
-      const TypedVec& dict = cursor.dictionary();
-      std::vector<uint32_t> slot_of = BuildSlotIndex(batch);
+      const TypedVec& dict = column.dictionary;
       for (uint32_t pos : sel) {
-        uint32_t slot = slot_of[pos - batch.base];
+        uint32_t slot = batch.SlotOf(pos);
         if (slot == UINT32_MAX) continue;
         double size = dict.RawSize(type, batch.codes[slot]);
         profile->raw_bytes += size;

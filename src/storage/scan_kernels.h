@@ -81,10 +81,10 @@ bool CompareTermCanMatch(const CompareTerm& term, const Value& min,
 // Comparison filter evaluated on the encoded form: once per run for RLE,
 // once per distinct dictionary value (pass-bitmap over the dictionary),
 // tight loop for plain.
-void FilterCompare(const CompareTerm& term, const ColumnCursor& cursor,
+void FilterCompare(const CompareTerm& term, const DecodedColumn& column,
                    const ColumnBatch& batch, SelectionVector* sel);
 
-// IS [NOT] NULL needs only the null flags; no payload decode at all.
+// IS [NOT] NULL reads only the null flags.
 void FilterNullTest(const NullTestTerm& term, const uint8_t* nulls,
                     SelectionVector* sel);
 
@@ -93,7 +93,7 @@ void FilterNullTest(const NullTestTerm& term, const uint8_t* nulls,
 // AccumulateHash once per term column in order, then FilterHashRange to
 // apply the ring bounds. Hashes once per distinct dictionary value /
 // once per run.
-void AccumulateHash(const ColumnCursor& cursor, const ColumnBatch& batch,
+void AccumulateHash(const DecodedColumn& column, const ColumnBatch& batch,
                     const SelectionVector& sel, std::vector<uint64_t>* acc);
 // Applies the ring bounds; `acc` is parallel to `sel` and both are
 // compacted to the survivors.
@@ -103,14 +103,14 @@ void FilterHashRange(const HashRangeTerm& term, std::vector<uint64_t>* acc,
 // Late materialization: boxes the column's values at the selected
 // positions into (*rows)[rows_offset + k][out_column] for sel[k].
 // Dictionary batches box each distinct value at most once.
-void GatherColumn(const ColumnCursor& cursor, const ColumnBatch& batch,
+void GatherColumn(const DecodedColumn& column, const ColumnBatch& batch,
                   const SelectionVector& sel, int out_column,
                   std::vector<Row>* rows, size_t rows_offset = 0);
 
 // Cost accounting without boxing: adds the ProfileRows contribution of
 // this column at the selected positions (fields/raw/numeric/string
 // bytes; rows stays 0 — the caller sets it once per row set).
-void MeasureColumn(const ColumnCursor& cursor, const ColumnBatch& batch,
+void MeasureColumn(const DecodedColumn& column, const ColumnBatch& batch,
                    const SelectionVector& sel, DataProfile* profile);
 
 }  // namespace fabric::storage

@@ -29,27 +29,22 @@ void MeasureRowColumns(const Row& row, const std::vector<int>& columns,
   }
 }
 
-// Walks the batches of `chunk` covering positions of `sel`, invoking
-// fn(cursor, batch, first, last) with the [first, last) index range of
-// `sel` inside the batch. Stops once the selection is exhausted, so
-// trailing batches of the column are never decoded.
+// Walks the decoded batches of `container`'s column `col` covering
+// positions of `sel`, invoking fn(column, batch, first, last) with the
+// [first, last) index range of `sel` inside the batch. Batches holding
+// no selected row are skipped.
 template <typename Fn>
-Status ForEachBatchSlice(const ColumnChunk& chunk, const SelectionVector& sel,
-                         Fn&& fn) {
+Status ForEachBatchSlice(const RosContainer& container, int col,
+                         const SelectionVector& sel, Fn&& fn) {
   if (sel.empty()) return Status::OK();
-  ColumnCursor cursor;
-  FABRIC_RETURN_IF_ERROR(cursor.Open(&chunk));
-  ColumnBatch batch;
-  size_t i = 0;
-  while (i < sel.size()) {
-    FABRIC_ASSIGN_OR_RETURN(bool more, cursor.Next(&batch));
-    if (!more) break;
+  FABRIC_ASSIGN_OR_RETURN(const DecodedColumn* column,
+                          container.decoded_column(col));
+  for (size_t i = 0; i < sel.size();) {
+    const ColumnBatch& batch = column->batches[sel[i] / kScanBatchSize];
     uint32_t end = batch.base + batch.length;
-    size_t j = i;
+    size_t j = i + 1;
     while (j < sel.size() && sel[j] < end) ++j;
-    if (j > i) {
-      FABRIC_RETURN_IF_ERROR(fn(cursor, batch, i, j));
-    }
+    FABRIC_RETURN_IF_ERROR(fn(*column, batch, i, j));
     i = j;
   }
   return Status::OK();
@@ -177,6 +172,15 @@ Status RosContainer::EncodeColumns(const Schema& schema,
     max_values_[c] = std::move(bounds.max);
   }
   return Status::OK();
+}
+
+Result<const DecodedColumn*> RosContainer::decoded_column(int col) const {
+  std::vector<std::unique_ptr<DecodedColumn>>& slots = decoded_.slots;
+  if (slots.empty()) slots.resize(columns_.size());
+  if (slots[col] == nullptr) {
+    FABRIC_ASSIGN_OR_RETURN(slots[col], DecodeColumnBatches(columns_[col]));
+  }
+  return slots[col].get();
 }
 
 double RosContainer::encoded_bytes() const {
@@ -523,11 +527,11 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
   if (spec.cost_columns != nullptr) {
     for (int c : *spec.cost_columns) {
       FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-          container.column(c), sel,
-          [&](const ColumnCursor& cursor, const ColumnBatch& batch,
+          container, c, sel,
+          [&](const DecodedColumn& column, const ColumnBatch& batch,
               size_t first, size_t last) {
             SelectionVector sub(sel.begin() + first, sel.begin() + last);
-            MeasureColumn(cursor, batch, sub, &stats->visible_profile);
+            MeasureColumn(column, batch, sub, &stats->visible_profile);
             return Status::OK();
           }));
     }
@@ -558,23 +562,22 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
       SelectionVector refined;
       refined.reserve(sel.size());
       FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-          container.column(term.column), sel,
-          [&](const ColumnCursor& cursor, const ColumnBatch& batch,
+          container, term.column, sel,
+          [&](const DecodedColumn& column, const ColumnBatch& batch,
               size_t first, size_t last) {
             SelectionVector sub(sel.begin() + first, sel.begin() + last);
-            FilterCompare(term, cursor, batch, &sub);
+            FilterCompare(term, column, batch, &sub);
             refined.insert(refined.end(), sub.begin(), sub.end());
             return Status::OK();
           }));
       sel.swap(refined);
     }
-    // NULL tests need only the bitmap prefix.
+    // NULL tests need only the null flags.
     for (const NullTestTerm& term : pred.null_tests) {
       if (sel.empty()) return sel;
-      FABRIC_ASSIGN_OR_RETURN(
-          std::vector<uint8_t> nulls,
-          DecodeNullFlags(container.column(term.column)));
-      FilterNullTest(term, nulls.data(), &sel);
+      FABRIC_ASSIGN_OR_RETURN(const DecodedColumn* column,
+                              container.decoded_column(term.column));
+      FilterNullTest(term, column->nulls.data(), &sel);
     }
     // Hash-range terms: combine per-column hashes for the surviving
     // rows, then apply the ring bounds.
@@ -583,13 +586,13 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
       std::vector<uint64_t> acc(sel.size(), kSegmentationHashSeed);
       for (int c : term.columns) {
         FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-            container.column(c), sel,
-            [&](const ColumnCursor& cursor, const ColumnBatch& batch,
+            container, c, sel,
+            [&](const DecodedColumn& column, const ColumnBatch& batch,
                 size_t first, size_t last) {
               SelectionVector sub(sel.begin() + first, sel.begin() + last);
               std::vector<uint64_t> sub_acc(acc.begin() + first,
                                             acc.begin() + last);
-              AccumulateHash(cursor, batch, sub, &sub_acc);
+              AccumulateHash(column, batch, sub, &sub_acc);
               std::copy(sub_acc.begin(), sub_acc.end(),
                         acc.begin() + first);
               return Status::OK();
@@ -610,11 +613,11 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
     if (spec.residual_columns != nullptr) {
       for (int c : *spec.residual_columns) {
         FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-            container.column(c), sel,
-            [&](const ColumnCursor& cursor, const ColumnBatch& batch,
+            container, c, sel,
+            [&](const DecodedColumn& column, const ColumnBatch& batch,
                 size_t first, size_t last) {
               SelectionVector sub(sel.begin() + first, sel.begin() + last);
-              GatherColumn(cursor, batch, sub, c, &scratch, first);
+              GatherColumn(column, batch, sub, c, &scratch, first);
               return Status::OK();
             }));
       }
@@ -654,12 +657,12 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
                Row(static_cast<size_t>(schema_.num_columns())));
   for (int c : *projection) {
     FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-        container.column(c), sel,
-        [&](const ColumnCursor& cursor, const ColumnBatch& batch,
+        container, c, sel,
+        [&](const DecodedColumn& column, const ColumnBatch& batch,
             size_t first, size_t last) {
           SelectionVector sub(sel.begin() + first, sel.begin() + last);
-          MeasureColumn(cursor, batch, sub, &stats->output_profile);
-          GatherColumn(cursor, batch, sub, c, emit, out_base + first);
+          MeasureColumn(column, batch, sub, &stats->output_profile);
+          GatherColumn(column, batch, sub, c, emit, out_base + first);
           return Status::OK();
         }));
   }

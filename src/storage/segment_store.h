@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "storage/column_cursor.h"
 #include "storage/encoding.h"
 #include "storage/profile.h"
 #include "storage/scan_kernels.h"
@@ -92,9 +94,13 @@ class RosContainer {
   const Value& min_value(int col) const { return min_values_[col]; }
   const Value& max_value(int col) const { return max_values_[col]; }
 
-  // Encoded column payload (the vectorized scan path opens cursors on
-  // individual columns instead of decoding all rows).
+  // Encoded column payload.
   const ColumnChunk& column(int col) const { return columns_[col]; }
+
+  // Column `col` decoded into scan batches: built by the first scan that
+  // touches the column, then shared by every later scan pass and query
+  // (the columns never change; delete marks and epochs are not cached).
+  Result<const DecodedColumn*> decoded_column(int col) const;
 
   // Decodes all rows (visibility is applied by the caller via marks).
   Result<std::vector<Row>> DecodeRows() const;
@@ -129,6 +135,30 @@ class RosContainer {
   std::vector<Value> min_values_;
   std::vector<Value> max_values_;
   std::vector<DeleteMark> delete_marks_;
+
+  // Lazily decoded columns_, one slot per column. The slots alias the
+  // chunk payloads: a copy holds its own payload, and a moved short
+  // string relocates its bytes, so a copied or moved container starts
+  // with an empty cache and a moved-from one drops its own. Each engine
+  // owns its databases on one host thread: no lock.
+  class DecodedCache {
+   public:
+    DecodedCache() = default;
+    DecodedCache(const DecodedCache&) {}
+    DecodedCache(DecodedCache&& other) noexcept { other.slots.clear(); }
+    DecodedCache& operator=(const DecodedCache&) {
+      slots.clear();
+      return *this;
+    }
+    DecodedCache& operator=(DecodedCache&& other) noexcept {
+      slots.clear();
+      other.slots.clear();
+      return *this;
+    }
+
+    std::vector<std::unique_ptr<DecodedColumn>> slots;
+  };
+  mutable DecodedCache decoded_;
 };
 
 // Write Optimized Storage batch: uncompressed row store for small commits

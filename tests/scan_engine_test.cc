@@ -3,7 +3,8 @@
 // vectors, late materialization) must agree exactly — rows, counters and
 // cost profiles — with the row-at-a-time reference (ScanVisible + the
 // SQL interpreter) across randomized schemas, encodings, null
-// densities, delete-mark states and predicate shapes.
+// densities, delete-mark states and predicate shapes, with Tuple Mover
+// steps, deletes and store copies between the queries.
 
 #include <memory>
 #include <set>
@@ -86,7 +87,24 @@ struct RandomTable {
   std::unique_ptr<storage::SegmentStore> store;
   Epoch last_epoch = 0;
   std::vector<TxnId> open_txns;  // still pending at build end
+  TxnId next_txn = 100;
+  int row_counter = 0;
 };
+
+// `n` random rows in the table's column shapes.
+std::vector<Row> RandomRows(Rng& rng, RandomTable& t, int n) {
+  std::vector<Row> rows;
+  rows.reserve(n);
+  for (int i = 0; i < n; ++i, ++t.row_counter) {
+    Row row;
+    for (int c = 0; c < t.schema.num_columns(); ++c) {
+      row.push_back(RandomValue(rng, t.schema.column(c).type, t.shapes[c],
+                                t.null_p[c], t.row_counter));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
 
 // ASSERT-compatible (void) builder; on failure `t->store` stays null.
 void BuildRandomTable(Rng& rng, RandomTable* out) {
@@ -108,22 +126,11 @@ void BuildRandomTable(Rng& rng, RandomTable* out) {
   t.schema = Schema(std::move(defs));
   t.store = std::make_unique<storage::SegmentStore>(t.schema);
 
-  TxnId next_txn = 100;
   int batches = 2 + static_cast<int>(rng.NextUint64(3));
-  int row_counter = 0;
   for (int b = 0; b < batches; ++b) {
-    TxnId txn = next_txn++;
+    TxnId txn = t.next_txn++;
     int n = 30 + static_cast<int>(rng.NextUint64(90));
-    std::vector<Row> rows;
-    rows.reserve(n);
-    for (int i = 0; i < n; ++i, ++row_counter) {
-      Row row;
-      for (int c = 0; c < t.schema.num_columns(); ++c) {
-        row.push_back(RandomValue(rng, t.schema.column(c).type, t.shapes[c],
-                                  t.null_p[c], row_counter));
-      }
-      rows.push_back(std::move(row));
-    }
+    std::vector<Row> rows = RandomRows(rng, t, n);
     if (rng.NextBool(0.6)) {
       ASSERT_TRUE(t.store->InsertPendingDirect(txn, std::move(rows)).ok())
           << "direct insert";
@@ -148,7 +155,7 @@ void BuildRandomTable(Rng& rng, RandomTable* out) {
   // mix of committed and pending delete marks behind.
   int deletes = static_cast<int>(rng.NextUint64(3));
   for (int d = 0; d < deletes; ++d) {
-    TxnId txn = next_txn++;
+    TxnId txn = t.next_txn++;
     int64_t cut = rng.NextInt64(-5, 7);
     auto pred = [cut](const Row& row) {
       const Value& v = row[0];
@@ -163,6 +170,76 @@ void BuildRandomTable(Rng& rng, RandomTable* out) {
     } else {
       t.open_txns.push_back(txn);
     }
+  }
+}
+
+// One random storage change between queries: a Tuple Mover step
+// (moveout, mergeout, purge), a committed delete through the kernel
+// path or the row path, a committed load, or a copy of the whole store.
+// Later queries then mix containers whose decoded columns are cached
+// with containers that are new, rebuilt, moved or copied.
+void MutateStore(Rng& rng, RandomTable* out) {
+  RandomTable& t = *out;
+  storage::SegmentStore& store = *t.store;
+  switch (rng.NextUint64(7)) {
+    case 0:
+      ASSERT_TRUE(store.Moveout().ok());
+      break;
+    case 1: {  // mergeout of a random subset of committed containers
+      std::vector<int> picked;
+      for (int i = 0; i < store.num_ros_containers(); ++i) {
+        if (store.ros_containers()[i].committed() && rng.NextBool(0.6)) {
+          picked.push_back(i);
+        }
+      }
+      ASSERT_TRUE(store.MergeRosContainers(picked).ok());
+      break;
+    }
+    case 2:
+      ASSERT_TRUE(store.PurgeDeletedRows(rng.NextUint64(t.last_epoch + 1))
+                      .ok());
+      break;
+    case 3: {  // DELETE/UPDATE row selection: the scan kernels
+      TxnId txn = t.next_txn++;
+      storage::ScanPredicate pred;
+      pred.compares.push_back({0, storage::CompareOp::kEq, false,
+                               static_cast<double>(rng.NextInt64(0, 7)),
+                               ""});
+      storage::ScanSpec spec;
+      spec.as_of = t.last_epoch;
+      spec.txn = txn;
+      spec.predicate = &pred;
+      ASSERT_TRUE(store.MarkDeletedPending(spec).ok());
+      store.CommitTxn(txn, ++t.last_epoch);
+      break;
+    }
+    case 4: {  // the row-at-a-time delete path
+      TxnId txn = t.next_txn++;
+      int64_t cut = rng.NextInt64(0, 4);
+      ASSERT_TRUE(store
+                      .DeletePending(txn, t.last_epoch,
+                                     [cut](const Row& row) {
+                                       return row[0].int64_value() % 5 ==
+                                              cut;
+                                     })
+                      .ok());
+      store.CommitTxn(txn, ++t.last_epoch);
+      break;
+    }
+    case 5: {  // a committed load, DIRECT or through the WOS
+      TxnId txn = t.next_txn++;
+      std::vector<Row> rows =
+          RandomRows(rng, t, 10 + static_cast<int>(rng.NextUint64(60)));
+      Status loaded = rng.NextBool(0.5)
+                          ? store.InsertPendingDirect(txn, std::move(rows))
+                          : store.InsertPending(txn, std::move(rows));
+      ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+      store.CommitTxn(txn, ++t.last_epoch);
+      break;
+    }
+    default:  // a copy replaces the store, which is destroyed
+      t.store = std::make_unique<storage::SegmentStore>(store);
+      break;
   }
 }
 
@@ -272,7 +349,13 @@ TEST_P(ScanEngineProperty, VectorizedScanMatchesReference) {
   BuildRandomTable(rng, &t);
   ASSERT_NE(t.store, nullptr);
 
+  Rng mutate_rng(0x7e0 + GetParam());
   for (int query = 0; query < 8; ++query) {
+    // Tuple Mover steps, deletes, loads and copies between queries.
+    if (query > 0 && mutate_rng.NextBool(0.6)) {
+      MutateStore(mutate_rng, &t);
+      ASSERT_FALSE(HasFatalFailure());
+    }
     // Random snapshot: any epoch, sometimes through an open txn's eyes.
     Epoch as_of = rng.NextUint64(t.last_epoch + 1);
     TxnId txn = 0;

@@ -2,6 +2,7 @@
 #include <bit>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -9,6 +10,8 @@
 
 #include "common/bytes.h"
 #include "common/random.h"
+#include "common/string_util.h"
+#include "storage/column_cursor.h"
 #include "storage/encoding.h"
 #include "storage/schema.h"
 #include "storage/segment_store.h"
@@ -754,6 +757,244 @@ TEST_F(SegmentStoreTest, StatsTrackBytes) {
   store_.CommitTxn(10, 1);
   EXPECT_DOUBLE_EQ(store_.TotalRawBytes(), 8 + 8 + 3 + 1);
   EXPECT_GT(store_.TotalEncodedBytes(), 0);
+}
+
+// ------------------------------------------- decoded-column cache
+
+// Scans `store` at `as_of` (through `txn`'s eyes) with `pred` (null =
+// match all), measuring and emitting every column, twice: the first
+// pass may decode columns, the second reads what the first cached. Both
+// must agree with the row-at-a-time reference (ScanVisible plus
+// ScanPredicate::Matches) on rows, counters and the visible profile.
+void ExpectScanMatchesReference(const SegmentStore& store, Epoch as_of,
+                                TxnId txn = 0,
+                                const ScanPredicate* pred = nullptr) {
+  std::vector<Row> visible;
+  ASSERT_TRUE(store
+                  .ScanVisible(as_of, txn,
+                               [&](const Row& row) {
+                                 visible.push_back(row);
+                                 return Status::OK();
+                               })
+                  .ok());
+  std::vector<Row> want;
+  for (const Row& row : visible) {
+    if (pred == nullptr || pred->Matches(row)) want.push_back(row);
+  }
+  DataProfile want_visible = ProfileRows(visible);
+  std::vector<int> all(static_cast<size_t>(store.schema().num_columns()));
+  for (size_t c = 0; c < all.size(); ++c) all[c] = static_cast<int>(c);
+  ScanSpec spec;
+  spec.as_of = as_of;
+  spec.txn = txn;
+  spec.predicate = pred;
+  spec.cost_columns = &all;
+  for (int pass = 0; pass < 2; ++pass) {
+    ScanStats stats;
+    auto got = store.Scan(spec, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), want.size()) << "pass " << pass;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(RowsEqual((*got)[i], want[i]))
+          << "pass " << pass << " row " << i;
+    }
+    EXPECT_EQ(stats.rows_visible, static_cast<int64_t>(visible.size()));
+    EXPECT_EQ(stats.visible_profile.fields, want_visible.fields);
+    EXPECT_EQ(stats.visible_profile.raw_bytes, want_visible.raw_bytes);
+    EXPECT_EQ(stats.visible_profile.string_bytes,
+              want_visible.string_bytes);
+  }
+}
+
+// The predicates the cache tests scan with: all rows, a compare term
+// on each column type, a null test, and a V2S-style hash range.
+std::vector<ScanPredicate> CachePredicates() {
+  std::vector<ScanPredicate> preds(6);
+  preds[1].compares.push_back({0, CompareOp::kGe, false, 3, ""});
+  preds[2].compares.push_back({1, CompareOp::kLt, false, 0.5, ""});
+  preds[3].compares.push_back({2, CompareOp::kNe, true, 0, "b"});
+  preds[4].null_tests.push_back({1, /*negated=*/true});
+  preds[5].hash_ranges.push_back({{0, 2}, 0, ~0ull / 3});
+  return preds;
+}
+
+void ExpectAllScansMatch(const SegmentStore& store, Epoch as_of,
+                         TxnId txn = 0) {
+  for (const ScanPredicate& pred : CachePredicates()) {
+    ExpectScanMatchesReference(store, as_of, txn, &pred);
+  }
+}
+
+TEST(DecodedColumnTest, CacheIsSharedAndCopiesStartEmpty) {
+  auto ros = RosContainer::Create(TestSchema(), {MakeRow(1, 1.0, "a", true)},
+                                  /*txn=*/1);
+  ASSERT_TRUE(ros.ok());
+  auto first = ros->decoded_column(2);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(ros->decoded_column(2).value(), *first);  // built once
+  ASSERT_EQ((*first)->batches.size(), 1u);
+  EXPECT_EQ((*first)->batches[0].values.StringAt(0), "a");
+  // A copy decodes from its own payload: a one-row chunk is a short
+  // string, whose bytes a copy or move relocates.
+  RosContainer copy = *ros;
+  auto copied = copy.decoded_column(2);
+  ASSERT_TRUE(copied.ok());
+  EXPECT_NE(*copied, *first);
+  const std::string& payload = copy.column(2).data;
+  const char* view = (*copied)->batches[0].values.StringAt(0).data();
+  EXPECT_TRUE(view >= payload.data() &&
+              view < payload.data() + payload.size());
+  RosContainer moved = std::move(copy);
+  auto after_move = moved.decoded_column(2);
+  ASSERT_TRUE(after_move.ok());
+  EXPECT_EQ((*after_move)->batches[0].values.StringAt(0), "a");
+}
+
+TEST(DecodedColumnTest, BatchesSplitRunsAtBoundaries) {
+  // One RLE run of 1500 rows straddles the first batch boundary, a null
+  // run straddles the second.
+  std::vector<Value> values(1500, Value::Int64(7));
+  values.resize(2100, Value::Null());
+  values.resize(2200, Value::Int64(9));
+  auto chunk = EncodeColumnAs(DataType::kInt64, Encoding::kRle, values);
+  ASSERT_TRUE(chunk.ok());
+  auto column = DecodeColumnBatches(*chunk);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  ASSERT_EQ((*column)->batches.size(), 3u);
+  for (size_t b = 0; b < 3; ++b) {
+    const ColumnBatch& batch = (*column)->batches[b];
+    EXPECT_EQ(batch.base, b * kScanBatchSize);
+    uint32_t row = batch.base;
+    for (const RunSpan& span : batch.runs) {
+      EXPECT_EQ(span.start, row);
+      for (uint32_t i = span.start; i < span.start + span.length; ++i) {
+        ASSERT_EQ(span.is_null, values[i].is_null()) << i;
+        if (!span.is_null) {
+          EXPECT_EQ(batch.values.ints[span.slot], values[i].int64_value());
+        }
+      }
+      row += span.length;
+    }
+    EXPECT_EQ(row, batch.base + batch.length) << "batch " << b;
+  }
+  EXPECT_EQ((*column)->batches[2].length, 2200 - 2 * kScanBatchSize);
+}
+
+// Rows of the four-column test schema shaped to hit batch edges: `id`
+// runs of 300 (runs cross every 1024-row boundary), `score` with nulls,
+// `name` from a small dictionary with nulls, and `flag` all null.
+std::vector<Row> BoundaryRows(int n) {
+  std::vector<Row> rows;
+  const char* kNames[] = {"a", "b", "ccc"};
+  for (int i = 0; i < n; ++i) {
+    Row row = MakeRow(i / 300, (i % 7) / 7.0, kNames[i % 3], false);
+    if (i % 5 == 0) row[1] = Value::Null();
+    if (i % 4 == 1) row[2] = Value::Null();
+    row[3] = Value::Null();
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(DecodedColumnTest, ScansMatchReferenceAtBatchBoundaries) {
+  for (int n : {1, 1023, 1024, 1025, 2049}) {
+    for (Encoding encoding :
+         {Encoding::kPlain, Encoding::kRle, Encoding::kDictionary}) {
+      SCOPED_TRACE(StrCat("rows ", n, " encoding ", EncodingName(encoding)));
+      PhysicalDesign design;
+      design.encodings.assign(4, encoding);
+      SegmentStore store(TestSchema(), design);
+      ASSERT_TRUE(store.InsertPendingDirect(10, BoundaryRows(n)).ok());
+      store.CommitTxn(10, 1);
+      ExpectAllScansMatch(store, 1);
+      // Delete marks change between scans; the cached columns must not.
+      ScanPredicate later_ids;
+      later_ids.compares.push_back({0, CompareOp::kGe, false, 2, ""});
+      ScanSpec spec;
+      spec.as_of = 1;
+      spec.txn = 11;
+      spec.predicate = &later_ids;
+      ASSERT_TRUE(store.MarkDeletedPending(spec).ok());
+      ExpectAllScansMatch(store, 1, /*txn=*/11);
+      store.CommitTxn(11, 2);
+      ExpectAllScansMatch(store, 1);
+      ExpectAllScansMatch(store, 2);
+    }
+  }
+}
+
+TEST(DecodedColumnTest, ScansSurviveStoreMutations) {
+  auto store = std::make_unique<SegmentStore>(TestSchema());
+  TxnId txn = 10;
+  Epoch epoch = 0;
+  auto load = [&](std::vector<Row> rows) {
+    ASSERT_TRUE(store->InsertPendingDirect(txn, std::move(rows)).ok());
+    store->CommitTxn(txn++, ++epoch);
+  };
+  // One-row containers: every chunk payload is a short string.
+  load({MakeRow(0, 0.25, "a", true)});
+  ExpectAllScansMatch(*store, epoch);
+
+  // Grow ros_ through three reallocations, scanning between loads so
+  // every container moves with a warm cache.
+  int reallocations = 0;
+  for (int i = 1; reallocations < 3; ++i) {
+    ASSERT_LT(i, 64);
+    size_t capacity = store->ros_containers().capacity();
+    load({MakeRow(i, i / 8.0, i % 2 ? "b" : "cc", i % 3 == 0)});
+    if (store->ros_containers().capacity() != capacity) ++reallocations;
+    ExpectAllScansMatch(*store, epoch);
+  }
+  load(BoundaryRows(1500));
+  ExpectAllScansMatch(*store, epoch);
+
+  // Moveout appends a container built from committed WOS rows.
+  ASSERT_TRUE(store->InsertPending(txn, BoundaryRows(40)).ok());
+  store->CommitTxn(txn++, ++epoch);
+  ExpectAllScansMatch(*store, epoch);
+  ASSERT_TRUE(store->Moveout().ok());
+  ExpectAllScansMatch(*store, epoch);
+  ExpectAllScansMatch(*store, epoch - 1);
+
+  // Mergeout erases containers, shifting every later one.
+  ASSERT_TRUE(store->MergeRosContainers({0, 2, 3}).ok());
+  ExpectAllScansMatch(*store, epoch);
+
+  // DELETE and UPDATE-style marks: the kernel path and the legacy path.
+  ScanPredicate low_ids;
+  low_ids.compares.push_back({0, CompareOp::kLt, false, 3, ""});
+  ScanSpec spec;
+  spec.as_of = epoch;
+  spec.txn = txn;
+  spec.predicate = &low_ids;
+  std::vector<Row> victims;
+  ASSERT_TRUE(store->MarkDeletedPending(spec, &victims).ok());
+  EXPECT_FALSE(victims.empty());
+  ExpectAllScansMatch(*store, epoch, txn);
+  store->CommitTxn(txn++, ++epoch);
+  ASSERT_TRUE(store
+                  ->DeletePending(txn, epoch,
+                                  [](const Row& row) {
+                                    return row[0].int64_value() % 2 == 1;
+                                  })
+                  .ok());
+  store->CommitTxn(txn++, ++epoch);
+  ExpectAllScansMatch(*store, epoch);
+  ExpectAllScansMatch(*store, epoch - 2);
+
+  // Purge rebuilds the containers that held deleted rows in place.
+  ASSERT_TRUE(store->PurgeDeletedRows(epoch).ok());
+  ExpectAllScansMatch(*store, epoch);
+
+  // Copies (k-safety recovery clones whole stores) decode from their
+  // own payloads, and keep working after the original is gone.
+  SegmentStore copy = *store;
+  SegmentStore clone(TestSchema());
+  clone.CopyContentsFrom(*store);
+  ExpectAllScansMatch(*store, epoch);
+  store.reset();
+  ExpectAllScansMatch(copy, epoch);
+  ExpectAllScansMatch(clone, epoch);
 }
 
 }  // namespace
