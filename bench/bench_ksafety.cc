@@ -96,7 +96,7 @@ int main() {
     FabricOptions options;
     Fabric fabric(options);
     SaveViaS2V(fabric, ScoreSchema(), ScoreRows(10000), "t", 16);
-    fabric.RunTimed([&](sim::Process& driver) {
+    fabric.RunTimed([&](sim::Process&) {
       FABRIC_CHECK_OK(fabric.db()->KillNode(2));
     });
     degraded = LoadViaV2S(fabric, "t", 16);

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the fabric's hot paths: ring
-// hashing, columnar encodings, the Avro batch codec, SQL parsing, the
-// sim engine's per-wake and per-spawn cost, the flow simulator's
-// re-rating step, the vectorized scan engine
+// hashing, columnar encodings, Tuple Mover mergeout, the Avro batch
+// codec, SQL parsing, the sim engine's per-wake and per-spawn cost, the
+// flow simulator's re-rating step, the vectorized scan engine
 // (predicate kernels on encoded data vs the decode-then-filter
 // baseline; first vs repeat scans of a ROS container), and value
 // formatting behind group/join keys and SQL text.
@@ -122,6 +122,72 @@ void BM_RosContainerCreate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1500);
 }
 BENCHMARK(BM_RosContainerCreate)->Arg(16)->Arg(100);
+
+// One mergeout of 8 committed DIRECT containers, shaped like one
+// bulk_ingest save of 8 partitions. Arg 0 picks the store: 0 is 16
+// uniform-float columns (1500 rows), 1 a clickstream of sorted ints and
+// low-cardinality strings (3000 rows). Arg 1 picks the design: 0 keeps
+// insertion order, 1 sorts on the first two columns.
+void BM_MergeRosContainers(benchmark::State& state) {
+  const bool click = state.range(0) == 1;
+  std::vector<storage::ColumnDef> defs;
+  if (click) {
+    defs = {{"user_id", storage::DataType::kInt64},
+            {"ts", storage::DataType::kInt64},
+            {"page", storage::DataType::kVarchar},
+            {"action", storage::DataType::kVarchar},
+            {"dwell_ms", storage::DataType::kInt64}};
+  } else {
+    for (int c = 0; c < 16; ++c) {
+      defs.push_back({StrCat("c", c), storage::DataType::kFloat64});
+    }
+  }
+  storage::Schema schema(std::move(defs));
+  storage::PhysicalDesign design;
+  if (state.range(1) == 1) design.sort_columns = {0, 1};
+  storage::SegmentStore base(schema, design);
+  Rng rng(8);
+  const int rows_per_container = click ? 375 : 188;
+  int64_t user = 0;
+  int64_t ts = 1'600'000'000;
+  for (storage::TxnId txn = 1; txn <= 8; ++txn) {
+    std::vector<storage::Row> rows;
+    for (int i = 0; i < rows_per_container; ++i) {
+      storage::Row row;
+      if (click) {
+        if (rng.NextBool(0.1)) user += 1 + rng.NextInt64(0, 2);
+        ts += rng.NextInt64(0, 4);
+        row = {storage::Value::Int64(user), storage::Value::Int64(ts),
+               storage::Value::Varchar(StrCat("page", rng.NextInt64(0, 11))),
+               storage::Value::Varchar(StrCat("act", rng.NextInt64(0, 3))),
+               storage::Value::Int64(rng.NextInt64(0, 99))};
+      } else {
+        for (int c = 0; c < 16; ++c) {
+          row.push_back(storage::Value::Float64(rng.NextDouble()));
+        }
+      }
+      rows.push_back(std::move(row));
+    }
+    FABRIC_CHECK_OK(base.InsertPendingDirect(txn, std::move(rows)));
+    base.CommitTxn(txn, txn);
+  }
+  const std::vector<int> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  storage::SegmentStore store(schema, design);
+  for (auto _ : state) {
+    state.PauseTiming();
+    store.CopyContentsFrom(base);
+    state.ResumeTiming();
+    auto merged = store.MergeRosContainers(all);
+    FABRIC_CHECK_OK(merged.status());
+    benchmark::DoNotOptimize(merged);
+  }
+  state.SetItemsProcessed(state.iterations() * 8 * rows_per_container);
+}
+BENCHMARK(BM_MergeRosContainers)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 void BM_DecodeColumn(benchmark::State& state) {
   Rng rng(3);
@@ -679,8 +745,13 @@ void BM_GroupTableAdd(benchmark::State& state) {
     rows.push_back({storage::Value::Int64(rng.NextInt64(0, 11) * 1000003),
                     storage::Value::Float64(rng.NextDouble())});
   }
-  const std::vector<exec::AggCall> calls = {
-      {exec::AggFn::kCount}, {exec::AggFn::kSum}};
+  auto call = [](exec::AggFn fn) {
+    exec::AggCall c;
+    c.fn = fn;
+    return c;
+  };
+  const std::vector<exec::AggCall> calls = {call(exec::AggFn::kCount),
+                                            call(exec::AggFn::kSum)};
   const std::vector<int> key_cols = {0};
   const storage::Value one = storage::Value::Int64(1);
   for (auto _ : state) {

@@ -19,77 +19,6 @@ namespace fabric::storage {
 // dominate.
 inline constexpr uint32_t kScanBatchSize = 1024;
 
-// One decoded batch worth of typed column data. Exactly one of the typed
-// vectors is populated, per the chunk's DataType; slots correspond to
-// non-null rows in batch order for kPlainLayout, to runs for kRunLayout,
-// and to dictionary codes for kCodeLayout.
-struct TypedVec {
-  std::vector<int64_t> ints;
-  std::vector<double> doubles;
-  std::vector<uint8_t> bools;
-  std::vector<std::string_view> strings;  // alias chunk.data; zero-copy
-
-  size_t size(DataType type) const {
-    switch (type) {
-      case DataType::kBool:
-        return bools.size();
-      case DataType::kInt64:
-        return ints.size();
-      case DataType::kFloat64:
-        return doubles.size();
-      case DataType::kVarchar:
-        return strings.size();
-    }
-    return 0;
-  }
-
-  // Numeric view of slot `i` (callers guarantee a numeric type).
-  double NumberAt(DataType type, size_t i) const {
-    switch (type) {
-      case DataType::kBool:
-        return bools[i] ? 1.0 : 0.0;
-      case DataType::kInt64:
-        return static_cast<double>(ints[i]);
-      default:
-        return doubles[i];
-    }
-  }
-
-  std::string_view StringAt(size_t i) const { return strings[i]; }
-
-  // Boxes slot `i` back into a Value (late materialization endpoint).
-  Value Box(DataType type, size_t i) const {
-    switch (type) {
-      case DataType::kBool:
-        return Value::Bool(bools[i] != 0);
-      case DataType::kInt64:
-        return Value::Int64(ints[i]);
-      case DataType::kFloat64:
-        return Value::Float64(doubles[i]);
-      case DataType::kVarchar:
-        return Value::Varchar(std::string(strings[i]));
-    }
-    return Value::Null();
-  }
-
-  // Segmentation hash of slot `i` (matches Value::SegmentationHash).
-  uint64_t Hash(DataType type, size_t i) const;
-
-  // Cost-model raw size of slot `i` (matches Value::RawSize for non-null).
-  double RawSize(DataType type, size_t i) const {
-    switch (type) {
-      case DataType::kBool:
-        return 1;
-      case DataType::kInt64:
-      case DataType::kFloat64:
-        return 8;
-      case DataType::kVarchar:
-        return static_cast<double>(strings[i].size());
-    }
-    return 0;
-  }
-};
-
 // An RLE run clipped to the current batch, in absolute row coordinates.
 // `slot` indexes the batch's TypedVec for the run value; is_null runs
 // carry no slot.

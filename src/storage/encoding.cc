@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 
 #include "common/bytes.h"
 #include "common/hash.h"
@@ -12,95 +14,146 @@
 #include "common/string_util.h"
 
 namespace fabric::storage {
+
+uint64_t TypedVec::Hash(DataType type, size_t i) const {
+  switch (type) {
+    case DataType::kBool:
+      return HashBool(bools[i] != 0);
+    case DataType::kInt64:
+      return HashInt64(ints[i]);
+    case DataType::kFloat64:
+      return HashDouble(doubles[i]);
+    case DataType::kVarchar:
+      return HashBytes(strings[i]);
+  }
+  return 0;
+}
+
 namespace {
 
-// Read-only views of one column: a value vector, or one column of a row
-// vector (so ROS containers encode straight from their rows).
-struct ValueColumn {
-  const std::vector<Value>& values;
-  size_t size() const { return values.size(); }
-  const Value& operator[](size_t i) const { return values[i]; }
-};
+// Per-slot operations of the four lane types (bool lanes are uint8_t).
 
-struct RowColumn {
-  const std::vector<Row>& rows;
-  int col;
-  size_t size() const { return rows.size(); }
-  const Value& operator[](size_t i) const { return rows[i][col]; }
-};
+template <typename T>
+inline constexpr bool kIsString = std::is_same_v<T, std::string_view>;
 
-// Bytes WriteScalar emits for a non-null value of `type`.
-size_t ScalarBytes(DataType type, const Value& value) {
-  switch (type) {
-    case DataType::kBool:
-      return 1;
-    case DataType::kInt64:
-    case DataType::kFloat64:
-      return 8;
-    case DataType::kVarchar:
-      return 4 + value.varchar_value().size();
-  }
-  return 0;
+// Bytes WriteScalar emits for one non-null slot.
+size_t ScalarBytes(uint8_t) { return 1; }
+size_t ScalarBytes(int64_t) { return 8; }
+size_t ScalarBytes(double) { return 8; }
+size_t ScalarBytes(std::string_view v) { return 4 + v.size(); }
+
+void WriteScalar(uint8_t v, ByteWriter* writer) { writer->PutU8(v ? 1 : 0); }
+void WriteScalar(int64_t v, ByteWriter* writer) { writer->PutI64(v); }
+void WriteScalar(double v, ByteWriter* writer) { writer->PutDouble(v); }
+void WriteScalar(std::string_view v, ByteWriter* writer) {
+  writer->PutString(v);
 }
 
-void WriteScalar(DataType type, const Value& value, ByteWriter* writer) {
-  switch (type) {
-    case DataType::kBool:
-      writer->PutU8(value.bool_value() ? 1 : 0);
-      return;
-    case DataType::kInt64:
-      writer->PutI64(value.int64_value());
-      return;
-    case DataType::kFloat64:
-      writer->PutDouble(value.float64_value());
-      return;
-    case DataType::kVarchar:
-      writer->PutString(value.varchar_value());
-      return;
-  }
-  FABRIC_CHECK(false) << "corrupt type";
+// Value::Compare(a, b) < 0 for two non-null slots: numbers compare as
+// doubles (so INT64s equal as doubles tie), strings bytewise.
+bool Less(uint8_t a, uint8_t b) { return a < b; }
+bool Less(int64_t a, int64_t b) {
+  return static_cast<double>(a) < static_cast<double>(b);
 }
+bool Less(double a, double b) { return a < b; }
+bool Less(std::string_view a, std::string_view b) { return a < b; }
 
-// Value::Equals for two values of one type-checked column: the RLE run
-// test (so 0.0 and -0.0 share a run and NaN never continues one).
-bool SameValue(DataType type, const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
-  switch (type) {
-    case DataType::kBool:
-      return a.bool_value() == b.bool_value();
-    case DataType::kInt64:
-      return a.int64_value() == b.int64_value();
-    case DataType::kFloat64:
-      return a.float64_value() == b.float64_value();
-    case DataType::kVarchar:
-      return a.varchar_value() == b.varchar_value();
-  }
-  return false;
-}
-
-// Dictionary identity of a non-null fixed-width value. Dictionary
-// entries are the distinct display strings of the column, which for
-// fixed-width types is the bit pattern except that every NaN of one sign
-// prints alike ("nan" / "-nan"); the two canonical NaN keys are NaN bit
+// Dictionary identity of a non-null fixed-width slot. Dictionary entries
+// are the distinct display strings of the column, which for fixed-width
+// types is the bit pattern except that every NaN of one sign prints
+// alike ("nan" / "-nan"); the two canonical NaN keys are NaN bit
 // patterns themselves, so they cannot collide with another value's key.
-uint64_t FixedKey(DataType type, const Value& value) {
-  switch (type) {
-    case DataType::kBool:
-      return value.bool_value() ? 1 : 0;
-    case DataType::kInt64:
-      return static_cast<uint64_t>(value.int64_value());
-    case DataType::kFloat64: {
-      double d = value.float64_value();
-      if (std::isnan(d)) {
-        return std::signbit(d) ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL;
-      }
-      return std::bit_cast<uint64_t>(d);
-    }
-    case DataType::kVarchar:
-      break;
+uint64_t FixedKey(uint8_t v) { return v ? 1 : 0; }
+uint64_t FixedKey(int64_t v) { return static_cast<uint64_t>(v); }
+uint64_t FixedKey(double d) {
+  if (std::isnan(d)) {
+    return std::signbit(d) ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL;
   }
-  FABRIC_CHECK(false) << "not a fixed-width type";
-  return 0;
+  return std::bit_cast<uint64_t>(d);
+}
+
+void Unbox(const Value& v, uint8_t* out) { *out = v.bool_value() ? 1 : 0; }
+void Unbox(const Value& v, int64_t* out) { *out = v.int64_value(); }
+void Unbox(const Value& v, double* out) { *out = v.float64_value(); }
+void Unbox(const Value& v, std::string_view* out) {
+  *out = v.varchar_value();
+}
+
+// RLE run continuation, as Value::Equals sees two slots: nulls match
+// nulls, and `==` on values (so 0.0 and -0.0 share a run and NaN never
+// continues one).
+template <typename T>
+bool SameSlot(const uint8_t* nulls, const T* lane, size_t a, size_t b) {
+  if (nulls[a] || nulls[b]) return nulls[a] && nulls[b];
+  return lane[a] == lane[b];
+}
+
+// Appends at(i) for i < n to *out (of out->type), unboxed: the one type
+// check every encoder entry point shares.
+template <typename At>
+Status AppendUnboxed(size_t n, At at, ColumnLanes* out) {
+  const DataType type = out->type;
+  const size_t base = out->size();
+  out->nulls.resize(base + n);
+  return out->values.Visit(type, [&](auto& lane) -> Status {
+    lane.resize(base + n);
+    for (size_t i = 0; i < n; ++i) {
+      const Value& v = at(i);
+      if (v.is_null()) {
+        out->nulls[base + i] = 1;
+        continue;
+      }
+      if (v.type() != type) {
+        return InvalidArgumentError(
+            StrCat("value of type ", DataTypeName(v.type()),
+                   " in column of type ", DataTypeName(type)));
+      }
+      Unbox(v, &lane[base + i]);
+    }
+    return Status::OK();
+  });
+}
+
+constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
+
+// What PLAIN and RLE cost: payload bytes after the null bitmap.
+struct Shape {
+  uint32_t non_null = 0;
+  size_t plain = 0;    // the non-null values back to back
+  uint32_t runs = 0;
+  size_t rle = 4;      // run count, then (length, value) per run
+  size_t min_row = kNoRow;  // the bounds' rows (kNoRow: all null)
+  size_t max_row = kNoRow;
+};
+
+// The cheap pass over a column: sizes PLAIN, sizes RLE when
+// `count_runs` is set, and (when `find_bounds` is set) finds the rows
+// holding the column's bounds — the first smallest and first largest.
+template <typename T>
+Shape MeasureShape(const uint8_t* nulls, const T* lane, size_t n,
+                   bool count_runs, bool find_bounds) {
+  Shape shape;
+  for (size_t i = 0; i < n; ++i) {
+    size_t bytes = 0;
+    if (!nulls[i]) {
+      bytes = ScalarBytes(lane[i]);
+      ++shape.non_null;
+      shape.plain += bytes;
+      if (find_bounds) {
+        if (shape.min_row == kNoRow || Less(lane[i], lane[shape.min_row])) {
+          shape.min_row = i;
+        }
+        if (shape.max_row == kNoRow || Less(lane[shape.max_row], lane[i])) {
+          shape.max_row = i;
+        }
+      }
+    }
+    if (count_runs && (i == 0 || !SameSlot(nulls, lane, i, i - 1))) {
+      ++shape.runs;
+      shape.rle += 4 + bytes;
+    }
+  }
+  return shape;
 }
 
 // Open-addressing map from dictionary keys (raw 64-bit keys or string
@@ -154,58 +207,6 @@ class CodeTable {
   size_t size_ = 0;
 };
 
-// Value::Compare(a, b) < 0 for two non-null values of one type-checked
-// column (numeric types compare as doubles, as Compare does).
-bool ValueLess(DataType type, const Value& a, const Value& b) {
-  if (type == DataType::kVarchar) return a.varchar_value() < b.varchar_value();
-  return a.NumericValue() < b.NumericValue();
-}
-
-// What PLAIN and RLE cost: payload bytes after the null bitmap.
-struct Shape {
-  uint32_t non_null = 0;
-  size_t plain = 0;    // the non-null values back to back
-  uint32_t runs = 0;
-  size_t rle = 4;      // run count, then (length, value) per run
-};
-
-// The cheap pass over a column: checks every value's type, sizes PLAIN,
-// sizes RLE when `count_runs` is set, and (when `bounds` != null) finds
-// the column's bounds.
-template <typename Column>
-Result<Shape> MeasureShape(DataType type, const Column& column,
-                           bool count_runs, ColumnBounds* bounds) {
-  Shape shape;
-  const Value* min = nullptr;
-  const Value* max = nullptr;
-  for (size_t i = 0; i < column.size(); ++i) {
-    const Value& v = column[i];
-    size_t bytes = 0;
-    if (!v.is_null()) {
-      if (v.type() != type) {
-        return InvalidArgumentError(
-            StrCat("value of type ", DataTypeName(v.type()),
-                   " in column of type ", DataTypeName(type)));
-      }
-      bytes = ScalarBytes(type, v);
-      ++shape.non_null;
-      shape.plain += bytes;
-      if (bounds != nullptr) {
-        if (min == nullptr || ValueLess(type, v, *min)) min = &v;
-        if (max == nullptr || ValueLess(type, *max, v)) max = &v;
-      }
-    }
-    if (count_runs && (i == 0 || !SameValue(type, v, column[i - 1]))) {
-      ++shape.runs;
-      shape.rle += 4 + bytes;
-    }
-  }
-  if (bounds != nullptr) {
-    *bounds = min == nullptr ? ColumnBounds{} : ColumnBounds{*min, *max};
-  }
-  return shape;
-}
-
 // A first-occurrence dictionary: one code per non-null row and, per
 // entry, the row holding its first occurrence.
 struct Dictionary {
@@ -219,96 +220,101 @@ struct Dictionary {
   }
 };
 
-// Builds the dictionary of `column` (which has `non_null` non-null rows)
-// and returns true when its payload is below `limit` bytes. Gives up —
-// returning false — as soon as the entries seen so far push the payload
-// to `limit`, since entries only add bytes.
-template <typename Column>
-bool BuildDictionary(DataType type, const Column& column, uint32_t non_null,
-                     size_t limit, Dictionary* dict) {
+// Builds the dictionary of the column (which has `non_null` non-null
+// rows) and returns true when its payload is below `limit` bytes. Gives
+// up — returning false — as soon as the entries seen so far push the
+// payload to `limit`, since entries only add bytes.
+template <typename T>
+bool BuildDictionary(const uint8_t* nulls, const T* lane, size_t n,
+                     uint32_t non_null, size_t limit, Dictionary* dict) {
   if (dict->payload(non_null) >= limit) return false;
   dict->codes.reserve(non_null);
-  auto add = [&](auto& table, const auto& key, uint64_t hash, uint32_t row) {
-    uint32_t next = static_cast<uint32_t>(dict->first_rows.size());
-    uint32_t code = table.FindOrInsert(key, hash, next);
-    dict->codes.push_back(code);
-    if (code != next) return true;
-    dict->first_rows.push_back(row);
-    dict->entry_bytes += ScalarBytes(type, column[row]);
-    return dict->payload(non_null) < limit;
-  };
-  if (type == DataType::kVarchar) {
-    CodeTable<std::string_view> table(0);
-    for (size_t i = 0; i < column.size(); ++i) {
-      if (column[i].is_null()) continue;
-      std::string_view key = column[i].varchar_value();
-      if (!add(table, key, HashBytes(key), static_cast<uint32_t>(i))) {
-        return false;
-      }
-    }
-  } else {
-    // Entries are fixed-width, so the limit bounds how many the table
-    // can hold before the build gives up: size it for that once.
+  // Fixed-width entries bound how many the table can hold before the
+  // build gives up: size it for that once.
+  size_t entries = 0;
+  if constexpr (!kIsString<T>) {
     size_t room = limit - dict->payload(non_null);
-    size_t entry = type == DataType::kBool ? 1 : 8;
-    CodeTable<uint64_t> table(std::min<size_t>(non_null, room / entry + 1));
-    for (size_t i = 0; i < column.size(); ++i) {
-      if (column[i].is_null()) continue;
-      uint64_t key = FixedKey(type, column[i]);
-      if (!add(table, key, Mix64(key), static_cast<uint32_t>(i))) {
-        return false;
-      }
+    entries = std::min<size_t>(non_null, room / sizeof(T) + 1);
+  }
+  using Key = std::conditional_t<kIsString<T>, std::string_view, uint64_t>;
+  CodeTable<Key> table(entries);
+  for (size_t i = 0; i < n; ++i) {
+    if (nulls[i]) continue;
+    uint32_t next = static_cast<uint32_t>(dict->first_rows.size());
+    uint32_t code;
+    if constexpr (kIsString<T>) {
+      code = table.FindOrInsert(lane[i], HashBytes(lane[i]), next);
+    } else {
+      uint64_t key = FixedKey(lane[i]);
+      code = table.FindOrInsert(key, Mix64(key), next);
     }
+    dict->codes.push_back(code);
+    if (code != next) continue;
+    dict->first_rows.push_back(static_cast<uint32_t>(i));
+    dict->entry_bytes += ScalarBytes(lane[i]);
+    if (dict->payload(non_null) >= limit) return false;
   }
   return true;
 }
 
-// Nulls are carried as a bitmap ahead of the payload in every encoding.
-template <typename Column>
-void WriteNullBitmap(const Column& column, ByteWriter* writer) {
-  uint8_t current = 0;
-  int bit = 0;
-  for (size_t i = 0; i < column.size(); ++i) {
-    if (column[i].is_null()) current |= static_cast<uint8_t>(1u << bit);
-    if (++bit == 8) {
-      writer->PutU8(current);
-      current = 0;
-      bit = 0;
+// Nulls are carried as a bitmap ahead of the payload in every encoding
+// (LSB first). Flags are 0 or 1, so one multiply packs eight of them.
+void WriteNullBitmap(const uint8_t* nulls, size_t n, ByteWriter* writer) {
+  char block[256];
+  size_t used = 0;
+  for (size_t i = 0; i < n; i += 8) {
+    uint8_t byte = 0;
+    if (i + 8 <= n) {
+      uint64_t flags;
+      std::memcpy(&flags, nulls + i, sizeof(flags));
+      byte = static_cast<uint8_t>((flags * 0x0102040810204080ULL) >> 56);
+    } else {
+      for (size_t j = i; j < n; ++j) {
+        byte |= static_cast<uint8_t>(nulls[j] << (j - i));
+      }
+    }
+    block[used++] = static_cast<char>(byte);
+    if (used == sizeof(block)) {
+      writer->PutRaw(block, used);
+      used = 0;
     }
   }
-  if (bit != 0) writer->PutU8(current);
+  writer->PutRaw(block, used);
 }
 
-template <typename Column>
-void WritePayload(DataType type, Encoding encoding, const Column& column,
-                  const Shape& shape, const Dictionary& dict,
+template <typename T>
+void WritePayload(Encoding encoding, const uint8_t* nulls, const T* lane,
+                  size_t n, const Shape& shape, const Dictionary& dict,
                   ByteWriter* writer) {
   switch (encoding) {
     case Encoding::kPlain:
-      for (size_t i = 0; i < column.size(); ++i) {
-        if (!column[i].is_null()) WriteScalar(type, column[i], writer);
+      if constexpr (!kIsString<T>) {
+        // Fixed-width slots are already in wire form (bools are 0/1).
+        if (shape.non_null == n) {
+          writer->PutRaw(lane, n * sizeof(T));
+          return;
+        }
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (!nulls[i]) WriteScalar(lane[i], writer);
       }
       return;
     case Encoding::kRle: {
       writer->PutU32(shape.runs);
       size_t i = 0;
-      while (i < column.size()) {
+      while (i < n) {
         size_t j = i + 1;
-        while (j < column.size() && SameValue(type, column[j], column[i])) {
-          ++j;
-        }
+        while (j < n && SameSlot(nulls, lane, j, i)) ++j;
         writer->PutU32(static_cast<uint32_t>(j - i));
-        if (!column[i].is_null()) WriteScalar(type, column[i], writer);
+        if (!nulls[i]) WriteScalar(lane[i], writer);
         i = j;
       }
       return;
     }
     case Encoding::kDictionary:
       writer->PutU32(static_cast<uint32_t>(dict.first_rows.size()));
-      for (uint32_t row : dict.first_rows) {
-        WriteScalar(type, column[row], writer);
-      }
-      for (uint32_t code : dict.codes) writer->PutU32(code);
+      for (uint32_t row : dict.first_rows) WriteScalar(lane[row], writer);
+      writer->PutRaw(dict.codes.data(), dict.codes.size() * sizeof(uint32_t));
       return;
   }
 }
@@ -326,42 +332,51 @@ size_t PayloadBytes(Encoding encoding, const Shape& shape,
   return 0;
 }
 
-// Encodes `column` with `*forced`, or — when null — with the smallest
+// Encodes one lane with `*forced`, or — when null — with the smallest
 // encoding: PLAIN unless RLE is strictly smaller, then DICTIONARY when
 // strictly smaller than both. Sizes come from the shape pass and the
 // dictionary build (skipped or cut short once it cannot win), so only
 // the chosen encoding is ever written.
-template <typename Column>
-Result<ColumnChunk> Encode(DataType type, const Column& column,
-                           const Encoding* forced, ColumnBounds* bounds) {
+template <typename T>
+ColumnChunk EncodeLane(const ColumnLanes& column, const std::vector<T>& lane,
+                       const Encoding* forced, ColumnBounds* bounds) {
+  const uint8_t* nulls = column.nulls.data();
+  const size_t n = column.size();
   bool count_runs = forced == nullptr || *forced == Encoding::kRle;
-  FABRIC_ASSIGN_OR_RETURN(Shape shape,
-                          MeasureShape(type, column, count_runs, bounds));
+  Shape shape =
+      MeasureShape(nulls, lane.data(), n, count_runs, bounds != nullptr);
+  if (bounds != nullptr) {
+    // Only the two winning slots are boxed.
+    *bounds = shape.min_row == kNoRow
+                  ? ColumnBounds{}
+                  : ColumnBounds{column.values.Box(column.type, shape.min_row),
+                                 column.values.Box(column.type, shape.max_row)};
+  }
   Dictionary dict;
   Encoding encoding;
   if (forced != nullptr) {
     encoding = *forced;
     if (encoding == Encoding::kDictionary) {
-      BuildDictionary(type, column, shape.non_null,
+      BuildDictionary(nulls, lane.data(), n, shape.non_null,
                       std::numeric_limits<size_t>::max(), &dict);
     }
   } else {
     encoding = shape.rle < shape.plain ? Encoding::kRle : Encoding::kPlain;
     size_t best = std::min(shape.plain, shape.rle);
-    if (BuildDictionary(type, column, shape.non_null, best, &dict)) {
+    if (BuildDictionary(nulls, lane.data(), n, shape.non_null, best, &dict)) {
       encoding = Encoding::kDictionary;
     }
   }
   ColumnChunk chunk;
-  chunk.type = type;
+  chunk.type = column.type;
   chunk.encoding = encoding;
-  chunk.num_rows = static_cast<uint32_t>(column.size());
+  chunk.num_rows = static_cast<uint32_t>(n);
   size_t size = NullBitmapBytes(chunk.num_rows) +
                 PayloadBytes(encoding, shape, dict);
   ByteWriter writer;
   writer.Reserve(size);
-  WriteNullBitmap(column, &writer);
-  WritePayload(type, encoding, column, shape, dict, &writer);
+  WriteNullBitmap(nulls, n, &writer);
+  WritePayload(encoding, nulls, lane.data(), n, shape, dict, &writer);
   FABRIC_CHECK(writer.size() == size)
       << EncodingName(encoding) << " wrote " << writer.size()
       << " bytes, sized " << size;
@@ -369,30 +384,88 @@ Result<ColumnChunk> Encode(DataType type, const Column& column,
   return chunk;
 }
 
-// Reads one non-null value of `type`, as WriteScalar wrote it.
-Result<Value> ReadValue(DataType type, ByteReader* reader) {
-  switch (type) {
-    case DataType::kBool: {
-      FABRIC_ASSIGN_OR_RETURN(uint8_t b, reader->GetU8());
-      return Value::Bool(b != 0);
+// Decodes `n` rows of `payload` into `lane` (n zeroed slots), given the
+// rows' null flags.
+template <typename T>
+Status DecodeLane(Encoding encoding, std::string_view payload, uint32_t n,
+                  const uint8_t* nulls, T* lane) {
+  ByteReader reader(payload);
+  switch (encoding) {
+    case Encoding::kPlain:
+      if constexpr (!kIsString<T>) {
+        // Fixed-width slots sit back to back: copy them out in place,
+        // in one block when no row is null.
+        size_t non_null = static_cast<size_t>(
+            std::count(nulls, nulls + n, uint8_t{0}));
+        if (payload.size() < non_null * sizeof(T)) {
+          return OutOfRangeError("byte buffer truncated");
+        }
+        const char* p = payload.data();
+        if (non_null == n) {
+          std::memcpy(lane, p, n * sizeof(T));
+        } else {
+          for (uint32_t i = 0; i < n; ++i) {
+            if (nulls[i]) continue;
+            std::memcpy(&lane[i], p, sizeof(T));
+            p += sizeof(T);
+          }
+        }
+        if constexpr (sizeof(T) == 1) {
+          for (uint32_t i = 0; i < n; ++i) lane[i] = lane[i] != 0 ? 1 : 0;
+        }
+        return Status::OK();
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        if (!nulls[i]) FABRIC_RETURN_IF_ERROR(ReadSlot(&reader, &lane[i]));
+      }
+      return Status::OK();
+    case Encoding::kRle: {
+      FABRIC_ASSIGN_OR_RETURN(uint32_t runs, reader.GetU32());
+      for (uint32_t row = 0; row < n;) {
+        if (runs-- == 0) {
+          return InvalidArgumentError("RLE runs exhausted early");
+        }
+        FABRIC_ASSIGN_OR_RETURN(uint32_t length, reader.GetU32());
+        if (length > n - row) {
+          return InvalidArgumentError("RLE runs exceed row count");
+        }
+        if (!nulls[row]) {
+          T v{};
+          FABRIC_RETURN_IF_ERROR(ReadSlot(&reader, &v));
+          std::fill(lane + row, lane + row + length, v);
+        }
+        row += length;
+      }
+      return Status::OK();
     }
-    case DataType::kInt64: {
-      FABRIC_ASSIGN_OR_RETURN(int64_t v, reader->GetI64());
-      return Value::Int64(v);
-    }
-    case DataType::kFloat64: {
-      FABRIC_ASSIGN_OR_RETURN(double v, reader->GetDouble());
-      return Value::Float64(v);
-    }
-    case DataType::kVarchar: {
-      FABRIC_ASSIGN_OR_RETURN(std::string_view v, reader->GetStringView());
-      return Value::Varchar(std::string(v));
+    case Encoding::kDictionary: {
+      FABRIC_ASSIGN_OR_RETURN(uint32_t size, reader.GetU32());
+      std::vector<T> dictionary;
+      for (uint32_t k = 0; k < size; ++k) {
+        T v{};
+        FABRIC_RETURN_IF_ERROR(ReadSlot(&reader, &v));
+        dictionary.push_back(v);
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        if (nulls[i]) continue;
+        FABRIC_ASSIGN_OR_RETURN(uint32_t code, reader.GetU32());
+        if (code >= size) {
+          return InvalidArgumentError("dictionary index out of range");
+        }
+        lane[i] = dictionary[code];
+      }
+      return Status::OK();
     }
   }
-  return InvalidArgumentError("corrupt type");
+  return InvalidArgumentError("corrupt encoding");
 }
 
 }  // namespace
+
+void ColumnLanes::Reserve(size_t rows) {
+  nulls.reserve(rows);
+  values.Visit(type, [rows](auto& lane) { lane.reserve(rows); });
+}
 
 const char* EncodingName(Encoding encoding) {
   switch (encoding) {
@@ -406,95 +479,82 @@ const char* EncodingName(Encoding encoding) {
   return "?";
 }
 
-Result<ColumnChunk> EncodeColumnAs(DataType type, Encoding encoding,
-                                   const std::vector<Value>& values) {
-  return Encode(type, ValueColumn{values}, &encoding, nullptr);
+Result<ColumnChunk> EncodeLanes(const ColumnLanes& column,
+                                const Encoding* encoding,
+                                ColumnBounds* bounds) {
+  FABRIC_CHECK(column.values.size(column.type) == column.size())
+      << "one slot per row";
+  return column.values.Visit(column.type, [&](const auto& lane) {
+    return EncodeLane(column, lane, encoding, bounds);
+  });
+}
+
+Status AppendRowColumn(const std::vector<Row>& rows, int col,
+                       ColumnLanes* out) {
+  return AppendUnboxed(
+      rows.size(), [&](size_t i) -> const Value& { return rows[i][col]; },
+      out);
 }
 
 Result<ColumnChunk> EncodeColumn(DataType type,
                                  const std::vector<Value>& values,
                                  const Encoding* encoding,
                                  ColumnBounds* bounds) {
-  return Encode(type, ValueColumn{values}, encoding, bounds);
+  ColumnLanes lanes(type);
+  FABRIC_RETURN_IF_ERROR(AppendUnboxed(
+      values.size(), [&](size_t i) -> const Value& { return values[i]; },
+      &lanes));
+  return EncodeLanes(lanes, encoding, bounds);
+}
+
+Result<ColumnChunk> EncodeColumnAs(DataType type, Encoding encoding,
+                                   const std::vector<Value>& values) {
+  return EncodeColumn(type, values, &encoding);
 }
 
 Result<ColumnChunk> EncodeRowColumn(DataType type,
                                     const std::vector<Row>& rows, int col,
                                     const Encoding* encoding,
                                     ColumnBounds* bounds) {
-  return Encode(type, RowColumn{rows, col}, encoding, bounds);
+  ColumnLanes lanes(type);
+  FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, col, &lanes));
+  return EncodeLanes(lanes, encoding, bounds);
 }
 
-Result<std::vector<Value>> DecodeColumn(const ColumnChunk& chunk) {
-  std::vector<Value> values;
-  FABRIC_RETURN_IF_ERROR(DecodeColumnInto(chunk, &values));
-  return values;
-}
-
-Status DecodeColumnInto(const ColumnChunk& chunk, std::vector<Value>* out) {
+Status DecodeColumnInto(const ColumnChunk& chunk, ColumnLanes* out) {
+  if (out->type != chunk.type) {
+    return InvalidArgumentError(StrCat("decoding a ", DataTypeName(chunk.type),
+                                       " chunk into ",
+                                       DataTypeName(out->type), " lanes"));
+  }
   const uint32_t n = chunk.num_rows;
   const size_t bitmap = NullBitmapBytes(n);
   if (chunk.data.size() < bitmap) {
     return OutOfRangeError("null bitmap truncated");
   }
-  auto is_null = [&chunk](uint32_t i) {
-    return ((static_cast<uint8_t>(chunk.data[i / 8]) >> (i % 8)) & 1) != 0;
-  };
-  ByteReader reader(std::string_view(chunk.data).substr(bitmap));
-  // Grow geometrically: mergeout appends many chunks to one vector.
-  if (out->capacity() < out->size() + n) {
-    out->reserve(std::max(out->size() + n, 2 * out->capacity()));
-  }
-  switch (chunk.encoding) {
-    case Encoding::kPlain:
-      for (uint32_t i = 0; i < n; ++i) {
-        if (is_null(i)) {
-          out->emplace_back();
-          continue;
-        }
-        FABRIC_ASSIGN_OR_RETURN(Value v, ReadValue(chunk.type, &reader));
-        out->push_back(std::move(v));
-      }
-      return Status::OK();
-    case Encoding::kRle: {
-      FABRIC_ASSIGN_OR_RETURN(uint32_t runs, reader.GetU32());
-      for (uint32_t row = 0; row < n;) {
-        if (runs-- == 0) return InvalidArgumentError("RLE runs exhausted early");
-        FABRIC_ASSIGN_OR_RETURN(uint32_t length, reader.GetU32());
-        if (length > n - row) {
-          return InvalidArgumentError("RLE runs exceed row count");
-        }
-        Value v;
-        if (!is_null(row)) {
-          FABRIC_ASSIGN_OR_RETURN(v, ReadValue(chunk.type, &reader));
-        }
-        out->insert(out->end(), length, v);
-        row += length;
-      }
-      return Status::OK();
-    }
-    case Encoding::kDictionary: {
-      FABRIC_ASSIGN_OR_RETURN(uint32_t size, reader.GetU32());
-      std::vector<Value> dictionary;
-      for (uint32_t k = 0; k < size; ++k) {
-        FABRIC_ASSIGN_OR_RETURN(Value v, ReadValue(chunk.type, &reader));
-        dictionary.push_back(std::move(v));
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        if (is_null(i)) {
-          out->emplace_back();
-          continue;
-        }
-        FABRIC_ASSIGN_OR_RETURN(uint32_t code, reader.GetU32());
-        if (code >= size) {
-          return InvalidArgumentError("dictionary index out of range");
-        }
-        out->push_back(dictionary[code]);
-      }
-      return Status::OK();
+  const size_t base = out->size();
+  out->nulls.resize(base + n);  // zeroed: only set bits need a write
+  uint8_t* nulls = out->nulls.data() + base;
+  for (uint32_t b = 0; b < bitmap; ++b) {
+    uint8_t bits = static_cast<uint8_t>(chunk.data[b]);
+    for (uint32_t i = b * 8; bits != 0 && i < n; ++i, bits >>= 1) {
+      nulls[i] = bits & 1;
     }
   }
-  return InvalidArgumentError("corrupt encoding");
+  std::string_view payload = std::string_view(chunk.data).substr(bitmap);
+  return out->values.Visit(out->type, [&](auto& lane) {
+    lane.resize(base + n);
+    return DecodeLane(chunk.encoding, payload, n, nulls, lane.data() + base);
+  });
+}
+
+Result<std::vector<Value>> DecodeColumn(const ColumnChunk& chunk) {
+  ColumnLanes lanes(chunk.type);
+  FABRIC_RETURN_IF_ERROR(DecodeColumnInto(chunk, &lanes));
+  std::vector<Value> values;
+  values.reserve(lanes.size());
+  for (size_t i = 0; i < lanes.size(); ++i) values.push_back(lanes.Box(i));
+  return values;
 }
 
 }  // namespace fabric::storage

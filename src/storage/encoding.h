@@ -1,9 +1,13 @@
 #ifndef FABRIC_STORAGE_ENCODING_H_
 #define FABRIC_STORAGE_ENCODING_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/result.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -27,6 +31,132 @@ inline constexpr size_t NullBitmapBytes(uint32_t num_rows) {
   return (num_rows + 7) / 8;
 }
 
+// Unboxed values of one column type. Exactly one of the typed vectors is
+// populated, per the column's DataType; Visit hands that one to a
+// generic lambda. Varchar slots are views into storage owned elsewhere
+// (a chunk payload or the Values they were read from), which must
+// outlive them.
+struct TypedVec {
+ private:
+  // Visit's body, for const and mutable vectors alike.
+  template <typename Self, typename Fn>
+  static decltype(auto) VisitLane(Self& self, DataType type, Fn& fn) {
+    switch (type) {
+      case DataType::kBool:
+        return fn(self.bools);
+      case DataType::kInt64:
+        return fn(self.ints);
+      case DataType::kFloat64:
+        return fn(self.doubles);
+      case DataType::kVarchar:
+        break;
+    }
+    return fn(self.strings);
+  }
+
+ public:
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<uint8_t> bools;  // 0 or 1
+  std::vector<std::string_view> strings;
+
+  // fn(lane) on the vector that holds `type`'s slots.
+  template <typename Fn>
+  decltype(auto) Visit(DataType type, Fn&& fn) {
+    return VisitLane(*this, type, fn);
+  }
+  template <typename Fn>
+  decltype(auto) Visit(DataType type, Fn&& fn) const {
+    return VisitLane(*this, type, fn);
+  }
+
+  size_t size(DataType type) const {
+    return Visit(type, [](const auto& lane) { return lane.size(); });
+  }
+
+  // Numeric view of slot `i` (callers guarantee a numeric type).
+  double NumberAt(DataType type, size_t i) const {
+    switch (type) {
+      case DataType::kBool:
+        return bools[i] ? 1.0 : 0.0;
+      case DataType::kInt64:
+        return static_cast<double>(ints[i]);
+      default:
+        return doubles[i];
+    }
+  }
+
+  // The vector holding slots of type T (uint8_t for bools).
+  template <typename T>
+  std::vector<T>& lane() {
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return ints;
+    } else if constexpr (std::is_same_v<T, double>) {
+      return doubles;
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+      return bools;
+    } else {
+      return strings;
+    }
+  }
+
+  std::string_view StringAt(size_t i) const { return strings[i]; }
+
+  // Boxes slot `i` back into a Value (late materialization endpoint).
+  Value Box(DataType type, size_t i) const {
+    switch (type) {
+      case DataType::kBool:
+        return Value::Bool(bools[i] != 0);
+      case DataType::kInt64:
+        return Value::Int64(ints[i]);
+      case DataType::kFloat64:
+        return Value::Float64(doubles[i]);
+      case DataType::kVarchar:
+        return Value::Varchar(std::string(strings[i]));
+    }
+    return Value::Null();
+  }
+
+  // Segmentation hash of slot `i` (matches Value::SegmentationHash).
+  uint64_t Hash(DataType type, size_t i) const;
+
+  // Cost-model raw size of slot `i` (matches Value::RawSize for non-null).
+  double RawSize(DataType type, size_t i) const {
+    switch (type) {
+      case DataType::kBool:
+        return 1;
+      case DataType::kInt64:
+      case DataType::kFloat64:
+        return 8;
+      case DataType::kVarchar:
+        return static_cast<double>(strings[i].size());
+    }
+    return 0;
+  }
+};
+
+// One column as typed lanes: per row, a null flag and one slot of
+// `values` (a null row's slot holds a zero value). The form the encoder
+// reads and the lane decoder writes, so the Tuple Mover sorts, permutes
+// and re-encodes columns without boxing a Value.
+struct ColumnLanes {
+  DataType type;
+  std::vector<uint8_t> nulls;
+  TypedVec values;
+
+  explicit ColumnLanes(DataType t) : type(t) {}
+
+  size_t size() const { return nulls.size(); }
+
+  // Room for `rows` rows without reallocating.
+  void Reserve(size_t rows);
+
+  // Row `i` as a Value (null for a null row).
+  Value Box(size_t i) const {
+    return nulls[i] ? Value::Null() : values.Box(type, i);
+  }
+};
+
 // An encoded column of `num_rows` values of `type` (with a null bitmap).
 struct ColumnChunk {
   DataType type;
@@ -45,12 +175,22 @@ struct ColumnBounds {
   Value max;
 };
 
-// Encodes `values` (all of `type` or null) with `*encoding`, or — when
-// `encoding` is null — with the smallest of the three encodings (ties
-// prefer PLAIN, then RLE). The choice is made analytically from run and
-// distinct counts, and only the chosen encoding is written. When
-// `bounds` is non-null it also receives the column's bounds, found in
-// the same pass.
+// Encodes `column` with `*encoding`, or — when `encoding` is null — with
+// the smallest of the three encodings (ties prefer PLAIN, then RLE). The
+// choice is made analytically from run and distinct counts, and only the
+// chosen encoding is written. When `bounds` is non-null it also receives
+// the column's bounds, found in the same pass. The one ROS encoder:
+// every entry point below unboxes into lanes and calls it.
+Result<ColumnChunk> EncodeLanes(const ColumnLanes& column,
+                                const Encoding* encoding = nullptr,
+                                ColumnBounds* bounds = nullptr);
+
+// Appends column `col` of `rows` to `out`, unboxed. Fails when a
+// non-null value is not of `out->type`. Varchar slots alias the rows.
+Status AppendRowColumn(const std::vector<Row>& rows, int col,
+                       ColumnLanes* out);
+
+// EncodeLanes over `values` (all of `type` or null).
 Result<ColumnChunk> EncodeColumn(DataType type,
                                  const std::vector<Value>& values,
                                  const Encoding* encoding = nullptr,
@@ -60,20 +200,42 @@ Result<ColumnChunk> EncodeColumn(DataType type,
 Result<ColumnChunk> EncodeColumnAs(DataType type, Encoding encoding,
                                    const std::vector<Value>& values);
 
-// EncodeColumn over column `col` of `rows`, in place — byte-identical to
-// encoding the extracted column, without copying its values out.
+// EncodeLanes over column `col` of `rows`, without copying its strings
+// out: byte-identical to encoding the extracted column.
 Result<ColumnChunk> EncodeRowColumn(DataType type,
                                     const std::vector<Row>& rows, int col,
                                     const Encoding* encoding = nullptr,
                                     ColumnBounds* bounds = nullptr);
 
-// Decodes a chunk back to values, appending them to *out: the
-// materialize-everything form that mergeout and purge use. Scans read
-// a container's DecodedColumn (storage/column_cursor.h), decoded once
-// into typed batches, instead.
-Status DecodeColumnInto(const ColumnChunk& chunk, std::vector<Value>* out);
+// Reads one non-null slot of a chunk payload as the encoder wrote it
+// (bools as 0 or 1; strings alias the payload): the scalar reader of the
+// lane decoder and of the scan decoder (storage/column_cursor.h).
+inline Status ReadSlot(ByteReader* reader, uint8_t* out) {
+  FABRIC_ASSIGN_OR_RETURN(uint8_t b, reader->GetU8());
+  *out = b != 0 ? 1 : 0;
+  return Status::OK();
+}
+inline Status ReadSlot(ByteReader* reader, int64_t* out) {
+  FABRIC_ASSIGN_OR_RETURN(*out, reader->GetI64());
+  return Status::OK();
+}
+inline Status ReadSlot(ByteReader* reader, double* out) {
+  FABRIC_ASSIGN_OR_RETURN(*out, reader->GetDouble());
+  return Status::OK();
+}
+inline Status ReadSlot(ByteReader* reader, std::string_view* out) {
+  FABRIC_ASSIGN_OR_RETURN(*out, reader->GetStringView());
+  return Status::OK();
+}
 
-// DecodeColumnInto into a fresh vector.
+// The lane decoder: appends `chunk`'s rows to *out, whose type must be
+// the chunk's. Varchar slots alias `chunk.data`, so the chunk must
+// outlive them and stay in place. Mergeout and purge gather columns
+// this way; scans read a container's DecodedColumn
+// (storage/column_cursor.h), decoded once into batches, instead.
+Status DecodeColumnInto(const ColumnChunk& chunk, ColumnLanes* out);
+
+// The lane decoder, boxed into one Value per row.
 Result<std::vector<Value>> DecodeColumn(const ColumnChunk& chunk);
 
 }  // namespace fabric::storage

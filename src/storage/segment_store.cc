@@ -57,25 +57,54 @@ std::vector<int> AllColumns(const Schema& schema) {
   return cols;
 }
 
-// Stable permutation ordering `n` rows by `cols` (nulls first, then
-// Value::Compare), reading values through at(row, col). Mixed non-numeric
-// types cannot appear within one typed column, so the Compare error path
-// collapses to "equal". Equal keys keep arrival order.
-template <typename At>
-std::vector<uint32_t> SortOrder(size_t n, const std::vector<int>& cols,
-                                At at) {
+// One sort column's keys: its null flags, and its slots as strings or
+// as doubles (INT64 and BOOL lanes widened once).
+struct SortKey {
+  const uint8_t* nulls = nullptr;
+  const std::string_view* strings = nullptr;  // VARCHAR columns
+  const double* numbers = nullptr;            // numeric columns
+  std::vector<double> widened;
+};
+
+// Stable permutation ordering the `n` rows of `columns` by `sort_columns`
+// in Value::Compare order: nulls first, numbers as doubles (so INT64s
+// equal as doubles tie, and NaN ties with everything), strings bytewise.
+// Equal keys keep arrival order.
+std::vector<uint32_t> SortOrder(size_t n,
+                                const std::vector<ColumnLanes>& columns,
+                                const std::vector<int>& sort_columns) {
+  std::vector<SortKey> keys(sort_columns.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const ColumnLanes& column = columns[sort_columns[k]];
+    SortKey& key = keys[k];
+    key.nulls = column.nulls.data();
+    if (column.type == DataType::kVarchar) {
+      key.strings = column.values.strings.data();
+    } else if (column.type == DataType::kFloat64) {
+      key.numbers = column.values.doubles.data();
+    } else {
+      key.widened.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        key.widened[i] = column.values.NumberAt(column.type, i);
+      }
+      key.numbers = key.widened.data();
+    }
+  }
   std::vector<uint32_t> order(n);
   for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    for (int c : cols) {
-      const Value& va = at(a, c);
-      const Value& vb = at(b, c);
-      if (va.is_null() && vb.is_null()) continue;
-      if (va.is_null()) return true;
-      if (vb.is_null()) return false;
-      Result<int> cmp = va.Compare(vb);
-      int v = cmp.ok() ? cmp.value() : 0;
-      if (v != 0) return v < 0;
+    for (const SortKey& key : keys) {
+      if (key.nulls[a] || key.nulls[b]) {
+        if (key.nulls[a] && key.nulls[b]) continue;
+        return key.nulls[a] != 0;
+      }
+      if (key.strings != nullptr) {
+        int c = key.strings[a].compare(key.strings[b]);
+        if (c != 0) return c < 0;
+      } else {
+        if (key.numbers[a] < key.numbers[b]) return true;
+        if (key.numbers[b] < key.numbers[a]) return false;
+      }
     }
     return false;
   });
@@ -90,6 +119,34 @@ void Permute(const std::vector<uint32_t>& order, std::vector<T>* vec) {
   out.reserve(vec->size());
   for (uint32_t i : order) out.push_back(std::move((*vec)[i]));
   *vec = std::move(out);
+}
+
+void Permute(const std::vector<uint32_t>& order, ColumnLanes* column) {
+  Permute(order, &column->nulls);
+  column->values.Visit(column->type,
+                       [&order](auto& lane) { Permute(order, &lane); });
+}
+
+// Compacts the rows of `column` from `base` on to those whose keep flag
+// (indexed from `base`) is set, adding the kept rows' raw sizes to
+// *raw_bytes in row order.
+void KeepRows(const std::vector<bool>& keep, size_t base, ColumnLanes* column,
+              double* raw_bytes) {
+  column->values.Visit(column->type, [&](auto& lane) {
+    size_t out = base;
+    for (size_t i = 0; i < keep.size(); ++i) {
+      if (!keep[i]) continue;
+      size_t row = base + i;
+      if (!column->nulls[row]) {
+        *raw_bytes += column->values.RawSize(column->type, row);
+      }
+      column->nulls[out] = column->nulls[row];
+      lane[out] = lane[row];
+      ++out;
+    }
+    lane.resize(out);
+    column->nulls.resize(out);
+  });
 }
 
 // Content key of one full row for multiset matching (same sentinel
@@ -113,27 +170,23 @@ std::string RowContentKey(const Row& row) {
 Result<RosContainer> RosContainer::Create(
     const Schema& schema, const std::vector<Row>& rows, TxnId pending_txn,
     const std::vector<Encoding>* encodings) {
-  RosContainer container;
-  container.num_rows_ = static_cast<uint32_t>(rows.size());
-  container.pending_txn_ = pending_txn;
-  container.delete_marks_.resize(rows.size());
-
+  double raw_bytes = 0;
   for (const Row& row : rows) {
     FABRIC_RETURN_IF_ERROR(ValidateRow(schema, row));
-    container.raw_bytes_ += RowRawSize(row);
+    raw_bytes += RowRawSize(row);
   }
-
-  FABRIC_RETURN_IF_ERROR(container.EncodeColumns(
-      schema, encodings,
-      [&rows](DataType type, int c, const Encoding* forced,
-              ColumnBounds* bounds) {
-        return EncodeRowColumn(type, rows, c, forced, bounds);
-      }));
-  return container;
+  std::vector<ColumnLanes> columns;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    columns.emplace_back(schema.column(c).type);
+    FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, c, &columns.back()));
+  }
+  return CreateFromColumns(schema, columns,
+                           static_cast<uint32_t>(rows.size()), raw_bytes,
+                           pending_txn, encodings);
 }
 
 Result<RosContainer> RosContainer::CreateFromColumns(
-    const Schema& schema, const std::vector<std::vector<Value>>& columns,
+    const Schema& schema, const std::vector<ColumnLanes>& columns,
     uint32_t num_rows, double raw_bytes, TxnId pending_txn,
     const std::vector<Encoding>* encodings) {
   FABRIC_CHECK(static_cast<int>(columns.size()) == schema.num_columns());
@@ -142,36 +195,21 @@ Result<RosContainer> RosContainer::CreateFromColumns(
   container.pending_txn_ = pending_txn;
   container.raw_bytes_ = raw_bytes;
   container.delete_marks_.resize(num_rows);
-  FABRIC_RETURN_IF_ERROR(container.EncodeColumns(
-      schema, encodings,
-      [&columns, num_rows](DataType type, int c, const Encoding* forced,
-                           ColumnBounds* bounds) {
-        FABRIC_CHECK(columns[c].size() == num_rows);
-        return EncodeColumn(type, columns[c], forced, bounds);
-      }));
-  return container;
-}
-
-template <typename EncodeFn>
-Status RosContainer::EncodeColumns(const Schema& schema,
-                                   const std::vector<Encoding>* encodings,
-                                   EncodeFn encode) {
-  min_values_.resize(schema.num_columns());
-  max_values_.resize(schema.num_columns());
   for (int c = 0; c < schema.num_columns(); ++c) {
+    FABRIC_CHECK(columns[c].type == schema.column(c).type &&
+                 columns[c].size() == num_rows);
     const Encoding* forced =
         encodings != nullptr && c < static_cast<int>(encodings->size())
             ? &(*encodings)[c]
             : nullptr;
     ColumnBounds bounds;
-    FABRIC_ASSIGN_OR_RETURN(
-        ColumnChunk chunk,
-        encode(schema.column(c).type, c, forced, &bounds));
-    columns_.push_back(std::move(chunk));
-    min_values_[c] = std::move(bounds.min);
-    max_values_[c] = std::move(bounds.max);
+    FABRIC_ASSIGN_OR_RETURN(ColumnChunk chunk,
+                            EncodeLanes(columns[c], forced, &bounds));
+    container.columns_.push_back(std::move(chunk));
+    container.min_values_.push_back(std::move(bounds.min));
+    container.max_values_.push_back(std::move(bounds.max));
   }
-  return Status::OK();
+  return container;
 }
 
 Result<const DecodedColumn*> RosContainer::decoded_column(int col) const {
@@ -193,10 +231,11 @@ Result<std::vector<Row>> RosContainer::DecodeRows() const {
   std::vector<Row> rows(num_rows_);
   for (auto& row : rows) row.reserve(columns_.size());
   for (const ColumnChunk& chunk : columns_) {
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Value> values, DecodeColumn(chunk));
-    FABRIC_CHECK(values.size() == num_rows_);
+    ColumnLanes column(chunk.type);
+    FABRIC_RETURN_IF_ERROR(DecodeColumnInto(chunk, &column));
+    FABRIC_CHECK(column.size() == num_rows_);
     for (uint32_t i = 0; i < num_rows_; ++i) {
-      rows[i].push_back(std::move(values[i]));
+      rows[i].push_back(column.Box(i));
     }
   }
   return rows;
@@ -261,37 +300,30 @@ Status SegmentStore::InsertPending(TxnId txn, std::vector<Row> rows) {
   return Status::OK();
 }
 
-void SegmentStore::SortForDesign(std::vector<Row>* rows,
-                                 std::vector<DeleteMark>* marks,
-                                 std::vector<Epoch>* epochs) const {
-  if (!design_.sorted() || rows->size() < 2) return;
-  std::vector<uint32_t> order =
-      SortOrder(rows->size(), design_.sort_columns,
-                [rows](uint32_t r, int c) -> const Value& {
-                  return (*rows)[r][c];
-                });
-  Permute(order, rows);
-  Permute(order, marks);
-  Permute(order, epochs);
+SegmentStore::ColumnRows::ColumnRows(const Schema& schema) {
+  columns.reserve(static_cast<size_t>(schema.num_columns()));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    columns.emplace_back(schema.column(c).type);
+  }
+}
+
+Status SegmentStore::AppendRows(const std::vector<Row>& rows,
+                                ColumnRows* out) const {
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, c, &out->columns[c]));
+  }
+  for (const Row& row : rows) out->raw_bytes += RowRawSize(row);
+  return Status::OK();
 }
 
 Status SegmentStore::GatherColumns(const RosContainer& container,
                                    const std::vector<bool>* keep,
                                    ColumnRows* out) const {
-  out->columns.resize(static_cast<size_t>(schema_.num_columns()));
   for (int c = 0; c < schema_.num_columns(); ++c) {
-    std::vector<Value>& column = out->columns[c];
-    if (keep == nullptr) {
-      FABRIC_RETURN_IF_ERROR(DecodeColumnInto(container.column(c), &column));
-      continue;
-    }
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Value> values,
-                            DecodeColumn(container.column(c)));
-    for (uint32_t i = 0; i < values.size(); ++i) {
-      if (!(*keep)[i]) continue;
-      out->raw_bytes += values[i].RawSize();
-      column.push_back(std::move(values[i]));
-    }
+    ColumnLanes& column = out->columns[c];
+    size_t base = column.size();
+    FABRIC_RETURN_IF_ERROR(DecodeColumnInto(container.column(c), &column));
+    if (keep != nullptr) KeepRows(*keep, base, &column, &out->raw_bytes);
   }
   if (keep == nullptr) out->raw_bytes += container.raw_bytes();
   for (uint32_t i = 0; i < container.num_rows(); ++i) {
@@ -303,43 +335,41 @@ Status SegmentStore::GatherColumns(const RosContainer& container,
 }
 
 Result<RosContainer> SegmentStore::BuildFromColumns(ColumnRows rows,
-                                                    bool sort) const {
+                                                    bool sort,
+                                                    TxnId pending_txn) const {
   uint32_t num_rows = static_cast<uint32_t>(rows.marks.size());
   if (sort && design_.sorted() && num_rows > 1) {
     std::vector<uint32_t> order =
-        SortOrder(num_rows, design_.sort_columns,
-                  [&rows](uint32_t r, int c) -> const Value& {
-                    return rows.columns[c][r];
-                  });
-    for (std::vector<Value>& column : rows.columns) Permute(order, &column);
+        SortOrder(num_rows, rows.columns, design_.sort_columns);
+    for (ColumnLanes& column : rows.columns) Permute(order, &column);
     Permute(order, &rows.marks);
     Permute(order, &rows.epochs);
   }
-  // Temporary txn id 1 satisfies the pending contract; AdoptRowEpochs
-  // commits the container at the original per-row epochs.
+  // A committed rebuild is created under temporary txn id 1 (the pending
+  // contract); AdoptRowEpochs commits it at the original per-row epochs.
   FABRIC_ASSIGN_OR_RETURN(
       RosContainer container,
       RosContainer::CreateFromColumns(
-          schema_, rows.columns, num_rows, rows.raw_bytes, /*txn=*/1,
+          schema_, rows.columns, num_rows, rows.raw_bytes,
+          pending_txn != 0 ? pending_txn : 1,
           design_.encodings.empty() ? nullptr : &design_.encodings));
-  container.AdoptRowEpochs(std::move(rows.epochs));
+  if (pending_txn == 0) container.AdoptRowEpochs(std::move(rows.epochs));
   container.mutable_delete_marks() = std::move(rows.marks);
   return container;
 }
 
-Result<RosContainer> SegmentStore::CreateContainer(
-    const std::vector<Row>& rows, TxnId pending_txn) const {
-  return RosContainer::Create(
-      schema_, rows, pending_txn,
-      design_.encodings.empty() ? nullptr : &design_.encodings);
-}
-
 Status SegmentStore::InsertPendingDirect(TxnId txn, std::vector<Row> rows) {
   FABRIC_CHECK(txn != 0) << "InsertPendingDirect requires a transaction";
+  for (const Row& row : rows) {
+    FABRIC_RETURN_IF_ERROR(ValidateRow(schema_, row));
+  }
   for (Row& row : rows) CoerceRow(schema_, &row);
-  SortForDesign(&rows, nullptr, nullptr);
-  FABRIC_ASSIGN_OR_RETURN(RosContainer container,
-                          CreateContainer(rows, txn));
+  ColumnRows columns(schema_);
+  FABRIC_RETURN_IF_ERROR(AppendRows(rows, &columns));
+  columns.marks.resize(rows.size());
+  FABRIC_ASSIGN_OR_RETURN(
+      RosContainer container,
+      BuildFromColumns(std::move(columns), /*sort=*/true, txn));
   ros_.push_back(std::move(container));
   return Status::OK();
 }
@@ -826,32 +856,38 @@ Status SegmentStore::Moveout() {
   // epochs keep AT EPOCH reads exact even though the batches committed at
   // different epochs. Delete marks move with their rows (including marks
   // still pending under an open transaction — CommitTxn/AbortTxn walk all
-  // containers, so they resolve in their new home).
-  std::vector<WosBatch> kept;
-  std::vector<Row> rows;
-  std::vector<DeleteMark> marks;
-  std::vector<Epoch> epochs;
-  for (WosBatch& batch : wos_) {
-    if (!batch.committed()) {
-      kept.push_back(std::move(batch));
-      continue;
-    }
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      rows.push_back(std::move(batch.rows[i]));
-      marks.push_back(batch.delete_marks[i]);
-      epochs.push_back(batch.commit_epoch);
-    }
+  // containers, so they resolve in their new home). The batches are
+  // dropped only once the container is built: its lanes alias their rows.
+  size_t total_rows = 0;
+  bool any = false;
+  for (const WosBatch& batch : wos_) {
+    if (!batch.committed()) continue;
+    any = true;
+    total_rows += batch.rows.size();
   }
-  if (rows.empty() && kept.size() == wos_.size()) return Status::OK();
-  wos_.swap(kept);
-  if (rows.empty()) return Status::OK();
-  SortForDesign(&rows, &marks, &epochs);
-  // Temporary txn id 1 satisfies Create's pending contract; AdoptRowEpochs
-  // commits the container at the original per-row epochs.
+  if (!any) return Status::OK();
+  auto drop_committed = [this] {
+    wos_.erase(std::remove_if(wos_.begin(), wos_.end(),
+                              [](const WosBatch& b) { return b.committed(); }),
+               wos_.end());
+  };
+  if (total_rows == 0) {
+    drop_committed();
+    return Status::OK();
+  }
+  ColumnRows rows(schema_);
+  for (ColumnLanes& column : rows.columns) column.Reserve(total_rows);
+  for (const WosBatch& batch : wos_) {
+    if (!batch.committed()) continue;
+    FABRIC_RETURN_IF_ERROR(AppendRows(batch.rows, &rows));
+    rows.marks.insert(rows.marks.end(), batch.delete_marks.begin(),
+                      batch.delete_marks.end());
+    rows.epochs.insert(rows.epochs.end(), batch.rows.size(),
+                       batch.commit_epoch);
+  }
   FABRIC_ASSIGN_OR_RETURN(RosContainer container,
-                          CreateContainer(rows, /*txn=*/1));
-  container.AdoptRowEpochs(std::move(epochs));
-  container.mutable_delete_marks() = std::move(marks);
+                          BuildFromColumns(std::move(rows), /*sort=*/true));
+  drop_committed();
   ros_.push_back(std::move(container));
   return Status::OK();
 }
@@ -875,13 +911,16 @@ Result<double> SegmentStore::MergeRosContainers(
           StrCat("mergeout of uncommitted container ", idx));
     }
   }
-  // Gathered and re-encoded column by column: the merged container is
-  // the one RosContainer::Create would build from the decoded rows.
-  ColumnRows rows;
+  // Gathered as lanes and re-encoded column by column: the merged
+  // container is the one RosContainer::Create would build from the
+  // decoded rows. The sources stay in place until it is built, since the
+  // lanes alias their chunks.
+  ColumnRows rows(schema_);
   size_t total_rows = 0;
   for (int idx : sorted) total_rows += ros_[idx].num_rows();
-  rows.columns.resize(static_cast<size_t>(schema_.num_columns()));
-  for (std::vector<Value>& column : rows.columns) column.reserve(total_rows);
+  for (ColumnLanes& column : rows.columns) column.Reserve(total_rows);
+  rows.marks.reserve(total_rows);
+  rows.epochs.reserve(total_rows);
   for (int idx : sorted) {
     FABRIC_RETURN_IF_ERROR(GatherColumns(ros_[idx], nullptr, &rows));
   }
@@ -901,19 +940,15 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
   auto purgeable = [ahm](const DeleteMark& mark) {
     return mark.state == DeleteMark::State::kCommitted && mark.epoch <= ahm;
   };
-  for (size_t k = 0; k < ros_.size();) {
-    RosContainer& c = ros_[k];
-    bool any = false;
-    if (c.committed()) {
-      for (const DeleteMark& mark : c.delete_marks()) {
-        if (purgeable(mark)) {
-          any = true;
-          break;
-        }
-      }
-    }
-    if (!any) {
-      ++k;
+  // Every rewrite is built before the first is installed, so a failed
+  // one leaves the store untouched.
+  std::vector<bool> drop(ros_.size());
+  std::vector<std::pair<size_t, RosContainer>> rebuilt;
+  for (size_t k = 0; k < ros_.size(); ++k) {
+    const RosContainer& c = ros_[k];
+    if (!c.committed() ||
+        std::none_of(c.delete_marks().begin(), c.delete_marks().end(),
+                     purgeable)) {
       continue;
     }
     std::vector<bool> keep(c.num_rows());
@@ -924,18 +959,25 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
     }
     purged += static_cast<int64_t>(c.num_rows()) - kept;
     if (kept == 0) {
-      ros_.erase(ros_.begin() + static_cast<long>(k));
+      drop[k] = true;
       continue;
     }
-    ColumnRows rows;
+    ColumnRows rows(schema_);
     FABRIC_RETURN_IF_ERROR(GatherColumns(c, &keep, &rows));
     // Dropping rows from a design-sorted container keeps it sorted, so no
     // re-sort is needed here.
-    FABRIC_ASSIGN_OR_RETURN(RosContainer rebuilt,
+    FABRIC_ASSIGN_OR_RETURN(RosContainer container,
                             BuildFromColumns(std::move(rows), /*sort=*/false));
-    ros_[k] = std::move(rebuilt);
-    ++k;
+    rebuilt.emplace_back(k, std::move(container));
   }
+  for (auto& [k, container] : rebuilt) ros_[k] = std::move(container);
+  size_t out = 0;
+  for (size_t k = 0; k < ros_.size(); ++k) {
+    if (drop[k]) continue;
+    if (out != k) ros_[out] = std::move(ros_[k]);
+    ++out;
+  }
+  ros_.erase(ros_.begin() + static_cast<long>(out), ros_.end());
   for (WosBatch& batch : wos_) {
     if (!batch.committed()) continue;
     size_t out = 0;

@@ -49,18 +49,20 @@ struct PhysicalDesign {
 // delete marks.
 class RosContainer {
  public:
-  // Encodes `rows` column by column. `pending_txn` != 0 marks the
-  // container uncommitted (a DIRECT bulk load inside a transaction).
-  // `encodings` (when non-null) forces the per-column encoding instead
-  // of auto-picking the smallest.
+  // Encodes `rows` column by column, each unboxed once into lanes.
+  // `pending_txn` != 0 marks the container uncommitted (a DIRECT bulk
+  // load inside a transaction). `encodings` (when non-null) forces the
+  // per-column encoding instead of auto-picking the smallest. The
+  // reference a store's own writes are checked against.
   static Result<RosContainer> Create(
       const Schema& schema, const std::vector<Row>& rows, TxnId pending_txn,
       const std::vector<Encoding>* encodings = nullptr);
-  // Same container, from `num_rows` rows already split into columns (one
-  // value vector per schema column) whose raw size is `raw_bytes`: the
-  // mergeout and purge path, which never materializes rows.
+  // Same container, from `num_rows` rows already split into typed lanes
+  // (one per schema column) whose raw size is `raw_bytes`: the path of
+  // every store write (DIRECT load, moveout, mergeout and purge), which
+  // never boxes a Value.
   static Result<RosContainer> CreateFromColumns(
-      const Schema& schema, const std::vector<std::vector<Value>>& columns,
+      const Schema& schema, const std::vector<ColumnLanes>& columns,
       uint32_t num_rows, double raw_bytes, TxnId pending_txn,
       const std::vector<Encoding>* encodings = nullptr);
 
@@ -117,13 +119,6 @@ class RosContainer {
 
  private:
   RosContainer() = default;
-
-  // Encodes every schema column through encode(type, col, forced
-  // encoding or null, &bounds), filling columns_ and the min/max bounds.
-  template <typename EncodeFn>
-  Status EncodeColumns(const Schema& schema,
-                       const std::vector<Encoding>* encodings,
-                       EncodeFn encode);
 
   uint32_t num_rows_ = 0;
   TxnId pending_txn_ = 0;
@@ -309,7 +304,8 @@ class SegmentStore {
 
   // Folds every committed WOS batch into a single new ROS container with
   // per-row commit epochs (Vertica's moveout / Tuple Mover). Pending
-  // batches stay in the WOS. No-op when nothing is committed.
+  // batches stay in the WOS. No-op when nothing is committed. On failure
+  // the store is unchanged.
   Status Moveout();
 
   // Merges the committed ROS containers at `indices` into one container
@@ -317,14 +313,15 @@ class SegmentStore {
   // Mover's mergeout). The merged container replaces the first merged
   // index, preserving relative storage order. Returns the raw bytes
   // rewritten (the cost-model size of the merge). Fails on out-of-range,
-  // duplicate, or uncommitted indices.
+  // duplicate, or uncommitted indices; on failure the store is unchanged.
   Result<double> MergeRosContainers(const std::vector<int>& indices);
 
   // Rewrites committed containers and WOS batches dropping every row
   // whose delete mark committed at an epoch <= `ahm` (the Ancient History
   // Mark): such rows are invisible at every snapshot >= ahm, so removing
   // them cannot change any legal read. Containers/batches left empty are
-  // dropped. Returns the number of rows purged.
+  // dropped. Returns the number of rows purged. Every rewrite is built
+  // before any is installed, so on failure the store is unchanged.
   Result<int64_t> PurgeDeletedRows(Epoch ahm);
 
   // Storage statistics (cost model / tests / Tuple Mover policy).
@@ -372,33 +369,32 @@ class SegmentStore {
                                               ScanStats* stats,
                                               std::vector<Row>* emit) const;
 
-  // Applies the design's sort order to (rows, marks, epochs) in tandem
-  // (stable, so equal keys keep arrival order — deterministic across
-  // buddy copies). No-op for unsorted designs. `marks`/`epochs` may be
-  // null when the caller has none.
-  void SortForDesign(std::vector<Row>* rows, std::vector<DeleteMark>* marks,
-                     std::vector<Epoch>* epochs) const;
-
-  // RosContainer::Create with this store's forced encodings (if any).
-  Result<RosContainer> CreateContainer(const std::vector<Row>& rows,
-                                       TxnId pending_txn) const;
-
-  // Rows gathered column by column from ROS containers, with their
-  // delete marks and commit epochs: what mergeout and purge rebuild a
-  // container from.
+  // Rows held column by column as typed lanes, with their delete marks
+  // and commit epochs: what every container this store writes is built
+  // from. Varchar lanes alias the rows or ROS chunks they were read
+  // from, which must outlive the build.
   struct ColumnRows {
-    std::vector<std::vector<Value>> columns;  // one per schema column
+    explicit ColumnRows(const Schema& schema);
+
+    std::vector<ColumnLanes> columns;  // one per schema column
     std::vector<DeleteMark> marks;
-    std::vector<Epoch> epochs;
+    std::vector<Epoch> epochs;  // empty for a pending (DIRECT) container
     double raw_bytes = 0;
   };
+  // Appends `rows` (valid for the schema) to *out, unboxed, with their
+  // raw size; marks and epochs are left to the caller.
+  Status AppendRows(const std::vector<Row>& rows, ColumnRows* out) const;
   // Appends the rows of `container` (only those with keep[i] set when
   // `keep` != null) to *out.
   Status GatherColumns(const RosContainer& container,
                        const std::vector<bool>* keep, ColumnRows* out) const;
-  // One committed container of `rows` at their per-row epochs, in the
-  // design's sort order when `sort` is set.
-  Result<RosContainer> BuildFromColumns(ColumnRows rows, bool sort) const;
+  // One container of `rows` with this store's forced encodings (if any),
+  // in the design's sort order when `sort` is set (stable, so equal keys
+  // keep arrival order — deterministic across buddy copies). Pending
+  // under `pending_txn` when it is nonzero; otherwise committed at the
+  // rows' per-row epochs.
+  Result<RosContainer> BuildFromColumns(ColumnRows rows, bool sort,
+                                        TxnId pending_txn = 0) const;
 
   Schema schema_;
   PhysicalDesign design_;

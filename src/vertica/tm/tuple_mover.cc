@@ -71,6 +71,19 @@ std::vector<int> StratumMembers(const storage::SegmentStore& store,
   return members;
 }
 
+// A rejected moveout, mergeout or purge of `table` on `node`. The store
+// is unchanged, so the run skips it and the ticks re-arm as after a
+// successful run.
+void RecordFailure(const char* task, int node, const std::string& table,
+                   const Status& status) {
+  obs::IncrCounter("tm.failures");
+  obs::TraceEvent("tm", "failure",
+                  {{"task", std::string(task)},
+                   {"node", static_cast<int64_t>(node)},
+                   {"table", table},
+                   {"error", status.ToString()}});
+}
+
 }  // namespace
 
 TupleMover::TupleMover(Database* db, TupleMoverConfig config)
@@ -193,7 +206,10 @@ void TupleMover::RunMoveout(sim::Process& self, int node) {
     double bytes =
         hs.store->CommittedWosRawBytes() * db_->EffectiveScale(hs.table);
     Status moved = hs.store->Moveout();
-    FABRIC_CHECK(moved.ok()) << moved.ToString();
+    if (!moved.ok()) {
+      RecordFailure("moveout", node, hs.table, moved);
+      return;
+    }
     drained_bytes += bytes;
     drained_batches += committed;
     ++moveout_[node].runs;
@@ -237,7 +253,10 @@ void TupleMover::RunMergeout(sim::Process& self, int node) {
       done |= uint64_t{1} << stratum;
       Result<double> merged = hs.store->MergeRosContainers(
           StratumMembers(*hs.store, config_, stratum));
-      FABRIC_CHECK(merged.ok()) << merged.status();
+      if (!merged.ok()) {
+        RecordFailure("mergeout", node, hs.table, merged.status());
+        break;
+      }
       merged_bytes += *merged * db_->EffectiveScale(hs.table);
       ++merges;
       ++mergeout_[node].runs;
@@ -295,7 +314,10 @@ void TupleMover::RunAhm(sim::Process& self) {
       if (hs.store->committed_deletes() == 0) return;
       double before = hs.store->TotalRawBytes();
       Result<int64_t> dropped = hs.store->PurgeDeletedRows(ahm_);
-      FABRIC_CHECK(dropped.ok()) << dropped.status();
+      if (!dropped.ok()) {
+        RecordFailure("purge", n, hs.table, dropped.status());
+        return;
+      }
       if (*dropped == 0) return;
       purged += *dropped;
       purged_scaled_rows +=

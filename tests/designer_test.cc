@@ -209,7 +209,7 @@ TEST_F(DesignerTest, StorageBudgetBoundsProposals) {
                           ? 0.0
                           : rows.rows[0][0].float64_value();
     double anchors = 0;
-    for (const std::string& table : {"fact", "dim"}) {
+    for (const char* table : {"fact", "dim"}) {
       auto storage = db_->GetStorage(table);
       ASSERT_TRUE(storage.ok());
       for (const auto& store : (*storage)->per_node) {

@@ -465,8 +465,12 @@ TEST_F(JoinTest, ChaosKeepsStrategiesByteIdentical) {
       int victim = static_cast<int>(rng.NextUint64(3)) + 1;
       int next_id = 50000;
       for (int step = 0; step < 16; ++step) {
-        if (step == 5) ASSERT_TRUE(db_->KillNode(victim).ok());
-        if (step == 11) ASSERT_TRUE(db_->RestartNode(victim).ok());
+        if (step == 5) {
+          ASSERT_TRUE(db_->KillNode(victim).ok());
+        }
+        if (step == 11) {
+          ASSERT_TRUE(db_->RestartNode(victim).ok());
+        }
         switch (rng.NextUint64(3)) {
           case 0: {
             std::string values;

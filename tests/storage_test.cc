@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "seed_env.h"
+
 #include "common/bytes.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -133,12 +135,6 @@ TEST(SchemaTest, SegmentationHashIsOrderSensitive) {
   Row row = MakeRow(1, 2.0, "x", true);
   EXPECT_NE(RowSegmentationHash(row, {0, 1}), RowSegmentationHash(row, {1, 0}));
   EXPECT_EQ(RowSegmentationHash(row, {0, 1}), RowSegmentationHash(row, {0, 1}));
-}
-
-std::vector<Value> Int64Column(const std::vector<int64_t>& v) {
-  std::vector<Value> out;
-  for (int64_t x : v) out.push_back(Value::Int64(x));
-  return out;
 }
 
 TEST(EncodingTest, PlainRoundTripAllTypes) {
@@ -679,18 +675,31 @@ TEST_F(SegmentStoreTest, PurgeDropsOnlyAncientDeletes) {
   EXPECT_EQ(store_.committed_deletes(), 0);
 }
 
+// Bit-level identity of two bounds (Equals would call NaN != NaN and
+// 0.0 == -0.0).
+bool SameBound(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.type() != b.type()) return false;
+  if (a.type() == DataType::kFloat64) {
+    return std::bit_cast<uint64_t>(a.float64_value()) ==
+           std::bit_cast<uint64_t>(b.float64_value());
+  }
+  return a.Equals(b);
+}
+
 // Mergeout and purge rebuild containers column by column; the result
 // must be the container RosContainer::Create builds from the same rows
 // (sorted by the design), byte for byte.
 void ExpectSameContainer(const RosContainer& got, const RosContainer& want,
                          int num_columns) {
   ASSERT_EQ(got.num_rows(), want.num_rows());
-  EXPECT_EQ(got.raw_bytes(), want.raw_bytes());
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.raw_bytes()),
+            std::bit_cast<uint64_t>(want.raw_bytes()));
   for (int c = 0; c < num_columns; ++c) {
     EXPECT_EQ(got.column(c).encoding, want.column(c).encoding) << c;
     EXPECT_EQ(got.column(c).data, want.column(c).data) << c;
-    EXPECT_TRUE(got.min_value(c).Equals(want.min_value(c))) << c;
-    EXPECT_TRUE(got.max_value(c).Equals(want.max_value(c))) << c;
+    EXPECT_TRUE(SameBound(got.min_value(c), want.min_value(c))) << c;
+    EXPECT_TRUE(SameBound(got.max_value(c), want.max_value(c))) << c;
   }
 }
 
@@ -741,6 +750,287 @@ TEST(ColumnRebuildTest, MergeAndPurgeMatchRowBuiltContainers) {
     ASSERT_TRUE(want.ok());
     ExpectSameContainer(store.ros_containers()[0], *want, 4);
   }
+}
+
+// ---------------------------------------------- rebuild property sweep
+
+// One reference row with the commit epoch and delete mark the store
+// should hold for it.
+struct RefRow {
+  Row row;
+  Epoch epoch = 0;
+  DeleteMark mark;
+};
+
+// Rows that stress the typed-lane rebuild: INT64s above 2^53 that are
+// equal as doubles (and sit in sort columns), NaNs of both signs and
+// signed zeros, '' next to NULL, and an all-NULL column. Low-cardinality
+// values keep RLE and DICTIONARY in play.
+Schema RebuildSchema() {
+  return Schema({{"id", DataType::kInt64},
+                 {"score", DataType::kFloat64},
+                 {"name", DataType::kVarchar},
+                 {"flag", DataType::kBool},
+                 {"empty", DataType::kFloat64}});
+}
+
+Row RandomRebuildRow(Rng& rng) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Row row(5);
+  if (rng.NextBool(0.25)) {
+    row[0] = Value::Int64(kTwo53 + rng.NextInt64(0, 1));
+  } else if (!rng.NextBool(0.05)) {
+    row[0] = Value::Int64(rng.NextInt64(-3, 12));
+  }
+  switch (rng.NextUint64(8)) {
+    case 0:
+      row[1] = Value::Float64(nan);
+      break;
+    case 1:
+      row[1] = Value::Float64(-nan);
+      break;
+    case 2:
+      row[1] = Value::Float64(0.0);
+      break;
+    case 3:
+      row[1] = Value::Float64(-0.0);
+      break;
+    case 4:
+      break;  // NULL
+    default:
+      row[1] = Value::Float64(static_cast<double>(rng.NextInt64(-2, 2)) / 4);
+  }
+  switch (rng.NextUint64(5)) {
+    case 0:
+      break;  // NULL
+    case 1:
+      row[2] = Value::Varchar("");
+      break;
+    default:
+      row[2] = Value::Varchar(std::string(1 + rng.NextUint64(3), 'k'));
+  }
+  if (!rng.NextBool(0.1)) row[3] = Value::Bool(rng.NextBool(0.5));
+  return row;
+}
+
+// The old row-at-a-time sort: stable, nulls first, Value::Compare with
+// its error path (mixed types) collapsing to "equal".
+void SortRefRows(const std::vector<int>& sort_columns,
+                 std::vector<RefRow>* rows) {
+  if (sort_columns.empty()) return;
+  std::stable_sort(rows->begin(), rows->end(),
+                   [&](const RefRow& a, const RefRow& b) {
+                     for (int c : sort_columns) {
+                       Result<int> cmp = a.row[c].Compare(b.row[c]);
+                       int v = cmp.ok() ? cmp.value() : 0;
+                       if (v != 0) return v < 0;
+                     }
+                     return false;
+                   });
+}
+
+// `got` must be the container RosContainer::Create builds from `want`'s
+// rows, with `want`'s per-row epochs and delete marks.
+void ExpectMatchesReference(const RosContainer& got,
+                            const std::vector<RefRow>& want,
+                            const PhysicalDesign& design) {
+  std::vector<Row> rows;
+  for (const RefRow& r : want) rows.push_back(r.row);
+  auto ref = RosContainer::Create(
+      RebuildSchema(), rows, /*txn=*/1,
+      design.encodings.empty() ? nullptr : &design.encodings);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ExpectSameContainer(got, *ref, 5);
+  ASSERT_EQ(got.num_rows(), want.size());
+  for (uint32_t i = 0; i < got.num_rows(); ++i) {
+    ASSERT_EQ(got.row_epoch(i), want[i].epoch) << i;
+    const DeleteMark& mark = got.delete_marks()[i];
+    ASSERT_EQ(mark.state, want[i].mark.state) << i;
+    ASSERT_EQ(mark.epoch, want[i].mark.epoch) << i;
+    ASSERT_EQ(mark.txn, want[i].mark.txn) << i;
+  }
+}
+
+// Every container the store writes — DIRECT loads, moveout, mergeout and
+// purge — is the container RosContainer::Create builds from the same
+// rows in the design's order, with the rows' epochs and delete marks:
+// same chunk bytes, encodings, bounds and raw size. Covers unsorted and
+// sorted designs, forced encodings, and containers past one scan batch.
+TEST(ColumnRebuildTest, EveryStoreWriteMatchesRowBuiltContainerProperty) {
+  std::vector<PhysicalDesign> designs(4);
+  designs[1].sort_columns = {2, 0};
+  designs[2].sort_columns = {1, 0, 3};
+  designs[2].encodings = {Encoding::kRle, Encoding::kDictionary,
+                          Encoding::kRle, Encoding::kPlain,
+                          Encoding::kDictionary};
+  designs[3].encodings = {Encoding::kDictionary, Encoding::kPlain,
+                          Encoding::kDictionary, Encoding::kRle,
+                          Encoding::kPlain};
+  for (uint64_t seed : fabric::testing::PropertySeeds("TM_SEED")) {
+    for (size_t d = 0; d < designs.size(); ++d) {
+      SCOPED_TRACE(StrCat("seed ", seed, " design ", d));
+      const PhysicalDesign& design = designs[d];
+      SegmentStore store(RebuildSchema(), design);
+      Rng rng(seed * 31 + d);
+      auto random_rows = [&](size_t n) {
+        std::vector<Row> rows;
+        for (size_t i = 0; i < n; ++i) rows.push_back(RandomRebuildRow(rng));
+        return rows;
+      };
+      // One reference row list per ROS container, in storage order.
+      std::vector<std::vector<RefRow>> containers;
+
+      // Three DIRECT loads, one longer than a scan batch.
+      for (TxnId txn = 10; txn < 13; ++txn) {
+        size_t n = txn == 11 ? 1100 + rng.NextUint64(200)
+                             : 1 + rng.NextUint64(500);
+        std::vector<Row> rows = random_rows(n);
+        std::vector<RefRow> ref;
+        for (const Row& row : rows) ref.push_back({row, txn, {}});
+        SortRefRows(design.sort_columns, &ref);
+        ASSERT_TRUE(store.InsertPendingDirect(txn, rows).ok());
+        store.CommitTxn(txn, txn);
+        ASSERT_EQ(store.num_ros_containers(), static_cast<int>(txn) - 9);
+        ExpectMatchesReference(store.ros_containers().back(), ref, design);
+        containers.push_back(std::move(ref));
+      }
+      // Two WOS batches at different epochs, folded by one moveout.
+      std::vector<RefRow> moved;
+      for (TxnId txn = 13; txn < 15; ++txn) {
+        std::vector<Row> rows = random_rows(1 + rng.NextUint64(400));
+        for (const Row& row : rows) moved.push_back({row, txn, {}});
+        ASSERT_TRUE(store.InsertPending(txn, rows).ok());
+        store.CommitTxn(txn, txn);
+      }
+      SortRefRows(design.sort_columns, &moved);
+      ASSERT_TRUE(store.Moveout().ok());
+      ASSERT_EQ(store.num_ros_containers(), 4);
+      ExpectMatchesReference(store.ros_containers().back(), moved, design);
+      containers.push_back(std::move(moved));
+
+      // Two deletes: one the purge will reclaim (epoch 20) and one it
+      // must keep (epoch 30), each by content.
+      auto first = [](const Row& row) {
+        return !row[3].is_null() && row[3].bool_value();
+      };
+      auto second = [](const Row& row) { return row[2].is_null(); };
+      ASSERT_TRUE(store.DeletePending(40, 19, first).ok());
+      store.CommitTxn(40, 20);
+      ASSERT_TRUE(store.DeletePending(41, 29, second).ok());
+      store.CommitTxn(41, 30);
+      for (std::vector<RefRow>& container : containers) {
+        for (RefRow& r : container) {
+          if (first(r.row)) {
+            r.mark = {DeleteMark::State::kCommitted, 20, 0};
+          } else if (second(r.row)) {
+            r.mark = {DeleteMark::State::kCommitted, 30, 0};
+          }
+        }
+      }
+
+      // Merge the four containers.
+      ASSERT_TRUE(store.MergeRosContainers({0, 1, 2, 3}).ok());
+      ASSERT_EQ(store.num_ros_containers(), 1);
+      std::vector<RefRow> merged;
+      for (const std::vector<RefRow>& container : containers) {
+        merged.insert(merged.end(), container.begin(), container.end());
+      }
+      SortRefRows(design.sort_columns, &merged);
+      ExpectMatchesReference(store.ros_containers()[0], merged, design);
+
+      // Purge at AHM 25: the epoch-20 deletes go, the epoch-30 ones stay.
+      auto purged = store.PurgeDeletedRows(25);
+      ASSERT_TRUE(purged.ok());
+      std::vector<RefRow> kept;
+      for (const RefRow& r : merged) {
+        if (r.mark.epoch != 20) kept.push_back(r);
+      }
+      EXPECT_EQ(*purged, static_cast<int64_t>(merged.size() - kept.size()));
+      ASSERT_EQ(store.num_ros_containers(), 1);
+      ExpectMatchesReference(store.ros_containers()[0], kept, design);
+    }
+  }
+}
+
+// A store's observable state: what a rejected Tuple Mover rewrite must
+// leave exactly as it was.
+struct StoreState {
+  uint64_t fingerprint = 0;
+  int containers = 0;
+  int wos_batches = 0;
+  double encoded_bytes = 0;
+  std::vector<std::string> chunks;
+
+  explicit StoreState(const SegmentStore& store)
+      : fingerprint(store.ContentFingerprint()),
+        containers(store.num_ros_containers()),
+        wos_batches(store.num_wos_batches()),
+        encoded_bytes(store.TotalEncodedBytes()) {
+    for (const RosContainer& c : store.ros_containers()) {
+      for (int col = 0; col < store.schema().num_columns(); ++col) {
+        chunks.push_back(c.column(col).data);
+      }
+    }
+  }
+
+  bool operator==(const StoreState&) const = default;
+};
+
+TEST(TupleMoverErrorsTest, RejectedRewritesLeaveStoreUntouched) {
+  SegmentStore store(TestSchema());
+  for (TxnId txn = 10; txn < 13; ++txn) {
+    ASSERT_TRUE(store
+                    .InsertPendingDirect(
+                        txn, {MakeRow(txn, 1.0, "a", true),
+                              MakeRow(txn + 1, 2.0, "b", false)})
+                    .ok());
+    store.CommitTxn(txn, txn);
+  }
+  ASSERT_TRUE(
+      store.InsertPendingDirect(13, {MakeRow(7, 3.0, "c", true)}).ok());
+  ASSERT_TRUE(store.DeletePending(14, 12, [](const Row& row) {
+                     return row[0].int64_value() == 10;
+                   }).ok());
+  store.CommitTxn(14, 14);
+  const StoreState before(store);
+  EXPECT_FALSE(store.MergeRosContainers({0, 1, 3}).ok());  // uncommitted
+  EXPECT_FALSE(store.MergeRosContainers({0, 9}).ok());     // out of range
+  EXPECT_FALSE(store.MergeRosContainers({1, 1}).ok());     // duplicate
+  EXPECT_TRUE(StoreState(store) == before);
+
+  // Content typed for another schema (as a corrupt copy would be): every
+  // rewrite fails while decoding or unboxing it, before touching the
+  // store.
+  SegmentStore alien(Schema({{"id", DataType::kVarchar},
+                             {"score", DataType::kFloat64},
+                             {"name", DataType::kVarchar},
+                             {"flag", DataType::kBool}}));
+  auto alien_row = [](const char* id) {
+    return Row{Value::Varchar(id), Value::Float64(1.0), Value::Varchar("x"),
+               Value::Bool(true)};
+  };
+  for (TxnId txn = 20; txn < 22; ++txn) {
+    ASSERT_TRUE(
+        alien.InsertPendingDirect(txn, {alien_row("p"), alien_row("q")})
+            .ok());
+    alien.CommitTxn(txn, txn);
+  }
+  ASSERT_TRUE(alien.DeletePending(22, 21, [](const Row& row) {
+                     return row[0].varchar_value() == "p";
+                   }).ok());
+  alien.CommitTxn(22, 22);
+  ASSERT_TRUE(alien.InsertPending(23, {alien_row("w")}).ok());
+  alien.CommitTxn(23, 23);
+  store.CopyContentsFrom(alien);
+  const StoreState corrupt(store);
+  EXPECT_FALSE(store.Moveout().ok());
+  EXPECT_TRUE(StoreState(store) == corrupt);
+  EXPECT_FALSE(store.MergeRosContainers({0, 1}).ok());
+  EXPECT_TRUE(StoreState(store) == corrupt);
+  EXPECT_FALSE(store.PurgeDeletedRows(30).ok());
+  EXPECT_TRUE(StoreState(store) == corrupt);
+  EXPECT_EQ(store.committed_deletes(), 2);
 }
 
 TEST_F(SegmentStoreTest, SnapshotRowsMaterializesVisibleRows) {

@@ -310,8 +310,10 @@ TEST_F(TmTest, PurgeReclaimsAncientDeletesWithoutChangingResults) {
     }
   });
   EXPECT_GE(tracer_->metrics().counter("tm.purged_rows"), 20.0);
+  EXPECT_EQ(tracer_->metrics().counter("tm.failures"), 0.0);
   obs::TraceMatcher trace(*tracer_);
   EXPECT_FALSE(trace.Category("tm").Name("purge").empty());
+  EXPECT_TRUE(trace.Category("tm").Name("failure").empty());
   // The deleted rows are physically gone from every copy.
   for (storage::SegmentStore* store : AllStores("t")) {
     for (const storage::ContainerStats& stats : store->RosStats()) {
@@ -502,6 +504,52 @@ TEST(TmSoakTest, SustainedS2VIngestKeepsStorageBounded) {
   EXPECT_GT(tracer.metrics().counter("tm.moveout_runs"), 0.0);
   EXPECT_GT(tracer.metrics().counter("tm.mergeout_runs"), 0.0);
   EXPECT_EQ(tracer.metrics().gauge("vertica.wos_batches"), 0.0);
+}
+
+// ------------------------------------------------------ rejected runs
+
+// A moveout or mergeout the store rejects — here because its content was
+// replaced by a copy typed for another schema — bumps tm.failures and
+// leaves the store untouched; the ticks keep re-arming, and once the
+// store is repaired the service quiesces as usual.
+TEST_F(TmTest, RejectedRunsCountFailuresAndLeaveStoreUntouched) {
+  Build(AggressiveTm());
+  RunDriver([&](sim::Process& driver) {
+    ExecOk(driver, 0,
+           "CREATE TABLE t (id INTEGER, score FLOAT) "
+           "SEGMENTED BY HASH(id) ALL NODES");
+    ExecOk(driver, 0, "CREATE TABLE u (id INTEGER)");
+    ExecOk(driver, 0, "INSERT INTO t VALUES (1, 1.5), (2, 2.5), (3, 3.5)");
+    ASSERT_TRUE(driver.Sleep(1.0).ok());
+    storage::SegmentStore* store = AllStores("t")[0];
+    storage::SegmentStore saved(store->schema());
+    saved.CopyContentsFrom(*store);
+
+    storage::SegmentStore alien(Schema(
+        {{"id", DataType::kVarchar}, {"score", DataType::kFloat64}}));
+    const Row row = {Value::Varchar("x"), Value::Float64(1.0)};
+    for (storage::TxnId txn = 1; txn <= 3; ++txn) {
+      ASSERT_TRUE(alien.InsertPendingDirect(txn, {row}).ok());
+      alien.CommitTxn(txn, txn);
+    }
+    ASSERT_TRUE(alien.InsertPending(4, {row}).ok());
+    alien.CommitTxn(4, 4);
+    store->CopyContentsFrom(alien);
+    const uint64_t fingerprint = store->ContentFingerprint();
+    const double encoded = store->TotalEncodedBytes();
+
+    // A commit elsewhere arms the ticks; every pass over the store fails.
+    ExecOk(driver, 0, "INSERT INTO u VALUES (1)");
+    ASSERT_TRUE(driver.Sleep(0.5).ok());
+    EXPECT_GT(tracer_->metrics().counter("tm.failures"), 0.0);
+    EXPECT_EQ(store->ContentFingerprint(), fingerprint);
+    EXPECT_EQ(store->num_ros_containers(), 3);
+    EXPECT_EQ(store->num_wos_batches(), 1);
+    EXPECT_EQ(store->TotalEncodedBytes(), encoded);
+    store->CopyContentsFrom(saved);
+  });
+  obs::TraceMatcher trace(*tracer_);
+  EXPECT_FALSE(trace.Category("tm").Name("failure").empty());
 }
 
 // --------------------------------------------------- monitoring surfaces
