@@ -4,10 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/trace.h"
+#include "sim/fiber_switch.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define FABRIC_ASAN_FIBERS 1
@@ -138,14 +140,13 @@ void Process::SwitchToEngine() {
       << "blocking call from outside process '" << name_ << "'";
   StartSwitch(&asan_fake_stack_, engine_->asan_host_stack_bottom_,
               engine_->asan_host_stack_size_);
-  swapcontext(&context_, &engine_->context_);
+  SwitchStacks(&sp_, engine_->sp_);
   FinishSwitch(asan_fake_stack_, &engine_->asan_host_stack_bottom_,
                &engine_->asan_host_stack_size_);
 }
 
-void Process::FiberMain(uint32_t self_hi, uint32_t self_lo) {
-  auto* self = reinterpret_cast<Process*>(
-      (static_cast<uintptr_t>(self_hi) << 32) | self_lo);
+void Process::FiberMain(void* arg) {
+  auto* self = static_cast<Process*>(arg);
   Engine* engine = self->engine_;
   FinishSwitch(nullptr, &engine->asan_host_stack_bottom_,
                &engine->asan_host_stack_size_);
@@ -157,7 +158,8 @@ void Process::FiberMain(uint32_t self_hi, uint32_t self_lo) {
   // fiber's bookkeeping. The engine never resumes this context.
   StartSwitch(nullptr, engine->asan_host_stack_bottom_,
               engine->asan_host_stack_size_);
-  setcontext(&engine->context_);
+  SwitchStacks(&self->sp_, engine->sp_);
+  std::abort();  // unreachable: a finished process is never resumed
 }
 
 // ----------------------------------------------------------------- Engine
@@ -258,18 +260,11 @@ void Engine::Resume(Process* process) {
       stack_pool_.pop_back();
     }
     UnpoisonStack(process->stack_);
-    getcontext(&process->context_);
-    process->context_.uc_stack.ss_sp = process->stack_;
-    process->context_.uc_stack.ss_size = kStackSize;
-    process->context_.uc_link = nullptr;
-    auto self = reinterpret_cast<uintptr_t>(process);
-    makecontext(&process->context_,
-                reinterpret_cast<void (*)()>(&Process::FiberMain), 2,
-                static_cast<uint32_t>(self >> 32),
-                static_cast<uint32_t>(self));
+    process->sp_ = PrepareStack(process->stack_, kStackSize,
+                                &Process::FiberMain, process);
   }
   StartSwitch(&asan_fake_stack_, process->stack_, kStackSize);
-  swapcontext(&context_, &process->context_);
+  SwitchStacks(&sp_, process->sp_);
   FinishSwitch(asan_fake_stack_, nullptr, nullptr);
   if (process->state_ == Process::State::kDone) {
     stack_pool_.push_back(process->stack_);

@@ -1,8 +1,6 @@
 #ifndef FABRIC_SIM_ENGINE_H_
 #define FABRIC_SIM_ENGINE_H_
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -75,10 +73,9 @@ class Process {
   // process again.
   void SwitchToEngine();
 
-  // First frame on the process's stack: runs the body, then switches back
-  // to the engine for good. makecontext passes only ints, so the Process*
-  // arrives split into two 32-bit halves.
-  static void FiberMain(uint32_t self_hi, uint32_t self_lo);
+  // Entry function of the process's stack, called with the Process*: runs
+  // the body, then switches back to the engine for good.
+  static void FiberMain(void* self);
 
   Engine* engine_;
   uint64_t id_;
@@ -92,7 +89,7 @@ class Process {
   Condition* wait_cond_ = nullptr;
   bool wake_posted_ = false;  // a wake event for this process is queued
   uint64_t wake_epoch_ = 0;   // invalidates superseded queued wakes
-  ucontext_t context_;        // saved registers while switched out
+  void* sp_ = nullptr;        // saved context while switched out
   // Usable stack region, from the engine's pool: set at first run,
   // returned when the body finishes.
   void* stack_ = nullptr;
@@ -186,7 +183,7 @@ class Engine {
   std::vector<Event> events_;
   std::vector<ProcessHandle> processes_;
   Process* current_ = nullptr;
-  ucontext_t context_;  // the engine's registers while a process runs
+  void* sp_ = nullptr;  // the engine's saved context while a process runs
   // Stacks of finished processes, reused by the next ones to start.
   std::vector<void*> stack_pool_;
   // ASan bookkeeping: the host stack Run() switches from.

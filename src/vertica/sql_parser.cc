@@ -584,7 +584,7 @@ class Parser {
         } while (Accept(","));
       }
       ExprPtr call = Expr::Call(std::move(name), std::move(args));
-      if (star) call->op = "*";  // marks COUNT(*)
+      if (star) call->op.assign(1, '*');  // marks COUNT(*)
       if (Accept("USING")) {
         FABRIC_RETURN_IF_ERROR(Expect("PARAMETERS"));
         do {

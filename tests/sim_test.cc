@@ -1,14 +1,23 @@
+#include <unwind.h>
+
+#include <cfenv>
+#include <cfloat>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#ifdef __SSE__
+#include <xmmintrin.h>
+#endif
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "sim/engine.h"
+#include "sim/fiber_switch.h"
 #include "sim/waitable.h"
 
 namespace fabric::sim {
@@ -376,6 +385,155 @@ TEST(FiberTest, ExceptionsUnwindInsideProcesses) {
   EXPECT_TRUE(intact);
   EXPECT_DOUBLE_EQ(engine.now(), 3.0);
 }
+
+// Every frame one _Unwind_Backtrace reports, innermost first.
+struct StackWalk {
+  static constexpr size_t kMaxFrames = 64;
+  std::vector<uintptr_t> pcs;
+  std::vector<uintptr_t> cfas;
+  _Unwind_Reason_Code code = _URC_NO_REASON;
+};
+
+_Unwind_Reason_Code RecordFrame(_Unwind_Context* context, void* arg) {
+  auto* walk = static_cast<StackWalk*>(arg);
+  int before_insn = 0;
+  const uintptr_t pc = _Unwind_GetIPInfo(context, &before_insn);
+  // libgcc reports the end of the stack as one last frame with pc 0.
+  if (pc == 0) return _URC_NO_REASON;
+  walk->pcs.push_back(pc);
+  walk->cfas.push_back(_Unwind_GetCFA(context));
+  // A walk that ran off the fiber stack could go on indefinitely.
+  return walk->pcs.size() < StackWalk::kMaxFrames ? _URC_NO_REASON
+                                                  : _URC_NORMAL_STOP;
+}
+
+// Walks the stack from `depth` frames below the caller.
+[[gnu::noinline]] void WalkFrom(int depth, StackWalk* walk) {
+  if (depth == 0) {
+    walk->code = _Unwind_Backtrace(&RecordFrame, walk);
+  } else {
+    WalkFrom(depth - 1, walk);
+  }
+  asm volatile("");  // keeps the recursion from becoming a tail call
+}
+
+// The bytes of one process stack (engine.cc's kStackSize).
+constexpr uintptr_t kProcessStackBytes = uintptr_t{8} << 20;
+
+TEST(FiberTest, StackWalksEndAtTheFiberEntryFrame) {
+  Engine engine;
+  std::vector<StackWalk> walks;
+  std::vector<uintptr_t> bodies;  // a frame address inside each body
+  for (int i = 0; i < 3; ++i) {
+    engine.Spawn("walker", [&, i](Process& self) {
+      // On a fresh stack, and again after switching away and back.
+      for (int round = 0; round < 2; ++round) {
+        bodies.push_back(
+            reinterpret_cast<uintptr_t>(__builtin_frame_address(0)));
+        walks.emplace_back();
+        WalkFrom(3 + i, &walks.back());
+        ASSERT_TRUE(self.Sleep(1).ok());
+      }
+    });
+  }
+  ASSERT_TRUE(engine.Run().ok());
+  ASSERT_EQ(walks.size(), 6u);
+  for (size_t w = 0; w < walks.size(); ++w) {
+    const StackWalk& walk = walks[w];
+    SCOPED_TRACE(StrCat("walk ", w));
+    EXPECT_EQ(walk.code, _URC_END_OF_STACK);
+    ASSERT_GE(walk.pcs.size(), 3u);
+    EXPECT_LT(walk.pcs.size(), StackWalk::kMaxFrames);
+    // Every frame lies on the walking process's own stack: the innermost
+    // one below the body's frame, each caller above its callee, and all
+    // within one stack's span.
+    EXPECT_LT(bodies[w] - walk.cfas.front(), kProcessStackBytes);
+    for (size_t f = 1; f < walk.cfas.size(); ++f) {
+      EXPECT_GT(walk.cfas[f], walk.cfas[f - 1]) << f;
+      EXPECT_LT(walk.cfas[f] - walk.cfas.front(), kProcessStackBytes) << f;
+    }
+#ifdef FABRIC_FIBER_SWITCH_X86_64
+    EXPECT_TRUE(InFiberEntryFrame(reinterpret_cast<const void*>(
+        walk.pcs.back())))
+        << "walk ended at pc " << walk.pcs.back();
+#endif
+  }
+}
+
+// 1/3 computed at run time under the current rounding mode.
+[[gnu::noinline]] double Third() {
+  volatile double one = 1;
+  volatile double three = 3;
+  return one / three;
+}
+
+TEST(FiberTest, RoundingModeIsPerProcess) {
+  ASSERT_EQ(fegetround(), FE_TONEAREST);
+  const double nearest_third = Third();
+  Engine engine;
+  std::vector<std::string> seen;
+  auto record = [&](const Process& self) {
+    seen.push_back(StrCat(self.name(), "@", self.Now(), " ",
+                          fegetround() == FE_UPWARD ? "upward" : "",
+                          fegetround() == FE_TONEAREST ? "nearest" : "",
+                          Third() > nearest_third ? " rounds up" : ""));
+  };
+  engine.Spawn("a", [&](Process& self) {
+    ASSERT_EQ(fesetround(FE_UPWARD), 0);
+    record(self);
+    ASSERT_TRUE(self.Sleep(1).ok());
+    record(self);
+  });
+  engine.Spawn("b", [&](Process& self) {
+    record(self);
+    ASSERT_TRUE(self.Sleep(0.5).ok());
+    record(self);
+  });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      "a@0 upward rounds up", "b@0 nearest",
+                      "b@0.5 nearest", "a@1 upward rounds up"}));
+  // The engine's own state came back with its final switch.
+  EXPECT_EQ(fegetround(), FE_TONEAREST);
+}
+
+#ifdef __SSE__
+// DBL_MIN / 2 computed at run time: subnormal, or zero under MXCSR
+// flush-to-zero.
+[[gnu::noinline]] double HalfOfSmallestNormal() {
+  volatile double smallest = DBL_MIN;
+  volatile double half = 0.5;
+  return smallest * half;
+}
+
+TEST(FiberTest, FlushToZeroIsPerProcess) {
+  ASSERT_EQ(_MM_GET_FLUSH_ZERO_MODE(), _MM_FLUSH_ZERO_OFF);
+  Engine engine;
+  std::vector<std::string> seen;
+  auto record = [&](const Process& self) {
+    seen.push_back(StrCat(
+        self.name(), "@", self.Now(), " ",
+        _MM_GET_FLUSH_ZERO_MODE() == _MM_FLUSH_ZERO_ON ? "ftz" : "no-ftz",
+        HalfOfSmallestNormal() == 0 ? " flushed" : ""));
+  };
+  engine.Spawn("a", [&](Process& self) {
+    _MM_SET_FLUSH_ZERO_MODE(_MM_FLUSH_ZERO_ON);
+    record(self);
+    ASSERT_TRUE(self.Sleep(1).ok());
+    record(self);
+  });
+  engine.Spawn("b", [&](Process& self) {
+    record(self);
+    ASSERT_TRUE(self.Sleep(0.5).ok());
+    record(self);
+  });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(seen, (std::vector<std::string>{"a@0 ftz flushed", "b@0 no-ftz",
+                                            "b@0.5 no-ftz",
+                                            "a@1 ftz flushed"}));
+  EXPECT_EQ(_MM_GET_FLUSH_ZERO_MODE(), _MM_FLUSH_ZERO_OFF);
+}
+#endif
 
 TEST(FiberTest, TwentyThousandWaitersOnOneCondition) {
   constexpr int kWaiters = 20'000;
