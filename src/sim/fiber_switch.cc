@@ -88,8 +88,6 @@ fabric_sim_SwitchStacks:
 
   .globl fabric_sim_FiberEntry
   .hidden fabric_sim_FiberEntry
-  .globl fabric_sim_FiberEntryEnd
-  .hidden fabric_sim_FiberEntryEnd
   .type fabric_sim_FiberEntryFrame, @function
   .p2align 4
 fabric_sim_FiberEntryFrame:
@@ -101,14 +99,12 @@ fabric_sim_FiberEntry:
   andq $-16, %rsp
   callq *%r13
   ud2
-fabric_sim_FiberEntryEnd:
   .cfi_endproc
   .size fabric_sim_FiberEntryFrame, .-fabric_sim_FiberEntryFrame
   .popsection
 )");
 
 extern "C" const char fabric_sim_FiberEntry[];
-extern "C" const char fabric_sim_FiberEntryEnd[];
 
 namespace fabric::sim {
 namespace {
@@ -139,12 +135,6 @@ void* PrepareStack(void* stack, size_t size, void (*entry)(void*), void* arg) {
   frame->r13 = reinterpret_cast<uintptr_t>(entry);
   frame->return_address = fabric_sim_FiberEntry;
   return frame;
-}
-
-bool InFiberEntryFrame(const void* pc) {
-  const auto at = reinterpret_cast<uintptr_t>(pc);
-  return at >= reinterpret_cast<uintptr_t>(fabric_sim_FiberEntry) &&
-         at < reinterpret_cast<uintptr_t>(fabric_sim_FiberEntryEnd);
 }
 
 }  // namespace fabric::sim

@@ -7,10 +7,8 @@
 // one opaque pointer: on x86-64 the stack pointer it stopped at, with its
 // callee-saved registers and floating-point control state pushed there;
 // elsewhere a ucontext_t on that stack. The choice is made at compile
-// time. Builds with CET (-fcf-protection) take the ucontext path too,
-// since glibc's ucontext switch keeps a shadow stack in step and the
-// hand-written one does not.
-#if defined(__x86_64__) && !defined(__CET__)
+// time.
+#if defined(__x86_64__)
 #define FABRIC_FIBER_SWITCH_X86_64 1
 #endif
 
@@ -28,12 +26,6 @@ void* PrepareStack(void* stack, size_t size, void (*entry)(void*), void* arg);
 // the plain symbol name.
 void SwitchStacks(void** save_sp, void* load_sp) __asm__(
     "fabric_sim_SwitchStacks");
-
-#ifdef FABRIC_FIBER_SWITCH_X86_64
-// True if `pc`, a return address an unwinder reports, lies in the entry
-// frame at the root of every fiber stack, where stack walks end.
-bool InFiberEntryFrame(const void* pc);
-#endif
 
 }  // namespace fabric::sim
 

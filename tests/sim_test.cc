@@ -17,7 +17,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "sim/engine.h"
-#include "sim/fiber_switch.h"
 #include "sim/waitable.h"
 
 namespace fabric::sim {
@@ -452,11 +451,6 @@ TEST(FiberTest, StackWalksEndAtTheFiberEntryFrame) {
       EXPECT_GT(walk.cfas[f], walk.cfas[f - 1]) << f;
       EXPECT_LT(walk.cfas[f] - walk.cfas.front(), kProcessStackBytes) << f;
     }
-#ifdef FABRIC_FIBER_SWITCH_X86_64
-    EXPECT_TRUE(InFiberEntryFrame(reinterpret_cast<const void*>(
-        walk.pcs.back())))
-        << "walk ended at pc " << walk.pcs.back();
-#endif
   }
 }
 
