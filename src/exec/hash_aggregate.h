@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "storage/lanes.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -88,6 +89,9 @@ Result<storage::Value> Finalize(const AggCall& call, const AggState& state);
 // reuse one buffer and allocate only when they store a new key.
 void AppendGroupKey(const storage::Row& row, const std::vector<int>& cols,
                     std::string* key);
+// The same key for row `row` of typed lanes, with no boxing.
+void AppendGroupKey(const storage::LaneRows& rows, uint32_t row,
+                    const std::vector<int>& cols, std::string* key);
 std::string GroupKey(const storage::Row& row, const std::vector<int>& cols);
 
 // Grace-hash fan-out and partition function (FNV-1a over the key).
@@ -131,18 +135,19 @@ class GroupTable {
              Fold&& fold) {
     key_.clear();
     AppendGroupKey(row, key_cols, &key_);
-    auto it = groups_.lower_bound(key_);
-    const bool inserted = it == groups_.end() || it->first != key_;
-    if (inserted) it = groups_.emplace_hint(it, key_, Group());
-    Group& group = it->second;
-    if (inserted) {
-      group.keys.reserve(key_cols.size());
-      for (int c : key_cols) group.keys.push_back(row[c]);
-      group.states.resize(calls_->size());
-    }
-    FABRIC_RETURN_IF_ERROR(fold(group));
-    if (inserted && budgeted()) return Charge(it->first, group);
-    return Status::OK();
+    return AddKeyed(
+        key_cols.size(), [&](size_t k) { return row[key_cols[k]]; }, fold);
+  }
+  // The same for row `row` of typed lanes: the key is appended from the
+  // lanes, and key values are boxed only when a new group is created.
+  template <typename Fold>
+  Status Add(const storage::LaneRows& rows, uint32_t row,
+             const std::vector<int>& key_cols, Fold&& fold) {
+    key_.clear();
+    AppendGroupKey(rows, row, key_cols, &key_);
+    return AddKeyed(
+        key_cols.size(),
+        [&](size_t k) { return rows.columns[key_cols[k]].Box(row); }, fold);
   }
 
   // Merges spilled runs back. A scalar aggregate (no GROUP BY) then
@@ -158,6 +163,25 @@ class GroupTable {
  private:
   bool budgeted() const {
     return spill_ != nullptr && spill_->budget_bytes > 0;
+  }
+  // Finds or creates the group keyed by key_ (key value k is
+  // key_value(k)) and folds into it.
+  template <typename KeyValue, typename Fold>
+  Status AddKeyed(size_t num_keys, KeyValue&& key_value, Fold& fold) {
+    auto it = groups_.lower_bound(key_);
+    const bool inserted = it == groups_.end() || it->first != key_;
+    if (inserted) it = groups_.emplace_hint(it, key_, Group());
+    Group& group = it->second;
+    if (inserted) {
+      group.keys.reserve(num_keys);
+      for (size_t k = 0; k < num_keys; ++k) {
+        group.keys.push_back(key_value(k));
+      }
+      group.states.resize(calls_->size());
+    }
+    FABRIC_RETURN_IF_ERROR(fold(group));
+    if (inserted && budgeted()) return Charge(it->first, group);
+    return Status::OK();
   }
   double GroupBytes(const std::string& key, const Group& group) const;
   Status Charge(const std::string& key, const Group& group);

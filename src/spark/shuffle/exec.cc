@@ -218,10 +218,11 @@ Result<std::vector<storage::Row>> RunFusedMap(TaskContext& task,
   const CostModel& cost = task.cluster->cost();
   FABRIC_ASSIGN_OR_RETURN(std::vector<storage::Row> rows,
                           fused.leaf->Compute(task, map));
+  const storage::LaneRows input =
+      storage::LaneRows::FromRows(fused.combine.in_schema, rows);
   std::vector<uint32_t> active(rows.size());
   std::iota(active.begin(), active.end(), 0);
   exec::EvalState state;
-  std::vector<uint32_t> block_active, block_keep;
   for (const FusedMapStage::Filter& f : fused.filters) {
     // The unfused stage charges for every row entering it, before
     // filtering.
@@ -232,36 +233,16 @@ Result<std::vector<storage::Row>> RunFusedMap(TaskContext& task,
       continue;
     }
     std::vector<uint32_t> survivors;
-    size_t i = 0;
-    while (i < active.size()) {
-      const size_t block_start =
-          active[i] / exec::kBlockRows * exec::kBlockRows;
-      const size_t block_len =
-          std::min(exec::kBlockRows, rows.size() - block_start);
-      block_active.clear();
-      size_t j = i;
-      while (j < active.size() && active[j] < block_start + block_len) {
-        block_active.push_back(static_cast<uint32_t>(active[j] - block_start));
-        ++j;
+    if (!exec::RunFilter(f.program, input, active, &state, &survivors)) {
+      // A row value defeated the static types: decide every row with the
+      // stage's own predicate (identical semantics, same first-error
+      // row).
+      survivors.clear();
+      for (uint32_t i : active) {
+        FABRIC_ASSIGN_OR_RETURN(
+            bool keep, f.remapped.Matches(fused.combine.in_schema, rows[i]));
+        if (keep) survivors.push_back(i);
       }
-      block_keep.clear();
-      if (exec::RunFilter(f.program, rows.data() + block_start, block_len,
-                          block_active, &state, &block_keep)) {
-        for (uint32_t k : block_keep) {
-          survivors.push_back(static_cast<uint32_t>(block_start) + k);
-        }
-      } else {
-        // A row value in this block defeated the static types: decide
-        // these rows with the stage's own predicate (identical
-        // semantics, same first-error row).
-        for (size_t k = i; k < j; ++k) {
-          FABRIC_ASSIGN_OR_RETURN(
-              bool keep,
-              f.remapped.Matches(fused.combine.in_schema, rows[active[k]]));
-          if (keep) survivors.push_back(active[k]);
-        }
-      }
-      i = j;
     }
     active = std::move(survivors);
   }

@@ -78,4 +78,23 @@ DataProfile ProfileRows(const std::vector<Row>& rows) {
   return total;
 }
 
+DataProfile ProfileRows(const LaneRows& rows) {
+  DataProfile total;
+  total.rows = static_cast<double>(rows.num_rows);
+  total.fields = static_cast<double>(rows.num_rows * rows.columns.size());
+  for (const Lanes& lane : rows.columns) {
+    if (lane.size() == 0) continue;  // not materialized: NULL, 0 bytes
+    for (size_t i = 0; i < rows.num_rows; ++i) {
+      double size = lane.RawSize(i);
+      total.raw_bytes += size;
+      if (lane.IsStringAt(i)) {
+        total.string_bytes += size;
+      } else {
+        total.numeric_bytes += size;
+      }
+    }
+  }
+  return total;
+}
+
 }  // namespace fabric::storage

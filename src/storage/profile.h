@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/cost_model.h"
+#include "storage/lanes.h"
 #include "storage/schema.h"
 
 namespace fabric::storage {
@@ -38,6 +39,9 @@ struct DataProfile {
 
 DataProfile ProfileRow(const Row& row);
 DataProfile ProfileRows(const std::vector<Row>& rows);
+// The same profile of rows held as lanes (the sizes are integer-valued,
+// so the column-major sums equal the row-major ones exactly).
+DataProfile ProfileRows(const LaneRows& rows);
 
 }  // namespace fabric::storage
 

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "storage/column_cursor.h"
+#include "storage/lanes.h"
 #include "storage/profile.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -100,12 +101,14 @@ void AccumulateHash(const DecodedColumn& column, const ColumnBatch& batch,
 void FilterHashRange(const HashRangeTerm& term, std::vector<uint64_t>* acc,
                      SelectionVector* sel);
 
-// Late materialization: boxes the column's values at the selected
-// positions into (*rows)[rows_offset + k][out_column] for sel[k].
-// Dictionary batches box each distinct value at most once.
+// Late materialization: copies the column's values at the selected
+// positions into rows out_offset + k of `out` for sel[k] (a lane of the
+// column's type, already at least out_offset + sel.size() rows long).
+// Varchar slots are copied out of the decoded payload, so `out` never
+// aliases the container.
 void GatherColumn(const DecodedColumn& column, const ColumnBatch& batch,
-                  const SelectionVector& sel, int out_column,
-                  std::vector<Row>* rows, size_t rows_offset = 0);
+                  const SelectionVector& sel, Lanes* out,
+                  size_t out_offset = 0);
 
 // Cost accounting without boxing: adds the ProfileRows contribution of
 // this column at the selected positions (fields/raw/numeric/string

@@ -456,48 +456,6 @@ void SegmentStore::AbortTxn(TxnId txn) {
   for (WosBatch& batch : wos_) clear_marks(batch.delete_marks);
 }
 
-Status SegmentStore::ScanVisible(
-    Epoch as_of, TxnId txn,
-    const std::function<Status(const Row&)>& fn) const {
-  for (const RosContainer& container : ros_) {
-    // Skip containers wholly invisible to the snapshot.
-    if (!container.committed() && container.pending_txn() != txn) continue;
-    if (container.committed() && container.min_epoch() > as_of) continue;
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, container.DecodeRows());
-    const auto& marks = container.delete_marks();
-    for (uint32_t i = 0; i < rows.size(); ++i) {
-      if (!VersionVisible(container.committed() ? 0 : container.pending_txn(),
-                          container.row_epoch(i), marks[i], as_of, txn)) {
-        continue;
-      }
-      FABRIC_RETURN_IF_ERROR(fn(rows[i]));
-    }
-  }
-  for (const WosBatch& batch : wos_) {
-    if (!batch.committed() && batch.pending_txn != txn) continue;
-    if (batch.committed() && batch.commit_epoch > as_of) continue;
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (!VersionVisible(batch.committed() ? 0 : batch.pending_txn,
-                          batch.commit_epoch, batch.delete_marks[i], as_of,
-                          txn)) {
-        continue;
-      }
-      FABRIC_RETURN_IF_ERROR(fn(batch.rows[i]));
-    }
-  }
-  return Status::OK();
-}
-
-Result<std::vector<Row>> SegmentStore::SnapshotRows(Epoch as_of,
-                                                    TxnId txn) const {
-  std::vector<Row> rows;
-  FABRIC_RETURN_IF_ERROR(ScanVisible(as_of, txn, [&](const Row& row) {
-    rows.push_back(row);
-    return Status::OK();
-  }));
-  return rows;
-}
-
 Result<int64_t> SegmentStore::CountVisible(Epoch as_of, TxnId txn) const {
   // Visibility needs only delete marks and epochs — no column decode.
   int64_t count = 0;
@@ -528,7 +486,7 @@ Result<int64_t> SegmentStore::CountVisible(Epoch as_of, TxnId txn) const {
 
 Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
     const RosContainer& container, const ScanSpec& spec, ScanStats* stats,
-    std::vector<Row>* emit) const {
+    LaneRows* emit) const {
   SelectionVector sel;
   if (!container.committed() && container.pending_txn() != spec.txn) {
     return sel;
@@ -636,21 +594,24 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
   if (sel.empty()) return sel;
 
   // Residual predicate: materialize only the columns it reads, at the
-  // selected positions, and interpret row-at-a-time.
+  // selected positions, as lanes for the compiled residual; box them into
+  // rows only when the interpreter decides.
   if (spec.residual) {
-    std::vector<Row> scratch(
-        sel.size(), Row(static_cast<size_t>(schema_.num_columns())));
-    if (spec.residual_columns != nullptr) {
-      for (int c : *spec.residual_columns) {
-        FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-            container, c, sel,
-            [&](const DecodedColumn& column, const ColumnBatch& batch,
-                size_t first, size_t last) {
-              SelectionVector sub(sel.begin() + first, sel.begin() + last);
-              GatherColumn(column, batch, sub, c, &scratch, first);
-              return Status::OK();
-            }));
-      }
+    LaneRows scratch(schema_);
+    scratch.num_rows = sel.size();
+    std::vector<int> none;
+    const std::vector<int>& residual_columns =
+        spec.residual_columns != nullptr ? *spec.residual_columns : none;
+    for (int c : residual_columns) {
+      scratch.columns[c].Resize(sel.size());
+      FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
+          container, c, sel,
+          [&](const DecodedColumn& column, const ColumnBatch& batch,
+              size_t first, size_t last) {
+            SelectionVector sub(sel.begin() + first, sel.begin() + last);
+            GatherColumn(column, batch, sub, &scratch.columns[c], first);
+            return Status::OK();
+          }));
     }
     bool handled = false;
     if (spec.batch_residual) {
@@ -666,8 +627,10 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
     if (!handled) {
       SelectionVector kept;
       kept.reserve(sel.size());
+      Row row(static_cast<size_t>(schema_.num_columns()));
       for (size_t k = 0; k < sel.size(); ++k) {
-        FABRIC_ASSIGN_OR_RETURN(bool keep, spec.residual(scratch[k]));
+        for (int c : residual_columns) row[c] = scratch.columns[c].Box(k);
+        FABRIC_ASSIGN_OR_RETURN(bool keep, spec.residual(row));
         if (keep) kept.push_back(sel[k]);
       }
       sel.swap(kept);
@@ -682,17 +645,18 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
     all = AllColumns(schema_);
     projection = &all;
   }
-  size_t out_base = emit->size();
-  emit->resize(out_base + sel.size(),
-               Row(static_cast<size_t>(schema_.num_columns())));
+  size_t out_base = emit->num_rows;
+  emit->num_rows += sel.size();
   for (int c : *projection) {
+    emit->columns[c].Resize(emit->num_rows);
     FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
         container, c, sel,
         [&](const DecodedColumn& column, const ColumnBatch& batch,
             size_t first, size_t last) {
           SelectionVector sub(sel.begin() + first, sel.begin() + last);
           MeasureColumn(column, batch, sub, &stats->output_profile);
-          GatherColumn(column, batch, sub, c, emit, out_base + first);
+          GatherColumn(column, batch, sub, &emit->columns[c],
+                       out_base + first);
           return Status::OK();
         }));
   }
@@ -700,12 +664,12 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
   return sel;
 }
 
-Result<std::vector<Row>> SegmentStore::Scan(const ScanSpec& spec,
-                                            ScanStats* stats) const {
-  std::vector<Row> out;
+Result<LaneRows> SegmentStore::Scan(const ScanSpec& spec,
+                                    ScanStats* stats) const {
+  LaneRows out(schema_);
   auto at_limit = [&] {
     return spec.limit >= 0 &&
-           static_cast<int64_t>(out.size()) >= spec.limit;
+           static_cast<int64_t>(out.num_rows) >= spec.limit;
   };
   for (const RosContainer& container : ros_) {
     if (at_limit()) break;
@@ -743,16 +707,16 @@ Result<std::vector<Row>> SegmentStore::Scan(const ScanSpec& spec,
       }
       ++stats->rows_emitted;
       MeasureRowColumns(row, *projection, &stats->output_profile);
-      Row masked(static_cast<size_t>(schema_.num_columns()));
-      for (int c : *projection) masked[c] = row[c];
-      out.push_back(std::move(masked));
+      for (int c : *projection) out.columns[c].Push(row[c]);
+      ++out.num_rows;
     }
   }
   // A ROS container crossing the cap emits its full selection; trim the
   // overshoot so every caller sees exactly `limit` rows.
-  if (spec.limit >= 0 && static_cast<int64_t>(out.size()) > spec.limit) {
-    stats->rows_emitted -= static_cast<int64_t>(out.size()) - spec.limit;
-    out.resize(static_cast<size_t>(spec.limit));
+  if (spec.limit >= 0 && static_cast<int64_t>(out.num_rows) > spec.limit) {
+    stats->rows_emitted -= static_cast<int64_t>(out.num_rows) - spec.limit;
+    out.num_rows = static_cast<size_t>(spec.limit);
+    for (int c : *projection) out.columns[c].Resize(out.num_rows);
   }
   stats->visible_profile.rows = static_cast<double>(stats->rows_visible);
   stats->output_profile.rows = static_cast<double>(stats->rows_emitted);
@@ -764,14 +728,22 @@ Result<int64_t> SegmentStore::MarkDeletedPending(const ScanSpec& spec,
   FABRIC_CHECK(spec.txn != 0) << "MarkDeletedPending requires a transaction";
   int64_t marked = 0;
   ScanStats ignored;
+  LaneRows captured;
+  if (victims != nullptr) captured = LaneRows(schema_);
   for (RosContainer& container : ros_) {
     FABRIC_ASSIGN_OR_RETURN(
         std::vector<uint32_t> sel,
-        SelectRosRows(container, spec, &ignored, victims));
+        SelectRosRows(container, spec, &ignored,
+                      victims != nullptr ? &captured : nullptr));
     auto& marks = container.mutable_delete_marks();
     for (uint32_t pos : sel) {
       marks[pos] = DeleteMark{DeleteMark::State::kPending, 0, spec.txn};
       ++marked;
+    }
+  }
+  if (victims != nullptr) {
+    for (size_t i = 0; i < captured.num_rows; ++i) {
+      victims->push_back(captured.BoxRow(i));
     }
   }
   for (WosBatch& batch : wos_) {

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "storage/column_cursor.h"
 #include "storage/encoding.h"
+#include "storage/lanes.h"
 #include "storage/profile.h"
 #include "storage/scan_kernels.h"
 #include "storage/schema.h"
@@ -172,23 +173,23 @@ struct WosBatch {
 // the WHERE clause, evaluated on rows with only `residual_columns`
 // materialized. `cost_columns` are measured for every visible row and
 // `projection` columns for every emitted row (the cost model's
-// late-materialization accounting); emitted rows are schema-width with
-// NULL outside the projection.
+// late-materialization accounting); emitted rows are schema-width lanes,
+// materialized only for the projection.
 struct ScanSpec {
   Epoch as_of = 0;
   TxnId txn = 0;
   const ScanPredicate* predicate = nullptr;  // may be null (match all)
   std::function<Result<bool>(const Row&)> residual;  // may be empty
   // Optional vectorized residual (the pipeline compiler's batch path):
-  // evaluates the residual over the whole scratch block at once,
-  // appending the kept row indices (into `rows`, ascending) to `keep`.
+  // evaluates the residual over a container's selected rows at once —
+  // schema-width lanes with only `residual_columns` filled — appending
+  // the kept row indices (ascending) to `keep`.
   // Returns false when it cannot handle the block — a dynamic type
   // surprise or an evaluation error — in which case the caller falls
   // back to the row-at-a-time `residual`, which is authoritative.
   // Only consulted by Scan's ROS path; WOS rows and MarkDeletedPending
   // always use `residual`.
-  std::function<bool(const std::vector<Row>& rows,
-                     std::vector<uint32_t>* keep)>
+  std::function<bool(const LaneRows& rows, std::vector<uint32_t>* keep)>
       batch_residual;
   const std::vector<int>* residual_columns = nullptr;
   const std::vector<int>* cost_columns = nullptr;   // null => none
@@ -261,14 +262,17 @@ class SegmentStore {
   void AbortTxn(TxnId txn);
 
   // Vectorized scan: per-container min/max pruning, predicate kernels on
-  // the encoded columns, selection-vector late materialization. Returns
-  // the emitted rows in storage order (ROS containers, then WOS rows,
-  // which are filtered row-at-a-time). Cost accounting in `stats` is
-  // identical to the row-at-a-time reference: pruned containers still
-  // measure their cost_columns for every visible row (the virtual-time
-  // model charges the same scan work either way — only host time drops).
-  Result<std::vector<Row>> Scan(const ScanSpec& spec,
-                                ScanStats* stats) const;
+  // the encoded columns, selection-vector late materialization into
+  // typed lanes (one per schema column; columns outside the projection
+  // are not materialized and read as NULL).
+  // Returns the emitted rows in storage order (ROS containers, then WOS
+  // rows, which are filtered row-at-a-time). The lanes own their
+  // strings, so they outlive any later change to this store. Cost
+  // accounting in `stats` is identical to the row-at-a-time reference:
+  // pruned containers still measure their cost_columns for every visible
+  // row (the virtual-time model charges the same scan work either way —
+  // only host time drops).
+  Result<LaneRows> Scan(const ScanSpec& spec, ScanStats* stats) const;
 
   // Marks the rows Scan(spec) would emit as deleted, pending under
   // spec.txn (the UPDATE/DELETE write path). Shares the selection
@@ -289,16 +293,6 @@ class SegmentStore {
   // fingerprints stay equal. Returns the number of rows marked.
   Result<int64_t> MarkDeletedPendingByContent(TxnId txn, Epoch as_of,
                                               const std::vector<Row>& victims);
-
-  // Invokes `fn` for every row visible at `as_of` (plus `txn`'s own
-  // pending rows when txn != 0), in storage order. Row-at-a-time
-  // reference path (decodes whole containers); kept for tests and as the
-  // baseline the vectorized Scan is verified against.
-  Status ScanVisible(Epoch as_of, TxnId txn,
-                     const std::function<Status(const Row&)>& fn) const;
-
-  // Convenience: materializes the visible rows.
-  Result<std::vector<Row>> SnapshotRows(Epoch as_of, TxnId txn = 0) const;
 
   Result<int64_t> CountVisible(Epoch as_of, TxnId txn = 0) const;
 
@@ -338,6 +332,8 @@ class SegmentStore {
   // The ROS containers in storage order (read-only; the Tuple Mover's
   // mergeout policy reads their sizes and commit state in place).
   const std::vector<RosContainer>& ros_containers() const { return ros_; }
+  // The WOS batches in storage order (read-only).
+  const std::vector<WosBatch>& wos_batches() const { return wos_; }
 
   // ------------------------------------------------- k-safety recovery
   // Raw bytes of content this store gained after `epoch`: containers and
@@ -363,11 +359,11 @@ class SegmentStore {
   // Shared selection pipeline for Scan/MarkDeletedPending: visibility
   // from delete marks, min/max pruning, predicate kernels, residual.
   // Returns selected row positions; when `emit` != null also gathers
-  // projection columns into schema-width rows appended to *emit.
+  // projection columns into rows appended to *emit (schema-width lanes).
   Result<std::vector<uint32_t>> SelectRosRows(const RosContainer& container,
                                               const ScanSpec& spec,
                                               ScanStats* stats,
-                                              std::vector<Row>* emit) const;
+                                              LaneRows* emit) const;
 
   // Rows held column by column as typed lanes, with their delete marks
   // and commit epochs: what every container this store writes is built

@@ -160,31 +160,40 @@ std::string Value::ToSqlLiteral() const {
   return "NULL";
 }
 
+void AppendInt64Display(int64_t v, std::string* out) {
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+void AppendFloat64Display(double v, std::string* out) {
+  // Same digits as printf("%.17g"): round-trips every double.
+  char buf[32];
+  const char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17)
+          .ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
 void Value::AppendDisplayString(std::string* out) const {
   if (is_null()) {
     out->append("NULL");
     return;
   }
-  char buf[32];
-  const char* end = buf;
   switch (type()) {
     case DataType::kBool:
       out->append(bool_value() ? "true" : "false");
       return;
     case DataType::kInt64:
-      end = std::to_chars(buf, buf + sizeof(buf), int64_value()).ptr;
-      break;
+      AppendInt64Display(int64_value(), out);
+      return;
     case DataType::kFloat64:
-      // Same digits as printf("%.17g"): round-trips every double.
-      end = std::to_chars(buf, buf + sizeof(buf), float64_value(),
-                          std::chars_format::general, 17)
-                .ptr;
-      break;
+      AppendFloat64Display(float64_value(), out);
+      return;
     case DataType::kVarchar:
       out->append(varchar_value());
       return;
   }
-  out->append(buf, static_cast<size_t>(end - buf));
 }
 
 Result<Value> Value::ParseAs(DataType type, std::string_view text) {

@@ -122,6 +122,12 @@ class Value {
   Repr data_;
 };
 
+// The display formatters behind Value::AppendDisplayString, for callers
+// holding unboxed values (typed lanes): the shortest decimal integer and
+// %.17g for floats, appended to `out`.
+void AppendInt64Display(int64_t v, std::string* out);
+void AppendFloat64Display(double v, std::string* out);
+
 // Structural equality/ordering functors for containers of Values.
 struct ValueEq {
   bool operator()(const Value& a, const Value& b) const {

@@ -172,18 +172,20 @@ class Session {
                                int view_depth,
                                const exec::SpillPolicy* spill);
   // Distributed scan of one base table through an already-chosen layout
-  // (the tail of ExecSelect; also used for each side of a planned join).
-  Result<QueryResult> ExecScanSelect(sim::Process& self,
-                                     const sql::SelectStmt& select,
-                                     const TableDef* def,
-                                     const projections::PlanChoice& plan,
-                                     bool to_client,
-                                     const exec::SpillPolicy* spill);
+  // (the tail of ExecSelect; also used for each side of a planned join):
+  // every node scans its segment with the WHERE clause applied, and the
+  // initiator gathers the rows, in node order, as lanes over the scanned
+  // layout's schema (stored in *schema). The rest of the SELECT is the
+  // caller's.
+  Result<storage::LaneRows> ExecScanSelect(
+      sim::Process& self, const sql::SelectStmt& select, const TableDef* def,
+      const projections::PlanChoice& plan, bool to_client,
+      storage::Schema* schema);
   // Node-local merge join of co-located layouts: every node joins its
   // own segments of both sides and ships only the join output to the
   // initiator. Returns combined rows ordered by (segment, left storage
   // order) — byte-identical to the gathered hash join's row order.
-  Result<std::vector<storage::Row>> ExecCoLocatedJoin(
+  Result<storage::LaneRows> ExecCoLocatedJoin(
       sim::Process& self, const sql::SelectStmt& select,
       const JoinQueryPlan& jq);
   // Resolves the physical layout for one base-table scan: the per-table

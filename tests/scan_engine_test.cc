@@ -17,6 +17,7 @@
 #include "common/string_util.h"
 #include "storage/scan_kernels.h"
 #include "storage/segment_store.h"
+#include "scan_reference.h"
 #include "vertica/sql_analyzer.h"
 #include "vertica/sql_eval.h"
 #include "vertica/sql_parser.h"
@@ -387,8 +388,8 @@ TEST_P(ScanEngineProperty, VectorizedScanMatchesReference) {
 
     // Reference: row-at-a-time visibility + interpreter.
     std::vector<Row> ref_visible;
-    Status walked = t.store->ScanVisible(
-        as_of, txn, [&](const Row& row) -> Status {
+    Status walked = ScanVisible(
+        *t.store, as_of, txn, [&](const Row& row) -> Status {
           ref_visible.push_back(row);
           return Status::OK();
         });
@@ -442,15 +443,16 @@ TEST_P(ScanEngineProperty, VectorizedScanMatchesReference) {
     spec.cost_columns = &cost_columns;
     if (!all_columns) spec.projection = &projection;
     storage::ScanStats stats;
-    auto got = t.store->Scan(spec, &stats);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto scanned = t.store->Scan(spec, &stats);
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    const std::vector<Row> got = scanned->BoxRows();
 
-    ASSERT_EQ(got->size(), ref_rows.size()) << "query " << query;
+    ASSERT_EQ(got.size(), ref_rows.size()) << "query " << query;
     for (size_t i = 0; i < ref_rows.size(); ++i) {
       for (int c = 0; c < t.schema.num_columns(); ++c) {
-        EXPECT_TRUE((*got)[i][c].Equals(ref_rows[i][c]))
+        EXPECT_TRUE(got[i][c].Equals(ref_rows[i][c]))
             << "row " << i << " col " << c << ": "
-            << (*got)[i][c].ToSqlLiteral() << " vs "
+            << got[i][c].ToSqlLiteral() << " vs "
             << ref_rows[i][c].ToSqlLiteral();
       }
     }
@@ -533,9 +535,10 @@ TEST(ScanEngineTest, AtEpochSnapshotIsolation) {
   storage::ScanSpec spec;
   spec.as_of = 1;
   storage::ScanStats before;
-  auto snapshot = store.Scan(spec, &before);
-  ASSERT_TRUE(snapshot.ok());
-  ASSERT_EQ(snapshot->size(), 40u);
+  auto scanned = store.Scan(spec, &before);
+  ASSERT_TRUE(scanned.ok());
+  const std::vector<Row> snapshot = scanned->BoxRows();
+  ASSERT_EQ(snapshot.size(), 40u);
 
   // Later commits — an insert at epoch 2, a delete at epoch 3 — must not
   // change what the epoch-1 snapshot sees.
@@ -552,12 +555,13 @@ TEST(ScanEngineTest, AtEpochSnapshotIsolation) {
   store.CommitTxn(3, 3);
 
   storage::ScanStats after;
-  auto again = store.Scan(spec, &after);
-  ASSERT_TRUE(again.ok());
-  ASSERT_EQ(again->size(), snapshot->size());
-  for (size_t i = 0; i < snapshot->size(); ++i) {
+  auto rescanned = store.Scan(spec, &after);
+  ASSERT_TRUE(rescanned.ok());
+  const std::vector<Row> again = rescanned->BoxRows();
+  ASSERT_EQ(again.size(), snapshot.size());
+  for (size_t i = 0; i < snapshot.size(); ++i) {
     for (int c = 0; c < schema.num_columns(); ++c) {
-      EXPECT_TRUE((*again)[i][c].Equals((*snapshot)[i][c]));
+      EXPECT_TRUE(again[i][c].Equals(snapshot[i][c]));
     }
   }
   EXPECT_EQ(after.rows_visible, before.rows_visible);
