@@ -15,7 +15,8 @@
 
 namespace fabric::storage {
 
-uint64_t TypedVec::Hash(DataType type, size_t i) const {
+template <typename S>
+uint64_t BasicTypedVec<S>::Hash(DataType type, size_t i) const {
   switch (type) {
     case DataType::kBool:
       return HashBool(bools[i] != 0);
@@ -28,6 +29,9 @@ uint64_t TypedVec::Hash(DataType type, size_t i) const {
   }
   return 0;
 }
+
+template uint64_t BasicTypedVec<std::string_view>::Hash(DataType type,
+                                                      size_t i) const;
 
 namespace {
 
@@ -59,18 +63,10 @@ bool Less(double a, double b) { return a < b; }
 bool Less(std::string_view a, std::string_view b) { return a < b; }
 
 // Dictionary identity of a non-null fixed-width slot. Dictionary entries
-// are the distinct display strings of the column, which for fixed-width
-// types is the bit pattern except that every NaN of one sign prints
-// alike ("nan" / "-nan"); the two canonical NaN keys are NaN bit
-// patterns themselves, so they cannot collide with another value's key.
+// are the distinct display strings of the column (FloatDisplayKey).
 uint64_t FixedKey(uint8_t v) { return v ? 1 : 0; }
 uint64_t FixedKey(int64_t v) { return static_cast<uint64_t>(v); }
-uint64_t FixedKey(double d) {
-  if (std::isnan(d)) {
-    return std::signbit(d) ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL;
-  }
-  return std::bit_cast<uint64_t>(d);
-}
+uint64_t FixedKey(double d) { return FloatDisplayKey(d); }
 
 void Unbox(const Value& v, uint8_t* out) { *out = v.bool_value() ? 1 : 0; }
 void Unbox(const Value& v, int64_t* out) { *out = v.int64_value(); }
@@ -461,6 +457,13 @@ Status DecodeLane(Encoding encoding, std::string_view payload, uint32_t n,
 }
 
 }  // namespace
+
+uint64_t FloatDisplayKey(double d) {
+  if (std::isnan(d)) {
+    return std::signbit(d) ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL;
+  }
+  return std::bit_cast<uint64_t>(d);
+}
 
 void ColumnLanes::Reserve(size_t rows) {
   nulls.reserve(rows);

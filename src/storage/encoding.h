@@ -33,10 +33,12 @@ inline constexpr size_t NullBitmapBytes(uint32_t num_rows) {
 
 // Unboxed values of one column type. Exactly one of the typed vectors is
 // populated, per the column's DataType; Visit hands that one to a
-// generic lambda. Varchar slots are views into storage owned elsewhere
-// (a chunk payload or the Values they were read from), which must
-// outlive them.
-struct TypedVec {
+// generic lambda. `S` is the varchar slot type. TypedVec's
+// std::string_view slots are views into storage owned elsewhere (a
+// chunk payload or the Values they were read from), which must outlive
+// them; storage::Lanes holds owning std::string slots.
+template <typename S>
+struct BasicTypedVec {
  private:
   // Visit's body, for const and mutable vectors alike.
   template <typename Self, typename Fn>
@@ -54,11 +56,25 @@ struct TypedVec {
     return fn(self.strings);
   }
 
+  // lane<T>'s body, for const and mutable vectors alike.
+  template <typename T, typename Self>
+  static auto& LaneOf(Self& self) {
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return self.ints;
+    } else if constexpr (std::is_same_v<T, double>) {
+      return self.doubles;
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+      return self.bools;
+    } else {
+      return self.strings;
+    }
+  }
+
  public:
   std::vector<int64_t> ints;
   std::vector<double> doubles;
   std::vector<uint8_t> bools;  // 0 or 1
-  std::vector<std::string_view> strings;
+  std::vector<S> strings;
 
   // fn(lane) on the vector that holds `type`'s slots.
   template <typename Fn>
@@ -86,18 +102,16 @@ struct TypedVec {
     }
   }
 
-  // The vector holding slots of type T (uint8_t for bools).
+  // The vector holding slots of type T: uint8_t for bools, and any
+  // string type for varchars (so a lane of one BasicTypedVec finds its
+  // counterpart in another via SlotType).
   template <typename T>
-  std::vector<T>& lane() {
-    if constexpr (std::is_same_v<T, int64_t>) {
-      return ints;
-    } else if constexpr (std::is_same_v<T, double>) {
-      return doubles;
-    } else if constexpr (std::is_same_v<T, uint8_t>) {
-      return bools;
-    } else {
-      return strings;
-    }
+  auto& lane() {
+    return LaneOf<T>(*this);
+  }
+  template <typename T>
+  const auto& lane() const {
+    return LaneOf<T>(*this);
   }
 
   std::string_view StringAt(size_t i) const { return strings[i]; }
@@ -135,6 +149,12 @@ struct TypedVec {
   }
 };
 
+using TypedVec = BasicTypedVec<std::string_view>;
+
+// The slot type of a lane vector V, for BasicTypedVec::lane.
+template <typename V>
+using SlotType = typename std::decay_t<V>::value_type;
+
 // One column as typed lanes: per row, a null flag and one slot of
 // `values` (a null row's slot holds a zero value). The form the encoder
 // reads and the lane decoder writes, so the Tuple Mover sorts, permutes
@@ -156,6 +176,12 @@ struct ColumnLanes {
     return nulls[i] ? Value::Null() : values.Box(type, i);
   }
 };
+
+// A key whose equality is display-string equality for doubles: the bit
+// pattern, except that every NaN of one sign prints alike ("nan" /
+// "-nan") and so maps to one canonical NaN pattern, which no other
+// value's key can equal. -0 and 0 keep distinct keys ("-0", "0").
+uint64_t FloatDisplayKey(double d);
 
 // An encoded column of `num_rows` values of `type` (with a null bitmap).
 struct ColumnChunk {
