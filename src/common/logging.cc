@@ -1,14 +1,11 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 namespace fabric {
 namespace {
-
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarning)};
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -28,13 +25,7 @@ const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
+LogLevel GetLogLevel() { return LogLevel::kWarning; }
 
 namespace internal {
 

@@ -9,9 +9,8 @@ namespace fabric {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3,
                       kFatal = 4 };
 
-// Process-wide minimum level for emitted log lines (default kWarning so
-// tests and benches stay quiet; examples raise it to kInfo).
-void SetLogLevel(LogLevel level);
+// Process-wide minimum level for emitted log lines (kWarning, so tests
+// and benches stay quiet).
 LogLevel GetLogLevel();
 
 namespace internal {

@@ -144,15 +144,6 @@ int KMeansModel::PredictCluster(const std::vector<double>& features) const {
   return best;
 }
 
-pmml::PmmlModel KMeansModel::ToPmml(const std::string& name) const {
-  pmml::PmmlModel model;
-  model.kind = pmml::PmmlModel::Kind::kKMeans;
-  model.name = name;
-  model.feature_names = feature_names;
-  model.centers = centers;
-  return model;
-}
-
 Result<RegressionModel> TrainLinearRegression(
     sim::Process& driver, const spark::DataFrame& data,
     const std::vector<std::string>& feature_columns,

@@ -37,7 +37,6 @@ struct KMeansModel {
   std::vector<std::vector<double>> centers;
 
   int PredictCluster(const std::vector<double>& features) const;
-  pmml::PmmlModel ToPmml(const std::string& name) const;
 };
 
 // Gradient-descent ordinary least squares. `label` must be numeric.

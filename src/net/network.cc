@@ -98,17 +98,6 @@ Status Network::Transfer(sim::Process& self, const std::vector<LinkId>& path,
   return Status::OK();
 }
 
-std::string Network::DebugDumpFlows() const {
-  std::string out;
-  for (const Flow& flow : flows_) {
-    out += StrCat("flow rate=", flow.rate, " remaining=", flow.remaining,
-                  " cap=", flow.cap, " done=", flow.done, " path=");
-    for (LinkId id : flow.path) out += StrCat(links_[id].name, " ");
-    out += "\n";
-  }
-  return out;
-}
-
 void Network::CreditLink(LinkId id, double bytes) {
   Advance();
   links_[id].bytes_carried += bytes;

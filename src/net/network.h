@@ -65,9 +65,6 @@ class Network {
   // Recomputed on every flow arrival/departure; exposed for tests.
   int num_active_flows() const { return static_cast<int>(flows_.size()); }
 
-  // Debug: one line per active flow (rate, remaining, path).
-  std::string DebugDumpFlows() const;
-
   // Telemetry-only credit to a link's byte counter (work that is already
   // paced by something else — e.g. result-stream serialization CPU, whose
   // pace is the per-connection rate cap — but should still show up in

@@ -67,14 +67,6 @@ bool Event::BoolAttr(std::string_view key, bool fallback) const {
                                                              : fallback;
 }
 
-std::string Event::StrAttr(std::string_view key,
-                           std::string_view fallback) const {
-  const AttrValue* v = FindAttr(key);
-  return v != nullptr && v->kind() == AttrValue::Kind::kString
-             ? v->string_value()
-             : std::string(fallback);
-}
-
 std::string Event::ToString() const {
   std::string out =
       StrCat("[t=", time, " #", seq, "] ", category, ".", name,

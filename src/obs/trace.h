@@ -85,8 +85,6 @@ struct Event {
   int64_t IntAttr(std::string_view key, int64_t fallback = 0) const;
   double DoubleAttr(std::string_view key, double fallback = 0) const;
   bool BoolAttr(std::string_view key, bool fallback = false) const;
-  std::string StrAttr(std::string_view key,
-                      std::string_view fallback = "") const;
 
   std::string ToString() const;  // one-line debug form
 };

@@ -21,9 +21,6 @@ std::vector<const Event*> AllOf(const std::vector<Event>& events) {
 TraceMatcher::TraceMatcher(const Tracer& tracer)
     : events_(AllOf(tracer.events())) {}
 
-TraceMatcher::TraceMatcher(const std::vector<Event>& events)
-    : events_(AllOf(events)) {}
-
 TraceMatcher TraceMatcher::Category(std::string_view category) const {
   return FilterBy([&](const Event& e) { return e.category == category; });
 }

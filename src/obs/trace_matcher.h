@@ -23,7 +23,6 @@ namespace fabric::obs {
 class TraceMatcher {
  public:
   explicit TraceMatcher(const Tracer& tracer);
-  explicit TraceMatcher(const std::vector<Event>& events);
 
   // Filters (each returns a narrowed view, original unchanged).
   TraceMatcher Category(std::string_view category) const;

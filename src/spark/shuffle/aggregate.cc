@@ -74,8 +74,6 @@ struct Combiner::Impl {
 Combiner::Combiner(const AggPlan* plan, const exec::SpillPolicy* spill)
     : impl_(new Impl(plan, spill)) {}
 Combiner::~Combiner() = default;
-Combiner::Combiner(Combiner&&) noexcept = default;
-Combiner& Combiner::operator=(Combiner&&) noexcept = default;
 
 Status Combiner::Add(const Row& row) {
   static const Value kOne = Value::Int64(1);  // COUNT(*) counts rows

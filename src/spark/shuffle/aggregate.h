@@ -63,8 +63,6 @@ class Combiner {
   explicit Combiner(const AggPlan* plan,
                     const exec::SpillPolicy* spill = nullptr);
   ~Combiner();
-  Combiner(Combiner&&) noexcept;
-  Combiner& operator=(Combiner&&) noexcept;
 
   Status Add(const storage::Row& row);
   Result<std::vector<storage::Row>> Finish();

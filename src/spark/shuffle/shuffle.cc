@@ -25,14 +25,6 @@ int ShuffleManager::Register(int num_maps, int num_reduces) {
   return static_cast<int>(shuffles_.size()) - 1;
 }
 
-int ShuffleManager::num_maps(int shuffle) const {
-  return shuffles_[shuffle].num_maps;
-}
-
-int ShuffleManager::num_reduces(int shuffle) const {
-  return shuffles_[shuffle].num_reduces;
-}
-
 std::vector<int> ShuffleManager::MissingMaps(int shuffle) const {
   const State& state = shuffles_[shuffle];
   std::vector<int> missing;

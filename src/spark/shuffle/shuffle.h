@@ -34,9 +34,6 @@ class ShuffleManager {
   // hash partitions. Returns its id.
   int Register(int num_maps, int num_reduces);
 
-  int num_maps(int shuffle) const;
-  int num_reduces(int shuffle) const;
-
   // Map outputs that still need (re-)execution: never committed, or
   // committed on an executor that has since been killed.
   std::vector<int> MissingMaps(int shuffle) const;

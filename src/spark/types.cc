@@ -140,16 +140,4 @@ std::string AggregateCall::ToSqlExpr() const {
                 ")");
 }
 
-const char* SaveModeName(SaveMode mode) {
-  switch (mode) {
-    case SaveMode::kOverwrite:
-      return "Overwrite";
-    case SaveMode::kAppend:
-      return "Append";
-    case SaveMode::kErrorIfExists:
-      return "ErrorIfExists";
-  }
-  return "?";
-}
-
 }  // namespace fabric::spark

@@ -113,8 +113,6 @@ struct PushDown {
 
 enum class SaveMode { kOverwrite, kAppend, kErrorIfExists };
 
-const char* SaveModeName(SaveMode mode);
-
 }  // namespace fabric::spark
 
 #endif  // FABRIC_SPARK_TYPES_H_

@@ -75,13 +75,20 @@ void Unbox(const Value& v, std::string_view* out) {
   *out = v.varchar_value();
 }
 
-// RLE run continuation, as Value::Equals sees two slots: nulls match
-// nulls, and `==` on values (so 0.0 and -0.0 share a run and NaN never
-// continues one).
+// RLE run continuation: nulls match nulls, and values match by `==`
+// (so NaN never continues a run) — for FLOAT64 also by sign bit, so a
+// -0.0 never folds into a 0.0 run and reads back with its sign.
+bool SameValue(double a, double b) {
+  return a == b && std::signbit(a) == std::signbit(b);
+}
+template <typename T>
+bool SameValue(const T& a, const T& b) {
+  return a == b;
+}
 template <typename T>
 bool SameSlot(const uint8_t* nulls, const T* lane, size_t a, size_t b) {
   if (nulls[a] || nulls[b]) return nulls[a] && nulls[b];
-  return lane[a] == lane[b];
+  return SameValue(lane[a], lane[b]);
 }
 
 // Appends at(i) for i < n to *out (of out->type), unboxed: the one type

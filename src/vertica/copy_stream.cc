@@ -155,15 +155,6 @@ Status CopyStream::WriteBatch(sim::Process& self,
   // transaction (before routing moves the rows out of `good`).
   FABRIC_RETURN_IF_ERROR(db->WriteProjectionRows(
       self, def_, good, txn_, initiator, options_.direct, scale));
-  std::vector<std::vector<Row>> per_node(db->num_nodes());
-  for (Row& row : good) {
-    int owner = db->OwnerNode(def_, row);
-    if (owner < 0) {
-      for (int n = 0; n < db->num_nodes(); ++n) per_node[n].push_back(row);
-    } else {
-      per_node[owner].push_back(std::move(row));
-    }
-  }
   obs::TraceEvent("vertica", "copy.batch",
                   {{"table", def_.name},
                    {"rows", static_cast<int64_t>(rows.size())},
@@ -171,51 +162,18 @@ Status CopyStream::WriteBatch(sim::Process& self,
                     static_cast<int64_t>(rows.size() - good.size())},
                    {"txn", txn_}});
   obs::IncrCounter("vertica.copy_rows", static_cast<double>(rows.size()));
-  bool replicated = def_.segmentation.unsegmented();
-  for (int n = 0; n < db->num_nodes(); ++n) {
-    if (per_node[n].empty()) continue;
-    // Deliver to every live copy (k=1: primary + buddy for segmented
-    // tables, each UP replica for unsegmented); DOWN copies are caught up
-    // by recovery.
-    std::vector<Database::SegmentCopy> copies;
-    if (replicated) {
-      if (!db->node_up(n)) continue;
-      copies.push_back(Database::SegmentCopy{storage->per_node[n].get(), n});
-    } else {
-      FABRIC_ASSIGN_OR_RETURN(copies, db->WriteCopies(storage, n));
-    }
-    DataProfile node_profile = ProfileRows(per_node[n]);
-    node_profile.ScaleBy(scale);
-    for (size_t c = 0; c < copies.size(); ++c) {
-      const Database::SegmentCopy& copy = copies[c];
-      if (copy.host != initiator) {
-        FABRIC_RETURN_IF_ERROR(db->network()->Transfer(
-            self,
-            {db->node_host(initiator).int_egress,
-             db->node_host(copy.host).int_ingress},
-            node_profile.raw_bytes));
-      }
-      // Sort + encode into ROS on the owner (cheap relative to parse).
-      FABRIC_RETURN_IF_ERROR(net::RunCpu(
-          self, db->network(), db->node_host(copy.host),
-          node_profile.raw_bytes * cost.scan_cpu_per_byte));
-      std::vector<Row> batch = c + 1 < copies.size()
-                                   ? per_node[n]
-                                   : std::move(per_node[n]);
-      if (options_.direct) {
-        FABRIC_RETURN_IF_ERROR(
-            copy.store->InsertPendingDirect(txn_, std::move(batch)));
-      } else {
-        // Trickle COPY lands in the WOS: stall admission while this
-        // store sits at the Tuple Mover's hard cap instead of letting
-        // the WOS grow without bound.
-        FABRIC_RETURN_IF_ERROR(db->tuple_mover()->AdmitWos(
-            self, def_.name, copy.store, copy.host));
-        FABRIC_RETURN_IF_ERROR(
-            copy.store->InsertPending(txn_, std::move(batch)));
-      }
-    }
-  }
+  // Deliver to every live copy of each owner segment; sort + encode into
+  // ROS on the owner is cheap relative to the parse above.
+  FABRIC_RETURN_IF_ERROR(db->WriteRows(
+      self,
+      {.set = storage,
+       .segmentation = &def_.segmentation,
+       .table = &def_.name,
+       .txn = txn_,
+       .source_host = initiator,
+       .direct = options_.direct,
+       .scale = scale},
+      std::move(good)));
   totals_.loaded += good_count;
   return Status::OK();
 }

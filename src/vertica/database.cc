@@ -168,17 +168,9 @@ void Database::RegisterScalarFunction(const std::string& name,
   functions_[ToUpper(name)] = std::move(fn);
 }
 
-bool Database::HasScalarFunction(const std::string& name) const {
-  return functions_.count(ToUpper(name)) > 0;
-}
-
 void Database::RegisterAggregateFunction(const std::string& name,
                                          sql::AggregateUdx udx) {
   aggregate_functions_[ToUpper(name)] = std::move(udx);
-}
-
-bool Database::HasAggregateFunction(const std::string& name) const {
-  return aggregate_functions_.count(ToUpper(name)) > 0;
 }
 
 Result<std::unique_ptr<Session>> Database::Connect(sim::Process& self,
@@ -225,17 +217,6 @@ Result<std::unique_ptr<Session>> Database::Connect(sim::Process& self,
 void Database::UnregisterSession(int node, Session* session) {
   --active_sessions_[node];
   node_sessions_[node].erase(session);
-}
-
-double Database::NodeCpuUtilization(int node) const {
-  const net::Host& host = hosts_[node];
-  if (!host.has_cpu()) return 0;
-  double rate = network_->LinkCurrentRate(host.cpu);
-  return rate / network_->link_capacity(host.cpu);
-}
-
-double Database::NodeExtEgressRate(int node) const {
-  return network_->LinkCurrentRate(hosts_[node].ext_egress);
 }
 
 Result<Database::TableStorage*> Database::GetStorage(
@@ -348,21 +329,87 @@ Status Database::RenameTableWithStorage(const std::string& from,
   return Status::OK();
 }
 
-int Database::OwnerNode(const TableDef& def,
+int Database::OwnerNode(const Segmentation& segmentation,
                         const storage::Row& row) const {
-  if (def.segmentation.unsegmented()) return -1;
-  uint64_t h =
-      storage::RowSegmentationHash(row, def.segmentation.columns);
+  if (segmentation.unsegmented()) return -1;
+  uint64_t h = storage::RowSegmentationHash(row, segmentation.columns);
   return RingSegmentOf(h, num_nodes());
 }
 
-int Database::OwnerNode(const ProjectionDef& def,
-                        const storage::Row& row) const {
-  if (def.segmentation.unsegmented()) return -1;
-  uint64_t h =
-      storage::RowSegmentationHash(row, def.segmentation.columns);
-  return RingSegmentOf(h, num_nodes());
+std::vector<std::vector<storage::Row>> Database::RouteRows(
+    const Segmentation& segmentation, std::vector<storage::Row> rows) const {
+  std::vector<std::vector<storage::Row>> per_node(num_nodes());
+  for (storage::Row& row : rows) {
+    int owner = OwnerNode(segmentation, row);
+    if (owner < 0) {
+      for (int n = 0; n < num_nodes(); ++n) per_node[n].push_back(row);
+    } else {
+      per_node[owner].push_back(std::move(row));
+    }
+  }
+  return per_node;
 }
+
+Status Database::WriteRows(sim::Process& self, const WriteRoute& route,
+                           std::vector<storage::Row> rows) {
+  std::vector<std::vector<storage::Row>> per_node =
+      RouteRows(*route.segmentation, std::move(rows));
+  const bool replicated = route.segmentation->unsegmented();
+  for (int n = 0; n < num_nodes(); ++n) {
+    if (per_node[n].empty() || (replicated && !node_up(n))) continue;
+    FABRIC_ASSIGN_OR_RETURN(std::vector<SegmentCopy> copies,
+                            WriteCopies(route.set, n));
+    storage::DataProfile profile = storage::ProfileRows(per_node[n]);
+    profile.ScaleBy(route.scale);
+    const CostModel& cost = options_.cost;
+    const double cpu = route.cpu == WriteCpu::kParse
+                           ? profile.CopyParseCpu(cost)
+                           : profile.raw_bytes * cost.scan_cpu_per_byte;
+    for (size_t c = 0; c < copies.size(); ++c) {
+      const SegmentCopy& copy = copies[c];
+      if (copy.host != route.source_host) {
+        FABRIC_RETURN_IF_ERROR(network_->Transfer(
+            self,
+            {hosts_[route.source_host].int_egress,
+             hosts_[copy.host].int_ingress},
+            profile.raw_bytes));
+      }
+      FABRIC_RETURN_IF_ERROR(
+          net::RunCpu(self, network_, hosts_[copy.host], cpu));
+      std::vector<storage::Row> batch = c + 1 < copies.size()
+                                            ? per_node[n]
+                                            : std::move(per_node[n]);
+      if (route.direct) {
+        FABRIC_RETURN_IF_ERROR(
+            copy.store->InsertPendingDirect(route.txn, std::move(batch)));
+      } else {
+        FABRIC_RETURN_IF_ERROR(
+            tm_->AdmitWos(self, *route.table, copy.store, copy.host));
+        FABRIC_RETURN_IF_ERROR(
+            copy.store->InsertPending(route.txn, std::move(batch)));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+namespace {
+
+// Anchor-width `rows` narrowed to `proj`'s columns.
+std::vector<storage::Row> ProjectRows(const ProjectionDef& proj,
+                                      const std::vector<storage::Row>& rows) {
+  std::vector<storage::Row> projected;
+  projected.reserve(rows.size());
+  for (const storage::Row& row : rows) {
+    storage::Row prow;
+    prow.reserve(proj.columns.size());
+    for (int c : proj.columns) prow.push_back(row[c]);
+    projected.push_back(std::move(prow));
+  }
+  return projected;
+}
+
+}  // namespace
 
 Status Database::WriteProjectionRows(sim::Process& self,
                                      const TableDef& def,
@@ -370,69 +417,19 @@ Status Database::WriteProjectionRows(sim::Process& self,
                                      storage::TxnId txn, int source_host,
                                      bool direct, double scale) {
   if (rows.empty()) return Status::OK();
-  std::vector<const ProjectionDef*> projs =
-      catalog_.ProjectionsOf(def.name);
-  if (projs.empty()) return Status::OK();
-  auto storage_it = storage_.find(ToLower(def.name));
-  FABRIC_CHECK(storage_it != storage_.end()) << "anchor storage missing";
-  for (const ProjectionDef* proj : projs) {
-    auto set_it = storage_it->second.projections.find(ToLower(proj->name));
-    FABRIC_CHECK(set_it != storage_it->second.projections.end())
-        << "projection storage missing for " << proj->name;
-    SegmentSet& set = set_it->second;
-    // Project anchor-width rows to the projection's column subset and
-    // route them by the projection's own segmentation.
-    std::vector<std::vector<storage::Row>> per_node(num_nodes());
-    for (const storage::Row& row : rows) {
-      storage::Row prow;
-      prow.reserve(proj->columns.size());
-      for (int c : proj->columns) prow.push_back(row[c]);
-      int owner = OwnerNode(*proj, prow);
-      if (owner < 0) {
-        for (int n = 0; n < num_nodes(); ++n) per_node[n].push_back(prow);
-      } else {
-        per_node[owner].push_back(std::move(prow));
-      }
-    }
-    bool replicated = proj->segmentation.unsegmented();
-    for (int n = 0; n < num_nodes(); ++n) {
-      if (per_node[n].empty()) continue;
-      std::vector<SegmentCopy> copies;
-      if (replicated) {
-        if (!node_up(n)) continue;
-        copies.push_back(SegmentCopy{set.per_node[n].get(), n});
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(copies, WriteCopies(&set, n));
-      }
-      double raw_bytes =
-          storage::ProfileRows(per_node[n]).raw_bytes * scale;
-      for (size_t c = 0; c < copies.size(); ++c) {
-        const SegmentCopy& copy = copies[c];
-        if (copy.host != source_host) {
-          FABRIC_RETURN_IF_ERROR(network_->Transfer(
-              self,
-              {hosts_[source_host].int_egress,
-               hosts_[copy.host].int_ingress},
-              raw_bytes));
-        }
-        // Re-sorting and re-encoding into the projection's design.
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, network_, hosts_[copy.host],
-                        raw_bytes * options_.cost.scan_cpu_per_byte));
-        std::vector<storage::Row> batch = c + 1 < copies.size()
-                                              ? per_node[n]
-                                              : std::move(per_node[n]);
-        if (direct) {
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPendingDirect(txn, std::move(batch)));
-        } else {
-          FABRIC_RETURN_IF_ERROR(
-              tm_->AdmitWos(self, def.name, copy.store, copy.host));
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPending(txn, std::move(batch)));
-        }
-      }
-    }
+  for (const ProjectionDef* proj : catalog_.ProjectionsOf(def.name)) {
+    FABRIC_ASSIGN_OR_RETURN(SegmentSet * set,
+                            GetProjectionStorage(proj->name));
+    // Re-sorting and re-encoding into the projection's design.
+    FABRIC_RETURN_IF_ERROR(WriteRows(self,
+                                     {.set = set,
+                                      .segmentation = &proj->segmentation,
+                                      .table = &def.name,
+                                      .txn = txn,
+                                      .source_host = source_host,
+                                      .direct = direct,
+                                      .scale = scale},
+                                     ProjectRows(*proj, rows)));
   }
   return Status::OK();
 }
@@ -442,50 +439,18 @@ Status Database::DeleteProjectionRows(
     const std::vector<storage::Row>& victims, storage::TxnId txn,
     storage::Epoch as_of, double scale) {
   if (victims.empty()) return Status::OK();
-  std::vector<const ProjectionDef*> projs =
-      catalog_.ProjectionsOf(def.name);
-  if (projs.empty()) return Status::OK();
-  auto storage_it = storage_.find(ToLower(def.name));
-  FABRIC_CHECK(storage_it != storage_.end()) << "anchor storage missing";
-  for (const ProjectionDef* proj : projs) {
-    auto set_it = storage_it->second.projections.find(ToLower(proj->name));
-    FABRIC_CHECK(set_it != storage_it->second.projections.end())
-        << "projection storage missing for " << proj->name;
-    SegmentSet& set = set_it->second;
-    std::vector<std::vector<storage::Row>> per_node(num_nodes());
-    std::vector<storage::Row> all_projected;  // replicated layouts
-    bool replicated = proj->segmentation.unsegmented();
-    for (const storage::Row& row : victims) {
-      storage::Row prow;
-      prow.reserve(proj->columns.size());
-      for (int c : proj->columns) prow.push_back(row[c]);
-      if (replicated) {
-        all_projected.push_back(std::move(prow));
-      } else {
-        per_node[OwnerNode(*proj, prow)].push_back(std::move(prow));
-      }
-    }
-    if (replicated) {
-      double raw_bytes =
-          storage::ProfileRows(all_projected).raw_bytes * scale;
-      for (int n = 0; n < num_nodes(); ++n) {
-        if (!node_up(n)) continue;
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, network_, hosts_[n],
-                        raw_bytes * options_.cost.scan_cpu_per_byte));
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t marked, set.per_node[n]->MarkDeletedPendingByContent(
-                                txn, as_of, all_projected));
-        FABRIC_CHECK(marked ==
-                     static_cast<int64_t>(all_projected.size()))
-            << "projection " << proj->name << " missing delete victims";
-      }
-      continue;
-    }
+  for (const ProjectionDef* proj : catalog_.ProjectionsOf(def.name)) {
+    FABRIC_ASSIGN_OR_RETURN(SegmentSet * set,
+                            GetProjectionStorage(proj->name));
+    // Each victim's projected image is marked on every live copy of its
+    // owner segment (every UP replica of an unsegmented projection).
+    const bool replicated = proj->segmentation.unsegmented();
+    std::vector<std::vector<storage::Row>> per_node =
+        RouteRows(proj->segmentation, ProjectRows(*proj, victims));
     for (int n = 0; n < num_nodes(); ++n) {
-      if (per_node[n].empty()) continue;
+      if (per_node[n].empty() || (replicated && !node_up(n))) continue;
       FABRIC_ASSIGN_OR_RETURN(std::vector<SegmentCopy> copies,
-                              WriteCopies(&set, n));
+                              WriteCopies(set, n));
       double raw_bytes =
           storage::ProfileRows(per_node[n]).raw_bytes * scale;
       for (const SegmentCopy& copy : copies) {

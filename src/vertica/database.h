@@ -129,14 +129,12 @@ class Database {
       const std::vector<storage::Value>&,
       const std::map<std::string, storage::Value>&)>;
   void RegisterScalarFunction(const std::string& name, ScalarFn fn);
-  bool HasScalarFunction(const std::string& name) const;
 
   // Aggregate UDx with mergeable state (init/update/merge/finalize, see
   // sql::AggregateUdx). APPROXIMATE_COUNT_DISTINCT and the HLL_* family
   // are registered here at construction (udx_hll.cc).
   void RegisterAggregateFunction(const std::string& name,
                                  sql::AggregateUdx udx);
-  bool HasAggregateFunction(const std::string& name) const;
 
   // ------------------------------------------------------------ clients
   // Opens a session against `node`. `client` is the caller's host for
@@ -175,12 +173,6 @@ class Database {
   Status RestartNode(int node);
   // Blocks until `node` reaches `state` (test/driver convenience).
   Status WaitForNodeState(sim::Process& self, int node, NodeState state);
-
-  // -------------------------------------------------------- telemetry
-  // Fraction of the node's CPU in use (Table 2's CPU%).
-  double NodeCpuUtilization(int node) const;
-  // Outbound external NIC rate in bytes/s (Table 2's network MBps).
-  double NodeExtEgressRate(int node) const;
 
   // =====================================================================
   // Internal interface below: used by Session / CopyStream / benchmarks.
@@ -272,16 +264,41 @@ class Database {
   Status CreateProjectionWithStorage(ProjectionDef def);
   Status DropProjectionWithStorage(const std::string& name);
 
-  // Node owning `row` of `table` (-1 for unsegmented: all nodes hold it).
-  int OwnerNode(const TableDef& def, const storage::Row& row) const;
-  // Same, for a projection-local row under the projection's segmentation.
-  int OwnerNode(const ProjectionDef& def, const storage::Row& row) const;
+  // Node owning `row` under `segmentation` (-1 for unsegmented: all
+  // nodes hold it).
+  int OwnerNode(const Segmentation& segmentation,
+                const storage::Row& row) const;
+
+  // CPU a routed write charges on each copy it lands on.
+  enum class WriteCpu {
+    kParse,   // COPY-parse CPU of the batch (INSERT)
+    kEncode,  // raw bytes x scan_cpu_per_byte: sort + encode into the layout
+  };
+  // Where a batch of rows shaped for one layout goes, and how it is
+  // charged.
+  struct WriteRoute {
+    SegmentSet* set = nullptr;
+    const Segmentation* segmentation = nullptr;
+    const std::string* table = nullptr;  // anchor; WOS admission is per table
+    storage::TxnId txn = 0;
+    int source_host = 0;
+    bool direct = false;  // DIRECT into ROS, else WOS
+    WriteCpu cpu = WriteCpu::kEncode;
+    double scale = 1;
+  };
+  // The write path of every layout: routes `rows` to their owner segments,
+  // then lands each segment's batch on every live copy (each UP replica of
+  // an unsegmented layout, WriteCopies of a segmented one; DOWN copies
+  // catch up during recovery): a transfer from the source host when the
+  // copy is remote, the CPU charge on the copy's host, then the DIRECT
+  // insert, or WOS admission (backpressure at the Tuple Mover's hard cap)
+  // plus the WOS insert.
+  Status WriteRows(sim::Process& self, const WriteRoute& route,
+                   std::vector<storage::Row> rows);
 
   // Projection maintenance for the write paths (INSERT / COPY / UPDATE
   // reinsertion): projects `rows` (anchor-width) through every projection
-  // of `def`, routes by each projection's own segmentation and inserts
-  // into every live copy under `txn`, charging transfers from
-  // `source_host` and per-byte load CPU on the writing hosts.
+  // of `def` and writes them through WriteRows under `txn`.
   Status WriteProjectionRows(sim::Process& self, const TableDef& def,
                              const std::vector<storage::Row>& rows,
                              storage::TxnId txn, int source_host,
@@ -377,6 +394,11 @@ class Database {
   }
 
  private:
+  // `rows` grouped by owner segment under `segmentation`; an
+  // unsegmented layout's rows go to every node.
+  std::vector<std::vector<storage::Row>> RouteRows(
+      const Segmentation& segmentation, std::vector<storage::Row> rows) const;
+
   struct TxnState {
     std::set<std::string> locked_tables;
     std::set<std::string> touched_tables;

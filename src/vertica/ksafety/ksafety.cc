@@ -28,16 +28,6 @@ NodeFailureSchedule& NodeFailureSchedule::KillNode(int node,
   return *this;
 }
 
-NodeFailureSchedule& NodeFailureSchedule::RestartNode(int node,
-                                                      double at_vtime) {
-  // A bare restart entry: modeled as an outage with no kill of its own.
-  Outage outage;
-  outage.node = node;
-  outage.kill_at = -1;
-  outage.restart_at = at_vtime;
-  outages_.push_back(outage);
-  return *this;
-}
 
 NodeFailureSchedule& NodeFailureSchedule::KillAndRestart(int node,
                                                          double kill_at,

@@ -46,7 +46,6 @@ class NodeFailureSchedule {
 
   // Scripted entry points (chainable, mirroring ScriptedFailureInjector).
   NodeFailureSchedule& KillNode(int node, double at_vtime);
-  NodeFailureSchedule& RestartNode(int node, double at_vtime);
   NodeFailureSchedule& KillAndRestart(int node, double kill_at,
                                       double restart_at);
 

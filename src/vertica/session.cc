@@ -85,6 +85,247 @@ Status ApplyOrderAndLimit(const sql::SelectStmt& select,
   return Status::OK();
 }
 
+// A WHERE clause compiled for the vectorized scan: the kernel-runnable
+// terms, the interpreted residual (null when fully compiled) with the
+// columns it reads, and the residual lowered to a vectorized program
+// (null: interpret per row).
+struct CompiledWhere {
+  storage::ScanPredicate predicate;
+  sql::ExprPtr residual;
+  std::vector<int> residual_columns;
+  std::shared_ptr<const exec::Program> compiled_residual;
+};
+
+// Compiles `where` (null: match all) over `schema`. The residual is
+// lowered only when `pipeline` is given and enabled.
+Result<CompiledWhere> CompileWhere(const sql::Expr* where,
+                                   const Schema& schema,
+                                   PipelineCompiler* pipeline) {
+  CompiledWhere out;
+  if (where == nullptr) return out;
+  sql::CompiledScan compiled = sql::CompileScanPredicate(*where, schema);
+  out.predicate = std::move(compiled.predicate);
+  out.residual = std::move(compiled.residual);
+  if (out.residual == nullptr) return out;
+  if (pipeline != nullptr && pipeline->enabled()) {
+    out.compiled_residual =
+        pipeline->GetOrCompilePredicate(*out.residual, schema);
+  }
+  std::set<int> cols;
+  FABRIC_RETURN_IF_ERROR(CollectColumns(*out.residual, schema, &cols));
+  out.residual_columns.assign(cols.begin(), cols.end());
+  return out;
+}
+
+// Points `spec` at `where`, which must outlive it. SELECT evaluates the
+// residual strictly (an evaluation error fails the query); DML evaluates
+// it leniently (an erroring predicate simply doesn't match).
+void BindWhere(const CompiledWhere& where, const Schema* schema,
+               const sql::UdxResolver* udx, bool lenient,
+               storage::ScanSpec* spec) {
+  spec->predicate = &where.predicate;
+  spec->residual_columns = &where.residual_columns;
+  if (where.residual == nullptr) return;
+  spec->residual = [&where, schema, udx, lenient](const Row& row)
+      -> Result<bool> {
+    sql::EvalContext context;
+    context.schema = schema;
+    context.row = &row;
+    context.udx = udx;
+    return lenient ? sql::EvalPredicateLenient(*where.residual, context)
+                   : sql::EvalPredicate(*where.residual, context);
+  };
+  if (where.compiled_residual == nullptr) return;
+  const exec::Program* program = where.compiled_residual.get();
+  spec->batch_residual = [program](const storage::LaneRows& rows,
+                                   std::vector<uint32_t>* keep) {
+    exec::EvalState es;
+    std::vector<uint32_t> active(rows.num_rows);
+    for (size_t i = 0; i < active.size(); ++i) {
+      active[i] = static_cast<uint32_t>(i);
+    }
+    return exec::RunFilter(*program, rows, active, &es, keep);
+  };
+}
+
+// A statement's read snapshot and its resource-pool slot, both released
+// when the guard goes out of scope.
+class SnapshotGuard {
+ public:
+  SnapshotGuard(Database* db, int node) : db_(db), node_(node) {}
+  SnapshotGuard(const SnapshotGuard&) = delete;
+  SnapshotGuard& operator=(const SnapshotGuard&) = delete;
+  ~SnapshotGuard() {
+    if (admitted_) db_->PoolRelease(node_);
+    if (pinned_) db_->UnpinEpoch(epoch_);
+  }
+
+  // Resolves AT EPOCH (< 0: the current epoch), pins it so the AHM (and
+  // the purge behind it) cannot overtake the running scan, then admits
+  // the statement to the initiator's resource pool. A future epoch is
+  // OUT_OF_RANGE; one below the AHM is HISTORY_PURGED, since rows deleted
+  // at or below the AHM may already be physically gone.
+  Status Acquire(sim::Process& self, int64_t at_epoch) {
+    epoch_ = db_->current_epoch();
+    if (at_epoch >= 0) {
+      if (static_cast<Epoch>(at_epoch) > db_->current_epoch()) {
+        return OutOfRangeError(
+            StrCat("epoch ", at_epoch, " is in the future"));
+      }
+      if (static_cast<Epoch>(at_epoch) < db_->ahm()) {
+        return OutOfRangeError(
+            StrCat("HISTORY_PURGED: epoch ", at_epoch,
+                   " predates the ancient history mark ", db_->ahm()));
+      }
+      epoch_ = static_cast<Epoch>(at_epoch);
+    }
+    db_->PinEpoch(epoch_);
+    pinned_ = true;
+    FABRIC_RETURN_IF_ERROR(db_->PoolAdmit(self, node_));
+    admitted_ = true;
+    return Status::OK();
+  }
+
+  Epoch epoch() const { return epoch_; }
+
+ private:
+  Database* db_;
+  int node_;
+  Epoch epoch_ = 0;
+  bool pinned_ = false;
+  bool admitted_ = false;
+};
+
+// The physical layout serving a scan: the super projection or a named
+// projection, with its stores, segmentation and schema.
+struct ScanLayout {
+  Database::SegmentSet* set = nullptr;
+  const Segmentation* segmentation = nullptr;
+  const Schema* schema = nullptr;
+};
+
+// The layout `pick` chose for `def`; a named projection's scan is
+// counted and traced.
+Result<ScanLayout> ResolveLayout(Database* db, const TableDef& def,
+                                 const projections::PlanChoice& pick) {
+  if (pick.projection == nullptr) {
+    FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * storage,
+                            db->GetStorage(def.name));
+    return ScanLayout{storage, &def.segmentation, &def.schema};
+  }
+  FABRIC_ASSIGN_OR_RETURN(Database::SegmentSet * set,
+                          db->GetProjectionStorage(pick.projection->name));
+  obs::IncrCounter(
+      StrCat("vertica.projection_scans{", pick.projection->name, "}"));
+  obs::TraceEvent("vertica", "projection.scan",
+                  {{"projection", pick.projection->name},
+                   {"table", def.name}});
+  return ScanLayout{set, &pick.projection->segmentation,
+                    &pick.projection->schema};
+}
+
+// The segments a scan of `layout` reads: the initiator's local copy of
+// an unsegmented layout, else every segment whose hash range `where`
+// (null: no predicate) can match.
+std::vector<int> ScanSegments(const Database& db, const ScanLayout& layout,
+                              const sql::Expr* where, int initiator) {
+  if (layout.segmentation->unsegmented()) return {initiator};
+  sql::RingRangeSet constrained = sql::RingRangeSet::Full();
+  if (where != nullptr) {
+    std::vector<std::string> seg_names;
+    for (int c : layout.segmentation->columns) {
+      seg_names.push_back(layout.schema->column(c).name);
+    }
+    constrained = sql::ExtractHashRanges(*where, seg_names);
+  }
+  std::vector<int> segments;
+  for (int n = 0; n < db.num_nodes(); ++n) {
+    if (constrained.Intersects(db.node_ranges()[n])) segments.push_back(n);
+  }
+  return segments;
+}
+
+// The copy serving `segment` of `layout`: an unsegmented layout's local
+// replica, else the primary when its node is UP and the buddy otherwise
+// (the k-safety failover reroute, traced under `table`).
+Result<Database::SegmentCopy> ServingCopy(const Database& db,
+                                          const ScanLayout& layout,
+                                          int segment,
+                                          const std::string& table) {
+  if (layout.segmentation->unsegmented()) {
+    return Database::SegmentCopy{layout.set->per_node[segment].get(),
+                                 segment};
+  }
+  FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy copy,
+                          db.ReadCopy(layout.set, segment));
+  if (copy.host != segment) {
+    obs::TraceEvent("ksafety", "scan.reroute",
+                    {{"table", table},
+                     {"segment", segment},
+                     {"to_node", copy.host}});
+    obs::IncrCounter("ksafety.scan_reroutes");
+  }
+  return copy;
+}
+
+// What a scan read, at paper scale: every visible row's predicate
+// columns plus the passing rows' output columns.
+DataProfile ScannedProfile(const storage::ScanStats& stats, double scale) {
+  DataProfile scanned = stats.visible_profile;
+  DataProfile out_cost = stats.output_profile;
+  out_cost.rows = 0;  // passing rows were already counted
+  scanned.Add(out_cost);
+  scanned.ScaleBy(scale);
+  return scanned;
+}
+
+// The key columns of a simple column-equality ON (`l = r`, either
+// spelling) in the two sides' schemas; nullopt for any other ON.
+std::optional<std::pair<int, int>> EquiJoinKeys(const sql::Expr& on,
+                                                const Schema& left,
+                                                const Schema& right) {
+  if (on.kind != sql::Expr::Kind::kBinary || on.op != "=" ||
+      on.args[0]->kind != sql::Expr::Kind::kColumnRef ||
+      on.args[1]->kind != sql::Expr::Kind::kColumnRef) {
+    return std::nullopt;
+  }
+  auto l = left.IndexOf(on.args[0]->column);
+  auto r = right.IndexOf(on.args[1]->column);
+  if (!l.ok() || !r.ok()) {
+    // Reversed spelling: right.col = left.col.
+    l = left.IndexOf(on.args[1]->column);
+    r = right.IndexOf(on.args[0]->column);
+  }
+  if (!l.ok() || !r.ok()) return std::nullopt;
+  return std::make_pair(*l, *r);
+}
+
+// The schema a join exposes over `left_cols` then `right_cols`: a right
+// column whose name collides with any column of the full `left` schema
+// is exposed as <join>_<name>, so a query sees the same names whichever
+// columns, layouts or strategy serve it.
+Schema JoinedSchema(const Schema& left, const std::vector<int>& left_cols,
+                    const Schema& right, const std::vector<int>& right_cols,
+                    const std::string& join) {
+  std::vector<storage::ColumnDef> columns;
+  for (int c : left_cols) columns.push_back(left.column(c));
+  for (int c : right_cols) {
+    storage::ColumnDef renamed = right.column(c);
+    if (left.Contains(renamed.name)) {
+      renamed.name = StrCat(join, "_", renamed.name);
+    }
+    columns.push_back(std::move(renamed));
+  }
+  return Schema(std::move(columns));
+}
+
+// Column indices 0 .. n-1.
+std::vector<int> AllColumns(size_t n) {
+  std::vector<int> columns(n);
+  for (size_t c = 0; c < n; ++c) columns[c] = static_cast<int>(c);
+  return columns;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- lifecycle
@@ -452,50 +693,15 @@ Result<QueryResult> Session::ExecCreateProjection(
 
     FABRIC_ASSIGN_OR_RETURN(Database::SegmentSet * set,
                             db_->GetProjectionStorage(proj.name));
-    std::vector<std::vector<Row>> per_node(db_->num_nodes());
-    bool replicated = proj.segmentation.unsegmented();
-    for (Row& prow : proj_rows) {
-      int owner = db_->OwnerNode(proj, prow);
-      if (owner < 0) {
-        for (int n = 0; n < db_->num_nodes(); ++n) {
-          per_node[n].push_back(prow);
-        }
-      } else {
-        per_node[owner].push_back(std::move(prow));
-      }
-    }
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      if (per_node[n].empty()) continue;
-      std::vector<Database::SegmentCopy> copies;
-      if (replicated) {
-        if (!db_->node_up(n)) continue;
-        copies.push_back(
-            Database::SegmentCopy{set->per_node[n].get(), n});
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(copies, db_->WriteCopies(set, n));
-      }
-      double raw_bytes = ProfileRows(per_node[n]).raw_bytes * scale;
-      for (size_t c = 0; c < copies.size(); ++c) {
-        const Database::SegmentCopy& copy = copies[c];
-        if (copy.host != node_) {
-          FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
-              self,
-              {db_->node_host(node_).int_egress,
-               db_->node_host(copy.host).int_ingress},
-              raw_bytes));
-        }
-        // Sort + encode into the projection's physical design.
-        FABRIC_RETURN_IF_ERROR(net::RunCpu(
-            self, db_->network(), db_->node_host(copy.host),
-            raw_bytes * cost.scan_cpu_per_byte));
-        std::vector<Row> batch = c + 1 < copies.size()
-                                     ? per_node[n]
-                                     : std::move(per_node[n]);
-        FABRIC_RETURN_IF_ERROR(
-            copy.store->InsertPendingDirect(txn, std::move(batch)));
-      }
-    }
-    return Status::OK();
+    return db_->WriteRows(self,
+                          {.set = set,
+                           .segmentation = &proj.segmentation,
+                           .table = &def->name,
+                           .txn = txn,
+                           .source_host = node_,
+                           .direct = true,
+                           .scale = scale},
+                          std::move(proj_rows));
   }();
   if (!status.ok()) {
     db_->AbortTxnInternal(txn);
@@ -592,25 +798,16 @@ Result<QueryResult> Session::ExecExplain(sim::Process& self,
   std::vector<std::pair<std::string, double>> candidates;
   projections::PlanChoice plan =
       projections::ChoosePlan(db_->catalog(), *def, shape, &candidates);
-  char cost_buf[32];
-  std::snprintf(cost_buf, sizeof(cost_buf), "%.4f", plan.cost);
   emit(StrCat("  projection: ",
               plan.projection == nullptr ? std::string("super")
                                          : plan.projection->name,
-              " (cost=", cost_buf, ")"));
+              " (cost=", fmt_cost(plan.cost), ")"));
   emit(StrCat("  reason: ", plan.reason));
   if (shape.aggregate && !shape.group_by.empty()) {
     emit(StrCat("  group-by strategy: ",
                 plan.sorted_group_by ? "merge (sorted)" : "hash"));
   }
-  std::string cands;
-  for (const auto& [cand_name, cand_cost] : candidates) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.4f", cand_cost);
-    if (!cands.empty()) cands += ", ";
-    cands += StrCat(cand_name, "=", buf);
-  }
-  emit(StrCat("  candidates: ", cands));
+  emit(StrCat("  candidates: ", fmt_candidates(candidates)));
   return result;
 }
 
@@ -769,62 +966,19 @@ Result<QueryResult> Session::ExecInsert(sim::Process& self,
                                                    profile.JdbcWireBytes(cost)));
     }
 
-    // Route rows to their owner nodes.
-    std::vector<std::vector<Row>> per_node(db_->num_nodes());
-    for (const Row& row : rows) {
-      int owner = db_->OwnerNode(*def, row);
-      if (owner < 0) {
-        for (int n = 0; n < db_->num_nodes(); ++n) {
-          per_node[n].push_back(row);
-        }
-      } else {
-        per_node[owner].push_back(row);
-      }
-    }
-    bool replicated = def->segmentation.unsegmented();
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      if (per_node[n].empty()) continue;
-      // Every live copy of the segment takes the rows: replicated tables
-      // write each UP replica, segmented tables write the primary and the
-      // buddy (whichever are UP); DOWN copies catch up during recovery.
-      std::vector<Database::SegmentCopy> copies;
-      if (replicated) {
-        if (!db_->node_up(n)) continue;
-        copies.push_back(
-            Database::SegmentCopy{storage->per_node[n].get(), n});
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(copies, db_->WriteCopies(storage, n));
-      }
-      DataProfile node_profile = ProfileRows(per_node[n]);
-      node_profile.ScaleBy(scale);
-      for (size_t c = 0; c < copies.size(); ++c) {
-        const Database::SegmentCopy& copy = copies[c];
-        if (copy.host != node_) {
-          FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
-              self,
-              {db_->node_host(node_).int_egress,
-               db_->node_host(copy.host).int_ingress},
-              node_profile.raw_bytes));
-        }
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, db_->network(), db_->node_host(copy.host),
-                        node_profile.CopyParseCpu(cost)));
-        std::vector<Row> batch = c + 1 < copies.size()
-                                     ? per_node[n]
-                                     : std::move(per_node[n]);
-        if (stmt.direct) {
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPendingDirect(wt.txn, std::move(batch)));
-        } else {
-          // WOS backpressure: stall admission while this store's
-          // committed WOS batches sit at the Tuple Mover's hard cap.
-          FABRIC_RETURN_IF_ERROR(db_->tuple_mover()->AdmitWos(
-              self, def->name, copy.store, copy.host));
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPending(wt.txn, std::move(batch)));
-        }
-      }
-    }
+    // Every live copy of each owner segment takes its rows, parsed on
+    // the copy's host.
+    FABRIC_RETURN_IF_ERROR(db_->WriteRows(
+        self,
+        {.set = storage,
+         .segmentation = &def->segmentation,
+         .table = &def->name,
+         .txn = wt.txn,
+         .source_host = node_,
+         .direct = stmt.direct,
+         .cpu = Database::WriteCpu::kParse,
+         .scale = scale},
+        rows));
     // Maintain every projection of the table in the same transaction.
     return db_->WriteProjectionRows(self, *def, rows, wt.txn, node_,
                                     stmt.direct, scale);
@@ -858,57 +1012,30 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
     bool replicated = def->segmentation.unsegmented();
 
     // Compile the WHERE for the vectorized scan; the leftovers run
-    // row-at-a-time with the write path's lenient error semantics
-    // (an erroring predicate simply doesn't match).
-    storage::ScanPredicate predicate;
-    sql::ExprPtr residual;
-    std::vector<int> residual_columns;
-    if (stmt.where != nullptr) {
-      sql::CompiledScan compiled =
-          sql::CompileScanPredicate(*stmt.where, schema);
-      predicate = std::move(compiled.predicate);
-      residual = std::move(compiled.residual);
-      if (residual != nullptr) {
-        std::set<int> cols;
-        FABRIC_RETURN_IF_ERROR(CollectColumns(*residual, schema, &cols));
-        residual_columns.assign(cols.begin(), cols.end());
-      }
-    }
-    std::vector<int> all_columns(schema.num_columns());
-    for (int c = 0; c < schema.num_columns(); ++c) all_columns[c] = c;
+    // row-at-a-time with the write path's lenient error semantics.
+    FABRIC_ASSIGN_OR_RETURN(
+        CompiledWhere where,
+        CompileWhere(stmt.where.get(), schema, /*pipeline=*/nullptr));
+    const std::vector<int> all_columns = AllColumns(schema.num_columns());
 
     storage::ScanSpec spec;
     spec.as_of = snapshot;
     spec.txn = wt.txn;
-    spec.predicate = &predicate;
-    if (residual != nullptr) {
-      spec.residual = [&](const Row& row) -> Result<bool> {
-        sql::EvalContext context;
-        context.schema = &schema;
-        context.row = &row;
-        context.udx = &db_->udx_resolver();
-        return sql::EvalPredicateLenient(*residual, context);
-      };
-    }
-    spec.residual_columns = &residual_columns;
+    BindWhere(where, &schema, &db_->udx_resolver(), /*lenient=*/true, &spec);
 
     // Anchor-side victim / replacement capture for projection
     // maintenance (full anchor-width rows, each logical row once).
     std::vector<Row> all_victims;
     std::vector<Row> all_replacements;
-    bool counted_replicated = false;
+    bool counted = false;
     for (int n = 0; n < db_->num_nodes(); ++n) {
       // Replicated: every UP replica applies the update in place.
       // Segmented: the scan reads the segment's serving copy (primary, or
       // buddy when the primary's node is down) and the delete + reinsert
       // hit every live copy.
       if (replicated && !db_->node_up(n)) continue;
-      Database::SegmentCopy read_copy;
-      if (replicated) {
-        read_copy = Database::SegmentCopy{storage->per_node[n].get(), n};
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(read_copy, db_->ReadCopy(storage, n));
-      }
+      FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy read_copy,
+                              db_->ReadCopy(storage, n));
       // Scan cost over the segment's visible rows (all columns, as the
       // row-store UPDATE reads full rows to build replacements).
       storage::ScanSpec node_spec = spec;
@@ -943,67 +1070,57 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
       }
       // Same selection pipeline as the Scan above, so every copy picks
       // exactly the same rows.
-      if (replicated) {
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t deleted, read_copy.store->MarkDeletedPending(spec));
-        FABRIC_CHECK(deleted == static_cast<int64_t>(replacements.size()));
-        // Count each logical row once, from the first replica that is
-        // actually UP (node 0's replica may be down).
-        if (!counted_replicated) {
-          affected += deleted;
-          counted_replicated = true;
-          all_victims.insert(all_victims.end(), matched.begin(),
-                             matched.end());
-          all_replacements.insert(all_replacements.end(),
-                                  replacements.begin(),
-                                  replacements.end());
+      FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
+                              db_->WriteCopies(storage, n));
+      int64_t deleted = -1;
+      for (const Database::SegmentCopy& copy : writes) {
+        FABRIC_ASSIGN_OR_RETURN(int64_t d,
+                                copy.store->MarkDeletedPending(spec));
+        if (deleted < 0) {
+          deleted = d;
+        } else {
+          FABRIC_CHECK(d == deleted) << "buddy copies diverged";
         }
-        if (!replacements.empty()) {
-          FABRIC_RETURN_IF_ERROR(read_copy.store->InsertPending(
-              wt.txn, std::move(replacements)));
-        }
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
-                                db_->WriteCopies(storage, n));
-        int64_t deleted = -1;
-        for (const Database::SegmentCopy& copy : writes) {
-          FABRIC_ASSIGN_OR_RETURN(int64_t d,
-                                  copy.store->MarkDeletedPending(spec));
-          if (deleted < 0) {
-            deleted = d;
-          } else {
-            FABRIC_CHECK(d == deleted) << "buddy copies diverged";
-          }
-        }
-        FABRIC_CHECK(deleted == static_cast<int64_t>(replacements.size()));
+      }
+      FABRIC_CHECK(deleted == static_cast<int64_t>(replacements.size()));
+      // A replicated table counts each logical row once, from the first
+      // replica that is actually UP (node 0's replica may be down).
+      if (!counted) {
         affected += deleted;
         all_victims.insert(all_victims.end(), matched.begin(),
                            matched.end());
         all_replacements.insert(all_replacements.end(),
                                 replacements.begin(), replacements.end());
-        // Re-route new versions by the (possibly changed) segmentation
-        // hash, into every live copy of the owning segment.
-        for (Row& row : replacements) {
-          int owner = db_->OwnerNode(*def, row);
-          FABRIC_ASSIGN_OR_RETURN(
-              std::vector<Database::SegmentCopy> owner_writes,
-              db_->WriteCopies(storage, owner));
-          double row_bytes =
-              ProfileRow(row).raw_bytes * db_->EffectiveScale(def->name);
-          for (size_t c = 0; c < owner_writes.size(); ++c) {
-            const Database::SegmentCopy& copy = owner_writes[c];
-            if (copy.host != read_copy.host) {
-              FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
-                  self,
-                  {db_->node_host(read_copy.host).int_egress,
-                   db_->node_host(copy.host).int_ingress},
-                  row_bytes));
-            }
-            Row replica = c + 1 < owner_writes.size() ? row
-                                                      : std::move(row);
-            FABRIC_RETURN_IF_ERROR(
-                copy.store->InsertPending(wt.txn, {std::move(replica)}));
+      }
+      counted = replicated;
+      if (replicated) {
+        if (!replacements.empty()) {
+          FABRIC_RETURN_IF_ERROR(read_copy.store->InsertPending(
+              wt.txn, std::move(replacements)));
+        }
+        continue;
+      }
+      // Re-route new versions by the (possibly changed) segmentation
+      // hash, into every live copy of the owning segment.
+      for (Row& row : replacements) {
+        int owner = db_->OwnerNode(def->segmentation, row);
+        FABRIC_ASSIGN_OR_RETURN(
+            std::vector<Database::SegmentCopy> owner_writes,
+            db_->WriteCopies(storage, owner));
+        double row_bytes =
+            ProfileRow(row).raw_bytes * db_->EffectiveScale(def->name);
+        for (size_t c = 0; c < owner_writes.size(); ++c) {
+          const Database::SegmentCopy& copy = owner_writes[c];
+          if (copy.host != read_copy.host) {
+            FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
+                self,
+                {db_->node_host(read_copy.host).int_egress,
+                 db_->node_host(copy.host).int_ingress},
+                row_bytes));
           }
+          Row replica = c + 1 < owner_writes.size() ? row : std::move(row);
+          FABRIC_RETURN_IF_ERROR(
+              copy.store->InsertPending(wt.txn, {std::move(replica)}));
         }
       }
     }
@@ -1048,92 +1165,50 @@ Result<QueryResult> Session::ExecDelete(sim::Process& self,
     const CostModel& cost = db_->cost();
     bool replicated = def->segmentation.unsegmented();
 
-    storage::ScanPredicate predicate;
-    sql::ExprPtr residual;
-    std::vector<int> residual_columns;
-    if (stmt.where != nullptr) {
-      sql::CompiledScan compiled =
-          sql::CompileScanPredicate(*stmt.where, schema);
-      predicate = std::move(compiled.predicate);
-      residual = std::move(compiled.residual);
-      if (residual != nullptr) {
-        std::set<int> cols;
-        FABRIC_RETURN_IF_ERROR(CollectColumns(*residual, schema, &cols));
-        residual_columns.assign(cols.begin(), cols.end());
-      }
-    }
+    FABRIC_ASSIGN_OR_RETURN(
+        CompiledWhere where,
+        CompileWhere(stmt.where.get(), schema, /*pipeline=*/nullptr));
     storage::ScanSpec spec;
     spec.as_of = snapshot;
     spec.txn = wt.txn;
-    spec.predicate = &predicate;
-    if (residual != nullptr) {
-      spec.residual = [&](const Row& row) -> Result<bool> {
-        sql::EvalContext context;
-        context.schema = &schema;
-        context.row = &row;
-        context.udx = &db_->udx_resolver();
-        return sql::EvalPredicateLenient(*residual, context);
-      };
-    }
-    spec.residual_columns = &residual_columns;
+    BindWhere(where, &schema, &db_->udx_resolver(), /*lenient=*/true, &spec);
 
-    // Victim capture (full anchor-width rows, each logical row once)
-    // for projection maintenance below.
+    // Scan cost on each segment's serving copy; the delete marks land on
+    // every live copy, and the first captures the victims (full
+    // anchor-width rows) for projection maintenance below. A replicated
+    // table's UP replicas all apply the delete, but each logical row is
+    // counted and captured once, from the first replica actually UP.
     std::vector<Row> all_victims;
-    bool counted_replicated = false;
+    bool counted = false;
     for (int n = 0; n < db_->num_nodes(); ++n) {
-      if (replicated) {
-        // Every UP replica applies the delete; count each logical row
-        // once, from the first replica that is actually UP.
-        if (!db_->node_up(n)) continue;
-        storage::SegmentStore* store = storage->per_node[n].get();
-        FABRIC_ASSIGN_OR_RETURN(int64_t visible_count,
-                                store->CountVisible(snapshot, wt.txn));
-        DataProfile scanned;
-        scanned.rows = static_cast<double>(visible_count);
-        scanned.ScaleBy(db_->EffectiveScale(def->name));
-        FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
-                                           db_->node_host(n),
-                                           scanned.ScanCpu(cost)));
+      if (replicated && !db_->node_up(n)) continue;
+      FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy read_copy,
+                              db_->ReadCopy(storage, n));
+      FABRIC_ASSIGN_OR_RETURN(
+          int64_t visible_count,
+          read_copy.store->CountVisible(snapshot, wt.txn));
+      DataProfile scanned;
+      scanned.rows = static_cast<double>(visible_count);
+      scanned.ScaleBy(db_->EffectiveScale(def->name));
+      FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
+                                         db_->node_host(read_copy.host),
+                                         scanned.ScanCpu(cost)));
+      FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
+                              db_->WriteCopies(storage, n));
+      int64_t deleted = -1;
+      for (const Database::SegmentCopy& copy : writes) {
+        const bool capture = deleted < 0 && !counted;
         FABRIC_ASSIGN_OR_RETURN(
-            int64_t deleted,
-            store->MarkDeletedPending(
-                spec, counted_replicated ? nullptr : &all_victims));
-        if (!counted_replicated) {
-          affected += deleted;
-          counted_replicated = true;
+            int64_t d, copy.store->MarkDeletedPending(
+                           spec, capture ? &all_victims : nullptr));
+        if (deleted < 0) {
+          deleted = d;
+        } else {
+          FABRIC_CHECK(d == deleted) << "buddy copies diverged";
         }
-      } else {
-        // Scan cost on the segment's serving copy; the delete marks land
-        // on every live copy.
-        FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy read_copy,
-                                db_->ReadCopy(storage, n));
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t visible_count,
-            read_copy.store->CountVisible(snapshot, wt.txn));
-        DataProfile scanned;
-        scanned.rows = static_cast<double>(visible_count);
-        scanned.ScaleBy(db_->EffectiveScale(def->name));
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, db_->network(),
-                        db_->node_host(read_copy.host),
-                        scanned.ScanCpu(cost)));
-        FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
-                                db_->WriteCopies(storage, n));
-        int64_t deleted = -1;
-        for (const Database::SegmentCopy& copy : writes) {
-          FABRIC_ASSIGN_OR_RETURN(
-              int64_t d,
-              copy.store->MarkDeletedPending(
-                  spec, deleted < 0 ? &all_victims : nullptr));
-          if (deleted < 0) {
-            deleted = d;
-          } else {
-            FABRIC_CHECK(d == deleted) << "buddy copies diverged";
-          }
-        }
-        affected += deleted;
       }
+      if (!counted) affected += deleted;
+      counted = replicated;
     }
     // Keep every projection's view of the table in lockstep with the
     // anchor delete.
@@ -1353,13 +1428,6 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
                           SelectBody({nullptr, &rows}, schema, select, udx,
                                      agg_udx, pipeline, spill));
   return FinishSelect(std::move(output), select);
-}
-
-// Column indices 0 .. n-1.
-std::vector<int> AllColumns(size_t n) {
-  std::vector<int> columns(n);
-  for (size_t c = 0; c < n; ++c) columns[c] = static_cast<int>(c);
-  return columns;
 }
 
 // `select` without its WHERE clause: the initiator's part of a scan
@@ -1838,14 +1906,7 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
                             LocalSelect(sub.rows, sub.schema, select,
                                         udx, agg_udx,
                                         db_->pipeline_compiler(), spill));
-    if (to_client) {
-      DataProfile profile = ProfileRows(result.rows);
-      profile.ScaleBy(cost.data_scale);
-      double wire = profile.JdbcWireBytes(cost);
-      double cap = profile.StreamRateCap(cost.result_stream_bytes_per_sec,
-                                         cost.result_row_overhead, wire);
-      FABRIC_RETURN_IF_ERROR(StreamToClient(self, wire, cap));
-    }
+    if (to_client) FABRIC_RETURN_IF_ERROR(StreamResult(self, result));
     return result;
   }
 
@@ -1938,54 +1999,10 @@ Result<storage::LaneRows> Session::ExecScanSelect(
   const CostModel& cost = db_->cost();
   const sql::UdxResolver* udx = &db_->udx_resolver();
   const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
-  FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * table_storage,
-                          db_->GetStorage(select.from));
-
   // Everything below scans through the chosen physical layout: its
   // schema, its segmentation, its segment stores.
-  Database::SegmentSet* scan_set = table_storage;
-  const auto* segmentation = &def->segmentation;
-  Schema schema = def->schema;
-  if (plan.projection != nullptr) {
-    FABRIC_ASSIGN_OR_RETURN(
-        Database::SegmentSet * proj_set,
-        db_->GetProjectionStorage(plan.projection->name));
-    scan_set = proj_set;
-    segmentation = &plan.projection->segmentation;
-    schema = plan.projection->schema;
-    obs::IncrCounter(
-        StrCat("vertica.projection_scans{", plan.projection->name, "}"));
-    obs::TraceEvent("vertica", "projection.scan",
-                    {{"projection", plan.projection->name},
-                     {"table", def->name}});
-  }
-
-  Epoch snapshot;
-  if (select.at_epoch >= 0) {
-    if (static_cast<Epoch>(select.at_epoch) > db_->current_epoch()) {
-      return OutOfRangeError(
-          StrCat("epoch ", select.at_epoch, " is in the future"));
-    }
-    if (static_cast<Epoch>(select.at_epoch) < db_->ahm()) {
-      // History at or below the Ancient History Mark may already be
-      // purged (rows deleted <= AHM are physically gone), so the read
-      // cannot be answered exactly.
-      return OutOfRangeError(StrCat(
-          "HISTORY_PURGED: epoch ", select.at_epoch,
-          " predates the ancient history mark ", db_->ahm()));
-    }
-    snapshot = static_cast<Epoch>(select.at_epoch);
-  } else {
-    snapshot = db_->current_epoch();
-  }
-  // Pin the snapshot for the duration of the statement so the AHM (and
-  // the purge behind it) cannot overtake a running scan.
-  db_->PinEpoch(snapshot);
-  struct EpochPin {
-    Database* db;
-    Epoch epoch;
-    ~EpochPin() { db->UnpinEpoch(epoch); }
-  } epoch_pin{db_, snapshot};
+  FABRIC_ASSIGN_OR_RETURN(ScanLayout layout, ResolveLayout(db_, *def, plan));
+  const Schema& schema = *layout.schema;
 
   // Columns this query touches (column-store pruning).
   std::set<int> referenced;
@@ -2012,48 +2029,23 @@ Result<storage::LaneRows> Session::ExecScanSelect(
 
   const bool aggregate = sql::IsAggregateSelect(select, agg_udx);
 
-  // Participating nodes: unsegmented layouts are served locally;
-  // segmented layouts are pruned by the hash ranges the predicate
+  // Participating segments, pruned by the hash ranges the predicate
   // constrains.
-  std::vector<int> nodes;
-  if (segmentation->unsegmented()) {
-    nodes.push_back(node_);
-  } else {
-    sql::RingRangeSet constrained = sql::RingRangeSet::Full();
-    if (select.where != nullptr) {
-      std::vector<std::string> seg_names;
-      for (int c : segmentation->columns) {
-        seg_names.push_back(schema.column(c).name);
-      }
-      constrained = sql::ExtractHashRanges(*select.where, seg_names);
-    }
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      if (constrained.Intersects(db_->node_ranges()[n])) nodes.push_back(n);
-    }
-  }
+  const std::vector<int> nodes =
+      ScanSegments(*db_, layout, select.where.get(), node_);
 
-  // Resource-pool admission on the initiator.
-  FABRIC_RETURN_IF_ERROR(db_->PoolAdmit(self, node_));
-  struct PoolGuard {
-    Database* db;
-    int node;
-    ~PoolGuard() { db->PoolRelease(node); }
-  } pool_guard{db_, node_};
+  SnapshotGuard snapshot(db_, node_);
+  FABRIC_RETURN_IF_ERROR(snapshot.Acquire(self, select.at_epoch));
 
   // Shared state between the per-node scan processes and the streaming
   // loop below. Heap-allocated and self-contained so the scans stay valid
   // even if this process is killed mid-query.
   struct ScanState {
     Schema schema;
-    // WHERE compiled for the vectorized scan: kernel-runnable terms plus
-    // the interpreted residual (null when fully compiled).
-    storage::ScanPredicate predicate;
-    sql::ExprPtr residual;
-    // The residual lowered to a vectorized program (null: interpret
-    // per row). Compiled once per query on the initiator and shared by
-    // every node's scan process.
-    std::shared_ptr<const exec::Program> compiled_residual;
-    std::vector<int> residual_columns;
+    // WHERE compiled for the vectorized scan; the residual program is
+    // compiled once per query on the initiator and shared by every
+    // node's scan process.
+    CompiledWhere where;
     std::vector<int> cost_columns;  // WHERE columns, charged per visible row
     std::vector<int> projection;    // referenced columns, charged per match
     Epoch snapshot;
@@ -2080,29 +2072,17 @@ Result<storage::LaneRows> Session::ExecScanSelect(
   };
   auto state = std::make_shared<ScanState>();
   state->schema = schema;
+  FABRIC_ASSIGN_OR_RETURN(state->where,
+                          CompileWhere(select.where.get(), schema,
+                                       db_->pipeline_compiler()));
   if (select.where != nullptr) {
-    sql::CompiledScan compiled =
-        sql::CompileScanPredicate(*select.where, schema);
-    state->predicate = std::move(compiled.predicate);
-    state->residual = std::move(compiled.residual);
-    if (state->residual != nullptr) {
-      if (db_->pipeline_compiler()->enabled()) {
-        state->compiled_residual =
-            db_->pipeline_compiler()->GetOrCompilePredicate(
-                *state->residual, schema);
-      }
-      std::set<int> cols;
-      FABRIC_RETURN_IF_ERROR(
-          CollectColumns(*state->residual, schema, &cols));
-      state->residual_columns.assign(cols.begin(), cols.end());
-    }
     std::set<int> where_columns;
     FABRIC_RETURN_IF_ERROR(
         CollectColumns(*select.where, schema, &where_columns));
     state->cost_columns.assign(where_columns.begin(), where_columns.end());
   }
   state->projection.assign(referenced.begin(), referenced.end());
-  state->snapshot = snapshot;
+  state->snapshot = snapshot.epoch();
   state->txn = txn_;
   state->aggregate = aggregate;
   state->sorted_group_by = plan.sorted_group_by;
@@ -2127,35 +2107,17 @@ Result<storage::LaneRows> Session::ExecScanSelect(
   state->producers_left = static_cast<int>(nodes.size());
   state->progress = std::make_unique<sim::Condition>(db_->engine());
 
-  // Resolve each participating segment to its serving copy: the primary
-  // when its node is UP, else the buddy (k-safety failover reroute).
-  struct ScanTarget {
-    int segment;
-    storage::SegmentStore* store;
-    int host;
-  };
-  std::vector<ScanTarget> targets;
+  // Resolve each participating segment to its serving copy.
+  std::vector<std::pair<int, Database::SegmentCopy>> targets;
   for (int n : nodes) {
-    if (segmentation->unsegmented()) {
-      targets.push_back(ScanTarget{n, scan_set->per_node[n].get(), n});
-      continue;
-    }
     FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy copy,
-                            db_->ReadCopy(scan_set, n));
-    if (copy.host != n) {
-      obs::TraceEvent("ksafety", "scan.reroute",
-                      {{"table", select.from},
-                       {"segment", n},
-                       {"to_node", copy.host}});
-      obs::IncrCounter("ksafety.scan_reroutes");
-    }
-    targets.push_back(ScanTarget{n, copy.store, copy.host});
+                            ServingCopy(*db_, layout, n, select.from));
+    targets.emplace_back(n, copy);
   }
 
-  for (const ScanTarget& target : targets) {
-    storage::SegmentStore* store = target.store;
-    const int n = target.segment;
-    const int scan_host = target.host;
+  for (const auto& [n, copy] : targets) {
+    storage::SegmentStore* store = copy.store;
+    const int scan_host = copy.host;
     db_->engine()->Spawn(
         StrCat("vscan:", select.from, ":n", n),
         [state, store, n, scan_host](sim::Process& scan) {
@@ -2171,34 +2133,8 @@ Result<storage::LaneRows> Session::ExecScanSelect(
             storage::ScanSpec spec;
             spec.as_of = state->snapshot;
             spec.txn = state->txn;
-            spec.predicate = &state->predicate;
-            std::function<Result<bool>(const Row&)> residual_fn;
-            if (state->residual != nullptr) {
-              // SELECT keeps strict semantics: residual evaluation errors
-              // fail the query, as the interpreter did.
-              residual_fn = [&](const Row& row) -> Result<bool> {
-                sql::EvalContext context;
-                context.schema = &state->schema;
-                context.row = &row;
-                context.udx = state->udx;
-                return sql::EvalPredicate(*state->residual, context);
-              };
-              spec.residual = residual_fn;
-              spec.residual_columns = &state->residual_columns;
-              if (state->compiled_residual != nullptr) {
-                const exec::Program* program =
-                    state->compiled_residual.get();
-                spec.batch_residual = [program](const storage::LaneRows& rows,
-                                                std::vector<uint32_t>* keep) {
-                  exec::EvalState es;
-                  std::vector<uint32_t> active(rows.num_rows);
-                  for (size_t i = 0; i < active.size(); ++i) {
-                    active[i] = static_cast<uint32_t>(i);
-                  }
-                  return exec::RunFilter(*program, rows, active, &es, keep);
-                };
-              }
-            }
+            BindWhere(state->where, &state->schema, state->udx,
+                      /*lenient=*/false, &spec);
             spec.cost_columns = &state->cost_columns;
             spec.projection = &state->projection;
             spec.limit = state->scan_limit;
@@ -2207,11 +2143,7 @@ Result<storage::LaneRows> Session::ExecScanSelect(
                                     store->Scan(spec, &stats));
             obs::IncrCounter("vertica.rows_scanned",
                              stats.rows_visible * state->data_scale);
-            DataProfile scanned = stats.visible_profile;
-            DataProfile out_cost = stats.output_profile;
-            out_cost.rows = 0;  // passing rows were already counted
-            scanned.Add(out_cost);
-            scanned.ScaleBy(state->data_scale);
+            DataProfile scanned = ScannedProfile(stats, state->data_scale);
 
             // Result volume leaving this node: for aggregates only the
             // merged partials travel (#groups x output width); otherwise
@@ -2322,7 +2254,7 @@ Result<storage::LaneRows> Session::ExecScanSelect(
     gathered.Append(std::move(state->node_rows[n]));
     state->node_rows[n] = storage::LaneRows();
   }
-  *scanned_schema = std::move(schema);
+  *scanned_schema = schema;
   return gathered;
 }
 
@@ -2351,24 +2283,10 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
   // ON must be a simple column equality resolving one column per anchor
   // (either spelling); anything else joins through the legacy
   // nested-loop path.
-  const sql::Expr& on = *select.join_on;
-  int lk = -1;
-  int rk = -1;
-  if (on.kind == sql::Expr::Kind::kBinary && on.op == "=" &&
-      on.args[0]->kind == sql::Expr::Kind::kColumnRef &&
-      on.args[1]->kind == sql::Expr::Kind::kColumnRef) {
-    auto l = left->schema.IndexOf(on.args[0]->column);
-    auto r = right->schema.IndexOf(on.args[1]->column);
-    if (!l.ok() || !r.ok()) {
-      l = left->schema.IndexOf(on.args[1]->column);
-      r = right->schema.IndexOf(on.args[0]->column);
-    }
-    if (l.ok() && r.ok()) {
-      lk = *l;
-      rk = *r;
-    }
-  }
-  if (lk < 0 || rk < 0) return none;
+  const std::optional<std::pair<int, int>> keys =
+      EquiJoinKeys(*select.join_on, left->schema, right->schema);
+  if (!keys.has_value()) return none;
+  const auto [lk, rk] = *keys;
 
   JoinQueryPlan jq;
   jq.left_table = left;
@@ -2377,20 +2295,11 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
   jq.right_key = rk;
 
   // Column pruning: resolve every outer reference against the combined
-  // exposed schema (left anchor columns, then right anchor columns with
-  // collisions renamed <join>_<name>), then map each back to its side.
-  // Renames compare against the full left anchor schema — not the pruned
-  // subset — so the exposed names never depend on the projection choice.
+  // exposed schema, then map each back to its side.
   const int left_n = left->schema.num_columns();
-  std::vector<storage::ColumnDef> combined_columns = left->schema.columns();
-  for (const storage::ColumnDef& column : right->schema.columns()) {
-    storage::ColumnDef renamed = column;
-    if (left->schema.Contains(column.name)) {
-      renamed.name = StrCat(select.join, "_", column.name);
-    }
-    combined_columns.push_back(renamed);
-  }
-  Schema combined(std::move(combined_columns));
+  const Schema combined = JoinedSchema(
+      left->schema, AllColumns(left_n), right->schema,
+      AllColumns(right->schema.num_columns()), select.join);
   std::set<int> refs;
   bool star = false;
   for (const sql::SelectItem& item : select.items) {
@@ -2534,18 +2443,9 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
     FABRIC_ASSIGN_OR_RETURN(QueryResult left, scan_side(select.from));
     FABRIC_ASSIGN_OR_RETURN(QueryResult right, scan_side(select.join));
 
-    // Combined schema: left columns, then right columns; a right column
-    // whose name collides is exposed as <join>_<name>.
-    std::vector<storage::ColumnDef> combined_columns =
-        left.schema.columns();
-    for (const storage::ColumnDef& column : right.schema.columns()) {
-      storage::ColumnDef renamed = column;
-      if (left.schema.Contains(column.name)) {
-        renamed.name = StrCat(select.join, "_", column.name);
-      }
-      combined_columns.push_back(renamed);
-    }
-    Schema combined(std::move(combined_columns));
+    const Schema combined = JoinedSchema(
+        left.schema, AllColumns(left.schema.num_columns()), right.schema,
+        AllColumns(right.schema.num_columns()), select.join);
 
     // Join CPU on the initiator: hash-join-shaped cost.
     obs::IncrCounter("vertica.hash_joins");
@@ -2561,29 +2461,15 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
     // otherwise.
     storage::LaneRows joined;
     const sql::Expr& on = *select.join_on;
-    int left_key = -1, right_key = -1;
-    if (on.kind == sql::Expr::Kind::kBinary && on.op == "=" &&
-        on.args[0]->kind == sql::Expr::Kind::kColumnRef &&
-        on.args[1]->kind == sql::Expr::Kind::kColumnRef) {
-      auto l = left.schema.IndexOf(on.args[0]->column);
-      auto r = right.schema.IndexOf(on.args[1]->column);
-      if (!l.ok() || !r.ok()) {
-        // Reversed spelling: right.col = left.col.
-        l = left.schema.IndexOf(on.args[1]->column);
-        r = right.schema.IndexOf(on.args[0]->column);
-      }
-      if (l.ok() && r.ok()) {
-        left_key = *l;
-        right_key = *r;
-      }
-    }
+    const std::optional<std::pair<int, int>> keys =
+        EquiJoinKeys(on, left.schema, right.schema);
     std::vector<Row> matched;
-    if (left_key >= 0) {
+    if (keys.has_value()) {
       joined = exec::EquiJoin(
-          storage::LaneRows::FromRows(left.schema, left.rows), left_key,
+          storage::LaneRows::FromRows(left.schema, left.rows), keys->first,
           AllColumns(left.schema.num_columns()),
-          storage::LaneRows::FromRows(right.schema, right.rows), right_key,
-          AllColumns(right.schema.num_columns()));
+          storage::LaneRows::FromRows(right.schema, right.rows),
+          keys->second, AllColumns(right.schema.num_columns()));
     } else {
       for (const Row& lrow : left.rows) {
         for (const Row& rrow : right.rows) {
@@ -2603,18 +2489,11 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
     PipelineCompiler* pipeline = db_->pipeline_compiler();
     FABRIC_ASSIGN_OR_RETURN(
         QueryResult result,
-        left_key >= 0 ? LocalSelect(joined, combined, select, udx, agg_udx,
-                                    pipeline, spill)
-                      : LocalSelect(matched, combined, select, udx, agg_udx,
-                                    pipeline, spill));
-    if (to_client) {
-      DataProfile profile = ProfileRows(result.rows);
-      profile.ScaleBy(cost.data_scale);
-      double wire = profile.JdbcWireBytes(cost);
-      double cap = profile.StreamRateCap(cost.result_stream_bytes_per_sec,
-                                         cost.result_row_overhead, wire);
-      FABRIC_RETURN_IF_ERROR(StreamToClient(self, wire, cap));
-    }
+        keys.has_value() ? LocalSelect(joined, combined, select, udx,
+                                       agg_udx, pipeline, spill)
+                         : LocalSelect(matched, combined, select, udx,
+                                       agg_udx, pipeline, spill));
+    if (to_client) FABRIC_RETURN_IF_ERROR(StreamResult(self, result));
     return result;
   }
 
@@ -2660,21 +2539,10 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
        {"co_located", jq.plan.co_located ? 1 : 0}});
 
   // Combined schema over the pruned column sets, in anchor order per
-  // side; the rename rule matches the legacy path (collisions against
-  // the full left anchor schema), so a query sees the same column names
-  // whichever strategy or projection pair serves it.
-  std::vector<storage::ColumnDef> combined_columns;
-  for (int c : jq.left_needed) {
-    combined_columns.push_back(left_t.schema.column(c));
-  }
-  for (int c : jq.right_needed) {
-    storage::ColumnDef renamed = right_t.schema.column(c);
-    if (left_t.schema.Contains(renamed.name)) {
-      renamed.name = StrCat(select.join, "_", renamed.name);
-    }
-    combined_columns.push_back(renamed);
-  }
-  Schema combined(std::move(combined_columns));
+  // side.
+  const Schema combined =
+      JoinedSchema(left_t.schema, jq.left_needed, right_t.schema,
+                   jq.right_needed, select.join);
 
   storage::LaneRows joined;
   if (jq.plan.co_located) {
@@ -2739,14 +2607,7 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
                           LocalSelect(joined, combined, select, udx,
                                       agg_udx, db_->pipeline_compiler(),
                                       spill));
-  if (to_client) {
-    DataProfile profile = ProfileRows(result.rows);
-    profile.ScaleBy(cost.data_scale);
-    double wire = profile.JdbcWireBytes(cost);
-    double cap = profile.StreamRateCap(cost.result_stream_bytes_per_sec,
-                                       cost.result_row_overhead, wire);
-    FABRIC_RETURN_IF_ERROR(StreamToClient(self, wire, cap));
-  }
+  if (to_client) FABRIC_RETURN_IF_ERROR(StreamResult(self, result));
   return result;
 }
 
@@ -2757,61 +2618,12 @@ Result<storage::LaneRows> Session::ExecCoLocatedJoin(
   const TableDef& left_t = *jq.left_table;
   const TableDef& right_t = *jq.right_table;
 
-  // Epoch snapshot: same rules as the single-table scan.
-  Epoch snapshot;
-  if (select.at_epoch >= 0) {
-    if (static_cast<Epoch>(select.at_epoch) > db_->current_epoch()) {
-      return OutOfRangeError(
-          StrCat("epoch ", select.at_epoch, " is in the future"));
-    }
-    if (static_cast<Epoch>(select.at_epoch) < db_->ahm()) {
-      return OutOfRangeError(StrCat(
-          "HISTORY_PURGED: epoch ", select.at_epoch,
-          " predates the ancient history mark ", db_->ahm()));
-    }
-    snapshot = static_cast<Epoch>(select.at_epoch);
-  } else {
-    snapshot = db_->current_epoch();
-  }
-  db_->PinEpoch(snapshot);
-  struct EpochPin {
-    Database* db;
-    Epoch epoch;
-    ~EpochPin() { db->UnpinEpoch(epoch); }
-  } epoch_pin{db_, snapshot};
-
-  FABRIC_RETURN_IF_ERROR(db_->PoolAdmit(self, node_));
-  struct PoolGuard {
-    Database* db;
-    int node;
-    ~PoolGuard() { db->PoolRelease(node); }
-  } pool_guard{db_, node_};
-
-  // Storage sets for the chosen layouts.
-  auto side_set = [this](const TableDef& t,
-                         const projections::PlanChoice& pick)
-      -> Result<Database::SegmentSet*> {
-    if (pick.projection != nullptr) {
-      return db_->GetProjectionStorage(pick.projection->name);
-    }
-    FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * table_storage,
-                            db_->GetStorage(t.name));
-    return static_cast<Database::SegmentSet*>(table_storage);
-  };
-  FABRIC_ASSIGN_OR_RETURN(Database::SegmentSet * left_set,
-                          side_set(left_t, jq.plan.left));
-  FABRIC_ASSIGN_OR_RETURN(Database::SegmentSet * right_set,
-                          side_set(right_t, jq.plan.right));
-  for (const projections::PlanChoice* pick :
-       {&jq.plan.left, &jq.plan.right}) {
-    if (pick->projection != nullptr) {
-      obs::IncrCounter(
-          StrCat("vertica.projection_scans{", pick->projection->name, "}"));
-      obs::TraceEvent("vertica", "projection.scan",
-                      {{"projection", pick->projection->name},
-                       {"table", pick->projection->anchor}});
-    }
-  }
+  SnapshotGuard snapshot(db_, node_);
+  FABRIC_RETURN_IF_ERROR(snapshot.Acquire(self, select.at_epoch));
+  FABRIC_ASSIGN_OR_RETURN(ScanLayout left,
+                          ResolveLayout(db_, left_t, jq.plan.left));
+  FABRIC_ASSIGN_OR_RETURN(ScanLayout right,
+                          ResolveLayout(db_, right_t, jq.plan.right));
 
   // Map each needed anchor column (and the join key) to its position in
   // the scanned layout's store schema; rows are emitted in anchor order
@@ -2848,57 +2660,27 @@ Result<storage::LaneRows> Session::ExecCoLocatedJoin(
                                         jq.right_key, &right_positions,
                                         &right_key_position));
 
-  const Segmentation& left_seg = jq.plan.left.projection != nullptr
-                                     ? jq.plan.left.projection->segmentation
-                                     : left_t.segmentation;
-  const bool right_replicated =
-      (jq.plan.right.projection != nullptr
-           ? jq.plan.right.projection->segmentation
-           : right_t.segmentation)
-          .unsegmented();
-
   // One join process per left segment, on whichever node serves that
   // segment today (primary, or buddy after failover). A replicated right
   // side is read from the serving node's local copy; a segmented right
   // side reads the matching segment (equal keys land on equal segment
   // indices — that is what ClassifyJoin certified).
+  // The left copy's host runs the join; the right copy's differs only in
+  // asymmetric failover states.
   struct JoinTarget {
     int segment;
-    storage::SegmentStore* left_store;
-    storage::SegmentStore* right_store;
-    int host;        // node whose CPU runs the join
-    int right_host;  // node serving the right store (differs only in
-                     // asymmetric failover states)
+    Database::SegmentCopy left, right;
   };
   std::vector<JoinTarget> targets;
-  if (left_seg.unsegmented()) {
-    targets.push_back(JoinTarget{node_, left_set->per_node[node_].get(),
-                                 right_set->per_node[node_].get(), node_,
-                                 node_});
-  } else {
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy left_copy,
-                              db_->ReadCopy(left_set, n));
-      storage::SegmentStore* right_store = nullptr;
-      int right_host = left_copy.host;
-      if (right_replicated) {
-        right_store = right_set->per_node[left_copy.host].get();
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy right_copy,
-                                db_->ReadCopy(right_set, n));
-        right_store = right_copy.store;
-        right_host = right_copy.host;
-      }
-      if (left_copy.host != n) {
-        obs::TraceEvent("ksafety", "scan.reroute",
-                        {{"table", left_t.name},
-                         {"segment", n},
-                         {"to_node", left_copy.host}});
-        obs::IncrCounter("ksafety.scan_reroutes");
-      }
-      targets.push_back(JoinTarget{n, left_copy.store, right_store,
-                                   left_copy.host, right_host});
+  for (int n : ScanSegments(*db_, left, nullptr, node_)) {
+    FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy left_copy,
+                            ServingCopy(*db_, left, n, left_t.name));
+    Database::SegmentCopy right_copy{
+        right.set->per_node[left_copy.host].get(), left_copy.host};
+    if (!right.segmentation->unsegmented()) {
+      FABRIC_ASSIGN_OR_RETURN(right_copy, db_->ReadCopy(right.set, n));
     }
+    targets.push_back(JoinTarget{n, left_copy, right_copy});
   }
 
   // Shared state between the per-segment join processes and the gather
@@ -2921,7 +2703,7 @@ Result<storage::LaneRows> Session::ExecCoLocatedJoin(
   auto state = std::make_shared<JoinState>();
   state->db = db_;
   state->cost = cost;
-  state->snapshot = snapshot;
+  state->snapshot = snapshot.epoch();
   state->txn = txn_;
   state->left_positions = left_positions;
   state->right_positions = right_positions;
@@ -2955,9 +2737,9 @@ Result<storage::LaneRows> Session::ExecCoLocatedJoin(
             storage::ScanStats left_stats, right_stats;
             FABRIC_ASSIGN_OR_RETURN(
                 storage::LaneRows left_rows,
-                scan(target.left_store, state->left_positions, &left_stats));
+                scan(target.left.store, state->left_positions, &left_stats));
             FABRIC_ASSIGN_OR_RETURN(storage::LaneRows right_rows,
-                                    scan(target.right_store,
+                                    scan(target.right.store,
                                          state->right_positions,
                                          &right_stats));
             obs::IncrCounter(
@@ -2977,17 +2759,9 @@ Result<storage::LaneRows> Session::ExecCoLocatedJoin(
             // Virtual-time cost: both scans' bytes and container opens
             // plus the merge-join CPU per input row, all on the serving
             // node. Only the join output travels to the initiator.
-            auto scanned_of = [](const storage::ScanStats& stats,
-                                 double scale) {
-              DataProfile scanned = stats.visible_profile;
-              DataProfile out_cost = stats.output_profile;
-              out_cost.rows = 0;  // passing rows were already counted
-              scanned.Add(out_cost);
-              scanned.ScaleBy(scale);
-              return scanned;
-            };
-            DataProfile scanned = scanned_of(left_stats, state->left_scale);
-            scanned.Add(scanned_of(right_stats, state->right_scale));
+            DataProfile scanned =
+                ScannedProfile(left_stats, state->left_scale);
+            scanned.Add(ScannedProfile(right_stats, state->right_scale));
             double cpu =
                 scanned.ScanCpu(state->cost) +
                 static_cast<double>(left_stats.containers_scanned +
@@ -2998,22 +2772,22 @@ Result<storage::LaneRows> Session::ExecCoLocatedJoin(
                  static_cast<double>(right_rows.num_rows) *
                      state->right_scale) *
                     state->cost.join_merge_cpu_per_row;
-            const net::Host& host = db->node_host(target.host);
+            const net::Host& host = db->node_host(target.left.host);
             FABRIC_RETURN_IF_ERROR(
                 net::RunCpu(proc, db->network(), host, cpu));
-            if (target.right_host != target.host) {
+            if (target.right.host != target.left.host) {
               // Asymmetric failover: the right segment is served from a
               // different node, so its scan output crosses the cluster.
               DataProfile moved = right_stats.output_profile;
               moved.ScaleBy(state->right_scale);
               if (moved.raw_bytes > 0) {
-                const net::Host& rhost = db->node_host(target.right_host);
+                const net::Host& rhost = db->node_host(target.right.host);
                 FABRIC_RETURN_IF_ERROR(db->network()->Transfer(
                     proc, {rhost.int_egress, host.int_ingress},
                     moved.raw_bytes));
               }
             }
-            if (target.host != state->initiator) {
+            if (target.left.host != state->initiator) {
               DataProfile produced = ProfileRows(out);
               produced.ScaleBy(state->cost.data_scale);
               if (produced.raw_bytes > 0) {
@@ -3055,6 +2829,16 @@ Status Session::StreamToClient(sim::Process& self, double wire_bytes,
       self,
       {db_->node_host(node_).ext_egress, client_->ext_ingress},
       wire_bytes, rate_cap);
+}
+
+Status Session::StreamResult(sim::Process& self, const QueryResult& result) {
+  const CostModel& cost = db_->cost();
+  DataProfile profile = ProfileRows(result.rows);
+  profile.ScaleBy(cost.data_scale);
+  double wire = profile.JdbcWireBytes(cost);
+  double cap = profile.StreamRateCap(cost.result_stream_bytes_per_sec,
+                                     cost.result_row_overhead, wire);
+  return StreamToClient(self, wire, cap);
 }
 
 Status Session::StreamToClientReverse(sim::Process& self,

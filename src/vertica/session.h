@@ -235,6 +235,10 @@ class Session {
   Status StreamToClient(sim::Process& self, double wire_bytes,
                         double rate_cap);
 
+  // Streams a result finished at the initiator (views, joins) to the
+  // client at paper scale under the per-connection result-stream cap.
+  Status StreamResult(sim::Process& self, const QueryResult& result);
+
   // The reverse direction: statement payload travelling client -> node
   // (INSERT VALUES data).
   Status StreamToClientReverse(sim::Process& self, double wire_bytes);

@@ -16,8 +16,6 @@ constexpr unsigned __int128 kRingEnd = (static_cast<unsigned __int128>(1))
 
 RingRangeSet RingRangeSet::Full() { return Of(0, kRingEnd); }
 
-RingRangeSet RingRangeSet::Empty() { return RingRangeSet(); }
-
 RingRangeSet RingRangeSet::Of(unsigned __int128 lower,
                               unsigned __int128 upper) {
   RingRangeSet set;
@@ -84,12 +82,6 @@ bool RingRangeSet::Contains(uint64_t hash) const {
 
 bool RingRangeSet::Intersects(const HashRange& range) const {
   return !Intersect(OfHashRange(range)).IsEmpty();
-}
-
-unsigned __int128 RingRangeSet::TotalWidth() const {
-  unsigned __int128 width = 0;
-  for (const auto& [lo, hi] : ranges_) width += hi - lo;
-  return width;
 }
 
 namespace {

@@ -18,7 +18,6 @@ namespace fabric::vertica::sql {
 class RingRangeSet {
  public:
   static RingRangeSet Full();
-  static RingRangeSet Empty();
   // [lower, upper) with upper as a 2^64-capable bound.
   static RingRangeSet Of(unsigned __int128 lower, unsigned __int128 upper);
   static RingRangeSet OfHashRange(const HashRange& range);
@@ -30,9 +29,6 @@ class RingRangeSet {
   bool IsFull() const;
   bool Contains(uint64_t hash) const;
   bool Intersects(const HashRange& range) const;
-
-  // Total covered width (for skew/coverage property tests).
-  unsigned __int128 TotalWidth() const;
 
   int num_ranges() const { return static_cast<int>(ranges_.size()); }
 

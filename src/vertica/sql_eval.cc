@@ -24,10 +24,6 @@ bool IsAggregateFunction(const std::string& upper_name) {
   return exec::AggFnByName(upper_name).has_value();
 }
 
-bool ContainsAggregate(const Expr& expr) {
-  return ContainsAggregate(expr, nullptr);
-}
-
 bool ContainsAggregate(const Expr& expr,
                        const AggregateUdxResolver* aggregate_udx) {
   if (expr.kind == Expr::Kind::kCall) {

@@ -86,9 +86,8 @@ storage::DataType InferType(const Expr& expr, const storage::Schema& schema);
 // column, else "col<position>".
 std::string SelectItemName(const SelectItem& item, int position);
 
-// True when the expression tree contains an aggregate call. The resolver
-// overload also counts registered aggregate UDx names.
-bool ContainsAggregate(const Expr& expr);
+// True when the expression tree contains an aggregate call, counting
+// registered aggregate UDx names when `aggregate_udx` is given.
 bool ContainsAggregate(const Expr& expr,
                        const AggregateUdxResolver* aggregate_udx);
 

@@ -2,7 +2,7 @@
 // proposals (SELECT DESIGN_PROPOSALS + v_monitor.design_proposals), the
 // storage budget bounds what gets proposed, proposed DDL is executable
 // and flips the planner to the proposed layouts, and a seeded
-// chaos/property suite (DESIGNER_SEED) asserting (a) the designer is a
+// chaos/property suite (FABRIC_SEED) asserting (a) the designer is a
 // pure function of the captured workload — two identically seeded runs
 // propose identical DDL — and (b) adopting every proposal never changes
 // any query's answer.
@@ -29,9 +29,7 @@ namespace {
 using storage::Row;
 using storage::Value;
 
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("DESIGNER_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 std::vector<std::string> Lines(const QueryResult& result) {
   std::vector<std::string> out;

@@ -41,11 +41,7 @@ using storage::Row;
 using storage::Schema;
 using storage::Value;
 
-// Seeds for the randomized property suites; HLL_SEED (the CI matrix
-// knob) adds one more, mirroring SHUFFLE_SEED / TM_SEED.
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("HLL_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 Sketch MustCreate(int precision) {
   auto sketch = Sketch::Create(precision);
@@ -151,7 +147,7 @@ TEST(HllSketch, MergeRejectsMismatchedPrecision) {
 
 // Relative error stays within 3x the theoretical standard error
 // (1.04/sqrt(m)) for cardinalities 10..1M at precisions {10,12,14},
-// across 20 fixed seeds. The seeds are fixed (not HLL_SEED) because a
+// across 20 fixed seeds. The seeds are fixed (not FABRIC_SEED) because a
 // 3-sigma bound is statistical — roughly 1.5% of random streams exceed
 // it somewhere in this grid (tiny-n register collisions, the raw
 // estimator's bias hump near n = 2.5m, and the estimator's heavy right

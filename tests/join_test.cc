@@ -4,7 +4,7 @@
 // per-table forced-projection hint and the forced-join-strategy hook
 // (typed errors), virtual-time ordering (merge beats hash on the same
 // layouts), workload capture into v_monitor.query_requests, and a
-// seeded chaos suite (JOIN_SEED) asserting byte-identical join answers
+// seeded chaos suite (FABRIC_SEED) asserting byte-identical join answers
 // across strategies through random DML and a node kill.
 
 #include <cstdint>
@@ -30,9 +30,7 @@ namespace {
 using storage::Row;
 using storage::Value;
 
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("JOIN_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 std::vector<std::string> Lines(const QueryResult& result) {
   std::vector<std::string> out;

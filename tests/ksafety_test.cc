@@ -71,11 +71,7 @@ std::multiset<std::string> ContentsOf(const std::vector<Row>& rows) {
   return out;
 }
 
-// Seeds for the randomized suites; KSAFETY_SEED (the CI matrix knob) adds
-// one more.
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("KSAFETY_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 class KSafetyTest : public ::testing::Test {
  protected:

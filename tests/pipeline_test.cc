@@ -5,8 +5,8 @@
 // Mover on or off, under node and executor kills — the compiled and
 // interpreted fabrics return byte-identical results AND byte-identical
 // event traces (same virtual-time charges, same event order). The
-// randomized suites take an extra seed from PIPELINE_SEED (the CI matrix
-// knob) on top of the fixed seeds.
+// randomized suites take an extra seed from FABRIC_SEED on top of the
+// fixed seeds.
 
 #include <algorithm>
 #include <cmath>
@@ -45,9 +45,7 @@ using vertica::Database;
 using vertica::QueryResult;
 using vertica::Session;
 
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("PIPELINE_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 // The event stream of a trace, without the appended metrics snapshot:
 // the pipeline counters (sql.compiled_pipelines etc.) intentionally
@@ -358,6 +356,12 @@ LaneTables MakeLaneTables(uint64_t seed) {
     t.right.push_back({pick(ints), pick(floats), pick(strings), pick_bool(),
                        Value::Varchar(StrCat("t", i))});
   }
+  // Both signs of zero in rows LoadLaneTable sends DIRECT into ROS.
+  for (std::vector<Row>* rows : {&t.left, &t.right}) {
+    (*rows)[0][1] = Value::Float64(-0.0);
+    (*rows)[2][1] = Value::Float64(0.0);
+    (*rows)[4][1] = Value::Float64(-0.0);
+  }
   return t;
 }
 
@@ -373,20 +377,13 @@ bool NeedsCopy(const Row& row) {
 }
 
 // Every other row (and every row SQL cannot spell) through COPY DIRECT
-// into ROS, the rest through INSERT into the WOS. Rows holding -0.0 go
-// through INSERT: the WOS keeps the sign of zero, while a ROS encoding
-// may fold -0.0 into an adjacent 0.0 run.
+// into ROS, the rest through INSERT into the WOS.
 void LoadLaneTable(sim::Process& self, Session& s, const std::string& table,
                    const std::vector<Row>& rows) {
   std::vector<Row> direct;
   std::string values;
   for (size_t i = 0; i < rows.size(); ++i) {
-    const bool negative_zero = std::any_of(
-        rows[i].begin(), rows[i].end(), [](const Value& v) {
-          return !v.is_null() && v.type() == DataType::kFloat64 &&
-                 v.float64_value() == 0 && std::signbit(v.float64_value());
-        });
-    if (NeedsCopy(rows[i]) || (i % 2 == 0 && !negative_zero)) {
+    if (NeedsCopy(rows[i]) || i % 2 == 0) {
       direct.push_back(rows[i]);
       continue;
     }
@@ -508,8 +505,9 @@ SqlRun RunLaneWorkload(uint64_t seed, bool compile_pipelines) {
     LaneTables stored;
     stored.left = exec("SELECT * FROM l").rows;
     stored.right = exec("SELECT * FROM r").rows;
-    EXPECT_EQ(stored.left.size(), tables.left.size());
-    EXPECT_EQ(stored.right.size(), tables.right.size());
+    // Storage returns every value as loaded, the sign of zero included.
+    EXPECT_EQ(SortedLines(stored.left), SortedLines(tables.left));
+    EXPECT_EQ(SortedLines(stored.right), SortedLines(tables.right));
 
     // Scan-selects and V2S-style partition queries (hash ranges).
     exec("SELECT k, f, s, b FROM l WHERE b = TRUE");

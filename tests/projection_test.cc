@@ -35,9 +35,7 @@ using storage::Row;
 using storage::Schema;
 using storage::Value;
 
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("PROJECTION_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 // Renders a result set to ordered lines (ORDER BY queries) for exact
 // comparison.

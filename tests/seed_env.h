@@ -8,20 +8,13 @@
 namespace fabric::testing {
 
 // Seeds for the randomized property suites. Every suite starts from the
-// same fixed trio so plain local runs are deterministic and fast; the CI
-// seed matrix appends one more seed through the suite's environment knob
-// (KSAFETY_SEED, TM_SEED, SHUFFLE_SEED, HLL_SEED, PIPELINE_SEED,
-// WM_SEED). `fallback_var` lets one matrix knob fan into a second suite
-// (the Tuple Mover suite also picks up KSAFETY_SEED so both matrices
-// exercise it).
-inline std::vector<uint64_t> PropertySeeds(
-    const char* env_var, const char* fallback_var = nullptr) {
+// same fixed trio so plain local runs are deterministic and fast;
+// FABRIC_SEED (unset or empty: none) appends one more seed to every
+// suite at once.
+inline std::vector<uint64_t> PropertySeeds() {
   std::vector<uint64_t> seeds = {11, 23, 47};
-  const char* env = std::getenv(env_var);
-  if (env == nullptr && fallback_var != nullptr) {
-    env = std::getenv(fallback_var);
-  }
-  if (env != nullptr) {
+  const char* env = std::getenv("FABRIC_SEED");
+  if (env != nullptr && *env != '\0') {
     seeds.push_back(static_cast<uint64_t>(std::strtoull(env, nullptr, 10)));
   }
   return seeds;

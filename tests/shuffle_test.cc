@@ -55,11 +55,7 @@ std::multiset<std::string> ContentsOf(const std::vector<Row>& rows) {
   return out;
 }
 
-// Seeds for the randomized suites; SHUFFLE_SEED (the CI matrix knob)
-// adds one more.
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("SHUFFLE_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 Schema KvSchema() {
   return Schema({{"k", DataType::kVarchar}, {"v", DataType::kFloat64}});

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -65,11 +66,7 @@ std::multiset<std::string> ContentsOf(const std::vector<Row>& rows) {
   return out;
 }
 
-// Seeds for the randomized suites; TM_SEED (the CI matrix knob, falling
-// back to KSAFETY_SEED so both matrices exercise this suite) adds one.
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("TM_SEED", "KSAFETY_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 // An aggressive Tuple Mover configuration so short test workloads see
 // moveout, mergeout and AHM passes many times over.
@@ -275,6 +272,95 @@ TEST_F(TmTest, AtEpochBelowAhmFailsHistoryPurged) {
               static_cast<int64_t>(db_->ahm()));
   });
   EXPECT_GT(tracer_->metrics().counter("tm.ahm_advances"), 0.0);
+}
+
+// The AT EPOCH rule holds on every read path: a future epoch is
+// OUT_OF_RANGE and one below the AHM is HISTORY_PURGED, whether the
+// query scans one table, joins co-located projections, gathers a join
+// forced to hash, or joins through a view (the legacy join path); the
+// AHM itself stays readable on all four.
+TEST_F(TmTest, AtEpochRuleHoldsOnEveryReadPath) {
+  Build(AggressiveTm());
+  RunDriver([&](sim::Process& driver) {
+    ExecOk(driver, 0,
+           "CREATE TABLE fact (id INTEGER, cust INTEGER) "
+           "SEGMENTED BY HASH(id) ALL NODES");
+    ExecOk(driver, 0,
+           "CREATE TABLE dim (cust_id INTEGER, region VARCHAR) "
+           "SEGMENTED BY HASH(cust_id) ALL NODES");
+    ExecOk(driver, 0,
+           "CREATE PROJECTION fact_by_cust AS SELECT cust, id FROM fact "
+           "ORDER BY cust SEGMENTED BY HASH(cust)");
+    ExecOk(driver, 0,
+           "CREATE PROJECTION dim_by_cust AS SELECT cust_id, region "
+           "FROM dim ORDER BY cust_id SEGMENTED BY HASH(cust_id)");
+    ExecOk(driver, 0, "CREATE VIEW dim_v AS SELECT * FROM dim");
+    const storage::Epoch created = db_->current_epoch();
+    for (int i = 0; i < 12; ++i) {
+      ExecOk(driver, 0,
+             StrCat("INSERT INTO fact VALUES (", i, ", ", i % 4, ")"));
+      ExecOk(driver, 0,
+             StrCat("INSERT INTO dim VALUES (", i, ", 'r", i % 3, "')"));
+    }
+    ASSERT_TRUE(driver.Sleep(2.0).ok());  // let the AHM catch up
+    // Below the AHM but not below the projections' create epoch, so the
+    // planner still picks them for the co-located join.
+    ASSERT_GT(db_->ahm(), created);
+    const storage::Epoch purged = db_->ahm() - 1;
+    const storage::Epoch future = db_->current_epoch() + 5;
+
+    struct ReadPath {
+      std::string sql;  // `%` stands for the epoch
+      std::optional<std::string> join_strategy;
+    };
+    const std::vector<ReadPath> paths = {
+        {"SELECT * FROM fact AT EPOCH %", std::nullopt},
+        {"SELECT COUNT(*) FROM fact JOIN dim ON cust = cust_id AT EPOCH %",
+         std::nullopt},
+        {"SELECT COUNT(*) FROM fact JOIN dim ON cust = cust_id AT EPOCH %",
+         "hash"},
+        {"SELECT COUNT(*) FROM fact JOIN dim_v ON cust = cust_id "
+         "AT EPOCH %",
+         std::nullopt},
+    };
+    auto run = [&](const ReadPath& path, storage::Epoch epoch) {
+      std::string sql = path.sql;
+      sql.replace(sql.find('%'), 1, StrCat(epoch));
+      auto session = db_->Connect(driver, 1, nullptr);
+      FABRIC_CHECK(session.ok()) << session.status();
+      (*session)->set_forced_join_strategy(path.join_strategy);
+      Result<QueryResult> result = (*session)->Execute(driver, sql);
+      FABRIC_CHECK((*session)->Close(driver).ok());
+      return result;
+    };
+    // The unforced join of the two projections is the co-located one.
+    std::string plan;
+    for (const Row& row :
+         ExecOk(driver, 0,
+                StrCat("EXPLAIN SELECT COUNT(*) FROM fact JOIN dim "
+                       "ON cust = cust_id AT EPOCH ",
+                       purged))
+             .rows) {
+      plan += row[0].varchar_value() + "\n";
+    }
+    EXPECT_NE(plan.find("(co-located)"), std::string::npos) << plan;
+    for (const ReadPath& path : paths) {
+      Result<QueryResult> ahead = run(path, future);
+      ASSERT_FALSE(ahead.ok()) << path.sql;
+      EXPECT_EQ(ahead.status().code(), StatusCode::kOutOfRange);
+      EXPECT_NE(ahead.status().ToString().find("is in the future"),
+                std::string::npos)
+          << path.sql << ": " << ahead.status();
+      Result<QueryResult> ancient = run(path, purged);
+      ASSERT_FALSE(ancient.ok()) << path.sql;
+      EXPECT_EQ(ancient.status().code(), StatusCode::kOutOfRange);
+      EXPECT_NE(ancient.status().ToString().find("HISTORY_PURGED"),
+                std::string::npos)
+          << path.sql << ": " << ancient.status();
+      Result<QueryResult> at_ahm = run(path, db_->ahm());
+      EXPECT_TRUE(at_ahm.ok()) << path.sql << ": " << at_ahm.status();
+    }
+  });
 }
 
 // Purge physically reclaims rows whose deletes are ancient — container

@@ -40,9 +40,7 @@ using storage::Row;
 using storage::Schema;
 using storage::Value;
 
-std::vector<uint64_t> PropertySeeds() {
-  return fabric::testing::PropertySeeds("WM_SEED");
-}
+using fabric::testing::PropertySeeds;
 
 // Serialized result rows: the byte-identity witness for WM-on/off and
 // spill/no-spill comparisons.
