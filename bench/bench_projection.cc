@@ -62,7 +62,7 @@ double TimeGroupBy(Fabric& fabric, const std::string& forced) {
   return fabric.RunTimed([&](fabric::sim::Process& driver) {
     auto session = fabric.db()->Connect(driver, 0, nullptr);
     FABRIC_CHECK_OK(session.status());
-    if (forced != "-") (*session)->set_forced_projection(forced);
+    if (forced != "-") (*session)->set_forced_projection("fact", forced);
     for (int rep = 0; rep < kQueryReps; ++rep) {
       auto result = (*session)->Execute(
           driver,

@@ -122,11 +122,8 @@ Status CopyStream::WriteBatch(sim::Process& self,
           self.Sleep(csv_bytes / cost.disk_read_bandwidth));
     }
   } else {
-    double wire = profile.AvroWireBytes(cost);
-    double cap = profile.StreamRateCap(cost.copy_stream_bytes_per_sec,
-                                       cost.copy_stream_row_overhead, wire);
-    FABRIC_RETURN_IF_ERROR(session_->StreamToClientReverse(self, wire));
-    (void)cap;  // the per-connection cap applies to the parse stage below
+    FABRIC_RETURN_IF_ERROR(
+        session_->StreamToClientReverse(self, profile.AvroWireBytes(cost)));
   }
 
   // Parse + decode on the initiator. The JDBC/Avro-fed path is bounded

@@ -30,12 +30,6 @@ Database::Database(sim::Engine* engine, net::Network* network,
   node_incarnation_.assign(options_.num_nodes, 0);
   node_sessions_.resize(options_.num_nodes);
   state_changed_ = std::make_unique<sim::Condition>(engine_);
-  if (options_.pool_concurrency > 0) {
-    for (int i = 0; i < options_.num_nodes; ++i) {
-      pool_slots_.push_back(std::make_unique<sim::Semaphore>(
-          engine_, options_.pool_concurrency));
-    }
-  }
   udx_resolver_ = [this](const std::string& fn,
                          const std::vector<storage::Value>& args,
                          const std::map<std::string, storage::Value>&
@@ -228,26 +222,44 @@ Result<Database::TableStorage*> Database::GetStorage(
   return &it->second;
 }
 
-Status Database::CreateTableWithStorage(TableDef def) {
-  std::string key = ToLower(def.name);
-  storage::Schema schema = def.schema;
-  bool segmented = !def.segmentation.unsegmented();
-  FABRIC_RETURN_IF_ERROR(catalog_.CreateTable(std::move(def)));
-  TableStorage table_storage;
-  for (int i = 0; i < num_nodes(); ++i) {
-    table_storage.per_node.push_back(
-        std::make_unique<storage::SegmentStore>(schema));
-  }
-  // k=1 buddy projection: segmented tables get a second copy of every
-  // segment on the ring-successor node. Unsegmented tables are already
+Database::SegmentSet Database::EmptySegmentSet(
+    const storage::Schema& schema, const Segmentation& segmentation,
+    const storage::PhysicalDesign& design) const {
+  // k=1 buddy projection: a segmented layout gets a second copy of every
+  // segment on the ring-successor node. Unsegmented layouts are already
   // replicated everywhere, and a single-node cluster has no buddy.
-  if (segmented && num_nodes() > 1) {
-    for (int i = 0; i < num_nodes(); ++i) {
-      table_storage.buddy.push_back(
-          std::make_unique<storage::SegmentStore>(schema));
+  const bool buddies = !segmentation.unsegmented() && num_nodes() > 1;
+  SegmentSet set;
+  for (int i = 0; i < num_nodes(); ++i) {
+    set.per_node.push_back(
+        std::make_unique<storage::SegmentStore>(schema, design));
+    if (buddies) {
+      set.buddy.push_back(
+          std::make_unique<storage::SegmentStore>(schema, design));
     }
   }
-  storage_.emplace(key, std::move(table_storage));
+  return set;
+}
+
+Status Database::CreateTableWithStorage(TableDef def) {
+  std::string key = ToLower(def.name);
+  SegmentSet stores = EmptySegmentSet(def.schema, def.segmentation, {});
+  FABRIC_RETURN_IF_ERROR(catalog_.CreateTable(std::move(def)));
+  storage_.emplace(key, TableStorage{std::move(stores), {}});
+  return Status::OK();
+}
+
+Status Database::TruncateTableWithStorage(const std::string& name) {
+  FABRIC_ASSIGN_OR_RETURN(const TableDef* def, catalog_.GetTable(name));
+  FABRIC_ASSIGN_OR_RETURN(TableStorage * storage, GetStorage(name));
+  static_cast<SegmentSet&>(*storage) =
+      EmptySegmentSet(def->schema, def->segmentation, {});
+  // Projections truncate in lockstep, keeping their physical design.
+  for (auto& [proj_name, set] : storage->projections) {
+    FABRIC_ASSIGN_OR_RETURN(const ProjectionDef* proj,
+                            catalog_.GetProjection(proj_name));
+    set = EmptySegmentSet(proj->schema, proj->segmentation, proj->Design());
+  }
   return Status::OK();
 }
 
@@ -262,24 +274,12 @@ Status Database::DropTableWithStorage(const std::string& name) {
 Status Database::CreateProjectionWithStorage(ProjectionDef def) {
   std::string key = ToLower(def.name);
   std::string anchor_key = ToLower(def.anchor);
-  storage::Schema schema = def.schema;
-  storage::PhysicalDesign design = def.Design();
-  bool segmented = !def.segmentation.unsegmented();
+  SegmentSet stores =
+      EmptySegmentSet(def.schema, def.segmentation, def.Design());
   FABRIC_RETURN_IF_ERROR(catalog_.CreateProjection(std::move(def)));
   auto it = storage_.find(anchor_key);
   FABRIC_CHECK(it != storage_.end()) << "anchor storage missing";
-  SegmentSet set;
-  for (int i = 0; i < num_nodes(); ++i) {
-    set.per_node.push_back(
-        std::make_unique<storage::SegmentStore>(schema, design));
-  }
-  if (segmented && num_nodes() > 1) {
-    for (int i = 0; i < num_nodes(); ++i) {
-      set.buddy.push_back(
-          std::make_unique<storage::SegmentStore>(schema, design));
-    }
-  }
-  it->second.projections.emplace(key, std::move(set));
+  it->second.projections.emplace(key, std::move(stores));
   return Status::OK();
 }
 
@@ -946,20 +946,6 @@ Status Database::WaitForNodeState(sim::Process& self, int node,
   return state_changed_->WaitUntil(self, [this, node, state] {
     return node_states_[node] == state;
   });
-}
-
-Status Database::PoolAdmit(sim::Process& self, int node) {
-  // The workload manager supersedes the flat pool; Session::Execute
-  // already admitted this statement through its named pool.
-  if (wm_ != nullptr) return self.CheckAlive();
-  if (pool_slots_.empty()) return self.CheckAlive();
-  return pool_slots_[node]->Acquire(self);
-}
-
-void Database::PoolRelease(int node) {
-  if (wm_ != nullptr) return;
-  if (pool_slots_.empty()) return;
-  pool_slots_[node]->Release();
 }
 
 bool IsMaxClientSessionsError(const Status& status) {

@@ -59,12 +59,8 @@ class Database {
     // MaxClientSessions per node (the paper raises it to 100 for the
     // parallelism experiments).
     int max_client_sessions = 100;
-    // Concurrent queries admitted per node by the legacy flat resource
-    // pool; 0 means unlimited (excess queries queue, as Vertica pools
-    // do). Ignored when `workload` configures named pools.
-    int pool_concurrency = 0;
-    // Named hierarchical resource pools (workload manager). Empty =
-    // legacy flat admission via pool_concurrency.
+    // Named hierarchical resource pools (workload manager). Empty = no
+    // admission control.
     wm::WorkloadConfig workload;
     // Tuple Mover (background moveout/mergeout/AHM) knobs; enabled by
     // default so default-configured clusters drain their WOS.
@@ -102,6 +98,7 @@ class Database {
   // The background storage-management service (always constructed; obeys
   // options().tuple_mover.enabled).
   TupleMover* tuple_mover() { return tm_.get(); }
+  const TupleMover* tuple_mover() const { return tm_.get(); }
   // Ancient History Mark: AT EPOCH below this fails with HISTORY_PURGED.
   storage::Epoch ahm() const { return tm_->ahm(); }
 
@@ -234,7 +231,7 @@ class Database {
   // Tuple Mover can run it on every commit. `fn` may change store
   // contents but must not create, drop or rename tables or projections.
   template <typename Fn>
-  void ForEachHostedStore(int node, Fn&& fn);
+  void ForEachHostedStore(int node, Fn&& fn) const;
 
   // ------------------------------------------- epoch pins / bookkeeping
   // Snapshot pins keep the AHM at or below every running statement's and
@@ -254,6 +251,8 @@ class Database {
   int64_t TotalWosBatches() const;
   Status CreateTableWithStorage(TableDef def);
   Status DropTableWithStorage(const std::string& name);
+  // Empties every store of the table and of its projections.
+  Status TruncateTableWithStorage(const std::string& name);
   Status RenameTableWithStorage(const std::string& from,
                                 const std::string& to, bool replace);
   // Registers `def` in the catalog and builds its per-node (and, when
@@ -339,14 +338,10 @@ class Database {
   void AbortTxnInternal(storage::TxnId txn);
 
   // ----------------------------------------------------------- resources
-  // Admission into a node's legacy flat resource pool (no-op when
-  // unlimited or when the workload manager is active).
-  Status PoolAdmit(sim::Process& self, int node);
-  void PoolRelease(int node);
-
   // The workload manager, or nullptr when options().workload is empty
-  // (legacy flat admission).
+  // (no admission control).
   wm::WorkloadManager* workload_manager() { return wm_.get(); }
+  const wm::WorkloadManager* workload_manager() const { return wm_.get(); }
 
   // Connect registers each session so KillNode can break every session
   // attached to the dying node; Session::Abandon unregisters.
@@ -394,6 +389,11 @@ class Database {
   }
 
  private:
+  // Empty stores for one layout: a primary per node, plus a buddy per
+  // segment when the layout is segmented.
+  SegmentSet EmptySegmentSet(const storage::Schema& schema,
+                             const Segmentation& segmentation,
+                             const storage::PhysicalDesign& design) const;
   // `rows` grouped by owner segment under `segmentation`; an
   // unsegmented layout's rows go to every node.
   std::vector<std::vector<storage::Row>> RouteRows(
@@ -436,7 +436,6 @@ class Database {
   sql::AggregateUdxResolver aggregate_udx_resolver_;
   PipelineCompiler pipeline_compiler_;
   std::vector<int> active_sessions_;
-  std::vector<std::unique_ptr<sim::Semaphore>> pool_slots_;
   std::unique_ptr<wm::WorkloadManager> wm_;
 
   // ----------------------------------------------------------- k-safety
@@ -457,10 +456,10 @@ class Database {
 };
 
 template <typename Fn>
-void Database::ForEachHostedStore(int node, Fn&& fn) {
+void Database::ForEachHostedStore(int node, Fn&& fn) const {
   static const std::string kSuperProjection;
   int prev = (node - 1 + num_nodes()) % num_nodes();
-  auto visit = [&](const std::string& table, SegmentSet& set,
+  auto visit = [&](const std::string& table, const SegmentSet& set,
                    const std::string& projection) {
     fn(HostedStore{table, projection, set.per_node[node].get(), node,
                    /*is_buddy=*/false});

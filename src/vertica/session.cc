@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <unordered_set>
 #include <variant>
@@ -19,6 +20,7 @@
 #include "vertica/sql_analyzer.h"
 #include "vertica/sql_eval.h"
 #include "vertica/sql_parser.h"
+#include "vertica/system_tables.h"
 
 namespace fabric::vertica {
 namespace {
@@ -54,36 +56,30 @@ Status CollectColumns(const sql::Expr& expr, const Schema& schema,
   return Status::OK();
 }
 
+// Every column of `schema` that `select`'s items, WHERE and GROUP BY
+// read (all of them under a star).
+Result<std::set<int>> ReferencedColumns(const sql::SelectStmt& select,
+                                        const Schema& schema) {
+  std::set<int> refs;
+  for (const sql::SelectItem& item : select.items) {
+    if (item.star) {
+      for (int c = 0; c < schema.num_columns(); ++c) refs.insert(c);
+    } else {
+      FABRIC_RETURN_IF_ERROR(CollectColumns(*item.expr, schema, &refs));
+    }
+  }
+  if (select.where != nullptr) {
+    FABRIC_RETURN_IF_ERROR(CollectColumns(*select.where, schema, &refs));
+  }
+  for (const std::string& g : select.group_by) {
+    FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(g));
+    refs.insert(idx);
+  }
+  return refs;
+}
+
 // Result-schema helpers shared with the pipeline compiler.
 using sql::InferType;
-
-// Applies ORDER BY / LIMIT to a materialized result (by output column
-// names).
-Status ApplyOrderAndLimit(const sql::SelectStmt& select,
-                          QueryResult* result) {
-  if (!select.order_by.empty()) {
-    std::vector<std::pair<int, bool>> keys;
-    for (const sql::OrderItem& item : select.order_by) {
-      FABRIC_ASSIGN_OR_RETURN(int idx,
-                              result->schema.IndexOf(item.column));
-      keys.emplace_back(idx, item.descending);
-    }
-    std::stable_sort(result->rows.begin(), result->rows.end(),
-                     [&keys](const Row& a, const Row& b) {
-                       for (const auto& [idx, desc] : keys) {
-                         auto c = a[idx].Compare(b[idx]);
-                         int cc = c.ok() ? *c : 0;
-                         if (cc != 0) return desc ? cc > 0 : cc < 0;
-                       }
-                       return false;
-                     });
-  }
-  if (select.limit >= 0 &&
-      static_cast<int64_t>(result->rows.size()) > select.limit) {
-    result->rows.resize(select.limit);
-  }
-  return Status::OK();
-}
 
 // A WHERE clause compiled for the vectorized scan: the kernel-runnable
 // terms, the interpreted residual (null when fully compiled) with the
@@ -148,21 +144,20 @@ void BindWhere(const CompiledWhere& where, const Schema* schema,
   };
 }
 
-// A statement's read snapshot and its resource-pool slot, both released
-// when the guard goes out of scope.
+// A statement's read snapshot, unpinned when the guard goes out of
+// scope.
 class SnapshotGuard {
  public:
-  SnapshotGuard(Database* db, int node) : db_(db), node_(node) {}
+  explicit SnapshotGuard(Database* db) : db_(db) {}
   SnapshotGuard(const SnapshotGuard&) = delete;
   SnapshotGuard& operator=(const SnapshotGuard&) = delete;
   ~SnapshotGuard() {
-    if (admitted_) db_->PoolRelease(node_);
     if (pinned_) db_->UnpinEpoch(epoch_);
   }
 
-  // Resolves AT EPOCH (< 0: the current epoch), pins it so the AHM (and
-  // the purge behind it) cannot overtake the running scan, then admits
-  // the statement to the initiator's resource pool. A future epoch is
+  // Resolves AT EPOCH (< 0: the current epoch) and pins it so the AHM
+  // (and the purge behind it) cannot overtake the running scan; a killed
+  // initiator then fails before any scan starts. A future epoch is
   // OUT_OF_RANGE; one below the AHM is HISTORY_PURGED, since rows deleted
   // at or below the AHM may already be physically gone.
   Status Acquire(sim::Process& self, int64_t at_epoch) {
@@ -181,19 +176,15 @@ class SnapshotGuard {
     }
     db_->PinEpoch(epoch_);
     pinned_ = true;
-    FABRIC_RETURN_IF_ERROR(db_->PoolAdmit(self, node_));
-    admitted_ = true;
-    return Status::OK();
+    return self.CheckAlive();
   }
 
   Epoch epoch() const { return epoch_; }
 
  private:
   Database* db_;
-  int node_;
   Epoch epoch_ = 0;
   bool pinned_ = false;
-  bool admitted_ = false;
 };
 
 // The physical layout serving a scan: the super projection or a named
@@ -203,6 +194,12 @@ struct ScanLayout {
   const Segmentation* segmentation = nullptr;
   const Schema* schema = nullptr;
 };
+
+// The name of the layout `pick` chose ("super" for the super
+// projection).
+std::string LayoutName(const projections::PlanChoice& pick) {
+  return pick.projection == nullptr ? "super" : pick.projection->name;
+}
 
 // The layout `pick` chose for `def`; a named projection's scan is
 // counted and traced.
@@ -319,6 +316,12 @@ Schema JoinedSchema(const Schema& left, const std::vector<int>& left_cols,
   return Schema(std::move(columns));
 }
 
+// The position of `value` in `values` (which holds it).
+int PositionOf(const std::vector<int>& values, int value) {
+  return static_cast<int>(std::find(values.begin(), values.end(), value) -
+                          values.begin());
+}
+
 // Column indices 0 .. n-1.
 std::vector<int> AllColumns(size_t n) {
   std::vector<int> columns(n);
@@ -376,7 +379,8 @@ Result<QueryResult> Session::Execute(sim::Process& self,
   bool admitted = false;
   if (wm != nullptr && !std::holds_alternative<sql::TxnStmt>(statement)) {
     FABRIC_ASSIGN_OR_RETURN(
-        wm_grant_, wm->Admit(self, node_, resource_pool_, memory_request_));
+        wm_grant_,
+        wm->Admit(self, node_, resource_pool_, /*memory_request=*/0));
     admitted = true;
   }
   // Releases the admission grant on every exit path below (statement
@@ -441,11 +445,6 @@ Result<QueryResult> Session::Execute(sim::Process& self,
         StrCat("connection to ", db_->node_name(node_), " lost"));
   }
   return result;
-}
-
-Result<QueryResult> Session::ExecuteSelectInternal(
-    sim::Process& self, const sql::SelectStmt& select, int view_depth) {
-  return ExecSelect(self, select, /*to_client=*/false, view_depth);
 }
 
 // ------------------------------------------------------------ txn basics
@@ -636,56 +635,42 @@ Result<QueryResult> Session::ExecCreateProjection(
     double scale = db_->EffectiveScale(def->name);
 
     // Every anchor row visible at the snapshot, read by the vectorized
-    // scan.
-    auto snapshot_rows = [snapshot](const storage::SegmentStore& store)
-        -> Result<storage::LaneRows> {
+    // scan: a replicated anchor's local copy holds everything; each
+    // segment of a segmented one is read on its serving copy and shipped
+    // to the initiator.
+    storage::LaneRows anchor_rows(def->schema);
+    const bool replicated = def->segmentation.unsegmented();
+    for (int n = 0; n < (replicated ? 1 : db_->num_nodes()); ++n) {
+      Database::SegmentCopy copy{anchor_storage->per_node[node_].get(), node_};
+      if (!replicated) {
+        FABRIC_ASSIGN_OR_RETURN(copy, db_->ReadCopy(anchor_storage, n));
+      }
       storage::ScanSpec spec;
       spec.as_of = snapshot;
       storage::ScanStats stats;
-      return store.Scan(spec, &stats);
-    };
-    storage::LaneRows anchor_rows(def->schema);
-    if (def->segmentation.unsegmented()) {
-      // Replicated anchor: the initiator's local copy holds everything.
-      FABRIC_ASSIGN_OR_RETURN(
-          anchor_rows, snapshot_rows(*anchor_storage->per_node[node_]));
-      DataProfile profile = ProfileRows(anchor_rows);
+      FABRIC_ASSIGN_OR_RETURN(storage::LaneRows seg_rows,
+                              copy.store->Scan(spec, &stats));
+      DataProfile profile = ProfileRows(seg_rows);
       profile.ScaleBy(scale);
       FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
-                                         db_->node_host(node_),
+                                         db_->node_host(copy.host),
                                          profile.ScanCpu(cost)));
-    } else {
-      for (int n = 0; n < db_->num_nodes(); ++n) {
-        FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy copy,
-                                db_->ReadCopy(anchor_storage, n));
-        FABRIC_ASSIGN_OR_RETURN(storage::LaneRows seg_rows,
-                                snapshot_rows(*copy.store));
-        DataProfile profile = ProfileRows(seg_rows);
-        profile.ScaleBy(scale);
-        FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
-                                           db_->node_host(copy.host),
-                                           profile.ScanCpu(cost)));
-        if (copy.host != node_) {
-          FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
-              self,
-              {db_->node_host(copy.host).int_egress,
-               db_->node_host(node_).int_ingress},
-              profile.raw_bytes));
-        }
-        anchor_rows.Append(seg_rows);
+      if (copy.host != node_) {
+        FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
+            self,
+            {db_->node_host(copy.host).int_egress,
+             db_->node_host(node_).int_ingress},
+            profile.raw_bytes));
       }
+      anchor_rows.Append(std::move(seg_rows));
     }
 
-    std::vector<Row> proj_rows;
-    proj_rows.reserve(anchor_rows.num_rows);
-    for (size_t i = 0; i < anchor_rows.num_rows; ++i) {
-      Row prow;
-      prow.reserve(proj.columns.size());
-      for (int c : proj.columns) {
-        prow.push_back(anchor_rows.columns[c].Box(i));
-      }
-      proj_rows.push_back(std::move(prow));
+    storage::LaneRows projected;
+    projected.num_rows = anchor_rows.num_rows;
+    for (int c : proj.columns) {
+      projected.columns.push_back(std::move(anchor_rows.columns[c]));
     }
+    std::vector<Row> proj_rows = projected.BoxRows();
     proj.encodings = projections::ChooseEncodings(
         proj.schema, proj.sort_columns, proj_rows);
     FABRIC_RETURN_IF_ERROR(db_->CreateProjectionWithStorage(proj));
@@ -738,7 +723,6 @@ Result<QueryResult> Session::ExecExplain(sim::Process& self,
   };
   emit(StrCat("EXPLAIN SELECT FROM ",
               select.from.empty() ? "<constants>" : select.from));
-  std::string from = ToLower(select.from);
   auto fmt_cost = [](double cost) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.4f", cost);
@@ -753,31 +737,26 @@ Result<QueryResult> Session::ExecExplain(sim::Process& self,
     }
     return cands;
   };
-  if (!select.join.empty()) {
-    // Typed forced-hint errors (per-table projection, forced merge)
-    // propagate so EXPLAIN fails the same way execution would.
-    FABRIC_ASSIGN_OR_RETURN(std::optional<JoinQueryPlan> planned,
-                            PlanJoinQuery(select));
-    if (!planned.has_value()) {
+  // The plan execution reads: typed forced-hint errors (per-table
+  // projection, forced merge) fail EXPLAIN the way they fail the query.
+  FABRIC_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(select));
+  if (plan.from == SelectPlan::From::kJoin) {
+    if (!plan.join.has_value()) {
       emit("  join: n/a (not a plannable base-table join)");
       return result;
     }
-    const JoinQueryPlan& jq = *planned;
+    const JoinQueryPlan& jq = *plan.join;
     emit(StrCat("  join strategy: ", jq.plan.strategy(), " join",
                 jq.plan.co_located ? " (co-located)" : ""));
     emit(StrCat("  join key: ", select.from, ".",
                 jq.left_table->schema.column(jq.left_key).name, " = ",
                 select.join, ".",
                 jq.right_table->schema.column(jq.right_key).name));
-    auto side_name = [](const projections::PlanChoice& pick) {
-      return pick.projection == nullptr ? std::string("super")
-                                        : pick.projection->name;
-    };
     emit(StrCat("  projection(", select.from, "): ",
-                side_name(jq.plan.left),
+                LayoutName(jq.plan.left),
                 " (cost=", fmt_cost(jq.plan.left.cost), ")"));
     emit(StrCat("  projection(", select.join, "): ",
-                side_name(jq.plan.right),
+                LayoutName(jq.plan.right),
                 " (cost=", fmt_cost(jq.plan.right.cost), ")"));
     emit(StrCat("  candidates(", select.from, "): ",
                 fmt_candidates(jq.left_candidates)));
@@ -785,29 +764,18 @@ Result<QueryResult> Session::ExecExplain(sim::Process& self,
                 fmt_candidates(jq.right_candidates)));
     return result;
   }
-  if (select.from.empty() ||
-      StartsWith(from, "v_catalog.") || StartsWith(from, "v_monitor.") ||
-      db_->catalog().HasView(select.from)) {
+  if (plan.from != SelectPlan::From::kScan) {
     emit("  projection: n/a (not a base-table scan)");
     return result;
   }
-  FABRIC_ASSIGN_OR_RETURN(const TableDef* def,
-                          db_->catalog().GetTable(select.from));
-  projections::QueryShape shape =
-      projections::ShapeOf(select, def->schema);
-  std::vector<std::pair<std::string, double>> candidates;
-  projections::PlanChoice plan =
-      projections::ChoosePlan(db_->catalog(), *def, shape, &candidates);
-  emit(StrCat("  projection: ",
-              plan.projection == nullptr ? std::string("super")
-                                         : plan.projection->name,
-              " (cost=", fmt_cost(plan.cost), ")"));
-  emit(StrCat("  reason: ", plan.reason));
-  if (shape.aggregate && !shape.group_by.empty()) {
+  emit(StrCat("  projection: ", LayoutName(plan.scan),
+              " (cost=", fmt_cost(plan.scan.cost), ")"));
+  emit(StrCat("  reason: ", plan.scan.reason));
+  if (plan.shape.aggregate && !plan.shape.group_by.empty()) {
     emit(StrCat("  group-by strategy: ",
-                plan.sorted_group_by ? "merge (sorted)" : "hash"));
+                plan.scan.sorted_group_by ? "merge (sorted)" : "hash"));
   }
-  emit(StrCat("  candidates: ", fmt_candidates(candidates)));
+  emit(StrCat("  candidates: ", fmt_candidates(plan.candidates)));
   return result;
 }
 
@@ -868,29 +836,7 @@ Result<QueryResult> Session::ExecTruncate(sim::Process& self,
   }
   FABRIC_RETURN_IF_ERROR(self.Sleep(db_->cost().ddl_overhead));
   FABRIC_RETURN_IF_ERROR(db_->WaitTablesIdle(self, txn_, {stmt.table}));
-  FABRIC_ASSIGN_OR_RETURN(const TableDef* def,
-                          db_->catalog().GetTable(stmt.table));
-  FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * storage,
-                          db_->GetStorage(stmt.table));
-  for (auto& store : storage->per_node) {
-    store = std::make_unique<storage::SegmentStore>(def->schema);
-  }
-  for (auto& store : storage->buddy) {
-    store = std::make_unique<storage::SegmentStore>(def->schema);
-  }
-  // Projections truncate in lockstep, keeping their physical design.
-  for (auto& [proj_name, set] : storage->projections) {
-    FABRIC_ASSIGN_OR_RETURN(const ProjectionDef* proj,
-                            db_->catalog().GetProjection(proj_name));
-    for (auto& store : set.per_node) {
-      store = std::make_unique<storage::SegmentStore>(proj->schema,
-                                                      proj->Design());
-    }
-    for (auto& store : set.buddy) {
-      store = std::make_unique<storage::SegmentStore>(proj->schema,
-                                                      proj->Design());
-    }
-  }
+  FABRIC_RETURN_IF_ERROR(db_->TruncateTableWithStorage(stmt.table));
   return QueryResult{};
 }
 
@@ -905,8 +851,9 @@ Result<QueryResult> Session::ExecInsert(sim::Process& self,
   // Materialize the rows to insert.
   std::vector<Row> rows;
   if (stmt.select != nullptr) {
-    FABRIC_ASSIGN_OR_RETURN(QueryResult sub,
-                            ExecuteSelectInternal(self, *stmt.select, 0));
+    FABRIC_ASSIGN_OR_RETURN(
+        QueryResult sub,
+        ExecSelect(self, *stmt.select, /*to_client=*/false, 0));
     if (sub.schema.num_columns() !=
         (stmt.columns.empty() ? schema.num_columns()
                               : static_cast<int>(stmt.columns.size()))) {
@@ -1235,24 +1182,6 @@ struct SelectOutput {
   std::vector<Row> rows;
 };
 
-// The QueryResult edge: compiled lanes are boxed here, once, then ORDER
-// BY / LIMIT apply.
-Result<QueryResult> FinishSelect(SelectOutput output,
-                                 const sql::SelectStmt& select) {
-  QueryResult result;
-  result.schema = std::move(output.schema);
-  result.rows = output.lanes.has_value() ? output.lanes->BoxRows()
-                                         : std::move(output.rows);
-  FABRIC_RETURN_IF_ERROR(ApplyOrderAndLimit(select, &result));
-  return result;
-}
-
-// A body result that feeds another operator (a join side) as lanes.
-storage::LaneRows OutputLanes(SelectOutput output) {
-  if (output.lanes.has_value()) return std::move(*output.lanes);
-  return storage::LaneRows::FromRows(output.schema, output.rows);
-}
-
 // A SELECT body's input: lanes (scans, joins) or boxed rows (system
 // tables, view results). Each evaluator converts only what it reads.
 struct SelectInput {
@@ -1263,13 +1192,13 @@ struct SelectInput {
 // Applies a SELECT's WHERE / aggregation / projection to an in-memory
 // row set (the initiator-local part of query execution, shared by base
 // tables, joins, views and system tables); ORDER BY / LIMIT are left to
-// FinishSelect.
+// LocalSelect.
 Result<SelectOutput> SelectBody(SelectInput input, const Schema& schema,
-                                const sql::SelectStmt& select,
-                                const sql::UdxResolver* udx,
-                                const sql::AggregateUdxResolver* agg_udx,
-                                PipelineCompiler* pipeline,
+                                const sql::SelectStmt& select, Database* db,
                                 const exec::SpillPolicy* spill) {
+  const sql::UdxResolver* udx = &db->udx_resolver();
+  const sql::AggregateUdxResolver* agg_udx = &db->aggregate_udx_resolver();
+  PipelineCompiler* pipeline = db->pipeline_compiler();
   const bool budgeted = spill != nullptr && spill->budget_bytes > 0;
   // Compiled fast path: a cached vectorized pipeline runs the whole
   // body (filter → project/aggregate) over the input lanes. It either
@@ -1402,32 +1331,38 @@ Result<SelectOutput> SelectBody(SelectInput input, const Schema& schema,
   return result;
 }
 
-Result<QueryResult> LocalSelect(const storage::LaneRows& input,
-                                const Schema& schema,
-                                const sql::SelectStmt& select,
-                                const sql::UdxResolver* udx,
-                                const sql::AggregateUdxResolver* agg_udx,
-                                PipelineCompiler* pipeline,
-                                const exec::SpillPolicy* spill = nullptr) {
+// SelectBody, then the QueryResult edge: compiled lanes are boxed here,
+// once, and ORDER BY (by output column names) and LIMIT apply.
+Result<QueryResult> LocalSelect(SelectInput input, const Schema& schema,
+                                const sql::SelectStmt& select, Database* db,
+                                const exec::SpillPolicy* spill) {
   FABRIC_ASSIGN_OR_RETURN(SelectOutput output,
-                          SelectBody({&input, nullptr}, schema, select, udx,
-                                     agg_udx, pipeline, spill));
-  return FinishSelect(std::move(output), select);
-}
-
-// LocalSelect over boxed rows (system tables, view results, the
-// FROM-less row).
-Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
-                                const Schema& schema,
-                                const sql::SelectStmt& select,
-                                const sql::UdxResolver* udx,
-                                const sql::AggregateUdxResolver* agg_udx,
-                                PipelineCompiler* pipeline,
-                                const exec::SpillPolicy* spill = nullptr) {
-  FABRIC_ASSIGN_OR_RETURN(SelectOutput output,
-                          SelectBody({nullptr, &rows}, schema, select, udx,
-                                     agg_udx, pipeline, spill));
-  return FinishSelect(std::move(output), select);
+                          SelectBody(input, schema, select, db, spill));
+  QueryResult result;
+  result.schema = std::move(output.schema);
+  result.rows = output.lanes.has_value() ? output.lanes->BoxRows()
+                                         : std::move(output.rows);
+  if (!select.order_by.empty()) {
+    std::vector<std::pair<int, bool>> keys;
+    for (const sql::OrderItem& item : select.order_by) {
+      FABRIC_ASSIGN_OR_RETURN(int idx, result.schema.IndexOf(item.column));
+      keys.emplace_back(idx, item.descending);
+    }
+    std::stable_sort(result.rows.begin(), result.rows.end(),
+                     [&keys](const Row& a, const Row& b) {
+                       for (const auto& [idx, desc] : keys) {
+                         auto c = a[idx].Compare(b[idx]);
+                         int cc = c.ok() ? *c : 0;
+                         if (cc != 0) return desc ? cc > 0 : cc < 0;
+                       }
+                       return false;
+                     });
+  }
+  if (select.limit >= 0 &&
+      static_cast<int64_t>(result.rows.size()) > select.limit) {
+    result.rows.resize(select.limit);
+  }
+  return result;
 }
 
 // `select` without its WHERE clause: the initiator's part of a scan
@@ -1447,353 +1382,142 @@ sql::SelectStmt WithoutWhere(const sql::SelectStmt& select) {
   return copy;
 }
 
+// The kind of table one FROM or JOIN name reads.
+SelectPlan::From SourceKind(const Catalog& catalog, const std::string& name) {
+  if (IsSystemTableName(name)) return SelectPlan::From::kSystemTable;
+  if (catalog.HasView(name)) return SelectPlan::From::kView;
+  return SelectPlan::From::kScan;
+}
+
+// The per-segment processes of one distributed read and what they hand
+// back to the initiator. Heap-shared with every process, so the segments
+// keep running, and their state stays valid, if the initiator is killed
+// mid-query.
+struct SegmentFanOut {
+  SegmentFanOut(sim::Engine* engine, int num_nodes)
+      : lanes(num_nodes), status(num_nodes, Status::OK()), progress(engine) {}
+
+  std::vector<int> segments;             // spawn and gather order
+  std::vector<storage::LaneRows> lanes;  // by segment
+  std::vector<Status> status;            // by segment
+  int running = 0;
+  sim::Condition progress;
+  // Result wire the segments published that the initiator has not
+  // streamed yet, and the totals so far (a single-table scan streams
+  // while it runs).
+  double available_wire = 0;
+  double produced_wire = 0;
+  double produced_rows = 0;
+};
+
+// One segment's work, run on its own process; returns the lanes the
+// segment hands to the initiator.
+using SegmentWork =
+    std::function<Result<storage::LaneRows>(sim::Process&, SegmentFanOut&)>;
+
+// Spawns one process per (segment, work) pair, in order, named
+// `<name>:n<segment>`.
+std::shared_ptr<SegmentFanOut> FanOut(
+    Database* db, const std::string& name,
+    std::vector<std::pair<int, SegmentWork>> work) {
+  auto fan = std::make_shared<SegmentFanOut>(db->engine(), db->num_nodes());
+  fan->running = static_cast<int>(work.size());
+  for (auto& [segment, run] : work) {
+    fan->segments.push_back(segment);
+    db->engine()->Spawn(
+        StrCat(name, ":n", segment),
+        [fan, segment = segment, run = std::move(run)](sim::Process& proc) {
+          Result<storage::LaneRows> lanes = run(proc, *fan);
+          if (lanes.ok()) {
+            fan->lanes[segment] = std::move(*lanes);
+          } else {
+            fan->status[segment] = lanes.status();
+          }
+          --fan->running;
+          fan->progress.NotifyAll();
+        });
+  }
+  return fan;
+}
+
+// Waits for every segment of `fan`, handing each burst of published wire
+// to `drain` (when set) as it appears. Then appends every segment's
+// lanes, in segment order, to `gathered`, or returns the first failed
+// segment's status.
+Result<storage::LaneRows> Gather(sim::Process& self, SegmentFanOut& fan,
+                                 const std::function<Status(double)>& drain,
+                                 storage::LaneRows gathered) {
+  while (fan.running > 0 || fan.available_wire > 0) {
+    FABRIC_RETURN_IF_ERROR(fan.progress.WaitUntil(self, [&fan] {
+      return fan.available_wire > 0 || fan.running == 0;
+    }));
+    const double wire = fan.available_wire;
+    fan.available_wire = 0;
+    if (wire > 0 && drain) FABRIC_RETURN_IF_ERROR(drain(wire));
+  }
+  for (int segment : fan.segments) {
+    FABRIC_RETURN_IF_ERROR(fan.status[segment]);
+    gathered.Append(std::move(fan.lanes[segment]));
+    fan.lanes[segment] = storage::LaneRows();
+  }
+  return gathered;
+}
+
+// The initiator's join of two gathered sides: `cpu_per_row` per input
+// row at paper scale, then the equi-join kernel on `keys`, or a nested
+// loop over `on` (evaluated against `combined`) when ON is not a column
+// equality.
+Result<storage::LaneRows> JoinAtInitiator(
+    sim::Process& self, Database* db, int initiator,
+    const storage::LaneRows& left, const storage::LaneRows& right,
+    const std::optional<std::pair<int, int>>& keys, const sql::Expr& on,
+    const Schema& combined, double cpu_per_row) {
+  DataProfile join_cost;
+  join_cost.rows = static_cast<double>(left.num_rows) +
+                   static_cast<double>(right.num_rows);
+  join_cost.ScaleBy(db->cost().data_scale);
+  FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db->network(),
+                                     db->node_host(initiator),
+                                     join_cost.rows * cpu_per_row));
+  if (keys.has_value()) {
+    return exec::EquiJoin(left, keys->first, AllColumns(left.columns.size()),
+                          right, keys->second,
+                          AllColumns(right.columns.size()));
+  }
+  std::vector<Row> matched;
+  const std::vector<Row> right_rows = right.BoxRows();
+  sql::EvalContext context;
+  context.schema = &combined;
+  context.udx = &db->udx_resolver();
+  for (const Row& lrow : left.BoxRows()) {
+    for (const Row& rrow : right_rows) {
+      Row out = lrow;
+      out.insert(out.end(), rrow.begin(), rrow.end());
+      context.row = &out;
+      FABRIC_ASSIGN_OR_RETURN(bool match, sql::EvalPredicate(on, context));
+      if (match) matched.push_back(std::move(out));
+    }
+  }
+  return storage::LaneRows::FromRows(combined, matched);
+}
+
 }  // namespace
 
-Result<QueryResult> Session::SystemTable(
-    const std::string& lower_name) const {
-  QueryResult result;
-  if (lower_name == "v_catalog.nodes") {
-    result.schema = Schema({{"node_id", DataType::kInt64},
-                            {"node_name", DataType::kVarchar},
-                            {"node_address", DataType::kVarchar},
-                            {"state", DataType::kVarchar}});
-    for (int i = 0; i < db_->num_nodes(); ++i) {
-      result.rows.push_back(
-          {Value::Int64(i), Value::Varchar(db_->node_name(i)),
-           Value::Varchar(db_->node_address(i)),
-           Value::Varchar(std::string(
-               NodeStateName(db_->node_state(i))))});
-    }
-    return result;
+Result<SelectPlan> Session::PlanSelect(const sql::SelectStmt& select) const {
+  SelectPlan plan;
+  if (select.from.empty()) return plan;
+  if (!select.join.empty()) {
+    plan.from = SelectPlan::From::kJoin;
+    FABRIC_ASSIGN_OR_RETURN(plan.join, PlanJoinQuery(select));
+    return plan;
   }
-  if (lower_name == "v_catalog.segments") {
-    // Signed ring bounds; the wrap segment's upper bound is NULL (+inf).
-    result.schema = Schema({{"table_name", DataType::kVarchar},
-                            {"node_id", DataType::kInt64},
-                            {"node_name", DataType::kVarchar},
-                            {"segment_lower", DataType::kInt64},
-                            {"segment_upper", DataType::kInt64},
-                            {"buddy_node_id", DataType::kInt64},
-                            {"buddy_node_name", DataType::kVarchar}});
-    for (const std::string& table : db_->catalog().TableNames()) {
-      auto def = db_->catalog().GetTable(table);
-      if (!def.ok() || (*def)->segmentation.unsegmented()) continue;
-      const auto& ranges = db_->node_ranges();
-      for (int n = 0; n < db_->num_nodes(); ++n) {
-        Value upper = ranges[n].upper == 0
-                          ? Value::Null()
-                          : Value::Int64(sql::RingHashToSigned(
-                                ranges[n].upper));
-        // k=1 buddy placement: single-node clusters keep no buddy copy.
-        Value buddy_id = db_->num_nodes() > 1
-                             ? Value::Int64(db_->buddy_node(n))
-                             : Value::Null();
-        Value buddy_name =
-            db_->num_nodes() > 1
-                ? Value::Varchar(db_->node_name(db_->buddy_node(n)))
-                : Value::Null();
-        result.rows.push_back(
-            {Value::Varchar(table), Value::Int64(n),
-             Value::Varchar(db_->node_name(n)),
-             Value::Int64(sql::RingHashToSigned(ranges[n].lower)),
-             upper, buddy_id, buddy_name});
-      }
-    }
-    return result;
-  }
-  if (lower_name == "v_catalog.epochs") {
-    result.schema = Schema({{"current_epoch", DataType::kInt64},
-                            {"last_good_epoch", DataType::kInt64},
-                            {"ahm_epoch", DataType::kInt64},
-                            {"retained_epochs", DataType::kInt64}});
-    result.rows.push_back(
-        {Value::Int64(static_cast<int64_t>(db_->current_epoch())),
-         Value::Int64(static_cast<int64_t>(db_->current_epoch())),
-         Value::Int64(static_cast<int64_t>(db_->ahm())),
-         Value::Int64(static_cast<int64_t>(db_->epoch_commits().size()))});
-    return result;
-  }
-  if (lower_name == "v_monitor.tuple_mover") {
-    TupleMover* tm = db_->tuple_mover();
-    result.schema = Schema({{"node_id", DataType::kInt64},
-                            {"node_name", DataType::kVarchar},
-                            {"operation", DataType::kVarchar},
-                            {"runs", DataType::kInt64},
-                            {"bytes", DataType::kFloat64},
-                            {"is_armed", DataType::kBool}});
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      const TupleMover::TaskStats& mo = tm->moveout_stats(n);
-      const TupleMover::TaskStats& me = tm->mergeout_stats(n);
-      result.rows.push_back({Value::Int64(n),
-                             Value::Varchar(db_->node_name(n)),
-                             Value::Varchar("moveout"),
-                             Value::Int64(mo.runs), Value::Float64(mo.bytes),
-                             Value::Bool(mo.armed)});
-      result.rows.push_back({Value::Int64(n),
-                             Value::Varchar(db_->node_name(n)),
-                             Value::Varchar("mergeout"),
-                             Value::Int64(me.runs), Value::Float64(me.bytes),
-                             Value::Bool(me.armed)});
-    }
-    // Cluster-wide AHM/purge row: runs = AHM advances, bytes = purged rows.
-    result.rows.push_back(
-        {Value::Int64(-1), Value::Varchar("cluster"), Value::Varchar("ahm"),
-         Value::Int64(tm->ahm_advances()),
-         Value::Float64(static_cast<double>(tm->purged_rows())),
-         Value::Bool(false)});
-    return result;
-  }
-  if (lower_name == "v_monitor.storage_containers") {
-    result.schema = Schema({{"table_name", DataType::kVarchar},
-                            {"node_id", DataType::kInt64},
-                            {"copy", DataType::kVarchar},
-                            {"container_id", DataType::kInt64},
-                            {"rows", DataType::kInt64},
-                            {"deleted_rows", DataType::kInt64},
-                            {"raw_bytes", DataType::kFloat64},
-                            {"encoded_bytes", DataType::kFloat64},
-                            {"min_epoch", DataType::kInt64},
-                            {"max_epoch", DataType::kInt64},
-                            {"is_committed", DataType::kBool}});
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      db_->ForEachHostedStore(n, [&](const Database::HostedStore& hs) {
-        // Projection containers are reported by
-        // v_monitor.projection_storage, not here.
-        if (!hs.projection.empty()) return;
-        std::vector<storage::ContainerStats> stats = hs.store->RosStats();
-        for (size_t i = 0; i < stats.size(); ++i) {
-          const storage::ContainerStats& s = stats[i];
-          result.rows.push_back(
-              {Value::Varchar(hs.table), Value::Int64(n),
-               Value::Varchar(hs.is_buddy ? "buddy" : "primary"),
-               Value::Int64(static_cast<int64_t>(i)), Value::Int64(s.rows),
-               Value::Int64(s.deleted_rows), Value::Float64(s.raw_bytes),
-               Value::Float64(s.encoded_bytes),
-               Value::Int64(static_cast<int64_t>(s.min_epoch)),
-               Value::Int64(static_cast<int64_t>(s.max_epoch)),
-               Value::Bool(s.committed)});
-        }
-      });
-    }
-    return result;
-  }
-  if (lower_name == "v_monitor.resource_pool_status") {
-    result.schema = Schema({{"node_id", DataType::kInt64},
-                            {"node_name", DataType::kVarchar},
-                            {"pool_name", DataType::kVarchar},
-                            {"priority", DataType::kInt64},
-                            {"max_concurrency", DataType::kInt64},
-                            {"memory_budget_bytes", DataType::kFloat64},
-                            {"memory_inuse_bytes", DataType::kFloat64},
-                            {"running_query_count", DataType::kInt64},
-                            {"queue_depth", DataType::kInt64},
-                            {"admitted", DataType::kInt64},
-                            {"borrowed", DataType::kInt64},
-                            {"queue_timeouts", DataType::kInt64},
-                            {"rejected", DataType::kInt64},
-                            {"spills", DataType::kInt64},
-                            {"spill_bytes", DataType::kFloat64},
-                            {"queue_wait_seconds", DataType::kFloat64}});
-    wm::WorkloadManager* wm = db_->workload_manager();
-    if (wm != nullptr) {
-      for (const wm::WorkloadManager::PoolStatus& s : wm->PoolStatusRows()) {
-        result.rows.push_back(
-            {Value::Int64(s.node), Value::Varchar(db_->node_name(s.node)),
-             Value::Varchar(s.pool), Value::Int64(s.priority),
-             Value::Int64(s.max_concurrency),
-             Value::Float64(s.memory_budget),
-             Value::Float64(s.memory_inuse), Value::Int64(s.running),
-             Value::Int64(s.queued), Value::Int64(s.admitted),
-             Value::Int64(s.borrowed), Value::Int64(s.timeouts),
-             Value::Int64(s.rejected), Value::Int64(s.spills),
-             Value::Float64(s.spill_bytes),
-             Value::Float64(s.queue_wait_seconds)});
-      }
-    }
-    return result;
-  }
-  if (lower_name == "v_monitor.resource_queues") {
-    result.schema = Schema({{"node_id", DataType::kInt64},
-                            {"node_name", DataType::kVarchar},
-                            {"pool_name", DataType::kVarchar},
-                            {"priority", DataType::kInt64},
-                            {"position", DataType::kInt64},
-                            {"memory_requested_bytes", DataType::kFloat64},
-                            {"queued_at", DataType::kFloat64}});
-    wm::WorkloadManager* wm = db_->workload_manager();
-    if (wm != nullptr) {
-      for (const wm::WorkloadManager::QueueEntry& q : wm->QueueRows()) {
-        result.rows.push_back(
-            {Value::Int64(q.node), Value::Varchar(db_->node_name(q.node)),
-             Value::Varchar(q.pool), Value::Int64(q.priority),
-             Value::Int64(q.position), Value::Float64(q.memory_requested),
-             Value::Float64(q.queued_at)});
-      }
-    }
-    return result;
-  }
-  if (lower_name == "v_catalog.projections") {
-    result.schema = Schema({{"projection_name", DataType::kVarchar},
-                            {"anchor_table", DataType::kVarchar},
-                            {"columns", DataType::kVarchar},
-                            {"sort_columns", DataType::kVarchar},
-                            {"encodings", DataType::kVarchar},
-                            // "is_segmented": SEGMENTED is a keyword, a
-                            // bare `segmented` column would not parse.
-                            {"is_segmented", DataType::kBool},
-                            {"segment_columns", DataType::kVarchar},
-                            {"create_epoch", DataType::kInt64}});
-    for (const std::string& name : db_->catalog().ProjectionNames()) {
-      auto proj = db_->catalog().GetProjection(name);
-      if (!proj.ok()) continue;
-      const ProjectionDef& p = **proj;
-      auto join_names = [&p](const std::vector<int>& cols) {
-        std::string out;
-        for (int c : cols) {
-          if (!out.empty()) out += ",";
-          out += p.schema.column(c).name;
-        }
-        return out;
-      };
-      std::vector<int> all_columns(p.schema.num_columns());
-      for (int c = 0; c < p.schema.num_columns(); ++c) all_columns[c] = c;
-      std::string encodings;
-      for (storage::Encoding e : p.encodings) {
-        if (!encodings.empty()) encodings += ",";
-        encodings += storage::EncodingName(e);
-      }
-      result.rows.push_back(
-          {Value::Varchar(p.name), Value::Varchar(p.anchor),
-           Value::Varchar(join_names(all_columns)),
-           Value::Varchar(join_names(p.sort_columns)),
-           Value::Varchar(encodings),
-           Value::Bool(!p.segmentation.unsegmented()),
-           Value::Varchar(join_names(p.segmentation.columns)),
-           Value::Int64(static_cast<int64_t>(p.create_epoch))});
-    }
-    return result;
-  }
-  if (lower_name == "v_monitor.projection_storage") {
-    result.schema = Schema({{"projection_name", DataType::kVarchar},
-                            {"anchor_table", DataType::kVarchar},
-                            {"node_id", DataType::kInt64},
-                            {"copy", DataType::kVarchar},
-                            {"containers", DataType::kInt64},
-                            {"rows", DataType::kInt64},
-                            {"deleted_rows", DataType::kInt64},
-                            {"raw_bytes", DataType::kFloat64},
-                            {"encoded_bytes", DataType::kFloat64},
-                            {"wos_batches", DataType::kInt64}});
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      db_->ForEachHostedStore(n, [&](const Database::HostedStore& hs) {
-        if (hs.projection.empty()) return;
-        auto proj = db_->catalog().GetProjection(hs.projection);
-        int64_t rows = 0;
-        int64_t deleted = 0;
-        double raw = 0;
-        double encoded = 0;
-        std::vector<storage::ContainerStats> stats = hs.store->RosStats();
-        for (const storage::ContainerStats& s : stats) {
-          rows += s.rows;
-          deleted += s.deleted_rows;
-          raw += s.raw_bytes;
-          encoded += s.encoded_bytes;
-        }
-        result.rows.push_back(
-            {Value::Varchar(hs.projection),
-             Value::Varchar(proj.ok() ? (*proj)->anchor : hs.table),
-             Value::Int64(n),
-             Value::Varchar(hs.is_buddy ? "buddy" : "primary"),
-             Value::Int64(static_cast<int64_t>(stats.size())),
-             Value::Int64(rows), Value::Int64(deleted), Value::Float64(raw),
-             Value::Float64(encoded),
-             Value::Int64(hs.store->num_wos_batches())});
-      });
-    }
-    return result;
-  }
-  if (lower_name == "v_catalog.tables") {
-    result.schema = Schema({{"table_name", DataType::kVarchar},
-                            {"is_view", DataType::kBool},
-                            {"segmented", DataType::kBool}});
-    for (const std::string& table : db_->catalog().TableNames()) {
-      auto def = db_->catalog().GetTable(table);
-      result.rows.push_back(
-          {Value::Varchar(table), Value::Bool(false),
-           Value::Bool(def.ok() &&
-                       !(*def)->segmentation.unsegmented())});
-    }
-    for (const std::string& view : db_->catalog().ViewNames()) {
-      result.rows.push_back({Value::Varchar(view), Value::Bool(true),
-                             Value::Bool(false)});
-    }
-    return result;
-  }
-  if (lower_name == "v_monitor.query_requests") {
-    result.schema = Schema({{"request_id", DataType::kInt64},
-                            {"table_name", DataType::kVarchar},
-                            {"join_table", DataType::kVarchar},
-                            {"referenced_columns", DataType::kVarchar},
-                            {"group_by_columns", DataType::kVarchar},
-                            {"join_key_columns", DataType::kVarchar},
-                            {"aggregate", DataType::kBool},
-                            {"pool_name", DataType::kVarchar},
-                            {"strategy", DataType::kVarchar},
-                            {"started_at", DataType::kFloat64},
-                            {"duration_seconds", DataType::kFloat64}});
-    auto csv = [](const std::vector<std::string>& names) {
-      std::string out;
-      for (const std::string& name : names) {
-        if (!out.empty()) out += ",";
-        out += name;
-      }
-      return out;
-    };
-    for (const QueryRequest& request : db_->query_requests()) {
-      result.rows.push_back(
-          {Value::Int64(request.request_id), Value::Varchar(request.table),
-           Value::Varchar(request.join_table),
-           Value::Varchar(csv(request.referenced)),
-           Value::Varchar(csv(request.group_by)),
-           Value::Varchar(csv(request.join_keys)),
-           Value::Bool(request.aggregate), Value::Varchar(request.pool),
-           Value::Varchar(request.strategy),
-           Value::Float64(request.started_at),
-           Value::Float64(request.duration)});
-    }
-    return result;
-  }
-  if (lower_name == "v_monitor.design_proposals") {
-    result.schema = Schema({{"proposal_name", DataType::kVarchar},
-                            {"anchor_table", DataType::kVarchar},
-                            {"columns", DataType::kVarchar},
-                            {"sort_columns", DataType::kVarchar},
-                            {"segment_columns", DataType::kVarchar},
-                            {"benefit", DataType::kFloat64},
-                            {"storage_bytes", DataType::kFloat64},
-                            {"ddl", DataType::kVarchar}});
-    auto csv = [](const std::vector<std::string>& names) {
-      std::string out;
-      for (const std::string& name : names) {
-        if (!out.empty()) out += ",";
-        out += name;
-      }
-      return out;
-    };
-    for (const designer::Proposal& proposal : db_->design_proposals()) {
-      result.rows.push_back(
-          {Value::Varchar(proposal.name), Value::Varchar(proposal.anchor),
-           Value::Varchar(csv(proposal.columns)),
-           Value::Varchar(csv(proposal.sort_columns)),
-           Value::Varchar(csv(proposal.segment_columns)),
-           Value::Float64(proposal.benefit),
-           Value::Float64(proposal.storage_bytes),
-           Value::Varchar(proposal.ddl)});
-    }
-    return result;
-  }
-  return NotFoundError(
-      StrCat("unknown system table '", lower_name, "'"));
+  plan.from = SourceKind(db_->catalog(), select.from);
+  if (plan.from != SelectPlan::From::kScan) return plan;
+  FABRIC_ASSIGN_OR_RETURN(plan.table, db_->catalog().GetTable(select.from));
+  plan.shape = projections::ShapeOf(select, plan.table->schema);
+  FABRIC_ASSIGN_OR_RETURN(
+      plan.scan, ResolveScanPlan(*plan.table, plan.shape, &plan.candidates));
+  return plan;
 }
 
 Result<QueryResult> Session::ExecSelect(sim::Process& self,
@@ -1802,9 +1526,6 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
   if (view_depth > 8) {
     return InvalidArgumentError("view nesting too deep");
   }
-  const CostModel& cost = db_->cost();
-  const sql::UdxResolver* udx = &db_->udx_resolver();
-  const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
 
   // Memory budget from the statement's admission grant: beyond it the
   // aggregate hash table spills partitioned runs to the initiator's
@@ -1836,211 +1557,147 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
   // clause containing one is rejected at planning — the scan's residual
   // evaluator never sees the call.
   if (select.where != nullptr &&
-      sql::ContainsAggregate(*select.where, agg_udx)) {
+      sql::ContainsAggregate(*select.where, &db_->aggregate_udx_resolver())) {
     return InvalidArgumentError(
         "aggregate functions are not allowed in WHERE");
   }
 
-  // FROM-less SELECT (constant expressions).
-  if (select.from.empty()) {
-    std::vector<Row> one_row = {Row{}};
-    Schema empty_schema;
-    FABRIC_ASSIGN_OR_RETURN(QueryResult result,
-                            LocalSelect(one_row, empty_schema, select,
-                                        udx, agg_udx,
-                                        db_->pipeline_compiler(), spill));
-    if (to_client) {
-      FABRIC_RETURN_IF_ERROR(StreamToClient(self, 64, net::kUnlimitedRate));
+  FABRIC_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(select));
+  switch (plan.from) {
+    case SelectPlan::From::kConstants:
+    case SelectPlan::From::kSystemTable: {
+      // Answered on the initiator, from one empty row or from the
+      // catalog, and streamed without the result-stream cap.
+      QueryResult base{Schema(), {Row{}}};
+      if (plan.from == SelectPlan::From::kSystemTable) {
+        FABRIC_ASSIGN_OR_RETURN(base, ReadSystemTable(*db_, select.from));
+      }
+      FABRIC_ASSIGN_OR_RETURN(
+          QueryResult result,
+          LocalSelect({nullptr, &base.rows}, base.schema, select, db_, spill));
+      if (to_client) {
+        const double wire =
+            plan.from == SelectPlan::From::kConstants
+                ? 64
+                : ProfileRows(result.rows).JdbcWireBytes(db_->cost());
+        FABRIC_RETURN_IF_ERROR(
+            StreamToClient(self, wire, net::kUnlimitedRate));
+      }
+      return result;
     }
-    return result;
+    case SelectPlan::From::kJoin:
+      // Views over joins are what let V2S push join processing into
+      // Vertica (Section 3.1.1).
+      return ExecJoin(self, select, plan.join, to_client, view_depth, spill);
+    case SelectPlan::From::kView: {
+      // Execute the stored SELECT inside the database (this is how a
+      // pre-defined view lets V2S push joins/aggregations down, Sec.
+      // 3.1.1), then run the outer query over its result on the
+      // initiator.
+      FABRIC_ASSIGN_OR_RETURN(const ViewDef* view,
+                              db_->catalog().GetView(select.from));
+      FABRIC_ASSIGN_OR_RETURN(sql::Statement view_statement,
+                              sql::Parse(view->query_sql));
+      auto* view_select = std::get_if<sql::SelectStmt>(&view_statement);
+      if (view_select == nullptr) {
+        return InternalError("view body is not a SELECT");
+      }
+      // Propagate the outer epoch so all V2S partition queries of a view
+      // read one snapshot.
+      if (select.at_epoch >= 0 && view_select->at_epoch < 0) {
+        view_select->at_epoch = select.at_epoch;
+      }
+      FABRIC_ASSIGN_OR_RETURN(
+          QueryResult sub,
+          ExecSelect(self, *view_select, /*to_client=*/false,
+                     view_depth + 1));
+      FABRIC_ASSIGN_OR_RETURN(
+          QueryResult result,
+          LocalSelect({nullptr, &sub.rows}, sub.schema, select, db_, spill));
+      if (to_client) FABRIC_RETURN_IF_ERROR(StreamResult(self, result));
+      return result;
+    }
+    case SelectPlan::From::kScan:
+      break;
   }
 
-  std::string from = ToLower(select.from);
-
-  // INNER JOIN: a planned merge/hash join when both sides are base
-  // tables with a simple equality ON (ExecJoin), with a recursive
-  // scan-then-join fallback for views, system tables and complex ON
-  // clauses. Views over joins are what let V2S push join processing into
-  // Vertica (Section 3.1.1).
-  if (!select.join.empty()) {
-    return ExecJoin(self, select, to_client, view_depth, spill);
-  }
-
-  // System tables.
-  if (StartsWith(from, "v_catalog.") || StartsWith(from, "v_monitor.")) {
-    FABRIC_ASSIGN_OR_RETURN(QueryResult base, SystemTable(from));
-    FABRIC_ASSIGN_OR_RETURN(QueryResult result,
-                            LocalSelect(base.rows, base.schema, select,
-                                        udx, agg_udx,
-                                        db_->pipeline_compiler(), spill));
-    if (to_client) {
-      DataProfile profile = ProfileRows(result.rows);
-      FABRIC_RETURN_IF_ERROR(StreamToClient(
-          self, profile.JdbcWireBytes(cost), net::kUnlimitedRate));
-    }
-    return result;
-  }
-
-  // Views: execute the stored SELECT inside the database (this is how a
-  // pre-defined view lets V2S push joins/aggregations down, Sec. 3.1.1),
-  // then run the outer query over its result on the initiator.
-  if (db_->catalog().HasView(select.from)) {
-    FABRIC_ASSIGN_OR_RETURN(const ViewDef* view,
-                            db_->catalog().GetView(select.from));
-    FABRIC_ASSIGN_OR_RETURN(sql::Statement view_statement,
-                            sql::Parse(view->query_sql));
-    auto* view_select = std::get_if<sql::SelectStmt>(&view_statement);
-    if (view_select == nullptr) {
-      return InternalError("view body is not a SELECT");
-    }
-    // Propagate the outer epoch so all V2S partition queries of a view
-    // read one snapshot.
-    if (select.at_epoch >= 0 && view_select->at_epoch < 0) {
-      view_select->at_epoch = select.at_epoch;
-    }
-    FABRIC_ASSIGN_OR_RETURN(
-        QueryResult sub,
-        ExecSelect(self, *view_select, /*to_client=*/false,
-                   view_depth + 1));
-    FABRIC_ASSIGN_OR_RETURN(QueryResult result,
-                            LocalSelect(sub.rows, sub.schema, select,
-                                        udx, agg_udx,
-                                        db_->pipeline_compiler(), spill));
-    if (to_client) FABRIC_RETURN_IF_ERROR(StreamResult(self, result));
-    return result;
-  }
-
-  // Base table: distributed scan.
-  FABRIC_ASSIGN_OR_RETURN(const TableDef* def,
-                          db_->catalog().GetTable(select.from));
-
-  // Projection-aware planning: cost every eligible physical layout of
-  // the anchor and scan the cheapest (the super projection is the 1.0
-  // baseline). The test hooks pin the choice when set.
-  projections::QueryShape shape = projections::ShapeOf(select, def->schema);
-  FABRIC_ASSIGN_OR_RETURN(projections::PlanChoice plan,
-                          ResolveScanPlan(*def, shape));
-
-  // Workload capture for the designer (v_monitor.query_requests).
+  // Base table: a distributed scan through the planned layout. Workload
+  // capture for the designer (v_monitor.query_requests) first.
+  const TableDef& def = *plan.table;
   QueryRequest request;
-  request.table = ToLower(def->name);
-  if (shape.star) {
-    for (int c = 0; c < def->schema.num_columns(); ++c) {
-      request.referenced.push_back(ToLower(def->schema.column(c).name));
+  request.table = ToLower(def.name);
+  if (plan.shape.star) {
+    for (int c = 0; c < def.schema.num_columns(); ++c) {
+      request.referenced.push_back(ToLower(def.schema.column(c).name));
     }
   } else {
-    request.referenced = shape.referenced;
+    request.referenced = plan.shape.referenced;
   }
-  request.group_by = shape.group_by;
-  request.aggregate = shape.aggregate;
+  request.group_by = plan.shape.group_by;
+  request.aggregate = plan.shape.aggregate;
   request.pool = resource_pool_;
   db_->RecordQueryRequest(std::move(request));
 
   Schema schema;
   FABRIC_ASSIGN_OR_RETURN(
       storage::LaneRows gathered,
-      ExecScanSelect(self, select, def, plan, to_client, &schema));
+      ExecScanSelect(self, select, &def, plan.scan, to_client, &schema));
   // WHERE already applied during the scan: the initiator runs the rest.
-  return LocalSelect(gathered, schema, WithoutWhere(select), udx, agg_udx,
-                     db_->pipeline_compiler(), spill);
+  return LocalSelect({&gathered, nullptr}, schema, WithoutWhere(select), db_,
+                     spill);
 }
 
 Result<projections::PlanChoice> Session::ResolveScanPlan(
-    const TableDef& def, const projections::QueryShape& shape) const {
+    const TableDef& def, const projections::QueryShape& shape,
+    std::vector<std::pair<std::string, double>>* candidates) const {
+  projections::PlanChoice plan =
+      projections::ChoosePlan(db_->catalog(), def, shape, candidates);
   auto hint = forced_table_projections_.find(ToLower(def.name));
-  if (hint != forced_table_projections_.end()) {
-    projections::PlanChoice plan;  // defaults = the super projection
-    if (hint->second.empty()) {
-      plan.reason = "forced super projection (per-table hint)";
-      return plan;
-    }
-    Result<const ProjectionDef*> forced =
-        db_->catalog().GetProjection(hint->second);
-    if (!forced.ok() || !EqualsIgnoreCase((*forced)->anchor, def.name) ||
-        !projections::Eligible(def, **forced, shape)) {
-      return FailedPreconditionError(
-          StrCat(kForcedProjectionToken, ": projection '", hint->second,
-                 "' cannot serve this query over table '", def.name, "'"));
-    }
-    projections::CostAttrs attrs;
-    plan.projection = *forced;
-    plan.cost = projections::CostProjection(def, *forced, shape, &attrs);
-    plan.sorted_group_by = attrs.sorted_group_by;
-    plan.sorted_join = attrs.sorted_join;
-    plan.reason = StrCat("forced by per-table hint (", hint->second, ")");
+  if (hint == forced_table_projections_.end()) return plan;
+  plan = projections::PlanChoice();  // defaults = the super projection
+  if (hint->second.empty()) {
+    plan.reason = "forced super projection (per-table hint)";
     return plan;
   }
-  if (forced_projection_.has_value()) {
-    // Legacy session-wide hint: "" (or an ineligible / wrongly-anchored
-    // name) silently pins the super projection.
-    projections::PlanChoice plan;
-    if (!forced_projection_->empty()) {
-      Result<const ProjectionDef*> forced =
-          db_->catalog().GetProjection(*forced_projection_);
-      if (forced.ok() && (*forced)->anchor == def.name &&
-          projections::Eligible(def, **forced, shape)) {
-        projections::CostAttrs attrs;
-        plan.projection = *forced;
-        plan.cost = projections::CostProjection(def, *forced, shape, &attrs);
-        plan.sorted_group_by = attrs.sorted_group_by;
-        plan.sorted_join = attrs.sorted_join;
-        plan.reason = "forced by session hint";
-      }
-    }
-    return plan;
+  Result<const ProjectionDef*> forced =
+      db_->catalog().GetProjection(hint->second);
+  if (!forced.ok() || !EqualsIgnoreCase((*forced)->anchor, def.name) ||
+      !projections::Eligible(def, **forced, shape)) {
+    return FailedPreconditionError(
+        StrCat(kForcedProjectionToken, ": projection '", hint->second,
+               "' cannot serve this query over table '", def.name, "'"));
   }
-  return projections::ChoosePlan(db_->catalog(), def, shape);
+  projections::CostAttrs attrs;
+  plan.projection = *forced;
+  plan.cost = projections::CostProjection(def, *forced, shape, &attrs);
+  plan.sorted_group_by = attrs.sorted_group_by;
+  plan.sorted_join = attrs.sorted_join;
+  plan.reason = StrCat("forced by per-table hint (", hint->second, ")");
+  return plan;
 }
 
 Result<storage::LaneRows> Session::ExecScanSelect(
     sim::Process& self, const sql::SelectStmt& select, const TableDef* def,
     const projections::PlanChoice& plan, bool to_client,
     storage::Schema* scanned_schema) {
-  const CostModel& cost = db_->cost();
-  const sql::UdxResolver* udx = &db_->udx_resolver();
-  const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
   // Everything below scans through the chosen physical layout: its
   // schema, its segmentation, its segment stores.
   FABRIC_ASSIGN_OR_RETURN(ScanLayout layout, ResolveLayout(db_, *def, plan));
   const Schema& schema = *layout.schema;
-
   // Columns this query touches (column-store pruning).
-  std::set<int> referenced;
-  bool any_star = false;
-  for (const sql::SelectItem& item : select.items) {
-    if (item.star) {
-      any_star = true;
-    } else {
-      FABRIC_RETURN_IF_ERROR(CollectColumns(*item.expr, schema,
-                                            &referenced));
-    }
-  }
-  if (select.where != nullptr) {
-    FABRIC_RETURN_IF_ERROR(CollectColumns(*select.where, schema,
-                                          &referenced));
-  }
-  for (const std::string& g : select.group_by) {
-    FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(g));
-    referenced.insert(idx);
-  }
-  if (any_star) {
-    for (int c = 0; c < schema.num_columns(); ++c) referenced.insert(c);
-  }
-
-  const bool aggregate = sql::IsAggregateSelect(select, agg_udx);
+  FABRIC_ASSIGN_OR_RETURN(std::set<int> referenced,
+                          ReferencedColumns(select, schema));
 
   // Participating segments, pruned by the hash ranges the predicate
   // constrains.
   const std::vector<int> nodes =
       ScanSegments(*db_, layout, select.where.get(), node_);
 
-  SnapshotGuard snapshot(db_, node_);
+  SnapshotGuard snapshot(db_);
   FABRIC_RETURN_IF_ERROR(snapshot.Acquire(self, select.at_epoch));
 
-  // Shared state between the per-node scan processes and the streaming
-  // loop below. Heap-allocated and self-contained so the scans stay valid
-  // even if this process is killed mid-query.
-  struct ScanState {
+  // What every segment's scan reads, shared by their processes.
+  struct ScanContext {
     Schema schema;
     // WHERE compiled for the vectorized scan; the residual program is
     // compiled once per query on the initiator and shared by every
@@ -2056,182 +1713,145 @@ Result<storage::LaneRows> Session::ExecScanSelect(
     bool sorted_group_by = false;
     int64_t scan_limit = -1;  // per-node row cap (LIMIT pushed into Scan)
     std::vector<int> group_cols;
-    const sql::UdxResolver* udx;
-    Database* db;
-    int initiator;
-    double chunk_bytes;
     double data_scale;
-    CostModel cost;
-    std::vector<storage::LaneRows> node_rows;
-    std::vector<Status> node_status;
-    double available_wire = 0;
-    double produced_wire = 0;
-    double produced_rows = 0;
-    int producers_left = 0;
-    std::unique_ptr<sim::Condition> progress;
   };
-  auto state = std::make_shared<ScanState>();
-  state->schema = schema;
-  FABRIC_ASSIGN_OR_RETURN(state->where,
+  auto ctx = std::make_shared<ScanContext>();
+  ctx->schema = schema;
+  FABRIC_ASSIGN_OR_RETURN(ctx->where,
                           CompileWhere(select.where.get(), schema,
                                        db_->pipeline_compiler()));
   if (select.where != nullptr) {
     std::set<int> where_columns;
     FABRIC_RETURN_IF_ERROR(
         CollectColumns(*select.where, schema, &where_columns));
-    state->cost_columns.assign(where_columns.begin(), where_columns.end());
+    ctx->cost_columns.assign(where_columns.begin(), where_columns.end());
   }
-  state->projection.assign(referenced.begin(), referenced.end());
-  state->snapshot = snapshot.epoch();
-  state->txn = txn_;
-  state->aggregate = aggregate;
-  state->sorted_group_by = plan.sorted_group_by;
+  ctx->projection.assign(referenced.begin(), referenced.end());
+  ctx->snapshot = snapshot.epoch();
+  ctx->txn = txn_;
+  ctx->aggregate =
+      sql::IsAggregateSelect(select, &db_->aggregate_udx_resolver());
+  ctx->sorted_group_by = plan.sorted_group_by;
   // LIMIT n without ORDER BY or aggregation caps each node's scan at n:
   // every node's emitted rows stay a prefix of what the uncapped scan
   // emits, so the initiator's global LIMIT picks exactly the same rows
   // while the storage layer skips the containers past the cap.
-  if (!aggregate && select.order_by.empty() && select.limit >= 0) {
-    state->scan_limit = select.limit;
+  if (!ctx->aggregate && select.order_by.empty() && select.limit >= 0) {
+    ctx->scan_limit = select.limit;
   }
   for (const std::string& g : select.group_by) {
-    state->group_cols.push_back(*schema.IndexOf(g));
+    ctx->group_cols.push_back(*schema.IndexOf(g));
   }
-  state->udx = udx;
-  state->db = db_;
-  state->initiator = node_;
-  state->chunk_bytes = cost.chunk_bytes;
-  state->data_scale = db_->EffectiveScale(select.from);
-  state->cost = cost;
-  state->node_rows.resize(db_->num_nodes());
-  state->node_status.assign(db_->num_nodes(), Status::OK());
-  state->producers_left = static_cast<int>(nodes.size());
-  state->progress = std::make_unique<sim::Condition>(db_->engine());
+  ctx->data_scale = db_->EffectiveScale(select.from);
 
-  // Resolve each participating segment to its serving copy.
-  std::vector<std::pair<int, Database::SegmentCopy>> targets;
+  // Each participating segment is scanned on its serving copy.
+  std::vector<std::pair<int, SegmentWork>> work;
   for (int n : nodes) {
     FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy copy,
                             ServingCopy(*db_, layout, n, select.from));
-    targets.emplace_back(n, copy);
+    work.emplace_back(n, [ctx, copy, db = db_, initiator = node_](
+                             sim::Process& scan, SegmentFanOut& fan)
+                             -> Result<storage::LaneRows> {
+      const CostModel& cost = db->cost();
+      // Vectorized scan: predicate kernels run directly on encoded
+      // columns, refining a selection vector; only passing rows are
+      // materialized (late materialization). The virtual-time cost
+      // accounting is unchanged from the row-at-a-time loop it
+      // replaces: predicate columns are charged for every visible row
+      // (this is where V2S pays its per-row HASH evaluation, Section
+      // 4.7.2), output columns only for passing rows.
+      storage::ScanSpec spec;
+      spec.as_of = ctx->snapshot;
+      spec.txn = ctx->txn;
+      BindWhere(ctx->where, &ctx->schema, &db->udx_resolver(),
+                /*lenient=*/false, &spec);
+      spec.cost_columns = &ctx->cost_columns;
+      spec.projection = &ctx->projection;
+      spec.limit = ctx->scan_limit;
+      storage::ScanStats stats;
+      FABRIC_ASSIGN_OR_RETURN(storage::LaneRows passed,
+                              copy.store->Scan(spec, &stats));
+      obs::IncrCounter("vertica.rows_scanned",
+                       stats.rows_visible * ctx->data_scale);
+      DataProfile scanned = ScannedProfile(stats, ctx->data_scale);
+
+      // Result volume leaving this node: for aggregates only the merged
+      // partials travel (#groups x output width); otherwise the
+      // referenced columns of the passing rows.
+      DataProfile produced;
+      if (ctx->aggregate) {
+        // Only the number of distinct groups matters here.
+        std::unordered_set<std::string> group_keys;
+        std::string key;
+        for (size_t i = 0; i < passed.num_rows; ++i) {
+          key.clear();
+          exec::AppendGroupKey(passed, static_cast<uint32_t>(i),
+                               ctx->group_cols, &key);
+          group_keys.insert(key);
+        }
+        produced.rows =
+            static_cast<double>(std::max<size_t>(group_keys.size(), 1));
+        produced.fields = produced.rows * (ctx->group_cols.size() + 1);
+        produced.numeric_bytes = produced.fields * 8;
+        produced.raw_bytes = produced.numeric_bytes;
+      } else {
+        produced = stats.output_profile;
+        produced.ScaleBy(ctx->data_scale);
+      }
+
+      // Chunked pipeline: scan CPU, intra-cluster shuffle when the
+      // segment is remote from the initiator, then publish to the client
+      // stream. Each scanned container costs a fixed open (headers,
+      // fds): fragmentation hurts until the Tuple Mover merges it away.
+      double scan_cpu = scanned.ScanCpu(cost) +
+                        static_cast<double>(stats.containers_scanned) *
+                            cost.ros_container_open_cpu;
+      if (ctx->aggregate) {
+        // Aggregation CPU per passing input row: hash-aggregate unless
+        // the layout's sort order makes equal keys adjacent.
+        scan_cpu += static_cast<double>(passed.num_rows) * ctx->data_scale *
+                    (ctx->sorted_group_by
+                         ? cost.group_by_sorted_cpu_per_row
+                         : cost.group_by_hash_cpu_per_row);
+      }
+      double wire = produced.JdbcWireBytes(cost);
+      double internal = produced.raw_bytes;
+      int chunks = static_cast<int>(std::ceil(
+          std::max(scanned.raw_bytes, 1.0) / cost.chunk_bytes));
+      chunks = std::clamp(chunks, 1, 512);
+      const net::Host& host = db->node_host(copy.host);
+      const net::Host& initiator_host = db->node_host(initiator);
+      for (int c = 0; c < chunks; ++c) {
+        FABRIC_RETURN_IF_ERROR(
+            net::RunCpu(scan, db->network(), host, scan_cpu / chunks));
+        if (copy.host != initiator && internal > 0) {
+          FABRIC_RETURN_IF_ERROR(db->network()->Transfer(
+              scan, {host.int_egress, initiator_host.int_ingress},
+              internal / chunks));
+        }
+        fan.available_wire += wire / chunks;
+        fan.produced_wire += wire / chunks;
+        fan.produced_rows += produced.rows / chunks;
+        fan.progress.NotifyAll();
+      }
+      return passed;
+    });
   }
-
-  for (const auto& [n, copy] : targets) {
-    storage::SegmentStore* store = copy.store;
-    const int scan_host = copy.host;
-    db_->engine()->Spawn(
-        StrCat("vscan:", select.from, ":n", n),
-        [state, store, n, scan_host](sim::Process& scan) {
-          Status status = [&]() -> Status {
-            Database* db = state->db;
-            // Vectorized scan: predicate kernels run directly on encoded
-            // columns, refining a selection vector; only passing rows are
-            // materialized (late materialization). The virtual-time cost
-            // accounting is unchanged from the row-at-a-time loop it
-            // replaces: predicate columns are charged for every visible
-            // row (this is where V2S pays its per-row HASH evaluation,
-            // Section 4.7.2), output columns only for passing rows.
-            storage::ScanSpec spec;
-            spec.as_of = state->snapshot;
-            spec.txn = state->txn;
-            BindWhere(state->where, &state->schema, state->udx,
-                      /*lenient=*/false, &spec);
-            spec.cost_columns = &state->cost_columns;
-            spec.projection = &state->projection;
-            spec.limit = state->scan_limit;
-            storage::ScanStats stats;
-            FABRIC_ASSIGN_OR_RETURN(storage::LaneRows passed,
-                                    store->Scan(spec, &stats));
-            obs::IncrCounter("vertica.rows_scanned",
-                             stats.rows_visible * state->data_scale);
-            DataProfile scanned = ScannedProfile(stats, state->data_scale);
-
-            // Result volume leaving this node: for aggregates only the
-            // merged partials travel (#groups x output width); otherwise
-            // the referenced columns of the passing rows.
-            DataProfile produced;
-            if (state->aggregate) {
-              // Only the number of distinct groups matters here.
-              std::unordered_set<std::string> group_keys;
-              std::string key;
-              for (size_t i = 0; i < passed.num_rows; ++i) {
-                key.clear();
-                exec::AppendGroupKey(passed, static_cast<uint32_t>(i),
-                                     state->group_cols, &key);
-                group_keys.insert(key);
-              }
-              produced.rows = static_cast<double>(
-                  std::max<size_t>(group_keys.size(), 1));
-              produced.fields = produced.rows *
-                                (state->group_cols.size() + 1);
-              produced.numeric_bytes = produced.fields * 8;
-              produced.raw_bytes = produced.numeric_bytes;
-            } else {
-              produced = stats.output_profile;
-              produced.ScaleBy(state->data_scale);
-            }
-
-            // Chunked pipeline: scan CPU, intra-cluster shuffle when the
-            // segment is remote from the initiator, then publish to the
-            // client stream.
-            // Each scanned container costs a fixed open (headers, fds):
-            // fragmentation hurts until the Tuple Mover merges it away.
-            double scan_cpu =
-                scanned.ScanCpu(state->cost) +
-                static_cast<double>(stats.containers_scanned) *
-                    state->cost.ros_container_open_cpu;
-            if (state->aggregate) {
-              // Aggregation CPU per passing input row: hash-aggregate
-              // unless the layout's sort order makes equal keys adjacent.
-              scan_cpu += static_cast<double>(passed.num_rows) *
-                          state->data_scale *
-                          (state->sorted_group_by
-                               ? state->cost.group_by_sorted_cpu_per_row
-                               : state->cost.group_by_hash_cpu_per_row);
-            }
-            double wire = produced.JdbcWireBytes(state->cost);
-            double internal = produced.raw_bytes;
-            int chunks = static_cast<int>(std::ceil(
-                std::max(scanned.raw_bytes, 1.0) / state->chunk_bytes));
-            chunks = std::clamp(chunks, 1, 512);
-            const net::Host& host = db->node_host(scan_host);
-            const net::Host& initiator = db->node_host(state->initiator);
-            for (int c = 0; c < chunks; ++c) {
-              FABRIC_RETURN_IF_ERROR(net::RunCpu(scan, db->network(),
-                                                 host, scan_cpu / chunks));
-              if (scan_host != state->initiator && internal > 0) {
-                FABRIC_RETURN_IF_ERROR(db->network()->Transfer(
-                    scan, {host.int_egress, initiator.int_ingress},
-                    internal / chunks));
-              }
-              state->available_wire += wire / chunks;
-              state->produced_wire += wire / chunks;
-              state->produced_rows += produced.rows / chunks;
-              state->progress->NotifyAll();
-            }
-            state->node_rows[n] = std::move(passed);
-            return Status::OK();
-          }();
-          state->node_status[n] = status;
-          --state->producers_left;
-          state->progress->NotifyAll();
-        });
-  }
+  std::shared_ptr<SegmentFanOut> fan =
+      FanOut(db_, StrCat("vscan:", select.from), std::move(work));
 
   // Stream produced chunks to the client as they appear (scan/stream
-  // pipelining); internal executions (views) skip the external wire.
-  while (state->producers_left > 0 || state->available_wire > 0) {
-    FABRIC_RETURN_IF_ERROR(state->progress->WaitUntil(self, [&] {
-      return state->available_wire > 0 || state->producers_left == 0;
-    }));
-    double wire = state->available_wire;
-    state->available_wire = 0;
-    if (wire <= 0) continue;
-    if (to_client) {
+  // pipelining); internal executions (views, joins) skip the external
+  // wire.
+  std::function<Status(double)> drain;
+  if (to_client) {
+    drain = [&](double wire) -> Status {
+      const CostModel& cost = db_->cost();
       DataProfile so_far;
-      so_far.rows = std::max(state->produced_rows, 1.0);
-      double cap = so_far.StreamRateCap(
-          cost.result_stream_bytes_per_sec, cost.result_row_overhead,
-          std::max(state->produced_wire, 1.0));
+      so_far.rows = std::max(fan->produced_rows, 1.0);
+      double cap = so_far.StreamRateCap(cost.result_stream_bytes_per_sec,
+                                        cost.result_row_overhead,
+                                        std::max(fan->produced_wire, 1.0));
       FABRIC_RETURN_IF_ERROR(StreamToClient(self, wire, cap));
       // The per-connection cap is serialization CPU on this node; credit
       // it so resource telemetry (Table 2) sees the load.
@@ -2241,48 +1861,30 @@ Result<storage::LaneRows> Session::ExecScanSelect(
             host.cpu, wire * cost.result_serialize_cpu_per_byte *
                           net::kCpuUnitsPerCore);
       }
-    }
-  }
-  for (int n : nodes) {
-    FABRIC_RETURN_IF_ERROR(state->node_status[n]);
-  }
-
-  // The gathered rows, in node order; each node's lanes are released as
-  // they are appended.
-  storage::LaneRows gathered(schema);
-  for (int n : nodes) {
-    gathered.Append(std::move(state->node_rows[n]));
-    state->node_rows[n] = storage::LaneRows();
+      return Status::OK();
+    };
   }
   *scanned_schema = schema;
-  return gathered;
+  return Gather(self, *fan, drain, storage::LaneRows(schema));
 }
 
 Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
     const sql::SelectStmt& select) const {
   std::optional<JoinQueryPlan> none;
-  if (select.from.empty() || select.join.empty() ||
-      select.join_on == nullptr) {
-    return none;
-  }
-  const std::string from = ToLower(select.from);
-  const std::string join = ToLower(select.join);
-  if (from == join || StartsWith(from, "v_catalog.") ||
-      StartsWith(from, "v_monitor.") || StartsWith(join, "v_catalog.") ||
-      StartsWith(join, "v_monitor.") ||
-      db_->catalog().HasView(select.from) ||
-      db_->catalog().HasView(select.join)) {
+  if (select.join_on == nullptr || EqualsIgnoreCase(select.from, select.join) ||
+      SourceKind(db_->catalog(), select.from) != SelectPlan::From::kScan ||
+      SourceKind(db_->catalog(), select.join) != SelectPlan::From::kScan) {
     return none;
   }
   Result<const TableDef*> left_or = db_->catalog().GetTable(select.from);
   Result<const TableDef*> right_or = db_->catalog().GetTable(select.join);
-  if (!left_or.ok() || !right_or.ok()) return none;  // legacy path reports
+  if (!left_or.ok() || !right_or.ok()) return none;  // the fallback reports
   const TableDef* left = *left_or;
   const TableDef* right = *right_or;
 
   // ON must be a simple column equality resolving one column per anchor
-  // (either spelling); anything else joins through the legacy
-  // nested-loop path.
+  // (either spelling); anything else joins through the fallback's nested
+  // loop.
   const std::optional<std::pair<int, int>> keys =
       EquiJoinKeys(*select.join_on, left->schema, right->schema);
   if (!keys.has_value()) return none;
@@ -2300,31 +1902,13 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
   const Schema combined = JoinedSchema(
       left->schema, AllColumns(left_n), right->schema,
       AllColumns(right->schema.num_columns()), select.join);
-  std::set<int> refs;
-  bool star = false;
-  for (const sql::SelectItem& item : select.items) {
-    if (item.star) {
-      star = true;
-      continue;
-    }
-    if (!CollectColumns(*item.expr, combined, &refs).ok()) return none;
-  }
-  if (select.where != nullptr &&
-      !CollectColumns(*select.where, combined, &refs).ok()) {
-    return none;
-  }
-  for (const std::string& g : select.group_by) {
-    auto idx = combined.IndexOf(g);
-    if (!idx.ok()) return none;
-    refs.insert(*idx);
-  }
+  Result<std::set<int>> referenced = ReferencedColumns(select, combined);
+  if (!referenced.ok()) return none;
+  std::set<int>& refs = *referenced;
   for (const sql::OrderItem& item : select.order_by) {
     auto idx = combined.IndexOf(item.column);
     if (!idx.ok()) return none;
     refs.insert(*idx);
-  }
-  if (star) {
-    for (int c = 0; c < combined.num_columns(); ++c) refs.insert(c);
   }
   refs.insert(lk);
   refs.insert(left_n + rk);
@@ -2336,53 +1920,44 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
     }
   }
 
-  // Per-side shapes carry explicit column lists (never star) so narrow
-  // sorted projections stay eligible for wide tables.
-  auto side_shape = [&select](const TableDef& t,
-                              const std::vector<int>& needed, int key) {
+  // Per side: the cheapest plan overall plus the cheapest merge-capable
+  // plan (sorted on the join key). When both sides have a merge-capable
+  // layout the merge join wins outright — its per-row rate is far below
+  // the hash rate, so a slightly wider sorted projection still beats the
+  // narrowest unsorted one. A forced hint pins the side to one layout.
+  // Side shapes carry explicit column lists (never star) so narrow sorted
+  // projections stay eligible for wide tables.
+  struct SidePlan {
+    std::string key;  // lower-cased join-key column
+    projections::PlanChoice overall;
+    std::optional<projections::PlanChoice> sorted;
+  };
+  auto plan_side = [&](const TableDef& t, const std::vector<int>& needed,
+                       int key,
+                       std::vector<std::pair<std::string, double>>* cands)
+      -> Result<SidePlan> {
     projections::QueryShape shape;
     for (int c : needed) {
       shape.referenced.push_back(ToLower(t.schema.column(c).name));
     }
     shape.join_keys.push_back(ToLower(t.schema.column(key).name));
     shape.at_epoch = select.at_epoch;
-    return shape;
-  };
-  projections::QueryShape left_shape = side_shape(*left, jq.left_needed, lk);
-  projections::QueryShape right_shape =
-      side_shape(*right, jq.right_needed, rk);
-
-  // Per side: the cheapest plan overall plus the cheapest merge-capable
-  // plan (sorted on the join key). When both sides have a merge-capable
-  // layout the merge join wins outright — its per-row rate is far below
-  // the hash rate, so a slightly wider sorted projection still beats the
-  // narrowest unsorted one. A forced hint pins the side to one layout.
-  struct SidePlan {
-    projections::PlanChoice overall;
-    std::optional<projections::PlanChoice> sorted;
-  };
-  auto plan_side = [this](const TableDef& t,
-                          const projections::QueryShape& shape,
-                          std::vector<std::pair<std::string, double>>* cands)
-      -> Result<SidePlan> {
-    SidePlan side;
-    side.overall = projections::ChoosePlan(db_->catalog(), t, shape, cands);
-    const bool forced =
-        forced_table_projections_.count(ToLower(t.name)) > 0 ||
-        forced_projection_.has_value();
-    if (forced) {
-      FABRIC_ASSIGN_OR_RETURN(side.overall, ResolveScanPlan(t, shape));
+    SidePlan side{shape.join_keys.front(), {}, {}};
+    FABRIC_ASSIGN_OR_RETURN(side.overall, ResolveScanPlan(t, shape, cands));
+    if (forced_table_projections_.count(ToLower(t.name)) > 0) {
       if (side.overall.sorted_join) side.sorted = side.overall;
-      return side;
+    } else {
+      side.sorted =
+          projections::ChooseSortedJoinPlan(db_->catalog(), t, shape);
     }
-    side.sorted = projections::ChooseSortedJoinPlan(db_->catalog(), t, shape);
     return side;
   };
-  FABRIC_ASSIGN_OR_RETURN(SidePlan left_side,
-                          plan_side(*left, left_shape, &jq.left_candidates));
+  FABRIC_ASSIGN_OR_RETURN(
+      SidePlan left_side,
+      plan_side(*left, jq.left_needed, lk, &jq.left_candidates));
   FABRIC_ASSIGN_OR_RETURN(
       SidePlan right_side,
-      plan_side(*right, right_shape, &jq.right_candidates));
+      plan_side(*right, jq.right_needed, rk, &jq.right_candidates));
 
   bool want_merge =
       left_side.sorted.has_value() && right_side.sorted.has_value();
@@ -2405,9 +1980,8 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
       want_merge ? *left_side.sorted : left_side.overall;
   const projections::PlanChoice& rpick =
       want_merge ? *right_side.sorted : right_side.overall;
-  jq.plan = projections::ClassifyJoin(*left, lpick,
-                                      left_shape.join_keys.front(), *right,
-                                      rpick, right_shape.join_keys.front());
+  jq.plan = projections::ClassifyJoin(*left, lpick, left_side.key, *right,
+                                      rpick, right_side.key);
   if (!want_merge) {
     jq.plan.merge = false;
     jq.plan.co_located = false;
@@ -2415,22 +1989,17 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
   return std::optional<JoinQueryPlan>(std::move(jq));
 }
 
-Result<QueryResult> Session::ExecJoin(sim::Process& self,
-                                      const sql::SelectStmt& select,
-                                      bool to_client, int view_depth,
-                                      const exec::SpillPolicy* spill) {
+Result<QueryResult> Session::ExecJoin(
+    sim::Process& self, const sql::SelectStmt& select,
+    const std::optional<JoinQueryPlan>& planned, bool to_client,
+    int view_depth, const exec::SpillPolicy* spill) {
   const CostModel& cost = db_->cost();
-  const sql::UdxResolver* udx = &db_->udx_resolver();
-  const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
-
-  FABRIC_ASSIGN_OR_RETURN(std::optional<JoinQueryPlan> planned,
-                          PlanJoinQuery(select));
+  Schema combined;
+  storage::LaneRows joined;
   if (!planned.has_value()) {
-    // Legacy path (views, system tables, complex ON): execute both sides
-    // as internal distributed scans, join at the initiator (hash join on
-    // simple column equality, nested-loop otherwise), then run the outer
-    // pipeline over the combined rows. Views over joins are what let V2S
-    // push join processing into Vertica (Section 3.1.1).
+    // Fallback (a view or system-table side, a self join, a complex ON):
+    // execute both sides as internal distributed scans and join at the
+    // initiator, hash-join-shaped.
     auto scan_side = [&](const std::string& table) -> Result<QueryResult> {
       sql::SelectStmt sub;
       sql::SelectItem star;
@@ -2442,171 +2011,110 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
     };
     FABRIC_ASSIGN_OR_RETURN(QueryResult left, scan_side(select.from));
     FABRIC_ASSIGN_OR_RETURN(QueryResult right, scan_side(select.join));
-
-    const Schema combined = JoinedSchema(
+    combined = JoinedSchema(
         left.schema, AllColumns(left.schema.num_columns()), right.schema,
         AllColumns(right.schema.num_columns()), select.join);
-
-    // Join CPU on the initiator: hash-join-shaped cost.
     obs::IncrCounter("vertica.hash_joins");
-    DataProfile join_cost;
-    join_cost.rows = static_cast<double>(left.rows.size()) +
-                     static_cast<double>(right.rows.size());
-    join_cost.ScaleBy(cost.data_scale);
-    FABRIC_RETURN_IF_ERROR(
-        net::RunCpu(self, db_->network(), db_->node_host(node_),
-                    join_cost.rows * cost.join_hash_cpu_per_row));
-
-    // Equi-join kernel when ON is `leftcol = rightcol`; nested loop
-    // otherwise.
-    storage::LaneRows joined;
-    const sql::Expr& on = *select.join_on;
-    const std::optional<std::pair<int, int>> keys =
-        EquiJoinKeys(on, left.schema, right.schema);
-    std::vector<Row> matched;
-    if (keys.has_value()) {
-      joined = exec::EquiJoin(
-          storage::LaneRows::FromRows(left.schema, left.rows), keys->first,
-          AllColumns(left.schema.num_columns()),
-          storage::LaneRows::FromRows(right.schema, right.rows),
-          keys->second, AllColumns(right.schema.num_columns()));
-    } else {
-      for (const Row& lrow : left.rows) {
-        for (const Row& rrow : right.rows) {
-          Row out = lrow;
-          out.insert(out.end(), rrow.begin(), rrow.end());
-          sql::EvalContext context;
-          context.schema = &combined;
-          context.row = &out;
-          context.udx = udx;
-          FABRIC_ASSIGN_OR_RETURN(bool match,
-                                  sql::EvalPredicate(on, context));
-          if (match) matched.push_back(std::move(out));
-        }
-      }
-    }
-
-    PipelineCompiler* pipeline = db_->pipeline_compiler();
     FABRIC_ASSIGN_OR_RETURN(
-        QueryResult result,
-        keys.has_value() ? LocalSelect(joined, combined, select, udx,
-                                       agg_udx, pipeline, spill)
-                         : LocalSelect(matched, combined, select, udx,
-                                       agg_udx, pipeline, spill));
-    if (to_client) FABRIC_RETURN_IF_ERROR(StreamResult(self, result));
-    return result;
-  }
-
-  // Planned path: both sides are base tables scanning a chosen layout.
-  const JoinQueryPlan& jq = *planned;
-  const TableDef& left_t = *jq.left_table;
-  const TableDef& right_t = *jq.right_table;
-  const char* strategy = jq.plan.strategy();
-
-  // Workload capture for the designer: one request per side, so the
-  // designer sees which tables want join-key-sorted layouts.
-  auto record_side = [&](const TableDef& t, const std::vector<int>& needed,
-                         int key, const TableDef& other) {
-    QueryRequest request;
-    request.table = ToLower(t.name);
-    request.join_table = ToLower(other.name);
-    for (int c : needed) {
-      request.referenced.push_back(ToLower(t.schema.column(c).name));
-    }
-    request.join_keys.push_back(ToLower(t.schema.column(key).name));
-    for (const std::string& g : select.group_by) {
-      if (t.schema.Contains(g)) request.group_by.push_back(ToLower(g));
-    }
-    request.aggregate = !select.group_by.empty();
-    request.pool = resource_pool_;
-    request.strategy = strategy;
-    db_->RecordQueryRequest(std::move(request));
-  };
-  record_side(left_t, jq.left_needed, jq.left_key, right_t);
-  record_side(right_t, jq.right_needed, jq.right_key, left_t);
-
-  obs::IncrCounter(jq.plan.merge ? "vertica.merge_joins"
-                                 : "vertica.hash_joins");
-  obs::TraceEvent(
-      "vertica", "join.plan",
-      {{"strategy", strategy},
-       {"left", jq.plan.left.projection != nullptr
-                    ? jq.plan.left.projection->name
-                    : "super"},
-       {"right", jq.plan.right.projection != nullptr
-                     ? jq.plan.right.projection->name
-                     : "super"},
-       {"co_located", jq.plan.co_located ? 1 : 0}});
-
-  // Combined schema over the pruned column sets, in anchor order per
-  // side.
-  const Schema combined =
-      JoinedSchema(left_t.schema, jq.left_needed, right_t.schema,
-                   jq.right_needed, select.join);
-
-  storage::LaneRows joined;
-  if (jq.plan.co_located) {
-    FABRIC_ASSIGN_OR_RETURN(joined, ExecCoLocatedJoin(self, select, jq));
+        joined,
+        JoinAtInitiator(
+            self, db_, node_,
+            storage::LaneRows::FromRows(left.schema, left.rows),
+            storage::LaneRows::FromRows(right.schema, right.rows),
+            EquiJoinKeys(*select.join_on, left.schema, right.schema),
+            *select.join_on, combined, cost.join_hash_cpu_per_row));
   } else {
-    // Gathered join: scan each side through its chosen layout (pruned to
-    // the needed columns), then join at the initiator.
-    auto scan_side = [&](const TableDef& t, const std::vector<int>& needed,
-                         const projections::PlanChoice& pick)
-        -> Result<storage::LaneRows> {
-      sql::SelectStmt sub;
+    // Planned: both sides are base tables scanning a chosen layout.
+    const JoinQueryPlan& jq = *planned;
+    const TableDef& left_t = *jq.left_table;
+    const TableDef& right_t = *jq.right_table;
+    const char* strategy = jq.plan.strategy();
+
+    // Workload capture for the designer: one request per side, so the
+    // designer sees which tables want join-key-sorted layouts.
+    auto record_side = [&](const TableDef& t, const std::vector<int>& needed,
+                           int key, const TableDef& other) {
+      QueryRequest request;
+      request.table = ToLower(t.name);
+      request.join_table = ToLower(other.name);
       for (int c : needed) {
-        sql::SelectItem item;
-        item.expr = sql::Expr::ColumnRef(t.schema.column(c).name);
-        sub.items.push_back(std::move(item));
+        request.referenced.push_back(ToLower(t.schema.column(c).name));
       }
-      sub.from = t.name;
-      sub.at_epoch = select.at_epoch;
-      Schema schema;
-      FABRIC_ASSIGN_OR_RETURN(
-          storage::LaneRows gathered,
-          ExecScanSelect(self, sub, &t, pick, /*to_client=*/false, &schema));
-      FABRIC_ASSIGN_OR_RETURN(
-          SelectOutput output,
-          SelectBody({&gathered, nullptr}, schema, sub, udx, agg_udx,
-                     db_->pipeline_compiler(), nullptr));
-      return OutputLanes(std::move(output));
+      request.join_keys.push_back(ToLower(t.schema.column(key).name));
+      for (const std::string& g : select.group_by) {
+        if (t.schema.Contains(g)) request.group_by.push_back(ToLower(g));
+      }
+      request.aggregate = !select.group_by.empty();
+      request.pool = resource_pool_;
+      request.strategy = strategy;
+      db_->RecordQueryRequest(std::move(request));
     };
-    FABRIC_ASSIGN_OR_RETURN(storage::LaneRows left,
-                            scan_side(left_t, jq.left_needed, jq.plan.left));
-    FABRIC_ASSIGN_OR_RETURN(
-        storage::LaneRows right,
-        scan_side(right_t, jq.right_needed, jq.plan.right));
+    record_side(left_t, jq.left_needed, jq.left_key, right_t);
+    record_side(right_t, jq.right_needed, jq.right_key, left_t);
 
-    // Join-key positions within the pruned rows.
-    const int lpos = static_cast<int>(
-        std::find(jq.left_needed.begin(), jq.left_needed.end(),
-                  jq.left_key) -
-        jq.left_needed.begin());
-    const int rpos = static_cast<int>(
-        std::find(jq.right_needed.begin(), jq.right_needed.end(),
-                  jq.right_key) -
-        jq.right_needed.begin());
+    obs::IncrCounter(jq.plan.merge ? "vertica.merge_joins"
+                                   : "vertica.hash_joins");
+    obs::TraceEvent(
+        "vertica", "join.plan",
+        {{"strategy", strategy},
+         {"left", LayoutName(jq.plan.left)},
+         {"right", LayoutName(jq.plan.right)},
+         {"co_located", jq.plan.co_located ? 1 : 0}});
 
-    // Join CPU on the initiator: the merge rate skips the hash table
-    // build/probe because both inputs already arrive sorted on the key.
-    // Both strategies produce the same rows in the same order, so one
-    // kernel serves them.
-    DataProfile join_cost;
-    join_cost.rows = static_cast<double>(left.num_rows) +
-                     static_cast<double>(right.num_rows);
-    join_cost.ScaleBy(cost.data_scale);
-    FABRIC_RETURN_IF_ERROR(net::RunCpu(
-        self, db_->network(), db_->node_host(node_),
-        join_cost.rows * (jq.plan.merge ? cost.join_merge_cpu_per_row
-                                        : cost.join_hash_cpu_per_row)));
-    joined = exec::EquiJoin(left, lpos, AllColumns(left.columns.size()),
-                            right, rpos, AllColumns(right.columns.size()));
+    // Combined schema over the pruned column sets, in anchor order per
+    // side.
+    combined = JoinedSchema(left_t.schema, jq.left_needed, right_t.schema,
+                            jq.right_needed, select.join);
+    if (jq.plan.co_located) {
+      FABRIC_ASSIGN_OR_RETURN(joined, ExecCoLocatedJoin(self, select, jq));
+    } else {
+      // Gathered join: scan each side through its chosen layout (pruned
+      // to the needed columns), then join at the initiator.
+      auto scan_side = [&](const TableDef& t, const std::vector<int>& needed,
+                           const projections::PlanChoice& pick)
+          -> Result<storage::LaneRows> {
+        sql::SelectStmt sub;
+        for (int c : needed) {
+          sql::SelectItem item;
+          item.expr = sql::Expr::ColumnRef(t.schema.column(c).name);
+          sub.items.push_back(std::move(item));
+        }
+        sub.from = t.name;
+        sub.at_epoch = select.at_epoch;
+        Schema schema;
+        FABRIC_ASSIGN_OR_RETURN(
+            storage::LaneRows gathered,
+            ExecScanSelect(self, sub, &t, pick, /*to_client=*/false,
+                           &schema));
+        FABRIC_ASSIGN_OR_RETURN(
+            SelectOutput output,
+            SelectBody({&gathered, nullptr}, schema, sub, db_, nullptr));
+        if (output.lanes.has_value()) return std::move(*output.lanes);
+        return storage::LaneRows::FromRows(output.schema, output.rows);
+      };
+      FABRIC_ASSIGN_OR_RETURN(
+          storage::LaneRows left,
+          scan_side(left_t, jq.left_needed, jq.plan.left));
+      FABRIC_ASSIGN_OR_RETURN(
+          storage::LaneRows right,
+          scan_side(right_t, jq.right_needed, jq.plan.right));
+      // The merge rate skips the hash table build/probe because both
+      // inputs already arrive sorted on the key; both strategies produce
+      // the same rows in the same order, so one kernel serves them.
+      FABRIC_ASSIGN_OR_RETURN(
+          joined, JoinAtInitiator(
+                      self, db_, node_, left, right,
+                      std::make_pair(PositionOf(jq.left_needed, jq.left_key),
+                                     PositionOf(jq.right_needed, jq.right_key)),
+                      *select.join_on, combined,
+                      jq.plan.merge ? cost.join_merge_cpu_per_row
+                                    : cost.join_hash_cpu_per_row));
+    }
   }
 
-  FABRIC_ASSIGN_OR_RETURN(QueryResult result,
-                          LocalSelect(joined, combined, select, udx,
-                                      agg_udx, db_->pipeline_compiler(),
-                                      spill));
+  FABRIC_ASSIGN_OR_RETURN(
+      QueryResult result,
+      LocalSelect({&joined, nullptr}, combined, select, db_, spill));
   if (to_client) FABRIC_RETURN_IF_ERROR(StreamResult(self, result));
   return result;
 }
@@ -2614,64 +2122,63 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
 Result<storage::LaneRows> Session::ExecCoLocatedJoin(
     sim::Process& self, const sql::SelectStmt& select,
     const JoinQueryPlan& jq) {
-  const CostModel& cost = db_->cost();
   const TableDef& left_t = *jq.left_table;
   const TableDef& right_t = *jq.right_table;
 
-  SnapshotGuard snapshot(db_, node_);
+  SnapshotGuard snapshot(db_);
   FABRIC_RETURN_IF_ERROR(snapshot.Acquire(self, select.at_epoch));
   FABRIC_ASSIGN_OR_RETURN(ScanLayout left,
                           ResolveLayout(db_, left_t, jq.plan.left));
   FABRIC_ASSIGN_OR_RETURN(ScanLayout right,
                           ResolveLayout(db_, right_t, jq.plan.right));
 
-  // Map each needed anchor column (and the join key) to its position in
-  // the scanned layout's store schema; rows are emitted in anchor order
-  // so the combined layout matches the gathered path's exactly.
-  auto side_positions = [](const projections::PlanChoice& pick,
-                           const std::vector<int>& needed, int key,
-                           std::vector<int>* positions,
-                           int* key_position) -> Status {
-    auto to_store = [&pick](int anchor_col) -> int {
-      const ProjectionDef* proj = pick.projection;
-      if (proj == nullptr) return anchor_col;
-      for (size_t i = 0; i < proj->columns.size(); ++i) {
-        if (proj->columns[i] == anchor_col) return static_cast<int>(i);
-      }
-      return -1;
-    };
-    for (int c : needed) {
-      int p = to_store(c);
-      if (p < 0) return InternalError("projection missing a needed column");
-      positions->push_back(p);
-    }
-    *key_position = to_store(key);
-    if (*key_position < 0) {
-      return InternalError("projection missing the join key");
-    }
-    return Status::OK();
+  // What every segment's join reads, shared by their processes.
+  struct JoinContext {
+    Epoch snapshot;
+    TxnId txn;
+    // Each needed anchor column's position in the scanned layout's store
+    // schema, and the join key's; rows are emitted in anchor order so the
+    // combined layout matches the gathered path's exactly.
+    std::vector<int> left_positions, right_positions;
+    int left_key_position = -1, right_key_position = -1;
+    double left_scale, right_scale;
   };
-  std::vector<int> left_positions, right_positions;
-  int left_key_position = -1, right_key_position = -1;
-  FABRIC_RETURN_IF_ERROR(side_positions(jq.plan.left, jq.left_needed,
-                                        jq.left_key, &left_positions,
-                                        &left_key_position));
-  FABRIC_RETURN_IF_ERROR(side_positions(jq.plan.right, jq.right_needed,
-                                        jq.right_key, &right_positions,
-                                        &right_key_position));
+  auto ctx = std::make_shared<JoinContext>();
+  auto store_positions = [](const projections::PlanChoice& pick,
+                            std::vector<int> columns)
+      -> Result<std::vector<int>> {
+    if (pick.projection == nullptr) return columns;
+    const std::vector<int>& stored = pick.projection->columns;
+    for (int& c : columns) {
+      auto it = std::find(stored.begin(), stored.end(), c);
+      if (it == stored.end()) {
+        return InternalError("projection missing a join column");
+      }
+      c = static_cast<int>(it - stored.begin());
+    }
+    return columns;
+  };
+  FABRIC_ASSIGN_OR_RETURN(ctx->left_positions,
+                          store_positions(jq.plan.left, jq.left_needed));
+  FABRIC_ASSIGN_OR_RETURN(ctx->right_positions,
+                          store_positions(jq.plan.right, jq.right_needed));
+  ctx->left_key_position =
+      ctx->left_positions[PositionOf(jq.left_needed, jq.left_key)];
+  ctx->right_key_position =
+      ctx->right_positions[PositionOf(jq.right_needed, jq.right_key)];
+  ctx->snapshot = snapshot.epoch();
+  ctx->txn = txn_;
+  ctx->left_scale = db_->EffectiveScale(left_t.name);
+  ctx->right_scale = db_->EffectiveScale(right_t.name);
 
   // One join process per left segment, on whichever node serves that
   // segment today (primary, or buddy after failover). A replicated right
   // side is read from the serving node's local copy; a segmented right
   // side reads the matching segment (equal keys land on equal segment
-  // indices — that is what ClassifyJoin certified).
-  // The left copy's host runs the join; the right copy's differs only in
-  // asymmetric failover states.
-  struct JoinTarget {
-    int segment;
-    Database::SegmentCopy left, right;
-  };
-  std::vector<JoinTarget> targets;
+  // indices — that is what ClassifyJoin certified). The left copy's host
+  // runs the join; the right copy's differs only in asymmetric failover
+  // states.
+  std::vector<std::pair<int, SegmentWork>> work;
   for (int n : ScanSegments(*db_, left, nullptr, node_)) {
     FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy left_copy,
                             ServingCopy(*db_, left, n, left_t.name));
@@ -2680,145 +2187,84 @@ Result<storage::LaneRows> Session::ExecCoLocatedJoin(
     if (!right.segmentation->unsegmented()) {
       FABRIC_ASSIGN_OR_RETURN(right_copy, db_->ReadCopy(right.set, n));
     }
-    targets.push_back(JoinTarget{n, left_copy, right_copy});
+    work.emplace_back(n, [ctx, left_copy, right_copy, db = db_,
+                          initiator = node_](sim::Process& proc,
+                                             SegmentFanOut&)
+                             -> Result<storage::LaneRows> {
+      const CostModel& cost = db->cost();
+      auto scan = [&](storage::SegmentStore* store,
+                      const std::vector<int>& cost_columns,
+                      storage::ScanStats* stats) {
+        storage::ScanSpec spec;
+        spec.as_of = ctx->snapshot;
+        spec.txn = ctx->txn;
+        spec.projection = &cost_columns;
+        return store->Scan(spec, stats);
+      };
+      storage::ScanStats left_stats, right_stats;
+      FABRIC_ASSIGN_OR_RETURN(
+          storage::LaneRows left_rows,
+          scan(left_copy.store, ctx->left_positions, &left_stats));
+      FABRIC_ASSIGN_OR_RETURN(
+          storage::LaneRows right_rows,
+          scan(right_copy.store, ctx->right_positions, &right_stats));
+      obs::IncrCounter("vertica.rows_scanned",
+                       left_stats.rows_visible * ctx->left_scale +
+                           right_stats.rows_visible * ctx->right_scale);
+
+      // Node-local merge join, emitting combined rows pruned to the
+      // needed columns in anchor order (see ExecJoin): left rows in
+      // storage order, matches in right storage order — the same order
+      // the gathered join produces for this segment.
+      storage::LaneRows out = exec::EquiJoin(
+          left_rows, ctx->left_key_position, ctx->left_positions,
+          right_rows, ctx->right_key_position, ctx->right_positions);
+
+      // Virtual-time cost: both scans' bytes and container opens plus
+      // the merge-join CPU per input row, all on the serving node. Only
+      // the join output travels to the initiator.
+      DataProfile scanned = ScannedProfile(left_stats, ctx->left_scale);
+      scanned.Add(ScannedProfile(right_stats, ctx->right_scale));
+      double cpu =
+          scanned.ScanCpu(cost) +
+          static_cast<double>(left_stats.containers_scanned +
+                              right_stats.containers_scanned) *
+              cost.ros_container_open_cpu +
+          (static_cast<double>(left_rows.num_rows) * ctx->left_scale +
+           static_cast<double>(right_rows.num_rows) * ctx->right_scale) *
+              cost.join_merge_cpu_per_row;
+      const net::Host& host = db->node_host(left_copy.host);
+      FABRIC_RETURN_IF_ERROR(net::RunCpu(proc, db->network(), host, cpu));
+      if (right_copy.host != left_copy.host) {
+        // Asymmetric failover: the right segment is served from a
+        // different node, so its scan output crosses the cluster.
+        DataProfile moved = right_stats.output_profile;
+        moved.ScaleBy(ctx->right_scale);
+        if (moved.raw_bytes > 0) {
+          const net::Host& rhost = db->node_host(right_copy.host);
+          FABRIC_RETURN_IF_ERROR(db->network()->Transfer(
+              proc, {rhost.int_egress, host.int_ingress}, moved.raw_bytes));
+        }
+      }
+      if (left_copy.host != initiator) {
+        DataProfile produced = ProfileRows(out);
+        produced.ScaleBy(cost.data_scale);
+        if (produced.raw_bytes > 0) {
+          FABRIC_RETURN_IF_ERROR(db->network()->Transfer(
+              proc, {host.int_egress, db->node_host(initiator).int_ingress},
+              produced.raw_bytes));
+        }
+      }
+      return out;
+    });
   }
-
-  // Shared state between the per-segment join processes and the gather
-  // below; heap-allocated so the joins stay valid if this process is
-  // killed mid-query.
-  struct JoinState {
-    Database* db;
-    CostModel cost;
-    Epoch snapshot;
-    TxnId txn;
-    std::vector<int> left_positions, right_positions;
-    int left_key_position, right_key_position;
-    double left_scale, right_scale;
-    int initiator;
-    std::vector<storage::LaneRows> node_rows;
-    std::vector<Status> node_status;
-    int producers_left = 0;
-    std::unique_ptr<sim::Condition> progress;
-  };
-  auto state = std::make_shared<JoinState>();
-  state->db = db_;
-  state->cost = cost;
-  state->snapshot = snapshot.epoch();
-  state->txn = txn_;
-  state->left_positions = left_positions;
-  state->right_positions = right_positions;
-  state->left_key_position = left_key_position;
-  state->right_key_position = right_key_position;
-  state->left_scale = db_->EffectiveScale(left_t.name);
-  state->right_scale = db_->EffectiveScale(right_t.name);
-  state->initiator = node_;
-  state->node_rows.resize(db_->num_nodes());
-  state->node_status.assign(db_->num_nodes(), Status::OK());
-  state->producers_left = static_cast<int>(targets.size());
-  state->progress = std::make_unique<sim::Condition>(db_->engine());
-
-  for (const JoinTarget& target : targets) {
-    db_->engine()->Spawn(
-        StrCat("vjoin:", left_t.name, "x", right_t.name, ":n",
-               target.segment),
-        [state, target](sim::Process& proc) {
-          Status status = [&]() -> Status {
-            Database* db = state->db;
-            auto scan = [&](storage::SegmentStore* store,
-                            const std::vector<int>& cost_columns,
-                            storage::ScanStats* stats)
-                -> Result<storage::LaneRows> {
-              storage::ScanSpec spec;
-              spec.as_of = state->snapshot;
-              spec.txn = state->txn;
-              spec.projection = &cost_columns;
-              return store->Scan(spec, stats);
-            };
-            storage::ScanStats left_stats, right_stats;
-            FABRIC_ASSIGN_OR_RETURN(
-                storage::LaneRows left_rows,
-                scan(target.left.store, state->left_positions, &left_stats));
-            FABRIC_ASSIGN_OR_RETURN(storage::LaneRows right_rows,
-                                    scan(target.right.store,
-                                         state->right_positions,
-                                         &right_stats));
-            obs::IncrCounter(
-                "vertica.rows_scanned",
-                left_stats.rows_visible * state->left_scale +
-                    right_stats.rows_visible * state->right_scale);
-
-            // Node-local merge join, emitting combined rows pruned to the
-            // needed columns in anchor order (see ExecJoin): left rows in
-            // storage order, matches in right storage order — the same
-            // order the gathered join produces for this segment.
-            storage::LaneRows out = exec::EquiJoin(
-                left_rows, state->left_key_position, state->left_positions,
-                right_rows, state->right_key_position,
-                state->right_positions);
-
-            // Virtual-time cost: both scans' bytes and container opens
-            // plus the merge-join CPU per input row, all on the serving
-            // node. Only the join output travels to the initiator.
-            DataProfile scanned =
-                ScannedProfile(left_stats, state->left_scale);
-            scanned.Add(ScannedProfile(right_stats, state->right_scale));
-            double cpu =
-                scanned.ScanCpu(state->cost) +
-                static_cast<double>(left_stats.containers_scanned +
-                                    right_stats.containers_scanned) *
-                    state->cost.ros_container_open_cpu +
-                (static_cast<double>(left_rows.num_rows) *
-                     state->left_scale +
-                 static_cast<double>(right_rows.num_rows) *
-                     state->right_scale) *
-                    state->cost.join_merge_cpu_per_row;
-            const net::Host& host = db->node_host(target.left.host);
-            FABRIC_RETURN_IF_ERROR(
-                net::RunCpu(proc, db->network(), host, cpu));
-            if (target.right.host != target.left.host) {
-              // Asymmetric failover: the right segment is served from a
-              // different node, so its scan output crosses the cluster.
-              DataProfile moved = right_stats.output_profile;
-              moved.ScaleBy(state->right_scale);
-              if (moved.raw_bytes > 0) {
-                const net::Host& rhost = db->node_host(target.right.host);
-                FABRIC_RETURN_IF_ERROR(db->network()->Transfer(
-                    proc, {rhost.int_egress, host.int_ingress},
-                    moved.raw_bytes));
-              }
-            }
-            if (target.left.host != state->initiator) {
-              DataProfile produced = ProfileRows(out);
-              produced.ScaleBy(state->cost.data_scale);
-              if (produced.raw_bytes > 0) {
-                const net::Host& initiator =
-                    db->node_host(state->initiator);
-                FABRIC_RETURN_IF_ERROR(db->network()->Transfer(
-                    proc, {host.int_egress, initiator.int_ingress},
-                    produced.raw_bytes));
-              }
-            }
-            state->node_rows[target.segment] = std::move(out);
-            return Status::OK();
-          }();
-          state->node_status[target.segment] = status;
-          --state->producers_left;
-          state->progress->NotifyAll();
-        });
-  }
-
-  FABRIC_RETURN_IF_ERROR(state->progress->WaitUntil(
-      self, [&] { return state->producers_left == 0; }));
-  for (const JoinTarget& target : targets) {
-    FABRIC_RETURN_IF_ERROR(state->node_status[target.segment]);
-  }
+  std::shared_ptr<SegmentFanOut> fan =
+      FanOut(db_, StrCat("vjoin:", left_t.name, "x", right_t.name),
+             std::move(work));
   storage::LaneRows joined;
-  joined.columns.resize(left_positions.size() + right_positions.size());
-  for (const JoinTarget& target : targets) {
-    joined.Append(std::move(state->node_rows[target.segment]));
-    state->node_rows[target.segment] = storage::LaneRows();
-  }
-  return joined;
+  joined.columns.resize(ctx->left_positions.size() +
+                        ctx->right_positions.size());
+  return Gather(self, *fan, nullptr, std::move(joined));
 }
 
 Status Session::StreamToClient(sim::Process& self, double wire_bytes,

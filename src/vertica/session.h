@@ -48,6 +48,23 @@ struct JoinQueryPlan {
   std::vector<std::pair<std::string, double>> right_candidates;
 };
 
+// How one SELECT reads its FROM clause, decided once by
+// Session::PlanSelect and read by both execution and EXPLAIN.
+struct SelectPlan {
+  enum class From { kConstants, kSystemTable, kView, kScan, kJoin };
+  From from = From::kConstants;
+  // kScan: the anchor table, the query's shape over it, the layout the
+  // scan reads and the cost-based candidates EXPLAIN lists.
+  const TableDef* table = nullptr;
+  projections::QueryShape shape;
+  projections::PlanChoice scan;
+  std::vector<std::pair<std::string, double>> candidates;
+  // kJoin: the planned merge/hash join; nullopt when the join falls back
+  // to scanning both sides whole and joining them at the initiator (a
+  // view or system-table side, a self join, or a non-equality ON).
+  std::optional<JoinQueryPlan> join;
+};
+
 // One client connection to a Vertica node (the JDBC-connection analogue
 // the connector tasks hold). Sessions execute SQL with full cost
 // accounting and carry transaction state. Sessions are not shared across
@@ -95,14 +112,6 @@ class Session {
     resource_pool_ = std::move(pool);
   }
   const std::string& resource_pool() const { return resource_pool_; }
-  // Per-query memory to request at admission (0: the pool's derived
-  // per-query grant).
-  void set_memory_request(double bytes) { memory_request_ = bytes; }
-
-  // The admission grant covering the currently executing statement
-  // (invalid between statements or when WM is off). Budget-aware
-  // operators read their memory allowance from it.
-  const wm::Grant& current_grant() const { return wm_grant_; }
 
   // Observability aids (the server's view of this session's last write,
   // exposed so instrumented clients can distinguish "commit durable, ack
@@ -118,27 +127,15 @@ class Session {
   // statement's ack was lost; -1 before any UPDATE ran.
   int64_t last_update_affected() const { return last_update_affected_; }
 
-  // Test hook pinning the planner's projection choice for base-table
-  // scans: nullopt = automatic (default), "" = force the super
-  // projection, a name = force that projection when eligible (silently
-  // falling back to the super projection otherwise — legacy semantics).
-  void set_forced_projection(std::optional<std::string> name) {
-    forced_projection_ = std::move(name);
-  }
-
-  // Per-table variant for joins: pins the projection used whenever
-  // `table` is scanned ("" = the super projection). Unlike the legacy
-  // session-wide hint, an unknown/ineligible name fails the statement
-  // with a FAILED_PRECONDITION error prefixed kForcedProjectionToken.
-  // Takes precedence over the session-wide hint for that table.
+  // Test hook pinning the projection used whenever `table` is scanned
+  // ("" = the super projection). An unknown or ineligible name fails the
+  // statement (and its EXPLAIN) with a FAILED_PRECONDITION error
+  // prefixed kForcedProjectionToken.
   void set_forced_projection(const std::string& table,
                              const std::string& projection) {
     forced_table_projections_[ToLower(table)] = projection;
   }
-  void clear_forced_projections() {
-    forced_table_projections_.clear();
-    forced_projection_.reset();
-  }
+  void clear_forced_projections() { forced_table_projections_.clear(); }
 
   // Test hook pinning the join strategy: nullopt = automatic (default),
   // "hash" = always allowed, "merge" = fail the statement with a
@@ -148,28 +145,28 @@ class Session {
     forced_join_strategy_ = std::move(strategy);
   }
 
-  // Internal: executes a parsed SELECT without streaming to the client
-  // (used for views and INSERT ... SELECT).
-  Result<QueryResult> ExecuteSelectInternal(sim::Process& self,
-                                            const sql::SelectStmt& select,
-                                            int view_depth);
-
  private:
   friend class Database;
   friend class CopyStream;
 
   Session(Database* db, int node, const net::Host* client);
 
-  // Statement dispatchers.
+  // Classifies the FROM clause and, for a base-table scan or a join,
+  // chooses the layouts it reads. Typed forced-hint errors propagate.
+  Result<SelectPlan> PlanSelect(const sql::SelectStmt& select) const;
+
+  // Statement dispatchers. ExecSelect without `to_client` runs a SELECT
+  // internally (views, join sides, INSERT ... SELECT).
   Result<QueryResult> ExecSelect(sim::Process& self,
                                  const sql::SelectStmt& select,
                                  bool to_client, int view_depth);
-  // The INNER JOIN arm of ExecSelect: plans both sides (merge join on
-  // co-sorted projections, hash join otherwise), falls back to the
-  // recursive scan-and-hash path for views / system tables / complex ON.
+  // The INNER JOIN arm of ExecSelect: runs the planned merge/hash join,
+  // or (`planned` empty) scans both sides whole and joins them at the
+  // initiator.
   Result<QueryResult> ExecJoin(sim::Process& self,
-                               const sql::SelectStmt& select, bool to_client,
-                               int view_depth,
+                               const sql::SelectStmt& select,
+                               const std::optional<JoinQueryPlan>& planned,
+                               bool to_client, int view_depth,
                                const exec::SpillPolicy* spill);
   // Distributed scan of one base table through an already-chosen layout
   // (the tail of ExecSelect; also used for each side of a planned join):
@@ -189,14 +186,15 @@ class Session {
       sim::Process& self, const sql::SelectStmt& select,
       const JoinQueryPlan& jq);
   // Resolves the physical layout for one base-table scan: the per-table
-  // forced hint first (typed error when it cannot serve the shape), then
-  // the legacy session-wide hint (silent fallback), then the cost-based
-  // planner.
+  // forced hint when set (typed error when it cannot serve the shape),
+  // else the cost-based planner. `candidates` receives the cost-based
+  // candidates either way.
   Result<projections::PlanChoice> ResolveScanPlan(
-      const TableDef& def, const projections::QueryShape& shape) const;
+      const TableDef& def, const projections::QueryShape& shape,
+      std::vector<std::pair<std::string, double>>* candidates) const;
   // Plans a two-table INNER JOIN. nullopt = not plannable here (a view /
-  // system-table side, self join, or non-equality ON) — the caller uses
-  // the legacy recursive path. Typed forced-hint errors propagate.
+  // system-table side, self join, or non-equality ON) — the caller joins
+  // at the initiator. Typed forced-hint errors propagate.
   Result<std::optional<JoinQueryPlan>> PlanJoinQuery(
       const sql::SelectStmt& select) const;
   Result<QueryResult> ExecCreateTable(sim::Process& self,
@@ -243,18 +241,16 @@ class Session {
   // (INSERT VALUES data).
   Status StreamToClientReverse(sim::Process& self, double wire_bytes);
 
-  // Materializes a system table (v_catalog.*).
-  Result<QueryResult> SystemTable(const std::string& lower_name) const;
-
   Database* db_;
   int node_;
   const net::Host* client_;  // may be null (console)
   storage::TxnId txn_ = 0;   // open explicit transaction
-  std::optional<std::string> forced_projection_;
   std::map<std::string, std::string> forced_table_projections_;
   std::optional<std::string> forced_join_strategy_;
   std::string resource_pool_;
-  double memory_request_ = 0;
+  // The admission grant covering the executing statement (invalid
+  // between statements or when WM is off); its memory is the
+  // aggregate's spill budget.
   wm::Grant wm_grant_;
   storage::Epoch last_commit_epoch_ = 0;
   int64_t last_update_affected_ = -1;

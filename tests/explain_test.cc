@@ -1,7 +1,9 @@
 // EXPLAIN contract tests for join planning: the printed join strategy,
 // projection pair and per-side candidate lists across the hash, merge,
 // co-located and forced paths, plus the non-plannable fallbacks (views,
-// system tables, complex ON) and AT EPOCH eligibility.
+// system tables, complex ON) and AT EPOCH eligibility. Single-table
+// EXPLAIN names the layout a per-table hint forces, or fails as the
+// query does.
 
 #include <memory>
 #include <string>
@@ -46,19 +48,28 @@ class ExplainTest : public ::testing::Test {
     return result.ok() ? std::move(*result) : QueryResult{};
   }
 
-  std::string Plan(sim::Process& driver, const std::string& select,
-                   const std::vector<std::pair<std::string, std::string>>&
-                       forced_projections = {}) {
+  using ForcedProjections = std::vector<std::pair<std::string, std::string>>;
+
+  // Executes `sql` on a session with the given per-table projection
+  // hints.
+  Result<QueryResult> ExecForced(sim::Process& driver, const std::string& sql,
+                                 const ForcedProjections& forced) {
     auto session = db_->Connect(driver, 0, nullptr);
-    EXPECT_TRUE(session.ok()) << session.status();
-    if (!session.ok()) return "";
-    for (const auto& [table, projection] : forced_projections) {
+    if (!session.ok()) return session.status();
+    for (const auto& [table, projection] : forced) {
       (*session)->set_forced_projection(table, projection);
     }
-    auto result = (*session)->Execute(driver, StrCat("EXPLAIN ", select));
-    EXPECT_TRUE(result.ok()) << select << ": " << result.status();
+    auto result = (*session)->Execute(driver, sql);
     Status closed = (*session)->Close(driver);
     EXPECT_TRUE(closed.ok()) << closed;
+    return result;
+  }
+
+  std::string Plan(sim::Process& driver, const std::string& select,
+                   const ForcedProjections& forced_projections = {}) {
+    auto result =
+        ExecForced(driver, StrCat("EXPLAIN ", select), forced_projections);
+    EXPECT_TRUE(result.ok()) << select << ": " << result.status();
     std::string out;
     if (result.ok()) {
       for (const Row& row : result->rows) {
@@ -187,6 +198,52 @@ TEST_F(ExplainTest, AtEpochPredatingProjectionsPlansHash) {
         << hist_plan;
     EXPECT_NE(hist_plan.find("projection(fact): super"), std::string::npos)
         << hist_plan;
+  });
+}
+
+TEST_F(ExplainTest, SingleTableExplainObeysTheForcedProjection) {
+  RunDriver([&](sim::Process& driver) {
+    LoadFixture(driver);
+    ExecOk(driver,
+           "CREATE PROJECTION fact_by_cust AS SELECT cust, amount "
+           "FROM fact ORDER BY cust SEGMENTED BY HASH(cust)");
+    ExecOk(driver,
+           "CREATE PROJECTION fact_wide AS SELECT id, cust, amount "
+           "FROM fact ORDER BY id SEGMENTED BY HASH(id)");
+    const std::string q =
+        "SELECT cust, SUM(amount) FROM fact GROUP BY cust";
+
+    // Unhinted, the planner picks the narrow sorted projection.
+    std::string plan = Plan(driver, q);
+    EXPECT_NE(plan.find("projection: fact_by_cust"), std::string::npos)
+        << plan;
+
+    // An eligible hint is what EXPLAIN names, as the query scans it; the
+    // candidates stay the cost-based ones.
+    plan = Plan(driver, q, {{"fact", "fact_wide"}});
+    EXPECT_NE(plan.find("projection: fact_wide (cost="), std::string::npos)
+        << plan;
+    EXPECT_NE(plan.find("reason: forced by per-table hint (fact_wide)"),
+              std::string::npos)
+        << plan;
+    EXPECT_NE(plan.find("candidates: super=1.0000, fact_by_cust="),
+              std::string::npos)
+        << plan;
+    EXPECT_NE(plan.find(", fact_wide="), std::string::npos) << plan;
+    EXPECT_TRUE(ExecForced(driver, q, {{"fact", "fact_wide"}}).ok());
+
+    // An ineligible hint (fact_by_cust stores no `id`) fails EXPLAIN the
+    // same way it fails the query.
+    const std::string by_id = "SELECT id, amount FROM fact";
+    for (const std::string& sql : {StrCat("EXPLAIN ", by_id), by_id}) {
+      auto failed = ExecForced(driver, sql, {{"fact", "fact_by_cust"}});
+      ASSERT_FALSE(failed.ok()) << sql;
+      EXPECT_EQ(failed.status().code(), StatusCode::kFailedPrecondition)
+          << failed.status();
+      EXPECT_TRUE(StartsWith(std::string(failed.status().message()),
+                             kForcedProjectionToken))
+          << failed.status();
+    }
   });
 }
 

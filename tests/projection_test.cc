@@ -150,14 +150,15 @@ class ProjectionTest : public ::testing::Test {
     return result.ok() ? std::move(*result) : QueryResult{};
   }
 
-  // Executes `sql` with the planner pinned to `forced` ("" = super).
+  // Executes `sql` with scans of `sales` pinned to `forced` ("" =
+  // super).
   QueryResult ExecForced(sim::Process& driver, int node,
                          const std::string& forced,
                          const std::string& sql) {
     auto session = db_->Connect(driver, node, nullptr);
     EXPECT_TRUE(session.ok()) << session.status();
     if (!session.ok()) return QueryResult{};
-    (*session)->set_forced_projection(forced);
+    (*session)->set_forced_projection("sales", forced);
     auto result = (*session)->Execute(driver, sql);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     Status closed = (*session)->Close(driver);

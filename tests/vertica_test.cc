@@ -1,3 +1,4 @@
+#include <cctype>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +15,7 @@
 #include "vertica/database.h"
 #include "vertica/session.h"
 #include "vertica/sql_eval.h"
+#include "vertica/system_tables.h"
 
 namespace fabric::vertica {
 namespace {
@@ -468,6 +470,64 @@ TEST_F(VerticaTest, SystemCatalogExposesSegments) {
     QueryResult epochs = Exec(self, s, "SELECT * FROM v_catalog.epochs");
     EXPECT_EQ(epochs.rows[0][0].int64_value(),
               static_cast<int64_t>(db_->current_epoch()));
+  });
+}
+
+// Upper-cases the first letter of each `_`/`.`-separated word
+// ("v_catalog.nodes" -> "V_Catalog.Nodes").
+std::string MixedCase(const std::string& name) {
+  std::string out = name;
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (i == 0 || out[i - 1] == '_' || out[i - 1] == '.') {
+      out[i] = static_cast<char>(std::toupper(out[i]));
+    }
+  }
+  return out;
+}
+
+TEST_F(VerticaTest, EverySystemTableAnswersWithItsRegisteredSchema) {
+  RunClient([](sim::Process& self, Session& s) {
+    Exec(self, s,
+         "CREATE TABLE t (id INTEGER) SEGMENTED BY HASH(id) ALL NODES");
+    Exec(self, s, "CREATE TABLE r (id INTEGER) UNSEGMENTED ALL NODES");
+    Exec(self, s, "CREATE VIEW tv AS SELECT id FROM t");
+    EXPECT_EQ(SystemTables().size(), 12u);
+    for (const SystemTableDef& table : SystemTables()) {
+      for (const std::string& name : {std::string(table.name),
+                                      MixedCase(table.name)}) {
+        QueryResult result = Exec(self, s, StrCat("SELECT * FROM ", name));
+        EXPECT_EQ(result.schema, table.schema) << name;
+      }
+    }
+
+    QueryResult tables = Exec(
+        self, s,
+        "SELECT table_name, is_view, is_segmented FROM v_catalog.tables "
+        "ORDER BY table_name");
+    ASSERT_EQ(tables.rows.size(), 3u);
+    EXPECT_EQ(tables.rows[0][0].varchar_value(), "r");
+    EXPECT_FALSE(tables.rows[0][1].bool_value());
+    EXPECT_FALSE(tables.rows[0][2].bool_value());
+    EXPECT_EQ(tables.rows[1][0].varchar_value(), "t");
+    EXPECT_FALSE(tables.rows[1][1].bool_value());
+    EXPECT_TRUE(tables.rows[1][2].bool_value());
+    EXPECT_EQ(tables.rows[2][0].varchar_value(), "tv");
+    EXPECT_TRUE(tables.rows[2][1].bool_value());
+    EXPECT_FALSE(tables.rows[2][2].bool_value());
+
+    // A system-schema name that is not registered fails, alone or as a
+    // join side.
+    for (const char* sql :
+         {"SELECT * FROM v_monitor.nope",
+          "SELECT COUNT(*) FROM t JOIN v_monitor.nope ON id = node_id"}) {
+      auto failed = s.Execute(self, sql);
+      ASSERT_FALSE(failed.ok()) << sql;
+      EXPECT_EQ(failed.status().code(), StatusCode::kNotFound) << sql;
+      EXPECT_NE(std::string(failed.status().message())
+                    .find("unknown system table 'v_monitor.nope'"),
+                std::string::npos)
+          << failed.status();
+    }
   });
 }
 
