@@ -17,7 +17,6 @@ class ByteWriter {
  public:
   void PutU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
-  void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
   void PutString(std::string_view v) {
@@ -52,7 +51,6 @@ class ByteReader {
     return static_cast<uint8_t>(data_[pos_++]);
   }
   Result<uint32_t> GetU32() { return GetRaw<uint32_t>(); }
-  Result<uint64_t> GetU64() { return GetRaw<uint64_t>(); }
   Result<int64_t> GetI64() { return GetRaw<int64_t>(); }
   Result<double> GetDouble() { return GetRaw<double>(); }
   Result<std::string> GetString() {
@@ -72,12 +70,6 @@ class ByteReader {
     std::string_view out = data_.substr(pos_, *len);
     pos_ += *len;
     return out;
-  }
-  // Skips `n` bytes without materializing them.
-  Status Skip(size_t n) {
-    FABRIC_RETURN_IF_ERROR(Require(n));
-    pos_ += n;
-    return Status::OK();
   }
 
   bool AtEnd() const { return pos_ == data_.size(); }

@@ -127,11 +127,13 @@ struct Shape {
   size_t rle = 4;      // run count, then (length, value) per run
   size_t min_row = kNoRow;  // the bounds' rows (kNoRow: all null)
   size_t max_row = kNoRow;
+  bool has_nan = false;
 };
 
 // The cheap pass over a column: sizes PLAIN, sizes RLE when
 // `count_runs` is set, and (when `find_bounds` is set) finds the rows
-// holding the column's bounds — the first smallest and first largest.
+// holding the column's bounds — the first smallest and first largest —
+// and whether it holds a NaN.
 template <typename T>
 Shape MeasureShape(const uint8_t* nulls, const T* lane, size_t n,
                    bool count_runs, bool find_bounds) {
@@ -143,6 +145,9 @@ Shape MeasureShape(const uint8_t* nulls, const T* lane, size_t n,
       ++shape.non_null;
       shape.plain += bytes;
       if (find_bounds) {
+        if constexpr (std::is_same_v<T, double>) {
+          shape.has_nan = shape.has_nan || std::isnan(lane[i]);
+        }
         if (shape.min_row == kNoRow || Less(lane[i], lane[shape.min_row])) {
           shape.min_row = i;
         }
@@ -349,8 +354,13 @@ ColumnChunk EncodeLane(const ColumnLanes& column, const std::vector<T>& lane,
   Shape shape =
       MeasureShape(nulls, lane.data(), n, count_runs, bounds != nullptr);
   if (bounds != nullptr) {
-    // Only the two winning slots are boxed.
-    *bounds = shape.min_row == kNoRow
+    // Only the two winning slots are boxed. A NaN compares equal to every
+    // number (the scan kernels' three-way), so it can pass any `=`, `<=`
+    // or `>=` term: a column holding one is bounded by the whole line.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    *bounds = shape.has_nan ? ColumnBounds{Value::Float64(-kInf),
+                                           Value::Float64(kInf)}
+              : shape.min_row == kNoRow
                   ? ColumnBounds{}
                   : ColumnBounds{column.values.Box(column.type, shape.min_row),
                                  column.values.Box(column.type, shape.max_row)};

@@ -194,8 +194,9 @@ struct ColumnChunk {
 };
 
 // Smallest and largest non-null value of a column in Value::Compare
-// order (null Values when it has none): a ROS container's scan-pruning
-// bounds.
+// order (null Values when it has none; -inf and +inf when it holds a
+// NaN, which compares equal to every number): a ROS container's scan-
+// pruning bounds.
 struct ColumnBounds {
   Value min;
   Value max;

@@ -38,24 +38,6 @@ inline const RunSpan& SpanAt(const std::vector<RunSpan>& runs, size_t* run,
 
 }  // namespace
 
-const char* CompareOpName(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return "=";
-    case CompareOp::kNe:
-      return "<>";
-    case CompareOp::kLt:
-      return "<";
-    case CompareOp::kLe:
-      return "<=";
-    case CompareOp::kGt:
-      return ">";
-    case CompareOp::kGe:
-      return ">=";
-  }
-  return "?";
-}
-
 bool ComparePasses(CompareOp op, int three_way) {
   switch (op) {
     case CompareOp::kEq:

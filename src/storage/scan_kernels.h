@@ -21,8 +21,6 @@ using SelectionVector = std::vector<uint32_t>;
 
 enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
-const char* CompareOpName(CompareOp op);
-
 // `column <op> literal` over one column. Numeric terms compare through
 // double (matching Value::Compare's cross-type numeric semantics, bool
 // included); string terms compare bytes. NULL rows never pass.
@@ -61,7 +59,7 @@ struct ScanPredicate {
            !always_false;
   }
 
-  // Row-at-a-time evaluation (WOS rows and the reference path in tests).
+  // Row-at-a-time evaluation (the reference path in tests).
   bool Matches(const Row& row) const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -11,23 +12,6 @@
 namespace fabric::storage {
 
 namespace {
-
-// Adds the fields/byte composition of `row`'s `columns` to `profile`
-// without touching the rows field (same bucketing as ProfileRow).
-void MeasureRowColumns(const Row& row, const std::vector<int>& columns,
-                       DataProfile* profile) {
-  for (int c : columns) {
-    const Value& v = row[c];
-    profile->fields += 1;
-    double size = v.RawSize();
-    profile->raw_bytes += size;
-    if (!v.is_null() && v.type() == DataType::kVarchar) {
-      profile->string_bytes += size;
-    } else {
-      profile->numeric_bytes += size;
-    }
-  }
-}
 
 // Walks the decoded batches of `container`'s column `col` covering
 // positions of `sel`, invoking fn(column, batch, first, last) with the
@@ -195,6 +179,9 @@ Result<RosContainer> RosContainer::CreateFromColumns(
   container.pending_txn_ = pending_txn;
   container.raw_bytes_ = raw_bytes;
   container.delete_marks_.resize(num_rows);
+  container.columns_.reserve(columns.size());
+  container.min_values_.reserve(columns.size());
+  container.max_values_.reserve(columns.size());
   for (int c = 0; c < schema.num_columns(); ++c) {
     FABRIC_CHECK(columns[c].type == schema.column(c).type &&
                  columns[c].size() == num_rows);
@@ -286,34 +273,11 @@ bool VersionVisible(TxnId owner_txn, Epoch commit_epoch,
   return true;
 }
 
-Status SegmentStore::InsertPending(TxnId txn, std::vector<Row> rows) {
-  FABRIC_CHECK(txn != 0) << "InsertPending requires a transaction";
-  for (const Row& row : rows) {
-    FABRIC_RETURN_IF_ERROR(ValidateRow(schema_, row));
-  }
-  for (Row& row : rows) CoerceRow(schema_, &row);
-  WosBatch batch;
-  batch.pending_txn = txn;
-  batch.delete_marks.resize(rows.size());
-  batch.rows = std::move(rows);
-  wos_.push_back(std::move(batch));
-  return Status::OK();
-}
-
 SegmentStore::ColumnRows::ColumnRows(const Schema& schema) {
   columns.reserve(static_cast<size_t>(schema.num_columns()));
   for (int c = 0; c < schema.num_columns(); ++c) {
     columns.emplace_back(schema.column(c).type);
   }
-}
-
-Status SegmentStore::AppendRows(const std::vector<Row>& rows,
-                                ColumnRows* out) const {
-  for (int c = 0; c < schema_.num_columns(); ++c) {
-    FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, c, &out->columns[c]));
-  }
-  for (const Row& row : rows) out->raw_bytes += RowRawSize(row);
-  return Status::OK();
 }
 
 Status SegmentStore::GatherColumns(const RosContainer& container,
@@ -335,305 +299,300 @@ Status SegmentStore::GatherColumns(const RosContainer& container,
 }
 
 Result<RosContainer> SegmentStore::BuildFromColumns(ColumnRows rows,
-                                                    bool sort,
+                                                    Layout layout,
                                                     TxnId pending_txn) const {
   uint32_t num_rows = static_cast<uint32_t>(rows.marks.size());
-  if (sort && design_.sorted() && num_rows > 1) {
+  if (layout == Layout::kRos && design_.sorted() && num_rows > 1) {
     std::vector<uint32_t> order =
         SortOrder(num_rows, rows.columns, design_.sort_columns);
     for (ColumnLanes& column : rows.columns) Permute(order, &column);
     Permute(order, &rows.marks);
     Permute(order, &rows.epochs);
   }
+  // A WOS unit is PLAIN: nothing reads its encoded size, and PLAIN is the
+  // cheapest encoding to write and to decode.
+  std::vector<Encoding> plain;
+  const std::vector<Encoding>* encodings =
+      design_.encodings.empty() ? nullptr : &design_.encodings;
+  if (layout == Layout::kWos) {
+    plain.assign(static_cast<size_t>(schema_.num_columns()), Encoding::kPlain);
+    encodings = &plain;
+  }
   // A committed rebuild is created under temporary txn id 1 (the pending
   // contract); AdoptRowEpochs commits it at the original per-row epochs.
   FABRIC_ASSIGN_OR_RETURN(
       RosContainer container,
-      RosContainer::CreateFromColumns(
-          schema_, rows.columns, num_rows, rows.raw_bytes,
-          pending_txn != 0 ? pending_txn : 1,
-          design_.encodings.empty() ? nullptr : &design_.encodings));
+      RosContainer::CreateFromColumns(schema_, rows.columns, num_rows,
+                                      rows.raw_bytes,
+                                      pending_txn != 0 ? pending_txn : 1,
+                                      encodings));
   if (pending_txn == 0) container.AdoptRowEpochs(std::move(rows.epochs));
   container.mutable_delete_marks() = std::move(rows.marks);
   return container;
 }
 
-Status SegmentStore::InsertPendingDirect(TxnId txn, std::vector<Row> rows) {
-  FABRIC_CHECK(txn != 0) << "InsertPendingDirect requires a transaction";
+Result<RosContainer> SegmentStore::MergeUnits(
+    const std::vector<const RosContainer*>& units) const {
+  // Gathered as lanes and re-encoded column by column: the merged
+  // container is the one RosContainer::Create would build from the
+  // decoded rows. The sources must stay in place until it is built,
+  // since the lanes alias their chunks.
+  ColumnRows rows(schema_);
+  size_t total_rows = 0;
+  for (const RosContainer* unit : units) total_rows += unit->num_rows();
+  for (ColumnLanes& column : rows.columns) column.Reserve(total_rows);
+  rows.marks.reserve(total_rows);
+  rows.epochs.reserve(total_rows);
+  for (const RosContainer* unit : units) {
+    FABRIC_RETURN_IF_ERROR(GatherColumns(*unit, nullptr, &rows));
+  }
+  return BuildFromColumns(std::move(rows), Layout::kRos);
+}
+
+Status SegmentStore::Insert(TxnId txn, std::vector<Row> rows, bool direct) {
+  FABRIC_CHECK(txn != 0) << "an insert requires a transaction";
   for (const Row& row : rows) {
     FABRIC_RETURN_IF_ERROR(ValidateRow(schema_, row));
   }
   for (Row& row : rows) CoerceRow(schema_, &row);
   ColumnRows columns(schema_);
-  FABRIC_RETURN_IF_ERROR(AppendRows(rows, &columns));
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, c, &columns.columns[c]));
+  }
+  for (const Row& row : rows) columns.raw_bytes += RowRawSize(row);
   columns.marks.resize(rows.size());
   FABRIC_ASSIGN_OR_RETURN(
-      RosContainer container,
-      BuildFromColumns(std::move(columns), /*sort=*/true, txn));
-  ros_.push_back(std::move(container));
+      RosContainer unit,
+      BuildFromColumns(std::move(columns),
+                       direct ? Layout::kRos : Layout::kWos, txn));
+  (direct ? ros_ : wos_).push_back(std::move(unit));
   return Status::OK();
 }
 
-Result<int64_t> SegmentStore::DeletePending(
-    TxnId txn, Epoch as_of, const std::function<bool(const Row&)>& pred) {
-  FABRIC_CHECK(txn != 0) << "DeletePending requires a transaction";
-  int64_t marked = 0;
-  for (RosContainer& container : ros_) {
-    if (!container.committed() && container.pending_txn() != txn) continue;
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, container.DecodeRows());
-    auto& marks = container.mutable_delete_marks();
-    for (uint32_t i = 0; i < rows.size(); ++i) {
-      if (!VersionVisible(container.committed() ? 0 : container.pending_txn(),
-                          container.row_epoch(i), marks[i], as_of, txn)) {
-        continue;
-      }
-      if (!pred(rows[i])) continue;
-      marks[i] = DeleteMark{DeleteMark::State::kPending, 0, txn};
-      ++marked;
-    }
-  }
-  for (WosBatch& batch : wos_) {
-    if (!batch.committed() && batch.pending_txn != txn) continue;
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (!VersionVisible(batch.committed() ? 0 : batch.pending_txn,
-                          batch.commit_epoch, batch.delete_marks[i], as_of,
-                          txn)) {
-        continue;
-      }
-      if (!pred(batch.rows[i])) continue;
-      batch.delete_marks[i] = DeleteMark{DeleteMark::State::kPending, 0, txn};
-      ++marked;
-    }
-  }
-  return marked;
+Status SegmentStore::InsertPending(TxnId txn, std::vector<Row> rows) {
+  return Insert(txn, std::move(rows), /*direct=*/false);
+}
+
+Status SegmentStore::InsertPendingDirect(TxnId txn, std::vector<Row> rows) {
+  return Insert(txn, std::move(rows), /*direct=*/true);
 }
 
 void SegmentStore::CommitTxn(TxnId txn, Epoch epoch) {
-  auto commit_marks = [&](std::vector<DeleteMark>& marks) {
-    for (DeleteMark& mark : marks) {
-      if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
-        mark = DeleteMark{DeleteMark::State::kCommitted, epoch, 0};
-        ++committed_deletes_;
+  for (std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    for (RosContainer& unit : *units) {
+      if (!unit.committed() && unit.pending_txn() == txn) {
+        unit.MarkCommitted(epoch);
+      }
+      for (DeleteMark& mark : unit.mutable_delete_marks()) {
+        if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
+          mark = DeleteMark{DeleteMark::State::kCommitted, epoch, 0};
+          ++committed_deletes_;
+        }
       }
     }
-  };
-  for (RosContainer& container : ros_) {
-    if (!container.committed() && container.pending_txn() == txn) {
-      container.MarkCommitted(epoch);
-    }
-    commit_marks(container.mutable_delete_marks());
-  }
-  for (WosBatch& batch : wos_) {
-    if (!batch.committed() && batch.pending_txn == txn) {
-      batch.pending_txn = 0;
-      batch.commit_epoch = epoch;
-    }
-    commit_marks(batch.delete_marks);
   }
 }
 
 void SegmentStore::AbortTxn(TxnId txn) {
-  ros_.erase(std::remove_if(ros_.begin(), ros_.end(),
-                            [txn](const RosContainer& c) {
-                              return !c.committed() && c.pending_txn() == txn;
-                            }),
-             ros_.end());
-  wos_.erase(std::remove_if(wos_.begin(), wos_.end(),
-                            [txn](const WosBatch& b) {
-                              return !b.committed() && b.pending_txn == txn;
-                            }),
-             wos_.end());
-  auto clear_marks = [txn](std::vector<DeleteMark>& marks) {
-    for (DeleteMark& mark : marks) {
-      if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
-        mark = DeleteMark{};
+  for (std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    std::erase_if(*units, [txn](const RosContainer& unit) {
+      return !unit.committed() && unit.pending_txn() == txn;
+    });
+    for (RosContainer& unit : *units) {
+      for (DeleteMark& mark : unit.mutable_delete_marks()) {
+        if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
+          mark = DeleteMark{};
+        }
       }
     }
-  };
-  for (RosContainer& container : ros_) {
-    clear_marks(container.mutable_delete_marks());
   }
-  for (WosBatch& batch : wos_) clear_marks(batch.delete_marks);
 }
 
 Result<int64_t> SegmentStore::CountVisible(Epoch as_of, TxnId txn) const {
   // Visibility needs only delete marks and epochs — no column decode.
   int64_t count = 0;
-  for (const RosContainer& container : ros_) {
-    if (!container.committed() && container.pending_txn() != txn) continue;
-    if (container.committed() && container.min_epoch() > as_of) continue;
-    TxnId owner = container.committed() ? 0 : container.pending_txn();
-    const auto& marks = container.delete_marks();
-    for (uint32_t i = 0; i < marks.size(); ++i) {
-      if (VersionVisible(owner, container.row_epoch(i), marks[i], as_of,
-                         txn)) {
-        ++count;
-      }
-    }
-  }
-  for (const WosBatch& batch : wos_) {
-    if (!batch.committed() && batch.pending_txn != txn) continue;
-    if (batch.committed() && batch.commit_epoch > as_of) continue;
-    TxnId owner = batch.committed() ? 0 : batch.pending_txn;
-    for (const DeleteMark& mark : batch.delete_marks) {
-      if (VersionVisible(owner, batch.commit_epoch, mark, as_of, txn)) {
-        ++count;
+  for (const std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    for (const RosContainer& unit : *units) {
+      if (!unit.committed() && unit.pending_txn() != txn) continue;
+      if (unit.committed() && unit.min_epoch() > as_of) continue;
+      TxnId owner = unit.committed() ? 0 : unit.pending_txn();
+      const auto& marks = unit.delete_marks();
+      for (uint32_t i = 0; i < marks.size(); ++i) {
+        if (VersionVisible(owner, unit.row_epoch(i), marks[i], as_of, txn)) {
+          ++count;
+        }
       }
     }
   }
   return count;
 }
 
-Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
-    const RosContainer& container, const ScanSpec& spec, ScanStats* stats,
-    LaneRows* emit) const {
-  SelectionVector sel;
-  if (!container.committed() && container.pending_txn() != spec.txn) {
-    return sel;
+namespace {
+
+// Narrows `sel` (visible positions of `container`) to the rows passing
+// `pred`'s kernels. Returns false, with `sel` cleared, when the whole
+// container is skipped unread: an always-false predicate, or min/max
+// bounds no compare term can pass.
+Result<bool> FilterPredicate(const RosContainer& container,
+                             const ScanPredicate& pred, SelectionVector* sel) {
+  if (pred.always_false) {
+    sel->clear();
+    return false;
   }
-  if (container.committed() && container.min_epoch() > spec.as_of) {
-    ++stats->containers_pruned_epoch;
-    return sel;
+  // Min/max pruning: skip the whole container before touching any
+  // column payload when no value in range can pass a compare term.
+  for (const CompareTerm& term : pred.compares) {
+    if (!CompareTermCanMatch(term, container.min_value(term.column),
+                             container.max_value(term.column))) {
+      sel->clear();
+      return false;
+    }
+  }
+  // Comparison kernels on the encoded columns, most selective first
+  // would be ideal; we run them in analyzer order.
+  for (const CompareTerm& term : pred.compares) {
+    if (sel->empty()) return true;
+    SelectionVector refined;
+    refined.reserve(sel->size());
+    FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
+        container, term.column, *sel,
+        [&](const DecodedColumn& column, const ColumnBatch& batch,
+            size_t first, size_t last) {
+          SelectionVector sub(sel->begin() + first, sel->begin() + last);
+          FilterCompare(term, column, batch, &sub);
+          refined.insert(refined.end(), sub.begin(), sub.end());
+          return Status::OK();
+        }));
+    sel->swap(refined);
+  }
+  // NULL tests need only the null flags.
+  for (const NullTestTerm& term : pred.null_tests) {
+    if (sel->empty()) return true;
+    FABRIC_ASSIGN_OR_RETURN(const DecodedColumn* column,
+                            container.decoded_column(term.column));
+    FilterNullTest(term, column->nulls.data(), sel);
+  }
+  // Hash-range terms: combine per-column hashes for the surviving rows,
+  // then apply the ring bounds.
+  for (const HashRangeTerm& term : pred.hash_ranges) {
+    if (sel->empty()) return true;
+    std::vector<uint64_t> acc(sel->size(), kSegmentationHashSeed);
+    for (int c : term.columns) {
+      FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
+          container, c, *sel,
+          [&](const DecodedColumn& column, const ColumnBatch& batch,
+              size_t first, size_t last) {
+            SelectionVector sub(sel->begin() + first, sel->begin() + last);
+            std::vector<uint64_t> sub_acc(acc.begin() + first,
+                                          acc.begin() + last);
+            AccumulateHash(column, batch, sub, &sub_acc);
+            std::copy(sub_acc.begin(), sub_acc.end(), acc.begin() + first);
+            return Status::OK();
+          }));
+    }
+    FilterHashRange(term, &acc, sel);
+  }
+  return true;
+}
+
+}  // namespace
+
+Status SegmentStore::ApplyResidual(const RosContainer& container,
+                                   const ScanSpec& spec, int64_t cap,
+                                   SelectionVector* sel) const {
+  // Materialize only the columns the residual reads, at the selected
+  // positions, as lanes for the compiled residual; box them into rows
+  // only when the interpreter decides.
+  LaneRows scratch(schema_);
+  scratch.num_rows = sel->size();
+  std::vector<int> none;
+  const std::vector<int>& residual_columns =
+      spec.residual_columns != nullptr ? *spec.residual_columns : none;
+  for (int c : residual_columns) {
+    scratch.columns[c].Resize(sel->size());
+    FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
+        container, c, *sel,
+        [&](const DecodedColumn& column, const ColumnBatch& batch,
+            size_t first, size_t last) {
+          SelectionVector sub(sel->begin() + first, sel->begin() + last);
+          GatherColumn(column, batch, sub, &scratch.columns[c], first);
+          return Status::OK();
+        }));
+  }
+  SelectionVector kept;
+  std::vector<uint32_t> keep;
+  if (cap <= 0 && spec.batch_residual && spec.batch_residual(scratch, &keep)) {
+    kept.reserve(keep.size());
+    for (uint32_t k : keep) kept.push_back((*sel)[k]);
+  } else {
+    kept.reserve(sel->size());
+    Row row(static_cast<size_t>(schema_.num_columns()));
+    for (size_t k = 0; k < sel->size(); ++k) {
+      if (cap > 0 && static_cast<int64_t>(kept.size()) == cap) break;
+      for (int c : residual_columns) row[c] = scratch.columns[c].Box(k);
+      FABRIC_ASSIGN_OR_RETURN(bool pass, spec.residual(row));
+      if (pass) kept.push_back((*sel)[k]);
+    }
+  }
+  sel->swap(kept);
+  return Status::OK();
+}
+
+Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
+    const RosContainer& container, const ScanSpec& spec, bool wos,
+    int64_t cap, ScanStats* stats, LaneRows* emit) const {
+  if ((!container.committed() && container.pending_txn() != spec.txn) ||
+      (container.committed() && container.min_epoch() > spec.as_of)) {
+    return SelectionVector{};
   }
 
   // Row visibility from the delete marks alone.
   TxnId owner = container.committed() ? 0 : container.pending_txn();
   const auto& marks = container.delete_marks();
-  sel.reserve(container.num_rows());
+  SelectionVector visible;
+  visible.reserve(container.num_rows());
   for (uint32_t i = 0; i < container.num_rows(); ++i) {
-    if (VersionVisible(owner, container.row_epoch(i), marks[i],
-                       spec.as_of, spec.txn)) {
-      sel.push_back(i);
+    if (VersionVisible(owner, container.row_epoch(i), marks[i], spec.as_of,
+                       spec.txn)) {
+      visible.push_back(i);
     }
   }
-  stats->rows_visible += static_cast<int64_t>(sel.size());
 
-  // Cost accounting happens before any pruning: the virtual-time model
-  // charges the predicate columns for every visible row whether or not
-  // the container can produce matches (the row-at-a-time path evaluated
-  // the predicate on each of them).
+  SelectionVector sel = visible;
+  if (!sel.empty()) {
+    bool scanned = true;
+    if (spec.predicate != nullptr) {
+      FABRIC_ASSIGN_OR_RETURN(
+          scanned, FilterPredicate(container, *spec.predicate, &sel));
+    }
+    if (scanned && !wos) ++stats->containers_scanned;
+  }
+  if (!sel.empty() && spec.residual) {
+    FABRIC_RETURN_IF_ERROR(ApplyResidual(container, spec, cap, &sel));
+  }
+  // A capped WOS unit is read up to the row that fills the cap.
+  if (cap > 0 && static_cast<int64_t>(sel.size()) >= cap) {
+    sel.resize(static_cast<size_t>(cap));
+    visible.erase(std::upper_bound(visible.begin(), visible.end(), sel.back()),
+                  visible.end());
+  }
+
+  // Cost accounting covers every visible row, pruned or not: the
+  // virtual-time model charges the predicate columns for each of them
+  // whether or not the container can produce matches (the only saving
+  // of pruning is host time).
+  stats->rows_visible += static_cast<int64_t>(visible.size());
   if (spec.cost_columns != nullptr) {
     for (int c : *spec.cost_columns) {
       FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-          container, c, sel,
+          container, c, visible,
           [&](const DecodedColumn& column, const ColumnBatch& batch,
               size_t first, size_t last) {
-            SelectionVector sub(sel.begin() + first, sel.begin() + last);
+            SelectionVector sub(visible.begin() + first,
+                                visible.begin() + last);
             MeasureColumn(column, batch, sub, &stats->visible_profile);
             return Status::OK();
           }));
-    }
-  }
-  if (sel.empty()) return sel;
-
-  if (spec.predicate != nullptr) {
-    const ScanPredicate& pred = *spec.predicate;
-    if (pred.always_false) {
-      sel.clear();
-      return sel;
-    }
-    // Min/max pruning: skip the whole container before touching any
-    // column payload when no value in range can pass a compare term.
-    for (const CompareTerm& term : pred.compares) {
-      if (!CompareTermCanMatch(term, container.min_value(term.column),
-                               container.max_value(term.column))) {
-        ++stats->containers_pruned_minmax;
-        sel.clear();
-        return sel;
-      }
-    }
-    ++stats->containers_scanned;
-    // Comparison kernels on the encoded columns, most selective first
-    // would be ideal; we run them in analyzer order.
-    for (const CompareTerm& term : pred.compares) {
-      if (sel.empty()) return sel;
-      SelectionVector refined;
-      refined.reserve(sel.size());
-      FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-          container, term.column, sel,
-          [&](const DecodedColumn& column, const ColumnBatch& batch,
-              size_t first, size_t last) {
-            SelectionVector sub(sel.begin() + first, sel.begin() + last);
-            FilterCompare(term, column, batch, &sub);
-            refined.insert(refined.end(), sub.begin(), sub.end());
-            return Status::OK();
-          }));
-      sel.swap(refined);
-    }
-    // NULL tests need only the null flags.
-    for (const NullTestTerm& term : pred.null_tests) {
-      if (sel.empty()) return sel;
-      FABRIC_ASSIGN_OR_RETURN(const DecodedColumn* column,
-                              container.decoded_column(term.column));
-      FilterNullTest(term, column->nulls.data(), &sel);
-    }
-    // Hash-range terms: combine per-column hashes for the surviving
-    // rows, then apply the ring bounds.
-    for (const HashRangeTerm& term : pred.hash_ranges) {
-      if (sel.empty()) return sel;
-      std::vector<uint64_t> acc(sel.size(), kSegmentationHashSeed);
-      for (int c : term.columns) {
-        FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-            container, c, sel,
-            [&](const DecodedColumn& column, const ColumnBatch& batch,
-                size_t first, size_t last) {
-              SelectionVector sub(sel.begin() + first, sel.begin() + last);
-              std::vector<uint64_t> sub_acc(acc.begin() + first,
-                                            acc.begin() + last);
-              AccumulateHash(column, batch, sub, &sub_acc);
-              std::copy(sub_acc.begin(), sub_acc.end(),
-                        acc.begin() + first);
-              return Status::OK();
-            }));
-      }
-      FilterHashRange(term, &acc, &sel);
-    }
-  } else {
-    ++stats->containers_scanned;
-  }
-  if (sel.empty()) return sel;
-
-  // Residual predicate: materialize only the columns it reads, at the
-  // selected positions, as lanes for the compiled residual; box them into
-  // rows only when the interpreter decides.
-  if (spec.residual) {
-    LaneRows scratch(schema_);
-    scratch.num_rows = sel.size();
-    std::vector<int> none;
-    const std::vector<int>& residual_columns =
-        spec.residual_columns != nullptr ? *spec.residual_columns : none;
-    for (int c : residual_columns) {
-      scratch.columns[c].Resize(sel.size());
-      FABRIC_RETURN_IF_ERROR(ForEachBatchSlice(
-          container, c, sel,
-          [&](const DecodedColumn& column, const ColumnBatch& batch,
-              size_t first, size_t last) {
-            SelectionVector sub(sel.begin() + first, sel.begin() + last);
-            GatherColumn(column, batch, sub, &scratch.columns[c], first);
-            return Status::OK();
-          }));
-    }
-    bool handled = false;
-    if (spec.batch_residual) {
-      std::vector<uint32_t> keep;
-      if (spec.batch_residual(scratch, &keep)) {
-        SelectionVector kept;
-        kept.reserve(keep.size());
-        for (uint32_t k : keep) kept.push_back(sel[k]);
-        sel.swap(kept);
-        handled = true;
-      }
-    }
-    if (!handled) {
-      SelectionVector kept;
-      kept.reserve(sel.size());
-      Row row(static_cast<size_t>(schema_.num_columns()));
-      for (size_t k = 0; k < sel.size(); ++k) {
-        for (int c : residual_columns) row[c] = scratch.columns[c].Box(k);
-        FABRIC_ASSIGN_OR_RETURN(bool keep, spec.residual(row));
-        if (keep) kept.push_back(sel[k]);
-      }
-      sel.swap(kept);
     }
   }
   if (sel.empty() || emit == nullptr) return sel;
@@ -667,56 +626,27 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
 Result<LaneRows> SegmentStore::Scan(const ScanSpec& spec,
                                     ScanStats* stats) const {
   LaneRows out(schema_);
-  auto at_limit = [&] {
-    return spec.limit >= 0 &&
-           static_cast<int64_t>(out.num_rows) >= spec.limit;
-  };
-  for (const RosContainer& container : ros_) {
-    if (at_limit()) break;
-    FABRIC_RETURN_IF_ERROR(
-        SelectRosRows(container, spec, stats, &out).status());
-  }
-  // WOS rows are uncompressed; filter them row-at-a-time.
-  std::vector<int> all;
-  const std::vector<int>* projection = spec.projection;
-  if (projection == nullptr) {
-    all = AllColumns(schema_);
-    projection = &all;
-  }
-  for (const WosBatch& batch : wos_) {
-    if (at_limit()) break;
-    if (!batch.committed() && batch.pending_txn != spec.txn) continue;
-    if (batch.committed() && batch.commit_epoch > spec.as_of) continue;
-    TxnId owner = batch.committed() ? 0 : batch.pending_txn;
-    for (size_t i = 0; i < batch.rows.size() && !at_limit(); ++i) {
-      if (!VersionVisible(owner, batch.commit_epoch, batch.delete_marks[i],
-                          spec.as_of, spec.txn)) {
-        continue;
-      }
-      const Row& row = batch.rows[i];
-      ++stats->rows_visible;
-      if (spec.cost_columns != nullptr) {
-        MeasureRowColumns(row, *spec.cost_columns, &stats->visible_profile);
-      }
-      if (spec.predicate != nullptr && !spec.predicate->Matches(row)) {
-        continue;
-      }
-      if (spec.residual) {
-        FABRIC_ASSIGN_OR_RETURN(bool keep, spec.residual(row));
-        if (!keep) continue;
-      }
-      ++stats->rows_emitted;
-      MeasureRowColumns(row, *projection, &stats->output_profile);
-      for (int c : *projection) out.columns[c].Push(row[c]);
-      ++out.num_rows;
+  const bool limited = spec.limit >= 0;
+  for (const std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    const bool wos = units == &wos_;
+    for (const RosContainer& unit : *units) {
+      int64_t room = spec.limit - static_cast<int64_t>(out.num_rows);
+      if (limited && room <= 0) break;
+      FABRIC_RETURN_IF_ERROR(
+          SelectRosRows(unit, spec, wos, limited && wos ? room : 0, stats,
+                        &out)
+              .status());
     }
   }
   // A ROS container crossing the cap emits its full selection; trim the
-  // overshoot so every caller sees exactly `limit` rows.
-  if (spec.limit >= 0 && static_cast<int64_t>(out.num_rows) > spec.limit) {
+  // overshoot so every caller sees exactly `limit` rows (columns outside
+  // the projection hold no rows).
+  if (limited && static_cast<int64_t>(out.num_rows) > spec.limit) {
     stats->rows_emitted -= static_cast<int64_t>(out.num_rows) - spec.limit;
     out.num_rows = static_cast<size_t>(spec.limit);
-    for (int c : *projection) out.columns[c].Resize(out.num_rows);
+    for (Lanes& column : out.columns) {
+      if (column.size() > out.num_rows) column.Resize(out.num_rows);
+    }
   }
   stats->visible_profile.rows = static_cast<double>(stats->rows_visible);
   stats->output_profile.rows = static_cast<double>(stats->rows_emitted);
@@ -730,43 +660,22 @@ Result<int64_t> SegmentStore::MarkDeletedPending(const ScanSpec& spec,
   ScanStats ignored;
   LaneRows captured;
   if (victims != nullptr) captured = LaneRows(schema_);
-  for (RosContainer& container : ros_) {
-    FABRIC_ASSIGN_OR_RETURN(
-        std::vector<uint32_t> sel,
-        SelectRosRows(container, spec, &ignored,
-                      victims != nullptr ? &captured : nullptr));
-    auto& marks = container.mutable_delete_marks();
-    for (uint32_t pos : sel) {
-      marks[pos] = DeleteMark{DeleteMark::State::kPending, 0, spec.txn};
-      ++marked;
+  for (std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    for (RosContainer& unit : *units) {
+      FABRIC_ASSIGN_OR_RETURN(
+          std::vector<uint32_t> sel,
+          SelectRosRows(unit, spec, units == &wos_, /*cap=*/0, &ignored,
+                        victims != nullptr ? &captured : nullptr));
+      auto& marks = unit.mutable_delete_marks();
+      for (uint32_t pos : sel) {
+        marks[pos] = DeleteMark{DeleteMark::State::kPending, 0, spec.txn};
+        ++marked;
+      }
     }
   }
   if (victims != nullptr) {
     for (size_t i = 0; i < captured.num_rows; ++i) {
       victims->push_back(captured.BoxRow(i));
-    }
-  }
-  for (WosBatch& batch : wos_) {
-    if (!batch.committed() && batch.pending_txn != spec.txn) continue;
-    if (batch.committed() && batch.commit_epoch > spec.as_of) continue;
-    TxnId owner = batch.committed() ? 0 : batch.pending_txn;
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (!VersionVisible(owner, batch.commit_epoch, batch.delete_marks[i],
-                          spec.as_of, spec.txn)) {
-        continue;
-      }
-      const Row& row = batch.rows[i];
-      if (spec.predicate != nullptr && !spec.predicate->Matches(row)) {
-        continue;
-      }
-      if (spec.residual) {
-        FABRIC_ASSIGN_OR_RETURN(bool keep, spec.residual(row));
-        if (!keep) continue;
-      }
-      batch.delete_marks[i] = DeleteMark{DeleteMark::State::kPending, 0,
-                                         spec.txn};
-      if (victims != nullptr) victims->push_back(row);
-      ++marked;
     }
   }
   return marked;
@@ -776,47 +685,26 @@ Result<int64_t> SegmentStore::MarkDeletedPendingByContent(
     TxnId txn, Epoch as_of, const std::vector<Row>& victims) {
   FABRIC_CHECK(txn != 0)
       << "MarkDeletedPendingByContent requires a transaction";
-  if (victims.empty()) return 0;
   std::map<std::string, int64_t> remaining;
   for (const Row& row : victims) ++remaining[RowContentKey(row)];
   int64_t marked = 0;
-  auto try_mark = [&](const Row& row) {
-    auto it = remaining.find(RowContentKey(row));
-    if (it == remaining.end() || it->second == 0) return false;
-    --it->second;
-    ++marked;
-    return true;
-  };
-  for (RosContainer& container : ros_) {
-    if (marked == static_cast<int64_t>(victims.size())) break;
-    if (!container.committed() && container.pending_txn() != txn) continue;
-    if (container.committed() && container.min_epoch() > as_of) continue;
-    TxnId owner = container.committed() ? 0 : container.pending_txn();
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, container.DecodeRows());
-    auto& marks = container.mutable_delete_marks();
-    for (uint32_t i = 0; i < rows.size(); ++i) {
-      if (!VersionVisible(owner, container.row_epoch(i), marks[i], as_of,
-                          txn)) {
-        continue;
-      }
-      if (try_mark(rows[i])) {
+  for (std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    for (RosContainer& unit : *units) {
+      if (marked == static_cast<int64_t>(victims.size())) return marked;
+      if (!unit.committed() && unit.pending_txn() != txn) continue;
+      if (unit.committed() && unit.min_epoch() > as_of) continue;
+      TxnId owner = unit.committed() ? 0 : unit.pending_txn();
+      FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, unit.DecodeRows());
+      auto& marks = unit.mutable_delete_marks();
+      for (uint32_t i = 0; i < rows.size(); ++i) {
+        if (!VersionVisible(owner, unit.row_epoch(i), marks[i], as_of, txn)) {
+          continue;
+        }
+        auto it = remaining.find(RowContentKey(rows[i]));
+        if (it == remaining.end() || it->second == 0) continue;
+        --it->second;
+        ++marked;
         marks[i] = DeleteMark{DeleteMark::State::kPending, 0, txn};
-      }
-    }
-  }
-  for (WosBatch& batch : wos_) {
-    if (marked == static_cast<int64_t>(victims.size())) break;
-    if (!batch.committed() && batch.pending_txn != txn) continue;
-    if (batch.committed() && batch.commit_epoch > as_of) continue;
-    TxnId owner = batch.committed() ? 0 : batch.pending_txn;
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (!VersionVisible(owner, batch.commit_epoch, batch.delete_marks[i],
-                          as_of, txn)) {
-        continue;
-      }
-      if (try_mark(batch.rows[i])) {
-        batch.delete_marks[i] =
-            DeleteMark{DeleteMark::State::kPending, 0, txn};
       }
     }
   }
@@ -824,43 +712,21 @@ Result<int64_t> SegmentStore::MarkDeletedPendingByContent(
 }
 
 Status SegmentStore::Moveout() {
-  // One ROS container absorbs every committed WOS batch; per-row commit
-  // epochs keep AT EPOCH reads exact even though the batches committed at
+  // One ROS container absorbs every committed WOS unit; per-row commit
+  // epochs keep AT EPOCH reads exact even though the units committed at
   // different epochs. Delete marks move with their rows (including marks
   // still pending under an open transaction — CommitTxn/AbortTxn walk all
-  // containers, so they resolve in their new home). The batches are
-  // dropped only once the container is built: its lanes alias their rows.
-  size_t total_rows = 0;
-  bool any = false;
-  for (const WosBatch& batch : wos_) {
-    if (!batch.committed()) continue;
-    any = true;
-    total_rows += batch.rows.size();
+  // containers, so they resolve in their new home). The units are
+  // dropped only once the container is built: its lanes alias them.
+  std::vector<const RosContainer*> committed;
+  for (const RosContainer& unit : wos_) {
+    if (unit.committed()) committed.push_back(&unit);
   }
-  if (!any) return Status::OK();
-  auto drop_committed = [this] {
-    wos_.erase(std::remove_if(wos_.begin(), wos_.end(),
-                              [](const WosBatch& b) { return b.committed(); }),
-               wos_.end());
-  };
-  if (total_rows == 0) {
-    drop_committed();
-    return Status::OK();
-  }
-  ColumnRows rows(schema_);
-  for (ColumnLanes& column : rows.columns) column.Reserve(total_rows);
-  for (const WosBatch& batch : wos_) {
-    if (!batch.committed()) continue;
-    FABRIC_RETURN_IF_ERROR(AppendRows(batch.rows, &rows));
-    rows.marks.insert(rows.marks.end(), batch.delete_marks.begin(),
-                      batch.delete_marks.end());
-    rows.epochs.insert(rows.epochs.end(), batch.rows.size(),
-                       batch.commit_epoch);
-  }
-  FABRIC_ASSIGN_OR_RETURN(RosContainer container,
-                          BuildFromColumns(std::move(rows), /*sort=*/true));
-  drop_committed();
-  ros_.push_back(std::move(container));
+  if (committed.empty()) return Status::OK();
+  FABRIC_ASSIGN_OR_RETURN(RosContainer container, MergeUnits(committed));
+  std::erase_if(wos_,
+                [](const RosContainer& unit) { return unit.committed(); });
+  if (container.num_rows() > 0) ros_.push_back(std::move(container));
   return Status::OK();
 }
 
@@ -869,6 +735,7 @@ Result<double> SegmentStore::MergeRosContainers(
   if (indices.size() < 2) return 0.0;  // nothing to merge
   std::vector<int> sorted = indices;
   std::sort(sorted.begin(), sorted.end());
+  std::vector<const RosContainer*> units;
   for (size_t k = 0; k < sorted.size(); ++k) {
     int idx = sorted[k];
     if (idx < 0 || idx >= static_cast<int>(ros_.size())) {
@@ -882,23 +749,10 @@ Result<double> SegmentStore::MergeRosContainers(
       return FailedPreconditionError(
           StrCat("mergeout of uncommitted container ", idx));
     }
+    units.push_back(&ros_[idx]);
   }
-  // Gathered as lanes and re-encoded column by column: the merged
-  // container is the one RosContainer::Create would build from the
-  // decoded rows. The sources stay in place until it is built, since the
-  // lanes alias their chunks.
-  ColumnRows rows(schema_);
-  size_t total_rows = 0;
-  for (int idx : sorted) total_rows += ros_[idx].num_rows();
-  for (ColumnLanes& column : rows.columns) column.Reserve(total_rows);
-  rows.marks.reserve(total_rows);
-  rows.epochs.reserve(total_rows);
-  for (int idx : sorted) {
-    FABRIC_RETURN_IF_ERROR(GatherColumns(ros_[idx], nullptr, &rows));
-  }
-  double bytes = rows.raw_bytes;
-  FABRIC_ASSIGN_OR_RETURN(RosContainer merged,
-                          BuildFromColumns(std::move(rows), /*sort=*/true));
+  FABRIC_ASSIGN_OR_RETURN(RosContainer merged, MergeUnits(units));
+  double bytes = merged.raw_bytes();
   int insert_at = sorted.front();
   for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
     ros_.erase(ros_.begin() + *it);
@@ -908,79 +762,65 @@ Result<double> SegmentStore::MergeRosContainers(
 }
 
 Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
-  int64_t purged = 0;
   auto purgeable = [ahm](const DeleteMark& mark) {
     return mark.state == DeleteMark::State::kCommitted && mark.epoch <= ahm;
   };
   // Every rewrite is built before the first is installed, so a failed
-  // one leaves the store untouched.
-  std::vector<bool> drop(ros_.size());
-  std::vector<std::pair<size_t, RosContainer>> rebuilt;
-  for (size_t k = 0; k < ros_.size(); ++k) {
-    const RosContainer& c = ros_[k];
-    if (!c.committed() ||
-        std::none_of(c.delete_marks().begin(), c.delete_marks().end(),
-                     purgeable)) {
-      continue;
-    }
-    std::vector<bool> keep(c.num_rows());
-    int64_t kept = 0;
-    for (uint32_t i = 0; i < c.num_rows(); ++i) {
-      keep[i] = !purgeable(c.delete_marks()[i]);
-      kept += keep[i] ? 1 : 0;
-    }
-    purged += static_cast<int64_t>(c.num_rows()) - kept;
-    if (kept == 0) {
-      drop[k] = true;
-      continue;
-    }
-    ColumnRows rows(schema_);
-    FABRIC_RETURN_IF_ERROR(GatherColumns(c, &keep, &rows));
-    // Dropping rows from a design-sorted container keeps it sorted, so no
-    // re-sort is needed here.
-    FABRIC_ASSIGN_OR_RETURN(RosContainer container,
-                            BuildFromColumns(std::move(rows), /*sort=*/false));
-    rebuilt.emplace_back(k, std::move(container));
-  }
-  for (auto& [k, container] : rebuilt) ros_[k] = std::move(container);
-  size_t out = 0;
-  for (size_t k = 0; k < ros_.size(); ++k) {
-    if (drop[k]) continue;
-    if (out != k) ros_[out] = std::move(ros_[k]);
-    ++out;
-  }
-  ros_.erase(ros_.begin() + static_cast<long>(out), ros_.end());
-  for (WosBatch& batch : wos_) {
-    if (!batch.committed()) continue;
-    size_t out = 0;
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (purgeable(batch.delete_marks[i])) {
-        ++purged;
+  // one leaves the store untouched. A rewrite without a container drops
+  // its unit.
+  struct Rewrite {
+    std::vector<RosContainer>* units;
+    size_t index;
+    std::optional<RosContainer> rebuilt;
+  };
+  std::vector<Rewrite> rewrites;
+  int64_t purged = 0;
+  for (std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    for (size_t k = 0; k < units->size(); ++k) {
+      const RosContainer& c = (*units)[k];
+      if (!c.committed() ||
+          std::none_of(c.delete_marks().begin(), c.delete_marks().end(),
+                       purgeable)) {
         continue;
       }
-      if (out != i) {
-        batch.rows[out] = std::move(batch.rows[i]);
-        batch.delete_marks[out] = batch.delete_marks[i];
+      std::vector<bool> keep(c.num_rows());
+      int64_t kept = 0;
+      for (uint32_t i = 0; i < c.num_rows(); ++i) {
+        keep[i] = !purgeable(c.delete_marks()[i]);
+        kept += keep[i] ? 1 : 0;
       }
-      ++out;
+      purged += static_cast<int64_t>(c.num_rows()) - kept;
+      if (kept == 0) {
+        rewrites.push_back({units, k, std::nullopt});
+        continue;
+      }
+      ColumnRows rows(schema_);
+      FABRIC_RETURN_IF_ERROR(GatherColumns(c, &keep, &rows));
+      // Dropping rows from a design-sorted container keeps it sorted, so
+      // no re-sort is needed here.
+      FABRIC_ASSIGN_OR_RETURN(
+          RosContainer container,
+          BuildFromColumns(std::move(rows),
+                           units == &wos_ ? Layout::kWos : Layout::kRosAsIs));
+      rewrites.push_back({units, k, std::move(container)});
     }
-    batch.rows.resize(out);
-    batch.delete_marks.resize(out);
   }
-  wos_.erase(std::remove_if(wos_.begin(), wos_.end(),
-                            [](const WosBatch& b) {
-                              return b.committed() && b.rows.empty();
-                            }),
-             wos_.end());
+  // Last first, so an erase never shifts a unit still to be rewritten.
+  for (auto it = rewrites.rbegin(); it != rewrites.rend(); ++it) {
+    if (it->rebuilt.has_value()) {
+      (*it->units)[it->index] = std::move(*it->rebuilt);
+    } else {
+      it->units->erase(it->units->begin() + static_cast<long>(it->index));
+    }
+  }
   committed_deletes_ -= purged;
   return purged;
 }
 
 double SegmentStore::TotalRawBytes() const {
   double total = 0;
-  for (const RosContainer& c : ros_) total += c.raw_bytes();
-  for (const WosBatch& b : wos_) {
-    for (const Row& row : b.rows) total += RowRawSize(row);
+  for (const std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    for (const RosContainer& unit : *units) total += unit.raw_bytes();
   }
   return total;
 }
@@ -988,25 +828,20 @@ double SegmentStore::TotalRawBytes() const {
 double SegmentStore::TotalEncodedBytes() const {
   double total = 0;
   for (const RosContainer& c : ros_) total += c.encoded_bytes();
-  for (const WosBatch& b : wos_) {
-    for (const Row& row : b.rows) total += RowRawSize(row);
-  }
+  for (const RosContainer& unit : wos_) total += unit.raw_bytes();
   return total;
 }
 
 int SegmentStore::num_committed_wos_batches() const {
-  int count = 0;
-  for (const WosBatch& b : wos_) {
-    if (b.committed()) ++count;
-  }
-  return count;
+  return static_cast<int>(
+      std::count_if(wos_.begin(), wos_.end(),
+                    [](const RosContainer& unit) { return unit.committed(); }));
 }
 
 double SegmentStore::CommittedWosRawBytes() const {
   double total = 0;
-  for (const WosBatch& b : wos_) {
-    if (!b.committed()) continue;
-    for (const Row& row : b.rows) total += RowRawSize(row);
+  for (const RosContainer& unit : wos_) {
+    if (unit.committed()) total += unit.raw_bytes();
   }
   return total;
 }
@@ -1033,25 +868,23 @@ std::vector<ContainerStats> SegmentStore::RosStats() const {
 
 double SegmentStore::RawBytesSince(Epoch epoch) const {
   double total = 0;
-  for (const RosContainer& c : ros_) {
-    if (!c.committed() || c.min_epoch() > epoch) {
-      total += c.raw_bytes();
-    } else if (c.commit_epoch() > epoch && c.num_rows() > 0) {
-      // Mixed-epoch container (moveout/mergeout output): charge the
-      // recovering node's pull proportionally to the rows it is missing.
-      // This is a cost-model approximation only — the atomic clone at the
-      // end of recovery copies full contents regardless.
-      uint32_t newer = 0;
-      for (uint32_t i = 0; i < c.num_rows(); ++i) {
-        if (c.row_epoch(i) > epoch) ++newer;
+  for (const std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    for (const RosContainer& c : *units) {
+      if (!c.committed() || c.min_epoch() > epoch) {
+        total += c.raw_bytes();
+      } else if (c.commit_epoch() > epoch && c.num_rows() > 0) {
+        // Mixed-epoch container (moveout/mergeout output): charge the
+        // recovering node's pull proportionally to the rows it is
+        // missing. This is a cost-model approximation only — the atomic
+        // clone at the end of recovery copies full contents regardless.
+        uint32_t newer = 0;
+        for (uint32_t i = 0; i < c.num_rows(); ++i) {
+          if (c.row_epoch(i) > epoch) ++newer;
+        }
+        total += c.raw_bytes() * static_cast<double>(newer) /
+                 static_cast<double>(c.num_rows());
       }
-      total += c.raw_bytes() * static_cast<double>(newer) /
-               static_cast<double>(c.num_rows());
     }
-  }
-  for (const WosBatch& b : wos_) {
-    if (b.committed() && b.commit_epoch <= epoch) continue;
-    for (const Row& row : b.rows) total += RowRawSize(row);
   }
   return total;
 }
@@ -1076,30 +909,21 @@ uint64_t FoldRow(uint64_t h, const Row& row) {
 
 uint64_t SegmentStore::ContentFingerprint() const {
   // Buddy copies of one segment hold the same logical content in
-  // legitimately different physical layouts: WOS batches land in
+  // legitimately different physical layouts: WOS units land in
   // transfer-completion order and ROS container boundaries depend on
   // moveout timing. The checksum therefore folds per-row digests with a
   // commutative sum — it sees every row with its (commit epoch, owning
   // txn, deletion state) and nothing about layout.
   uint64_t total = 0;
-  auto fold_one = [&](Epoch epoch, TxnId pending_txn, const Row& row,
-                      const DeleteMark& mark) {
-    uint64_t h = HashCombine(HashInt64(static_cast<int64_t>(epoch)),
-                             pending_txn);
-    total += FoldMark(FoldRow(h, row), mark);
-  };
-  for (const RosContainer& c : ros_) {
-    Result<std::vector<Row>> rows = c.DecodeRows();
-    FABRIC_CHECK(rows.ok()) << rows.status();
-    for (size_t i = 0; i < rows->size(); ++i) {
-      fold_one(c.row_epoch(static_cast<uint32_t>(i)), c.pending_txn(),
-               (*rows)[i], c.delete_marks()[i]);
-    }
-  }
-  for (const WosBatch& b : wos_) {
-    for (size_t i = 0; i < b.rows.size(); ++i) {
-      fold_one(b.commit_epoch, b.pending_txn, b.rows[i],
-               b.delete_marks[i]);
+  for (const std::vector<RosContainer>* units : {&ros_, &wos_}) {
+    for (const RosContainer& c : *units) {
+      Result<std::vector<Row>> rows = c.DecodeRows();
+      FABRIC_CHECK(rows.ok()) << rows.status();
+      for (uint32_t i = 0; i < rows->size(); ++i) {
+        uint64_t h = HashCombine(
+            HashInt64(static_cast<int64_t>(c.row_epoch(i))), c.pending_txn());
+        total += FoldMark(FoldRow(h, (*rows)[i]), c.delete_marks()[i]);
+      }
     }
   }
   return total;

@@ -32,12 +32,14 @@ struct DeleteMark {
   TxnId txn = 0;    // owner when kPending
 };
 
-// Physical design of one store: the projection's sort order (schema
-// column indices, major first) and optional forced per-column encodings
-// chosen at CREATE PROJECTION time (RLE on sorted low-cardinality
-// columns, dictionary elsewhere). An empty design — the default — keeps
-// insertion order and lets EncodeColumn pick the smallest encoding,
-// which is exactly the pre-projection behavior of every table store.
+// Physical design of one store's ROS: the projection's sort order
+// (schema column indices, major first) and optional forced per-column
+// encodings chosen at CREATE PROJECTION time (RLE on sorted low-
+// cardinality columns, dictionary elsewhere). An empty design — the
+// default — keeps insertion order and lets EncodeColumn pick the
+// smallest encoding, which is exactly the pre-projection behavior of
+// every table store. WOS units ignore the design: they keep arrival
+// order in PLAIN encoding.
 struct PhysicalDesign {
   std::vector<int> sort_columns;    // empty => insertion order
   std::vector<Encoding> encodings;  // empty => auto; else one per column
@@ -45,9 +47,10 @@ struct PhysicalDesign {
   bool sorted() const { return !sort_columns.empty(); }
 };
 
-// Read Optimized Storage container: one sorted(ish), encoded, epoch-
-// stamped batch of rows on one node. Immutable after creation except for
-// delete marks.
+// One stored, epoch-stamped batch of rows on one node, column by column:
+// a Read Optimized Storage container (sorted by the store's design,
+// encoded) or a Write Optimized Storage unit (arrival order, PLAIN).
+// Immutable after creation except for delete marks.
 class RosContainer {
  public:
   // Encodes `rows` column by column, each unboxed once into lanes.
@@ -157,17 +160,6 @@ class RosContainer {
   mutable DecodedCache decoded_;
 };
 
-// Write Optimized Storage batch: uncompressed row store for small commits
-// (INSERT/UPDATE paths); moveout folds committed batches into ROS.
-struct WosBatch {
-  TxnId pending_txn = 0;  // 0 once committed
-  Epoch commit_epoch = 0;
-  std::vector<Row> rows;
-  std::vector<DeleteMark> delete_marks;
-
-  bool committed() const { return pending_txn == 0; }
-};
-
 // What a vectorized scan should do. Compiled predicate terms run on the
 // encoded columns; `residual` (if set) is the row-at-a-time remainder of
 // the WHERE clause, evaluated on rows with only `residual_columns`
@@ -187,8 +179,7 @@ struct ScanSpec {
   // Returns false when it cannot handle the block — a dynamic type
   // surprise or an evaluation error — in which case the caller falls
   // back to the row-at-a-time `residual`, which is authoritative.
-  // Only consulted by Scan's ROS path; WOS rows and MarkDeletedPending
-  // always use `residual`.
+  // Not consulted for a WOS unit that a LIMIT caps (see `limit`).
   std::function<bool(const LaneRows& rows, std::vector<uint32_t>* keep)>
       batch_residual;
   const std::vector<int>* residual_columns = nullptr;
@@ -197,7 +188,9 @@ struct ScanSpec {
   // Stop after emitting this many rows (< 0: unlimited). Containers and
   // WOS rows past the cap are never visited — they contribute nothing to
   // the stats — which is what makes a pushed-down LIMIT cheap, not just
-  // small. Honored by Scan only (never by MarkDeletedPending).
+  // small. A ROS container is read whole; a WOS unit is read row by row,
+  // so its stats and residual evaluation stop at the row that fills the
+  // cap. Honored by Scan only (never by MarkDeletedPending).
   int64_t limit = -1;
 };
 
@@ -219,9 +212,7 @@ struct ContainerStats {
 // rows_visible); `output_profile` is the projection composition over
 // emitted rows (rows field = rows_emitted).
 struct ScanStats {
-  int64_t containers_scanned = 0;
-  int64_t containers_pruned_epoch = 0;
-  int64_t containers_pruned_minmax = 0;
+  int64_t containers_scanned = 0;  // ROS containers only, never WOS units
   int64_t rows_visible = 0;
   int64_t rows_emitted = 0;
   DataProfile visible_profile;
@@ -229,7 +220,9 @@ struct ScanStats {
 };
 
 // All stored data for one table segment on one node: a set of ROS
-// containers plus the WOS, with MVCC visibility by (epoch, transaction).
+// containers plus the WOS units, with MVCC visibility by (epoch,
+// transaction). Every operation runs the same container code over both
+// lists, ROS first.
 //
 // Not thread-safe in the host sense; always accessed from simulation
 // context.
@@ -242,20 +235,13 @@ class SegmentStore {
   const Schema& schema() const { return schema_; }
   const PhysicalDesign& design() const { return design_; }
 
-  // Appends rows as a pending WOS batch owned by `txn`.
+  // Appends rows as a pending WOS unit owned by `txn`.
   Status InsertPending(TxnId txn, std::vector<Row> rows);
 
   // Appends rows as a pending ROS container owned by `txn` (bulk/DIRECT
   // load path used by COPY). Takes the rows by value: callers that are
   // done with them move, avoiding a full copy of the batch.
   Status InsertPendingDirect(TxnId txn, std::vector<Row> rows);
-
-  // Marks visible rows matching `predicate` as deleted, pending under
-  // `txn`. Rows already pending-deleted by other transactions are skipped
-  // (the table lock prevents that situation anyway). Returns the number of
-  // rows marked. `as_of` controls visibility (usually the latest epoch).
-  Result<int64_t> DeletePending(TxnId txn, Epoch as_of,
-                                const std::function<bool(const Row&)>& pred);
 
   // Commit/abort every pending change of `txn` in this store.
   void CommitTxn(TxnId txn, Epoch epoch);
@@ -266,12 +252,11 @@ class SegmentStore {
   // typed lanes (one per schema column; columns outside the projection
   // are not materialized and read as NULL).
   // Returns the emitted rows in storage order (ROS containers, then WOS
-  // rows, which are filtered row-at-a-time). The lanes own their
-  // strings, so they outlive any later change to this store. Cost
-  // accounting in `stats` is identical to the row-at-a-time reference:
-  // pruned containers still measure their cost_columns for every visible
-  // row (the virtual-time model charges the same scan work either way —
-  // only host time drops).
+  // units). The lanes own their strings, so they outlive any later
+  // change to this store. Cost accounting in `stats` is identical to the
+  // row-at-a-time reference: pruned containers still measure their
+  // cost_columns for every visible row (the virtual-time model charges
+  // the same scan work either way — only host time drops).
   Result<LaneRows> Scan(const ScanSpec& spec, ScanStats* stats) const;
 
   // Marks the rows Scan(spec) would emit as deleted, pending under
@@ -296,9 +281,9 @@ class SegmentStore {
 
   Result<int64_t> CountVisible(Epoch as_of, TxnId txn = 0) const;
 
-  // Folds every committed WOS batch into a single new ROS container with
+  // Folds every committed WOS unit into a single new ROS container with
   // per-row commit epochs (Vertica's moveout / Tuple Mover). Pending
-  // batches stay in the WOS. No-op when nothing is committed. On failure
+  // units stay in the WOS. No-op when nothing is committed. On failure
   // the store is unchanged.
   Status Moveout();
 
@@ -310,15 +295,16 @@ class SegmentStore {
   // duplicate, or uncommitted indices; on failure the store is unchanged.
   Result<double> MergeRosContainers(const std::vector<int>& indices);
 
-  // Rewrites committed containers and WOS batches dropping every row
-  // whose delete mark committed at an epoch <= `ahm` (the Ancient History
+  // Rewrites committed containers and WOS units dropping every row whose
+  // delete mark committed at an epoch <= `ahm` (the Ancient History
   // Mark): such rows are invisible at every snapshot >= ahm, so removing
-  // them cannot change any legal read. Containers/batches left empty are
-  // dropped. Returns the number of rows purged. Every rewrite is built
+  // them cannot change any legal read. Containers and units left empty
+  // are dropped. Returns the number of rows purged. Every rewrite is built
   // before any is installed, so on failure the store is unchanged.
   Result<int64_t> PurgeDeletedRows(Epoch ahm);
 
-  // Storage statistics (cost model / tests / Tuple Mover policy).
+  // Storage statistics (cost model / tests / Tuple Mover policy). WOS
+  // units count their raw bytes as their encoded size.
   double TotalRawBytes() const;
   double TotalEncodedBytes() const;
   int num_ros_containers() const { return static_cast<int>(ros_.size()); }
@@ -332,19 +318,19 @@ class SegmentStore {
   // The ROS containers in storage order (read-only; the Tuple Mover's
   // mergeout policy reads their sizes and commit state in place).
   const std::vector<RosContainer>& ros_containers() const { return ros_; }
-  // The WOS batches in storage order (read-only).
-  const std::vector<WosBatch>& wos_batches() const { return wos_; }
+  // The WOS units in arrival order (read-only).
+  const std::vector<RosContainer>& wos_batches() const { return wos_; }
 
   // ------------------------------------------------- k-safety recovery
   // Raw bytes of content this store gained after `epoch`: containers and
-  // WOS batches committed later, plus everything still pending. This is
+  // WOS units committed later, plus everything still pending. This is
   // the delta a rejoining node (last current at `epoch`) pulls from the
   // surviving copy.
   double RawBytesSince(Epoch epoch) const;
 
   // Logical-content checksum: a commutative fold over every stored row
   // with its commit epoch, pending owner and deletion state. Deliberately
-  // blind to physical layout (WOS batch order, ROS container boundaries),
+  // blind to physical layout (WOS unit order, ROS container boundaries),
   // which differs between buddy copies written by interleaved
   // transactions. Two copies holding the same logical content fingerprint
   // equal; recovery tests compare primary against buddy with this.
@@ -356,46 +342,65 @@ class SegmentStore {
   void CopyContentsFrom(const SegmentStore& other);
 
  private:
-  // Shared selection pipeline for Scan/MarkDeletedPending: visibility
-  // from delete marks, min/max pruning, predicate kernels, residual.
-  // Returns selected row positions; when `emit` != null also gathers
-  // projection columns into rows appended to *emit (schema-width lanes).
+  // Shared selection pipeline for Scan/MarkDeletedPending over one ROS
+  // container or WOS unit (`wos`): visibility from delete marks, min/max
+  // pruning, predicate kernels, residual. Returns selected row positions;
+  // when `emit` != null also gathers projection columns into rows
+  // appended to *emit (schema-width lanes). A WOS unit adds nothing to
+  // containers_scanned; with `cap` > 0 (Scan's LIMIT room) its selection
+  // ends at the row that fills the cap, and neither the residual nor the
+  // visible-row stats see a row past it.
   Result<std::vector<uint32_t>> SelectRosRows(const RosContainer& container,
-                                              const ScanSpec& spec,
-                                              ScanStats* stats,
+                                              const ScanSpec& spec, bool wos,
+                                              int64_t cap, ScanStats* stats,
                                               LaneRows* emit) const;
+  // Narrows `sel` (positions in `container`) to the rows passing
+  // `spec.residual`, stopping once `cap` rows pass when `cap` > 0.
+  Status ApplyResidual(const RosContainer& container, const ScanSpec& spec,
+                       int64_t cap, std::vector<uint32_t>* sel) const;
+
+  // The one insert body: validates, coerces and unboxes `rows` into a
+  // pending ROS container (`direct`) or WOS unit owned by `txn`.
+  Status Insert(TxnId txn, std::vector<Row> rows, bool direct);
 
   // Rows held column by column as typed lanes, with their delete marks
-  // and commit epochs: what every container this store writes is built
-  // from. Varchar lanes alias the rows or ROS chunks they were read
-  // from, which must outlive the build.
+  // and commit epochs: what every container and WOS unit this store
+  // writes is built from. Varchar lanes alias the rows or containers
+  // they were read from, which must outlive the build.
   struct ColumnRows {
     explicit ColumnRows(const Schema& schema);
 
     std::vector<ColumnLanes> columns;  // one per schema column
     std::vector<DeleteMark> marks;
-    std::vector<Epoch> epochs;  // empty for a pending (DIRECT) container
+    std::vector<Epoch> epochs;  // empty for a pending container
     double raw_bytes = 0;
   };
-  // Appends `rows` (valid for the schema) to *out, unboxed, with their
-  // raw size; marks and epochs are left to the caller.
-  Status AppendRows(const std::vector<Row>& rows, ColumnRows* out) const;
   // Appends the rows of `container` (only those with keep[i] set when
   // `keep` != null) to *out.
   Status GatherColumns(const RosContainer& container,
                        const std::vector<bool>* keep, ColumnRows* out) const;
-  // One container of `rows` with this store's forced encodings (if any),
-  // in the design's sort order when `sort` is set (stable, so equal keys
-  // keep arrival order — deterministic across buddy copies). Pending
-  // under `pending_txn` when it is nonzero; otherwise committed at the
-  // rows' per-row epochs.
-  Result<RosContainer> BuildFromColumns(ColumnRows rows, bool sort,
+  // How BuildFromColumns lays its rows out.
+  enum class Layout {
+    kWos,     // arrival order, PLAIN encoding
+    kRos,     // the design's sort order and encodings
+    kRosAsIs  // the design's encodings, rows already in order (purge)
+  };
+  // One container of `rows`. Sorting is stable, so equal keys keep
+  // arrival order — deterministic across buddy copies. Pending under
+  // `pending_txn` when it is nonzero; otherwise committed at the rows'
+  // per-row epochs.
+  Result<RosContainer> BuildFromColumns(ColumnRows rows, Layout layout,
                                         TxnId pending_txn = 0) const;
+  // `units` (committed, in order) gathered into one sorted ROS container
+  // at their per-row epochs, delete marks carried over: the build of
+  // moveout and mergeout.
+  Result<RosContainer> MergeUnits(
+      const std::vector<const RosContainer*>& units) const;
 
   Schema schema_;
   PhysicalDesign design_;
   std::vector<RosContainer> ros_;
-  std::vector<WosBatch> wos_;
+  std::vector<RosContainer> wos_;  // WOS units, arrival order
   // Maintained by CommitTxn, PurgeDeletedRows and CopyContentsFrom.
   int64_t committed_deletes_ = 0;
 };

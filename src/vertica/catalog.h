@@ -33,11 +33,6 @@ struct HashRange {
     if (upper == 0) return h >= lower;
     return h >= lower && h < upper;
   }
-  // Width as a double (for skew diagnostics only).
-  double Width() const {
-    if (upper == 0) return static_cast<double>(UINT64_MAX) - lower + 1;
-    return static_cast<double>(upper - lower);
-  }
 
   friend bool operator==(const HashRange& a, const HashRange& b) {
     return a.lower == b.lower && a.upper == b.upper;

@@ -665,21 +665,10 @@ void Database::TrimEpochBookkeeping(storage::Epoch ahm) {
 
 int64_t Database::TotalWosBatches() const {
   int64_t total = 0;
-  for (const auto& [name, table_storage] : storage_) {
-    for (const auto& store : table_storage.per_node) {
-      total += store->num_wos_batches();
-    }
-    for (const auto& store : table_storage.buddy) {
-      total += store->num_wos_batches();
-    }
-    for (const auto& [proj_name, set] : table_storage.projections) {
-      for (const auto& store : set.per_node) {
-        total += store->num_wos_batches();
-      }
-      for (const auto& store : set.buddy) {
-        total += store->num_wos_batches();
-      }
-    }
+  for (int n = 0; n < num_nodes(); ++n) {
+    ForEachHostedStore(n, [&total](const HostedStore& hs) {
+      total += hs.store->num_wos_batches();
+    });
   }
   return total;
 }

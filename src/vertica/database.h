@@ -140,8 +140,6 @@ class Database {
   Result<std::unique_ptr<Session>> Connect(sim::Process& self, int node,
                                            const net::Host* client);
 
-  int active_sessions(int node) const { return active_sessions_[node]; }
-
   // ----------------------------------------------------------- k-safety
   // The fabric runs k=1: every segment of a segmented table has a buddy
   // copy on the ring-successor node, so the cluster survives any single

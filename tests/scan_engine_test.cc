@@ -152,8 +152,8 @@ void BuildRandomTable(Rng& rng, RandomTable* out) {
     }
   }
 
-  // 0-2 delete rounds through the legacy row-at-a-time path, leaving a
-  // mix of committed and pending delete marks behind.
+  // 0-2 delete rounds by row predicate, leaving a mix of committed and
+  // pending delete marks behind.
   int deletes = static_cast<int>(rng.NextUint64(3));
   for (int d = 0; d < deletes; ++d) {
     TxnId txn = t.next_txn++;
@@ -162,7 +162,7 @@ void BuildRandomTable(Rng& rng, RandomTable* out) {
       const Value& v = row[0];
       return !v.is_null() && v.int64_value() % 5 == cut % 5;
     };
-    auto deleted = t.store->DeletePending(txn, t.last_epoch, pred);
+    auto deleted = DeleteWhere(*t.store, txn, t.last_epoch, pred);
     ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
     if (rng.NextBool(0.6)) {
       t.store->CommitTxn(txn, ++t.last_epoch);
@@ -214,16 +214,12 @@ void MutateStore(Rng& rng, RandomTable* out) {
       store.CommitTxn(txn, ++t.last_epoch);
       break;
     }
-    case 4: {  // the row-at-a-time delete path
+    case 4: {  // a delete by row predicate
       TxnId txn = t.next_txn++;
       int64_t cut = rng.NextInt64(0, 4);
-      ASSERT_TRUE(store
-                      .DeletePending(txn, t.last_epoch,
-                                     [cut](const Row& row) {
-                                       return row[0].int64_value() % 5 ==
-                                              cut;
-                                     })
-                      .ok());
+      ASSERT_TRUE(DeleteWhere(store, txn, t.last_epoch, [cut](const Row& row) {
+                    return row[0].int64_value() % 5 == cut;
+                  }).ok());
       store.CommitTxn(txn, ++t.last_epoch);
       break;
     }
@@ -548,7 +544,7 @@ TEST(ScanEngineTest, AtEpochSnapshotIsolation) {
   }
   ASSERT_TRUE(store.InsertPending(2, std::move(second)).ok());
   store.CommitTxn(2, 2);
-  auto deleted = store.DeletePending(3, 2, [](const Row& row) {
+  auto deleted = DeleteWhere(store, 3, 2, [](const Row& row) {
     return row[0].int64_value() % 2 == 0;
   });
   ASSERT_TRUE(deleted.ok());

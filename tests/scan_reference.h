@@ -2,10 +2,12 @@
 #define FABRIC_TESTS_SCAN_REFERENCE_H_
 
 // The row-at-a-time reads the vectorized SegmentStore::Scan is checked
-// against: whole containers decoded into boxed rows, visibility applied
-// row by row from the delete marks and epochs.
+// against: whole containers and WOS units decoded into boxed rows,
+// visibility applied row by row from the delete marks and epochs. Plus
+// a predicate-lambda delete for building test fixtures.
 
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "common/result.h"
@@ -15,32 +17,22 @@ namespace fabric::storage {
 
 // Invokes `fn` for every row of `store` visible at `as_of` (plus `txn`'s
 // own pending rows when txn != 0), in storage order: ROS containers,
-// then WOS batches.
+// then WOS units.
 inline Status ScanVisible(const SegmentStore& store, Epoch as_of, TxnId txn,
                           const std::function<Status(const Row&)>& fn) {
-  for (const RosContainer& container : store.ros_containers()) {
-    if (!container.committed() && container.pending_txn() != txn) continue;
-    if (container.committed() && container.min_epoch() > as_of) continue;
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, container.DecodeRows());
-    const auto& marks = container.delete_marks();
-    for (uint32_t i = 0; i < rows.size(); ++i) {
-      if (!VersionVisible(container.committed() ? 0 : container.pending_txn(),
-                          container.row_epoch(i), marks[i], as_of, txn)) {
-        continue;
+  for (const auto* units : {&store.ros_containers(), &store.wos_batches()}) {
+    for (const RosContainer& unit : *units) {
+      if (!unit.committed() && unit.pending_txn() != txn) continue;
+      if (unit.committed() && unit.min_epoch() > as_of) continue;
+      FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, unit.DecodeRows());
+      const auto& marks = unit.delete_marks();
+      for (uint32_t i = 0; i < rows.size(); ++i) {
+        if (!VersionVisible(unit.committed() ? 0 : unit.pending_txn(),
+                            unit.row_epoch(i), marks[i], as_of, txn)) {
+          continue;
+        }
+        FABRIC_RETURN_IF_ERROR(fn(rows[i]));
       }
-      FABRIC_RETURN_IF_ERROR(fn(rows[i]));
-    }
-  }
-  for (const WosBatch& batch : store.wos_batches()) {
-    if (!batch.committed() && batch.pending_txn != txn) continue;
-    if (batch.committed() && batch.commit_epoch > as_of) continue;
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (!VersionVisible(batch.committed() ? 0 : batch.pending_txn,
-                          batch.commit_epoch, batch.delete_marks[i], as_of,
-                          txn)) {
-        continue;
-      }
-      FABRIC_RETURN_IF_ERROR(fn(batch.rows[i]));
     }
   }
   return Status::OK();
@@ -55,6 +47,24 @@ inline Result<std::vector<Row>> SnapshotRows(const SegmentStore& store,
     return Status::OK();
   }));
   return rows;
+}
+
+// Marks the rows visible to `txn` at `as_of` for which `pred` holds as
+// deleted, pending under `txn`: MarkDeletedPending with `pred` as the
+// residual over every column. Returns the number of rows marked.
+inline Result<int64_t> DeleteWhere(SegmentStore& store, TxnId txn,
+                                   Epoch as_of,
+                                   std::function<bool(const Row&)> pred) {
+  std::vector<int> all(static_cast<size_t>(store.schema().num_columns()));
+  std::iota(all.begin(), all.end(), 0);
+  ScanSpec spec;
+  spec.as_of = as_of;
+  spec.txn = txn;
+  spec.residual = [&pred](const Row& row) -> Result<bool> {
+    return pred(row);
+  };
+  spec.residual_columns = &all;
+  return store.MarkDeletedPending(spec);
 }
 
 }  // namespace fabric::storage

@@ -577,13 +577,45 @@ TEST_F(SegmentStoreTest, AbortDiscardsPendingRows) {
   EXPECT_EQ(store_.num_ros_containers(), 0);
 }
 
+// A WOS unit keeps the WOS cost rules: it never counts as a scanned
+// container, its bytes count as raw bytes in the encoded total, and the
+// batch counts the Tuple Mover reads see one unit per insert.
+TEST_F(SegmentStoreTest, WosUnitsKeepTheWosCostRules) {
+  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "abc", true),
+                                        MakeRow(2, 2.0, "de", false)})
+                  .ok());
+  EXPECT_EQ(store_.num_wos_batches(), 1);
+  EXPECT_EQ(store_.num_committed_wos_batches(), 0);
+  EXPECT_EQ(store_.CommittedWosRawBytes(), 0);
+  store_.CommitTxn(10, 5);
+  const double raw = (8 + 8 + 3 + 1) + (8 + 8 + 2 + 1);
+  EXPECT_EQ(store_.num_committed_wos_batches(), 1);
+  EXPECT_EQ(store_.CommittedWosRawBytes(), raw);
+  EXPECT_EQ(store_.TotalRawBytes(), raw);
+  EXPECT_EQ(store_.TotalEncodedBytes(), raw);
+  ScanSpec spec;
+  spec.as_of = 5;
+  ScanStats wos_stats;
+  ASSERT_TRUE(store_.Scan(spec, &wos_stats).ok());
+  EXPECT_EQ(wos_stats.containers_scanned, 0);
+  EXPECT_EQ(wos_stats.rows_emitted, 2);
+  ASSERT_TRUE(store_.Moveout().ok());
+  EXPECT_EQ(store_.num_wos_batches(), 0);
+  EXPECT_EQ(store_.CommittedWosRawBytes(), 0);
+  EXPECT_EQ(store_.TotalRawBytes(), raw);
+  ScanStats ros_stats;
+  ASSERT_TRUE(store_.Scan(spec, &ros_stats).ok());
+  EXPECT_EQ(ros_stats.containers_scanned, 1);
+  EXPECT_EQ(ros_stats.rows_emitted, 2);
+}
+
 TEST_F(SegmentStoreTest, DeleteRespectsEpochSnapshots) {
   ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true),
                                         MakeRow(2, 2.0, "b", false)})
                   .ok());
   store_.CommitTxn(10, 5);
   // Delete id=1 in txn 11, committed at epoch 7.
-  auto deleted = store_.DeletePending(11, 6, [](const Row& row) {
+  auto deleted = DeleteWhere(store_, 11, 6, [](const Row& row) {
     return row[0].int64_value() == 1;
   });
   ASSERT_TRUE(deleted.ok());
@@ -600,8 +632,8 @@ TEST_F(SegmentStoreTest, DeleteRespectsEpochSnapshots) {
 TEST_F(SegmentStoreTest, DeleteAbortRestoresRow) {
   ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true)}).ok());
   store_.CommitTxn(10, 5);
-  ASSERT_TRUE(store_.DeletePending(11, 5, [](const Row&) { return true; })
-                  .ok());
+  ASSERT_TRUE(
+      DeleteWhere(store_, 11, 5, [](const Row&) { return true; }).ok());
   store_.AbortTxn(11);
   EXPECT_EQ(store_.CountVisible(5).value(), 1);
 }
@@ -630,9 +662,9 @@ TEST_F(SegmentStoreTest, MoveoutKeepsDeleteMarks) {
                                         MakeRow(2, 2.0, "b", false)})
                   .ok());
   store_.CommitTxn(10, 5);
-  ASSERT_TRUE(store_.DeletePending(11, 5, [](const Row& row) {
-                     return row[0].int64_value() == 2;
-                   }).ok());
+  ASSERT_TRUE(DeleteWhere(store_, 11, 5, [](const Row& row) {
+                return row[0].int64_value() == 2;
+              }).ok());
   store_.CommitTxn(11, 6);
   ASSERT_TRUE(store_.Moveout().ok());
   EXPECT_EQ(store_.CountVisible(5).value(), 2);
@@ -647,9 +679,9 @@ TEST_F(SegmentStoreTest, MergeRosContainersPreservesEpochVisibility) {
   ASSERT_TRUE(
       store_.InsertPendingDirect(11, {MakeRow(2, 2.0, "b", false)}).ok());
   store_.CommitTxn(11, 8);
-  ASSERT_TRUE(store_.DeletePending(12, 8, [](const Row& row) {
-                     return row[0].int64_value() == 1;
-                   }).ok());
+  ASSERT_TRUE(DeleteWhere(store_, 12, 8, [](const Row& row) {
+                return row[0].int64_value() == 1;
+              }).ok());
   store_.CommitTxn(12, 9);
   uint64_t fingerprint = store_.ContentFingerprint();
   auto merged = store_.MergeRosContainers({0, 1});
@@ -679,14 +711,14 @@ TEST_F(SegmentStoreTest, PurgeDropsOnlyAncientDeletes) {
                   .ok());
   store_.CommitTxn(10, 5);
   ASSERT_TRUE(store_.Moveout().ok());
-  ASSERT_TRUE(store_.DeletePending(11, 5, [](const Row& row) {
-                     return row[0].int64_value() == 1;
-                   }).ok());
+  ASSERT_TRUE(DeleteWhere(store_, 11, 5, [](const Row& row) {
+                return row[0].int64_value() == 1;
+              }).ok());
   store_.CommitTxn(11, 6);
   EXPECT_EQ(store_.committed_deletes(), 1);
-  ASSERT_TRUE(store_.DeletePending(12, 8, [](const Row& row) {
-                     return row[0].int64_value() == 2;
-                   }).ok());
+  ASSERT_TRUE(DeleteWhere(store_, 12, 8, [](const Row& row) {
+                return row[0].int64_value() == 2;
+              }).ok());
   store_.CommitTxn(12, 9);
   EXPECT_EQ(store_.committed_deletes(), 2);
   // AHM = 7: only the delete committed at epoch 6 is ancient history.
@@ -769,9 +801,9 @@ TEST(ColumnRebuildTest, MergeAndPurgeMatchRowBuiltContainers) {
     ExpectSameContainer(store.ros_containers()[0], *want, 4);
 
     // Purge every row with id < 3 (deleted at epoch 20, AHM 20).
-    ASSERT_TRUE(store.DeletePending(30, 20, [](const Row& row) {
-                       return row[0].int64_value() < 3;
-                     }).ok());
+    ASSERT_TRUE(DeleteWhere(store, 30, 20, [](const Row& row) {
+                  return row[0].int64_value() < 3;
+                }).ok());
     store.CommitTxn(30, 20);
     ASSERT_TRUE(store.PurgeDeletedRows(20).ok());
     std::vector<Row> kept;
@@ -947,9 +979,9 @@ TEST(ColumnRebuildTest, EveryStoreWriteMatchesRowBuiltContainerProperty) {
         return !row[3].is_null() && row[3].bool_value();
       };
       auto second = [](const Row& row) { return row[2].is_null(); };
-      ASSERT_TRUE(store.DeletePending(40, 19, first).ok());
+      ASSERT_TRUE(DeleteWhere(store, 40, 19, first).ok());
       store.CommitTxn(40, 20);
-      ASSERT_TRUE(store.DeletePending(41, 29, second).ok());
+      ASSERT_TRUE(DeleteWhere(store, 41, 29, second).ok());
       store.CommitTxn(41, 30);
       for (std::vector<RefRow>& container : containers) {
         for (RefRow& r : container) {
@@ -1021,9 +1053,9 @@ TEST(TupleMoverErrorsTest, RejectedRewritesLeaveStoreUntouched) {
   }
   ASSERT_TRUE(
       store.InsertPendingDirect(13, {MakeRow(7, 3.0, "c", true)}).ok());
-  ASSERT_TRUE(store.DeletePending(14, 12, [](const Row& row) {
-                     return row[0].int64_value() == 10;
-                   }).ok());
+  ASSERT_TRUE(DeleteWhere(store, 14, 12, [](const Row& row) {
+                return row[0].int64_value() == 10;
+              }).ok());
   store.CommitTxn(14, 14);
   const StoreState before(store);
   EXPECT_FALSE(store.MergeRosContainers({0, 1, 3}).ok());  // uncommitted
@@ -1048,9 +1080,9 @@ TEST(TupleMoverErrorsTest, RejectedRewritesLeaveStoreUntouched) {
             .ok());
     alien.CommitTxn(txn, txn);
   }
-  ASSERT_TRUE(alien.DeletePending(22, 21, [](const Row& row) {
-                     return row[0].varchar_value() == "p";
-                   }).ok());
+  ASSERT_TRUE(DeleteWhere(alien, 22, 21, [](const Row& row) {
+                return row[0].varchar_value() == "p";
+              }).ok());
   alien.CommitTxn(22, 22);
   ASSERT_TRUE(alien.InsertPending(23, {alien_row("w")}).ok());
   alien.CommitTxn(23, 23);
@@ -1098,9 +1130,9 @@ TEST_F(SegmentStoreTest, ScanLanesOutliveMergeoutAndPurge) {
   // Delete a third of the rows, merge every container into one and
   // purge the deletes: each container the scan read is destroyed, along
   // with its decoded columns.
-  ASSERT_TRUE(store_.DeletePending(txn, 7, [](const Row& row) {
-                     return row[0].int64_value() % 3 == 0;
-                   }).ok());
+  ASSERT_TRUE(DeleteWhere(store_, txn, 7, [](const Row& row) {
+                return row[0].int64_value() % 3 == 0;
+              }).ok());
   store_.CommitTxn(txn, 8);
   ASSERT_TRUE(store_.MergeRosContainers({0, 1, 2}).ok());
   auto purged = store_.PurgeDeletedRows(9);
@@ -1345,12 +1377,9 @@ TEST(DecodedColumnTest, ScansSurviveStoreMutations) {
   EXPECT_FALSE(victims.empty());
   ExpectAllScansMatch(*store, epoch, txn);
   store->CommitTxn(txn++, ++epoch);
-  ASSERT_TRUE(store
-                  ->DeletePending(txn, epoch,
-                                  [](const Row& row) {
-                                    return row[0].int64_value() % 2 == 1;
-                                  })
-                  .ok());
+  ASSERT_TRUE(DeleteWhere(*store, txn, epoch, [](const Row& row) {
+                return row[0].int64_value() % 2 == 1;
+              }).ok());
   store->CommitTxn(txn++, ++epoch);
   ExpectAllScansMatch(*store, epoch);
   ExpectAllScansMatch(*store, epoch - 2);
@@ -1368,6 +1397,258 @@ TEST(DecodedColumnTest, ScansSurviveStoreMutations) {
   store.reset();
   ExpectAllScansMatch(copy, epoch);
   ExpectAllScansMatch(clone, epoch);
+}
+
+// Display form of a row, bit-exact for doubles (NaN equals NaN, -0
+// differs from 0) and with NULL distinct from ''.
+std::vector<std::string> RowKeys(const std::vector<Row>& rows) {
+  std::vector<std::string> keys;
+  for (const Row& row : rows) {
+    std::string key;
+    for (const Value& v : row) {
+      key += v.is_null() ? "\x01" : v.ToDisplayString();
+      key += '\x02';
+    }
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+Row RandomStoreRow(Rng& rng) {
+  static const char* const kNames[] = {"", "a", "bb", "ccc"};
+  static const double kScores[] = {-1.5, -0.0, 0.0, 0.25, 2.0,
+                                   std::numeric_limits<double>::quiet_NaN()};
+  Row row = MakeRow(rng.NextInt64(0, 9), kScores[rng.NextUint64(6)],
+                    kNames[rng.NextUint64(4)], rng.NextBool(0.5));
+  for (Value& v : row) {
+    if (rng.NextBool(0.15)) v = Value::Null();
+  }
+  return row;
+}
+
+void ExpectSameProfile(const DataProfile& got, const DataProfile& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.fields, want.fields);
+  EXPECT_EQ(got.raw_bytes, want.raw_bytes);
+  EXPECT_EQ(got.numeric_bytes, want.numeric_bytes);
+  EXPECT_EQ(got.string_bytes, want.string_bytes);
+}
+
+// Both stores scan to the same rows and stats, except containers_scanned:
+// a WOS unit adds nothing to it, a moved-out container one.
+void ExpectSameScan(const SegmentStore& wos, const SegmentStore& ros,
+                    const ScanSpec& spec) {
+  ScanStats wos_stats;
+  ScanStats ros_stats;
+  auto from_wos = wos.Scan(spec, &wos_stats);
+  auto from_ros = ros.Scan(spec, &ros_stats);
+  ASSERT_TRUE(from_wos.ok()) << from_wos.status().ToString();
+  ASSERT_TRUE(from_ros.ok()) << from_ros.status().ToString();
+  EXPECT_EQ(RowKeys(from_wos->BoxRows()), RowKeys(from_ros->BoxRows()));
+  EXPECT_EQ(wos_stats.rows_visible, ros_stats.rows_visible);
+  EXPECT_EQ(wos_stats.rows_emitted, ros_stats.rows_emitted);
+  ExpectSameProfile(wos_stats.visible_profile, ros_stats.visible_profile);
+  ExpectSameProfile(wos_stats.output_profile, ros_stats.output_profile);
+}
+
+// Even-length names pass; reads only column 2.
+Result<bool> EvenName(const Row& row) {
+  return !row[2].is_null() && row[2].varchar_value().size() % 2 == 0;
+}
+
+// A store reads the same whether its rows sit in the WOS or were moved
+// out: scans, counts, delete victims, fingerprints and purges. A LIMIT
+// that fills inside a WOS unit stops the read at the row that fills it.
+TEST(WosRosPropertyTest, StoreReadsAlikeInWosAndAfterMoveout) {
+  const std::vector<int> all = {0, 1, 2, 3};
+  const std::vector<int> some = {0, 3};
+  const std::vector<int> name_only = {2};
+  const std::vector<ScanPredicate> preds = CachePredicates();
+  for (uint64_t seed : fabric::testing::PropertySeeds()) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Rng rng(seed);
+    SegmentStore wos(TestSchema());
+    SegmentStore ros(TestSchema());
+    TxnId txn = 10;
+    Epoch epoch = 0;
+    auto commit_both = [&] {
+      ++epoch;
+      wos.CommitTxn(txn, epoch);
+      ros.CommitTxn(txn, epoch);
+      ++txn;
+    };
+    auto insert_both = [&](TxnId owner) {
+      std::vector<Row> rows;
+      int n = 1 + static_cast<int>(rng.NextUint64(40));
+      for (int i = 0; i < n; ++i) rows.push_back(RandomStoreRow(rng));
+      ASSERT_TRUE(wos.InsertPending(owner, rows).ok());
+      ASSERT_TRUE(ros.InsertPending(owner, rows).ok());
+    };
+    auto delete_both = [&](TxnId owner) {
+      int64_t cut = rng.NextInt64(0, 3);
+      auto pred = [cut](const Row& row) {
+        return !row[0].is_null() && row[0].int64_value() % 4 == cut;
+      };
+      auto from_wos = DeleteWhere(wos, owner, epoch, pred);
+      auto from_ros = DeleteWhere(ros, owner, epoch, pred);
+      ASSERT_TRUE(from_wos.ok() && from_ros.ok());
+      EXPECT_EQ(*from_wos, *from_ros);
+    };
+    int loads = 2 + static_cast<int>(rng.NextUint64(5));
+    for (int l = 0; l < loads; ++l) {
+      insert_both(txn);
+      commit_both();
+      if (rng.NextBool(0.5)) {
+        delete_both(txn);
+        commit_both();
+      }
+    }
+    // One open transaction: its insert and its delete marks stay pending
+    // through the moveout.
+    const TxnId open = txn++;
+    insert_both(open);
+    delete_both(open);
+    ASSERT_TRUE(ros.Moveout().ok());
+    ASSERT_EQ(wos.num_ros_containers(), 0);
+    ASSERT_EQ(ros.num_ros_containers(), 1);
+    ASSERT_EQ(ros.num_wos_batches(), 1);
+
+    EXPECT_EQ(wos.ContentFingerprint(), ros.ContentFingerprint());
+    for (Epoch as_of = 0; as_of <= epoch; ++as_of) {
+      for (TxnId reader : {TxnId{0}, open}) {
+        EXPECT_EQ(wos.CountVisible(as_of, reader).value(),
+                  ros.CountVisible(as_of, reader).value());
+      }
+    }
+    for (const ScanPredicate& pred : preds) {
+      for (bool residual : {false, true}) {
+        ScanSpec spec;
+        spec.as_of = rng.NextUint64(epoch + 1);
+        spec.txn = rng.NextBool(0.5) ? open : 0;
+        spec.predicate = &pred;
+        spec.cost_columns = rng.NextBool(0.5) ? &all : &some;
+        spec.projection = rng.NextBool(0.5) ? &all : &some;
+        if (residual) {
+          spec.residual = EvenName;
+          spec.residual_columns = &name_only;
+        }
+        ExpectSameScan(wos, ros, spec);
+      }
+    }
+
+    // LIMIT inside a WOS unit: rows, visible-row stats and residual calls
+    // end at the row that fills the cap (every row of `wos` is WOS).
+    const std::vector<Row> visible = SnapshotRows(wos, epoch, open).value();
+    for (const ScanPredicate& pred : preds) {
+      std::vector<size_t> matched;
+      for (size_t i = 0; i < visible.size(); ++i) {
+        if (pred.Matches(visible[i]) && EvenName(visible[i]).value()) {
+          matched.push_back(i);
+        }
+      }
+      if (matched.empty()) continue;
+      const int64_t limit =
+          1 + static_cast<int64_t>(rng.NextUint64(matched.size()));
+      const size_t cap_row = matched[limit - 1];
+      DataProfile want_visible;
+      int64_t want_calls = 0;
+      for (size_t i = 0; i <= cap_row; ++i) {
+        want_visible.Add(ProfileRow(visible[i]));
+        if (pred.Matches(visible[i])) ++want_calls;
+      }
+      std::vector<Row> want_rows;
+      for (int64_t k = 0; k < limit; ++k) {
+        want_rows.push_back(visible[matched[k]]);
+      }
+      int64_t calls = 0;
+      ScanSpec spec;
+      spec.as_of = epoch;
+      spec.txn = open;
+      spec.predicate = &pred;
+      spec.cost_columns = &all;
+      spec.residual = [&calls](const Row& row) {
+        ++calls;
+        return EvenName(row);
+      };
+      spec.residual_columns = &name_only;
+      spec.limit = limit;
+      ScanStats stats;
+      auto got = wos.Scan(spec, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(RowKeys(got->BoxRows()), RowKeys(want_rows));
+      EXPECT_EQ(stats.rows_visible, static_cast<int64_t>(cap_row + 1));
+      EXPECT_EQ(stats.rows_emitted, limit);
+      ExpectSameProfile(stats.visible_profile, want_visible);
+      ExpectSameProfile(stats.output_profile, ProfileRows(want_rows));
+      EXPECT_EQ(calls, want_calls);
+    }
+
+    // The same rows become victims of the same delete, and a purge drops
+    // the same rows, wherever they sit.
+    ScanSpec del;
+    del.as_of = epoch;
+    del.txn = open;
+    del.predicate = &preds[rng.NextUint64(preds.size())];
+    del.residual = EvenName;
+    del.residual_columns = &name_only;
+    std::vector<Row> wos_victims;
+    std::vector<Row> ros_victims;
+    auto from_wos = wos.MarkDeletedPending(del, &wos_victims);
+    auto from_ros = ros.MarkDeletedPending(del, &ros_victims);
+    ASSERT_TRUE(from_wos.ok() && from_ros.ok());
+    EXPECT_EQ(*from_wos, *from_ros);
+    EXPECT_EQ(RowKeys(wos_victims), RowKeys(ros_victims));
+    EXPECT_EQ(wos.ContentFingerprint(), ros.ContentFingerprint());
+    txn = open;
+    commit_both();
+    auto purged_wos = wos.PurgeDeletedRows(epoch);
+    auto purged_ros = ros.PurgeDeletedRows(epoch);
+    ASSERT_TRUE(purged_wos.ok() && purged_ros.ok());
+    EXPECT_EQ(*purged_wos, *purged_ros);
+    EXPECT_EQ(wos.committed_deletes(), ros.committed_deletes());
+    EXPECT_EQ(wos.ContentFingerprint(), ros.ContentFingerprint());
+    EXPECT_EQ(wos.TotalRawBytes(), ros.TotalRawBytes());
+    EXPECT_EQ(RowKeys(SnapshotRows(wos, epoch).value()),
+              RowKeys(SnapshotRows(ros, epoch).value()));
+  }
+}
+
+// A NaN compares equal to every number, so it passes `=`, `<=` and `>=`
+// terms on any literal: min/max pruning must not skip a container or
+// WOS unit holding one, wherever in it the NaN sits.
+TEST(ScanPruningTest, NanRowsAreNeverPrunedAway) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> columns = {
+      {nan, 0.25}, {0.25, nan}, {nan}};
+  for (bool direct : {false, true}) {
+    for (const std::vector<double>& scores : columns) {
+      SegmentStore store(TestSchema());
+      std::vector<Row> rows;
+      for (double score : scores) rows.push_back(MakeRow(1, score, "a", true));
+      ASSERT_TRUE((direct ? store.InsertPendingDirect(10, rows)
+                          : store.InsertPending(10, rows))
+                      .ok());
+      store.CommitTxn(10, 1);
+      for (CompareOp op : {CompareOp::kEq, CompareOp::kLe, CompareOp::kGe,
+                           CompareOp::kLt, CompareOp::kNe}) {
+        ScanPredicate pred;
+        pred.compares.push_back({1, op, false, 7.0, ""});
+        std::vector<Row> want;
+        for (const Row& row : rows) {
+          if (pred.Matches(row)) want.push_back(row);
+        }
+        ScanSpec spec;
+        spec.as_of = 1;
+        spec.predicate = &pred;
+        ScanStats stats;
+        auto got = store.Scan(spec, &stats);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(RowKeys(got->BoxRows()), RowKeys(want))
+            << (direct ? "ROS " : "WOS ") << scores.size() << " rows, op "
+            << static_cast<int>(op);
+      }
+    }
+  }
 }
 
 }  // namespace
