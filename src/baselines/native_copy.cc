@@ -48,9 +48,9 @@ Result<double> RunParallelCopy(
             }
             for (size_t begin = 0; begin < rows->size(); begin += batch) {
               size_t end = std::min(rows->size(), begin + batch);
-              std::vector<storage::Row> buffer(rows->begin() + begin,
-                                               rows->begin() + end);
-              FABRIC_RETURN_IF_ERROR(stream->WriteBatch(loader, buffer));
+              FABRIC_RETURN_IF_ERROR(stream->WriteBatch(
+                  loader, std::vector<storage::Row>(rows->begin() + begin,
+                                                    rows->begin() + end)));
             }
             FABRIC_RETURN_IF_ERROR(stream->Finish(loader).status());
             return session->Close(loader);

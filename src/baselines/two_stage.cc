@@ -93,7 +93,8 @@ Result<TwoStageTiming> TwoStageSave(sim::Process& driver,
                     hdfs->ReadBlock(loader, part, b,
                                     db->node_host(n)));
                 // ...and feed it into the bulk-load path.
-                FABRIC_RETURN_IF_ERROR(stream->WriteBatch(loader, rows));
+                FABRIC_RETURN_IF_ERROR(
+                    stream->WriteBatch(loader, std::move(rows)));
               }
             }
             FABRIC_RETURN_IF_ERROR(stream->Finish(loader).status());

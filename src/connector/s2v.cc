@@ -205,7 +205,7 @@ Status S2VRelation::StageData(TaskContext& task, int partition,
     FABRIC_RETURN_IF_ERROR(task.Compute(profile.AvroEncodeCpu(cost)));
     FABRIC_ASSIGN_OR_RETURN(std::vector<Row> decoded,
                             AvroDecodeBatch(schema_, encoded));
-    FABRIC_RETURN_IF_ERROR(stream->WriteBatch(self, decoded));
+    FABRIC_RETURN_IF_ERROR(stream->WriteBatch(self, std::move(decoded)));
     if (rows.empty()) break;
   }
   FABRIC_ASSIGN_OR_RETURN(vertica::CopyStream::LoadResult load,

@@ -340,6 +340,20 @@ size_t PayloadBytes(Encoding encoding, const Shape& shape,
   return 0;
 }
 
+// The bounds of `column` from a MeasureShape pass that found them. Only
+// the two winning slots are boxed. A NaN compares equal to every number
+// (the scan kernels' three-way), so it can pass any `=`, `<=` or `>=`
+// term: a column holding one is bounded by the whole line.
+ColumnBounds BoundsOf(const ColumnLanes& column, const Shape& shape) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return shape.has_nan ? ColumnBounds{Value::Float64(-kInf),
+                                      Value::Float64(kInf)}
+         : shape.min_row == kNoRow
+             ? ColumnBounds{}
+             : ColumnBounds{column.values.Box(column.type, shape.min_row),
+                            column.values.Box(column.type, shape.max_row)};
+}
+
 // Encodes one lane with `*forced`, or — when null — with the smallest
 // encoding: PLAIN unless RLE is strictly smaller, then DICTIONARY when
 // strictly smaller than both. Sizes come from the shape pass and the
@@ -353,18 +367,7 @@ ColumnChunk EncodeLane(const ColumnLanes& column, const std::vector<T>& lane,
   bool count_runs = forced == nullptr || *forced == Encoding::kRle;
   Shape shape =
       MeasureShape(nulls, lane.data(), n, count_runs, bounds != nullptr);
-  if (bounds != nullptr) {
-    // Only the two winning slots are boxed. A NaN compares equal to every
-    // number (the scan kernels' three-way), so it can pass any `=`, `<=`
-    // or `>=` term: a column holding one is bounded by the whole line.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    *bounds = shape.has_nan ? ColumnBounds{Value::Float64(-kInf),
-                                           Value::Float64(kInf)}
-              : shape.min_row == kNoRow
-                  ? ColumnBounds{}
-                  : ColumnBounds{column.values.Box(column.type, shape.min_row),
-                                 column.values.Box(column.type, shape.max_row)};
-  }
+  if (bounds != nullptr) *bounds = BoundsOf(column, shape);
   Dictionary dict;
   Encoding encoding;
   if (forced != nullptr) {
@@ -506,6 +509,14 @@ Result<ColumnChunk> EncodeLanes(const ColumnLanes& column,
       << "one slot per row";
   return column.values.Visit(column.type, [&](const auto& lane) {
     return EncodeLane(column, lane, encoding, bounds);
+  });
+}
+
+ColumnBounds LaneBounds(const ColumnLanes& column) {
+  return column.values.Visit(column.type, [&](const auto& lane) {
+    return BoundsOf(column, MeasureShape(column.nulls.data(), lane.data(),
+                                         column.size(), /*count_runs=*/false,
+                                         /*find_bounds=*/true));
   });
 }
 

@@ -212,6 +212,9 @@ Result<ColumnChunk> EncodeLanes(const ColumnLanes& column,
                                 const Encoding* encoding = nullptr,
                                 ColumnBounds* bounds = nullptr);
 
+// The bounds EncodeLanes finds for `column`, without encoding it.
+ColumnBounds LaneBounds(const ColumnLanes& column);
+
 // Appends column `col` of `rows` to `out`, unboxed. Fails when a
 // non-null value is not of `out->type`. Varchar slots alias the rows.
 Status AppendRowColumn(const std::vector<Row>& rows, int col,
@@ -257,8 +260,8 @@ inline Status ReadSlot(ByteReader* reader, std::string_view* out) {
 
 // The lane decoder: appends `chunk`'s rows to *out, whose type must be
 // the chunk's. Varchar slots alias `chunk.data`, so the chunk must
-// outlive them and stay in place. Mergeout and purge gather columns
-// this way; scans read a container's DecodedColumn
+// outlive them and stay in place. Mergeout and purge gather an encoded
+// container's columns this way; scans read a container's DecodedColumn
 // (storage/column_cursor.h), decoded once into batches, instead.
 Status DecodeColumnInto(const ColumnChunk& chunk, ColumnLanes* out);
 

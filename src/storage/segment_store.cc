@@ -133,6 +133,22 @@ void KeepRows(const std::vector<bool>& keep, size_t base, ColumnLanes* column,
   });
 }
 
+// Appends every row of `src` to *out (varchar slots alias `src`'s), with
+// DecodeColumnInto's type check.
+Status AppendLanes(const ColumnLanes& src, ColumnLanes* out) {
+  if (src.type != out->type) {
+    return InvalidArgumentError(StrCat("gathering ", DataTypeName(src.type),
+                                       " lanes into ",
+                                       DataTypeName(out->type)));
+  }
+  out->nulls.insert(out->nulls.end(), src.nulls.begin(), src.nulls.end());
+  out->values.Visit(out->type, [&src](auto& lane) {
+    const auto& from = src.values.lane<SlotType<decltype(lane)>>();
+    lane.insert(lane.end(), from.begin(), from.end());
+  });
+  return Status::OK();
+}
+
 // Content key of one full row for multiset matching (same sentinel
 // scheme as the SQL layer's group keys: \x01 null, \x02 separator).
 // Types are fixed per column, so display strings are unambiguous.
@@ -164,42 +180,74 @@ Result<RosContainer> RosContainer::Create(
     columns.emplace_back(schema.column(c).type);
     FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, c, &columns.back()));
   }
-  return CreateFromColumns(schema, columns,
+  return CreateFromColumns(schema, std::move(columns),
                            static_cast<uint32_t>(rows.size()), raw_bytes,
                            pending_txn, encodings);
 }
 
 Result<RosContainer> RosContainer::CreateFromColumns(
-    const Schema& schema, const std::vector<ColumnLanes>& columns,
-    uint32_t num_rows, double raw_bytes, TxnId pending_txn,
+    const Schema& schema, std::vector<ColumnLanes> columns, uint32_t num_rows,
+    double raw_bytes, TxnId pending_txn,
     const std::vector<Encoding>* encodings) {
   FABRIC_CHECK(static_cast<int>(columns.size()) == schema.num_columns());
+  auto lanes = std::make_shared<Unencoded>();
+  size_t bytes = 0;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    FABRIC_CHECK(columns[c].type == schema.column(c).type &&
+                 columns[c].size() == num_rows);
+    for (std::string_view s : columns[c].values.strings) bytes += s.size();
+  }
+  std::string& arena = lanes->arena;
+  arena.reserve(bytes);  // never reallocated, so the views stay valid
+  for (ColumnLanes& column : columns) {
+    for (std::string_view& s : column.values.strings) {
+      arena.append(s);
+      s = std::string_view(arena).substr(arena.size() - s.size());
+    }
+  }
+  lanes->columns = std::move(columns);
+  if (encodings != nullptr) lanes->encodings = *encodings;
   RosContainer container;
   container.num_rows_ = num_rows;
   container.pending_txn_ = pending_txn;
   container.raw_bytes_ = raw_bytes;
   container.delete_marks_.resize(num_rows);
-  container.columns_.reserve(columns.size());
-  container.min_values_.reserve(columns.size());
-  container.max_values_.reserve(columns.size());
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    FABRIC_CHECK(columns[c].type == schema.column(c).type &&
-                 columns[c].size() == num_rows);
-    const Encoding* forced =
-        encodings != nullptr && c < static_cast<int>(encodings->size())
-            ? &(*encodings)[c]
-            : nullptr;
-    ColumnBounds bounds;
-    FABRIC_ASSIGN_OR_RETURN(ColumnChunk chunk,
-                            EncodeLanes(columns[c], forced, &bounds));
-    container.columns_.push_back(std::move(chunk));
-    container.min_values_.push_back(std::move(bounds.min));
-    container.max_values_.push_back(std::move(bounds.max));
-  }
+  container.lanes_ = std::move(lanes);
   return container;
 }
 
+void RosContainer::Encode() const {
+  if (lanes_ == nullptr) return;
+  const std::vector<ColumnLanes>& columns = lanes_->columns;
+  const std::vector<Encoding>& encodings = lanes_->encodings;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const Encoding* forced = c < encodings.size() ? &encodings[c] : nullptr;
+    ColumnBounds bounds;
+    Result<ColumnChunk> chunk =
+        EncodeLanes(columns[c], forced, has_bounds_ ? nullptr : &bounds);
+    FABRIC_CHECK(chunk.ok()) << chunk.status();
+    columns_.push_back(std::move(*chunk));
+    if (!has_bounds_) {
+      min_values_.push_back(std::move(bounds.min));
+      max_values_.push_back(std::move(bounds.max));
+    }
+  }
+  has_bounds_ = true;
+  lanes_.reset();
+}
+
+void RosContainer::MeasureBounds() const {
+  if (has_bounds_) return;  // else the lanes are still held
+  for (const ColumnLanes& column : lanes_->columns) {
+    ColumnBounds bounds = LaneBounds(column);
+    min_values_.push_back(std::move(bounds.min));
+    max_values_.push_back(std::move(bounds.max));
+  }
+  has_bounds_ = true;
+}
+
 Result<const DecodedColumn*> RosContainer::decoded_column(int col) const {
+  Encode();
   std::vector<std::unique_ptr<DecodedColumn>>& slots = decoded_.slots;
   if (slots.empty()) slots.resize(columns_.size());
   if (slots[col] == nullptr) {
@@ -209,17 +257,25 @@ Result<const DecodedColumn*> RosContainer::decoded_column(int col) const {
 }
 
 double RosContainer::encoded_bytes() const {
+  Encode();
   double total = 0;
   for (const ColumnChunk& chunk : columns_) total += chunk.encoded_bytes();
   return total;
 }
 
 Result<std::vector<Row>> RosContainer::DecodeRows() const {
+  std::vector<ColumnLanes> decoded;
+  const std::vector<ColumnLanes>* columns = lanes();
+  if (columns == nullptr) {
+    for (const ColumnChunk& chunk : columns_) {
+      decoded.emplace_back(chunk.type);
+      FABRIC_RETURN_IF_ERROR(DecodeColumnInto(chunk, &decoded.back()));
+    }
+    columns = &decoded;
+  }
   std::vector<Row> rows(num_rows_);
-  for (auto& row : rows) row.reserve(columns_.size());
-  for (const ColumnChunk& chunk : columns_) {
-    ColumnLanes column(chunk.type);
-    FABRIC_RETURN_IF_ERROR(DecodeColumnInto(chunk, &column));
+  for (auto& row : rows) row.reserve(columns->size());
+  for (const ColumnLanes& column : *columns) {
     FABRIC_CHECK(column.size() == num_rows_);
     for (uint32_t i = 0; i < num_rows_; ++i) {
       rows[i].push_back(column.Box(i));
@@ -286,7 +342,10 @@ Status SegmentStore::GatherColumns(const RosContainer& container,
   for (int c = 0; c < schema_.num_columns(); ++c) {
     ColumnLanes& column = out->columns[c];
     size_t base = column.size();
-    FABRIC_RETURN_IF_ERROR(DecodeColumnInto(container.column(c), &column));
+    const std::vector<ColumnLanes>* lanes = container.lanes();
+    FABRIC_RETURN_IF_ERROR(
+        lanes != nullptr ? AppendLanes((*lanes)[c], &column)
+                         : DecodeColumnInto(container.column(c), &column));
     if (keep != nullptr) KeepRows(*keep, base, &column, &out->raw_bytes);
   }
   if (keep == nullptr) out->raw_bytes += container.raw_bytes();
@@ -322,10 +381,9 @@ Result<RosContainer> SegmentStore::BuildFromColumns(ColumnRows rows,
   // contract); AdoptRowEpochs commits it at the original per-row epochs.
   FABRIC_ASSIGN_OR_RETURN(
       RosContainer container,
-      RosContainer::CreateFromColumns(schema_, rows.columns, num_rows,
-                                      rows.raw_bytes,
-                                      pending_txn != 0 ? pending_txn : 1,
-                                      encodings));
+      RosContainer::CreateFromColumns(
+          schema_, std::move(rows.columns), num_rows, rows.raw_bytes,
+          pending_txn != 0 ? pending_txn : 1, encodings));
   if (pending_txn == 0) container.AdoptRowEpochs(std::move(rows.epochs));
   container.mutable_delete_marks() = std::move(rows.marks);
   return container;
@@ -333,10 +391,10 @@ Result<RosContainer> SegmentStore::BuildFromColumns(ColumnRows rows,
 
 Result<RosContainer> SegmentStore::MergeUnits(
     const std::vector<const RosContainer*>& units) const {
-  // Gathered as lanes and re-encoded column by column: the merged
-  // container is the one RosContainer::Create would build from the
-  // decoded rows. The sources must stay in place until it is built,
-  // since the lanes alias their chunks.
+  // Gathered as lanes (a never-read unit's own, an encoded one's
+  // decoded) into the one container RosContainer::Create would build
+  // from the decoded rows. The lanes alias the sources' arenas or
+  // chunks, which must stay as they are until it is built.
   ColumnRows rows(schema_);
   size_t total_rows = 0;
   for (const RosContainer* unit : units) total_rows += unit->num_rows();
@@ -366,6 +424,7 @@ Status SegmentStore::Insert(TxnId txn, std::vector<Row> rows, bool direct) {
       BuildFromColumns(std::move(columns),
                        direct ? Layout::kRos : Layout::kWos, txn));
   (direct ? ros_ : wos_).push_back(std::move(unit));
+  wos_tally_.Count(wos_.size());
   return Status::OK();
 }
 
@@ -406,6 +465,7 @@ void SegmentStore::AbortTxn(TxnId txn) {
       }
     }
   }
+  wos_tally_.Count(wos_.size());
 }
 
 Result<int64_t> SegmentStore::CountVisible(Epoch as_of, TxnId txn) const {
@@ -726,6 +786,7 @@ Status SegmentStore::Moveout() {
   FABRIC_ASSIGN_OR_RETURN(RosContainer container, MergeUnits(committed));
   std::erase_if(wos_,
                 [](const RosContainer& unit) { return unit.committed(); });
+  wos_tally_.Count(wos_.size());
   if (container.num_rows() > 0) ros_.push_back(std::move(container));
   return Status::OK();
 }
@@ -753,11 +814,19 @@ Result<double> SegmentStore::MergeRosContainers(
   }
   FABRIC_ASSIGN_OR_RETURN(RosContainer merged, MergeUnits(units));
   double bytes = merged.raw_bytes();
-  int insert_at = sorted.front();
-  for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
-    ros_.erase(ros_.begin() + *it);
+  // The merged container takes the first input's slot and the others
+  // close up in one pass (erasing them one at a time would shift every
+  // later container once per input).
+  ros_[sorted.front()] = std::move(merged);
+  size_t out = static_cast<size_t>(sorted[1]);
+  for (size_t i = out, k = 1; i < ros_.size(); ++i) {
+    if (k < sorted.size() && static_cast<size_t>(sorted[k]) == i) {
+      ++k;
+    } else {
+      ros_[out++] = std::move(ros_[i]);
+    }
   }
-  ros_.insert(ros_.begin() + insert_at, std::move(merged));
+  ros_.erase(ros_.begin() + static_cast<long>(out), ros_.end());
   return bytes;
 }
 
@@ -814,6 +883,7 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
     }
   }
   committed_deletes_ -= purged;
+  wos_tally_.Count(wos_.size());
   return purged;
 }
 
@@ -933,6 +1003,7 @@ void SegmentStore::CopyContentsFrom(const SegmentStore& other) {
   ros_ = other.ros_;
   wos_ = other.wos_;
   committed_deletes_ = other.committed_deletes_;
+  wos_tally_.Count(wos_.size());
 }
 
 }  // namespace fabric::storage

@@ -50,10 +50,11 @@ struct PhysicalDesign {
 // One stored, epoch-stamped batch of rows on one node, column by column:
 // a Read Optimized Storage container (sorted by the store's design,
 // encoded) or a Write Optimized Storage unit (arrival order, PLAIN).
-// Immutable after creation except for delete marks.
+// Its content is immutable after creation; only delete marks change. It
+// holds typed lanes until its first read, then encoded chunks.
 class RosContainer {
  public:
-  // Encodes `rows` column by column, each unboxed once into lanes.
+  // The container of `rows`, each column unboxed once into lanes.
   // `pending_txn` != 0 marks the container uncommitted (a DIRECT bulk
   // load inside a transaction). `encodings` (when non-null) forces the
   // per-column encoding instead of auto-picking the smallest. The
@@ -64,9 +65,11 @@ class RosContainer {
   // Same container, from `num_rows` rows already split into typed lanes
   // (one per schema column) whose raw size is `raw_bytes`: the path of
   // every store write (DIRECT load, moveout, mergeout and purge), which
-  // never boxes a Value.
+  // never boxes a Value. The container keeps the lanes (varchar bytes
+  // copied out, so the sources may go) and encodes them at its first
+  // read, so one the Tuple Mover merges away unread is never encoded.
   static Result<RosContainer> CreateFromColumns(
-      const Schema& schema, const std::vector<ColumnLanes>& columns,
+      const Schema& schema, std::vector<ColumnLanes> columns,
       uint32_t num_rows, double raw_bytes, TxnId pending_txn,
       const std::vector<Encoding>* encodings = nullptr);
 
@@ -96,12 +99,30 @@ class RosContainer {
   void AdoptRowEpochs(std::vector<Epoch> epochs);
 
   // Per-column min/max (null Values when the column had no non-null
-  // rows) — used for scan pruning.
-  const Value& min_value(int col) const { return min_values_[col]; }
-  const Value& max_value(int col) const { return max_values_[col]; }
+  // rows) — used for scan pruning. Measured at the first call, from the
+  // lanes when the container is not encoded yet.
+  const Value& min_value(int col) const {
+    MeasureBounds();
+    return min_values_[col];
+  }
+  const Value& max_value(int col) const {
+    MeasureBounds();
+    return max_values_[col];
+  }
 
-  // Encoded column payload.
-  const ColumnChunk& column(int col) const { return columns_[col]; }
+  // Encoded column payload (encodes the container at the first call).
+  const ColumnChunk& column(int col) const {
+    Encode();
+    return columns_[col];
+  }
+
+  // Whether the container is encoded yet: column(), decoded_column() and
+  // encoded_bytes() encode it; until then it holds the lanes it was
+  // built from, which lanes() returns (null once encoded).
+  bool encoded() const { return lanes_ == nullptr; }
+  const std::vector<ColumnLanes>* lanes() const {
+    return lanes_ == nullptr ? nullptr : &lanes_->columns;
+  }
 
   // Column `col` decoded into scan batches: built by the first scan that
   // touches the column, then shared by every later scan pass and query
@@ -130,10 +151,29 @@ class RosContainer {
   Epoch min_epoch_ = 0;             // meaningful only with row_epochs_
   std::vector<Epoch> row_epochs_;   // empty => every row at commit_epoch_
   double raw_bytes_ = 0;
-  std::vector<ColumnChunk> columns_;
-  std::vector<Value> min_values_;
-  std::vector<Value> max_values_;
   std::vector<DeleteMark> delete_marks_;
+
+  // The typed lanes a container is built from, held until its first
+  // read encodes them. Varchar slots view `arena` (all the string
+  // bytes), so they stay valid wherever the holder moves. Immutable:
+  // copies of the container share it and each encodes its own chunks.
+  struct Unencoded {
+    std::vector<ColumnLanes> columns;
+    std::string arena;
+    std::vector<Encoding> encodings;  // forced per column; empty => auto
+  };
+  // Runs EncodeLanes over the lanes and drops them (no-op once encoded);
+  // the bounds are measured in the same pass unless already known.
+  void Encode() const;
+  // Fills min_values_/max_values_ (no-op once measured).
+  void MeasureBounds() const;
+
+  // The lazy state: one host thread per engine (see DecodedCache), no lock.
+  mutable std::shared_ptr<const Unencoded> lanes_;  // null once encoded
+  mutable std::vector<ColumnChunk> columns_;        // empty until encoded
+  mutable bool has_bounds_ = false;
+  mutable std::vector<Value> min_values_;
+  mutable std::vector<Value> max_values_;
 
   // Lazily decoded columns_, one slot per column. The slots alias the
   // chunk payloads: a copy holds its own payload, and a moved short
@@ -234,6 +274,14 @@ class SegmentStore {
 
   const Schema& schema() const { return schema_; }
   const PhysicalDesign& design() const { return design_; }
+
+  // Counts this store's WOS units into `*total` (a database's WOS gauge)
+  // from now until the store is destroyed; `*total` must outlive it. A
+  // copy of the store is not counted.
+  void TallyWosUnitsInto(int64_t* total) {
+    wos_tally_.total = total;
+    wos_tally_.Count(wos_.size());
+  }
 
   // Appends rows as a pending WOS unit owned by `txn`.
   Status InsertPending(TxnId txn, std::vector<Row> rows);
@@ -397,12 +445,30 @@ class SegmentStore {
   Result<RosContainer> MergeUnits(
       const std::vector<const RosContainer*>& units) const;
 
+  // This store's share of `*total`: every change to wos_ reports its
+  // new size through Count, and the share leaves the total when the
+  // store dies. A copy starts untallied.
+  struct WosTally {
+    WosTally() = default;
+    WosTally(const WosTally&) {}
+    WosTally& operator=(const WosTally&) = delete;
+    ~WosTally() { Count(0); }
+    void Count(size_t units) {
+      if (total == nullptr) return;
+      *total += static_cast<int64_t>(units) - counted;
+      counted = static_cast<int64_t>(units);
+    }
+    int64_t* total = nullptr;
+    int64_t counted = 0;
+  };
+
   Schema schema_;
   PhysicalDesign design_;
   std::vector<RosContainer> ros_;
   std::vector<RosContainer> wos_;  // WOS units, arrival order
   // Maintained by CommitTxn, PurgeDeletedRows and CopyContentsFrom.
   int64_t committed_deletes_ = 0;
+  WosTally wos_tally_;
 };
 
 // True when the row version is visible at `as_of` for reader txn `txn`.

@@ -77,8 +77,7 @@ Result<std::unique_ptr<CopyStream>> CopyStream::Open(
       session, std::move(def), options, txn, autocommit, grant));
 }
 
-Status CopyStream::WriteBatch(sim::Process& self,
-                              const std::vector<Row>& rows) {
+Status CopyStream::WriteBatch(sim::Process& self, std::vector<Row> rows) {
   FABRIC_CHECK(!finished_) << "WriteBatch after Finish";
   Database* db = session_->database();
   const CostModel& cost = db->cost();
@@ -88,12 +87,18 @@ Status CopyStream::WriteBatch(sim::Process& self,
         StrCat("connection to ", db->node_name(initiator), " lost"));
   }
 
+  // The whole batch is profiled before its good rows move out of it.
+  const double scale = db->EffectiveScale(def_.name);
+  DataProfile profile = ProfileRows(rows);
+  profile.ScaleBy(scale);
+  const int64_t batch_rows = static_cast<int64_t>(rows.size());
+
   // Validate: bad rows are rejected, good rows proceed.
   std::vector<Row> good;
   good.reserve(rows.size());
-  for (const Row& row : rows) {
+  for (Row& row : rows) {
     if (ValidateRow(def_.schema, row).ok()) {
-      good.push_back(row);
+      good.push_back(std::move(row));
     } else {
       ++totals_.rejected;
       if (totals_.rejected_sample.size() < 10) {
@@ -101,10 +106,6 @@ Status CopyStream::WriteBatch(sim::Process& self,
       }
     }
   }
-
-  const double scale = db->EffectiveScale(def_.name);
-  DataProfile profile = ProfileRows(rows);
-  profile.ScaleBy(scale);
 
   // Inbound leg: Avro batch over the external NIC from the client, or a
   // local disk read for file-based COPY.
@@ -154,11 +155,10 @@ Status CopyStream::WriteBatch(sim::Process& self,
       self, def_, good, txn_, initiator, options_.direct, scale));
   obs::TraceEvent("vertica", "copy.batch",
                   {{"table", def_.name},
-                   {"rows", static_cast<int64_t>(rows.size())},
-                   {"rejected",
-                    static_cast<int64_t>(rows.size() - good.size())},
+                   {"rows", batch_rows},
+                   {"rejected", batch_rows - good_count},
                    {"txn", txn_}});
-  obs::IncrCounter("vertica.copy_rows", static_cast<double>(rows.size()));
+  obs::IncrCounter("vertica.copy_rows", static_cast<double>(batch_rows));
   // Deliver to every live copy of each owner segment; sort + encode into
   // ROS on the owner is cheap relative to the parse above.
   FABRIC_RETURN_IF_ERROR(db->WriteRows(

@@ -47,10 +47,10 @@ class CopyStream {
   // grant; the open transaction is left to the session's rollback.
   ~CopyStream();
 
-  // Feeds one batch. Returns CANCELLED if the process is killed; the
-  // session's transaction is then left to roll back.
-  Status WriteBatch(sim::Process& self,
-                    const std::vector<storage::Row>& rows);
+  // Feeds one batch; its accepted rows move on into the store. Returns
+  // CANCELLED if the process is killed; the session's transaction is
+  // then left to roll back.
+  Status WriteBatch(sim::Process& self, std::vector<storage::Row> rows);
 
   // Ends the stream. Commits iff the session had no explicit transaction
   // open (autocommit). Returns the load counts.

@@ -224,7 +224,7 @@ Result<Database::TableStorage*> Database::GetStorage(
 
 Database::SegmentSet Database::EmptySegmentSet(
     const storage::Schema& schema, const Segmentation& segmentation,
-    const storage::PhysicalDesign& design) const {
+    const storage::PhysicalDesign& design) {
   // k=1 buddy projection: a segmented layout gets a second copy of every
   // segment on the ring-successor node. Unsegmented layouts are already
   // replicated everywhere, and a single-node cluster has no buddy.
@@ -233,9 +233,11 @@ Database::SegmentSet Database::EmptySegmentSet(
   for (int i = 0; i < num_nodes(); ++i) {
     set.per_node.push_back(
         std::make_unique<storage::SegmentStore>(schema, design));
+    set.per_node.back()->TallyWosUnitsInto(&wos_units_);
     if (buddies) {
       set.buddy.push_back(
           std::make_unique<storage::SegmentStore>(schema, design));
+      set.buddy.back()->TallyWosUnitsInto(&wos_units_);
     }
   }
   return set;
@@ -661,16 +663,6 @@ storage::Epoch Database::MinNodeDownEpoch() const {
 void Database::TrimEpochBookkeeping(storage::Epoch ahm) {
   epoch_commits_.erase(epoch_commits_.begin(),
                        epoch_commits_.lower_bound(ahm));
-}
-
-int64_t Database::TotalWosBatches() const {
-  int64_t total = 0;
-  for (int n = 0; n < num_nodes(); ++n) {
-    ForEachHostedStore(n, [&total](const HostedStore& hs) {
-      total += hs.store->num_wos_batches();
-    });
-  }
-  return total;
 }
 
 Result<Database::SegmentCopy> Database::ReadCopy(SegmentSet* storage,

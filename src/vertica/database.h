@@ -245,8 +245,9 @@ class Database {
   const std::map<storage::Epoch, int64_t>& epoch_commits() const {
     return epoch_commits_;
   }
-  // Cluster-wide WOS batch count (the vertica.wos_batches gauge).
-  int64_t TotalWosBatches() const;
+  // Cluster-wide WOS batch count (the vertica.wos_batches gauge): kept
+  // by the stores themselves, so O(1).
+  int64_t TotalWosBatches() const { return wos_units_; }
   Status CreateTableWithStorage(TableDef def);
   Status DropTableWithStorage(const std::string& name);
   // Empties every store of the table and of its projections.
@@ -388,10 +389,11 @@ class Database {
 
  private:
   // Empty stores for one layout: a primary per node, plus a buddy per
-  // segment when the layout is segmented.
+  // segment when the layout is segmented, each counting its WOS units
+  // into wos_units_.
   SegmentSet EmptySegmentSet(const storage::Schema& schema,
                              const Segmentation& segmentation,
-                             const storage::PhysicalDesign& design) const;
+                             const storage::PhysicalDesign& design);
   // `rows` grouped by owner segment under `segmentation`; an
   // unsegmented layout's rows go to every node.
   std::vector<std::vector<storage::Row>> RouteRows(
@@ -426,6 +428,9 @@ class Database {
   std::vector<designer::Proposal> design_proposals_;
   std::unique_ptr<TupleMover> tm_;
   std::map<std::string, TableLock> locks_;
+  // WOS units in every store of storage_; declared first so it outlives
+  // the stores, which take their units out of it as they die.
+  int64_t wos_units_ = 0;
   std::map<std::string, TableStorage> storage_;
   std::set<std::string> scale_exempt_;
   std::map<std::string, ScalarFn> functions_;

@@ -399,7 +399,7 @@ void LoadLaneTable(sim::Process& self, Session& s, const std::string& table,
   auto stream =
       vertica::CopyStream::Open(self, &s, table, vertica::CopyStream::Options{});
   ASSERT_TRUE(stream.ok()) << stream.status();
-  ASSERT_TRUE((*stream)->WriteBatch(self, direct).ok());
+  ASSERT_TRUE((*stream)->WriteBatch(self, std::move(direct)).ok());
   auto loaded = (*stream)->Finish(self);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(loaded->rejected, 0);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -1166,11 +1167,27 @@ TEST_F(SegmentStoreTest, StatsTrackBytes) {
 
 // ------------------------------------------- decoded-column cache
 
+// Display form of a row, bit-exact for doubles (NaN equals NaN, -0
+// differs from 0) and with NULL distinct from ''.
+std::vector<std::string> RowKeys(const std::vector<Row>& rows) {
+  std::vector<std::string> keys;
+  for (const Row& row : rows) {
+    std::string key;
+    for (const Value& v : row) {
+      key += v.is_null() ? "\x01" : v.ToDisplayString();
+      key += '\x02';
+    }
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
 // Scans `store` at `as_of` (through `txn`'s eyes) with `pred` (null =
 // match all), measuring and emitting every column, twice: the first
 // pass may decode columns, the second reads what the first cached. Both
 // must agree with the row-at-a-time reference (ScanVisible plus
-// ScanPredicate::Matches) on rows, counters and the visible profile.
+// ScanPredicate::Matches) on rows (bit-exact: NaN matches NaN, -0 is not
+// 0), counters and the visible profile.
 void ExpectScanMatchesReference(const SegmentStore& store, Epoch as_of,
                                 TxnId txn = 0,
                                 const ScanPredicate* pred = nullptr) {
@@ -1197,12 +1214,7 @@ void ExpectScanMatchesReference(const SegmentStore& store, Epoch as_of,
     ScanStats stats;
     auto scanned = store.Scan(spec, &stats);
     ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
-    const std::vector<Row> got = scanned->BoxRows();
-    ASSERT_EQ(got.size(), want.size()) << "pass " << pass;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_TRUE(RowsEqual(got[i], want[i]))
-          << "pass " << pass << " row " << i;
-    }
+    EXPECT_EQ(RowKeys(scanned->BoxRows()), RowKeys(want)) << "pass " << pass;
     EXPECT_EQ(stats.rows_visible, static_cast<int64_t>(visible.size()));
     EXPECT_EQ(stats.visible_profile.fields, want_visible.fields);
     EXPECT_EQ(stats.visible_profile.raw_bytes, want_visible.raw_bytes);
@@ -1293,6 +1305,10 @@ std::vector<Row> BoundaryRows(int n) {
   const char* kNames[] = {"a", "b", "ccc"};
   for (int i = 0; i < n; ++i) {
     Row row = MakeRow(i / 300, (i % 7) / 7.0, kNames[i % 3], false);
+    if (i % 11 == 4) row[1] = Value::Float64(-0.0);
+    if (i % 13 == 6) {
+      row[1] = Value::Float64(std::numeric_limits<double>::quiet_NaN());
+    }
     if (i % 5 == 0) row[1] = Value::Null();
     if (i % 4 == 1) row[2] = Value::Null();
     row[3] = Value::Null();
@@ -1346,7 +1362,10 @@ TEST(DecodedColumnTest, ScansSurviveStoreMutations) {
   for (int i = 1; reallocations < 3; ++i) {
     ASSERT_LT(i, 64);
     size_t capacity = store->ros_containers().capacity();
-    load({MakeRow(i, i / 8.0, i % 2 ? "b" : "cc", i % 3 == 0)});
+    const double score = i % 4 == 2   ? -0.0
+                         : i % 4 == 3 ? std::numeric_limits<double>::quiet_NaN()
+                                      : i / 8.0;
+    load({MakeRow(i, score, i % 2 ? "b" : "cc", i % 3 == 0)});
     if (store->ros_containers().capacity() != capacity) ++reallocations;
     ExpectAllScansMatch(*store, epoch);
   }
@@ -1397,21 +1416,6 @@ TEST(DecodedColumnTest, ScansSurviveStoreMutations) {
   store.reset();
   ExpectAllScansMatch(copy, epoch);
   ExpectAllScansMatch(clone, epoch);
-}
-
-// Display form of a row, bit-exact for doubles (NaN equals NaN, -0
-// differs from 0) and with NULL distinct from ''.
-std::vector<std::string> RowKeys(const std::vector<Row>& rows) {
-  std::vector<std::string> keys;
-  for (const Row& row : rows) {
-    std::string key;
-    for (const Value& v : row) {
-      key += v.is_null() ? "\x01" : v.ToDisplayString();
-      key += '\x02';
-    }
-    keys.push_back(std::move(key));
-  }
-  return keys;
 }
 
 Row RandomStoreRow(Rng& rng) {
@@ -1649,6 +1653,287 @@ TEST(ScanPruningTest, NanRowsAreNeverPrunedAway) {
       }
     }
   }
+}
+
+// ------------------------------------------------ encode on first read
+
+// Every column of `rows` as typed lanes (varchar slots alias `rows`).
+std::vector<ColumnLanes> LanesOf(const Schema& schema,
+                                 const std::vector<Row>& rows) {
+  std::vector<ColumnLanes> lanes;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    lanes.emplace_back(schema.column(c).type);
+    FABRIC_CHECK(AppendRowColumn(rows, c, &lanes.back()).ok());
+  }
+  return lanes;
+}
+
+// A container holds its lanes until the first read, then encodes them:
+// chunk bytes, encodings, bounds and encoded size are EncodeLanes' on
+// the same lanes whichever accessor reads first. Bounds alone are
+// measured without encoding. The lanes own their strings: the rows they
+// were unboxed from are gone before the first read.
+TEST(LazyEncodingTest, FirstReadEncodesLikeEncodeLanesProperty) {
+  const Schema schema = RebuildSchema();
+  const int num_columns = schema.num_columns();
+  for (uint64_t seed : fabric::testing::PropertySeeds()) {
+    Rng rng(seed);
+    for (int mode = 0; mode < 3; ++mode) {  // auto, forced, all PLAIN
+      for (int first = 0; first < 3; ++first) {
+        SCOPED_TRACE(StrCat("seed ", seed, " mode ", mode, " first ", first));
+        std::vector<Row> rows(rng.NextUint64(1300));
+        double raw_bytes = 0;
+        for (Row& row : rows) {
+          row = RandomRebuildRow(rng);
+          if (rng.NextBool(0.2)) row[2] = Value::Varchar(std::string(24, 'v'));
+          raw_bytes += RowRawSize(row);
+        }
+        std::vector<Encoding> encodings;
+        for (int c = 0; mode > 0 && c < num_columns; ++c) {
+          encodings.push_back(mode == 2 ? Encoding::kPlain
+                                        : static_cast<Encoding>(
+                                              rng.NextUint64(3)));
+        }
+        const std::vector<Encoding>* forced =
+            mode > 0 ? &encodings : nullptr;
+        std::vector<ColumnLanes> lanes = LanesOf(schema, rows);
+        std::vector<ColumnChunk> want;
+        std::vector<ColumnBounds> want_bounds(num_columns);
+        double want_bytes = 0;
+        for (int c = 0; c < num_columns; ++c) {
+          auto chunk = EncodeLanes(lanes[c], mode > 0 ? &encodings[c] : nullptr,
+                                   &want_bounds[c]);
+          ASSERT_TRUE(chunk.ok());
+          want_bytes += chunk->encoded_bytes();
+          want.push_back(*std::move(chunk));
+        }
+        auto container = RosContainer::CreateFromColumns(
+            schema, std::move(lanes), static_cast<uint32_t>(rows.size()),
+            raw_bytes, /*pending_txn=*/1, forced);
+        ASSERT_TRUE(container.ok());
+        rows = {};
+        ASSERT_FALSE(container->encoded());
+        ASSERT_NE(container->lanes(), nullptr);
+        if (first == 0) {
+          for (int c = 0; c < num_columns; ++c) {
+            EXPECT_TRUE(SameBound(container->min_value(c), want_bounds[c].min));
+            EXPECT_TRUE(SameBound(container->max_value(c), want_bounds[c].max));
+          }
+          EXPECT_FALSE(container->encoded());
+        } else if (first == 2) {
+          EXPECT_EQ(container->encoded_bytes(), want_bytes);
+          EXPECT_TRUE(container->encoded());
+        }
+        for (int c = 0; c < num_columns; ++c) {
+          EXPECT_EQ(container->column(c).encoding, want[c].encoding) << c;
+          EXPECT_EQ(container->column(c).data, want[c].data) << c;
+          EXPECT_TRUE(SameBound(container->min_value(c), want_bounds[c].min));
+          EXPECT_TRUE(SameBound(container->max_value(c), want_bounds[c].max));
+        }
+        EXPECT_TRUE(container->encoded());
+        EXPECT_EQ(container->lanes(), nullptr);
+        EXPECT_EQ(container->encoded_bytes(), want_bytes);
+      }
+    }
+  }
+}
+
+// Emits every column of every visible row of `store`, which encodes each
+// of its containers and WOS units.
+void ReadEverything(const SegmentStore& store, Epoch as_of) {
+  std::vector<int> all(static_cast<size_t>(store.schema().num_columns()));
+  std::iota(all.begin(), all.end(), 0);
+  ScanSpec spec;
+  spec.as_of = as_of;
+  spec.cost_columns = &all;
+  ScanStats stats;
+  ASSERT_TRUE(store.Scan(spec, &stats).ok());
+}
+
+// Both stores hold the same containers, byte for byte, with the same
+// epochs and marks. Compares copies, which encode on their own and leave
+// the stores' containers as they were.
+void ExpectSameStores(const SegmentStore& got, const SegmentStore& want) {
+  ASSERT_EQ(got.num_ros_containers(), want.num_ros_containers());
+  ASSERT_EQ(got.num_wos_batches(), want.num_wos_batches());
+  for (int k = 0; k < got.num_ros_containers(); ++k) {
+    SCOPED_TRACE(StrCat("container ", k));
+    const RosContainer got_copy = got.ros_containers()[k];
+    const RosContainer want_copy = want.ros_containers()[k];
+    ExpectSameContainer(got_copy, want_copy, got.schema().num_columns());
+    for (uint32_t i = 0; i < got_copy.num_rows(); ++i) {
+      ASSERT_EQ(got_copy.row_epoch(i), want_copy.row_epoch(i)) << i;
+      ASSERT_EQ(got_copy.delete_marks()[i].state,
+                want_copy.delete_marks()[i].state)
+          << i;
+      ASSERT_EQ(got_copy.delete_marks()[i].epoch,
+                want_copy.delete_marks()[i].epoch)
+          << i;
+    }
+  }
+  EXPECT_EQ(got.ContentFingerprint(), want.ContentFingerprint());
+  EXPECT_EQ(got.committed_deletes(), want.committed_deletes());
+}
+
+bool AllUnencoded(const SegmentStore& store) {
+  for (const auto* units : {&store.ros_containers(), &store.wos_batches()}) {
+    for (const RosContainer& unit : *units) {
+      if (unit.encoded()) return false;
+    }
+  }
+  return true;
+}
+
+// Moveout, mergeout and purge gather a never-read unit's own lanes and
+// an encoded one's decoded chunks; either way they build the same
+// containers. Their outputs stay unencoded until something reads them.
+TEST(LazyEncodingTest, TupleMoverOutputIgnoresWhetherInputsWereRead) {
+  std::vector<PhysicalDesign> designs(3);
+  designs[1].sort_columns = {2, 0};
+  designs[2].sort_columns = {1, 0, 3};
+  designs[2].encodings = {Encoding::kRle, Encoding::kDictionary,
+                          Encoding::kRle, Encoding::kPlain,
+                          Encoding::kDictionary};
+  for (uint64_t seed : fabric::testing::PropertySeeds()) {
+    for (size_t d = 0; d < designs.size(); ++d) {
+      SCOPED_TRACE(StrCat("seed ", seed, " design ", d));
+      SegmentStore lazy(RebuildSchema(), designs[d]);
+      SegmentStore read(RebuildSchema(), designs[d]);
+      Rng rng(seed * 17 + d);
+      std::vector<Row> victims;
+      Epoch epoch = 0;
+      auto load = [&](TxnId txn, bool direct) {
+        std::vector<Row> rows(1 + rng.NextUint64(direct ? 1200 : 300));
+        for (Row& row : rows) {
+          row = RandomRebuildRow(rng);
+          if (rng.NextBool(0.1)) victims.push_back(row);
+        }
+        ++epoch;
+        for (SegmentStore* store : {&lazy, &read}) {
+          ASSERT_TRUE((direct ? store->InsertPendingDirect(txn, rows)
+                              : store->InsertPending(txn, rows))
+                          .ok());
+          store->CommitTxn(txn, epoch);
+        }
+      };
+      TxnId txn = 10;
+      for (int i = 0; i < 3; ++i) load(txn++, /*direct=*/true);
+      for (int i = 0; i < 2; ++i) load(txn++, /*direct=*/false);
+      EXPECT_TRUE(AllUnencoded(lazy));
+
+      ReadEverything(read, epoch);
+      ASSERT_TRUE(lazy.Moveout().ok());
+      ASSERT_TRUE(read.Moveout().ok());
+      EXPECT_FALSE(lazy.ros_containers().back().encoded());
+      ExpectSameStores(lazy, read);
+
+      // Deletes by content read rows but encode nothing.
+      for (SegmentStore* store : {&lazy, &read}) {
+        ASSERT_TRUE(store->MarkDeletedPendingByContent(txn, epoch, victims)
+                        .ok());
+        store->CommitTxn(txn, epoch + 1);
+      }
+      ++txn;
+      ++epoch;
+      load(txn++, /*direct=*/true);
+      EXPECT_TRUE(AllUnencoded(lazy));
+
+      ReadEverything(read, epoch);
+      std::vector<int> all(static_cast<size_t>(lazy.num_ros_containers()));
+      std::iota(all.begin(), all.end(), 0);
+      ASSERT_TRUE(lazy.MergeRosContainers(all).ok());
+      ASSERT_TRUE(read.MergeRosContainers(all).ok());
+      EXPECT_TRUE(AllUnencoded(lazy));
+      ExpectSameStores(lazy, read);
+
+      ReadEverything(read, epoch);
+      auto lazy_purged = lazy.PurgeDeletedRows(epoch);
+      auto read_purged = read.PurgeDeletedRows(epoch);
+      ASSERT_TRUE(lazy_purged.ok() && read_purged.ok());
+      EXPECT_EQ(*lazy_purged, *read_purged);
+      EXPECT_TRUE(AllUnencoded(lazy));
+      ExpectSameStores(lazy, read);
+    }
+  }
+}
+
+// k-safety recovery clones whole stores, unencoded containers included:
+// the clone shares their lanes. It must scan and fingerprint as the
+// source did after the source's containers are encoded, merged away and
+// destroyed (under the sanitizers, a clone reading freed source memory
+// fails here).
+TEST(LazyEncodingTest, ClonedUnencodedStoreOutlivesItsSource) {
+  for (uint64_t seed : fabric::testing::PropertySeeds()) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Rng rng(seed);
+    auto source = std::make_unique<SegmentStore>(TestSchema());
+    std::vector<Row> victims;
+    TxnId txn = 10;
+    Epoch epoch = 0;
+    for (int load = 0; load < 6; ++load, ++txn) {
+      std::vector<Row> rows(1 + rng.NextUint64(400));
+      for (Row& row : rows) {
+        row = RandomStoreRow(rng);
+        if (rng.NextBool(0.3)) row[2] = Value::Varchar(std::string(30, 'w'));
+        if (rng.NextBool(0.05)) victims.push_back(row);
+      }
+      ASSERT_TRUE((load < 4 ? source->InsertPendingDirect(txn, rows)
+                            : source->InsertPending(txn, rows))
+                      .ok());
+      source->CommitTxn(txn, ++epoch);
+    }
+    ASSERT_TRUE(
+        source->MarkDeletedPendingByContent(txn, epoch, victims).ok());
+    source->CommitTxn(txn++, ++epoch);
+    ASSERT_TRUE(AllUnencoded(*source));
+    const uint64_t fingerprint = source->ContentFingerprint();
+    const std::vector<Row> want = SnapshotRows(*source, epoch).value();
+
+    SegmentStore clone(TestSchema());
+    clone.CopyContentsFrom(*source);
+    EXPECT_TRUE(AllUnencoded(clone));
+    ExpectAllScansMatch(*source, epoch);
+    ASSERT_TRUE(source->Moveout().ok());
+    ASSERT_TRUE(source->MergeRosContainers({0, 1, 2, 3, 4}).ok());
+    source.reset();
+
+    EXPECT_TRUE(AllUnencoded(clone));
+    EXPECT_EQ(clone.ContentFingerprint(), fingerprint);
+    EXPECT_EQ(RowKeys(SnapshotRows(clone, epoch).value()), RowKeys(want));
+    ExpectAllScansMatch(clone, epoch);
+    ExpectAllScansMatch(clone, epoch - 3);
+    ASSERT_TRUE(clone.Moveout().ok());
+    ASSERT_TRUE(clone.MergeRosContainers({0, 1, 2, 3, 4}).ok());
+    EXPECT_EQ(clone.ContentFingerprint(), fingerprint);
+    ExpectAllScansMatch(clone, epoch);
+  }
+}
+
+// A mergeout of never-read units leaves its output unencoded, and so do
+// the reads that need no column: counts, fingerprints, raw sizes. The
+// first scan encodes what it reads.
+TEST(LazyEncodingTest, MergeoutOfUnreadUnitsStaysUnencoded) {
+  SegmentStore store(TestSchema());
+  for (TxnId txn = 10; txn < 13; ++txn) {
+    ASSERT_TRUE(store
+                    .InsertPendingDirect(txn, {MakeRow(txn, 0.5, "a", true),
+                                               MakeRow(1, -0.0, "bb", false)})
+                    .ok());
+    store.CommitTxn(txn, txn);
+  }
+  ASSERT_TRUE(store.InsertPending(13, {MakeRow(4, 2.0, "c", true)}).ok());
+  store.CommitTxn(13, 13);
+  ASSERT_TRUE(store.Moveout().ok());
+  ASSERT_TRUE(store.MergeRosContainers({0, 1, 2, 3}).ok());
+  ASSERT_EQ(store.num_ros_containers(), 1);
+  const RosContainer& merged = store.ros_containers()[0];
+  EXPECT_FALSE(merged.encoded());
+  EXPECT_EQ(store.CountVisible(13).value(), 7);
+  EXPECT_NE(store.ContentFingerprint(), 0u);
+  EXPECT_EQ(store.TotalRawBytes(), 7 * 17 + 3 * 1 + 3 * 2 + 1);
+  EXPECT_FALSE(merged.encoded());
+  ReadEverything(store, 13);
+  EXPECT_TRUE(merged.encoded());
 }
 
 }  // namespace

@@ -638,6 +638,80 @@ TEST_F(TmTest, RejectedRunsCountFailuresAndLeaveStoreUntouched) {
   EXPECT_FALSE(trace.Category("tm").Name("failure").empty());
 }
 
+// The vertica.wos_batches gauge reads a WOS-unit count the stores keep
+// up as units come and go. It must equal a walk over every hosted store
+// after inserts, an abort, moveouts, purges, a recovery clone, a rename
+// that replaces a table, a truncate and a drop.
+TEST_F(TmTest, WosUnitCountMatchesAWalkOverEveryStore) {
+  TupleMoverConfig tm = AggressiveTm();
+  tm.moveout_interval = 1.0;  // the WOS holds units across several steps
+  Build(tm);
+  auto walk = [&] {
+    int64_t total = 0;
+    for (int n = 0; n < db_->num_nodes(); ++n) {
+      db_->ForEachHostedStore(n, [&](const Database::HostedStore& hs) {
+        total += hs.store->num_wos_batches();
+      });
+    }
+    return total;
+  };
+  RunDriver([&](sim::Process& driver) {
+    auto check = [&](const char* step) {
+      EXPECT_EQ(db_->TotalWosBatches(), walk()) << step;
+    };
+    auto insert = [&](const char* table, int id) {
+      ExecOk(driver, 2 * (id % 2),  // nodes 0 and 2 stay up
+             StrCat("INSERT INTO ", table, " VALUES (", id, ", 1.5), (",
+                    id + 100, ", 2.5)"));
+    };
+    for (const char* table : {"a", "b", "c"}) {
+      ExecOk(driver, 0,
+             StrCat("CREATE TABLE ", table, " (id INTEGER, score FLOAT) "
+                    "SEGMENTED BY HASH(id) ALL NODES"));
+    }
+    for (int i = 0; i < 6; ++i) {
+      for (const char* table : {"a", "b", "c"}) insert(table, i);
+      check("insert");
+    }
+    EXPECT_GT(db_->TotalWosBatches(), 0);
+
+    auto session = db_->Connect(driver, 0, nullptr);
+    ASSERT_TRUE(session.ok()) << session.status();
+    ASSERT_TRUE((*session)->Execute(driver, "BEGIN").ok());
+    ASSERT_TRUE(
+        (*session)->Execute(driver, "INSERT INTO a VALUES (7, 0.5)").ok());
+    check("pending insert");
+    ASSERT_TRUE((*session)->Execute(driver, "ROLLBACK").ok());
+    check("abort");
+    ASSERT_TRUE((*session)->Close(driver).ok());
+
+    ExecOk(driver, 0, "ALTER TABLE b RENAME TO c REPLACE");
+    check("rename");
+    ExecOk(driver, 0, "TRUNCATE TABLE c");
+    check("truncate");
+    insert("c", 50);
+    ExecOk(driver, 0, "DROP TABLE c");
+    check("drop");
+
+    ExecOk(driver, 0, "DELETE FROM a WHERE id < 3");
+    ASSERT_TRUE(db_->KillNode(1).ok());
+    for (int i = 10; i < 14; ++i) insert("a", i);
+    check("insert with a node down");
+    ASSERT_TRUE(db_->RestartNode(1).ok());
+    ASSERT_TRUE(db_->WaitForNodeState(driver, 1, NodeState::kUp).ok());
+    check("recovery");
+    for (int i = 0; i < 10; ++i) {
+      ExecOk(driver, 0, StrCat("DELETE FROM a WHERE id = ", 100 + i));
+    }
+    ASSERT_TRUE(driver.Sleep(3.0).ok());
+    check("moveout and purge");
+    EXPECT_EQ(db_->TotalWosBatches(), 0);
+  });
+  EXPECT_GT(tracer_->metrics().counter("tm.moveout_runs"), 0.0);
+  EXPECT_GT(tracer_->metrics().counter("tm.purged_rows"), 0.0);
+  EXPECT_EQ(tracer_->metrics().gauge("vertica.wos_batches"), 0.0);
+}
+
 // --------------------------------------------------- monitoring surfaces
 
 TEST_F(TmTest, SystemTablesExposeTupleMoverAndContainerState) {

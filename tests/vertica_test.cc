@@ -595,7 +595,7 @@ TEST_F(VerticaTest, CopyStreamBulkLoadsAndRejects) {
     // Two malformed rows: wrong arity and wrong type.
     batch.push_back({Value::Int64(99)});
     batch.push_back({Value::Varchar("oops"), Value::Float64(1)});
-    ASSERT_TRUE((*stream)->WriteBatch(self, batch).ok());
+    ASSERT_TRUE((*stream)->WriteBatch(self, std::move(batch)).ok());
     auto result = (*stream)->Finish(self);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->loaded, 40);
