@@ -1,5 +1,7 @@
 #include "baselines/native_copy.h"
 
+#include <span>
+
 #include "common/logging.h"
 #include "storage/profile.h"
 #include "common/string_util.h"
@@ -38,9 +40,9 @@ Result<double> RunParallelCopy(
             // read, parse and segment routing pipeline.
             size_t batch = rows->size();
             if (!rows->empty()) {
-              double scaled_row = storage::ProfileRows({rows->front()})
-                                      .raw_bytes *
-                                  db->cost().data_scale;
+              double scaled_row =
+                  storage::ProfileRow(rows->front()).raw_bytes *
+                  db->cost().data_scale;
               if (scaled_row > 0) {
                 batch = std::max<size_t>(
                     1, static_cast<size_t>(32e6 / scaled_row));
@@ -48,9 +50,15 @@ Result<double> RunParallelCopy(
             }
             for (size_t begin = 0; begin < rows->size(); begin += batch) {
               size_t end = std::min(rows->size(), begin + batch);
+              std::vector<storage::Row> rejects;
+              FABRIC_ASSIGN_OR_RETURN(
+                  std::vector<storage::ColumnLanes> columns,
+                  storage::FromRows(
+                      stream->schema(),
+                      std::span(rows->data() + begin, end - begin),
+                      &rejects));
               FABRIC_RETURN_IF_ERROR(stream->WriteBatch(
-                  loader, std::vector<storage::Row>(rows->begin() + begin,
-                                                    rows->begin() + end)));
+                  loader, std::move(columns), std::move(rejects)));
             }
             FABRIC_RETURN_IF_ERROR(stream->Finish(loader).status());
             return session->Close(loader);

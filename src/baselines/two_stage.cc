@@ -93,8 +93,12 @@ Result<TwoStageTiming> TwoStageSave(sim::Process& driver,
                     hdfs->ReadBlock(loader, part, b,
                                     db->node_host(n)));
                 // ...and feed it into the bulk-load path.
-                FABRIC_RETURN_IF_ERROR(
-                    stream->WriteBatch(loader, std::move(rows)));
+                std::vector<storage::Row> rejects;
+                FABRIC_ASSIGN_OR_RETURN(
+                    std::vector<storage::ColumnLanes> columns,
+                    storage::FromRows(stream->schema(), rows, &rejects));
+                FABRIC_RETURN_IF_ERROR(stream->WriteBatch(
+                    loader, std::move(columns), std::move(rejects)));
               }
             }
             FABRIC_RETURN_IF_ERROR(stream->Finish(loader).status());

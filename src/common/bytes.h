@@ -53,16 +53,8 @@ class ByteReader {
   Result<uint32_t> GetU32() { return GetRaw<uint32_t>(); }
   Result<int64_t> GetI64() { return GetRaw<int64_t>(); }
   Result<double> GetDouble() { return GetRaw<double>(); }
-  Result<std::string> GetString() {
-    auto len = GetU32();
-    if (!len.ok()) return len.status();
-    FABRIC_RETURN_IF_ERROR(Require(*len));
-    std::string out(data_.substr(pos_, *len));
-    pos_ += *len;
-    return out;
-  }
-  // Zero-copy variant for scan hot paths: the view aliases the underlying
-  // buffer and is valid only while that buffer lives.
+  // The view aliases the underlying buffer and is valid only while that
+  // buffer lives.
   Result<std::string_view> GetStringView() {
     auto len = GetU32();
     if (!len.ok()) return len.status();

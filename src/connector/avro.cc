@@ -11,7 +11,7 @@ using storage::Schema;
 using storage::Value;
 
 std::string AvroEncodeBatch(const Schema& schema,
-                            const std::vector<Row>& rows) {
+                            std::span<const Row> rows) {
   ByteWriter writer;
   writer.PutU32(static_cast<uint32_t>(schema.num_columns()));
   writer.PutU32(static_cast<uint32_t>(rows.size()));
@@ -53,64 +53,43 @@ std::string AvroEncodeBatch(const Schema& schema,
   return writer.Take();
 }
 
-Result<std::vector<Row>> AvroDecodeBatch(const Schema& schema,
-                                         const std::string& data) {
+Result<AvroBatch> AvroDecodeBatch(const Schema& schema,
+                                  const std::string& data) {
   ByteReader reader(data);
   FABRIC_ASSIGN_OR_RETURN(uint32_t columns, reader.GetU32());
   if (static_cast<int>(columns) != schema.num_columns()) {
     return InvalidArgumentError("Avro batch schema mismatch");
   }
   FABRIC_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
-  std::vector<Row> rows;
-  rows.reserve(count);
+  AvroBatch batch;
+  batch.columns.reserve(columns);
+  for (const storage::ColumnDef& column : schema.columns()) {
+    batch.columns.emplace_back(column.type).Reserve(count);
+  }
   for (uint32_t r = 0; r < count; ++r) {
     FABRIC_ASSIGN_OR_RETURN(uint8_t row_flag, reader.GetU8());
     if (row_flag == 0xFF) {
-      // Corrupt record: materialize as an empty row so the loader's
-      // validation rejects it.
-      rows.push_back(Row{});
+      batch.rejects.push_back(Row{});
       continue;
     }
     if (row_flag != 0x01) {
       return InvalidArgumentError("Avro batch has bad row flag");
     }
-    Row row;
-    row.reserve(columns);
-    for (uint32_t c = 0; c < columns; ++c) {
+    for (storage::ColumnLanes& column : batch.columns) {
       FABRIC_ASSIGN_OR_RETURN(uint8_t present, reader.GetU8());
-      if (present == 0) {
-        row.push_back(Value::Null());
-        continue;
-      }
-      switch (schema.column(static_cast<int>(c)).type) {
-        case DataType::kBool: {
-          FABRIC_ASSIGN_OR_RETURN(uint8_t b, reader.GetU8());
-          row.push_back(Value::Bool(b != 0));
-          break;
-        }
-        case DataType::kInt64: {
-          FABRIC_ASSIGN_OR_RETURN(int64_t v, reader.GetI64());
-          row.push_back(Value::Int64(v));
-          break;
-        }
-        case DataType::kFloat64: {
-          FABRIC_ASSIGN_OR_RETURN(double v, reader.GetDouble());
-          row.push_back(Value::Float64(v));
-          break;
-        }
-        case DataType::kVarchar: {
-          FABRIC_ASSIGN_OR_RETURN(std::string v, reader.GetString());
-          row.push_back(Value::Varchar(std::move(v)));
-          break;
-        }
-      }
+      column.nulls.push_back(present == 0 ? 1 : 0);
+      FABRIC_RETURN_IF_ERROR(
+          column.values.Visit(column.type, [&](auto& lane) -> Status {
+            lane.emplace_back();  // a null row's slot stays zero
+            return present == 0 ? Status::OK()
+                                : storage::ReadSlot(&reader, &lane.back());
+          }));
     }
-    rows.push_back(std::move(row));
   }
   if (!reader.AtEnd()) {
     return InvalidArgumentError("Avro batch has trailing bytes");
   }
-  return rows;
+  return batch;
 }
 
 }  // namespace fabric::connector

@@ -1,5 +1,8 @@
 #include "connector/model_deploy.h"
 
+#include <map>
+#include <memory>
+
 #include "common/string_util.h"
 #include "vertica/session.h"
 
@@ -85,22 +88,31 @@ Result<std::vector<std::string>> ListPmmlModels(sim::Process& self,
 }
 
 void RegisterPmmlPredict(vertica::Database* db) {
+  // Parsed models by DFS path, each with the document it was parsed
+  // from: a row reuses the model while the blob's bytes are unchanged,
+  // so a redeploy is picked up at the next row.
+  auto cache = std::make_shared<
+      std::map<std::string, std::pair<std::string, pmml::PmmlModel>>>();
   db->RegisterScalarFunction(
       "PMMLPredict",
-      [db](const std::vector<Value>& args,
-           const std::map<std::string, Value>& parameters)
+      [db, cache](const std::vector<Value>& args,
+                  const std::map<std::string, Value>& parameters)
           -> Result<Value> {
         auto it = parameters.find("model_name");
         if (it == parameters.end() || it->second.is_null()) {
           return InvalidArgumentError(
               "PMMLPredict needs USING PARAMETERS model_name='...'");
         }
-        const std::string& name = it->second.varchar_value();
-        FABRIC_ASSIGN_OR_RETURN(std::string xml,
-                                db->dfs().Get(
-                                    StrCat("/pmml/", name, ".xml")));
-        FABRIC_ASSIGN_OR_RETURN(pmml::PmmlModel model,
-                                pmml::PmmlModel::FromXml(xml));
+        const std::string path = DfsPath(it->second.varchar_value());
+        FABRIC_ASSIGN_OR_RETURN(std::string xml, db->dfs().Get(path));
+        auto cached = cache->find(path);
+        if (cached == cache->end() || cached->second.first != xml) {
+          FABRIC_ASSIGN_OR_RETURN(pmml::PmmlModel parsed,
+                                  pmml::PmmlModel::FromXml(xml));
+          cached = cache->insert_or_assign(
+              path, std::pair(std::move(xml), std::move(parsed))).first;
+        }
+        const pmml::PmmlModel& model = cached->second.second;
         std::vector<double> features;
         features.reserve(args.size());
         for (const Value& arg : args) {

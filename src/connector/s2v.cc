@@ -1,6 +1,7 @@
 #include "connector/s2v.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -179,7 +180,7 @@ Status S2VRelation::StageData(TaskContext& task, int partition,
   size_t batch = static_cast<size_t>(batch_rows_);
   if (!rows.empty()) {
     double scaled_row_bytes =
-        storage::ProfileRows({rows.front()}).raw_bytes * cost.data_scale;
+        storage::ProfileRow(rows.front()).raw_bytes * cost.data_scale;
     if (scaled_row_bytes > 0) {
       // Deterministic per-task jitter (+-25%) keeps the fleet of COPY
       // streams out of lockstep, so one task's network phase overlaps
@@ -193,19 +194,21 @@ Status S2VRelation::StageData(TaskContext& task, int partition,
   }
   for (size_t begin = 0; begin < rows.size() || begin == 0;
        begin += batch) {
-    size_t end = std::min(rows.size(), begin + batch);
-    std::vector<Row> batch(rows.begin() + begin, rows.begin() + end);
+    std::span<const Row> batch_rows =
+        std::span(rows).subspan(begin, std::min(batch, rows.size() - begin));
     // Encode the batch into Avro on the Spark side (the task alternates
     // between encoding and transferring, Section 4.2.1). The encode is
     // real — the bytes travel through the codec — and the CPU is charged
-    // to this worker.
-    std::string encoded = AvroEncodeBatch(schema_, batch);
-    DataProfile profile = storage::ProfileRows(batch);
+    // to this worker. COPY reads the decoded lanes, whose strings view
+    // `encoded`.
+    std::string encoded = AvroEncodeBatch(schema_, batch_rows);
+    DataProfile profile = storage::ProfileRows(batch_rows);
     profile.ScaleBy(cost.data_scale);
     FABRIC_RETURN_IF_ERROR(task.Compute(profile.AvroEncodeCpu(cost)));
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> decoded,
+    FABRIC_ASSIGN_OR_RETURN(AvroBatch decoded,
                             AvroDecodeBatch(schema_, encoded));
-    FABRIC_RETURN_IF_ERROR(stream->WriteBatch(self, std::move(decoded)));
+    FABRIC_RETURN_IF_ERROR(stream->WriteBatch(self, std::move(decoded.columns),
+                                              std::move(decoded.rejects)));
     if (rows.empty()) break;
   }
   FABRIC_ASSIGN_OR_RETURN(vertica::CopyStream::LoadResult load,

@@ -44,7 +44,7 @@ Status HdfsCluster::PutFileForTest(const std::string& path, Schema schema,
     scaled = 0;
   };
   for (Row& row : rows) {
-    double bytes = storage::RowRawSize(row);
+    double bytes = storage::ProfileRow(row).raw_bytes;
     block.raw_bytes += bytes;
     scaled += bytes * options_.cost.data_scale;
     ++block.rows;

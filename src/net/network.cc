@@ -66,7 +66,7 @@ Status Network::Transfer(sim::Process& self, const std::vector<LinkId>& path,
   it->cap = rate_cap;
   it->cond = std::make_unique<sim::Condition>(engine_);
   uint64_t span = 0;
-  if (obs::CurrentTracer() != nullptr) {
+  if (obs::CapturingEvents()) {
     std::string links;
     for (LinkId id : path) {
       if (!links.empty()) links += ",";
@@ -74,16 +74,18 @@ Status Network::Transfer(sim::Process& self, const std::vector<LinkId>& path,
     }
     span = obs::TraceBegin("net", "flow",
                            {{"links", links}, {"bytes", bytes}});
-    obs::IncrCounter("net.flows_opened");
-    obs::IncrCounter("net.bytes_requested", bytes);
   }
+  obs::IncrCounter("net.flows_opened");
+  obs::IncrCounter("net.bytes_requested", bytes);
   Recompute();
 
   Status status = it->cond->WaitUntil(self, [&] { return it->done; });
   if (!status.ok()) {
     // Killed mid-transfer: tear the flow down and re-rate the rest.
-    obs::TraceEnd(span, "net", "flow",
-                  {{"ok", false}, {"remaining", it->remaining}});
+    if (span != 0) {
+      obs::TraceEnd(span, "net", "flow",
+                    {{"ok", false}, {"remaining", it->remaining}});
+    }
     obs::IncrCounter("net.flows_cancelled");
     if (!it->done) {
       flows_.erase(it);
@@ -93,7 +95,7 @@ Status Network::Transfer(sim::Process& self, const std::vector<LinkId>& path,
     }
     return status;
   }
-  obs::TraceEnd(span, "net", "flow", {{"ok", true}});
+  if (span != 0) obs::TraceEnd(span, "net", "flow", {{"ok", true}});
   flows_.erase(it);
   return Status::OK();
 }

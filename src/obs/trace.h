@@ -154,6 +154,13 @@ class ScopedTracer {
 // ------------------------------------------------- call-site helpers
 // All no-ops when no tracer is installed.
 
+// Whether the current tracer records events: call sites build costly
+// attributes only then (a metrics-only tracer drops them unread).
+inline bool CapturingEvents() {
+  Tracer* t = CurrentTracer();
+  return t != nullptr && t->capture_events();
+}
+
 inline void TraceEvent(std::string_view category, std::string_view name,
                        Attrs attrs = {}) {
   if (Tracer* t = CurrentTracer()) t->Emit(category, name, std::move(attrs));

@@ -124,8 +124,10 @@ Status Process::Sleep(double seconds) {
   if (killed_) return CancelledError(StrCat("process '", name_, "' killed"));
   // Yields (Sleep(0)) are pure scheduling noise; only real sleeps trace.
   if (seconds > 0) {
-    obs::TraceEvent("sim", "process.sleep",
-                    {{"process", name_}, {"seconds", seconds}});
+    if (obs::CapturingEvents()) {
+      obs::TraceEvent("sim", "process.sleep",
+                      {{"process", name_}, {"seconds", seconds}});
+    }
     obs::ObserveValue("sim.sleep_seconds", seconds);
   }
   engine_->PostWake(this, engine_->now_ + seconds);
@@ -151,8 +153,10 @@ void Process::FiberMain(void* arg) {
   FinishSwitch(nullptr, &engine->asan_host_stack_bottom_,
                &engine->asan_host_stack_size_);
   self->body_(*self);
-  obs::TraceEvent("sim", "process.done",
-                  {{"process", self->name_}, {"pid", self->id_}});
+  if (obs::CapturingEvents()) {
+    obs::TraceEvent("sim", "process.done",
+                    {{"process", self->name_}, {"pid", self->id_}});
+  }
   self->state_ = State::kDone;
   // Leave for good: a null fake-stack slot tells ASan to drop this
   // fiber's bookkeeping. The engine never resumes this context.
@@ -202,9 +206,10 @@ ProcessHandle Engine::Spawn(std::string name,
                             std::function<void(Process&)> body) {
   auto process = std::shared_ptr<Process>(
       new Process(this, next_id_++, std::move(name), std::move(body)));
-  obs::TraceEvent(
-      "sim", "process.spawn",
-      {{"process", process->name_}, {"pid", process->id_}});
+  if (obs::CapturingEvents()) {
+    obs::TraceEvent("sim", "process.spawn",
+                    {{"process", process->name_}, {"pid", process->id_}});
+  }
   obs::IncrCounter("sim.processes_spawned");
   processes_.push_back(process);
   PostWake(process.get(), now_);

@@ -70,7 +70,10 @@ uint64_t FixedKey(double d) { return FloatDisplayKey(d); }
 
 void Unbox(const Value& v, uint8_t* out) { *out = v.bool_value() ? 1 : 0; }
 void Unbox(const Value& v, int64_t* out) { *out = v.int64_value(); }
-void Unbox(const Value& v, double* out) { *out = v.float64_value(); }
+void Unbox(const Value& v, double* out) {
+  *out = v.type() == DataType::kInt64 ? static_cast<double>(v.int64_value())
+                                      : v.float64_value();
+}
 void Unbox(const Value& v, std::string_view* out) {
   *out = v.varchar_value();
 }
@@ -91,8 +94,9 @@ bool SameSlot(const uint8_t* nulls, const T* lane, size_t a, size_t b) {
   return SameValue(lane[a], lane[b]);
 }
 
-// Appends at(i) for i < n to *out (of out->type), unboxed: the one type
-// check every encoder entry point shares.
+// Appends at(i) for i < n to *out (of out->type), unboxed, integers
+// widened into a FLOAT lane: the one type check every encoder entry
+// point shares.
 template <typename At>
 Status AppendUnboxed(size_t n, At at, ColumnLanes* out) {
   const DataType type = out->type;
@@ -106,7 +110,8 @@ Status AppendUnboxed(size_t n, At at, ColumnLanes* out) {
         out->nulls[base + i] = 1;
         continue;
       }
-      if (v.type() != type) {
+      if (v.type() != type &&
+          !(type == DataType::kFloat64 && v.type() == DataType::kInt64)) {
         return InvalidArgumentError(
             StrCat("value of type ", DataTypeName(v.type()),
                    " in column of type ", DataTypeName(type)));
@@ -520,11 +525,46 @@ ColumnBounds LaneBounds(const ColumnLanes& column) {
   });
 }
 
-Status AppendRowColumn(const std::vector<Row>& rows, int col,
-                       ColumnLanes* out) {
-  return AppendUnboxed(
-      rows.size(), [&](size_t i) -> const Value& { return rows[i][col]; },
-      out);
+uint64_t ColumnLanes::Hash(size_t i) const {
+  return nulls[i] ? Mix64(0xdeadULL)  // Value::SegmentationHash of NULL
+                  : values.Hash(type, i);
+}
+
+ColumnLanes ColumnLanes::Take(const std::vector<uint32_t>& rows) const {
+  ColumnLanes out(type);
+  out.nulls.reserve(rows.size());
+  for (uint32_t i : rows) out.nulls.push_back(nulls[i]);
+  out.values.Visit(type, [&](auto& lane) {
+    const auto& from = values.lane<SlotType<decltype(lane)>>();
+    lane.reserve(rows.size());
+    for (uint32_t i : rows) lane.push_back(from[i]);
+  });
+  return out;
+}
+
+Result<std::vector<ColumnLanes>> FromRows(const Schema& schema,
+                                          std::span<const Row> rows,
+                                          std::vector<Row>* rejects) {
+  std::vector<const Row*> good;
+  good.reserve(rows.size());
+  for (const Row& row : rows) {
+    Status valid = ValidateRow(schema, row);
+    if (valid.ok()) {
+      good.push_back(&row);
+    } else if (rejects != nullptr) {
+      rejects->push_back(row);
+    } else {
+      return valid;
+    }
+  }
+  std::vector<ColumnLanes> columns;
+  columns.reserve(static_cast<size_t>(schema.num_columns()));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    FABRIC_RETURN_IF_ERROR(AppendUnboxed(
+        good.size(), [&](size_t i) -> const Value& { return (*good[i])[c]; },
+        &columns.emplace_back(schema.column(c).type)));
+  }
+  return columns;
 }
 
 Result<ColumnChunk> EncodeColumn(DataType type,
@@ -541,15 +581,6 @@ Result<ColumnChunk> EncodeColumn(DataType type,
 Result<ColumnChunk> EncodeColumnAs(DataType type, Encoding encoding,
                                    const std::vector<Value>& values) {
   return EncodeColumn(type, values, &encoding);
-}
-
-Result<ColumnChunk> EncodeRowColumn(DataType type,
-                                    const std::vector<Row>& rows, int col,
-                                    const Encoding* encoding,
-                                    ColumnBounds* bounds) {
-  ColumnLanes lanes(type);
-  FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, col, &lanes));
-  return EncodeLanes(lanes, encoding, bounds);
 }
 
 Status DecodeColumnInto(const ColumnChunk& chunk, ColumnLanes* out) {

@@ -2,6 +2,7 @@
 #define FABRIC_STORAGE_ENCODING_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -175,7 +176,32 @@ struct ColumnLanes {
   Value Box(size_t i) const {
     return nulls[i] ? Value::Null() : values.Box(type, i);
   }
+  // Value::RawSize and Value::SegmentationHash of row `i`, and whether it
+  // holds string bytes.
+  double RawSize(size_t i) const {
+    return nulls[i] ? 0 : values.RawSize(type, i);
+  }
+  uint64_t Hash(size_t i) const;
+  bool IsStringAt(size_t i) const {
+    return type == DataType::kVarchar && !nulls[i];
+  }
+  // Rows rows[0], rows[1], ... in that order (varchar slots alias this).
+  ColumnLanes Take(const std::vector<uint32_t>& rows) const;
 };
+
+// Rows of a batch held as one ColumnLanes per schema column: the form
+// the write path carries from the Avro decoder to the ROS container.
+inline size_t NumRows(const std::vector<ColumnLanes>& columns) {
+  return columns.empty() ? 0 : columns.front().size();
+}
+
+// `rows` as a batch of `schema`'s lanes, integers widened into FLOAT
+// columns (SQL numeric coercion on load). A row ValidateRow refuses fails
+// the conversion with its error or, when `rejects` is non-null, is copied
+// there instead. Varchar slots alias the rows, which must outlive them.
+Result<std::vector<ColumnLanes>> FromRows(const Schema& schema,
+                                          std::span<const Row> rows,
+                                          std::vector<Row>* rejects = nullptr);
 
 // A key whose equality is display-string equality for doubles: the bit
 // pattern, except that every NaN of one sign prints alike ("nan" /
@@ -215,12 +241,7 @@ Result<ColumnChunk> EncodeLanes(const ColumnLanes& column,
 // The bounds EncodeLanes finds for `column`, without encoding it.
 ColumnBounds LaneBounds(const ColumnLanes& column);
 
-// Appends column `col` of `rows` to `out`, unboxed. Fails when a
-// non-null value is not of `out->type`. Varchar slots alias the rows.
-Status AppendRowColumn(const std::vector<Row>& rows, int col,
-                       ColumnLanes* out);
-
-// EncodeLanes over `values` (all of `type` or null).
+// EncodeLanes over `values` (all of `type`, INT64 into FLOAT, or null).
 Result<ColumnChunk> EncodeColumn(DataType type,
                                  const std::vector<Value>& values,
                                  const Encoding* encoding = nullptr,
@@ -229,13 +250,6 @@ Result<ColumnChunk> EncodeColumn(DataType type,
 // Encodes with a forced encoding (tests / benchmarks).
 Result<ColumnChunk> EncodeColumnAs(DataType type, Encoding encoding,
                                    const std::vector<Value>& values);
-
-// EncodeLanes over column `col` of `rows`, without copying its strings
-// out: byte-identical to encoding the extracted column.
-Result<ColumnChunk> EncodeRowColumn(DataType type,
-                                    const std::vector<Row>& rows, int col,
-                                    const Encoding* encoding = nullptr,
-                                    ColumnBounds* bounds = nullptr);
 
 // Reads one non-null slot of a chunk payload as the encoder wrote it
 // (bools as 0 or 1; strings alias the payload): the scalar reader of the

@@ -72,29 +72,40 @@ DataProfile ProfileRow(const Row& row) {
   return p;
 }
 
-DataProfile ProfileRows(const std::vector<Row>& rows) {
+DataProfile ProfileRows(std::span<const Row> rows) {
   DataProfile total;
   for (const Row& row : rows) total.Add(ProfileRow(row));
   return total;
 }
 
-DataProfile ProfileRows(const LaneRows& rows) {
+namespace {
+
+// The profile of `n` rows held as `columns` (Lanes or ColumnLanes); an
+// empty lane is a column not materialized: NULL, 0 bytes.
+template <typename L>
+DataProfile ProfileColumns(size_t n, const std::vector<L>& columns) {
   DataProfile total;
-  total.rows = static_cast<double>(rows.num_rows);
-  total.fields = static_cast<double>(rows.num_rows * rows.columns.size());
-  for (const Lanes& lane : rows.columns) {
-    if (lane.size() == 0) continue;  // not materialized: NULL, 0 bytes
-    for (size_t i = 0; i < rows.num_rows; ++i) {
+  total.rows = static_cast<double>(n);
+  total.fields = static_cast<double>(n * columns.size());
+  for (const L& lane : columns) {
+    if (lane.size() == 0) continue;
+    for (size_t i = 0; i < n; ++i) {
       double size = lane.RawSize(i);
       total.raw_bytes += size;
-      if (lane.IsStringAt(i)) {
-        total.string_bytes += size;
-      } else {
-        total.numeric_bytes += size;
-      }
+      (lane.IsStringAt(i) ? total.string_bytes : total.numeric_bytes) += size;
     }
   }
   return total;
+}
+
+}  // namespace
+
+DataProfile ProfileRows(const LaneRows& rows) {
+  return ProfileColumns(rows.num_rows, rows.columns);
+}
+
+DataProfile ProfileRows(const std::vector<ColumnLanes>& columns) {
+  return ProfileColumns(NumRows(columns), columns);
 }
 
 }  // namespace fabric::storage

@@ -2,6 +2,7 @@
 #define FABRIC_STORAGE_PROFILE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/cost_model.h"
@@ -38,10 +39,11 @@ struct DataProfile {
 };
 
 DataProfile ProfileRow(const Row& row);
-DataProfile ProfileRows(const std::vector<Row>& rows);
+DataProfile ProfileRows(std::span<const Row> rows);
 // The same profile of rows held as lanes (the sizes are integer-valued,
 // so the column-major sums equal the row-major ones exactly).
 DataProfile ProfileRows(const LaneRows& rows);
+DataProfile ProfileRows(const std::vector<ColumnLanes>& columns);
 
 }  // namespace fabric::storage
 

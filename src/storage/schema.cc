@@ -38,12 +38,6 @@ std::string Schema::ToDdlBody() const {
   return out;
 }
 
-double RowRawSize(const Row& row) {
-  double size = 0;
-  for (const Value& v : row) size += v.RawSize();
-  return size;
-}
-
 uint64_t RowSegmentationHash(const Row& row,
                              const std::vector<int>& column_indices) {
   uint64_t h = kSegmentationHashSeed;
@@ -60,16 +54,6 @@ bool RowsEqual(const Row& a, const Row& b) {
     if (!a[i].Equals(b[i])) return false;
   }
   return true;
-}
-
-void CoerceRow(const Schema& schema, Row* row) {
-  for (int i = 0; i < schema.num_columns(); ++i) {
-    Value& v = (*row)[i];
-    if (!v.is_null() && schema.column(i).type == DataType::kFloat64 &&
-        v.type() == DataType::kInt64) {
-      v = Value::Float64(static_cast<double>(v.int64_value()));
-    }
-  }
 }
 
 Status ValidateRow(const Schema& schema, const Row& row) {

@@ -52,9 +52,6 @@ class Schema {
 // A row is simply a vector of values matching some Schema positionally.
 using Row = std::vector<Value>;
 
-// Sum of the raw sizes of the row's values (cost-model data size).
-double RowRawSize(const Row& row);
-
 // Combined segmentation hash over the given column indices of `row`
 // (order-sensitive, per Vertica's HASH(a, b, ...)).
 uint64_t RowSegmentationHash(const Row& row,
@@ -66,10 +63,6 @@ bool RowsEqual(const Row& a, const Row& b);
 // Checks every value against the schema's column types (nulls always
 // pass); INVALID_ARGUMENT with the offending column on mismatch.
 Status ValidateRow(const Schema& schema, const Row& row);
-
-// Normalizes a validated row to storage form: integer values destined for
-// FLOAT columns widen to Float64 (SQL numeric coercion on load).
-void CoerceRow(const Schema& schema, Row* row);
 
 }  // namespace fabric::storage
 

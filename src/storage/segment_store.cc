@@ -111,28 +111,6 @@ void Permute(const std::vector<uint32_t>& order, ColumnLanes* column) {
                        [&order](auto& lane) { Permute(order, &lane); });
 }
 
-// Compacts the rows of `column` from `base` on to those whose keep flag
-// (indexed from `base`) is set, adding the kept rows' raw sizes to
-// *raw_bytes in row order.
-void KeepRows(const std::vector<bool>& keep, size_t base, ColumnLanes* column,
-              double* raw_bytes) {
-  column->values.Visit(column->type, [&](auto& lane) {
-    size_t out = base;
-    for (size_t i = 0; i < keep.size(); ++i) {
-      if (!keep[i]) continue;
-      size_t row = base + i;
-      if (!column->nulls[row]) {
-        *raw_bytes += column->values.RawSize(column->type, row);
-      }
-      column->nulls[out] = column->nulls[row];
-      lane[out] = lane[row];
-      ++out;
-    }
-    lane.resize(out);
-    column->nulls.resize(out);
-  });
-}
-
 // Appends every row of `src` to *out (varchar slots alias `src`'s), with
 // DecodeColumnInto's type check.
 Status AppendLanes(const ColumnLanes& src, ColumnLanes* out) {
@@ -166,24 +144,6 @@ std::string RowContentKey(const Row& row) {
 }
 
 }  // namespace
-
-Result<RosContainer> RosContainer::Create(
-    const Schema& schema, const std::vector<Row>& rows, TxnId pending_txn,
-    const std::vector<Encoding>* encodings) {
-  double raw_bytes = 0;
-  for (const Row& row : rows) {
-    FABRIC_RETURN_IF_ERROR(ValidateRow(schema, row));
-    raw_bytes += RowRawSize(row);
-  }
-  std::vector<ColumnLanes> columns;
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    columns.emplace_back(schema.column(c).type);
-    FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, c, &columns.back()));
-  }
-  return CreateFromColumns(schema, std::move(columns),
-                           static_cast<uint32_t>(rows.size()), raw_bytes,
-                           pending_txn, encodings);
-}
 
 Result<RosContainer> RosContainer::CreateFromColumns(
     const Schema& schema, std::vector<ColumnLanes> columns, uint32_t num_rows,
@@ -284,6 +244,36 @@ Result<std::vector<Row>> RosContainer::DecodeRows() const {
   return rows;
 }
 
+void RosContainer::SetDeleteMarks(std::vector<DeleteMark> marks) {
+  FABRIC_CHECK(marks.size() == num_rows_) << "one delete mark per row";
+  delete_marks_ = std::move(marks);
+  pending_deletes_ = 0;
+  for (const DeleteMark& mark : delete_marks_) {
+    pending_deletes_ += mark.state == DeleteMark::State::kPending ? 1 : 0;
+  }
+}
+
+void RosContainer::MarkDeletePending(uint32_t i, TxnId txn) {
+  DeleteMark& mark = delete_marks_[i];
+  if (mark.state != DeleteMark::State::kPending) ++pending_deletes_;
+  mark = DeleteMark{DeleteMark::State::kPending, 0, txn};
+}
+
+int64_t RosContainer::ResolveDeletes(TxnId txn, Epoch epoch, bool abort) {
+  if (pending_deletes_ == 0) return 0;
+  int64_t resolved = 0;
+  for (DeleteMark& mark : delete_marks_) {
+    if (mark.state != DeleteMark::State::kPending || mark.txn != txn) {
+      continue;
+    }
+    mark = abort ? DeleteMark{}
+                 : DeleteMark{DeleteMark::State::kCommitted, epoch, 0};
+    ++resolved;
+  }
+  pending_deletes_ -= static_cast<uint32_t>(resolved);
+  return resolved;
+}
+
 void RosContainer::AdoptRowEpochs(std::vector<Epoch> epochs) {
   FABRIC_CHECK(epochs.size() == num_rows_)
       << "row epoch vector must cover every row";
@@ -337,20 +327,16 @@ SegmentStore::ColumnRows::ColumnRows(const Schema& schema) {
 }
 
 Status SegmentStore::GatherColumns(const RosContainer& container,
-                                   const std::vector<bool>* keep,
                                    ColumnRows* out) const {
   for (int c = 0; c < schema_.num_columns(); ++c) {
     ColumnLanes& column = out->columns[c];
-    size_t base = column.size();
     const std::vector<ColumnLanes>* lanes = container.lanes();
     FABRIC_RETURN_IF_ERROR(
         lanes != nullptr ? AppendLanes((*lanes)[c], &column)
                          : DecodeColumnInto(container.column(c), &column));
-    if (keep != nullptr) KeepRows(*keep, base, &column, &out->raw_bytes);
   }
-  if (keep == nullptr) out->raw_bytes += container.raw_bytes();
+  out->raw_bytes += container.raw_bytes();
   for (uint32_t i = 0; i < container.num_rows(); ++i) {
-    if (keep != nullptr && !(*keep)[i]) continue;
     out->marks.push_back(container.delete_marks()[i]);
     out->epochs.push_back(container.row_epoch(i));
   }
@@ -385,7 +371,7 @@ Result<RosContainer> SegmentStore::BuildFromColumns(ColumnRows rows,
           schema_, std::move(rows.columns), num_rows, rows.raw_bytes,
           pending_txn != 0 ? pending_txn : 1, encodings));
   if (pending_txn == 0) container.AdoptRowEpochs(std::move(rows.epochs));
-  container.mutable_delete_marks() = std::move(rows.marks);
+  container.SetDeleteMarks(std::move(rows.marks));
   return container;
 }
 
@@ -402,38 +388,44 @@ Result<RosContainer> SegmentStore::MergeUnits(
   rows.marks.reserve(total_rows);
   rows.epochs.reserve(total_rows);
   for (const RosContainer* unit : units) {
-    FABRIC_RETURN_IF_ERROR(GatherColumns(*unit, nullptr, &rows));
+    FABRIC_RETURN_IF_ERROR(GatherColumns(*unit, &rows));
   }
   return BuildFromColumns(std::move(rows), Layout::kRos);
 }
 
-Status SegmentStore::Insert(TxnId txn, std::vector<Row> rows, bool direct) {
+Result<RosContainer> SegmentStore::BuildPending(
+    TxnId txn, std::vector<ColumnLanes> columns, bool direct) const {
   FABRIC_CHECK(txn != 0) << "an insert requires a transaction";
-  for (const Row& row : rows) {
-    FABRIC_RETURN_IF_ERROR(ValidateRow(schema_, row));
+  const size_t n = NumRows(columns);
+  ColumnRows batch;
+  for (const ColumnLanes& column : columns) {
+    for (size_t i = 0; i < n; ++i) batch.raw_bytes += column.RawSize(i);
   }
-  for (Row& row : rows) CoerceRow(schema_, &row);
-  ColumnRows columns(schema_);
-  for (int c = 0; c < schema_.num_columns(); ++c) {
-    FABRIC_RETURN_IF_ERROR(AppendRowColumn(rows, c, &columns.columns[c]));
-  }
-  for (const Row& row : rows) columns.raw_bytes += RowRawSize(row);
-  columns.marks.resize(rows.size());
-  FABRIC_ASSIGN_OR_RETURN(
-      RosContainer unit,
-      BuildFromColumns(std::move(columns),
-                       direct ? Layout::kRos : Layout::kWos, txn));
+  batch.columns = std::move(columns);
+  batch.marks.resize(n);
+  return BuildFromColumns(std::move(batch),
+                          direct ? Layout::kRos : Layout::kWos, txn);
+}
+
+void SegmentStore::AddPending(RosContainer unit, bool direct) {
   (direct ? ros_ : wos_).push_back(std::move(unit));
   wos_tally_.Count(wos_.size());
+}
+
+Status SegmentStore::InsertPending(TxnId txn,
+                                   std::vector<ColumnLanes> columns) {
+  FABRIC_ASSIGN_OR_RETURN(RosContainer unit,
+                          BuildPending(txn, std::move(columns), false));
+  AddPending(std::move(unit), false);
   return Status::OK();
 }
 
-Status SegmentStore::InsertPending(TxnId txn, std::vector<Row> rows) {
-  return Insert(txn, std::move(rows), /*direct=*/false);
-}
-
-Status SegmentStore::InsertPendingDirect(TxnId txn, std::vector<Row> rows) {
-  return Insert(txn, std::move(rows), /*direct=*/true);
+Status SegmentStore::InsertPendingDirect(TxnId txn,
+                                         std::vector<ColumnLanes> columns) {
+  FABRIC_ASSIGN_OR_RETURN(RosContainer unit,
+                          BuildPending(txn, std::move(columns), true));
+  AddPending(std::move(unit), true);
+  return Status::OK();
 }
 
 void SegmentStore::CommitTxn(TxnId txn, Epoch epoch) {
@@ -442,12 +434,7 @@ void SegmentStore::CommitTxn(TxnId txn, Epoch epoch) {
       if (!unit.committed() && unit.pending_txn() == txn) {
         unit.MarkCommitted(epoch);
       }
-      for (DeleteMark& mark : unit.mutable_delete_marks()) {
-        if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
-          mark = DeleteMark{DeleteMark::State::kCommitted, epoch, 0};
-          ++committed_deletes_;
-        }
-      }
+      committed_deletes_ += unit.ResolveDeletes(txn, epoch, /*abort=*/false);
     }
   }
 }
@@ -458,11 +445,7 @@ void SegmentStore::AbortTxn(TxnId txn) {
       return !unit.committed() && unit.pending_txn() == txn;
     });
     for (RosContainer& unit : *units) {
-      for (DeleteMark& mark : unit.mutable_delete_marks()) {
-        if (mark.state == DeleteMark::State::kPending && mark.txn == txn) {
-          mark = DeleteMark{};
-        }
-      }
+      unit.ResolveDeletes(txn, 0, /*abort=*/true);
     }
   }
   wos_tally_.Count(wos_.size());
@@ -726,9 +709,8 @@ Result<int64_t> SegmentStore::MarkDeletedPending(const ScanSpec& spec,
           std::vector<uint32_t> sel,
           SelectRosRows(unit, spec, units == &wos_, /*cap=*/0, &ignored,
                         victims != nullptr ? &captured : nullptr));
-      auto& marks = unit.mutable_delete_marks();
       for (uint32_t pos : sel) {
-        marks[pos] = DeleteMark{DeleteMark::State::kPending, 0, spec.txn};
+        unit.MarkDeletePending(pos, spec.txn);
         ++marked;
       }
     }
@@ -755,7 +737,7 @@ Result<int64_t> SegmentStore::MarkDeletedPendingByContent(
       if (unit.committed() && unit.min_epoch() > as_of) continue;
       TxnId owner = unit.committed() ? 0 : unit.pending_txn();
       FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, unit.DecodeRows());
-      auto& marks = unit.mutable_delete_marks();
+      const auto& marks = unit.delete_marks();
       for (uint32_t i = 0; i < rows.size(); ++i) {
         if (!VersionVisible(owner, unit.row_epoch(i), marks[i], as_of, txn)) {
           continue;
@@ -764,7 +746,7 @@ Result<int64_t> SegmentStore::MarkDeletedPendingByContent(
         if (it == remaining.end() || it->second == 0) continue;
         --it->second;
         ++marked;
-        marks[i] = DeleteMark{DeleteMark::State::kPending, 0, txn};
+        unit.MarkDeletePending(i, txn);
       }
     }
   }
@@ -852,19 +834,26 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
                        purgeable)) {
         continue;
       }
-      std::vector<bool> keep(c.num_rows());
-      int64_t kept = 0;
+      std::vector<uint32_t> kept;
       for (uint32_t i = 0; i < c.num_rows(); ++i) {
-        keep[i] = !purgeable(c.delete_marks()[i]);
-        kept += keep[i] ? 1 : 0;
+        if (!purgeable(c.delete_marks()[i])) kept.push_back(i);
       }
-      purged += static_cast<int64_t>(c.num_rows()) - kept;
-      if (kept == 0) {
+      purged += static_cast<int64_t>(c.num_rows() - kept.size());
+      if (kept.empty()) {
         rewrites.push_back({units, k, std::nullopt});
         continue;
       }
-      ColumnRows rows(schema_);
-      FABRIC_RETURN_IF_ERROR(GatherColumns(c, &keep, &rows));
+      ColumnRows all(schema_);
+      FABRIC_RETURN_IF_ERROR(GatherColumns(c, &all));
+      ColumnRows rows;
+      for (const ColumnLanes& column : all.columns) {
+        rows.columns.push_back(column.Take(kept));
+        for (uint32_t i : kept) rows.raw_bytes += column.RawSize(i);
+      }
+      for (uint32_t i : kept) {
+        rows.marks.push_back(all.marks[i]);
+        rows.epochs.push_back(all.epochs[i]);
+      }
       // Dropping rows from a design-sorted container keeps it sorted, so
       // no re-sort is needed here.
       FABRIC_ASSIGN_OR_RETURN(

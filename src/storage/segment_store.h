@@ -54,20 +54,15 @@ struct PhysicalDesign {
 // holds typed lanes until its first read, then encoded chunks.
 class RosContainer {
  public:
-  // The container of `rows`, each column unboxed once into lanes.
-  // `pending_txn` != 0 marks the container uncommitted (a DIRECT bulk
-  // load inside a transaction). `encodings` (when non-null) forces the
-  // per-column encoding instead of auto-picking the smallest. The
-  // reference a store's own writes are checked against.
-  static Result<RosContainer> Create(
-      const Schema& schema, const std::vector<Row>& rows, TxnId pending_txn,
-      const std::vector<Encoding>* encodings = nullptr);
-  // Same container, from `num_rows` rows already split into typed lanes
-  // (one per schema column) whose raw size is `raw_bytes`: the path of
-  // every store write (DIRECT load, moveout, mergeout and purge), which
-  // never boxes a Value. The container keeps the lanes (varchar bytes
-  // copied out, so the sources may go) and encodes them at its first
-  // read, so one the Tuple Mover merges away unread is never encoded.
+  // The container of `num_rows` rows split into typed lanes (one per
+  // schema column) whose raw size is `raw_bytes`: the path of every
+  // store write (DIRECT load, moveout, mergeout and purge), which never
+  // boxes a Value. `pending_txn` != 0 marks the container uncommitted (a
+  // DIRECT bulk load inside a transaction). `encodings` (when non-null)
+  // forces the per-column encoding instead of auto-picking the smallest.
+  // The container keeps the lanes (varchar bytes copied out, so the
+  // sources may go) and encodes them at its first read, so one the Tuple
+  // Mover merges away unread is never encoded.
   static Result<RosContainer> CreateFromColumns(
       const Schema& schema, std::vector<ColumnLanes> columns,
       uint32_t num_rows, double raw_bytes, TxnId pending_txn,
@@ -135,7 +130,14 @@ class RosContainer {
   const std::vector<DeleteMark>& delete_marks() const {
     return delete_marks_;
   }
-  std::vector<DeleteMark>& mutable_delete_marks() { return delete_marks_; }
+  // Replaces every delete mark (one per row).
+  void SetDeleteMarks(std::vector<DeleteMark> marks);
+  // Marks row `i` deleted, pending under `txn`.
+  void MarkDeletePending(uint32_t i, TxnId txn);
+  // Commits `txn`'s pending delete marks at `epoch` or, with `abort`,
+  // clears them; returns how many it resolved. Walks the marks only
+  // while the container holds a pending one.
+  int64_t ResolveDeletes(TxnId txn, Epoch epoch, bool abort);
 
   void MarkCommitted(Epoch epoch) {
     pending_txn_ = 0;
@@ -152,6 +154,7 @@ class RosContainer {
   std::vector<Epoch> row_epochs_;   // empty => every row at commit_epoch_
   double raw_bytes_ = 0;
   std::vector<DeleteMark> delete_marks_;
+  uint32_t pending_deletes_ = 0;  // marks in the kPending state
 
   // The typed lanes a container is built from, held until its first
   // read encodes them. Varchar slots view `arena` (all the string
@@ -283,13 +286,20 @@ class SegmentStore {
     wos_tally_.Count(wos_.size());
   }
 
-  // Appends rows as a pending WOS unit owned by `txn`.
-  Status InsertPending(TxnId txn, std::vector<Row> rows);
-
-  // Appends rows as a pending ROS container owned by `txn` (bulk/DIRECT
-  // load path used by COPY). Takes the rows by value: callers that are
-  // done with them move, avoiding a full copy of the batch.
-  Status InsertPendingDirect(TxnId txn, std::vector<Row> rows);
+  // The pending unit owned by `txn` of a batch (one lane per schema
+  // column, of its type; FromRows converts rows): a ROS container sorted
+  // by the store's design when `direct` (bulk/DIRECT load), else a WOS
+  // unit. It copies the varchar bytes, so the slots may borrow from the
+  // caller's buffer. Every copy of the layout (buddy, replica) can take
+  // the same unit, sharing its lanes.
+  Result<RosContainer> BuildPending(TxnId txn,
+                                    std::vector<ColumnLanes> columns,
+                                    bool direct) const;
+  // Appends a unit BuildPending built with the same `direct`.
+  void AddPending(RosContainer unit, bool direct);
+  // BuildPending then AddPending, as a WOS unit or a DIRECT container.
+  Status InsertPending(TxnId txn, std::vector<ColumnLanes> columns);
+  Status InsertPendingDirect(TxnId txn, std::vector<ColumnLanes> columns);
 
   // Commit/abort every pending change of `txn` in this store.
   void CommitTxn(TxnId txn, Epoch epoch);
@@ -407,15 +417,12 @@ class SegmentStore {
   Status ApplyResidual(const RosContainer& container, const ScanSpec& spec,
                        int64_t cap, std::vector<uint32_t>* sel) const;
 
-  // The one insert body: validates, coerces and unboxes `rows` into a
-  // pending ROS container (`direct`) or WOS unit owned by `txn`.
-  Status Insert(TxnId txn, std::vector<Row> rows, bool direct);
-
   // Rows held column by column as typed lanes, with their delete marks
   // and commit epochs: what every container and WOS unit this store
-  // writes is built from. Varchar lanes alias the rows or containers
+  // writes is built from. Varchar lanes alias the buffers or containers
   // they were read from, which must outlive the build.
   struct ColumnRows {
+    ColumnRows() = default;
     explicit ColumnRows(const Schema& schema);
 
     std::vector<ColumnLanes> columns;  // one per schema column
@@ -423,10 +430,8 @@ class SegmentStore {
     std::vector<Epoch> epochs;  // empty for a pending container
     double raw_bytes = 0;
   };
-  // Appends the rows of `container` (only those with keep[i] set when
-  // `keep` != null) to *out.
-  Status GatherColumns(const RosContainer& container,
-                       const std::vector<bool>* keep, ColumnRows* out) const;
+  // Appends the rows of `container` to *out.
+  Status GatherColumns(const RosContainer& container, ColumnRows* out) const;
   // How BuildFromColumns lays its rows out.
   enum class Layout {
     kWos,     // arrival order, PLAIN encoding

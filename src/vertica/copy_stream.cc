@@ -77,7 +77,9 @@ Result<std::unique_ptr<CopyStream>> CopyStream::Open(
       session, std::move(def), options, txn, autocommit, grant));
 }
 
-Status CopyStream::WriteBatch(sim::Process& self, std::vector<Row> rows) {
+Status CopyStream::WriteBatch(sim::Process& self,
+                              std::vector<storage::ColumnLanes> columns,
+                              std::vector<Row> rejects) {
   FABRIC_CHECK(!finished_) << "WriteBatch after Finish";
   Database* db = session_->database();
   const CostModel& cost = db->cost();
@@ -87,23 +89,17 @@ Status CopyStream::WriteBatch(sim::Process& self, std::vector<Row> rows) {
         StrCat("connection to ", db->node_name(initiator), " lost"));
   }
 
-  // The whole batch is profiled before its good rows move out of it.
+  // The whole batch, rejects included, is profiled.
   const double scale = db->EffectiveScale(def_.name);
-  DataProfile profile = ProfileRows(rows);
+  DataProfile profile = ProfileRows(columns).Add(ProfileRows(rejects));
   profile.ScaleBy(scale);
-  const int64_t batch_rows = static_cast<int64_t>(rows.size());
-
-  // Validate: bad rows are rejected, good rows proceed.
-  std::vector<Row> good;
-  good.reserve(rows.size());
-  for (Row& row : rows) {
-    if (ValidateRow(def_.schema, row).ok()) {
-      good.push_back(std::move(row));
-    } else {
-      ++totals_.rejected;
-      if (totals_.rejected_sample.size() < 10) {
-        totals_.rejected_sample.push_back(row);
-      }
+  const int64_t good_count = static_cast<int64_t>(storage::NumRows(columns));
+  const int64_t batch_rows =
+      good_count + static_cast<int64_t>(rejects.size());
+  for (Row& row : rejects) {
+    ++totals_.rejected;
+    if (totals_.rejected_sample.size() < 10) {
+      totals_.rejected_sample.push_back(std::move(row));
     }
   }
 
@@ -148,11 +144,10 @@ Status CopyStream::WriteBatch(sim::Process& self, std::vector<Row> rows) {
   // Route rows to owner segments over the internal fabric.
   FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * storage,
                           db->GetStorage(def_.name));
-  const int64_t good_count = static_cast<int64_t>(good.size());
   // Maintain every projection of the table inside the same load
-  // transaction (before routing moves the rows out of `good`).
+  // transaction (before routing moves the lanes out of `columns`).
   FABRIC_RETURN_IF_ERROR(db->WriteProjectionRows(
-      self, def_, good, txn_, initiator, options_.direct, scale));
+      self, def_, columns, txn_, initiator, options_.direct, scale));
   obs::TraceEvent("vertica", "copy.batch",
                   {{"table", def_.name},
                    {"rows", batch_rows},
@@ -170,7 +165,7 @@ Status CopyStream::WriteBatch(sim::Process& self, std::vector<Row> rows) {
        .source_host = initiator,
        .direct = options_.direct,
        .scale = scale},
-      std::move(good)));
+      std::move(columns)));
   totals_.loaded += good_count;
   return Status::OK();
 }

@@ -47,10 +47,17 @@ class CopyStream {
   // grant; the open transaction is left to the session's rollback.
   ~CopyStream();
 
-  // Feeds one batch; its accepted rows move on into the store. Returns
+  // Feeds one batch: `columns` (one lane per table column, as the Avro
+  // decoder or storage::FromRows builds them, varchar bytes valid until
+  // it returns) move on into the store and `rejects` are counted. Returns
   // CANCELLED if the process is killed; the session's transaction is
   // then left to roll back.
-  Status WriteBatch(sim::Process& self, std::vector<storage::Row> rows);
+  Status WriteBatch(sim::Process& self,
+                    std::vector<storage::ColumnLanes> columns,
+                    std::vector<storage::Row> rejects = {});
+
+  // The loaded table's columns, as snapped at Open.
+  const storage::Schema& schema() const { return def_.schema; }
 
   // Ends the stream. Commits iff the session had no explicit transaction
   // open (autocommit). Returns the load counts.

@@ -1,7 +1,9 @@
 #include "vertica/database.h"
 
 #include <limits>
+#include <optional>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/trace.h"
@@ -331,31 +333,54 @@ Status Database::RenameTableWithStorage(const std::string& from,
   return Status::OK();
 }
 
-int Database::OwnerNode(const Segmentation& segmentation,
-                        const storage::Row& row) const {
-  if (segmentation.unsegmented()) return -1;
-  uint64_t h = storage::RowSegmentationHash(row, segmentation.columns);
-  return RingSegmentOf(h, num_nodes());
+std::vector<int> Database::OwnerNodes(
+    const Segmentation& segmentation,
+    const std::vector<storage::ColumnLanes>& columns) const {
+  std::vector<uint64_t> hashes(storage::NumRows(columns),
+                               kSegmentationHashSeed);
+  for (int c : segmentation.columns) {
+    const storage::ColumnLanes& column = columns[c];
+    for (size_t i = 0; i < hashes.size(); ++i) {
+      hashes[i] = HashCombine(hashes[i], column.Hash(i));
+    }
+  }
+  std::vector<int> owners(hashes.size());
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    owners[i] = RingSegmentOf(hashes[i], num_nodes());
+  }
+  return owners;
 }
 
-std::vector<std::vector<storage::Row>> Database::RouteRows(
-    const Segmentation& segmentation, std::vector<storage::Row> rows) const {
-  std::vector<std::vector<storage::Row>> per_node(num_nodes());
-  for (storage::Row& row : rows) {
-    int owner = OwnerNode(segmentation, row);
-    if (owner < 0) {
-      for (int n = 0; n < num_nodes(); ++n) per_node[n].push_back(row);
-    } else {
-      per_node[owner].push_back(std::move(row));
+std::vector<std::vector<storage::ColumnLanes>> Database::RouteLanes(
+    const Segmentation& segmentation,
+    std::vector<storage::ColumnLanes> columns) const {
+  std::vector<std::vector<storage::ColumnLanes>> per_node(num_nodes());
+  const size_t n = storage::NumRows(columns);
+  if (n == 0) return per_node;
+  const bool replicated = segmentation.unsegmented();
+  std::vector<std::vector<uint32_t>> rows(num_nodes());
+  if (!replicated) {
+    std::vector<int> owners = OwnerNodes(segmentation, columns);
+    for (uint32_t i = 0; i < n; ++i) rows[owners[i]].push_back(i);
+  }
+  int whole = replicated ? num_nodes() : 1;  // parts taking every row
+  for (int node = 0; node < num_nodes(); ++node) {
+    if (replicated || rows[node].size() == n) {
+      per_node[node] = --whole > 0 ? columns : std::move(columns);
+    } else if (!rows[node].empty()) {
+      per_node[node].reserve(columns.size());
+      for (const storage::ColumnLanes& column : columns) {
+        per_node[node].push_back(column.Take(rows[node]));
+      }
     }
   }
   return per_node;
 }
 
 Status Database::WriteRows(sim::Process& self, const WriteRoute& route,
-                           std::vector<storage::Row> rows) {
-  std::vector<std::vector<storage::Row>> per_node =
-      RouteRows(*route.segmentation, std::move(rows));
+                           std::vector<storage::ColumnLanes> columns) {
+  std::vector<std::vector<storage::ColumnLanes>> per_node =
+      RouteLanes(*route.segmentation, std::move(columns));
   const bool replicated = route.segmentation->unsegmented();
   for (int n = 0; n < num_nodes(); ++n) {
     if (per_node[n].empty() || (replicated && !node_up(n))) continue;
@@ -367,6 +392,8 @@ Status Database::WriteRows(sim::Process& self, const WriteRoute& route,
     const double cpu = route.cpu == WriteCpu::kParse
                            ? profile.CopyParseCpu(cost)
                            : profile.raw_bytes * cost.scan_cpu_per_byte;
+    // The first copy builds the unit; the others share its lanes.
+    std::optional<storage::RosContainer> unit;
     for (size_t c = 0; c < copies.size(); ++c) {
       const SegmentCopy& copy = copies[c];
       if (copy.host != route.source_host) {
@@ -378,18 +405,17 @@ Status Database::WriteRows(sim::Process& self, const WriteRoute& route,
       }
       FABRIC_RETURN_IF_ERROR(
           net::RunCpu(self, network_, hosts_[copy.host], cpu));
-      std::vector<storage::Row> batch = c + 1 < copies.size()
-                                            ? per_node[n]
-                                            : std::move(per_node[n]);
-      if (route.direct) {
-        FABRIC_RETURN_IF_ERROR(
-            copy.store->InsertPendingDirect(route.txn, std::move(batch)));
-      } else {
+      if (!route.direct) {
         FABRIC_RETURN_IF_ERROR(
             tm_->AdmitWos(self, *route.table, copy.store, copy.host));
-        FABRIC_RETURN_IF_ERROR(
-            copy.store->InsertPending(route.txn, std::move(batch)));
       }
+      if (!unit.has_value()) {
+        FABRIC_ASSIGN_OR_RETURN(unit, copy.store->BuildPending(
+                                          route.txn, std::move(per_node[n]),
+                                          route.direct));
+      }
+      copy.store->AddPending(c + 1 < copies.size() ? *unit : std::move(*unit),
+                             route.direct);
     }
   }
   return Status::OK();
@@ -397,28 +423,23 @@ Status Database::WriteRows(sim::Process& self, const WriteRoute& route,
 
 namespace {
 
-// Anchor-width `rows` narrowed to `proj`'s columns.
-std::vector<storage::Row> ProjectRows(const ProjectionDef& proj,
-                                      const std::vector<storage::Row>& rows) {
-  std::vector<storage::Row> projected;
-  projected.reserve(rows.size());
-  for (const storage::Row& row : rows) {
-    storage::Row prow;
-    prow.reserve(proj.columns.size());
-    for (int c : proj.columns) prow.push_back(row[c]);
-    projected.push_back(std::move(prow));
-  }
+// Anchor-width `columns` narrowed to `proj`'s columns.
+std::vector<storage::ColumnLanes> ProjectLanes(
+    const ProjectionDef& proj,
+    const std::vector<storage::ColumnLanes>& columns) {
+  std::vector<storage::ColumnLanes> projected;
+  projected.reserve(proj.columns.size());
+  for (int c : proj.columns) projected.push_back(columns[c]);
   return projected;
 }
 
 }  // namespace
 
-Status Database::WriteProjectionRows(sim::Process& self,
-                                     const TableDef& def,
-                                     const std::vector<storage::Row>& rows,
-                                     storage::TxnId txn, int source_host,
-                                     bool direct, double scale) {
-  if (rows.empty()) return Status::OK();
+Status Database::WriteProjectionRows(
+    sim::Process& self, const TableDef& def,
+    const std::vector<storage::ColumnLanes>& columns, storage::TxnId txn,
+    int source_host, bool direct, double scale) {
+  if (storage::NumRows(columns) == 0) return Status::OK();
   for (const ProjectionDef* proj : catalog_.ProjectionsOf(def.name)) {
     FABRIC_ASSIGN_OR_RETURN(SegmentSet * set,
                             GetProjectionStorage(proj->name));
@@ -431,7 +452,7 @@ Status Database::WriteProjectionRows(sim::Process& self,
                                       .source_host = source_host,
                                       .direct = direct,
                                       .scale = scale},
-                                     ProjectRows(*proj, rows)));
+                                     ProjectLanes(*proj, columns)));
   }
   return Status::OK();
 }
@@ -440,29 +461,39 @@ Status Database::DeleteProjectionRows(
     sim::Process& self, const TableDef& def,
     const std::vector<storage::Row>& victims, storage::TxnId txn,
     storage::Epoch as_of, double scale) {
-  if (victims.empty()) return Status::OK();
-  for (const ProjectionDef* proj : catalog_.ProjectionsOf(def.name)) {
+  const std::vector<const ProjectionDef*> projections =
+      catalog_.ProjectionsOf(def.name);
+  if (victims.empty() || projections.empty()) return Status::OK();
+  FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
+                          storage::FromRows(def.schema, victims));
+  for (const ProjectionDef* proj : projections) {
     FABRIC_ASSIGN_OR_RETURN(SegmentSet * set,
                             GetProjectionStorage(proj->name));
     // Each victim's projected image is marked on every live copy of its
     // owner segment (every UP replica of an unsegmented projection).
     const bool replicated = proj->segmentation.unsegmented();
-    std::vector<std::vector<storage::Row>> per_node =
-        RouteRows(proj->segmentation, ProjectRows(*proj, victims));
+    std::vector<std::vector<storage::ColumnLanes>> per_node =
+        RouteLanes(proj->segmentation, ProjectLanes(*proj, columns));
     for (int n = 0; n < num_nodes(); ++n) {
       if (per_node[n].empty() || (replicated && !node_up(n))) continue;
       FABRIC_ASSIGN_OR_RETURN(std::vector<SegmentCopy> copies,
                               WriteCopies(set, n));
       double raw_bytes =
           storage::ProfileRows(per_node[n]).raw_bytes * scale;
+      std::vector<storage::Row> images(storage::NumRows(per_node[n]));
+      for (const storage::ColumnLanes& column : per_node[n]) {
+        for (size_t i = 0; i < images.size(); ++i) {
+          images[i].push_back(column.Box(i));
+        }
+      }
       for (const SegmentCopy& copy : copies) {
         FABRIC_RETURN_IF_ERROR(
             net::RunCpu(self, network_, hosts_[copy.host],
                         raw_bytes * options_.cost.scan_cpu_per_byte));
         FABRIC_ASSIGN_OR_RETURN(
-            int64_t marked, copy.store->MarkDeletedPendingByContent(
-                                txn, as_of, per_node[n]));
-        FABRIC_CHECK(marked == static_cast<int64_t>(per_node[n].size()))
+            int64_t marked,
+            copy.store->MarkDeletedPendingByContent(txn, as_of, images));
+        FABRIC_CHECK(marked == static_cast<int64_t>(images.size()))
             << "projection " << proj->name << " missing delete victims";
       }
     }

@@ -262,18 +262,18 @@ class Database {
   Status CreateProjectionWithStorage(ProjectionDef def);
   Status DropProjectionWithStorage(const std::string& name);
 
-  // Node owning `row` under `segmentation` (-1 for unsegmented: all
-  // nodes hold it).
-  int OwnerNode(const Segmentation& segmentation,
-                const storage::Row& row) const;
+  // Node owning each row of the batch `columns` under the segmented
+  // layout `segmentation`, hashed from the stored (coerced) values.
+  std::vector<int> OwnerNodes(
+      const Segmentation& segmentation,
+      const std::vector<storage::ColumnLanes>& columns) const;
 
   // CPU a routed write charges on each copy it lands on.
   enum class WriteCpu {
     kParse,   // COPY-parse CPU of the batch (INSERT)
     kEncode,  // raw bytes x scan_cpu_per_byte: sort + encode into the layout
   };
-  // Where a batch of rows shaped for one layout goes, and how it is
-  // charged.
+  // Where a batch shaped for one layout goes, and how it is charged.
   struct WriteRoute {
     SegmentSet* set = nullptr;
     const Segmentation* segmentation = nullptr;
@@ -284,21 +284,23 @@ class Database {
     WriteCpu cpu = WriteCpu::kEncode;
     double scale = 1;
   };
-  // The write path of every layout: routes `rows` to their owner segments,
-  // then lands each segment's batch on every live copy (each UP replica of
-  // an unsegmented layout, WriteCopies of a segmented one; DOWN copies
-  // catch up during recovery): a transfer from the source host when the
-  // copy is remote, the CPU charge on the copy's host, then the DIRECT
-  // insert, or WOS admission (backpressure at the Tuple Mover's hard cap)
-  // plus the WOS insert.
+  // The write path of every layout: routes the batch `columns` (one lane
+  // per layout column) to their owner segments, then lands each segment's
+  // lanes on every live copy (each UP replica of an unsegmented layout,
+  // WriteCopies of a segmented one; DOWN copies catch up during
+  // recovery): a transfer from the source host when the copy is remote,
+  // the CPU charge on the copy's host, then the DIRECT insert, or WOS
+  // admission (backpressure at the Tuple Mover's hard cap) plus the WOS
+  // insert. Varchar slots must stay valid until it returns.
   Status WriteRows(sim::Process& self, const WriteRoute& route,
-                   std::vector<storage::Row> rows);
+                   std::vector<storage::ColumnLanes> columns);
 
   // Projection maintenance for the write paths (INSERT / COPY / UPDATE
-  // reinsertion): projects `rows` (anchor-width) through every projection
-  // of `def` and writes them through WriteRows under `txn`.
+  // reinsertion): picks every projection of `def`'s columns out of the
+  // anchor-width batch `columns` and writes them through WriteRows under
+  // `txn`.
   Status WriteProjectionRows(sim::Process& self, const TableDef& def,
-                             const std::vector<storage::Row>& rows,
+                             const std::vector<storage::ColumnLanes>& columns,
                              storage::TxnId txn, int source_host,
                              bool direct, double scale);
   // DELETE/UPDATE-side maintenance: marks the projected images of
@@ -394,10 +396,12 @@ class Database {
   SegmentSet EmptySegmentSet(const storage::Schema& schema,
                              const Segmentation& segmentation,
                              const storage::PhysicalDesign& design);
-  // `rows` grouped by owner segment under `segmentation`; an
-  // unsegmented layout's rows go to every node.
-  std::vector<std::vector<storage::Row>> RouteRows(
-      const Segmentation& segmentation, std::vector<storage::Row> rows) const;
+  // The batch `columns` split by owner segment under `segmentation`, each
+  // part in arrival order; an unsegmented layout's batch goes to every
+  // node.
+  std::vector<std::vector<storage::ColumnLanes>> RouteLanes(
+      const Segmentation& segmentation,
+      std::vector<storage::ColumnLanes> columns) const;
 
   struct TxnState {
     std::set<std::string> locked_tables;

@@ -678,6 +678,8 @@ Result<QueryResult> Session::ExecCreateProjection(
 
     FABRIC_ASSIGN_OR_RETURN(Database::SegmentSet * set,
                             db_->GetProjectionStorage(proj.name));
+    FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
+                            storage::FromRows(proj.schema, proj_rows));
     return db_->WriteRows(self,
                           {.set = set,
                            .segmentation = &proj.segmentation,
@@ -686,7 +688,7 @@ Result<QueryResult> Session::ExecCreateProjection(
                            .source_host = node_,
                            .direct = true,
                            .scale = scale},
-                          std::move(proj_rows));
+                          std::move(columns));
   }();
   if (!status.ok()) {
     db_->AbortTxnInternal(txn);
@@ -891,9 +893,8 @@ Result<QueryResult> Session::ExecInsert(sim::Process& self,
       row = std::move(full);
     }
   }
-  for (const Row& row : rows) {
-    FABRIC_RETURN_IF_ERROR(ValidateRow(schema, row));
-  }
+  FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
+                          storage::FromRows(schema, rows));
 
   WriteTxn wt = EnsureWriteTxn();
   Status status = [&]() -> Status {
@@ -904,7 +905,7 @@ Result<QueryResult> Session::ExecInsert(sim::Process& self,
 
     const CostModel& cost = db_->cost();
     const double scale = db_->EffectiveScale(def->name);
-    DataProfile profile = ProfileRows(rows);
+    DataProfile profile = ProfileRows(columns);
     profile.ScaleBy(scale);
 
     // Client -> initiator wire (VALUES travel with the statement).
@@ -925,9 +926,9 @@ Result<QueryResult> Session::ExecInsert(sim::Process& self,
          .direct = stmt.direct,
          .cpu = Database::WriteCpu::kParse,
          .scale = scale},
-        rows));
+        columns));
     // Maintain every projection of the table in the same transaction.
-    return db_->WriteProjectionRows(self, *def, rows, wt.txn, node_,
+    return db_->WriteProjectionRows(self, *def, columns, wt.txn, node_,
                                     stmt.direct, scale);
   }();
   FABRIC_RETURN_IF_ERROR(FinishWriteTxn(self, wt, status));
@@ -1012,9 +1013,10 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
           FABRIC_ASSIGN_OR_RETURN(Value v, sql::Eval(*expr, context));
           updated[idx] = std::move(v);
         }
-        FABRIC_RETURN_IF_ERROR(ValidateRow(schema, updated));
         replacements.push_back(std::move(updated));
       }
+      FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
+                              storage::FromRows(schema, replacements));
       // Same selection pipeline as the Scan above, so every copy picks
       // exactly the same rows.
       FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
@@ -1042,20 +1044,26 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
       counted = replicated;
       if (replicated) {
         if (!replacements.empty()) {
-          FABRIC_RETURN_IF_ERROR(read_copy.store->InsertPending(
-              wt.txn, std::move(replacements)));
+          FABRIC_RETURN_IF_ERROR(
+              read_copy.store->InsertPending(wt.txn, std::move(columns)));
         }
         continue;
       }
       // Re-route new versions by the (possibly changed) segmentation
-      // hash, into every live copy of the owning segment.
-      for (Row& row : replacements) {
-        int owner = db_->OwnerNode(def->segmentation, row);
+      // hash of their stored values, into every live copy of the owning
+      // segment.
+      const std::vector<int> owners =
+          db_->OwnerNodes(def->segmentation, columns);
+      for (uint32_t i = 0; i < owners.size(); ++i) {
         FABRIC_ASSIGN_OR_RETURN(
             std::vector<Database::SegmentCopy> owner_writes,
-            db_->WriteCopies(storage, owner));
+            db_->WriteCopies(storage, owners[i]));
+        std::vector<storage::ColumnLanes> row;
+        for (const storage::ColumnLanes& column : columns) {
+          row.push_back(column.Take({i}));
+        }
         double row_bytes =
-            ProfileRow(row).raw_bytes * db_->EffectiveScale(def->name);
+            ProfileRows(row).raw_bytes * db_->EffectiveScale(def->name);
         for (size_t c = 0; c < owner_writes.size(); ++c) {
           const Database::SegmentCopy& copy = owner_writes[c];
           if (copy.host != read_copy.host) {
@@ -1065,9 +1073,8 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
                  db_->node_host(copy.host).int_ingress},
                 row_bytes));
           }
-          Row replica = c + 1 < owner_writes.size() ? row : std::move(row);
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPending(wt.txn, {std::move(replica)}));
+          FABRIC_RETURN_IF_ERROR(copy.store->InsertPending(
+              wt.txn, c + 1 < owner_writes.size() ? row : std::move(row)));
         }
       }
     }
@@ -1077,8 +1084,10 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
     double scale = db_->EffectiveScale(def->name);
     FABRIC_RETURN_IF_ERROR(db_->DeleteProjectionRows(
         self, *def, all_victims, wt.txn, snapshot, scale));
-    return db_->WriteProjectionRows(self, *def, all_replacements, wt.txn,
-                                    node_, /*direct=*/false, scale);
+    FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
+                            storage::FromRows(schema, all_replacements));
+    return db_->WriteProjectionRows(self, *def, columns, wt.txn, node_,
+                                    /*direct=*/false, scale);
   }();
   Status finished = FinishWriteTxn(self, wt, status);
   // Recorded before ack-loss propagation: conditional updates (UPDATE ...

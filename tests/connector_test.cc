@@ -1,11 +1,16 @@
+#include <bit>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/jdbc_source.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "connector/avro.h"
@@ -17,6 +22,7 @@
 #include "obs/trace.h"
 #include "obs/trace_matcher.h"
 #include "sim/engine.h"
+#include "vertica/copy_stream.h"
 #include "spark/dataframe.h"
 #include "vertica/database.h"
 #include "vertica/session.h"
@@ -159,28 +165,224 @@ class ConnectorTest : public ::testing::Test {
   std::unique_ptr<spark::SparkSession> session_;
 };
 
-TEST(AvroTest, RoundTripsBatches) {
-  Schema schema({{"id", DataType::kInt64},
+// A batch covering every type, NULLs, NaN, -0.0, infinities, the int64
+// extremes, '' and a string longer than SSO, an int widened into a FLOAT
+// column, and two corrupt records (wrong arity, wrong type).
+Schema GoldenSchema() {
+  return Schema({{"id", DataType::kInt64},
                  {"v", DataType::kFloat64},
                  {"s", DataType::kVarchar},
                  {"b", DataType::kBool}});
-  std::vector<Row> rows = {
+}
+
+std::vector<Row> GoldenRows() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  return {
       {Value::Int64(1), Value::Float64(2.5), Value::Varchar("x"),
        Value::Bool(true)},
       {Value::Null(), Value::Null(), Value::Null(), Value::Null()},
       {Value::Int64(-7), Value::Int64(3), Value::Varchar(""),
-       Value::Bool(false)},  // int widened into float column
+       Value::Bool(false)},
+      {Value::Int64(std::numeric_limits<int64_t>::min()), Value::Float64(nan),
+       Value::Varchar(std::string(40, 'L')), Value::Bool(true)},
+      {Value::Int64(9)},
+      {Value::Int64(0), Value::Float64(-0.0), Value::Varchar("tail"),
+       Value::Null()},
+      {Value::Varchar("oops"), Value::Float64(1), Value::Varchar("s"),
+       Value::Bool(true)},
+      {Value::Int64(std::numeric_limits<int64_t>::max()), Value::Float64(-inf),
+       Value::Null(), Value::Bool(false)},
   };
-  std::string encoded = AvroEncodeBatch(schema, rows);
+}
+
+// The wire bytes are pinned: the decoder may change, the format may not.
+TEST(AvroTest, EncodedBytesMatchGoldenDigest) {
+  std::string encoded = AvroEncodeBatch(GoldenSchema(), GoldenRows());
+  EXPECT_EQ(encoded.size(), 185u);
+  EXPECT_EQ(HashBytes(encoded), 6276938811730126315ull);
+}
+
+// The lane decoder reads back what the row encoder wrote: same types
+// and bits (NaN, -0.0, the int64 extremes, '' and long strings), NULLs
+// as null flags, ints widened into FLOAT, corrupt records as empty
+// rejects in order; varchar slots view the encoded buffer.
+TEST(AvroTest, LaneDecodeRoundTripsBatches) {
+  const Schema schema = GoldenSchema();
+  const std::vector<Row> rows = GoldenRows();
+  const std::string encoded = AvroEncodeBatch(schema, rows);
   auto decoded = AvroDecodeBatch(schema, encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_EQ(decoded->size(), 3u);
-  EXPECT_TRUE((*decoded)[0][0].Equals(Value::Int64(1)));
-  EXPECT_TRUE((*decoded)[1][2].is_null());
-  EXPECT_TRUE((*decoded)[2][1].Equals(Value::Float64(3.0)));
-  // Truncated data fails cleanly.
+  ASSERT_EQ(decoded->columns.size(), 4u);
+  ASSERT_EQ(storage::NumRows(decoded->columns), 6u);
+  ASSERT_EQ(decoded->rejects.size(), 2u);
+  for (const Row& reject : decoded->rejects) EXPECT_TRUE(reject.empty());
+  size_t k = 0;
+  for (const Row& row : rows) {
+    if (!storage::ValidateRow(schema, row).ok()) continue;
+    for (int c = 0; c < schema.num_columns(); ++c) {
+      const storage::ColumnLanes& lane = decoded->columns[c];
+      ASSERT_EQ(lane.type, schema.column(c).type);
+      Value got = lane.Box(k);
+      Value want = row[c];
+      if (!want.is_null() && want.type() == DataType::kInt64 &&
+          schema.column(c).type == DataType::kFloat64) {
+        want = Value::Float64(static_cast<double>(want.int64_value()));
+      }
+      ASSERT_EQ(got.is_null(), want.is_null()) << k << "," << c;
+      if (want.is_null()) continue;
+      ASSERT_EQ(got.type(), want.type()) << k << "," << c;
+      if (want.type() == DataType::kFloat64) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.float64_value()),
+                  std::bit_cast<uint64_t>(want.float64_value()))
+            << k << "," << c;
+      } else {
+        EXPECT_TRUE(got.Equals(want)) << k << "," << c;
+      }
+    }
+    ++k;
+  }
+  const storage::ColumnLanes& strings = decoded->columns[2];
+  for (size_t i = 0; i < strings.size(); ++i) {
+    std::string_view s = strings.values.strings[i];
+    if (s.empty()) continue;
+    EXPECT_GE(s.data(), encoded.data());
+    EXPECT_LE(s.data() + s.size(), encoded.data() + encoded.size());
+  }
+  // Truncated data and a bad row flag fail cleanly.
   EXPECT_FALSE(
       AvroDecodeBatch(schema, encoded.substr(0, encoded.size() - 3)).ok());
+  std::string bad = encoded;
+  bad[8] = 0x02;  // the first record's flag
+  EXPECT_FALSE(AvroDecodeBatch(schema, bad).ok());
+}
+
+// A row range encodes exactly as the same rows copied out.
+TEST(AvroTest, EncodesRowRanges) {
+  const std::vector<Row> rows = GoldenRows();
+  std::vector<Row> middle(rows.begin() + 2, rows.begin() + 6);
+  EXPECT_EQ(AvroEncodeBatch(GoldenSchema(),
+                            std::span<const Row>(rows).subspan(2, 4)),
+            AvroEncodeBatch(GoldenSchema(), middle));
+}
+
+// What one COPY load left behind: its counts and reject sample, and the
+// fingerprint of every store (primary and buddy copies, replicas and
+// projections) of the tables it loaded.
+struct CopyOutcome {
+  std::vector<int64_t> counts;
+  std::vector<Row> rejected_sample;
+  std::vector<uint64_t> fingerprints;
+};
+
+// Loads `rows` through COPY into a segmented table (FLOAT segmentation
+// column, with a projection on another segmentation) and an unsegmented
+// one, on a fresh database, feeding each stream the Avro-decoded lanes
+// or the same batch converted by storage::FromRows.
+CopyOutcome LoadThroughCopy(const std::vector<Row>& rows, bool avro) {
+  sim::Engine engine;
+  net::Network network(&engine);
+  vertica::Database::Options options;
+  options.num_nodes = 4;
+  vertica::Database db(&engine, &network, options);
+  const Schema schema = GoldenSchema();
+  const std::vector<std::string> tables = {"seg", "rep"};
+  CopyOutcome out;
+  engine.Spawn("client", [&](sim::Process& self) {
+    auto session = db.Connect(self, 0, nullptr);
+    ASSERT_TRUE(session.ok());
+    for (const char* sql :
+         {"CREATE TABLE seg (id INTEGER, v FLOAT, s VARCHAR, b BOOLEAN) "
+          "SEGMENTED BY HASH(v) ALL NODES",
+          "CREATE PROJECTION seg_by_s AS SELECT s, id FROM seg ORDER BY s "
+          "SEGMENTED BY HASH(s)",
+          "CREATE TABLE rep (id INTEGER, v FLOAT, s VARCHAR, b BOOLEAN) "
+          "UNSEGMENTED ALL NODES"}) {
+      ASSERT_TRUE((*session)->Execute(self, sql).ok()) << sql;
+    }
+    for (const std::string& table : tables) {
+      auto stream = vertica::CopyStream::Open(self, session->get(), table,
+                                              vertica::CopyStream::Options{});
+      ASSERT_TRUE(stream.ok()) << stream.status();
+      const std::string encoded = AvroEncodeBatch(schema, rows);
+      Status written;
+      if (avro) {
+        auto decoded = AvroDecodeBatch(schema, encoded);
+        ASSERT_TRUE(decoded.ok()) << decoded.status();
+        written = (*stream)->WriteBatch(self, std::move(decoded->columns),
+                                        std::move(decoded->rejects));
+      } else {
+        // The decoder's view of the batch as rows: a corrupt record is an
+        // empty row.
+        std::vector<Row> boxed;
+        for (const Row& row : rows) {
+          boxed.push_back(storage::ValidateRow(schema, row).ok() ? row
+                                                                 : Row{});
+        }
+        std::vector<Row> rejects;
+        auto columns = storage::FromRows(schema, boxed, &rejects);
+        ASSERT_TRUE(columns.ok()) << columns.status();
+        written = (*stream)->WriteBatch(self, std::move(*columns),
+                                        std::move(rejects));
+      }
+      ASSERT_TRUE(written.ok()) << written;
+      auto load = (*stream)->Finish(self);
+      ASSERT_TRUE(load.ok()) << load.status();
+      out.counts.push_back(load->loaded);
+      out.counts.push_back(load->rejected);
+      out.rejected_sample.insert(out.rejected_sample.end(),
+                                 load->rejected_sample.begin(),
+                                 load->rejected_sample.end());
+    }
+    ASSERT_TRUE((*session)->Close(self).ok());
+  });
+  Status run = engine.Run();
+  EXPECT_TRUE(run.ok()) << run;
+  auto fingerprint = [&](const vertica::Database::SegmentSet& set) {
+    for (const auto* copies : {&set.per_node, &set.buddy}) {
+      for (const auto& store : *copies) {
+        out.fingerprints.push_back(store->ContentFingerprint());
+      }
+    }
+  };
+  for (const std::string& table : tables) {
+    auto storage = db.GetStorage(table);
+    EXPECT_TRUE(storage.ok());
+    if (!storage.ok()) continue;
+    fingerprint(**storage);
+    for (const auto& [name, set] : (*storage)->projections) fingerprint(set);
+  }
+  return out;
+}
+
+// The Avro lanes and FromRows agree on everything a COPY batch leaves:
+// loaded and rejected counts, the reject sample, and the content of
+// every primary, buddy, replica and projection store.
+TEST(CopyLanesTest, AvroLanesLoadLikeFromRows) {
+  std::vector<Row> rows = GoldenRows();
+  for (int i = 0; i < 60; ++i) {  // enough rows to reach every node
+    rows.push_back({Value::Int64(i), Value::Int64(i % 7),
+                    Value::Varchar(std::string(i % 23, 'a' + i % 5)),
+                    i % 4 == 0 ? Value::Null() : Value::Bool(i % 3 == 0)});
+  }
+  const CopyOutcome avro = LoadThroughCopy(rows, /*avro=*/true);
+  const CopyOutcome boxed = LoadThroughCopy(rows, /*avro=*/false);
+  EXPECT_EQ(avro.counts, (std::vector<int64_t>{66, 2, 66, 2}));
+  EXPECT_EQ(avro.counts, boxed.counts);
+  ASSERT_EQ(avro.rejected_sample.size(), 4u);
+  ASSERT_EQ(avro.rejected_sample.size(), boxed.rejected_sample.size());
+  for (size_t i = 0; i < avro.rejected_sample.size(); ++i) {
+    EXPECT_TRUE(
+        storage::RowsEqual(avro.rejected_sample[i], boxed.rejected_sample[i]));
+  }
+  // seg: 4 primaries + 4 buddies, its projection the same, rep: 4 replicas.
+  ASSERT_EQ(avro.fingerprints.size(), 20u);
+  EXPECT_EQ(avro.fingerprints, boxed.fingerprints);
+  // Buddy copies hold what their primaries hold.
+  for (size_t n = 0; n < 4; ++n) {
+    EXPECT_EQ(avro.fingerprints[n], avro.fingerprints[4 + n]) << n;
+    EXPECT_EQ(avro.fingerprints[8 + n], avro.fingerprints[12 + n]) << n;
+  }
 }
 
 TEST_F(ConnectorTest, S2VOverwriteRoundTrip) {
@@ -361,6 +563,57 @@ TEST_F(ConnectorTest, V2SLoadRoundTrip) {
     auto loaded = df->Collect(driver);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     EXPECT_EQ(IdsOf(*loaded), IdsOf(rows));
+  });
+}
+
+// Integer literals stored into a FLOAT segmentation column are routed by
+// the stored (widened) value, so every copy sits in the ring range that
+// V2S's per-node hash-range queries and point lookups read: by INSERT,
+// and by an UPDATE that sets the column to an integer.
+TEST_F(ConnectorTest, IntegersIntoFloatSegmentationStayReadable) {
+  RunDriver([&](sim::Process& driver) {
+    auto session = db_->Connect(driver, 0, &cluster_->driver_host());
+    ASSERT_TRUE(session.ok());
+    auto exec = [&](const std::string& sql) {
+      auto result = (*session)->Execute(driver, sql);
+      EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
+      return result.ok() ? std::move(*result) : vertica::QueryResult{};
+    };
+    exec("CREATE TABLE f (x FLOAT, y INTEGER) SEGMENTED BY HASH(x) "
+         "ALL NODES");
+    std::string values;
+    for (int i = 1; i <= 40; ++i) {
+      values += StrCat(i == 1 ? "" : ", ", "(", i, ", ", i, ")");
+    }
+    exec(StrCat("INSERT INTO f VALUES ", values));
+    auto expect_readable = [&](const std::vector<int>& keys) {
+      const int64_t count =
+          exec("SELECT COUNT(*) FROM f").rows[0][0].int64_value();
+      EXPECT_EQ(count, 40);
+      int64_t looked_up = 0;
+      for (int key : keys) {
+        looked_up += exec(StrCat("SELECT COUNT(*) FROM f WHERE x = ", key))
+                         .rows[0][0]
+                         .int64_value();
+      }
+      EXPECT_EQ(looked_up, count);
+      auto df = session_->Read()
+                    .Format(kVerticaSourceName)
+                    .Option("table", "f")
+                    .Option("numpartitions", 8)
+                    .Load(driver);
+      ASSERT_TRUE(df.ok()) << df.status();
+      auto loaded = df->Collect(driver);
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ(static_cast<int64_t>(loaded->size()), count);
+    };
+    std::vector<int> keys;
+    for (int i = 1; i <= 40; ++i) keys.push_back(i);
+    expect_readable(keys);
+    exec("UPDATE f SET x = 100 + y WHERE y <= 10");
+    for (int i = 1; i <= 10; ++i) keys[i - 1] = 100 + i;
+    expect_readable(keys);
+    EXPECT_TRUE((*session)->Close(driver).ok());
   });
 }
 

@@ -302,5 +302,45 @@ TEST_F(MlTest, RedeployReplacesModel) {
   });
 }
 
+// PMMLPredict reuses a parsed model only while its DFS blob is
+// unchanged: a redeploy between two queries changes the scores.
+TEST_F(MlTest, RedeployBetweenQueriesChangesScores) {
+  RunDriver([&](sim::Process& driver) {
+    auto vsession = db_->Connect(driver, 0, nullptr);
+    ASSERT_TRUE(vsession.ok());
+    ASSERT_TRUE((*vsession)
+                    ->Execute(driver,
+                              "CREATE TABLE pts (x FLOAT) UNSEGMENTED ALL "
+                              "NODES")
+                    .ok());
+    ASSERT_TRUE(
+        (*vsession)->Execute(driver, "INSERT INTO pts VALUES (1), (2)").ok());
+    pmml::PmmlModel model;
+    model.kind = pmml::PmmlModel::Kind::kLinearRegression;
+    model.name = "m";
+    model.feature_names = {"x"};
+    auto scores = [&](double coefficient) {
+      model.coefficients = {coefficient};
+      EXPECT_TRUE(
+          connector::DeployPmmlModel(driver, db_.get(), nullptr, model).ok());
+      auto scored = (*vsession)->Execute(
+          driver,
+          "SELECT x, PMMLPredict(x USING PARAMETERS model_name='m') FROM "
+          "pts ORDER BY x");
+      EXPECT_TRUE(scored.ok()) << scored.status();
+      std::vector<double> out;
+      if (!scored.ok()) return out;
+      for (const Row& row : scored->rows) {
+        out.push_back(row[1].float64_value());
+      }
+      return out;
+    };
+    EXPECT_EQ(scores(1.0), (std::vector<double>{1.0, 2.0}));
+    EXPECT_EQ(scores(5.0), (std::vector<double>{5.0, 10.0}));
+    EXPECT_EQ(scores(1.0), (std::vector<double>{1.0, 2.0}));
+    ASSERT_TRUE((*vsession)->Close(driver).ok());
+  });
+}
+
 }  // namespace
 }  // namespace fabric

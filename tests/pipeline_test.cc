@@ -399,7 +399,9 @@ void LoadLaneTable(sim::Process& self, Session& s, const std::string& table,
   auto stream =
       vertica::CopyStream::Open(self, &s, table, vertica::CopyStream::Options{});
   ASSERT_TRUE(stream.ok()) << stream.status();
-  ASSERT_TRUE((*stream)->WriteBatch(self, std::move(direct)).ok());
+  auto columns = storage::FromRows((*stream)->schema(), direct);
+  ASSERT_TRUE(columns.ok()) << columns.status();
+  ASSERT_TRUE((*stream)->WriteBatch(self, std::move(*columns)).ok());
   auto loaded = (*stream)->Finish(self);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(loaded->rejected, 0);

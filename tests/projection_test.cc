@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scan_reference.h"
 #include "seed_env.h"
 
 #include "common/random.h"
@@ -81,7 +82,7 @@ TEST(ContentFingerprintTest, InvariantUnderRowOrderAndPhysicalDesign) {
 
   // Plain store, one batch, insertion order, auto encodings.
   storage::SegmentStore plain(schema);
-  ASSERT_TRUE(plain.InsertPendingDirect(1, rows).ok());
+  ASSERT_TRUE(InsertRowsDirect(plain, 1, rows).ok());
   plain.CommitTxn(1, 1);
 
   // Sorted store with forced encodings, reversed rows, two batches (one
@@ -94,8 +95,8 @@ TEST(ContentFingerprintTest, InvariantUnderRowOrderAndPhysicalDesign) {
   storage::SegmentStore sorted(schema, design);
   std::vector<Row> first_half(reversed.begin(), reversed.begin() + 20);
   std::vector<Row> second_half(reversed.begin() + 20, reversed.end());
-  ASSERT_TRUE(sorted.InsertPendingDirect(1, first_half).ok());
-  ASSERT_TRUE(sorted.InsertPending(2, second_half).ok());
+  ASSERT_TRUE(InsertRowsDirect(sorted, 1, first_half).ok());
+  ASSERT_TRUE(InsertRows(sorted, 2, second_half).ok());
   sorted.CommitTxn(1, 1);
   sorted.CommitTxn(2, 1);
 
@@ -105,7 +106,7 @@ TEST(ContentFingerprintTest, InvariantUnderRowOrderAndPhysicalDesign) {
   // Sanity: different content gives a different fingerprint.
   storage::SegmentStore other(schema);
   std::vector<Row> fewer(rows.begin(), rows.end() - 1);
-  ASSERT_TRUE(other.InsertPendingDirect(1, fewer).ok());
+  ASSERT_TRUE(InsertRowsDirect(other, 1, fewer).ok());
   other.CommitTxn(1, 1);
   EXPECT_NE(plain.ContentFingerprint(), other.ContentFingerprint());
 }

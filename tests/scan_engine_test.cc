@@ -133,10 +133,10 @@ void BuildRandomTable(Rng& rng, RandomTable* out) {
     int n = 30 + static_cast<int>(rng.NextUint64(90));
     std::vector<Row> rows = RandomRows(rng, t, n);
     if (rng.NextBool(0.6)) {
-      ASSERT_TRUE(t.store->InsertPendingDirect(txn, std::move(rows)).ok())
+      ASSERT_TRUE(InsertRowsDirect(*t.store, txn, rows).ok())
           << "direct insert";
     } else {
-      ASSERT_TRUE(t.store->InsertPending(txn, std::move(rows)).ok())
+      ASSERT_TRUE(InsertRows(*t.store, txn, rows).ok())
           << "wos insert";
     }
     double fate = rng.NextDouble();
@@ -228,8 +228,8 @@ void MutateStore(Rng& rng, RandomTable* out) {
       std::vector<Row> rows =
           RandomRows(rng, t, 10 + static_cast<int>(rng.NextUint64(60)));
       Status loaded = rng.NextBool(0.5)
-                          ? store.InsertPendingDirect(txn, std::move(rows))
-                          : store.InsertPending(txn, std::move(rows));
+                          ? InsertRowsDirect(store, txn, rows)
+                          : InsertRows(store, txn, rows);
       ASSERT_TRUE(loaded.ok()) << loaded.ToString();
       store.CommitTxn(txn, ++t.last_epoch);
       break;
@@ -525,7 +525,7 @@ TEST(ScanEngineTest, AtEpochSnapshotIsolation) {
   for (int i = 0; i < 40; ++i) {
     first.push_back({Value::Int64(i), Value::Varchar(StrCat("v", i % 4))});
   }
-  ASSERT_TRUE(store.InsertPendingDirect(1, std::move(first)).ok());
+  ASSERT_TRUE(InsertRowsDirect(store, 1, first).ok());
   store.CommitTxn(1, 1);
 
   storage::ScanSpec spec;
@@ -542,7 +542,7 @@ TEST(ScanEngineTest, AtEpochSnapshotIsolation) {
   for (int i = 100; i < 120; ++i) {
     second.push_back({Value::Int64(i), Value::Varchar("late")});
   }
-  ASSERT_TRUE(store.InsertPending(2, std::move(second)).ok());
+  ASSERT_TRUE(InsertRows(store, 2, second).ok());
   store.CommitTxn(2, 2);
   auto deleted = DeleteWhere(store, 3, 2, [](const Row& row) {
     return row[0].int64_value() % 2 == 0;

@@ -4,7 +4,8 @@
 // The row-at-a-time reads the vectorized SegmentStore::Scan is checked
 // against: whole containers and WOS units decoded into boxed rows,
 // visibility applied row by row from the delete marks and epochs. Plus
-// a predicate-lambda delete for building test fixtures.
+// a predicate-lambda delete and boxed-row inserts for building test
+// fixtures.
 
 #include <functional>
 #include <numeric>
@@ -47,6 +48,35 @@ inline Result<std::vector<Row>> SnapshotRows(const SegmentStore& store,
     return Status::OK();
   }));
   return rows;
+}
+
+// SegmentStore::InsertPending of boxed rows, converted through FromRows
+// (so a row the schema refuses fails with ValidateRow's error).
+inline Status InsertRows(SegmentStore& store, TxnId txn,
+                         const std::vector<Row>& rows) {
+  FABRIC_ASSIGN_OR_RETURN(std::vector<ColumnLanes> columns,
+                          FromRows(store.schema(), rows));
+  return store.InsertPending(txn, std::move(columns));
+}
+
+// SegmentStore::InsertPendingDirect of boxed rows, as InsertRows.
+inline Status InsertRowsDirect(SegmentStore& store, TxnId txn,
+                               const std::vector<Row>& rows) {
+  FABRIC_ASSIGN_OR_RETURN(std::vector<ColumnLanes> columns,
+                          FromRows(store.schema(), rows));
+  return store.InsertPendingDirect(txn, std::move(columns));
+}
+
+// The container of `rows` (in this order), pending under `pending_txn`:
+// the reference a store's own writes are checked against.
+inline Result<RosContainer> ContainerOf(
+    const Schema& schema, const std::vector<Row>& rows, TxnId pending_txn,
+    const std::vector<Encoding>* encodings = nullptr) {
+  FABRIC_ASSIGN_OR_RETURN(std::vector<ColumnLanes> columns,
+                          FromRows(schema, rows));
+  return RosContainer::CreateFromColumns(
+      schema, std::move(columns), static_cast<uint32_t>(rows.size()),
+      ProfileRows(rows).raw_bytes, pending_txn, encodings);
 }
 
 // Marks the rows visible to `txn` at `as_of` for which `pred` holds as

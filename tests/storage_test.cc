@@ -495,7 +495,7 @@ TEST(EncodingTest, DictionaryKeepsDisplayIdentityOfFloats) {
   EXPECT_EQ(chunk->data.size(), NullBitmapBytes(5) + 4 + 4 * 8 + 5 * 4);
 }
 
-TEST(EncodingTest, RowColumnEncodesLikeExtractedColumn) {
+TEST(EncodingTest, RowLanesEncodeLikeExtractedColumn) {
   Rng rng(99);
   std::vector<Row> rows;
   for (int i = 0; i < 300; ++i) {
@@ -503,20 +503,50 @@ TEST(EncodingTest, RowColumnEncodesLikeExtractedColumn) {
                            i % 3 == 0 ? "x" : "yy", rng.NextBool(0.5)));
   }
   Schema schema = TestSchema();
+  auto lanes = FromRows(schema, rows);
+  ASSERT_TRUE(lanes.ok()) << lanes.status();
   for (int c = 0; c < schema.num_columns(); ++c) {
     std::vector<Value> column;
     for (const Row& row : rows) column.push_back(row[c]);
     DataType type = schema.column(c).type;
-    auto in_place = EncodeRowColumn(type, rows, c);
+    auto in_place = EncodeLanes((*lanes)[c]);
     auto extracted = EncodeColumn(type, column);
     ASSERT_TRUE(in_place.ok());
     ASSERT_TRUE(extracted.ok());
     EXPECT_EQ(in_place->encoding, extracted->encoding);
     EXPECT_EQ(in_place->data, extracted->data);
     Encoding rle = Encoding::kRle;
-    auto forced = EncodeRowColumn(type, rows, c, &rle);
+    auto forced = EncodeLanes((*lanes)[c], &rle);
     ASSERT_TRUE(forced.ok());
     EXPECT_EQ(forced->data, EncodeColumnAs(type, rle, column)->data);
+  }
+}
+
+// Write routing hashes lanes: every slot, NULL included, must hash as
+// the Value it holds, or rows land outside the ring range scans read.
+TEST(EncodingTest, LaneHashMatchesValueSegmentationHash) {
+  std::vector<Row> rows = {
+      MakeRow(1, 2.5, "x", true),
+      {Value::Null(), Value::Null(), Value::Null(), Value::Null()},
+      {Value::Int64(-7), Value::Int64(3), Value::Varchar(""),
+       Value::Bool(false)},
+      {Value::Int64(0), Value::Float64(-0.0),
+       Value::Varchar(std::string(40, 'L')), Value::Bool(true)},
+      {Value::Int64(std::numeric_limits<int64_t>::min()),
+       Value::Float64(std::numeric_limits<double>::quiet_NaN()),
+       Value::Varchar("tail"), Value::Null()}};
+  auto lanes = FromRows(TestSchema(), rows);
+  ASSERT_TRUE(lanes.ok()) << lanes.status();
+  for (size_t c = 0; c < lanes->size(); ++c) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      Value want = rows[i][c];
+      if (!want.is_null() && want.type() == DataType::kInt64 &&
+          (*lanes)[c].type == DataType::kFloat64) {
+        want = Value::Float64(static_cast<double>(want.int64_value()));
+      }
+      EXPECT_EQ((*lanes)[c].Hash(i), want.SegmentationHash())
+          << c << "," << i;
+    }
   }
 }
 
@@ -532,7 +562,7 @@ TEST(RosContainerTest, CreateComputesStats) {
   std::vector<Row> rows = {MakeRow(3, 1.0, "abc", true),
                            MakeRow(1, 2.0, "zz", false),
                            MakeRow(2, -1.0, "m", true)};
-  auto ros = RosContainer::Create(schema, rows, /*txn=*/1);
+  auto ros = ContainerOf(schema, rows, /*txn=*/1);
   ASSERT_TRUE(ros.ok());
   EXPECT_EQ(ros->num_rows(), 3u);
   EXPECT_FALSE(ros->committed());
@@ -554,14 +584,14 @@ class SegmentStoreTest : public ::testing::Test {
 };
 
 TEST_F(SegmentStoreTest, PendingRowsInvisibleToOthers) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true)}).ok());
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true)}).ok());
   EXPECT_EQ(store_.CountVisible(100, /*txn=*/0).value(), 0);
   EXPECT_EQ(store_.CountVisible(100, /*txn=*/10).value(), 1);
   EXPECT_EQ(store_.CountVisible(100, /*txn=*/11).value(), 0);
 }
 
 TEST_F(SegmentStoreTest, CommitMakesRowsVisibleAtEpoch) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true)}).ok());
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true)}).ok());
   store_.CommitTxn(10, /*epoch=*/5);
   EXPECT_EQ(store_.CountVisible(4).value(), 0);   // before commit epoch
   EXPECT_EQ(store_.CountVisible(5).value(), 1);   // at commit epoch
@@ -569,8 +599,8 @@ TEST_F(SegmentStoreTest, CommitMakesRowsVisibleAtEpoch) {
 }
 
 TEST_F(SegmentStoreTest, AbortDiscardsPendingRows) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true)}).ok());
-  ASSERT_TRUE(store_.InsertPendingDirect(10, {MakeRow(2, 2.0, "b", false)})
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true)}).ok());
+  ASSERT_TRUE(InsertRowsDirect(store_, 10, {MakeRow(2, 2.0, "b", false)})
                   .ok());
   store_.AbortTxn(10);
   EXPECT_EQ(store_.CountVisible(100, 10).value(), 0);
@@ -582,7 +612,7 @@ TEST_F(SegmentStoreTest, AbortDiscardsPendingRows) {
 // container, its bytes count as raw bytes in the encoded total, and the
 // batch counts the Tuple Mover reads see one unit per insert.
 TEST_F(SegmentStoreTest, WosUnitsKeepTheWosCostRules) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "abc", true),
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "abc", true),
                                         MakeRow(2, 2.0, "de", false)})
                   .ok());
   EXPECT_EQ(store_.num_wos_batches(), 1);
@@ -611,7 +641,7 @@ TEST_F(SegmentStoreTest, WosUnitsKeepTheWosCostRules) {
 }
 
 TEST_F(SegmentStoreTest, DeleteRespectsEpochSnapshots) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true),
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true),
                                         MakeRow(2, 2.0, "b", false)})
                   .ok());
   store_.CommitTxn(10, 5);
@@ -631,7 +661,7 @@ TEST_F(SegmentStoreTest, DeleteRespectsEpochSnapshots) {
 }
 
 TEST_F(SegmentStoreTest, DeleteAbortRestoresRow) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true)}).ok());
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true)}).ok());
   store_.CommitTxn(10, 5);
   ASSERT_TRUE(
       DeleteWhere(store_, 11, 5, [](const Row&) { return true; }).ok());
@@ -640,11 +670,11 @@ TEST_F(SegmentStoreTest, DeleteAbortRestoresRow) {
 }
 
 TEST_F(SegmentStoreTest, MoveoutPreservesEpochVisibility) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true)}).ok());
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true)}).ok());
   store_.CommitTxn(10, 5);
-  ASSERT_TRUE(store_.InsertPending(11, {MakeRow(2, 2.0, "b", false)}).ok());
+  ASSERT_TRUE(InsertRows(store_, 11, {MakeRow(2, 2.0, "b", false)}).ok());
   store_.CommitTxn(11, 8);
-  ASSERT_TRUE(store_.InsertPending(12, {MakeRow(3, 3.0, "c", true)}).ok());
+  ASSERT_TRUE(InsertRows(store_, 12, {MakeRow(3, 3.0, "c", true)}).ok());
   // txn 12 still pending through moveout.
   ASSERT_TRUE(store_.Moveout().ok());
   EXPECT_EQ(store_.num_wos_batches(), 1);      // the pending batch stays
@@ -659,7 +689,7 @@ TEST_F(SegmentStoreTest, MoveoutPreservesEpochVisibility) {
 }
 
 TEST_F(SegmentStoreTest, MoveoutKeepsDeleteMarks) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true),
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true),
                                         MakeRow(2, 2.0, "b", false)})
                   .ok());
   store_.CommitTxn(10, 5);
@@ -675,10 +705,10 @@ TEST_F(SegmentStoreTest, MoveoutKeepsDeleteMarks) {
 TEST_F(SegmentStoreTest, MergeRosContainersPreservesEpochVisibility) {
   // Two DIRECT loads committed at different epochs, one later delete.
   ASSERT_TRUE(
-      store_.InsertPendingDirect(10, {MakeRow(1, 1.0, "a", true)}).ok());
+      InsertRowsDirect(store_, 10, {MakeRow(1, 1.0, "a", true)}).ok());
   store_.CommitTxn(10, 5);
   ASSERT_TRUE(
-      store_.InsertPendingDirect(11, {MakeRow(2, 2.0, "b", false)}).ok());
+      InsertRowsDirect(store_, 11, {MakeRow(2, 2.0, "b", false)}).ok());
   store_.CommitTxn(11, 8);
   ASSERT_TRUE(DeleteWhere(store_, 12, 8, [](const Row& row) {
                 return row[0].int64_value() == 1;
@@ -699,15 +729,15 @@ TEST_F(SegmentStoreTest, MergeRosContainersPreservesEpochVisibility) {
 
 TEST_F(SegmentStoreTest, MergeRejectsUncommittedContainers) {
   ASSERT_TRUE(
-      store_.InsertPendingDirect(10, {MakeRow(1, 1.0, "a", true)}).ok());
+      InsertRowsDirect(store_, 10, {MakeRow(1, 1.0, "a", true)}).ok());
   store_.CommitTxn(10, 5);
   ASSERT_TRUE(
-      store_.InsertPendingDirect(11, {MakeRow(2, 2.0, "b", false)}).ok());
+      InsertRowsDirect(store_, 11, {MakeRow(2, 2.0, "b", false)}).ok());
   EXPECT_FALSE(store_.MergeRosContainers({0, 1}).ok());
 }
 
 TEST_F(SegmentStoreTest, PurgeDropsOnlyAncientDeletes) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true),
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true),
                                         MakeRow(2, 2.0, "b", false)})
                   .ok());
   store_.CommitTxn(10, 5);
@@ -785,7 +815,7 @@ TEST(ColumnRebuildTest, MergeAndPurgeMatchRowBuiltContainers) {
         rows.push_back(row);
       }
       all.insert(all.end(), rows.begin(), rows.end());
-      ASSERT_TRUE(store.InsertPendingDirect(txn, rows).ok());
+      ASSERT_TRUE(InsertRowsDirect(store, txn, rows).ok());
       store.CommitTxn(txn, txn);
     }
     ASSERT_TRUE(store.MergeRosContainers({0, 1, 2, 3}).ok());
@@ -797,7 +827,7 @@ TEST(ColumnRebuildTest, MergeAndPurgeMatchRowBuiltContainers) {
         return a[0].Compare(b[0]).value() < 0;
       });
     }
-    auto want = RosContainer::Create(schema, all, /*txn=*/1);
+    auto want = ContainerOf(schema, all, /*txn=*/1);
     ASSERT_TRUE(want.ok());
     ExpectSameContainer(store.ros_containers()[0], *want, 4);
 
@@ -811,7 +841,7 @@ TEST(ColumnRebuildTest, MergeAndPurgeMatchRowBuiltContainers) {
     for (const Row& row : all) {
       if (row[0].int64_value() >= 3) kept.push_back(row);
     }
-    want = RosContainer::Create(schema, kept, /*txn=*/1);
+    want = ContainerOf(schema, kept, /*txn=*/1);
     ASSERT_TRUE(want.ok());
     ExpectSameContainer(store.ros_containers()[0], *want, 4);
   }
@@ -902,7 +932,7 @@ void ExpectMatchesReference(const RosContainer& got,
                             const PhysicalDesign& design) {
   std::vector<Row> rows;
   for (const RefRow& r : want) rows.push_back(r.row);
-  auto ref = RosContainer::Create(
+  auto ref = ContainerOf(
       RebuildSchema(), rows, /*txn=*/1,
       design.encodings.empty() ? nullptr : &design.encodings);
   ASSERT_TRUE(ref.ok()) << ref.status();
@@ -954,7 +984,7 @@ TEST(ColumnRebuildTest, EveryStoreWriteMatchesRowBuiltContainerProperty) {
         std::vector<RefRow> ref;
         for (const Row& row : rows) ref.push_back({row, txn, {}});
         SortRefRows(design.sort_columns, &ref);
-        ASSERT_TRUE(store.InsertPendingDirect(txn, rows).ok());
+        ASSERT_TRUE(InsertRowsDirect(store, txn, rows).ok());
         store.CommitTxn(txn, txn);
         ASSERT_EQ(store.num_ros_containers(), static_cast<int>(txn) - 9);
         ExpectMatchesReference(store.ros_containers().back(), ref, design);
@@ -965,7 +995,7 @@ TEST(ColumnRebuildTest, EveryStoreWriteMatchesRowBuiltContainerProperty) {
       for (TxnId txn = 13; txn < 15; ++txn) {
         std::vector<Row> rows = random_rows(1 + rng.NextUint64(400));
         for (const Row& row : rows) moved.push_back({row, txn, {}});
-        ASSERT_TRUE(store.InsertPending(txn, rows).ok());
+        ASSERT_TRUE(InsertRows(store, txn, rows).ok());
         store.CommitTxn(txn, txn);
       }
       SortRefRows(design.sort_columns, &moved);
@@ -1045,15 +1075,13 @@ struct StoreState {
 TEST(TupleMoverErrorsTest, RejectedRewritesLeaveStoreUntouched) {
   SegmentStore store(TestSchema());
   for (TxnId txn = 10; txn < 13; ++txn) {
-    ASSERT_TRUE(store
-                    .InsertPendingDirect(
-                        txn, {MakeRow(txn, 1.0, "a", true),
+    ASSERT_TRUE(InsertRowsDirect(store, txn, {MakeRow(txn, 1.0, "a", true),
                               MakeRow(txn + 1, 2.0, "b", false)})
                     .ok());
     store.CommitTxn(txn, txn);
   }
   ASSERT_TRUE(
-      store.InsertPendingDirect(13, {MakeRow(7, 3.0, "c", true)}).ok());
+      InsertRowsDirect(store, 13, {MakeRow(7, 3.0, "c", true)}).ok());
   ASSERT_TRUE(DeleteWhere(store, 14, 12, [](const Row& row) {
                 return row[0].int64_value() == 10;
               }).ok());
@@ -1077,7 +1105,7 @@ TEST(TupleMoverErrorsTest, RejectedRewritesLeaveStoreUntouched) {
   };
   for (TxnId txn = 20; txn < 22; ++txn) {
     ASSERT_TRUE(
-        alien.InsertPendingDirect(txn, {alien_row("p"), alien_row("q")})
+        InsertRowsDirect(alien, txn, {alien_row("p"), alien_row("q")})
             .ok());
     alien.CommitTxn(txn, txn);
   }
@@ -1085,7 +1113,7 @@ TEST(TupleMoverErrorsTest, RejectedRewritesLeaveStoreUntouched) {
                 return row[0].varchar_value() == "p";
               }).ok());
   alien.CommitTxn(22, 22);
-  ASSERT_TRUE(alien.InsertPending(23, {alien_row("w")}).ok());
+  ASSERT_TRUE(InsertRows(alien, 23, {alien_row("w")}).ok());
   alien.CommitTxn(23, 23);
   store.CopyContentsFrom(alien);
   const StoreState corrupt(store);
@@ -1114,7 +1142,7 @@ TEST_F(SegmentStoreTest, ScanLanesOutliveMergeoutAndPurge) {
                                 load == 1 ? i / 10 : i % 7);
       rows.push_back(MakeRow(load * 100 + i, i * 0.5, name, i % 2 == 0));
     }
-    ASSERT_TRUE(store_.InsertPendingDirect(txn, std::move(rows)).ok());
+    ASSERT_TRUE(InsertRowsDirect(store_, txn, rows).ok());
     store_.CommitTxn(txn, 5 + load);
   }
   ASSERT_EQ(store_.num_ros_containers(), 3);
@@ -1150,7 +1178,7 @@ TEST_F(SegmentStoreTest, ScanLanesOutliveMergeoutAndPurge) {
 }
 
 TEST_F(SegmentStoreTest, SnapshotRowsMaterializesVisibleRows) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "a", true)}).ok());
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "a", true)}).ok());
   store_.CommitTxn(10, 5);
   auto rows = SnapshotRows(store_, 5);
   ASSERT_TRUE(rows.ok());
@@ -1159,7 +1187,7 @@ TEST_F(SegmentStoreTest, SnapshotRowsMaterializesVisibleRows) {
 }
 
 TEST_F(SegmentStoreTest, StatsTrackBytes) {
-  ASSERT_TRUE(store_.InsertPending(10, {MakeRow(1, 1.0, "abc", true)}).ok());
+  ASSERT_TRUE(InsertRows(store_, 10, {MakeRow(1, 1.0, "abc", true)}).ok());
   store_.CommitTxn(10, 1);
   EXPECT_DOUBLE_EQ(store_.TotalRawBytes(), 8 + 8 + 3 + 1);
   EXPECT_GT(store_.TotalEncodedBytes(), 0);
@@ -1243,7 +1271,7 @@ void ExpectAllScansMatch(const SegmentStore& store, Epoch as_of,
 }
 
 TEST(DecodedColumnTest, CacheIsSharedAndCopiesStartEmpty) {
-  auto ros = RosContainer::Create(TestSchema(), {MakeRow(1, 1.0, "a", true)},
+  auto ros = ContainerOf(TestSchema(), {MakeRow(1, 1.0, "a", true)},
                                   /*txn=*/1);
   ASSERT_TRUE(ros.ok());
   auto first = ros->decoded_column(2);
@@ -1325,7 +1353,7 @@ TEST(DecodedColumnTest, ScansMatchReferenceAtBatchBoundaries) {
       PhysicalDesign design;
       design.encodings.assign(4, encoding);
       SegmentStore store(TestSchema(), design);
-      ASSERT_TRUE(store.InsertPendingDirect(10, BoundaryRows(n)).ok());
+      ASSERT_TRUE(InsertRowsDirect(store, 10, BoundaryRows(n)).ok());
       store.CommitTxn(10, 1);
       ExpectAllScansMatch(store, 1);
       // Delete marks change between scans; the cached columns must not.
@@ -1349,7 +1377,7 @@ TEST(DecodedColumnTest, ScansSurviveStoreMutations) {
   TxnId txn = 10;
   Epoch epoch = 0;
   auto load = [&](std::vector<Row> rows) {
-    ASSERT_TRUE(store->InsertPendingDirect(txn, std::move(rows)).ok());
+    ASSERT_TRUE(InsertRowsDirect(*store, txn, rows).ok());
     store->CommitTxn(txn++, ++epoch);
   };
   // One-row containers: every chunk payload is a short string.
@@ -1373,7 +1401,7 @@ TEST(DecodedColumnTest, ScansSurviveStoreMutations) {
   ExpectAllScansMatch(*store, epoch);
 
   // Moveout appends a container built from committed WOS rows.
-  ASSERT_TRUE(store->InsertPending(txn, BoundaryRows(40)).ok());
+  ASSERT_TRUE(InsertRows(*store, txn, BoundaryRows(40)).ok());
   store->CommitTxn(txn++, ++epoch);
   ExpectAllScansMatch(*store, epoch);
   ASSERT_TRUE(store->Moveout().ok());
@@ -1485,8 +1513,8 @@ TEST(WosRosPropertyTest, StoreReadsAlikeInWosAndAfterMoveout) {
       std::vector<Row> rows;
       int n = 1 + static_cast<int>(rng.NextUint64(40));
       for (int i = 0; i < n; ++i) rows.push_back(RandomStoreRow(rng));
-      ASSERT_TRUE(wos.InsertPending(owner, rows).ok());
-      ASSERT_TRUE(ros.InsertPending(owner, rows).ok());
+      ASSERT_TRUE(InsertRows(wos, owner, rows).ok());
+      ASSERT_TRUE(InsertRows(ros, owner, rows).ok());
     };
     auto delete_both = [&](TxnId owner) {
       int64_t cut = rng.NextInt64(0, 3);
@@ -1629,8 +1657,8 @@ TEST(ScanPruningTest, NanRowsAreNeverPrunedAway) {
       SegmentStore store(TestSchema());
       std::vector<Row> rows;
       for (double score : scores) rows.push_back(MakeRow(1, score, "a", true));
-      ASSERT_TRUE((direct ? store.InsertPendingDirect(10, rows)
-                          : store.InsertPending(10, rows))
+      ASSERT_TRUE((direct ? InsertRowsDirect(store, 10, rows)
+                          : InsertRows(store, 10, rows))
                       .ok());
       store.CommitTxn(10, 1);
       for (CompareOp op : {CompareOp::kEq, CompareOp::kLe, CompareOp::kGe,
@@ -1655,17 +1683,134 @@ TEST(ScanPruningTest, NanRowsAreNeverPrunedAway) {
   }
 }
 
+// ------------------------------------------------ pending delete marks
+
+// Every unit's delete marks, ROS then WOS, with the unit's owner.
+struct UnitMarks {
+  TxnId pending_txn;
+  std::vector<DeleteMark> marks;
+};
+std::vector<UnitMarks> AllMarks(const SegmentStore& store) {
+  std::vector<UnitMarks> out;
+  for (const auto* units : {&store.ros_containers(), &store.wos_batches()}) {
+    for (const RosContainer& unit : *units) {
+      out.push_back({unit.pending_txn(), unit.delete_marks()});
+    }
+  }
+  return out;
+}
+
+// CommitTxn and AbortTxn walk only the units holding pending delete
+// marks. Random mixes of inserts, deletes, commits, aborts, moveouts and
+// mergeouts over ROS and WOS must leave the marks and the committed-
+// delete tally that resolving every mark of every unit leaves (the
+// marks are what ContentFingerprint folds besides the rows).
+TEST(PendingDeleteTest, ResolveMatchesFullWalk) {
+  for (uint64_t seed : fabric::testing::PropertySeeds()) {
+    Rng rng(seed);
+    SegmentStore store(TestSchema());
+    TxnId next_txn = 10;
+    Epoch epoch = 1;
+    std::vector<TxnId> open;
+    int64_t committed_deletes = 0;
+    for (int step = 0; step < 300; ++step) {
+      const int64_t op = rng.NextInt64(0, 6);
+      if (op <= 1 || open.empty()) {  // insert under a new transaction
+        std::vector<Row> rows;
+        for (int i = 0; i < 1 + rng.NextInt64(0, 6); ++i) {
+          rows.push_back(MakeRow(rng.NextInt64(0, 20), rng.NextDouble(),
+                                 rng.NextBool(0.5) ? "a" : "bb", true));
+        }
+        const TxnId txn = next_txn++;
+        ASSERT_TRUE((rng.NextBool(0.5) ? InsertRowsDirect(store, txn, rows)
+                                       : InsertRows(store, txn, rows))
+                        .ok());
+        open.push_back(txn);
+        continue;
+      }
+      const size_t pick = static_cast<size_t>(
+          rng.NextInt64(0, static_cast<int64_t>(open.size()) - 1));
+      const TxnId txn = open[pick];
+      if (op == 2) {  // delete some rows visible to an open transaction
+        const int64_t mod = 1 + rng.NextInt64(0, 3);
+        const int64_t rem = rng.NextInt64(0, mod - 1);
+        ASSERT_TRUE(DeleteWhere(store, txn, epoch, [&](const Row& row) {
+                      return row[0].int64_value() % mod == rem;
+                    }).ok());
+      } else if (op == 3) {  // commit or abort it, against a full walk
+        const bool abort = rng.NextBool(0.3);
+        if (!abort) ++epoch;
+        std::vector<UnitMarks> want;
+        for (UnitMarks unit : AllMarks(store)) {
+          if (abort && unit.pending_txn == txn) continue;
+          for (DeleteMark& mark : unit.marks) {
+            if (mark.state != DeleteMark::State::kPending ||
+                mark.txn != txn) {
+              continue;
+            }
+            if (abort) {
+              mark = DeleteMark{};
+            } else {
+              mark = DeleteMark{DeleteMark::State::kCommitted, epoch, 0};
+              ++committed_deletes;
+            }
+          }
+          want.push_back(std::move(unit));
+        }
+        if (abort) {
+          store.AbortTxn(txn);
+        } else {
+          store.CommitTxn(txn, epoch);
+        }
+        open.erase(open.begin() + static_cast<long>(pick));
+        std::vector<UnitMarks> got = AllMarks(store);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (size_t u = 0; u < got.size(); ++u) {
+          ASSERT_EQ(got[u].marks.size(), want[u].marks.size());
+          for (size_t i = 0; i < got[u].marks.size(); ++i) {
+            const DeleteMark& g = got[u].marks[i];
+            const DeleteMark& w = want[u].marks[i];
+            ASSERT_TRUE(g.state == w.state && g.epoch == w.epoch &&
+                        g.txn == w.txn)
+                << "seed " << seed << " step " << step << " unit " << u
+                << " row " << i;
+          }
+        }
+        ASSERT_EQ(store.committed_deletes(), committed_deletes);
+      } else if (op == 4) {
+        ASSERT_TRUE(store.Moveout().ok());
+      } else {  // merge the committed ROS containers
+        std::vector<int> committed;
+        for (int i = 0; i < store.num_ros_containers(); ++i) {
+          if (store.ros_containers()[i].committed()) committed.push_back(i);
+        }
+        ASSERT_TRUE(store.MergeRosContainers(committed).ok());
+      }
+    }
+    // The marks carried through moveout and mergeout still resolve: with
+    // every transaction committed no mark is pending, and a purge drops
+    // exactly the tallied deletes.
+    for (TxnId txn : open) store.CommitTxn(txn, ++epoch);
+    for (const UnitMarks& unit : AllMarks(store)) {
+      for (const DeleteMark& mark : unit.marks) {
+        EXPECT_NE(mark.state, DeleteMark::State::kPending);
+      }
+    }
+    const int64_t deleted = store.committed_deletes();
+    auto purged = store.PurgeDeletedRows(epoch);
+    ASSERT_TRUE(purged.ok()) << purged.status();
+    EXPECT_EQ(*purged, deleted) << "seed " << seed;
+  }
+}
+
 // ------------------------------------------------ encode on first read
 
 // Every column of `rows` as typed lanes (varchar slots alias `rows`).
 std::vector<ColumnLanes> LanesOf(const Schema& schema,
                                  const std::vector<Row>& rows) {
-  std::vector<ColumnLanes> lanes;
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    lanes.emplace_back(schema.column(c).type);
-    FABRIC_CHECK(AppendRowColumn(rows, c, &lanes.back()).ok());
-  }
-  return lanes;
+  Result<std::vector<ColumnLanes>> lanes = FromRows(schema, rows);
+  FABRIC_CHECK(lanes.ok()) << lanes.status();
+  return std::move(*lanes);
 }
 
 // A container holds its lanes until the first read, then encodes them:
@@ -1686,7 +1831,7 @@ TEST(LazyEncodingTest, FirstReadEncodesLikeEncodeLanesProperty) {
         for (Row& row : rows) {
           row = RandomRebuildRow(rng);
           if (rng.NextBool(0.2)) row[2] = Value::Varchar(std::string(24, 'v'));
-          raw_bytes += RowRawSize(row);
+          raw_bytes += ProfileRow(row).raw_bytes;
         }
         std::vector<Encoding> encodings;
         for (int c = 0; mode > 0 && c < num_columns; ++c) {
@@ -1810,8 +1955,8 @@ TEST(LazyEncodingTest, TupleMoverOutputIgnoresWhetherInputsWereRead) {
         }
         ++epoch;
         for (SegmentStore* store : {&lazy, &read}) {
-          ASSERT_TRUE((direct ? store->InsertPendingDirect(txn, rows)
-                              : store->InsertPending(txn, rows))
+          ASSERT_TRUE((direct ? InsertRowsDirect(*store, txn, rows)
+                              : InsertRows(*store, txn, rows))
                           .ok());
           store->CommitTxn(txn, epoch);
         }
@@ -1877,8 +2022,8 @@ TEST(LazyEncodingTest, ClonedUnencodedStoreOutlivesItsSource) {
         if (rng.NextBool(0.3)) row[2] = Value::Varchar(std::string(30, 'w'));
         if (rng.NextBool(0.05)) victims.push_back(row);
       }
-      ASSERT_TRUE((load < 4 ? source->InsertPendingDirect(txn, rows)
-                            : source->InsertPending(txn, rows))
+      ASSERT_TRUE((load < 4 ? InsertRowsDirect(*source, txn, rows)
+                            : InsertRows(*source, txn, rows))
                       .ok());
       source->CommitTxn(txn, ++epoch);
     }
@@ -1915,13 +2060,12 @@ TEST(LazyEncodingTest, ClonedUnencodedStoreOutlivesItsSource) {
 TEST(LazyEncodingTest, MergeoutOfUnreadUnitsStaysUnencoded) {
   SegmentStore store(TestSchema());
   for (TxnId txn = 10; txn < 13; ++txn) {
-    ASSERT_TRUE(store
-                    .InsertPendingDirect(txn, {MakeRow(txn, 0.5, "a", true),
+    ASSERT_TRUE(InsertRowsDirect(store, txn, {MakeRow(txn, 0.5, "a", true),
                                                MakeRow(1, -0.0, "bb", false)})
                     .ok());
     store.CommitTxn(txn, txn);
   }
-  ASSERT_TRUE(store.InsertPending(13, {MakeRow(4, 2.0, "c", true)}).ok());
+  ASSERT_TRUE(InsertRows(store, 13, {MakeRow(4, 2.0, "c", true)}).ok());
   store.CommitTxn(13, 13);
   ASSERT_TRUE(store.Moveout().ok());
   ASSERT_TRUE(store.MergeRosContainers({0, 1, 2, 3}).ok());

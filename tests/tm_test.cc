@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scan_reference.h"
 #include "seed_env.h"
 
 #include "common/random.h"
@@ -615,10 +616,10 @@ TEST_F(TmTest, RejectedRunsCountFailuresAndLeaveStoreUntouched) {
         {{"id", DataType::kVarchar}, {"score", DataType::kFloat64}}));
     const Row row = {Value::Varchar("x"), Value::Float64(1.0)};
     for (storage::TxnId txn = 1; txn <= 3; ++txn) {
-      ASSERT_TRUE(alien.InsertPendingDirect(txn, {row}).ok());
+      ASSERT_TRUE(InsertRowsDirect(alien, txn, {row}).ok());
       alien.CommitTxn(txn, txn);
     }
-    ASSERT_TRUE(alien.InsertPending(4, {row}).ok());
+    ASSERT_TRUE(InsertRows(alien, 4, {row}).ok());
     alien.CommitTxn(4, 4);
     store->CopyContentsFrom(alien);
     const uint64_t fingerprint = store->ContentFingerprint();

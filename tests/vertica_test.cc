@@ -595,7 +595,12 @@ TEST_F(VerticaTest, CopyStreamBulkLoadsAndRejects) {
     // Two malformed rows: wrong arity and wrong type.
     batch.push_back({Value::Int64(99)});
     batch.push_back({Value::Varchar("oops"), Value::Float64(1)});
-    ASSERT_TRUE((*stream)->WriteBatch(self, std::move(batch)).ok());
+    std::vector<Row> rejects;
+    auto columns = storage::FromRows((*stream)->schema(), batch, &rejects);
+    ASSERT_TRUE(columns.ok()) << columns.status();
+    ASSERT_TRUE((*stream)
+                    ->WriteBatch(self, std::move(*columns), std::move(rejects))
+                    .ok());
     auto result = (*stream)->Finish(self);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->loaded, 40);
@@ -621,7 +626,10 @@ TEST_F(VerticaTest, CopyStreamUnderExplicitTxnRollsBack) {
     Exec(self, s, "BEGIN");
     auto stream = CopyStream::Open(self, &s, "t", CopyStream::Options{});
     ASSERT_TRUE(stream.ok());
-    ASSERT_TRUE((*stream)->WriteBatch(self, {{Value::Int64(1)}}).ok());
+    auto columns = storage::FromRows((*stream)->schema(),
+                                     std::vector<Row>{{Value::Int64(1)}});
+    ASSERT_TRUE(columns.ok());
+    ASSERT_TRUE((*stream)->WriteBatch(self, std::move(*columns)).ok());
     auto result = (*stream)->Finish(self);
     ASSERT_TRUE(result.ok());
     Exec(self, s, "ROLLBACK");
