@@ -120,7 +120,7 @@ void BM_RosContainerCreate(benchmark::State& state) {
   const double raw_bytes = storage::ProfileRows(rows).raw_bytes;
   for (auto _ : state) {
     auto container = storage::RosContainer::CreateFromColumns(
-        schema, storage::FromRows(schema, rows).value(), 1500, raw_bytes,
+        schema, storage::FromRows(schema, rows).value(), raw_bytes,
         /*pending_txn=*/1);
     benchmark::DoNotOptimize(container);
   }
@@ -173,8 +173,9 @@ void BM_MergeRosContainers(benchmark::State& state) {
       }
       rows.push_back(std::move(row));
     }
-    FABRIC_CHECK_OK(base.InsertPendingDirect(
-        txn, storage::FromRows(base.schema(), rows).value()));
+    FABRIC_CHECK_OK(base.InsertPending(
+        txn, storage::FromRows(base.schema(), rows).value(),
+        /*direct=*/true));
     base.CommitTxn(txn, txn);
   }
   const std::vector<int> all = {0, 1, 2, 3, 4, 5, 6, 7};
@@ -380,8 +381,9 @@ void BM_SegmentStoreScan(benchmark::State& state) {
     rows.push_back({keys[i], storage::Value::Float64(rng.NextDouble())});
   }
   storage::SegmentStore store(schema);
-  FABRIC_CHECK_OK(store.InsertPendingDirect(
-      1, storage::FromRows(store.schema(), rows).value()));
+  FABRIC_CHECK_OK(store.InsertPending(
+      1, storage::FromRows(store.schema(), rows).value(),
+      /*direct=*/true));
   store.CommitTxn(1, 1);
   storage::ScanPredicate predicate;
   predicate.compares.push_back(
@@ -425,8 +427,9 @@ struct RosScanFixture {
       rows.push_back({keys[i], storage::Value::Float64(rng.NextDouble()),
                       storage::Value::Varchar(StrCat("s", i % 97))});
     }
-    FABRIC_CHECK_OK(store.InsertPendingDirect(
-        1, storage::FromRows(store.schema(), rows).value()));
+    FABRIC_CHECK_OK(store.InsertPending(
+        1, storage::FromRows(store.schema(), rows).value(),
+        /*direct=*/true));
     store.CommitTxn(1, 1);
     predicate.compares.push_back({0, storage::CompareOp::kEq, false, 3, ""});
     spec.as_of = 1;
@@ -718,8 +721,9 @@ void BM_ScanGroupBy(benchmark::State& state) {
                     storage::Value::Int64(rng.NextInt64(1, 1000))});
   }
   storage::SegmentStore store(schema);
-  FABRIC_CHECK_OK(store.InsertPendingDirect(
-      1, storage::FromRows(store.schema(), rows).value()));
+  FABRIC_CHECK_OK(store.InsertPending(
+      1, storage::FromRows(store.schema(), rows).value(),
+      /*direct=*/true));
   store.CommitTxn(1, 1);
   storage::ScanPredicate predicate;
   predicate.compares.push_back({1, storage::CompareOp::kLt, false, 60, ""});

@@ -52,13 +52,13 @@ Result<double> RunParallelCopy(
               size_t end = std::min(rows->size(), begin + batch);
               std::vector<storage::Row> rejects;
               FABRIC_ASSIGN_OR_RETURN(
-                  std::vector<storage::ColumnLanes> columns,
+                  storage::LaneViewRows lanes,
                   storage::FromRows(
                       stream->schema(),
                       std::span(rows->data() + begin, end - begin),
                       &rejects));
               FABRIC_RETURN_IF_ERROR(stream->WriteBatch(
-                  loader, std::move(columns), std::move(rejects)));
+                  loader, std::move(lanes), std::move(rejects)));
             }
             FABRIC_RETURN_IF_ERROR(stream->Finish(loader).status());
             return session->Close(loader);

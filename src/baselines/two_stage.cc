@@ -95,10 +95,10 @@ Result<TwoStageTiming> TwoStageSave(sim::Process& driver,
                 // ...and feed it into the bulk-load path.
                 std::vector<storage::Row> rejects;
                 FABRIC_ASSIGN_OR_RETURN(
-                    std::vector<storage::ColumnLanes> columns,
+                    storage::LaneViewRows batch,
                     storage::FromRows(stream->schema(), rows, &rejects));
                 FABRIC_RETURN_IF_ERROR(stream->WriteBatch(
-                    loader, std::move(columns), std::move(rejects)));
+                    loader, std::move(batch), std::move(rejects)));
               }
             }
             FABRIC_RETURN_IF_ERROR(stream->Finish(loader).status());

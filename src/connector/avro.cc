@@ -62,9 +62,9 @@ Result<AvroBatch> AvroDecodeBatch(const Schema& schema,
   }
   FABRIC_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
   AvroBatch batch;
-  batch.columns.reserve(columns);
-  for (const storage::ColumnDef& column : schema.columns()) {
-    batch.columns.emplace_back(column.type).Reserve(count);
+  batch.lanes = storage::LaneViewRows(schema);
+  for (storage::LaneViews& column : batch.lanes.columns) {
+    column.Reserve(count);
   }
   for (uint32_t r = 0; r < count; ++r) {
     FABRIC_ASSIGN_OR_RETURN(uint8_t row_flag, reader.GetU8());
@@ -75,7 +75,8 @@ Result<AvroBatch> AvroDecodeBatch(const Schema& schema,
     if (row_flag != 0x01) {
       return InvalidArgumentError("Avro batch has bad row flag");
     }
-    for (storage::ColumnLanes& column : batch.columns) {
+    ++batch.lanes.num_rows;
+    for (storage::LaneViews& column : batch.lanes.columns) {
       FABRIC_ASSIGN_OR_RETURN(uint8_t present, reader.GetU8());
       column.nulls.push_back(present == 0 ? 1 : 0);
       FABRIC_RETURN_IF_ERROR(

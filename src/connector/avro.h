@@ -23,7 +23,7 @@ std::string AvroEncodeBatch(const storage::Schema& schema,
 // and each corrupt record as an empty Row (which COPY rejects), both in
 // record order.
 struct AvroBatch {
-  std::vector<storage::ColumnLanes> columns;
+  storage::LaneViewRows lanes;
   std::vector<storage::Row> rejects;
 };
 

@@ -207,7 +207,7 @@ Status S2VRelation::StageData(TaskContext& task, int partition,
     FABRIC_RETURN_IF_ERROR(task.Compute(profile.AvroEncodeCpu(cost)));
     FABRIC_ASSIGN_OR_RETURN(AvroBatch decoded,
                             AvroDecodeBatch(schema_, encoded));
-    FABRIC_RETURN_IF_ERROR(stream->WriteBatch(self, std::move(decoded.columns),
+    FABRIC_RETURN_IF_ERROR(stream->WriteBatch(self, std::move(decoded.lanes),
                                               std::move(decoded.rejects)));
     if (rows.empty()) break;
   }

@@ -121,19 +121,6 @@ void AppendGroupKey(const Row& row, const std::vector<int>& cols,
   }
 }
 
-void AppendGroupKey(const storage::LaneRows& rows, uint32_t row,
-                    const std::vector<int>& cols, std::string* key) {
-  for (int c : cols) {
-    const storage::Lanes& lane = rows.columns[c];
-    if (lane.IsNull(row)) {
-      key->push_back('\x01');
-    } else {
-      lane.AppendDisplay(row, key);
-    }
-    key->push_back('\x02');
-  }
-}
-
 std::string GroupKey(const Row& row, const std::vector<int>& cols) {
   std::string key;
   AppendGroupKey(row, cols, &key);

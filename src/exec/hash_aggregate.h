@@ -86,12 +86,10 @@ Result<storage::Value> Finalize(const AggCall& call, const AggState& state);
 // rows by this key is the canonical aggregate output order. Two keys are
 // equal exactly when their display strings are (see Value formatting in
 // DESIGN.md). AppendGroupKey appends the key to `key`, so per-row callers
-// reuse one buffer and allocate only when they store a new key.
+// reuse one buffer and allocate only when they store a new key. Typed
+// lanes build the same key with storage::BasicLaneRows::AppendKey.
 void AppendGroupKey(const storage::Row& row, const std::vector<int>& cols,
                     std::string* key);
-// The same key for row `row` of typed lanes, with no boxing.
-void AppendGroupKey(const storage::LaneRows& rows, uint32_t row,
-                    const std::vector<int>& cols, std::string* key);
 std::string GroupKey(const storage::Row& row, const std::vector<int>& cols);
 
 // Grace-hash fan-out and partition function (FNV-1a over the key).
@@ -144,7 +142,7 @@ class GroupTable {
   Status Add(const storage::LaneRows& rows, uint32_t row,
              const std::vector<int>& key_cols, Fold&& fold) {
     key_.clear();
-    AppendGroupKey(rows, row, key_cols, &key_);
+    rows.AppendKey(row, key_cols, &key_);
     return AddKeyed(
         key_cols.size(),
         [&](size_t k) { return rows.columns[key_cols[k]].Box(row); }, fold);

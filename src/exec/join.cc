@@ -5,6 +5,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "storage/encoding.h"
+
 namespace fabric::exec {
 
 using storage::DataType;

@@ -541,11 +541,10 @@ std::optional<CompiledResult> RunCompiledSelect(const CompiledSelect& select,
         }
         src = &program.root(states[o.program]);
       }
-      out.columns.emplace_back(src->type);
       if (active->size() == input.num_rows) {
-        out.columns.back().Append(*src);  // every row, in order
+        out.columns.push_back(*src);  // every row, in order
       } else {
-        out.columns.back().AppendTaken(*src, *active);
+        out.columns.emplace_back(src->type).AppendTaken(*src, *active);
       }
     }
     return result;

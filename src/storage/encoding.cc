@@ -15,24 +15,6 @@
 
 namespace fabric::storage {
 
-template <typename S>
-uint64_t BasicTypedVec<S>::Hash(DataType type, size_t i) const {
-  switch (type) {
-    case DataType::kBool:
-      return HashBool(bools[i] != 0);
-    case DataType::kInt64:
-      return HashInt64(ints[i]);
-    case DataType::kFloat64:
-      return HashDouble(doubles[i]);
-    case DataType::kVarchar:
-      return HashBytes(strings[i]);
-  }
-  return 0;
-}
-
-template uint64_t BasicTypedVec<std::string_view>::Hash(DataType type,
-                                                      size_t i) const;
-
 namespace {
 
 // Per-slot operations of the four lane types (bool lanes are uint8_t).
@@ -98,7 +80,7 @@ bool SameSlot(const uint8_t* nulls, const T* lane, size_t a, size_t b) {
 // widened into a FLOAT lane: the one type check every encoder entry
 // point shares.
 template <typename At>
-Status AppendUnboxed(size_t n, At at, ColumnLanes* out) {
+Status AppendUnboxed(size_t n, At at, LaneViews* out) {
   const DataType type = out->type;
   const size_t base = out->size();
   out->nulls.resize(base + n);
@@ -349,7 +331,7 @@ size_t PayloadBytes(Encoding encoding, const Shape& shape,
 // the two winning slots are boxed. A NaN compares equal to every number
 // (the scan kernels' three-way), so it can pass any `=`, `<=` or `>=`
 // term: a column holding one is bounded by the whole line.
-ColumnBounds BoundsOf(const ColumnLanes& column, const Shape& shape) {
+ColumnBounds BoundsOf(const LaneViews& column, const Shape& shape) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   return shape.has_nan ? ColumnBounds{Value::Float64(-kInf),
                                       Value::Float64(kInf)}
@@ -365,7 +347,7 @@ ColumnBounds BoundsOf(const ColumnLanes& column, const Shape& shape) {
 // dictionary build (skipped or cut short once it cannot win), so only
 // the chosen encoding is ever written.
 template <typename T>
-ColumnChunk EncodeLane(const ColumnLanes& column, const std::vector<T>& lane,
+ColumnChunk EncodeLane(const LaneViews& column, const std::vector<T>& lane,
                        const Encoding* forced, ColumnBounds* bounds) {
   const uint8_t* nulls = column.nulls.data();
   const size_t n = column.size();
@@ -490,11 +472,6 @@ uint64_t FloatDisplayKey(double d) {
   return std::bit_cast<uint64_t>(d);
 }
 
-void ColumnLanes::Reserve(size_t rows) {
-  nulls.reserve(rows);
-  values.Visit(type, [rows](auto& lane) { lane.reserve(rows); });
-}
-
 const char* EncodingName(Encoding encoding) {
   switch (encoding) {
     case Encoding::kPlain:
@@ -507,7 +484,7 @@ const char* EncodingName(Encoding encoding) {
   return "?";
 }
 
-Result<ColumnChunk> EncodeLanes(const ColumnLanes& column,
+Result<ColumnChunk> EncodeLanes(const LaneViews& column,
                                 const Encoding* encoding,
                                 ColumnBounds* bounds) {
   FABRIC_CHECK(column.values.size(column.type) == column.size())
@@ -517,7 +494,7 @@ Result<ColumnChunk> EncodeLanes(const ColumnLanes& column,
   });
 }
 
-ColumnBounds LaneBounds(const ColumnLanes& column) {
+ColumnBounds LaneBounds(const LaneViews& column) {
   return column.values.Visit(column.type, [&](const auto& lane) {
     return BoundsOf(column, MeasureShape(column.nulls.data(), lane.data(),
                                          column.size(), /*count_runs=*/false,
@@ -525,26 +502,8 @@ ColumnBounds LaneBounds(const ColumnLanes& column) {
   });
 }
 
-uint64_t ColumnLanes::Hash(size_t i) const {
-  return nulls[i] ? Mix64(0xdeadULL)  // Value::SegmentationHash of NULL
-                  : values.Hash(type, i);
-}
-
-ColumnLanes ColumnLanes::Take(const std::vector<uint32_t>& rows) const {
-  ColumnLanes out(type);
-  out.nulls.reserve(rows.size());
-  for (uint32_t i : rows) out.nulls.push_back(nulls[i]);
-  out.values.Visit(type, [&](auto& lane) {
-    const auto& from = values.lane<SlotType<decltype(lane)>>();
-    lane.reserve(rows.size());
-    for (uint32_t i : rows) lane.push_back(from[i]);
-  });
-  return out;
-}
-
-Result<std::vector<ColumnLanes>> FromRows(const Schema& schema,
-                                          std::span<const Row> rows,
-                                          std::vector<Row>* rejects) {
+Result<LaneViewRows> FromRows(const Schema& schema, std::span<const Row> rows,
+                              std::vector<Row>* rejects) {
   std::vector<const Row*> good;
   good.reserve(rows.size());
   for (const Row& row : rows) {
@@ -557,21 +516,21 @@ Result<std::vector<ColumnLanes>> FromRows(const Schema& schema,
       return valid;
     }
   }
-  std::vector<ColumnLanes> columns;
-  columns.reserve(static_cast<size_t>(schema.num_columns()));
+  LaneViewRows batch(schema);
+  batch.num_rows = good.size();
   for (int c = 0; c < schema.num_columns(); ++c) {
     FABRIC_RETURN_IF_ERROR(AppendUnboxed(
         good.size(), [&](size_t i) -> const Value& { return (*good[i])[c]; },
-        &columns.emplace_back(schema.column(c).type)));
+        &batch.columns[c]));
   }
-  return columns;
+  return batch;
 }
 
 Result<ColumnChunk> EncodeColumn(DataType type,
                                  const std::vector<Value>& values,
                                  const Encoding* encoding,
                                  ColumnBounds* bounds) {
-  ColumnLanes lanes(type);
+  LaneViews lanes(type);
   FABRIC_RETURN_IF_ERROR(AppendUnboxed(
       values.size(), [&](size_t i) -> const Value& { return values[i]; },
       &lanes));
@@ -583,7 +542,7 @@ Result<ColumnChunk> EncodeColumnAs(DataType type, Encoding encoding,
   return EncodeColumn(type, values, &encoding);
 }
 
-Status DecodeColumnInto(const ColumnChunk& chunk, ColumnLanes* out) {
+Status DecodeColumnInto(const ColumnChunk& chunk, LaneViews* out) {
   if (out->type != chunk.type) {
     return InvalidArgumentError(StrCat("decoding a ", DataTypeName(chunk.type),
                                        " chunk into ",
@@ -611,7 +570,7 @@ Status DecodeColumnInto(const ColumnChunk& chunk, ColumnLanes* out) {
 }
 
 Result<std::vector<Value>> DecodeColumn(const ColumnChunk& chunk) {
-  ColumnLanes lanes(chunk.type);
+  LaneViews lanes(chunk.type);
   FABRIC_RETURN_IF_ERROR(DecodeColumnInto(chunk, &lanes));
   std::vector<Value> values;
   values.reserve(lanes.size());

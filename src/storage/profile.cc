@@ -78,34 +78,43 @@ DataProfile ProfileRows(std::span<const Row> rows) {
   return total;
 }
 
-namespace {
-
-// The profile of `n` rows held as `columns` (Lanes or ColumnLanes); an
-// empty lane is a column not materialized: NULL, 0 bytes.
-template <typename L>
-DataProfile ProfileColumns(size_t n, const std::vector<L>& columns) {
+template <typename S>
+DataProfile ProfileRows(const BasicLaneRows<S>& rows) {
+  const size_t n = rows.num_rows;
   DataProfile total;
   total.rows = static_cast<double>(n);
-  total.fields = static_cast<double>(n * columns.size());
-  for (const L& lane : columns) {
+  total.fields = static_cast<double>(n * rows.columns.size());
+  for (const BasicLanes<S>& lane : rows.columns) {
     if (lane.size() == 0) continue;
-    for (size_t i = 0; i < n; ++i) {
-      double size = lane.RawSize(i);
-      total.raw_bytes += size;
-      (lane.IsStringAt(i) ? total.string_bytes : total.numeric_bytes) += size;
+    if (lane.is_boxed()) {
+      for (size_t i = 0; i < n; ++i) {
+        double size = lane.RawSize(i);
+        total.raw_bytes += size;
+        (lane.IsStringAt(i) ? total.string_bytes : total.numeric_bytes) +=
+            size;
+      }
+      continue;
     }
+    // A typed lane's sizes are integers, so one sum per lane is exact:
+    // its width per non-null row, or its non-null rows' string bytes.
+    const bool strings = lane.type == DataType::kVarchar;
+    size_t bytes = 0;
+    if (strings) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!lane.nulls[i]) bytes += lane.values.strings[i].size();
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) bytes += lane.nulls[i] == 0 ? 1 : 0;
+      bytes *= lane.type == DataType::kBool ? 1 : 8;
+    }
+    total.raw_bytes += static_cast<double>(bytes);
+    (strings ? total.string_bytes : total.numeric_bytes) +=
+        static_cast<double>(bytes);
   }
   return total;
 }
 
-}  // namespace
-
-DataProfile ProfileRows(const LaneRows& rows) {
-  return ProfileColumns(rows.num_rows, rows.columns);
-}
-
-DataProfile ProfileRows(const std::vector<ColumnLanes>& columns) {
-  return ProfileColumns(NumRows(columns), columns);
-}
+template DataProfile ProfileRows(const LaneRows& rows);
+template DataProfile ProfileRows(const LaneViewRows& rows);
 
 }  // namespace fabric::storage

@@ -41,9 +41,10 @@ struct DataProfile {
 DataProfile ProfileRow(const Row& row);
 DataProfile ProfileRows(std::span<const Row> rows);
 // The same profile of rows held as lanes (the sizes are integer-valued,
-// so the column-major sums equal the row-major ones exactly).
-DataProfile ProfileRows(const LaneRows& rows);
-DataProfile ProfileRows(const std::vector<ColumnLanes>& columns);
+// so the column-major sums equal the row-major ones exactly). An empty
+// lane is a column not materialized: NULL, 0 bytes.
+template <typename S>
+DataProfile ProfileRows(const BasicLaneRows<S>& rows);
 
 }  // namespace fabric::storage
 

@@ -41,6 +41,16 @@ std::vector<int> AllColumns(const Schema& schema) {
   return cols;
 }
 
+// The rows of `unit` as lanes of its own column types, without encoding
+// it: its own lanes when it was never read, else its chunks decoded into
+// `*decoded` (which must hold no columns).
+Result<const LaneViewRows*> LanesOf(const RosContainer& unit,
+                                    LaneViewRows* decoded) {
+  if (unit.lanes() != nullptr) return unit.lanes();
+  FABRIC_RETURN_IF_ERROR(unit.ReadInto(decoded));
+  return decoded;
+}
+
 // One sort column's keys: its null flags, and its slots as strings or
 // as doubles (INT64 and BOOL lanes widened once).
 struct SortKey {
@@ -50,16 +60,16 @@ struct SortKey {
   std::vector<double> widened;
 };
 
-// Stable permutation ordering the `n` rows of `columns` by `sort_columns`
-// in Value::Compare order: nulls first, numbers as doubles (so INT64s
-// equal as doubles tie, and NaN ties with everything), strings bytewise.
-// Equal keys keep arrival order.
-std::vector<uint32_t> SortOrder(size_t n,
-                                const std::vector<ColumnLanes>& columns,
+// Stable permutation ordering `rows` by `sort_columns` in Value::Compare
+// order: nulls first, numbers as doubles (so INT64s equal as doubles tie,
+// and NaN ties with everything), strings bytewise. Equal keys keep
+// arrival order.
+std::vector<uint32_t> SortOrder(const LaneViewRows& rows,
                                 const std::vector<int>& sort_columns) {
+  const size_t n = rows.num_rows;
   std::vector<SortKey> keys(sort_columns.size());
   for (size_t k = 0; k < keys.size(); ++k) {
-    const ColumnLanes& column = columns[sort_columns[k]];
+    const LaneViews& column = rows.columns[sort_columns[k]];
     SortKey& key = keys[k];
     key.nulls = column.nulls.data();
     if (column.type == DataType::kVarchar) {
@@ -105,67 +115,30 @@ void Permute(const std::vector<uint32_t>& order, std::vector<T>* vec) {
   *vec = std::move(out);
 }
 
-void Permute(const std::vector<uint32_t>& order, ColumnLanes* column) {
-  Permute(order, &column->nulls);
-  column->values.Visit(column->type,
-                       [&order](auto& lane) { Permute(order, &lane); });
-}
-
-// Appends every row of `src` to *out (varchar slots alias `src`'s), with
-// DecodeColumnInto's type check.
-Status AppendLanes(const ColumnLanes& src, ColumnLanes* out) {
-  if (src.type != out->type) {
-    return InvalidArgumentError(StrCat("gathering ", DataTypeName(src.type),
-                                       " lanes into ",
-                                       DataTypeName(out->type)));
-  }
-  out->nulls.insert(out->nulls.end(), src.nulls.begin(), src.nulls.end());
-  out->values.Visit(out->type, [&src](auto& lane) {
-    const auto& from = src.values.lane<SlotType<decltype(lane)>>();
-    lane.insert(lane.end(), from.begin(), from.end());
-  });
-  return Status::OK();
-}
-
-// Content key of one full row for multiset matching (same sentinel
-// scheme as the SQL layer's group keys: \x01 null, \x02 separator).
-// Types are fixed per column, so display strings are unambiguous.
-std::string RowContentKey(const Row& row) {
-  std::string key;
-  for (const Value& v : row) {
-    if (v.is_null()) {
-      key.push_back('\x01');
-    } else {
-      v.AppendDisplayString(&key);
-    }
-    key.push_back('\x02');
-  }
-  return key;
-}
-
 }  // namespace
 
 Result<RosContainer> RosContainer::CreateFromColumns(
-    const Schema& schema, std::vector<ColumnLanes> columns, uint32_t num_rows,
-    double raw_bytes, TxnId pending_txn,
-    const std::vector<Encoding>* encodings) {
-  FABRIC_CHECK(static_cast<int>(columns.size()) == schema.num_columns());
+    const Schema& schema, LaneViewRows rows, double raw_bytes,
+    TxnId pending_txn, const std::vector<Encoding>* encodings) {
+  FABRIC_CHECK(static_cast<int>(rows.columns.size()) == schema.num_columns());
+  const uint32_t num_rows = static_cast<uint32_t>(rows.num_rows);
   auto lanes = std::make_shared<Unencoded>();
   size_t bytes = 0;
   for (int c = 0; c < schema.num_columns(); ++c) {
-    FABRIC_CHECK(columns[c].type == schema.column(c).type &&
-                 columns[c].size() == num_rows);
-    for (std::string_view s : columns[c].values.strings) bytes += s.size();
+    const LaneViews& column = rows.columns[c];
+    FABRIC_CHECK(column.type == schema.column(c).type &&
+                 column.size() == num_rows);
+    for (std::string_view s : column.values.strings) bytes += s.size();
   }
   std::string& arena = lanes->arena;
   arena.reserve(bytes);  // never reallocated, so the views stay valid
-  for (ColumnLanes& column : columns) {
+  for (LaneViews& column : rows.columns) {
     for (std::string_view& s : column.values.strings) {
       arena.append(s);
       s = std::string_view(arena).substr(arena.size() - s.size());
     }
   }
-  lanes->columns = std::move(columns);
+  lanes->rows = std::move(rows);
   if (encodings != nullptr) lanes->encodings = *encodings;
   RosContainer container;
   container.num_rows_ = num_rows;
@@ -178,7 +151,7 @@ Result<RosContainer> RosContainer::CreateFromColumns(
 
 void RosContainer::Encode() const {
   if (lanes_ == nullptr) return;
-  const std::vector<ColumnLanes>& columns = lanes_->columns;
+  const std::vector<LaneViews>& columns = lanes_->rows.columns;
   const std::vector<Encoding>& encodings = lanes_->encodings;
   for (size_t c = 0; c < columns.size(); ++c) {
     const Encoding* forced = c < encodings.size() ? &encodings[c] : nullptr;
@@ -198,7 +171,7 @@ void RosContainer::Encode() const {
 
 void RosContainer::MeasureBounds() const {
   if (has_bounds_) return;  // else the lanes are still held
-  for (const ColumnLanes& column : lanes_->columns) {
+  for (const LaneViews& column : lanes_->rows.columns) {
     ColumnBounds bounds = LaneBounds(column);
     min_values_.push_back(std::move(bounds.min));
     max_values_.push_back(std::move(bounds.max));
@@ -223,25 +196,22 @@ double RosContainer::encoded_bytes() const {
   return total;
 }
 
-Result<std::vector<Row>> RosContainer::DecodeRows() const {
-  std::vector<ColumnLanes> decoded;
-  const std::vector<ColumnLanes>* columns = lanes();
-  if (columns == nullptr) {
+Status RosContainer::ReadInto(LaneViewRows* out) const {
+  if (lanes_ != nullptr) return out->Append(lanes_->rows);
+  if (out->columns.empty()) {
     for (const ColumnChunk& chunk : columns_) {
-      decoded.emplace_back(chunk.type);
-      FABRIC_RETURN_IF_ERROR(DecodeColumnInto(chunk, &decoded.back()));
-    }
-    columns = &decoded;
-  }
-  std::vector<Row> rows(num_rows_);
-  for (auto& row : rows) row.reserve(columns->size());
-  for (const ColumnLanes& column : *columns) {
-    FABRIC_CHECK(column.size() == num_rows_);
-    for (uint32_t i = 0; i < num_rows_; ++i) {
-      rows[i].push_back(column.Box(i));
+      out->columns.emplace_back(chunk.type);
     }
   }
-  return rows;
+  if (out->columns.size() != columns_.size()) {
+    return InvalidArgumentError(StrCat("reading ", columns_.size(),
+                                       " columns into ", out->columns.size()));
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    FABRIC_RETURN_IF_ERROR(DecodeColumnInto(columns_[c], &out->columns[c]));
+  }
+  out->num_rows += num_rows_;
+  return Status::OK();
 }
 
 void RosContainer::SetDeleteMarks(std::vector<DeleteMark> marks) {
@@ -319,22 +289,9 @@ bool VersionVisible(TxnId owner_txn, Epoch commit_epoch,
   return true;
 }
 
-SegmentStore::ColumnRows::ColumnRows(const Schema& schema) {
-  columns.reserve(static_cast<size_t>(schema.num_columns()));
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    columns.emplace_back(schema.column(c).type);
-  }
-}
-
 Status SegmentStore::GatherColumns(const RosContainer& container,
                                    ColumnRows* out) const {
-  for (int c = 0; c < schema_.num_columns(); ++c) {
-    ColumnLanes& column = out->columns[c];
-    const std::vector<ColumnLanes>* lanes = container.lanes();
-    FABRIC_RETURN_IF_ERROR(
-        lanes != nullptr ? AppendLanes((*lanes)[c], &column)
-                         : DecodeColumnInto(container.column(c), &column));
-  }
+  FABRIC_RETURN_IF_ERROR(container.ReadInto(&out->lanes));
   out->raw_bytes += container.raw_bytes();
   for (uint32_t i = 0; i < container.num_rows(); ++i) {
     out->marks.push_back(container.delete_marks()[i]);
@@ -346,11 +303,9 @@ Status SegmentStore::GatherColumns(const RosContainer& container,
 Result<RosContainer> SegmentStore::BuildFromColumns(ColumnRows rows,
                                                     Layout layout,
                                                     TxnId pending_txn) const {
-  uint32_t num_rows = static_cast<uint32_t>(rows.marks.size());
-  if (layout == Layout::kRos && design_.sorted() && num_rows > 1) {
-    std::vector<uint32_t> order =
-        SortOrder(num_rows, rows.columns, design_.sort_columns);
-    for (ColumnLanes& column : rows.columns) Permute(order, &column);
+  if (layout == Layout::kRos && design_.sorted() && rows.lanes.num_rows > 1) {
+    std::vector<uint32_t> order = SortOrder(rows.lanes, design_.sort_columns);
+    rows.lanes = rows.lanes.Take(order);
     Permute(order, &rows.marks);
     Permute(order, &rows.epochs);
   }
@@ -367,9 +322,10 @@ Result<RosContainer> SegmentStore::BuildFromColumns(ColumnRows rows,
   // contract); AdoptRowEpochs commits it at the original per-row epochs.
   FABRIC_ASSIGN_OR_RETURN(
       RosContainer container,
-      RosContainer::CreateFromColumns(
-          schema_, std::move(rows.columns), num_rows, rows.raw_bytes,
-          pending_txn != 0 ? pending_txn : 1, encodings));
+      RosContainer::CreateFromColumns(schema_, std::move(rows.lanes),
+                                      rows.raw_bytes,
+                                      pending_txn != 0 ? pending_txn : 1,
+                                      encodings));
   if (pending_txn == 0) container.AdoptRowEpochs(std::move(rows.epochs));
   container.SetDeleteMarks(std::move(rows.marks));
   return container;
@@ -381,10 +337,11 @@ Result<RosContainer> SegmentStore::MergeUnits(
   // decoded) into the one container RosContainer::Create would build
   // from the decoded rows. The lanes alias the sources' arenas or
   // chunks, which must stay as they are until it is built.
-  ColumnRows rows(schema_);
+  ColumnRows rows;
+  rows.lanes = LaneViewRows(schema_);
   size_t total_rows = 0;
   for (const RosContainer* unit : units) total_rows += unit->num_rows();
-  for (ColumnLanes& column : rows.columns) column.Reserve(total_rows);
+  for (LaneViews& column : rows.lanes.columns) column.Reserve(total_rows);
   rows.marks.reserve(total_rows);
   rows.epochs.reserve(total_rows);
   for (const RosContainer* unit : units) {
@@ -393,17 +350,16 @@ Result<RosContainer> SegmentStore::MergeUnits(
   return BuildFromColumns(std::move(rows), Layout::kRos);
 }
 
-Result<RosContainer> SegmentStore::BuildPending(
-    TxnId txn, std::vector<ColumnLanes> columns, bool direct) const {
+Result<RosContainer> SegmentStore::BuildPending(TxnId txn,
+                                                LaneViewRows batch,
+                                                double raw_bytes,
+                                                bool direct) const {
   FABRIC_CHECK(txn != 0) << "an insert requires a transaction";
-  const size_t n = NumRows(columns);
-  ColumnRows batch;
-  for (const ColumnLanes& column : columns) {
-    for (size_t i = 0; i < n; ++i) batch.raw_bytes += column.RawSize(i);
-  }
-  batch.columns = std::move(columns);
-  batch.marks.resize(n);
-  return BuildFromColumns(std::move(batch),
+  ColumnRows rows;
+  rows.raw_bytes = raw_bytes;
+  rows.marks.resize(batch.num_rows);
+  rows.lanes = std::move(batch);
+  return BuildFromColumns(std::move(rows),
                           direct ? Layout::kRos : Layout::kWos, txn);
 }
 
@@ -412,19 +368,12 @@ void SegmentStore::AddPending(RosContainer unit, bool direct) {
   wos_tally_.Count(wos_.size());
 }
 
-Status SegmentStore::InsertPending(TxnId txn,
-                                   std::vector<ColumnLanes> columns) {
-  FABRIC_ASSIGN_OR_RETURN(RosContainer unit,
-                          BuildPending(txn, std::move(columns), false));
-  AddPending(std::move(unit), false);
-  return Status::OK();
-}
-
-Status SegmentStore::InsertPendingDirect(TxnId txn,
-                                         std::vector<ColumnLanes> columns) {
-  FABRIC_ASSIGN_OR_RETURN(RosContainer unit,
-                          BuildPending(txn, std::move(columns), true));
-  AddPending(std::move(unit), true);
+Status SegmentStore::InsertPending(TxnId txn, LaneViewRows batch,
+                                   bool direct) {
+  const double raw_bytes = ProfileRows(batch).raw_bytes;
+  FABRIC_ASSIGN_OR_RETURN(
+      RosContainer unit, BuildPending(txn, std::move(batch), raw_bytes, direct));
+  AddPending(std::move(unit), direct);
   return Status::OK();
 }
 
@@ -697,52 +646,59 @@ Result<LaneRows> SegmentStore::Scan(const ScanSpec& spec,
 }
 
 Result<int64_t> SegmentStore::MarkDeletedPending(const ScanSpec& spec,
-                                                 std::vector<Row>* victims) {
+                                                 LaneRows* victims) {
   FABRIC_CHECK(spec.txn != 0) << "MarkDeletedPending requires a transaction";
+  if (victims != nullptr &&
+      victims->columns.size() != static_cast<size_t>(schema_.num_columns())) {
+    return InvalidArgumentError("delete victims need one lane per column");
+  }
   int64_t marked = 0;
   ScanStats ignored;
-  LaneRows captured;
-  if (victims != nullptr) captured = LaneRows(schema_);
   for (std::vector<RosContainer>* units : {&ros_, &wos_}) {
     for (RosContainer& unit : *units) {
       FABRIC_ASSIGN_OR_RETURN(
           std::vector<uint32_t> sel,
           SelectRosRows(unit, spec, units == &wos_, /*cap=*/0, &ignored,
-                        victims != nullptr ? &captured : nullptr));
+                        victims));
       for (uint32_t pos : sel) {
         unit.MarkDeletePending(pos, spec.txn);
         ++marked;
       }
     }
   }
-  if (victims != nullptr) {
-    for (size_t i = 0; i < captured.num_rows; ++i) {
-      victims->push_back(captured.BoxRow(i));
-    }
-  }
   return marked;
 }
 
 Result<int64_t> SegmentStore::MarkDeletedPendingByContent(
-    TxnId txn, Epoch as_of, const std::vector<Row>& victims) {
+    TxnId txn, Epoch as_of, const LaneViewRows& victims) {
   FABRIC_CHECK(txn != 0)
       << "MarkDeletedPendingByContent requires a transaction";
+  const std::vector<int> all = AllColumns(schema_);
   std::map<std::string, int64_t> remaining;
-  for (const Row& row : victims) ++remaining[RowContentKey(row)];
+  std::string key;
+  for (size_t i = 0; i < victims.num_rows; ++i) {
+    key.clear();
+    victims.AppendKey(i, all, &key);
+    ++remaining[key];
+  }
   int64_t marked = 0;
   for (std::vector<RosContainer>* units : {&ros_, &wos_}) {
     for (RosContainer& unit : *units) {
-      if (marked == static_cast<int64_t>(victims.size())) return marked;
+      if (marked == static_cast<int64_t>(victims.num_rows)) return marked;
       if (!unit.committed() && unit.pending_txn() != txn) continue;
       if (unit.committed() && unit.min_epoch() > as_of) continue;
       TxnId owner = unit.committed() ? 0 : unit.pending_txn();
-      FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, unit.DecodeRows());
+      LaneViewRows decoded;
+      FABRIC_ASSIGN_OR_RETURN(const LaneViewRows* rows,
+                              LanesOf(unit, &decoded));
       const auto& marks = unit.delete_marks();
-      for (uint32_t i = 0; i < rows.size(); ++i) {
+      for (uint32_t i = 0; i < rows->num_rows; ++i) {
         if (!VersionVisible(owner, unit.row_epoch(i), marks[i], as_of, txn)) {
           continue;
         }
-        auto it = remaining.find(RowContentKey(rows[i]));
+        key.clear();
+        rows->AppendKey(i, all, &key);
+        auto it = remaining.find(key);
         if (it == remaining.end() || it->second == 0) continue;
         --it->second;
         ++marked;
@@ -843,13 +799,12 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
         rewrites.push_back({units, k, std::nullopt});
         continue;
       }
-      ColumnRows all(schema_);
+      ColumnRows all;
+      all.lanes = LaneViewRows(schema_);
       FABRIC_RETURN_IF_ERROR(GatherColumns(c, &all));
       ColumnRows rows;
-      for (const ColumnLanes& column : all.columns) {
-        rows.columns.push_back(column.Take(kept));
-        for (uint32_t i : kept) rows.raw_bytes += column.RawSize(i);
-      }
+      rows.lanes = all.lanes.Take(kept);
+      rows.raw_bytes = ProfileRows(rows.lanes).raw_bytes;
       for (uint32_t i : kept) {
         rows.marks.push_back(all.marks[i]);
         rows.epochs.push_back(all.epochs[i]);
@@ -956,14 +911,6 @@ uint64_t FoldMark(uint64_t h, const DeleteMark& mark) {
   return HashCombine(h, mark.txn);
 }
 
-uint64_t FoldRow(uint64_t h, const Row& row) {
-  for (const Value& v : row) {
-    h = HashCombine(h, v.is_null() ? 0x9e3779b97f4a7c15ULL
-                                   : HashBytes(v.ToDisplayString()));
-  }
-  return h;
-}
-
 }  // namespace
 
 uint64_t SegmentStore::ContentFingerprint() const {
@@ -972,16 +919,22 @@ uint64_t SegmentStore::ContentFingerprint() const {
   // transfer-completion order and ROS container boundaries depend on
   // moveout timing. The checksum therefore folds per-row digests with a
   // commutative sum — it sees every row with its (commit epoch, owning
-  // txn, deletion state) and nothing about layout.
+  // txn, deletion state) and nothing about layout. A row's content
+  // digest is the hash of its AppendKey key.
+  const std::vector<int> all = AllColumns(schema_);
+  std::string key;
   uint64_t total = 0;
   for (const std::vector<RosContainer>* units : {&ros_, &wos_}) {
     for (const RosContainer& c : *units) {
-      Result<std::vector<Row>> rows = c.DecodeRows();
+      LaneViewRows decoded;
+      Result<const LaneViewRows*> rows = LanesOf(c, &decoded);
       FABRIC_CHECK(rows.ok()) << rows.status();
-      for (uint32_t i = 0; i < rows->size(); ++i) {
+      for (uint32_t i = 0; i < c.num_rows(); ++i) {
+        key.clear();
+        (*rows)->AppendKey(i, all, &key);
         uint64_t h = HashCombine(
             HashInt64(static_cast<int64_t>(c.row_epoch(i))), c.pending_txn());
-        total += FoldMark(FoldRow(h, (*rows)[i]), c.delete_marks()[i]);
+        total += FoldMark(HashCombine(h, HashBytes(key)), c.delete_marks()[i]);
       }
     }
   }

@@ -54,8 +54,8 @@ struct PhysicalDesign {
 // holds typed lanes until its first read, then encoded chunks.
 class RosContainer {
  public:
-  // The container of `num_rows` rows split into typed lanes (one per
-  // schema column) whose raw size is `raw_bytes`: the path of every
+  // The container of the rows `lanes` holds (one lane per schema
+  // column), whose raw size is `raw_bytes`: the path of every
   // store write (DIRECT load, moveout, mergeout and purge), which never
   // boxes a Value. `pending_txn` != 0 marks the container uncommitted (a
   // DIRECT bulk load inside a transaction). `encodings` (when non-null)
@@ -64,9 +64,8 @@ class RosContainer {
   // sources may go) and encodes them at its first read, so one the Tuple
   // Mover merges away unread is never encoded.
   static Result<RosContainer> CreateFromColumns(
-      const Schema& schema, std::vector<ColumnLanes> columns,
-      uint32_t num_rows, double raw_bytes, TxnId pending_txn,
-      const std::vector<Encoding>* encodings = nullptr);
+      const Schema& schema, LaneViewRows lanes, double raw_bytes,
+      TxnId pending_txn, const std::vector<Encoding>* encodings = nullptr);
 
   uint32_t num_rows() const { return num_rows_; }
   bool committed() const { return pending_txn_ == 0; }
@@ -115,8 +114,8 @@ class RosContainer {
   // encoded_bytes() encode it; until then it holds the lanes it was
   // built from, which lanes() returns (null once encoded).
   bool encoded() const { return lanes_ == nullptr; }
-  const std::vector<ColumnLanes>* lanes() const {
-    return lanes_ == nullptr ? nullptr : &lanes_->columns;
+  const LaneViewRows* lanes() const {
+    return lanes_ == nullptr ? nullptr : &lanes_->rows;
   }
 
   // Column `col` decoded into scan batches: built by the first scan that
@@ -124,8 +123,13 @@ class RosContainer {
   // (the columns never change; delete marks and epochs are not cached).
   Result<const DecodedColumn*> decoded_column(int col) const;
 
-  // Decodes all rows (visibility is applied by the caller via marks).
-  Result<std::vector<Row>> DecodeRows() const;
+  // Appends every row to `*out` (visibility is the caller's, from the
+  // marks): the lanes the container holds when it was never read, its
+  // chunks decoded otherwise. An `*out` without columns takes the
+  // container's column types; otherwise each must match. Either way the
+  // varchar slots alias the container, which must outlive them and stay
+  // put.
+  Status ReadInto(LaneViewRows* out) const;
 
   const std::vector<DeleteMark>& delete_marks() const {
     return delete_marks_;
@@ -161,7 +165,7 @@ class RosContainer {
   // bytes), so they stay valid wherever the holder moves. Immutable:
   // copies of the container share it and each encodes its own chunks.
   struct Unencoded {
-    std::vector<ColumnLanes> columns;
+    LaneViewRows rows;
     std::string arena;
     std::vector<Encoding> encodings;  // forced per column; empty => auto
   };
@@ -287,19 +291,18 @@ class SegmentStore {
   }
 
   // The pending unit owned by `txn` of a batch (one lane per schema
-  // column, of its type; FromRows converts rows): a ROS container sorted
+  // column, of its type; FromRows converts rows) whose raw size
+  // (ProfileRows) is `raw_bytes`: a ROS container sorted
   // by the store's design when `direct` (bulk/DIRECT load), else a WOS
   // unit. It copies the varchar bytes, so the slots may borrow from the
   // caller's buffer. Every copy of the layout (buddy, replica) can take
   // the same unit, sharing its lanes.
-  Result<RosContainer> BuildPending(TxnId txn,
-                                    std::vector<ColumnLanes> columns,
-                                    bool direct) const;
+  Result<RosContainer> BuildPending(TxnId txn, LaneViewRows batch,
+                                    double raw_bytes, bool direct) const;
   // Appends a unit BuildPending built with the same `direct`.
   void AddPending(RosContainer unit, bool direct);
-  // BuildPending then AddPending, as a WOS unit or a DIRECT container.
-  Status InsertPending(TxnId txn, std::vector<ColumnLanes> columns);
-  Status InsertPendingDirect(TxnId txn, std::vector<ColumnLanes> columns);
+  // BuildPending then AddPending.
+  Status InsertPending(TxnId txn, LaneViewRows batch, bool direct = false);
 
   // Commit/abort every pending change of `txn` in this store.
   void CommitTxn(TxnId txn, Epoch epoch);
@@ -320,12 +323,14 @@ class SegmentStore {
   // Marks the rows Scan(spec) would emit as deleted, pending under
   // spec.txn (the UPDATE/DELETE write path). Shares the selection
   // pipeline with Scan so both pick exactly the same rows. When
-  // `victims` != null it also materializes each marked row (schema
-  // width) — the anchor-side capture that drives projection maintenance.
+  // `victims` != null it also appends each marked row to it (schema-width
+  // lanes, as Scan emits them) — the anchor-side capture that drives
+  // projection maintenance.
   Result<int64_t> MarkDeletedPending(const ScanSpec& spec,
-                                     std::vector<Row>* victims = nullptr);
+                                     LaneRows* victims = nullptr);
 
-  // Marks visible rows matching the content multiset of `victims` as
+  // Marks visible rows matching the content multiset of `victims` (rows
+  // of this store's schema; rows match when their AppendKey keys do) as
   // deleted, pending under `txn` — the projection-side half of DELETE/
   // UPDATE: the anchor scan identifies the rows, and every projection
   // (whose columns may not cover the WHERE clause) deletes them by
@@ -333,9 +338,10 @@ class SegmentStore {
   // match in storage order, which is identical across buddy copies of
   // one projection (both apply the same batches, sorts and merges), so
   // indistinguishable duplicates resolve to the same physical rows and
-  // fingerprints stay equal. Returns the number of rows marked.
+  // fingerprints stay equal. Reads each unit's rows as lanes without
+  // encoding it. Returns the number of rows marked.
   Result<int64_t> MarkDeletedPendingByContent(TxnId txn, Epoch as_of,
-                                              const std::vector<Row>& victims);
+                                              const LaneViewRows& victims);
 
   Result<int64_t> CountVisible(Epoch as_of, TxnId txn = 0) const;
 
@@ -422,10 +428,7 @@ class SegmentStore {
   // writes is built from. Varchar lanes alias the buffers or containers
   // they were read from, which must outlive the build.
   struct ColumnRows {
-    ColumnRows() = default;
-    explicit ColumnRows(const Schema& schema);
-
-    std::vector<ColumnLanes> columns;  // one per schema column
+    LaneViewRows lanes;  // schema width
     std::vector<DeleteMark> marks;
     std::vector<Epoch> epochs;  // empty for a pending container
     double raw_bytes = 0;

@@ -77,8 +77,7 @@ Result<std::unique_ptr<CopyStream>> CopyStream::Open(
       session, std::move(def), options, txn, autocommit, grant));
 }
 
-Status CopyStream::WriteBatch(sim::Process& self,
-                              std::vector<storage::ColumnLanes> columns,
+Status CopyStream::WriteBatch(sim::Process& self, storage::LaneViewRows batch,
                               std::vector<Row> rejects) {
   FABRIC_CHECK(!finished_) << "WriteBatch after Finish";
   Database* db = session_->database();
@@ -91,9 +90,9 @@ Status CopyStream::WriteBatch(sim::Process& self,
 
   // The whole batch, rejects included, is profiled.
   const double scale = db->EffectiveScale(def_.name);
-  DataProfile profile = ProfileRows(columns).Add(ProfileRows(rejects));
+  DataProfile profile = ProfileRows(batch).Add(ProfileRows(rejects));
   profile.ScaleBy(scale);
-  const int64_t good_count = static_cast<int64_t>(storage::NumRows(columns));
+  const int64_t good_count = static_cast<int64_t>(batch.num_rows);
   const int64_t batch_rows =
       good_count + static_cast<int64_t>(rejects.size());
   for (Row& row : rejects) {
@@ -145,9 +144,9 @@ Status CopyStream::WriteBatch(sim::Process& self,
   FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * storage,
                           db->GetStorage(def_.name));
   // Maintain every projection of the table inside the same load
-  // transaction (before routing moves the lanes out of `columns`).
+  // transaction (before routing moves the lanes out of `batch`).
   FABRIC_RETURN_IF_ERROR(db->WriteProjectionRows(
-      self, def_, columns, txn_, initiator, options_.direct, scale));
+      self, def_, batch, txn_, initiator, options_.direct, scale));
   obs::TraceEvent("vertica", "copy.batch",
                   {{"table", def_.name},
                    {"rows", batch_rows},
@@ -165,7 +164,7 @@ Status CopyStream::WriteBatch(sim::Process& self,
        .source_host = initiator,
        .direct = options_.direct,
        .scale = scale},
-      std::move(columns)));
+      std::move(batch)));
   totals_.loaded += good_count;
   return Status::OK();
 }

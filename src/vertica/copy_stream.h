@@ -47,13 +47,12 @@ class CopyStream {
   // grant; the open transaction is left to the session's rollback.
   ~CopyStream();
 
-  // Feeds one batch: `columns` (one lane per table column, as the Avro
+  // Feeds one batch: `batch` (one lane per table column, as the Avro
   // decoder or storage::FromRows builds them, varchar bytes valid until
-  // it returns) move on into the store and `rejects` are counted. Returns
+  // it returns) moves on into the store and `rejects` are counted. Returns
   // CANCELLED if the process is killed; the session's transaction is
   // then left to roll back.
-  Status WriteBatch(sim::Process& self,
-                    std::vector<storage::ColumnLanes> columns,
+  Status WriteBatch(sim::Process& self, storage::LaneViewRows batch,
                     std::vector<storage::Row> rejects = {});
 
   // The loaded table's columns, as snapped at Open.

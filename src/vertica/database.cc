@@ -335,11 +335,10 @@ Status Database::RenameTableWithStorage(const std::string& from,
 
 std::vector<int> Database::OwnerNodes(
     const Segmentation& segmentation,
-    const std::vector<storage::ColumnLanes>& columns) const {
-  std::vector<uint64_t> hashes(storage::NumRows(columns),
-                               kSegmentationHashSeed);
+    const storage::LaneViewRows& batch) const {
+  std::vector<uint64_t> hashes(batch.num_rows, kSegmentationHashSeed);
   for (int c : segmentation.columns) {
-    const storage::ColumnLanes& column = columns[c];
+    const storage::LaneViews& column = batch.columns[c];
     for (size_t i = 0; i < hashes.size(); ++i) {
       hashes[i] = HashCombine(hashes[i], column.Hash(i));
     }
@@ -351,42 +350,39 @@ std::vector<int> Database::OwnerNodes(
   return owners;
 }
 
-std::vector<std::vector<storage::ColumnLanes>> Database::RouteLanes(
-    const Segmentation& segmentation,
-    std::vector<storage::ColumnLanes> columns) const {
-  std::vector<std::vector<storage::ColumnLanes>> per_node(num_nodes());
-  const size_t n = storage::NumRows(columns);
+std::vector<storage::LaneViewRows> Database::RouteLanes(
+    const Segmentation& segmentation, storage::LaneViewRows batch) const {
+  std::vector<storage::LaneViewRows> per_node(num_nodes());
+  const size_t n = batch.num_rows;
   if (n == 0) return per_node;
   const bool replicated = segmentation.unsegmented();
   std::vector<std::vector<uint32_t>> rows(num_nodes());
   if (!replicated) {
-    std::vector<int> owners = OwnerNodes(segmentation, columns);
+    std::vector<int> owners = OwnerNodes(segmentation, batch);
     for (uint32_t i = 0; i < n; ++i) rows[owners[i]].push_back(i);
   }
   int whole = replicated ? num_nodes() : 1;  // parts taking every row
   for (int node = 0; node < num_nodes(); ++node) {
     if (replicated || rows[node].size() == n) {
-      per_node[node] = --whole > 0 ? columns : std::move(columns);
+      per_node[node] = --whole > 0 ? batch : std::move(batch);
     } else if (!rows[node].empty()) {
-      per_node[node].reserve(columns.size());
-      for (const storage::ColumnLanes& column : columns) {
-        per_node[node].push_back(column.Take(rows[node]));
-      }
+      per_node[node] = batch.Take(rows[node]);
     }
   }
   return per_node;
 }
 
 Status Database::WriteRows(sim::Process& self, const WriteRoute& route,
-                           std::vector<storage::ColumnLanes> columns) {
-  std::vector<std::vector<storage::ColumnLanes>> per_node =
-      RouteLanes(*route.segmentation, std::move(columns));
+                           storage::LaneViewRows batch) {
+  std::vector<storage::LaneViewRows> per_node =
+      RouteLanes(*route.segmentation, std::move(batch));
   const bool replicated = route.segmentation->unsegmented();
   for (int n = 0; n < num_nodes(); ++n) {
-    if (per_node[n].empty() || (replicated && !node_up(n))) continue;
+    if (per_node[n].num_rows == 0 || (replicated && !node_up(n))) continue;
     FABRIC_ASSIGN_OR_RETURN(std::vector<SegmentCopy> copies,
                             WriteCopies(route.set, n));
     storage::DataProfile profile = storage::ProfileRows(per_node[n]);
+    const double raw_bytes = profile.raw_bytes;  // the unit's, unscaled
     profile.ScaleBy(route.scale);
     const CostModel& cost = options_.cost;
     const double cpu = route.cpu == WriteCpu::kParse
@@ -410,9 +406,9 @@ Status Database::WriteRows(sim::Process& self, const WriteRoute& route,
             tm_->AdmitWos(self, *route.table, copy.store, copy.host));
       }
       if (!unit.has_value()) {
-        FABRIC_ASSIGN_OR_RETURN(unit, copy.store->BuildPending(
-                                          route.txn, std::move(per_node[n]),
-                                          route.direct));
+        FABRIC_ASSIGN_OR_RETURN(
+            unit, copy.store->BuildPending(route.txn, std::move(per_node[n]),
+                                           raw_bytes, route.direct));
       }
       copy.store->AddPending(c + 1 < copies.size() ? *unit : std::move(*unit),
                              route.direct);
@@ -423,23 +419,23 @@ Status Database::WriteRows(sim::Process& self, const WriteRoute& route,
 
 namespace {
 
-// Anchor-width `columns` narrowed to `proj`'s columns.
-std::vector<storage::ColumnLanes> ProjectLanes(
-    const ProjectionDef& proj,
-    const std::vector<storage::ColumnLanes>& columns) {
-  std::vector<storage::ColumnLanes> projected;
-  projected.reserve(proj.columns.size());
-  for (int c : proj.columns) projected.push_back(columns[c]);
+// The anchor-width `batch` narrowed to `proj`'s columns.
+storage::LaneViewRows ProjectLanes(const ProjectionDef& proj,
+                                   const storage::LaneViewRows& batch) {
+  storage::LaneViewRows projected;
+  projected.num_rows = batch.num_rows;
+  projected.columns.reserve(proj.columns.size());
+  for (int c : proj.columns) projected.columns.push_back(batch.columns[c]);
   return projected;
 }
 
 }  // namespace
 
-Status Database::WriteProjectionRows(
-    sim::Process& self, const TableDef& def,
-    const std::vector<storage::ColumnLanes>& columns, storage::TxnId txn,
-    int source_host, bool direct, double scale) {
-  if (storage::NumRows(columns) == 0) return Status::OK();
+Status Database::WriteProjectionRows(sim::Process& self, const TableDef& def,
+                                     const storage::LaneViewRows& batch,
+                                     storage::TxnId txn, int source_host,
+                                     bool direct, double scale) {
+  if (batch.num_rows == 0) return Status::OK();
   for (const ProjectionDef* proj : catalog_.ProjectionsOf(def.name)) {
     FABRIC_ASSIGN_OR_RETURN(SegmentSet * set,
                             GetProjectionStorage(proj->name));
@@ -452,40 +448,35 @@ Status Database::WriteProjectionRows(
                                       .source_host = source_host,
                                       .direct = direct,
                                       .scale = scale},
-                                     ProjectLanes(*proj, columns)));
+                                     ProjectLanes(*proj, batch)));
   }
   return Status::OK();
 }
 
-Status Database::DeleteProjectionRows(
-    sim::Process& self, const TableDef& def,
-    const std::vector<storage::Row>& victims, storage::TxnId txn,
-    storage::Epoch as_of, double scale) {
+Status Database::DeleteProjectionRows(sim::Process& self,
+                                      const TableDef& def,
+                                      const storage::LaneRows& victims,
+                                      storage::TxnId txn, storage::Epoch as_of,
+                                      double scale) {
   const std::vector<const ProjectionDef*> projections =
       catalog_.ProjectionsOf(def.name);
-  if (victims.empty() || projections.empty()) return Status::OK();
-  FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
-                          storage::FromRows(def.schema, victims));
+  if (victims.num_rows == 0 || projections.empty()) return Status::OK();
   for (const ProjectionDef* proj : projections) {
     FABRIC_ASSIGN_OR_RETURN(SegmentSet * set,
                             GetProjectionStorage(proj->name));
     // Each victim's projected image is marked on every live copy of its
     // owner segment (every UP replica of an unsegmented projection).
     const bool replicated = proj->segmentation.unsegmented();
-    std::vector<std::vector<storage::ColumnLanes>> per_node =
-        RouteLanes(proj->segmentation, ProjectLanes(*proj, columns));
+    FABRIC_ASSIGN_OR_RETURN(storage::LaneViewRows projected,
+                            victims.View(proj->columns));
+    std::vector<storage::LaneViewRows> per_node =
+        RouteLanes(proj->segmentation, std::move(projected));
     for (int n = 0; n < num_nodes(); ++n) {
-      if (per_node[n].empty() || (replicated && !node_up(n))) continue;
+      const storage::LaneViewRows& images = per_node[n];
+      if (images.num_rows == 0 || (replicated && !node_up(n))) continue;
       FABRIC_ASSIGN_OR_RETURN(std::vector<SegmentCopy> copies,
                               WriteCopies(set, n));
-      double raw_bytes =
-          storage::ProfileRows(per_node[n]).raw_bytes * scale;
-      std::vector<storage::Row> images(storage::NumRows(per_node[n]));
-      for (const storage::ColumnLanes& column : per_node[n]) {
-        for (size_t i = 0; i < images.size(); ++i) {
-          images[i].push_back(column.Box(i));
-        }
-      }
+      double raw_bytes = storage::ProfileRows(images).raw_bytes * scale;
       for (const SegmentCopy& copy : copies) {
         FABRIC_RETURN_IF_ERROR(
             net::RunCpu(self, network_, hosts_[copy.host],
@@ -493,8 +484,12 @@ Status Database::DeleteProjectionRows(
         FABRIC_ASSIGN_OR_RETURN(
             int64_t marked,
             copy.store->MarkDeletedPendingByContent(txn, as_of, images));
-        FABRIC_CHECK(marked == static_cast<int64_t>(images.size()))
-            << "projection " << proj->name << " missing delete victims";
+        if (marked != static_cast<int64_t>(images.num_rows)) {
+          return InternalError(StrCat("projection ", proj->name, " on ",
+                                      node_name(copy.host), " missing ",
+                                      images.num_rows - marked, " of ",
+                                      images.num_rows, " delete victims"));
+        }
       }
     }
   }

@@ -262,11 +262,10 @@ class Database {
   Status CreateProjectionWithStorage(ProjectionDef def);
   Status DropProjectionWithStorage(const std::string& name);
 
-  // Node owning each row of the batch `columns` under the segmented
+  // Node owning each row of `batch` under the segmented
   // layout `segmentation`, hashed from the stored (coerced) values.
-  std::vector<int> OwnerNodes(
-      const Segmentation& segmentation,
-      const std::vector<storage::ColumnLanes>& columns) const;
+  std::vector<int> OwnerNodes(const Segmentation& segmentation,
+                              const storage::LaneViewRows& batch) const;
 
   // CPU a routed write charges on each copy it lands on.
   enum class WriteCpu {
@@ -284,7 +283,7 @@ class Database {
     WriteCpu cpu = WriteCpu::kEncode;
     double scale = 1;
   };
-  // The write path of every layout: routes the batch `columns` (one lane
+  // The write path of every layout: routes the rows of `batch` (one lane
   // per layout column) to their owner segments, then lands each segment's
   // lanes on every live copy (each UP replica of an unsegmented layout,
   // WriteCopies of a segmented one; DOWN copies catch up during
@@ -293,22 +292,23 @@ class Database {
   // admission (backpressure at the Tuple Mover's hard cap) plus the WOS
   // insert. Varchar slots must stay valid until it returns.
   Status WriteRows(sim::Process& self, const WriteRoute& route,
-                   std::vector<storage::ColumnLanes> columns);
+                   storage::LaneViewRows batch);
 
   // Projection maintenance for the write paths (INSERT / COPY / UPDATE
   // reinsertion): picks every projection of `def`'s columns out of the
-  // anchor-width batch `columns` and writes them through WriteRows under
-  // `txn`.
+  // anchor-width `batch` and writes them through WriteRows under `txn`.
   Status WriteProjectionRows(sim::Process& self, const TableDef& def,
-                             const std::vector<storage::ColumnLanes>& columns,
+                             const storage::LaneViewRows& batch,
                              storage::TxnId txn, int source_host,
                              bool direct, double scale);
   // DELETE/UPDATE-side maintenance: marks the projected images of
-  // `victims` (anchor-width rows deleted from the super projection)
-  // deleted in every projection, by content, first match in storage
-  // order — deterministic across buddy copies.
+  // `victims` (anchor-width rows deleted from the super projection, as
+  // the anchor scan captured them) deleted in every projection, by
+  // content, first match in storage order — deterministic across buddy
+  // copies. A copy missing an image fails the statement with an
+  // InternalError (its transaction then aborts).
   Status DeleteProjectionRows(sim::Process& self, const TableDef& def,
-                              const std::vector<storage::Row>& victims,
+                              const storage::LaneRows& victims,
                               storage::TxnId txn, storage::Epoch as_of,
                               double scale);
 
@@ -396,12 +396,10 @@ class Database {
   SegmentSet EmptySegmentSet(const storage::Schema& schema,
                              const Segmentation& segmentation,
                              const storage::PhysicalDesign& design);
-  // The batch `columns` split by owner segment under `segmentation`, each
-  // part in arrival order; an unsegmented layout's batch goes to every
-  // node.
-  std::vector<std::vector<storage::ColumnLanes>> RouteLanes(
-      const Segmentation& segmentation,
-      std::vector<storage::ColumnLanes> columns) const;
+  // `batch` split by owner segment under `segmentation`, each part in
+  // arrival order; an unsegmented layout's batch goes to every node.
+  std::vector<storage::LaneViewRows> RouteLanes(
+      const Segmentation& segmentation, storage::LaneViewRows batch) const;
 
   struct TxnState {
     std::set<std::string> locked_tables;

@@ -301,21 +301,24 @@ JoinPlan ClassifyJoin(const TableDef& left_anchor, const PlanChoice& left,
 
 std::vector<Encoding> ChooseEncodings(const Schema& schema,
                                       const std::vector<int>& sort_columns,
-                                      const std::vector<Row>& sample) {
-  if (sample.empty()) return {};
+                                      const storage::LaneViewRows& sample) {
+  const size_t n = sample.num_rows;
+  if (n == 0) return {};
   std::set<int> sorted_cols(sort_columns.begin(), sort_columns.end());
   std::vector<Encoding> encodings;
   encodings.reserve(schema.num_columns());
-  const size_t n = sample.size();
   // Low cardinality: distinct values at most 1/8th of the rows (and
-  // capped), measured on display strings — cheap and type-stable.
+  // capped), measured on display keys — cheap and type-stable.
   const size_t low_cardinality =
       std::max<size_t>(16, std::min<size_t>(4096, n / 8));
   for (int c = 0; c < schema.num_columns(); ++c) {
+    const std::vector<int> column = {c};
     std::set<std::string> distinct;
-    for (const Row& row : sample) {
-      distinct.insert(row[c].is_null() ? std::string("\x01")
-                                       : row[c].ToDisplayString());
+    std::string key;
+    for (size_t i = 0; i < n; ++i) {
+      key.clear();
+      sample.AppendKey(i, column, &key);
+      distinct.insert(key);
       if (distinct.size() > low_cardinality) break;
     }
     bool low = distinct.size() <= low_cardinality;

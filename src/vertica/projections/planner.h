@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/lanes.h"
 #include "storage/schema.h"
 #include "vertica/catalog.h"
 #include "vertica/sql_ast.h"
@@ -119,7 +120,7 @@ JoinPlan ClassifyJoin(const TableDef& left_anchor, const PlanChoice& left,
 // otherwise is wrong — an empty projection keeps auto selection).
 std::vector<storage::Encoding> ChooseEncodings(
     const storage::Schema& schema, const std::vector<int>& sort_columns,
-    const std::vector<storage::Row>& sample);
+    const storage::LaneViewRows& sample);
 
 }  // namespace fabric::vertica::projections
 

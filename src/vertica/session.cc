@@ -662,24 +662,17 @@ Result<QueryResult> Session::ExecCreateProjection(
              db_->node_host(node_).int_ingress},
             profile.raw_bytes));
       }
-      anchor_rows.Append(std::move(seg_rows));
+      FABRIC_RETURN_IF_ERROR(anchor_rows.Append(std::move(seg_rows)));
     }
-
-    storage::LaneRows projected;
-    projected.num_rows = anchor_rows.num_rows;
-    for (int c : proj.columns) {
-      projected.columns.push_back(std::move(anchor_rows.columns[c]));
-    }
-    std::vector<Row> proj_rows = projected.BoxRows();
+    FABRIC_ASSIGN_OR_RETURN(storage::LaneViewRows columns,
+                            anchor_rows.View(proj.columns));
     proj.encodings = projections::ChooseEncodings(
-        proj.schema, proj.sort_columns, proj_rows);
+        proj.schema, proj.sort_columns, columns);
     FABRIC_RETURN_IF_ERROR(db_->CreateProjectionWithStorage(proj));
     created = true;
 
     FABRIC_ASSIGN_OR_RETURN(Database::SegmentSet * set,
                             db_->GetProjectionStorage(proj.name));
-    FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
-                            storage::FromRows(proj.schema, proj_rows));
     return db_->WriteRows(self,
                           {.set = set,
                            .segmentation = &proj.segmentation,
@@ -893,7 +886,7 @@ Result<QueryResult> Session::ExecInsert(sim::Process& self,
       row = std::move(full);
     }
   }
-  FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
+  FABRIC_ASSIGN_OR_RETURN(storage::LaneViewRows columns,
                           storage::FromRows(schema, rows));
 
   WriteTxn wt = EnsureWriteTxn();
@@ -937,6 +930,85 @@ Result<QueryResult> Session::ExecInsert(sim::Process& self,
   return result;
 }
 
+Status Session::DeleteMatching(sim::Process& self, const TableDef& def,
+                               const sql::Expr* where, storage::TxnId txn,
+                               const DmlScan& scan, const DmlWrite& write,
+                               int64_t* affected) {
+  FABRIC_RETURN_IF_ERROR(db_->LockTableX(self, txn, def.name));
+  db_->TouchTable(txn, def.name);
+  FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * storage,
+                          db_->GetStorage(def.name));
+  const Epoch snapshot = db_->current_epoch();
+  const bool replicated = def.segmentation.unsegmented();
+
+  // Compile the WHERE for the vectorized scan; the leftovers run
+  // row-at-a-time with the write path's lenient error semantics.
+  FABRIC_ASSIGN_OR_RETURN(
+      CompiledWhere compiled,
+      CompileWhere(where, def.schema, /*pipeline=*/nullptr));
+  storage::ScanSpec spec;
+  spec.as_of = snapshot;
+  spec.txn = txn;
+  BindWhere(compiled, &def.schema, &db_->udx_resolver(), /*lenient=*/true,
+            &spec);
+
+  // The deleted rows (anchor width, each logical row once) drive
+  // projection maintenance, so they are captured only when the table has
+  // projections: the rows `scan` read, or else the first copy's marks.
+  const bool capture = !db_->catalog().ProjectionsOf(def.name).empty();
+  storage::LaneRows victims(def.schema);
+  bool counted = false;
+  for (int n = 0; n < db_->num_nodes(); ++n) {
+    // Replicated: every UP replica applies the statement in place.
+    // Segmented: the scan reads the segment's serving copy (primary, or
+    // buddy when the primary's node is down) and the marks hit every
+    // live copy.
+    if (replicated && !db_->node_up(n)) continue;
+    FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy read_copy,
+                            db_->ReadCopy(storage, n));
+    FABRIC_ASSIGN_OR_RETURN(std::optional<storage::LaneRows> matched,
+                            scan(read_copy, spec));
+    // Same selection pipeline as the scan, so every copy marks exactly
+    // the same rows.
+    FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
+                            db_->WriteCopies(storage, n));
+    int64_t deleted = -1;
+    for (const Database::SegmentCopy& copy : writes) {
+      const bool keep =
+          capture && !counted && deleted < 0 && !matched.has_value();
+      FABRIC_ASSIGN_OR_RETURN(
+          int64_t d,
+          copy.store->MarkDeletedPending(spec, keep ? &victims : nullptr));
+      if (deleted >= 0 && d != deleted) {
+        return InternalError(StrCat("copies of ", def.name, " segment ", n,
+                                    " diverged: ", deleted, " vs ", d,
+                                    " rows deleted"));
+      }
+      deleted = d;
+    }
+    if (matched.has_value() &&
+        deleted != static_cast<int64_t>(matched->num_rows)) {
+      return InternalError(StrCat(def.name, " segment ", n, " deleted ",
+                                  deleted, " rows, its scan matched ",
+                                  matched->num_rows));
+    }
+    // A replicated table counts each logical row once, from the first
+    // replica that is actually UP (node 0's replica may be down).
+    if (!counted) {
+      *affected += deleted;
+      if (capture && matched.has_value()) {
+        FABRIC_RETURN_IF_ERROR(victims.Append(std::move(*matched)));
+      }
+    }
+    if (write) FABRIC_RETURN_IF_ERROR(write(read_copy, capture && !counted));
+    counted = replicated;
+  }
+  // Keep every projection's view of the table in lockstep with the
+  // anchor: same transaction, same commit epoch.
+  return db_->DeleteProjectionRows(self, def, victims, txn, snapshot,
+                                   db_->EffectiveScale(def.name));
+}
+
 Result<QueryResult> Session::ExecUpdate(sim::Process& self,
                                         const sql::UpdateStmt& stmt) {
   FABRIC_ASSIGN_OR_RETURN(const TableDef* def,
@@ -947,148 +1019,100 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
     FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(col));
     assignments.emplace_back(idx, expr.get());
   }
+  const CostModel& cost = db_->cost();
+  const double scale = db_->EffectiveScale(def->name);
+  const bool replicated = def->segmentation.unsegmented();
+  const std::vector<int> all_columns = AllColumns(schema.num_columns());
 
   WriteTxn wt = EnsureWriteTxn();
-  int64_t affected = 0;
-  Status status = [&]() -> Status {
-    FABRIC_RETURN_IF_ERROR(db_->LockTableX(self, wt.txn, def->name));
-    db_->TouchTable(wt.txn, def->name);
+  // A segment's new versions: the interpreter's rows and the lanes
+  // viewing them. The projections take every segment's at the end, so
+  // the rows they need are kept until then (a moved vector keeps its
+  // elements where they are).
+  std::vector<Row> replacements;
+  storage::LaneViewRows columns;
+  std::vector<std::vector<Row>> kept;
+  storage::LaneViewRows all_replacements(schema);
+  auto scan = [&](const Database::SegmentCopy& read_copy,
+                  const storage::ScanSpec& spec)
+      -> Result<std::optional<storage::LaneRows>> {
+    // Scan cost over the segment's visible rows (all columns, as the
+    // row-store UPDATE reads full rows to build replacements).
+    storage::ScanSpec node_spec = spec;
+    node_spec.cost_columns = &all_columns;
+    storage::ScanStats stats;
+    FABRIC_ASSIGN_OR_RETURN(storage::LaneRows matched_lanes,
+                            read_copy.store->Scan(node_spec, &stats));
+    // The row-store UPDATE works on full rows: box them once here.
+    const std::vector<Row> matched = matched_lanes.BoxRows();
+    DataProfile scanned = stats.visible_profile;
+    scanned.ScaleBy(scale);
+    FABRIC_RETURN_IF_ERROR(
+        net::RunCpu(self, db_->network(), db_->node_host(read_copy.host),
+                    scanned.ScanCpu(cost) +
+                        static_cast<double>(stats.containers_scanned) *
+                            cost.ros_container_open_cpu));
+    replacements.clear();
+    replacements.reserve(matched.size());
+    for (const Row& row : matched) {
+      Row updated = row;
+      sql::EvalContext context;
+      context.schema = &schema;
+      context.row = &row;
+      context.udx = &db_->udx_resolver();
+      for (const auto& [idx, expr] : assignments) {
+        FABRIC_ASSIGN_OR_RETURN(Value v, sql::Eval(*expr, context));
+        updated[idx] = std::move(v);
+      }
+      replacements.push_back(std::move(updated));
+    }
+    FABRIC_ASSIGN_OR_RETURN(columns, storage::FromRows(schema, replacements));
+    return std::optional<storage::LaneRows>(std::move(matched_lanes));
+  };
+  auto write = [&](const Database::SegmentCopy& read_copy,
+                   bool maintain) -> Status {
+    if (maintain) {
+      FABRIC_RETURN_IF_ERROR(all_replacements.Append(columns));
+      kept.push_back(std::move(replacements));
+    }
+    if (replicated) {
+      if (columns.num_rows == 0) return Status::OK();
+      return read_copy.store->InsertPending(wt.txn, std::move(columns));
+    }
+    // Re-route new versions by the (possibly changed) segmentation hash
+    // of their stored values, into every live copy of the owning
+    // segment.
     FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * storage,
                             db_->GetStorage(def->name));
-    Epoch snapshot = db_->current_epoch();
-    const CostModel& cost = db_->cost();
-    bool replicated = def->segmentation.unsegmented();
-
-    // Compile the WHERE for the vectorized scan; the leftovers run
-    // row-at-a-time with the write path's lenient error semantics.
-    FABRIC_ASSIGN_OR_RETURN(
-        CompiledWhere where,
-        CompileWhere(stmt.where.get(), schema, /*pipeline=*/nullptr));
-    const std::vector<int> all_columns = AllColumns(schema.num_columns());
-
-    storage::ScanSpec spec;
-    spec.as_of = snapshot;
-    spec.txn = wt.txn;
-    BindWhere(where, &schema, &db_->udx_resolver(), /*lenient=*/true, &spec);
-
-    // Anchor-side victim / replacement capture for projection
-    // maintenance (full anchor-width rows, each logical row once).
-    std::vector<Row> all_victims;
-    std::vector<Row> all_replacements;
-    bool counted = false;
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      // Replicated: every UP replica applies the update in place.
-      // Segmented: the scan reads the segment's serving copy (primary, or
-      // buddy when the primary's node is down) and the delete + reinsert
-      // hit every live copy.
-      if (replicated && !db_->node_up(n)) continue;
-      FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy read_copy,
-                              db_->ReadCopy(storage, n));
-      // Scan cost over the segment's visible rows (all columns, as the
-      // row-store UPDATE reads full rows to build replacements).
-      storage::ScanSpec node_spec = spec;
-      node_spec.cost_columns = &all_columns;
-      storage::ScanStats stats;
-      FABRIC_ASSIGN_OR_RETURN(storage::LaneRows matched_lanes,
-                              read_copy.store->Scan(node_spec, &stats));
-      // The row-store UPDATE works on full rows: box them once here.
-      const std::vector<Row> matched = matched_lanes.BoxRows();
-      DataProfile scanned = stats.visible_profile;
-      scanned.ScaleBy(db_->EffectiveScale(def->name));
-      FABRIC_RETURN_IF_ERROR(
-          net::RunCpu(self, db_->network(),
-                      db_->node_host(read_copy.host),
-                      scanned.ScanCpu(cost) +
-                          static_cast<double>(stats.containers_scanned) *
-                              cost.ros_container_open_cpu));
-      std::vector<Row> replacements;
-      replacements.reserve(matched.size());
-      for (const Row& row : matched) {
-        Row updated = row;
-        sql::EvalContext context;
-        context.schema = &schema;
-        context.row = &row;
-        context.udx = &db_->udx_resolver();
-        for (const auto& [idx, expr] : assignments) {
-          FABRIC_ASSIGN_OR_RETURN(Value v, sql::Eval(*expr, context));
-          updated[idx] = std::move(v);
+    const std::vector<int> owners = db_->OwnerNodes(def->segmentation, columns);
+    for (uint32_t i = 0; i < owners.size(); ++i) {
+      FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> owner_writes,
+                              db_->WriteCopies(storage, owners[i]));
+      storage::LaneViewRows row = columns.Take({i});
+      const double row_bytes = ProfileRows(row).raw_bytes * scale;
+      for (size_t c = 0; c < owner_writes.size(); ++c) {
+        const Database::SegmentCopy& copy = owner_writes[c];
+        if (copy.host != read_copy.host) {
+          FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
+              self,
+              {db_->node_host(read_copy.host).int_egress,
+               db_->node_host(copy.host).int_ingress},
+              row_bytes));
         }
-        replacements.push_back(std::move(updated));
-      }
-      FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
-                              storage::FromRows(schema, replacements));
-      // Same selection pipeline as the Scan above, so every copy picks
-      // exactly the same rows.
-      FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
-                              db_->WriteCopies(storage, n));
-      int64_t deleted = -1;
-      for (const Database::SegmentCopy& copy : writes) {
-        FABRIC_ASSIGN_OR_RETURN(int64_t d,
-                                copy.store->MarkDeletedPending(spec));
-        if (deleted < 0) {
-          deleted = d;
-        } else {
-          FABRIC_CHECK(d == deleted) << "buddy copies diverged";
-        }
-      }
-      FABRIC_CHECK(deleted == static_cast<int64_t>(replacements.size()));
-      // A replicated table counts each logical row once, from the first
-      // replica that is actually UP (node 0's replica may be down).
-      if (!counted) {
-        affected += deleted;
-        all_victims.insert(all_victims.end(), matched.begin(),
-                           matched.end());
-        all_replacements.insert(all_replacements.end(),
-                                replacements.begin(), replacements.end());
-      }
-      counted = replicated;
-      if (replicated) {
-        if (!replacements.empty()) {
-          FABRIC_RETURN_IF_ERROR(
-              read_copy.store->InsertPending(wt.txn, std::move(columns)));
-        }
-        continue;
-      }
-      // Re-route new versions by the (possibly changed) segmentation
-      // hash of their stored values, into every live copy of the owning
-      // segment.
-      const std::vector<int> owners =
-          db_->OwnerNodes(def->segmentation, columns);
-      for (uint32_t i = 0; i < owners.size(); ++i) {
-        FABRIC_ASSIGN_OR_RETURN(
-            std::vector<Database::SegmentCopy> owner_writes,
-            db_->WriteCopies(storage, owners[i]));
-        std::vector<storage::ColumnLanes> row;
-        for (const storage::ColumnLanes& column : columns) {
-          row.push_back(column.Take({i}));
-        }
-        double row_bytes =
-            ProfileRows(row).raw_bytes * db_->EffectiveScale(def->name);
-        for (size_t c = 0; c < owner_writes.size(); ++c) {
-          const Database::SegmentCopy& copy = owner_writes[c];
-          if (copy.host != read_copy.host) {
-            FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
-                self,
-                {db_->node_host(read_copy.host).int_egress,
-                 db_->node_host(copy.host).int_ingress},
-                row_bytes));
-          }
-          FABRIC_RETURN_IF_ERROR(copy.store->InsertPending(
-              wt.txn, c + 1 < owner_writes.size() ? row : std::move(row)));
-        }
+        FABRIC_RETURN_IF_ERROR(copy.store->InsertPending(
+            wt.txn, c + 1 < owner_writes.size() ? row : std::move(row)));
       }
     }
-    // Projection maintenance: mark the old images deleted by content,
-    // then route the new versions through each projection's own
-    // segmentation — same transaction, same commit epoch.
-    double scale = db_->EffectiveScale(def->name);
-    FABRIC_RETURN_IF_ERROR(db_->DeleteProjectionRows(
-        self, *def, all_victims, wt.txn, snapshot, scale));
-    FABRIC_ASSIGN_OR_RETURN(std::vector<storage::ColumnLanes> columns,
-                            storage::FromRows(schema, all_replacements));
-    return db_->WriteProjectionRows(self, *def, columns, wt.txn, node_,
-                                    /*direct=*/false, scale);
-  }();
+    return Status::OK();
+  };
+  int64_t affected = 0;
+  Status status = DeleteMatching(self, *def, stmt.where.get(), wt.txn, scan,
+                                 write, &affected);
+  // Then the new versions go through each projection's own segmentation.
+  if (status.ok()) {
+    status = db_->WriteProjectionRows(self, *def, all_replacements, wt.txn,
+                                      node_, /*direct=*/false, scale);
+  }
   Status finished = FinishWriteTxn(self, wt, status);
   // Recorded before ack-loss propagation: conditional updates (UPDATE ...
   // WHERE guard) are the connector's election and dedup primitive, and
@@ -1109,69 +1133,25 @@ Result<QueryResult> Session::ExecDelete(sim::Process& self,
                                         const sql::DeleteStmt& stmt) {
   FABRIC_ASSIGN_OR_RETURN(const TableDef* def,
                           db_->catalog().GetTable(stmt.table));
-  const Schema& schema = def->schema;
   WriteTxn wt = EnsureWriteTxn();
+  // Scan cost on each segment's serving copy: its visible rows, whose
+  // columns a DELETE does not read.
+  auto scan = [&](const Database::SegmentCopy& read_copy,
+                  const storage::ScanSpec& spec)
+      -> Result<std::optional<storage::LaneRows>> {
+    FABRIC_ASSIGN_OR_RETURN(int64_t visible_count,
+                            read_copy.store->CountVisible(spec.as_of, wt.txn));
+    DataProfile scanned;
+    scanned.rows = static_cast<double>(visible_count);
+    scanned.ScaleBy(db_->EffectiveScale(def->name));
+    FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
+                                       db_->node_host(read_copy.host),
+                                       scanned.ScanCpu(db_->cost())));
+    return std::optional<storage::LaneRows>();
+  };
   int64_t affected = 0;
-  Status status = [&]() -> Status {
-    FABRIC_RETURN_IF_ERROR(db_->LockTableX(self, wt.txn, def->name));
-    db_->TouchTable(wt.txn, def->name);
-    FABRIC_ASSIGN_OR_RETURN(Database::TableStorage * storage,
-                            db_->GetStorage(def->name));
-    Epoch snapshot = db_->current_epoch();
-    const CostModel& cost = db_->cost();
-    bool replicated = def->segmentation.unsegmented();
-
-    FABRIC_ASSIGN_OR_RETURN(
-        CompiledWhere where,
-        CompileWhere(stmt.where.get(), schema, /*pipeline=*/nullptr));
-    storage::ScanSpec spec;
-    spec.as_of = snapshot;
-    spec.txn = wt.txn;
-    BindWhere(where, &schema, &db_->udx_resolver(), /*lenient=*/true, &spec);
-
-    // Scan cost on each segment's serving copy; the delete marks land on
-    // every live copy, and the first captures the victims (full
-    // anchor-width rows) for projection maintenance below. A replicated
-    // table's UP replicas all apply the delete, but each logical row is
-    // counted and captured once, from the first replica actually UP.
-    std::vector<Row> all_victims;
-    bool counted = false;
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      if (replicated && !db_->node_up(n)) continue;
-      FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy read_copy,
-                              db_->ReadCopy(storage, n));
-      FABRIC_ASSIGN_OR_RETURN(
-          int64_t visible_count,
-          read_copy.store->CountVisible(snapshot, wt.txn));
-      DataProfile scanned;
-      scanned.rows = static_cast<double>(visible_count);
-      scanned.ScaleBy(db_->EffectiveScale(def->name));
-      FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
-                                         db_->node_host(read_copy.host),
-                                         scanned.ScanCpu(cost)));
-      FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
-                              db_->WriteCopies(storage, n));
-      int64_t deleted = -1;
-      for (const Database::SegmentCopy& copy : writes) {
-        const bool capture = deleted < 0 && !counted;
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t d, copy.store->MarkDeletedPending(
-                           spec, capture ? &all_victims : nullptr));
-        if (deleted < 0) {
-          deleted = d;
-        } else {
-          FABRIC_CHECK(d == deleted) << "buddy copies diverged";
-        }
-      }
-      if (!counted) affected += deleted;
-      counted = replicated;
-    }
-    // Keep every projection's view of the table in lockstep with the
-    // anchor delete.
-    return db_->DeleteProjectionRows(self, *def, all_victims, wt.txn,
-                                     snapshot,
-                                     db_->EffectiveScale(def->name));
-  }();
+  Status status = DeleteMatching(self, *def, stmt.where.get(), wt.txn, scan,
+                                 nullptr, &affected);
   FABRIC_RETURN_IF_ERROR(FinishWriteTxn(self, wt, status));
   QueryResult result;
   result.affected = affected;
@@ -1466,7 +1446,7 @@ Result<storage::LaneRows> Gather(sim::Process& self, SegmentFanOut& fan,
   }
   for (int segment : fan.segments) {
     FABRIC_RETURN_IF_ERROR(fan.status[segment]);
-    gathered.Append(std::move(fan.lanes[segment]));
+    FABRIC_RETURN_IF_ERROR(gathered.Append(std::move(fan.lanes[segment])));
     fan.lanes[segment] = storage::LaneRows();
   }
   return gathered;
@@ -1794,8 +1774,7 @@ Result<storage::LaneRows> Session::ExecScanSelect(
         std::string key;
         for (size_t i = 0; i < passed.num_rows; ++i) {
           key.clear();
-          exec::AppendGroupKey(passed, static_cast<uint32_t>(i),
-                               ctx->group_cols, &key);
+          passed.AppendKey(i, ctx->group_cols, &key);
           group_keys.insert(key);
         }
         produced.rows =

@@ -1,6 +1,7 @@
 #ifndef FABRIC_VERTICA_SESSION_H_
 #define FABRIC_VERTICA_SESSION_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -217,6 +218,25 @@ class Session {
   Result<QueryResult> ExecDelete(sim::Process& self,
                                  const sql::DeleteStmt& stmt);
   Result<QueryResult> ExecTxn(sim::Process& self, const sql::TxnStmt& stmt);
+
+  // DELETE's and UPDATE's shared body in write transaction `txn`: locks
+  // `def`, binds `where` (null: every row) at the current epoch and, per
+  // segment (each UP replica of a replicated table), runs `scan` on the
+  // serving copy, marks the WHERE's rows deleted on every live copy, then
+  // runs `write`. `scan` charges the statement's read and returns the
+  // rows it matched if it read them (UPDATE), which the marks must
+  // match; `maintain` tells `write` that projections need this segment's
+  // rows. Counts each logical row once into `*affected`, and deletes the
+  // rows' images from every projection. Disagreeing copies fail with
+  // InternalError.
+  using DmlScan = std::function<Result<std::optional<storage::LaneRows>>(
+      const Database::SegmentCopy& read_copy, const storage::ScanSpec& spec)>;
+  using DmlWrite = std::function<Status(
+      const Database::SegmentCopy& read_copy, bool maintain)>;
+  Status DeleteMatching(sim::Process& self, const TableDef& def,
+                        const sql::Expr* where, storage::TxnId txn,
+                        const DmlScan& scan, const DmlWrite& write,
+                        int64_t* affected);
 
   // Ensures a write transaction exists; returns (txn, autocommit?).
   struct WriteTxn {

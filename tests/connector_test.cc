@@ -213,15 +213,15 @@ TEST(AvroTest, LaneDecodeRoundTripsBatches) {
   const std::string encoded = AvroEncodeBatch(schema, rows);
   auto decoded = AvroDecodeBatch(schema, encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_EQ(decoded->columns.size(), 4u);
-  ASSERT_EQ(storage::NumRows(decoded->columns), 6u);
+  ASSERT_EQ(decoded->lanes.columns.size(), 4u);
+  ASSERT_EQ(decoded->lanes.num_rows, 6u);
   ASSERT_EQ(decoded->rejects.size(), 2u);
   for (const Row& reject : decoded->rejects) EXPECT_TRUE(reject.empty());
   size_t k = 0;
   for (const Row& row : rows) {
     if (!storage::ValidateRow(schema, row).ok()) continue;
     for (int c = 0; c < schema.num_columns(); ++c) {
-      const storage::ColumnLanes& lane = decoded->columns[c];
+      const storage::LaneViews& lane = decoded->lanes.columns[c];
       ASSERT_EQ(lane.type, schema.column(c).type);
       Value got = lane.Box(k);
       Value want = row[c];
@@ -242,7 +242,7 @@ TEST(AvroTest, LaneDecodeRoundTripsBatches) {
     }
     ++k;
   }
-  const storage::ColumnLanes& strings = decoded->columns[2];
+  const storage::LaneViews& strings = decoded->lanes.columns[2];
   for (size_t i = 0; i < strings.size(); ++i) {
     std::string_view s = strings.values.strings[i];
     if (s.empty()) continue;
@@ -309,7 +309,7 @@ CopyOutcome LoadThroughCopy(const std::vector<Row>& rows, bool avro) {
       if (avro) {
         auto decoded = AvroDecodeBatch(schema, encoded);
         ASSERT_TRUE(decoded.ok()) << decoded.status();
-        written = (*stream)->WriteBatch(self, std::move(decoded->columns),
+        written = (*stream)->WriteBatch(self, std::move(decoded->lanes),
                                         std::move(decoded->rejects));
       } else {
         // The decoder's view of the batch as rows: a corrupt record is an

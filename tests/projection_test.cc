@@ -198,10 +198,13 @@ class ProjectionTest : public ::testing::Test {
   }
 
   // Asserts the named projection returns the same bytes as the super
-  // projection for every equivalence query.
+  // projection for every query of `queries` (default: the equivalence
+  // queries).
   void ExpectProjectionEquivalent(sim::Process& driver,
-                                  const std::string& projection) {
-    for (const std::string& q : EquivalenceQueries()) {
+                                  const std::string& projection,
+                                  std::vector<std::string> queries = {}) {
+    if (queries.empty()) queries = EquivalenceQueries();
+    for (const std::string& q : queries) {
       SCOPED_TRACE(StrCat(projection, ": ", q));
       QueryResult super = ExecForced(driver, 0, "", q);
       QueryResult via = ExecForced(driver, 0, projection, q);
@@ -364,10 +367,21 @@ TEST_F(ProjectionTest, DmlMaintainsEveryProjectionInLockstep) {
     ExecOk(driver, 0,
            "CREATE PROJECTION p_rep AS SELECT id, region, amount "
            "FROM sales ORDER BY region, id UNSEGMENTED");
+    // And a narrower one whose images collide: rows that differ only in
+    // a dropped column share one image, of which the by-content delete
+    // must mark exactly as many as the anchor deleted.
+    ExecOk(driver, 0,
+           "CREATE PROJECTION p_amount AS SELECT amount FROM sales "
+           "ORDER BY amount SEGMENTED BY HASH(amount)");
+    const std::vector<std::string> amount_queries = {
+        "SELECT amount, COUNT(*) FROM sales GROUP BY amount ORDER BY amount",
+        "SELECT COUNT(*) FROM sales",
+    };
 
     ExecOk(driver, 0,
            "INSERT INTO sales VALUES (500, 'east', 3.5), "
-           "(501, 'west', 4.5), (502, 'north', 5.5)");
+           "(501, 'west', 4.5), (502, 'north', 5.5), (503, 'south', 7.75), "
+           "(504, 'west', 7.75), (505, 'south', 7.75), (506, 'south', 7.75)");
     QueryResult updated = ExecOk(
         driver, 0,
         "UPDATE sales SET amount = amount + 1.0 WHERE region = 'east'");
@@ -375,9 +389,19 @@ TEST_F(ProjectionTest, DmlMaintainsEveryProjectionInLockstep) {
     QueryResult deleted = ExecOk(
         driver, 0, "DELETE FROM sales WHERE id % 7 = 3");
     EXPECT_GT(deleted.affected, 0);
+    // Colliding images in every projection: (503..506) share p_amount's,
+    // and 503, 505 and 506 share p_seg's.
+    EXPECT_EQ(ExecOk(driver, 0, "DELETE FROM sales WHERE id = 505").affected,
+              1);
+    EXPECT_EQ(ExecOk(driver, 0,
+                     "UPDATE sales SET amount = 1.25 "
+                     "WHERE id = 503 OR id = 504")
+                  .affected,
+              2);
 
     ExpectProjectionEquivalent(driver, "p_seg");
     ExpectProjectionEquivalent(driver, "p_rep");
+    ExpectProjectionEquivalent(driver, "p_amount", amount_queries);
 
     // An explicit transaction that aborts leaves projections untouched.
     auto session = db_->Connect(driver, 1, nullptr);
@@ -389,12 +413,56 @@ TEST_F(ProjectionTest, DmlMaintainsEveryProjectionInLockstep) {
     ASSERT_TRUE((*session)->Close(driver).ok());
     ExpectProjectionEquivalent(driver, "p_seg");
     ExpectProjectionEquivalent(driver, "p_rep");
+    ExpectProjectionEquivalent(driver, "p_amount", amount_queries);
 
     // TRUNCATE empties every layout.
     ExecOk(driver, 0, "TRUNCATE TABLE sales");
     QueryResult empty = ExecForced(driver, 0, "p_seg",
                                    "SELECT COUNT(*) FROM sales");
     EXPECT_EQ(empty.rows[0][0].int64_value(), 0);
+  });
+}
+
+// A projection copy that lost an image behind the catalog's back fails
+// the DELETE that needs it with a typed error: the statement's
+// transaction aborts, the anchor keeps every row, and the database goes
+// on serving statements.
+TEST_F(ProjectionTest, DeleteMissingProjectionImageFailsTheStatement) {
+  RunDriver([&](sim::Process& driver) {
+    LoadFixture(driver, 40);
+    ExecOk(driver, 0,
+           "CREATE PROJECTION p_seg AS SELECT region, amount FROM sales "
+           "ORDER BY region SEGMENTED BY HASH(region)");
+    auto set = db_->GetProjectionStorage("p_seg");
+    ASSERT_TRUE(set.ok());
+    const storage::Epoch epoch = db_->current_epoch();
+    const storage::TxnId txn = 1000000;  // no statement's
+    int64_t dropped = 0;
+    for (auto& store : (*set)->per_node) {
+      auto marked = storage::DeleteWhere(
+          *store, txn, epoch, [](const Row& row) {
+            return row[0].varchar_value() == "east";
+          });
+      ASSERT_TRUE(marked.ok()) << marked.status();
+      dropped += *marked;
+      store->CommitTxn(txn, epoch);
+    }
+    ASSERT_EQ(dropped, 10);
+    const std::string count = "SELECT COUNT(*) FROM sales";
+    ASSERT_EQ(ExecForced(driver, 0, "", count).rows[0][0].int64_value(), 40);
+
+    auto failed = Exec(driver, 0, "DELETE FROM sales WHERE region = 'east'");
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInternal)
+        << failed.status();
+    EXPECT_NE(failed.status().message().find("p_seg"), std::string::npos)
+        << failed.status();
+    EXPECT_EQ(ExecForced(driver, 0, "", count).rows[0][0].int64_value(), 40);
+
+    EXPECT_EQ(
+        ExecOk(driver, 0, "DELETE FROM sales WHERE region = 'west'").affected,
+        10);
+    EXPECT_EQ(ExecForced(driver, 0, "", count).rows[0][0].int64_value(), 30);
   });
 }
 

@@ -509,14 +509,14 @@ TEST(EncodingTest, RowLanesEncodeLikeExtractedColumn) {
     std::vector<Value> column;
     for (const Row& row : rows) column.push_back(row[c]);
     DataType type = schema.column(c).type;
-    auto in_place = EncodeLanes((*lanes)[c]);
+    auto in_place = EncodeLanes(lanes->columns[c]);
     auto extracted = EncodeColumn(type, column);
     ASSERT_TRUE(in_place.ok());
     ASSERT_TRUE(extracted.ok());
     EXPECT_EQ(in_place->encoding, extracted->encoding);
     EXPECT_EQ(in_place->data, extracted->data);
     Encoding rle = Encoding::kRle;
-    auto forced = EncodeLanes((*lanes)[c], &rle);
+    auto forced = EncodeLanes(lanes->columns[c], &rle);
     ASSERT_TRUE(forced.ok());
     EXPECT_EQ(forced->data, EncodeColumnAs(type, rle, column)->data);
   }
@@ -537,14 +537,14 @@ TEST(EncodingTest, LaneHashMatchesValueSegmentationHash) {
        Value::Varchar("tail"), Value::Null()}};
   auto lanes = FromRows(TestSchema(), rows);
   ASSERT_TRUE(lanes.ok()) << lanes.status();
-  for (size_t c = 0; c < lanes->size(); ++c) {
+  for (size_t c = 0; c < lanes->columns.size(); ++c) {
     for (size_t i = 0; i < rows.size(); ++i) {
       Value want = rows[i][c];
       if (!want.is_null() && want.type() == DataType::kInt64 &&
-          (*lanes)[c].type == DataType::kFloat64) {
+          lanes->columns[c].type == DataType::kFloat64) {
         want = Value::Float64(static_cast<double>(want.int64_value()));
       }
-      EXPECT_EQ((*lanes)[c].Hash(i), want.SegmentationHash())
+      EXPECT_EQ(lanes->columns[c].Hash(i), want.SegmentationHash())
           << c << "," << i;
     }
   }
@@ -572,7 +572,7 @@ TEST(RosContainerTest, CreateComputesStats) {
   EXPECT_EQ(ros->min_value(2).varchar_value(), "abc");
   // raw: 3 rows * (8 + 8 + len + 1)
   EXPECT_DOUBLE_EQ(ros->raw_bytes(), (17 + 3) + (17 + 2) + (17 + 1));
-  auto decoded = ros->DecodeRows();
+  auto decoded = DecodeRows(*ros, schema.num_columns());
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(RowsEqual((*decoded)[1], rows[1]));
 }
@@ -1419,9 +1419,9 @@ TEST(DecodedColumnTest, ScansSurviveStoreMutations) {
   spec.as_of = epoch;
   spec.txn = txn;
   spec.predicate = &low_ids;
-  std::vector<Row> victims;
+  LaneRows victims(store->schema());
   ASSERT_TRUE(store->MarkDeletedPending(spec, &victims).ok());
-  EXPECT_FALSE(victims.empty());
+  EXPECT_GT(victims.num_rows, 0u);
   ExpectAllScansMatch(*store, epoch, txn);
   store->CommitTxn(txn++, ++epoch);
   ASSERT_TRUE(DeleteWhere(*store, txn, epoch, [](const Row& row) {
@@ -1623,13 +1623,13 @@ TEST(WosRosPropertyTest, StoreReadsAlikeInWosAndAfterMoveout) {
     del.predicate = &preds[rng.NextUint64(preds.size())];
     del.residual = EvenName;
     del.residual_columns = &name_only;
-    std::vector<Row> wos_victims;
-    std::vector<Row> ros_victims;
+    LaneRows wos_victims(wos.schema());
+    LaneRows ros_victims(ros.schema());
     auto from_wos = wos.MarkDeletedPending(del, &wos_victims);
     auto from_ros = ros.MarkDeletedPending(del, &ros_victims);
     ASSERT_TRUE(from_wos.ok() && from_ros.ok());
     EXPECT_EQ(*from_wos, *from_ros);
-    EXPECT_EQ(RowKeys(wos_victims), RowKeys(ros_victims));
+    EXPECT_EQ(RowKeys(wos_victims.BoxRows()), RowKeys(ros_victims.BoxRows()));
     EXPECT_EQ(wos.ContentFingerprint(), ros.ContentFingerprint());
     txn = open;
     commit_both();
@@ -1806,9 +1806,8 @@ TEST(PendingDeleteTest, ResolveMatchesFullWalk) {
 // ------------------------------------------------ encode on first read
 
 // Every column of `rows` as typed lanes (varchar slots alias `rows`).
-std::vector<ColumnLanes> LanesOf(const Schema& schema,
-                                 const std::vector<Row>& rows) {
-  Result<std::vector<ColumnLanes>> lanes = FromRows(schema, rows);
+LaneViewRows LanesOf(const Schema& schema, const std::vector<Row>& rows) {
+  Result<LaneViewRows> lanes = FromRows(schema, rows);
   FABRIC_CHECK(lanes.ok()) << lanes.status();
   return std::move(*lanes);
 }
@@ -1841,20 +1840,20 @@ TEST(LazyEncodingTest, FirstReadEncodesLikeEncodeLanesProperty) {
         }
         const std::vector<Encoding>* forced =
             mode > 0 ? &encodings : nullptr;
-        std::vector<ColumnLanes> lanes = LanesOf(schema, rows);
+        LaneViewRows lanes = LanesOf(schema, rows);
         std::vector<ColumnChunk> want;
         std::vector<ColumnBounds> want_bounds(num_columns);
         double want_bytes = 0;
         for (int c = 0; c < num_columns; ++c) {
-          auto chunk = EncodeLanes(lanes[c], mode > 0 ? &encodings[c] : nullptr,
-                                   &want_bounds[c]);
+          auto chunk =
+              EncodeLanes(lanes.columns[c], mode > 0 ? &encodings[c] : nullptr,
+                          &want_bounds[c]);
           ASSERT_TRUE(chunk.ok());
           want_bytes += chunk->encoded_bytes();
           want.push_back(*std::move(chunk));
         }
         auto container = RosContainer::CreateFromColumns(
-            schema, std::move(lanes), static_cast<uint32_t>(rows.size()),
-            raw_bytes, /*pending_txn=*/1, forced);
+            schema, std::move(lanes), raw_bytes, /*pending_txn=*/1, forced);
         ASSERT_TRUE(container.ok());
         rows = {};
         ASSERT_FALSE(container->encoded());
@@ -1974,8 +1973,7 @@ TEST(LazyEncodingTest, TupleMoverOutputIgnoresWhetherInputsWereRead) {
 
       // Deletes by content read rows but encode nothing.
       for (SegmentStore* store : {&lazy, &read}) {
-        ASSERT_TRUE(store->MarkDeletedPendingByContent(txn, epoch, victims)
-                        .ok());
+        ASSERT_TRUE(DeleteRowsByContent(*store, txn, epoch, victims).ok());
         store->CommitTxn(txn, epoch + 1);
       }
       ++txn;
@@ -2027,8 +2025,7 @@ TEST(LazyEncodingTest, ClonedUnencodedStoreOutlivesItsSource) {
                       .ok());
       source->CommitTxn(txn, ++epoch);
     }
-    ASSERT_TRUE(
-        source->MarkDeletedPendingByContent(txn, epoch, victims).ok());
+    ASSERT_TRUE(DeleteRowsByContent(*source, txn, epoch, victims).ok());
     source->CommitTxn(txn++, ++epoch);
     ASSERT_TRUE(AllUnencoded(*source));
     const uint64_t fingerprint = source->ContentFingerprint();
@@ -2078,6 +2075,102 @@ TEST(LazyEncodingTest, MergeoutOfUnreadUnitsStaysUnencoded) {
   EXPECT_FALSE(merged.encoded());
   ReadEverything(store, 13);
   EXPECT_TRUE(merged.encoded());
+}
+
+// ------------------------------------------- lane reads vs boxed rows
+
+// The rows `txn` holds pending delete marks on, as (WOS?, unit index,
+// row) in storage order.
+std::vector<std::tuple<bool, size_t, uint32_t>> PendingMarks(
+    const SegmentStore& store, TxnId txn) {
+  std::vector<std::tuple<bool, size_t, uint32_t>> marks;
+  for (const auto* units : {&store.ros_containers(), &store.wos_batches()}) {
+    for (size_t k = 0; k < units->size(); ++k) {
+      const std::vector<DeleteMark>& unit = (*units)[k].delete_marks();
+      for (uint32_t i = 0; i < unit.size(); ++i) {
+        if (unit[i].state == DeleteMark::State::kPending &&
+            unit[i].txn == txn) {
+          marks.emplace_back(units == &store.wos_batches(), k, i);
+        }
+      }
+    }
+  }
+  return marks;
+}
+
+// Whether each unit is encoded, in storage order.
+std::vector<bool> EncodedFlags(const SegmentStore& store) {
+  std::vector<bool> flags;
+  for (const auto* units : {&store.ros_containers(), &store.wos_batches()}) {
+    for (const RosContainer& unit : *units) flags.push_back(unit.encoded());
+  }
+  return flags;
+}
+
+// The by-content delete and the content fingerprint read lanes (a
+// never-read unit's own, an encoded one's decoded chunks); both must
+// agree with the boxed reference in scan_reference.h, which decodes
+// every unit into Values: the fingerprint fold over boxed rows, and
+// the first-unconsumed-match delete on RowKey. The stores mix never-read
+// and encoded units, DIRECT and WOS loads, sorted and unsorted designs,
+// over NULLs, NaNs of both signs, -0.0 beside 0.0, varchars and
+// duplicate rows; some victims match nothing, and older snapshots hide
+// later loads. Neither read encodes a unit.
+TEST(LaneContentTest, ByContentDeleteAndFingerprintMatchBoxedRowsProperty) {
+  std::vector<PhysicalDesign> designs(2);
+  designs[1].sort_columns = {1, 2};
+  for (uint64_t seed : fabric::testing::PropertySeeds()) {
+    for (size_t d = 0; d < designs.size(); ++d) {
+      SCOPED_TRACE(StrCat("seed ", seed, " design ", d));
+      Rng rng(seed * 31 + d);
+      SegmentStore store(RebuildSchema(), designs[d]);
+      std::vector<Row> loaded;
+      TxnId txn = 10;
+      Epoch epoch = 0;
+      for (int load = 0; load < 8; ++load, ++txn) {
+        std::vector<Row> rows(1 + rng.NextUint64(120));
+        for (Row& row : rows) {
+          row = !loaded.empty() && rng.NextBool(0.3)
+                    ? loaded[rng.NextUint64(loaded.size())]
+                    : RandomRebuildRow(rng);
+        }
+        loaded.insert(loaded.end(), rows.begin(), rows.end());
+        ASSERT_TRUE((load % 3 == 0 ? InsertRows(store, txn, rows)
+                                   : InsertRowsDirect(store, txn, rows))
+                        .ok());
+        store.CommitTxn(txn, ++epoch);
+      }
+      // Every other unit is read, which encodes it.
+      size_t k = 0;
+      for (const auto* units :
+           {&store.ros_containers(), &store.wos_batches()}) {
+        for (const RosContainer& unit : *units) {
+          if (k++ % 2 == 0) unit.encoded_bytes();
+        }
+      }
+      const std::vector<bool> encoded = EncodedFlags(store);
+      EXPECT_EQ(store.ContentFingerprint(), ReferenceFingerprint(store));
+
+      for (int round = 0; round < 3; ++round, ++txn) {
+        std::vector<Row> victims(rng.NextUint64(80));
+        for (Row& row : victims) {
+          row = rng.NextBool(0.8) ? loaded[rng.NextUint64(loaded.size())]
+                                  : RandomRebuildRow(rng);
+        }
+        const Epoch as_of = epoch - rng.NextUint64(3);
+        auto want = ReferenceDeleteByContent(store, txn, as_of, victims);
+        ASSERT_TRUE(want.ok()) << want.status();
+        auto marked = DeleteRowsByContent(store, txn, as_of, victims);
+        ASSERT_TRUE(marked.ok()) << marked.status();
+        EXPECT_EQ(*marked, static_cast<int64_t>(want->size()));
+        EXPECT_EQ(PendingMarks(store, txn), *want);
+        EXPECT_EQ(store.ContentFingerprint(), ReferenceFingerprint(store));
+        store.CommitTxn(txn, ++epoch);
+        EXPECT_EQ(store.ContentFingerprint(), ReferenceFingerprint(store));
+      }
+      EXPECT_EQ(EncodedFlags(store), encoded);
+    }
+  }
 }
 
 }  // namespace
