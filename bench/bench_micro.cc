@@ -528,9 +528,10 @@ void BM_SimSpawn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSpawn)->Arg(1000)->UseRealTime();
 
-// Per-recompute cost of the fair-share water-filling on a 24-node fabric
-// (an egress and an ingress link per node, plus idle links) with N
-// staggered flows: every arrival and completion re-rates the rest.
+// Per-request cost of the fair-share re-rating on a 24-node fabric (an
+// egress and an ingress link per node, plus idle links) with N staggered
+// flows: every arrival and completion requests a re-rate of the rest, and
+// the requests of one instant share one water-filling.
 void RunRecomputeFabric(int flows) {
   sim::Engine engine;
   net::Network network(&engine);

@@ -14,7 +14,7 @@ LinkId Network::AddLink(std::string name, double capacity) {
   links_.push_back(Link{std::move(name), capacity, 0});
   avail_.push_back(0);
   active_.push_back(0);
-  link_bottleneck_.push_back(false);
+  link_flows_.emplace_back();
   return static_cast<LinkId>(links_.size() - 1);
 }
 
@@ -23,12 +23,13 @@ double Network::LinkBytesCarried(LinkId id) {
   return links_[id].bytes_carried;
 }
 
-double Network::LinkCurrentRate(LinkId id) const {
+double Network::LinkCurrentRate(LinkId id) {
+  FlushRerate();
   double rate = 0;
-  for (const Flow& flow : flows_) {
-    for (LinkId link : flow.path) {
+  for (const Flow* flow : flows_) {
+    for (LinkId link : flow->path()) {
       if (link == id) {
-        rate += flow.rate;
+        rate += flow->rate;
         break;
       }
     }
@@ -38,8 +39,8 @@ double Network::LinkCurrentRate(LinkId id) const {
 
 int Network::LinkActiveFlows(LinkId id) const {
   int count = 0;
-  for (const Flow& flow : flows_) {
-    for (LinkId link : flow.path) {
+  for (const Flow* flow : flows_) {
+    for (LinkId link : flow->path()) {
       if (link == id) {
         ++count;
         break;
@@ -49,22 +50,28 @@ int Network::LinkActiveFlows(LinkId id) const {
   return count;
 }
 
-Status Network::Transfer(sim::Process& self, const std::vector<LinkId>& path,
+Status Network::Transfer(sim::Process& self, std::span<const LinkId> path,
                          double bytes, double rate_cap) {
   FABRIC_RETURN_IF_ERROR(self.CheckAlive());
   if (bytes <= 0) return Status::OK();
   FABRIC_CHECK(rate_cap > 0) << "rate cap must be positive";
+  FABRIC_CHECK(path.size() <= kMaxPathLinks)
+      << "path of " << path.size() << " links";
   for (LinkId id : path) {
     FABRIC_CHECK(id >= 0 && id < num_links()) << "bad link id " << id;
   }
 
-  flows_.emplace_back();
-  auto it = std::prev(flows_.end());
-  it->path = path;
-  it->total = bytes;
-  it->remaining = bytes;
-  it->cap = rate_cap;
-  it->cond = std::make_unique<sim::Condition>(engine_);
+  if (free_.empty()) free_.push_back(&slab_.emplace_back(engine_));
+  Flow* flow = free_.back();
+  free_.pop_back();
+  std::copy(path.begin(), path.end(), flow->links.begin());
+  flow->num_links = path.size();
+  flow->total = bytes;
+  flow->remaining = bytes;
+  flow->cap = rate_cap;
+  flow->rate = 0;
+  flow->done = false;
+  flows_.push_back(flow);
   uint64_t span = 0;
   if (obs::CapturingEvents()) {
     std::string links;
@@ -77,27 +84,23 @@ Status Network::Transfer(sim::Process& self, const std::vector<LinkId>& path,
   }
   obs::IncrCounter("net.flows_opened");
   obs::IncrCounter("net.bytes_requested", bytes);
-  Recompute();
+  RequestRerate();
 
-  Status status = it->cond->WaitUntil(self, [&] { return it->done; });
-  if (!status.ok()) {
-    // Killed mid-transfer: tear the flow down and re-rate the rest.
-    if (span != 0) {
-      obs::TraceEnd(span, "net", "flow",
-                    {{"ok", false}, {"remaining", it->remaining}});
-    }
-    obs::IncrCounter("net.flows_cancelled");
-    if (!it->done) {
-      flows_.erase(it);
-      Recompute();
+  Status status = flow->cond.WaitUntil(self, [flow] { return flow->done; });
+  if (span != 0) {
+    if (status.ok()) {
+      obs::TraceEnd(span, "net", "flow", {{"ok", true}});
     } else {
-      flows_.erase(it);
+      obs::TraceEnd(span, "net", "flow",
+                    {{"ok", false}, {"remaining", flow->remaining}});
     }
-    return status;
   }
-  if (span != 0) obs::TraceEnd(span, "net", "flow", {{"ok", true}});
-  flows_.erase(it);
-  return Status::OK();
+  bool torn_down = !flow->done;  // killed mid-transfer
+  flows_.erase(std::find(flows_.begin(), flows_.end(), flow));
+  free_.push_back(flow);
+  if (!status.ok()) obs::IncrCounter("net.flows_cancelled");
+  if (torn_down) RequestRerate();
+  return status;
 }
 
 void Network::CreditLink(LinkId id, double bytes) {
@@ -110,101 +113,111 @@ void Network::Advance() {
   double dt = now - last_update_;
   last_update_ = now;
   if (dt <= 0) return;
-  for (Flow& flow : flows_) {
-    if (flow.done || flow.rate <= 0) continue;
-    double moved = std::min(flow.remaining, flow.rate * dt);
-    flow.remaining -= moved;
-    for (LinkId id : flow.path) links_[id].bytes_carried += moved;
+  for (Flow* flow : flows_) {
+    if (flow->done || flow->rate <= 0) continue;
+    double moved = std::min(flow->remaining, flow->rate * dt);
+    flow->remaining -= moved;
+    for (LinkId id : flow->path()) links_[id].bytes_carried += moved;
   }
 }
 
-void Network::Recompute() {
+void Network::RequestRerate() {
   Advance();
-  // Every arrival/departure re-rates the whole fleet of flows; the count
-  // (not per-flow spam) is the useful observability signal.
+  // Counts re-rate requests, one per arrival, completion batch or cancel;
+  // num_fillings() counts the water-fillings they add up to.
   obs::IncrCounter("net.recomputes");
+  if (rerate_pending_) return;
+  rerate_pending_ = true;
+  engine_->AtInstantEnd([this] { FlushRerate(); });
+}
 
+void Network::FlushRerate() {
+  if (!rerate_pending_) return;
+  rerate_pending_ = false;
+  Recompute();
+}
+
+void Network::Recompute() {
+  ++fillings_;
   // Max-min fair allocation with per-flow caps (progressive filling),
   // over only the links that carry an unfrozen flow. Every flow freezes by
   // the end, which brings active_ back to all zeros for the next call.
+  // A round freezes the flows on its bottleneck links and the flows
+  // capped at its rate; each subtracts the same rate from its links, so
+  // the order they freeze in does not change any avail_.
+  //
+  // The next completion is due at the horizon: the soonest a flow drains
+  // at its rate, floored at the engine's effective time resolution so
+  // completions never stall on increments that round to zero at large
+  // timestamps; or now, if a flow is already within its slack.
+  double horizon = kUnlimitedRate;
+  const double time_floor = std::max(1e-9, engine_->now() * 1e-12);
+  bool drained = false;
   used_links_.clear();
-  unfrozen_.clear();
-  for (Flow& flow : flows_) {
-    if (flow.done) continue;
-    flow.rate = 0;
-    unfrozen_.push_back(&flow);
-    for (LinkId id : flow.path) {
+  capped_.clear();
+  int unfrozen = 0;
+  for (Flow* flow : flows_) {
+    if (flow->done) continue;
+    flow->rate = 0;
+    flow->frozen = false;
+    drained = drained || flow->remaining <= CompletionSlack(*flow);
+    ++unfrozen;
+    if (flow->cap < kUnlimitedRate) capped_.push_back(flow);
+    for (LinkId id : flow->path()) {
       if (active_[id]++ == 0) {
         used_links_.push_back(id);
         avail_[id] = links_[id].capacity;
+        link_flows_[id].clear();
       }
+      link_flows_[id].push_back(flow);
     }
   }
+  auto freeze = [&](Flow* flow, double rate) {
+    flow->frozen = true;
+    flow->rate = rate;
+    for (LinkId id : flow->path()) {
+      avail_[id] -= rate;
+      if (avail_[id] < 0) avail_[id] = 0;
+      --active_[id];
+    }
+    horizon = std::min(horizon, std::max(flow->remaining / rate, time_floor));
+    --unfrozen;
+  };
 
-  while (!unfrozen_.empty()) {
+  while (unfrozen > 0) {
     // The binding rate this round: the smallest of (a) any link's equal
     // share among its unfrozen flows, (b) any unfrozen flow's cap.
+    std::erase_if(used_links_, [this](LinkId i) { return active_[i] == 0; });
+    std::erase_if(capped_, [](const Flow* flow) { return flow->frozen; });
     double round_rate = kUnlimitedRate;
+    share_.clear();
     for (LinkId i : used_links_) {
-      if (active_[i] > 0) {
-        round_rate = std::min(round_rate, avail_[i] / active_[i]);
-      }
+      share_.push_back(avail_[i] / active_[i]);
+      round_rate = std::min(round_rate, share_.back());
     }
-    for (Flow* flow : unfrozen_) {
+    for (const Flow* flow : capped_) {
       round_rate = std::min(round_rate, flow->cap);
     }
     FABRIC_CHECK(round_rate > 0 && round_rate < kUnlimitedRate);
 
     // Freeze every flow bound at round_rate: capped flows whose cap equals
-    // the round rate, plus all flows crossing a link saturated at it.
-    for (LinkId i : used_links_) {
-      link_bottleneck_[i] =
-          active_[i] > 0 && avail_[i] / active_[i] <= round_rate * (1 + 1e-12);
+    // the round rate, plus all flows crossing a link saturated at it. The
+    // bottlenecks are picked before any of them freezes.
+    const int before = unfrozen;
+    const double bound = round_rate * (1 + 1e-12);
+    for (Flow* flow : capped_) {
+      if (flow->cap <= bound) freeze(flow, round_rate);
     }
-    still_unfrozen_.clear();
-    bool froze_any = false;
-    for (Flow* flow : unfrozen_) {
-      bool bound = flow->cap <= round_rate * (1 + 1e-12);
-      if (!bound) {
-        for (LinkId id : flow->path) {
-          if (link_bottleneck_[id]) {
-            bound = true;
-            break;
-          }
-        }
-      }
-      if (bound) {
-        flow->rate = round_rate;
-        froze_any = true;
-        for (LinkId id : flow->path) {
-          avail_[id] -= round_rate;
-          if (avail_[id] < 0) avail_[id] = 0;
-          --active_[id];
-        }
-      } else {
-        still_unfrozen_.push_back(flow);
+    for (size_t k = 0; k < used_links_.size(); ++k) {
+      if (share_[k] > bound) continue;
+      for (Flow* flow : link_flows_[used_links_[k]]) {
+        if (!flow->frozen) freeze(flow, round_rate);
       }
     }
-    FABRIC_CHECK(froze_any) << "water-filling failed to make progress";
-    unfrozen_.swap(still_unfrozen_);
+    FABRIC_CHECK(unfrozen < before) << "water-filling failed to make progress";
   }
 
-  // Schedule the next completion. The horizon is floored at the engine's
-  // effective time resolution so completions never stall on increments
-  // that round to zero at large timestamps.
-  double horizon = kUnlimitedRate;
-  double time_floor = std::max(1e-9, engine_->now() * 1e-12);
-  for (Flow& flow : flows_) {
-    if (flow.done) continue;
-    if (flow.remaining <= CompletionSlack(flow)) {
-      horizon = 0;
-      break;
-    }
-    if (flow.rate > 0) {
-      horizon = std::min(horizon,
-                         std::max(flow.remaining / flow.rate, time_floor));
-    }
-  }
+  if (drained) horizon = 0;
   ++timer_generation_;
   if (horizon < kUnlimitedRate) {
     uint64_t generation = timer_generation_;
@@ -218,26 +231,24 @@ void Network::OnTimer(uint64_t generation) {
   Advance();
   double time_floor = std::max(1e-9, engine_->now() * 1e-12);
   bool completed_any = false;
-  for (Flow& flow : flows_) {
-    if (flow.done) continue;
+  for (Flow* flow : flows_) {
+    if (flow->done) continue;
     // Complete on byte slack, or when the residual transfer time is below
     // the time resolution (so it could never elapse).
-    bool finished = flow.remaining <= CompletionSlack(flow) ||
-                    (flow.rate > 0 &&
-                     flow.remaining / flow.rate < time_floor);
+    bool finished = flow->remaining <= CompletionSlack(*flow) ||
+                    (flow->rate > 0 &&
+                     flow->remaining / flow->rate < time_floor);
     if (finished) {
-      flow.done = true;
-      flow.rate = 0;
-      flow.remaining = 0;
+      flow->done = true;
+      flow->rate = 0;
+      flow->remaining = 0;
       completed_any = true;
-      flow.cond->NotifyAll();
+      flow->cond.NotifyAll();
     }
   }
   // Always re-rate and re-arm: even without completions the timer must
   // make forward progress rather than silently dropping the flow.
-  if (completed_any || num_active_flows() > 0) {
-    Recompute();
-  }
+  if (completed_any || num_active_flows() > 0) RequestRerate();
 }
 
 }  // namespace fabric::net

@@ -240,6 +240,10 @@ void Engine::Kill(Process& process) {
   }
 }
 
+void Engine::AtInstantEnd(std::function<void()> fn) {
+  instant_end_.push_back(std::move(fn));
+}
+
 void Engine::PostWake(Process* process, SimTime when, bool force) {
   if (process->wake_posted_) {
     if (!force) return;
@@ -278,7 +282,18 @@ void Engine::Resume(Process* process) {
 }
 
 Status Engine::Run() {
-  while (!events_.empty()) {
+  while (true) {
+    // The instant ends once no event is due at now_. The heap head is the
+    // earliest event, stale or not, so nothing skipped below can be due
+    // earlier than it.
+    if (!instant_end_.empty() &&
+        (events_.empty() || events_.front().time > now_)) {
+      running_instant_end_.swap(instant_end_);
+      for (auto& hook : running_instant_end_) hook();
+      running_instant_end_.clear();
+      continue;
+    }
+    if (events_.empty()) break;
     if (++steps_ > max_steps_) {
       std::string live;
       int live_count = 0;

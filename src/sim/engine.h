@@ -132,6 +132,14 @@ class Engine {
   // immediately and its pending blocking call returns CANCELLED.
   void Kill(Process& process);
 
+  // Runs `fn` once, in engine context, when the current instant ends:
+  // after every event due at now() has run, including events scheduled
+  // during the instant, and before virtual time advances. Events a hook
+  // schedules at now() run after it, then any hooks they register. Hooks
+  // are not events: they do not count toward steps(). The network uses
+  // this to re-rate once per instant however many flows come and go.
+  void AtInstantEnd(std::function<void()> fn);
+
   // Runs until every spawned process is done. Returns INTERNAL with
   // diagnostics if the simulation deadlocks (live processes but an empty
   // event queue) or exceeds the safety step limit.
@@ -181,6 +189,10 @@ class Engine {
   uint64_t max_steps_ = 200'000'000;
   // Binary min-heap on (time, seq) under EventLater.
   std::vector<Event> events_;
+  // End-of-instant hooks waiting for now_'s events, and the batch being
+  // run (two vectors swapped, so registering allocates nothing).
+  std::vector<std::function<void()>> instant_end_;
+  std::vector<std::function<void()>> running_instant_end_;
   std::vector<ProcessHandle> processes_;
   Process* current_ = nullptr;
   void* sp_ = nullptr;  // the engine's saved context while a process runs

@@ -1,7 +1,6 @@
 #include "storage/segment_store.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 
 #include "common/hash.h"
@@ -669,22 +668,31 @@ Result<int64_t> SegmentStore::MarkDeletedPending(const ScanSpec& spec,
   return marked;
 }
 
-Result<int64_t> SegmentStore::MarkDeletedPendingByContent(
-    TxnId txn, Epoch as_of, const LaneViewRows& victims) {
-  FABRIC_CHECK(txn != 0)
-      << "MarkDeletedPendingByContent requires a transaction";
-  const std::vector<int> all = AllColumns(schema_);
-  std::map<std::string, int64_t> remaining;
+VictimKeys::VictimKeys(const LaneViewRows& victims)
+    : num_rows(static_cast<int64_t>(victims.num_rows)) {
+  std::vector<int> all(victims.columns.size());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = static_cast<int>(c);
   std::string key;
   for (size_t i = 0; i < victims.num_rows; ++i) {
     key.clear();
     victims.AppendKey(i, all, &key);
-    ++remaining[key];
+    auto [it, added] = slot.try_emplace(key, count.size());
+    if (added) count.push_back(0);
+    ++count[it->second];
   }
+}
+
+Result<int64_t> SegmentStore::MarkDeletedPendingByContent(
+    TxnId txn, Epoch as_of, const VictimKeys& victims) {
+  FABRIC_CHECK(txn != 0)
+      << "MarkDeletedPendingByContent requires a transaction";
+  const std::vector<int> all = AllColumns(schema_);
+  std::vector<int64_t> remaining = victims.count;
+  std::string key;
   int64_t marked = 0;
   for (std::vector<RosContainer>* units : {&ros_, &wos_}) {
     for (RosContainer& unit : *units) {
-      if (marked == static_cast<int64_t>(victims.num_rows)) return marked;
+      if (marked == victims.num_rows) return marked;
       if (!unit.committed() && unit.pending_txn() != txn) continue;
       if (unit.committed() && unit.min_epoch() > as_of) continue;
       TxnId owner = unit.committed() ? 0 : unit.pending_txn();
@@ -698,9 +706,9 @@ Result<int64_t> SegmentStore::MarkDeletedPendingByContent(
         }
         key.clear();
         rows->AppendKey(i, all, &key);
-        auto it = remaining.find(key);
-        if (it == remaining.end() || it->second == 0) continue;
-        --it->second;
+        auto it = victims.slot.find(key);
+        if (it == victims.slot.end() || remaining[it->second] == 0) continue;
+        --remaining[it->second];
         ++marked;
         unit.MarkDeletePending(i, txn);
       }

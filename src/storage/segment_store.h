@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -266,6 +267,17 @@ struct ScanStats {
   DataProfile output_profile;
 };
 
+// The content multiset of DELETE/UPDATE victims, rows keyed as AppendKey
+// keys them over all their columns. Built once per owner segment and
+// matched against each of its copies.
+struct VictimKeys {
+  explicit VictimKeys(const LaneViewRows& victims);
+
+  std::unordered_map<std::string, size_t> slot;  // key -> index in count
+  std::vector<int64_t> count;  // victims per distinct key
+  int64_t num_rows = 0;
+};
+
 // All stored data for one table segment on one node: a set of ROS
 // containers plus the WOS units, with MVCC visibility by (epoch,
 // transaction). Every operation runs the same container code over both
@@ -329,8 +341,8 @@ class SegmentStore {
   Result<int64_t> MarkDeletedPending(const ScanSpec& spec,
                                      LaneRows* victims = nullptr);
 
-  // Marks visible rows matching the content multiset of `victims` (rows
-  // of this store's schema; rows match when their AppendKey keys do) as
+  // Marks visible rows matching the content multiset `victims` (rows of
+  // this store's schema; rows match when their AppendKey keys do) as
   // deleted, pending under `txn` — the projection-side half of DELETE/
   // UPDATE: the anchor scan identifies the rows, and every projection
   // (whose columns may not cover the WHERE clause) deletes them by
@@ -341,7 +353,7 @@ class SegmentStore {
   // fingerprints stay equal. Reads each unit's rows as lanes without
   // encoding it. Returns the number of rows marked.
   Result<int64_t> MarkDeletedPendingByContent(TxnId txn, Epoch as_of,
-                                              const LaneViewRows& victims);
+                                              const VictimKeys& victims);
 
   Result<int64_t> CountVisible(Epoch as_of, TxnId txn = 0) const;
 

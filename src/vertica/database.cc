@@ -477,13 +477,14 @@ Status Database::DeleteProjectionRows(sim::Process& self,
       FABRIC_ASSIGN_OR_RETURN(std::vector<SegmentCopy> copies,
                               WriteCopies(set, n));
       double raw_bytes = storage::ProfileRows(images).raw_bytes * scale;
+      const storage::VictimKeys keys(images);
       for (const SegmentCopy& copy : copies) {
         FABRIC_RETURN_IF_ERROR(
             net::RunCpu(self, network_, hosts_[copy.host],
                         raw_bytes * options_.cost.scan_cpu_per_byte));
         FABRIC_ASSIGN_OR_RETURN(
             int64_t marked,
-            copy.store->MarkDeletedPendingByContent(txn, as_of, images));
+            copy.store->MarkDeletedPendingByContent(txn, as_of, keys));
         if (marked != static_cast<int64_t>(images.num_rows)) {
           return InternalError(StrCat("projection ", proj->name, " on ",
                                       node_name(copy.host), " missing ",

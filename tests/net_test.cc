@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "net/network.h"
+#include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/waitable.h"
 
@@ -182,6 +183,103 @@ TEST(NetworkTest, LinkTelemetryTracksRateAndFlows) {
   EXPECT_DOUBLE_EQ(mid_rate, 100.0);  // saturated
   EXPECT_EQ(mid_flows, 4);
   EXPECT_DOUBLE_EQ(network.LinkBytesCarried(link), 1600.0);
+}
+
+// Five flows start at one instant on two shared links, each also through
+// a private link whose rate is that flow's. Lazily, the arrivals cost one
+// filling; with `eager`, a flusher process reads LinkCurrentRate after
+// each arrival, which re-rates every time as the network used to.
+struct SameInstantRun {
+  uint64_t fillings_at_start = 0;  // before any read, as t=0 ends
+  uint64_t fillings_mid = 0;      // at t=0.5, before any completion
+  double recomputes = 0;          // net.recomputes, whole run
+  std::vector<double> read_at_start;  // same-instant LinkCurrentRate
+  std::vector<double> read_mid;
+  std::vector<double> finish;
+};
+
+SameInstantRun RunSameInstantArrivals(bool eager) {
+  sim::Engine engine;
+  Network network(&engine);
+  obs::Tracer tracer([&engine] { return engine.now(); },
+                     {.capture_events = false});
+  obs::ScopedTracer scope(&tracer);
+  LinkId a = network.AddLink("a", 100.0);
+  LinkId b = network.AddLink("b", 50.0);
+  const std::vector<std::vector<LinkId>> shared = {{a}, {a, b}, {b}, {a}, {a}};
+  const std::vector<double> caps = {10.0, kUnlimitedRate, kUnlimitedRate,
+                                    kUnlimitedRate, kUnlimitedRate};
+  const int flows = static_cast<int>(shared.size());
+  std::vector<LinkId> own;
+  for (int f = 0; f < flows; ++f) own.push_back(network.AddLink("own", 1e3));
+  auto read_rates = [&network, &own] {
+    std::vector<double> rates;
+    for (LinkId id : own) rates.push_back(network.LinkCurrentRate(id));
+    return rates;
+  };
+  SameInstantRun run;
+  run.finish.assign(flows, -1);
+  for (int f = 0; f < flows; ++f) {
+    std::vector<LinkId> path = shared[f];
+    path.push_back(own[f]);
+    engine.Spawn("flow", [&, path, f](sim::Process& self) {
+      ASSERT_TRUE(network.Transfer(self, path, 100.0 * (f + 1), caps[f]).ok());
+      run.finish[f] = self.Now();
+    });
+    if (eager) {
+      engine.Spawn("flusher", [&](sim::Process&) { (void)read_rates(); });
+    }
+  }
+  engine.Spawn("reader", [&](sim::Process&) {
+    run.fillings_at_start = network.num_fillings();
+    run.read_at_start = read_rates();
+  });
+  engine.ScheduleAt(0.5, [&] {
+    run.fillings_mid = network.num_fillings();
+    run.read_mid = read_rates();
+  });
+  EXPECT_TRUE(engine.Run().ok());
+  run.recomputes = tracer.metrics().counter("net.recomputes");
+  return run;
+}
+
+TEST(NetworkTest, SameInstantArrivalsShareOneFilling) {
+  SameInstantRun lazy = RunSameInstantArrivals(false);
+  SameInstantRun eager = RunSameInstantArrivals(true);
+  // Round 1 freezes the capped flow at 10, round 2 the two flows on b at
+  // 25, round 3 the rest of a's 65 at 32.5 each.
+  const std::vector<double> expected = {10.0, 25.0, 25.0, 32.5, 32.5};
+  EXPECT_EQ(lazy.fillings_at_start, 0u);
+  EXPECT_EQ(lazy.fillings_mid, 1u);  // the reader's flush; none at t=0's end
+  EXPECT_EQ(eager.fillings_mid, 5u);
+  EXPECT_EQ(lazy.read_at_start, expected);
+  EXPECT_EQ(lazy.read_mid, expected);
+  EXPECT_EQ(eager.read_at_start, expected);
+  EXPECT_EQ(eager.read_mid, expected);
+  EXPECT_EQ(lazy.finish, eager.finish);
+  // The counter counts requests, however many fillings they come to:
+  // five arrivals and four completion batches (the capped flow and the
+  // one alone on b finish together at t=10).
+  EXPECT_EQ(lazy.recomputes, 9.0);
+  EXPECT_EQ(eager.recomputes, 9.0);
+}
+
+TEST(NetworkTest, ArrivalsAtOneInstantRunOneFilling) {
+  sim::Engine engine;
+  Network network(&engine);
+  LinkId link = network.AddLink("nic", 100.0);
+  for (int i = 0; i < 8; ++i) {
+    engine.Spawn("sender", [&network, link](sim::Process& self) {
+      ASSERT_TRUE(network.Transfer(self, {link}, 400.0).ok());
+    });
+  }
+  uint64_t fillings = 0;
+  engine.ScheduleAt(1.0, [&] { fillings = network.num_fillings(); });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(fillings, 1u);
+  // All eight complete in one timer: one more filling, with no flows.
+  EXPECT_EQ(network.num_fillings(), 2u);
+  EXPECT_EQ(engine.now(), 32.0);
 }
 
 // Property sweep over randomized flow sets: bytes are conserved (sum of

@@ -167,7 +167,7 @@ inline Result<int64_t> DeleteRowsByContent(SegmentStore& store, TxnId txn,
                                            const std::vector<Row>& victims) {
   FABRIC_ASSIGN_OR_RETURN(LaneViewRows lanes,
                           FromRows(store.schema(), victims));
-  return store.MarkDeletedPendingByContent(txn, as_of, lanes);
+  return store.MarkDeletedPendingByContent(txn, as_of, VictimKeys(lanes));
 }
 
 // The container of `rows` (in this order), pending under `pending_txn`:

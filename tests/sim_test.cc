@@ -155,6 +155,129 @@ TEST(EngineTest, StepLimitAborts) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 
+TEST(InstantEndTest, RunsAfterEveryEventOfTheInstant) {
+  Engine engine;
+  std::vector<std::string> log;
+  engine.ScheduleAt(1.0, [&] {
+    log.push_back("first");
+    engine.AtInstantEnd([&] { log.push_back(StrCat("hook@", engine.now())); });
+    // Pushed during the instant, so still part of it.
+    engine.ScheduleAt(1.0, [&] { log.push_back("pushed"); });
+  });
+  engine.ScheduleAt(1.0, [&] { log.push_back("second"); });
+  engine.Spawn("late", [&](Process& self) {
+    ASSERT_TRUE(self.Sleep(1.0).ok());
+    log.push_back("process");
+    ASSERT_TRUE(self.Sleep(0).ok());  // a yield stays in the instant
+    log.push_back("yielded");
+  });
+  engine.ScheduleAt(2.0, [&] { log.push_back("next instant"); });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(log, (std::vector<std::string>{"first", "second", "process",
+                                           "pushed", "yielded", "hook@1",
+                                           "next instant"}));
+}
+
+TEST(InstantEndTest, EventsTheHookSchedulesNowRunAfterIt) {
+  Engine engine;
+  std::vector<std::string> log;
+  engine.ScheduleAt(1.0, [&] {
+    engine.AtInstantEnd([&] {
+      log.push_back("hook");
+      engine.ScheduleAt(engine.now(), [&] {
+        log.push_back("scheduled by hook");
+        engine.AtInstantEnd([&] { log.push_back("second hook"); });
+      });
+    });
+  });
+  engine.ScheduleAt(2.0, [&] { log.push_back("next instant"); });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(log, (std::vector<std::string>{"hook", "scheduled by hook",
+                                           "second hook", "next instant"}));
+  EXPECT_EQ(engine.steps(), 3u);  // hooks are not events
+}
+
+TEST(InstantEndTest, SkippedEventsDoNotEndTheInstantEarly) {
+  Engine engine;
+  std::vector<std::string> log;
+  auto hook = [&] { log.push_back(StrCat("hook@", engine.now())); };
+  // A cancelled event heads the heap at t=0, ahead of a live one.
+  Engine::TimerToken token =
+      engine.ScheduleCancelableAt(0.0, [&] { log.push_back("cancelled"); });
+  engine.ScheduleAt(0.0, [&] { log.push_back("live@0"); });
+  *token = true;
+  engine.AtInstantEnd(hook);
+  // A killed sleeper leaves its superseded wake at t=3 as a stale event.
+  auto sleeper = engine.Spawn("sleeper", [&](Process& self) {
+    EXPECT_FALSE(self.Sleep(3.0).ok());
+    log.push_back(StrCat("killed@", self.Now()));
+  });
+  engine.ScheduleAt(1.0, [&] {
+    engine.Kill(*sleeper);
+    engine.AtInstantEnd(hook);
+  });
+  // Only the stale wake and a cancelled timer lie beyond t=2.
+  Engine::TimerToken late =
+      engine.ScheduleCancelableAt(5.0, [&] { log.push_back("late"); });
+  engine.ScheduleAt(2.0, [&] {
+    *late = true;
+    engine.AtInstantEnd(hook);
+  });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(log, (std::vector<std::string>{"live@0", "hook@0", "killed@1",
+                                           "hook@1", "hook@2"}));
+  EXPECT_EQ(engine.now(), 2.0);
+}
+
+TEST(InstantEndTest, PendingHookKeepsTheRunGoing) {
+  Engine engine;
+  Condition cond(&engine);
+  bool ready = false;
+  bool hook_ran = false;
+  double woke_at = -1;
+  // Registered before Run: runs once t=0's events have.
+  engine.AtInstantEnd([&] { hook_ran = true; });
+  engine.Spawn("waiter", [&](Process& self) {
+    ASSERT_TRUE(self.Sleep(1.0).ok());
+    ASSERT_TRUE(cond.WaitUntil(self, [&] { return ready; }).ok());
+    woke_at = self.Now();
+  });
+  engine.ScheduleAt(1.0, [&] {
+    // When the instant ends the heap is empty and the waiter blocked;
+    // only the hook can wake it.
+    engine.AtInstantEnd([&] {
+      ready = true;
+      cond.NotifyAll();
+    });
+  });
+  Status status = engine.Run();
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_TRUE(hook_ran);
+  EXPECT_EQ(woke_at, 1.0);
+}
+
+TEST(InstantEndTest, StepLimitDiagnosticsIgnoreHooks) {
+  auto run = [](bool with_hooks) {
+    Engine engine;
+    engine.set_max_steps(100);
+    int hooks = 0;
+    engine.Spawn("spinner", [&](Process& self) {
+      do {
+        if (with_hooks) engine.AtInstantEnd([&] { ++hooks; });
+      } while (self.Sleep(1).ok());
+    });
+    Status status = engine.Run();
+    EXPECT_EQ(hooks, with_hooks ? 100 : 0);  // t=0..99
+    return StrCat(status.ToString(), " steps=", engine.steps());
+  };
+  std::string plain = run(false);
+  EXPECT_NE(plain.find("simulation exceeded 100 events at t=99; 1 live "
+                       "processes: spinner (runaway loop?)"),
+            std::string::npos)
+      << plain;
+  EXPECT_EQ(run(true), plain);
+}
+
 TEST(ConditionTest, NotifyAllWakesEveryWaiter) {
   Engine engine;
   Condition cond(&engine);

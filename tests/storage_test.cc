@@ -2173,5 +2173,62 @@ TEST(LaneContentTest, ByContentDeleteAndFingerprintMatchBoxedRowsProperty) {
   }
 }
 
+// DeleteProjectionRows keys an owner segment's victims once and marks
+// them on every copy. Buddy copies apply the same loads, so one key set
+// must mark the same positions on each, whether a unit was read
+// (encoded) on one copy and never read on the other, and those must be
+// the boxed reference's positions.
+TEST(LaneContentTest, BuddyCopiesMarkIdenticalPositionsFromOneKeySet) {
+  for (uint64_t seed : fabric::testing::PropertySeeds()) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Rng rng(seed);
+    SegmentStore first(RebuildSchema(), PhysicalDesign{});
+    SegmentStore buddy(RebuildSchema(), PhysicalDesign{});
+    std::vector<Row> loaded;
+    TxnId txn = 10;
+    Epoch epoch = 0;
+    for (int load = 0; load < 6; ++load, ++txn) {
+      std::vector<Row> rows(1 + rng.NextUint64(60));
+      for (Row& row : rows) {
+        row = !loaded.empty() && rng.NextBool(0.4)
+                  ? loaded[rng.NextUint64(loaded.size())]
+                  : RandomRebuildRow(rng);
+      }
+      loaded.insert(loaded.end(), rows.begin(), rows.end());
+      for (SegmentStore* store : {&first, &buddy}) {
+        ASSERT_TRUE((load % 2 == 0 ? InsertRows(*store, txn, rows)
+                                   : InsertRowsDirect(*store, txn, rows))
+                        .ok());
+        store->CommitTxn(txn, epoch + 1);
+      }
+      ++epoch;
+    }
+    for (const RosContainer& unit : first.ros_containers()) {
+      unit.encoded_bytes();  // read on one copy only
+    }
+    for (int round = 0; round < 3; ++round, ++txn) {
+      std::vector<Row> victims(1 + rng.NextUint64(40));
+      for (Row& row : victims) {
+        row = rng.NextBool(0.9) ? loaded[rng.NextUint64(loaded.size())]
+                                : RandomRebuildRow(rng);
+      }
+      auto want = ReferenceDeleteByContent(first, txn, epoch, victims);
+      ASSERT_TRUE(want.ok()) << want.status();
+      auto lanes = FromRows(RebuildSchema(), victims);
+      ASSERT_TRUE(lanes.ok()) << lanes.status();
+      const VictimKeys keys(*lanes);
+      for (SegmentStore* store : {&first, &buddy}) {
+        auto marked = store->MarkDeletedPendingByContent(txn, epoch, keys);
+        ASSERT_TRUE(marked.ok()) << marked.status();
+        EXPECT_EQ(*marked, static_cast<int64_t>(want->size()));
+        EXPECT_EQ(PendingMarks(*store, txn), *want);
+        store->CommitTxn(txn, epoch + 1);
+      }
+      ++epoch;
+      EXPECT_EQ(first.ContentFingerprint(), buddy.ContentFingerprint());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fabric::storage
